@@ -31,7 +31,7 @@ from .dynamics import (
     evolve_fixed_unitaries,
     evolve_full_model,
 )
-from .exceptions import ConfigurationError, CusmError, IllConditionedStepError
+from .exceptions import ConfigurationError, CusmError, IllConditionedStepError, VocabularyError
 from .hamgen import init_full_model, load_model
 from .numerics import make_rng, ginibre
 from .readout import born_probabilities, project_measurement
@@ -128,11 +128,16 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list) -> list:
 
 def _parse_tokens(args) -> list:
     if args.tokens is not None:
-        return [int(x) for x in args.tokens.split(",") if x.strip() != ""]
-    if args.tokens_file is not None:
+        tokens = [int(x) for x in args.tokens.split(",") if x.strip() != ""]
+    elif args.tokens_file is not None:
         with open(args.tokens_file) as fh:
-            return [int(x) for x in json.load(fh)]
-    raise ConfigurationError("provide --tokens or --tokens-file")
+            tokens = [int(x) for x in json.load(fh)]
+    else:
+        raise ConfigurationError("provide --tokens or --tokens-file")
+    negative = [tok for tok in tokens if tok < 0]
+    if negative:
+        raise ConfigurationError(f"token ids must be >= 0, got {negative[0]}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +268,6 @@ def cmd_simulate(args) -> int:
         else:
             model = init_full_model(n=args.n, r=args.r, d=args.d, v=args.v,
                                     v_in=max(tokens) + 1, dt=dt, seed=args.seed)
-        if max(tokens) >= model.embed.vectors.shape[0]:
-            print("error: token id outside checkpoint vocabulary", file=sys.stderr)
-            return EXIT_USAGE
         dt = model.dt
         states, factor_log, _ = evolve_full_model(model, tokens)
         step_hams = [f.materialize() for f in factor_log]
@@ -383,12 +385,11 @@ def cmd_bench(args) -> int:
             entry = {"n": n, "r": r, "batch": batch, "dense_batch": args.dense_batch}
             entry["woodbury_s"] = _time_step(
                 lambda: cayley_step_woodbury(factors, psi, args.dt), args.repeats)
-            if args.dense:
-                h = factors.materialize()
-                psi_d = ginibre(rng, n, args.dense_batch)
-                psi_d /= np.linalg.norm(psi_d, axis=0)
-                entry["dense_s"] = _time_step(
-                    lambda: cayley_step_dense(h, psi_d, args.dt), args.repeats)
+            h = factors.materialize()
+            psi_d = ginibre(rng, n, args.dense_batch)
+            psi_d /= np.linalg.norm(psi_d, axis=0)
+            entry["dense_s"] = _time_step(
+                lambda: cayley_step_dense(h, psi_d, args.dt), args.repeats)
             grid.append(entry)
     report = _envelope(args, seed=args.seed)
     report["grid"] = grid
@@ -468,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-batch", type=int, default=1)
     p.add_argument("--repeats", type=int, default=15)
     p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--dense", action="store_true", default=True)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -482,9 +482,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except IllConditionedStepError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        where = f" at step {exc.step}" if exc.step is not None else ""
+        print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, VocabularyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CusmError as exc:

@@ -13,7 +13,7 @@ Woodbury algebra can always be cross-checked against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ RENORM_TRIGGER = 1e-12
 
 @dataclass
 class InteractionFactors:
-    """Low-rank factor Phi (N x r) plus real diagonal shift delta (N)."""
+    """Low-rank factor Phi (N x r) plus real diagonal shift delta (N), or stacks of both."""
 
     phi: np.ndarray
     delta: np.ndarray
@@ -35,11 +35,11 @@ class InteractionFactors:
 
     @property
     def dim(self) -> int:
-        return self.phi.shape[0]
+        return self.phi.shape[-2]
 
     @property
     def rank(self) -> int:
-        return self.phi.shape[1]
+        return self.phi.shape[-1]
 
     def materialize(self) -> np.ndarray:
         """Dense H = Phi Phi^dag + diag(delta); Hermitian by construction."""
@@ -71,7 +71,7 @@ def interaction_picture_factors(
     untouched because diagonal entries are invariant under the conjugation.
     """
     phase = np.exp(1j * np.asarray(frequencies) * (t * dt))
-    return replace(factors, phi=phase[:, None] * factors.phi)
+    return InteractionFactors(phase[:, None] * factors.phi, factors.delta, factors.time_index)
 
 
 def cayley_step_dense(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -83,6 +83,54 @@ def cayley_step_dense(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
     return np.linalg.solve(np.eye(n) + k, rhs)
 
 
+def _apply_cayley_side(phi: np.ndarray, delta: np.ndarray, c: complex, x: np.ndarray) -> np.ndarray:
+    """(diag(1 + c*delta) + c*phi phi^dag) x, stacked like _lowrank_solve."""
+    return (1.0 + c * delta)[..., None] * x + c * (phi @ (phi.swapaxes(-1, -2).conj() @ x))
+
+
+def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray,
+                   step: int | None = None) -> tuple[np.ndarray, float]:
+    """Solve (diag(1 + c*delta) + c*phi phi^dag) x = rhs at O(N r^2 + r^3).
+
+    The one Woodbury solve of the forward step and its adjoint, stacked over
+    leading axes: phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x
+    and the worst r x r Gram condition; fails above GRAM_COND_FAIL at `step`.
+    """
+    d = (1.0 + c * delta)[..., None]  # diagonal of A; modulus > 0 always
+    phi_h = phi.swapaxes(-1, -2).conj()
+    y = rhs / d
+    p = phi / d
+    gram = np.eye(phi.shape[-1]) + c * (phi_h @ p)
+    sig = np.linalg.svd(gram, compute_uv=False)
+    rcond = float((sig[..., -1] / sig[..., 0]).min())
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    if cond > GRAM_COND_FAIL:
+        report = CayleyStepReport(gram_condition=cond, residual=np.nan, renorm_delta=np.nan)
+        raise IllConditionedStepError(
+            f"Gram matrix condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}",
+            report=report, step=step,
+        )
+    w = np.linalg.solve(gram, phi_h @ y)
+    return y - c * (p @ w), cond
+
+
+def _cayley_step(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, dt: float,
+                 step: int | None = None) -> tuple[np.ndarray, CayleyStepReport]:
+    """Cayley step of state columns psi (..., N, k), stacked like _lowrank_solve;
+    the report holds the worst condition, residual and norm change of the stack."""
+    c = 0.5j * dt
+    b = _apply_cayley_side(phi, delta, -c, psi)
+    out, cond = _lowrank_solve(phi, delta, c, b, step)
+    resid = _apply_cayley_side(phi, delta, c, out) - b
+    norms = np.linalg.norm(out, axis=-2)
+    return out, CayleyStepReport(
+        gram_condition=cond,
+        residual=float(np.linalg.norm(resid, axis=-2).max()),
+        renorm_delta=float(np.abs(norms - np.linalg.norm(psi, axis=-2)).max()),
+        warning=cond > GRAM_COND_WARN,
+    )
+
+
 def cayley_step_woodbury(
     factors: InteractionFactors, psi: np.ndarray, dt: float
 ) -> tuple[np.ndarray, CayleyStepReport]:
@@ -91,52 +139,16 @@ def cayley_step_woodbury(
     `factors` must already be in the interaction picture. Accepts psi of
     shape (N,) or a batch (N, B) sharing the same factors.
     """
-    phi, delta = factors.phi, factors.delta
-    c = 0.5j * dt
-    d = 1.0 + c * delta          # diagonal of A; modulus > 0 always
-    d_prime = 1.0 - c * delta
-
-    if psi.ndim == 1:
-        col = psi[:, None]
-    else:
-        col = psi
-    # rhs b = D' psi - c * Phi (Phi^dag psi)
-    b = d_prime[:, None] * col - c * (phi @ (phi.conj().T @ col))
-    y = b / d[:, None]
-    z = phi.conj().T @ y
-    p = phi / d[:, None]
-    gram = np.eye(factors.rank) + c * (phi.conj().T @ p)
-    sig = np.linalg.svd(gram, compute_uv=False)
-    cond = float(sig[0] / sig[-1]) if sig[-1] > 0 else np.inf
-    if cond > GRAM_COND_FAIL:
-        report = CayleyStepReport(gram_condition=cond, residual=np.nan, renorm_delta=np.nan)
-        raise IllConditionedStepError(
-            f"Gram matrix condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}", report=report
-        )
-    w = np.linalg.solve(gram, z)
-    out = y - c * (p @ w)
-
-    resid = d[:, None] * out + c * (phi @ (phi.conj().T @ out)) - b
-    residual = float(np.linalg.norm(resid, axis=0).max())
-    norms = np.linalg.norm(out, axis=0)
-    renorm_delta = float(np.abs(norms - np.linalg.norm(col, axis=0)).max())
-    report = CayleyStepReport(
-        gram_condition=cond,
-        residual=residual,
-        renorm_delta=renorm_delta,
-        warning=cond > GRAM_COND_WARN,
-    )
-    if psi.ndim == 1:
-        out = out[:, 0]
-    return out, report
+    out, report = _cayley_step(factors.phi, factors.delta,
+                               psi.reshape(psi.shape[0], -1), dt)
+    return out.reshape(psi.shape), report
 
 
 def _safeguard(psi: np.ndarray, step: int) -> np.ndarray:
-    """Renormalize only on the safeguard schedule and only if drift is visible."""
+    """Renormalize each state only on the safeguard schedule and only if its drift is visible."""
     if step % RENORM_INTERVAL == 0:
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > RENORM_TRIGGER:
-            return psi / norm
+        norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+        return np.where(np.abs(norm - 1.0) > RENORM_TRIGGER, psi / norm, psi)
     return psi
 
 
@@ -155,36 +167,47 @@ def evolve_fixed_unitaries(
     return trajectory
 
 
-def evolve_full_model(model, tokens):
-    """Forward pass of the full model in the interaction picture.
+def evolve_full_batch(model, tokens: np.ndarray):
+    """Forward pass of the full model over a (B, T) array of token ids.
 
-    At each step the generator network consumes (token embedding,
-    Re/Im of the current interaction-picture state), its output factors are
-    phase-conjugated into the interaction picture, and a Woodbury Cayley step
-    advances the state. Returns (trajectory, factors, reports) with the
-    interaction-picture factors actually used at each step, which is
-    everything the current diagnostics and the backward pass need.
+    At each step the generator network consumes one row per sequence (token
+    embedding, Re/Im of the current interaction-picture state), its output
+    factors are phase-conjugated into the interaction picture, and one stacked
+    Woodbury Cayley step advances all B states. Returns T+1 states (B, N) and
+    per step the stacked factors (phi (B, N, r)), one report over the batch
+    and the generator network's layer inputs for the backward pass.
     """
-    from .hamgen import generate_interaction, initial_state
+    from .hamgen import initial_state, mlp_forward_cached, split_factor_output
 
-    psi = initial_state(model.init)
-    trajectory = [psi]
-    factor_log: list[InteractionFactors] = []
-    reports: list[CayleyStepReport] = []
-    for step, tok in enumerate(tokens):
-        factors = generate_interaction(model.mlp, model.embed.vectors[tok], psi, model.r)
-        factors_ip = interaction_picture_factors(factors, model.frequencies, step, model.dt)
-        factors_ip.time_index = step
-        try:
-            psi, report = cayley_step_woodbury(factors_ip, psi, model.dt)
-        except IllConditionedStepError as exc:
-            exc.step = step
-            raise
-        psi = _safeguard(psi, step + 1)
-        trajectory.append(psi)
-        factor_log.append(factors_ip)
+    tokens = np.asarray(tokens)
+    v_in = model.embed.vectors.shape[0]
+    bad = tokens[(tokens < 0) | (tokens >= v_in)]
+    if bad.size:
+        raise VocabularyError(f"token id {bad[0]} outside the vocabulary [0, {v_in})")
+    embeds = model.embed.vectors[tokens]
+    psi = np.tile(initial_state(model.init), (tokens.shape[0], 1))
+    states, factor_log, reports, mlp_inputs = [psi], [], [], []
+    for step in range(tokens.shape[1]):
+        x = np.concatenate([embeds[:, step], psi.real, psi.imag], axis=-1)
+        out, inputs = mlp_forward_cached(model.mlp, x)
+        factors = interaction_picture_factors(
+            split_factor_output(out, model.n, model.r), model.frequencies, step, model.dt)
+        factors.time_index = step
+        psi, report = _cayley_step(factors.phi, factors.delta, psi[..., None], model.dt, step)
+        psi = _safeguard(psi[..., 0], step + 1)
+        states.append(psi)
+        factor_log.append(factors)
         reports.append(report)
-    return trajectory, factor_log, reports
+        mlp_inputs.append(inputs)
+    return states, factor_log, reports, mlp_inputs
+
+
+def evolve_full_model(model, tokens):
+    """evolve_full_batch for one sequence: (trajectory, interaction-picture factors, reports)."""
+    states, factor_log, reports, _ = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))
+    factors = [InteractionFactors(phi=f.phi[0], delta=f.delta[0], time_index=f.time_index)
+               for f in factor_log]
+    return [psi[0] for psi in states], factors, reports
 
 
 def schrodinger_state(psi_ip: np.ndarray, frequencies: np.ndarray, t: int, dt: float) -> np.ndarray:

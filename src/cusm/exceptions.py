@@ -28,6 +28,8 @@ class DegenerateInitializationError(CusmError, ValueError):
 class VocabularyError(CusmError, KeyError):
     """A token id has no associated transition operator."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class ConfigurationError(CusmError, ValueError):
     """Inconsistent widths or dimensions in model configuration."""

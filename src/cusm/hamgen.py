@@ -81,58 +81,58 @@ def mlp_forward(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward_cached(mlp: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass keeping per-layer inputs for the backward pass."""
+    """Forward pass of one input or of rows (B, in), keeping per-layer inputs."""
     inputs = []
     h = np.asarray(x, dtype=float)
     last = len(mlp.weights) - 1
     for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        if w.shape[1] != h.shape[0]:
+        if w.shape[1] != h.shape[-1]:
             raise ConfigurationError(
-                f"layer {layer} expects input width {w.shape[1]}, got {h.shape[0]}"
+                f"layer {layer} expects input width {w.shape[1]}, got {h.shape[-1]}"
             )
         inputs.append(h)
-        h = w @ h + b
+        h = h @ w.T + b
         if layer != last:
             h = np.tanh(h)
     return h, inputs
 
 
 def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray):
-    """Gradients of a scalar loss wrt weights, biases, and the input vector."""
+    """Gradients of a scalar loss wrt weights and biases (summed over the rows)
+    and the input, from the inputs cached by mlp_forward_cached for one input
+    or for rows (B, in); the input gradient has the shape of the input."""
     g_w = [None] * len(mlp.weights)
     g_b = [None] * len(mlp.biases)
-    g = np.asarray(g_out, dtype=float)
+    rows = [np.atleast_2d(h) for h in inputs]
+    g = np.atleast_2d(np.asarray(g_out, dtype=float))
     last = len(mlp.weights) - 1
     for layer in range(last, -1, -1):
-        h_in = inputs[layer]
         if layer != last:
-            # redo the pre-activation to form tanh'(z) = 1 - tanh(z)^2
-            z = mlp.weights[layer] @ h_in + mlp.biases[layer]
-            g = g * (1.0 - np.tanh(z) ** 2)
-        g_w[layer] = np.outer(g, h_in)
-        g_b[layer] = g.copy()
-        g = mlp.weights[layer].T @ g
-    return g_w, g_b, g
+            # tanh'(z) = 1 - tanh(z)^2, and tanh(z) is the next layer's input
+            g = g * (1.0 - rows[layer + 1] ** 2)
+        g_w[layer] = g.T @ rows[layer]
+        g_b[layer] = g.sum(axis=0)
+        g = g @ mlp.weights[layer]
+    return g_w, g_b, g.reshape(np.shape(inputs[0]))
 
 
 def split_factor_output(out: np.ndarray, n: int, r: int) -> InteractionFactors:
-    """Fixed output layout: for channel a, then row j, (Re, Im) of Phi[j, a]; then delta."""
-    if out.shape[0] != 2 * n * r + n:
-        raise ConfigurationError(f"output width {out.shape[0]} != 2*N*r + N = {2 * n * r + n}")
-    pairs = out[: 2 * n * r].reshape(r, n, 2)
-    phi = (pairs[:, :, 0] + 1j * pairs[:, :, 1]).T  # (N, r)
-    delta = out[2 * n * r :]
+    """Fixed output layout: for channel a, then row j, (Re, Im) of Phi[j, a]; then
+    delta. Leading axes are kept: rows (B, 2*N*r + N) give phi (B, N, r)."""
+    if out.shape[-1] != 2 * n * r + n:
+        raise ConfigurationError(f"output width {out.shape[-1]} != 2*N*r + N = {2 * n * r + n}")
+    pairs = out[..., : 2 * n * r].reshape(*out.shape[:-1], r, n, 2)
+    phi = (pairs[..., 0] + 1j * pairs[..., 1]).swapaxes(-1, -2)  # (..., N, r)
+    delta = out[..., 2 * n * r :]
     return InteractionFactors(phi=phi, delta=delta.copy())
 
 
 def merge_factor_grads(g_phi: np.ndarray, g_delta: np.ndarray) -> np.ndarray:
     """Adjoint of split_factor_output: complex Phi gradient back to real outputs."""
-    r = g_phi.shape[1]
-    n = g_phi.shape[0]
-    pairs = np.empty((r, n, 2))
-    pairs[:, :, 0] = g_phi.real.T
-    pairs[:, :, 1] = g_phi.imag.T
-    return np.concatenate([pairs.reshape(2 * n * r), g_delta])
+    *lead, n, r = g_phi.shape
+    pairs = np.stack([g_phi.real, g_phi.imag], axis=-1)  # (..., N, r, 2)
+    flat = pairs.swapaxes(-3, -2).reshape(*lead, 2 * n * r)
+    return np.concatenate([flat, g_delta], axis=-1)
 
 
 def generate_interaction(

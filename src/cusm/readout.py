@@ -44,7 +44,7 @@ def diagonal_only_probabilities(meas: np.ndarray, psi: np.ndarray) -> np.ndarray
     weights = (np.abs(meas) ** 2).T @ (np.abs(psi) ** 2)
     total = weights.sum()
     if total <= 0.0:
-        raise AssertionError("diagonal readout normalizer vanished; MM^dag = I violated")
+        raise DegenerateMeasurementError("diagonal readout normalizer vanished; MM^dag = I violated")
     return weights / total
 
 

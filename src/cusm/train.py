@@ -21,13 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    GRAM_COND_FAIL,
     InteractionFactors,
+    _apply_cayley_side,
+    _lowrank_solve,
     evolve_fixed_unitaries,
+    evolve_full_batch,
     evolve_full_model,
     schrodinger_state,
 )
-from .exceptions import ConfigurationError, IllConditionedStepError
+from .exceptions import ConfigurationError
 from .hamgen import (
     FullModelParams,
     InitialStateParams,
@@ -35,7 +37,6 @@ from .hamgen import (
     initial_state,
     merge_factor_grads,
     mlp_backward,
-    mlp_forward_cached,
 )
 from .numerics import ginibre, make_rng, thin_qr_unique
 from .readout import (
@@ -120,36 +121,19 @@ def entropy_floor(table: TargetTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# low-rank linear solves shared by the forward and adjoint passes
-
-def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray,
-                   step: int | None = None) -> np.ndarray:
-    """Solve (diag(1 + c*delta) + c*phi phi^dag) x = rhs at O(N r^2)."""
-    d = 1.0 + c * delta
-    y = rhs / d
-    z = phi.conj().T @ y
-    p = phi / d[:, None]
-    gram = np.eye(phi.shape[1]) + c * (phi.conj().T @ p)
-    sig = np.linalg.svd(gram, compute_uv=False)
-    cond = float(sig[0] / sig[-1]) if sig[-1] > 0 else np.inf
-    if cond > GRAM_COND_FAIL:
-        raise IllConditionedStepError(
-            f"adjoint Gram condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}", step=step
-        )
-    w = np.linalg.solve(gram, z)
-    return y - c * (p @ w)
-
+# adjoint building blocks
 
 def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
-                       step: int | None = None) -> np.ndarray:
-    """Pull a state adjoint back through one Cayley step, factors held fixed.
+                       step: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
     The map is the conjugate transpose of the step unitary, so the adjoint
-    norm is exactly preserved: first solve with A^dag, then apply A.
+    norm is exactly preserved: first solve A^dag s = g, then apply A. Returns
+    the pulled-back adjoint A s and s, both shaped like g.
     """
     c = 0.5j * dt
-    s = _lowrank_solve(factors.phi, factors.delta, -c, g, step=step)
-    return (1.0 + c * factors.delta) * s + c * (factors.phi @ (factors.phi.conj().T @ s))
+    s, _ = _lowrank_solve(factors.phi, factors.delta, -c, g[..., None], step)
+    return _apply_cayley_side(factors.phi, factors.delta, c, s)[..., 0], s[..., 0]
 
 
 def _qr_projection_vjp(raw: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
@@ -176,47 +160,57 @@ def _initial_state_vjp(params: InitialStateParams, g_psi0: np.ndarray):
 
 
 def _born_readout_vjp(meas: np.ndarray, psi: np.ndarray, weights: np.ndarray):
-    """Gradients of -sum_k w_k log p_k at p = |M^dag psi|^2."""
+    """Gradients of -sum_k w_k log p_k at p = |M^dag psi|^2 for state columns
+    psi (N, B) and weight columns (V, B); loss and g_meas are summed over columns."""
     z = meas.conj().T @ psi
     p = np.abs(z) ** 2
     g_p = -weights / np.maximum(p, PROB_FLOOR)
     g_z = 2.0 * g_p * z
     g_psi = meas @ g_z
-    g_meas = np.outer(psi, g_z.conj())
+    g_meas = psi @ g_z.conj().T
     logs, _ = floored_log(p)
-    loss = float(-(weights @ logs))
+    loss = float(-np.vdot(weights, logs))
     return loss, g_psi, g_meas
 
 
 # ---------------------------------------------------------------------------
 # full model: forward loss and the adjoint backward pass
 
-def full_model_loss(model: FullModelParams, tokens, target_weights: np.ndarray) -> float:
-    """Forward-only loss; row t of target_weights weights the readout after step t."""
-    trajectory, _, _ = evolve_full_model(model, tokens)
+def _loss_full(model: FullModelParams, tokens: np.ndarray, target_weights: np.ndarray) -> float:
+    """Forward-only loss of a (B, T) token batch, summed over the batch; entry
+    [b, t] of the (B, T, V) target_weights weights readout b after step t."""
+    states, _, _, _ = evolve_full_batch(model, tokens)
     meas = project_measurement(model.meas_raw)
     loss = 0.0
-    for t, row in enumerate(target_weights):
-        if not np.any(row):
+    for t in range(target_weights.shape[1]):
+        rows = target_weights[:, t]
+        if not np.any(rows):
             continue
-        psi_s = schrodinger_state(trajectory[t + 1], model.frequencies, t + 1, model.dt)
-        logs, _ = floored_log(born_probabilities(meas, psi_s))
-        loss -= float(row @ logs)
+        psi_s = schrodinger_state(states[t + 1], model.frequencies, t + 1, model.dt)
+        logs, _ = floored_log(born_probabilities(meas, psi_s.T))
+        loss -= float(np.vdot(rows.T, logs))
     return loss
 
 
-def _backward_full(model: FullModelParams, tokens, target_weights: np.ndarray) -> GradientBundle:
-    """Reverse traversal: Born readout, each Cayley solve via its adjoint
-    system, interaction-picture phases, the generator network, embeddings,
-    frequencies, the initial state, and the QR measurement projection."""
-    tokens = list(tokens)
-    n, r, d, dt = model.n, model.r, model.d, model.dt
-    lam = model.frequencies
-    trajectory, factor_log, reports = evolve_full_model(model, tokens)
+def full_model_loss(model: FullModelParams, tokens, target_weights: np.ndarray) -> float:
+    """Forward-only loss; row t of target_weights weights the readout after step t."""
+    return _loss_full(model, np.asarray([list(tokens)], dtype=int),
+                      np.asarray(target_weights)[None])
+
+
+def _backward_full(model: FullModelParams, tokens: np.ndarray,
+                   target_weights: np.ndarray) -> GradientBundle:
+    """Loss and gradients of a (B, T) token batch (weights as in _loss_full),
+    summed over the batch. One stacked reverse traversal: Born readout, each
+    Cayley solve via its adjoint system, interaction-picture phases, the
+    generator network on the forward pass's cached activations, embeddings,
+    frequencies, the shared initial state, and the QR measurement projection."""
+    n, d, dt, lam = model.n, model.d, model.dt, model.frequencies
+    states, factor_log, _, mlp_inputs = evolve_full_batch(model, tokens)
     meas = project_measurement(model.meas_raw)
 
     loss = 0.0
-    g_psi = np.zeros(n, dtype=complex)
+    g_psi = np.zeros_like(states[0])
     g_lam = np.zeros(n)
     g_embed = np.zeros_like(model.embed.vectors)
     g_w = [np.zeros_like(w) for w in model.mlp.weights]
@@ -224,55 +218,51 @@ def _backward_full(model: FullModelParams, tokens, target_weights: np.ndarray) -
     g_meas = np.zeros_like(meas)
     c = 0.5j * dt
 
-    for t in range(len(tokens) - 1, -1, -1):
-        psi_in = trajectory[t]
-        psi_out = trajectory[t + 1]
+    for t in range(tokens.shape[1] - 1, -1, -1):
+        psi_in = states[t]
+        psi_out = states[t + 1]
 
-        row = target_weights[t]
-        if np.any(row):
+        rows = target_weights[:, t]
+        if np.any(rows):
             phase = np.exp(-1j * lam * ((t + 1) * dt))
             psi_s = phase * psi_out
-            step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s, row)
+            step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s.T, rows.T)
             loss += step_loss
             g_meas += g_m
-            g_psi += np.conj(phase) * g_psis
-            g_phase = np.conj(psi_out) * g_psis
+            g_psi += np.conj(phase) * g_psis.T
+            g_phase = np.sum(np.conj(psi_out) * g_psis.T, axis=0)
             g_lam += (-(t + 1) * dt) * np.real(np.conj(g_phase) * 1j * phase)
 
-        factors = factor_log[t]
-        phi_ip, delta = factors.phi, factors.delta
+        # state adjoint through the step itself (norm-preserving)
+        g_psi_step, s = adjoint_state_step(factor_log[t], dt, g_psi, step=t)
 
-        # adjoint solve with the conjugate-transposed step matrix
-        s = _lowrank_solve(phi_ip, delta, -c, g_psi, step=t)
-
-        # both sides of the solve touch X = phi phi^dag and delta
-        g_x = -np.conj(c) * np.outer(s, (psi_in + psi_out).conj())
-        g_phi_ip = (g_x + g_x.conj().T) @ phi_ip
+        # both sides of the solve touch X = phi phi^dag and delta; with
+        # u = psi_in + psi_out, dL/dX = -conj(c) s u^dag, applied to phi
+        phi_ip = factor_log[t].phi
+        u = psi_in + psi_out
+        g_phi_ip = (-np.conj(c) * s[..., None]) * (u.conj()[:, None, :] @ phi_ip) \
+            - c * u[..., None] * (s.conj()[:, None, :] @ phi_ip)
         g_delta = np.real(np.conj(-s * np.conj(psi_out)) * c) \
             + np.real(np.conj(s * np.conj(psi_in)) * (-c))
-
-        # state adjoint through the step itself (norm-preserving)
-        g_psi_step = (1.0 + c * delta) * s + c * (phi_ip @ (phi_ip.conj().T @ s))
 
         # undo the interaction-picture row phases on phi
         phase_row = np.exp(1j * lam * (t * dt))
         phi_raw = np.conj(phase_row)[:, None] * phi_ip
         g_phi_raw = np.conj(phase_row)[:, None] * g_phi_ip
-        g_phase_row = np.sum(np.conj(phi_raw) * g_phi_ip, axis=1)
+        g_phase_row = np.sum(np.conj(phi_raw) * g_phi_ip, axis=(0, 2))
         g_lam += (t * dt) * np.real(np.conj(g_phase_row) * 1j * phase_row)
 
-        # generator network
-        x = np.concatenate([model.embed.vectors[tokens[t]], psi_in.real, psi_in.imag])
-        _, inputs = mlp_forward_cached(model.mlp, x)
+        # generator network, on the activations of the forward pass
         g_out = merge_factor_grads(g_phi_raw, g_delta)
-        gw, gb, g_x_in = mlp_backward(model.mlp, inputs, g_out)
+        gw, gb, g_x_in = mlp_backward(model.mlp, mlp_inputs[t], g_out)
         for layer in range(len(g_w)):
             g_w[layer] += gw[layer]
             g_b[layer] += gb[layer]
-        g_embed[tokens[t]] += g_x_in[:d]
-        g_psi = g_psi_step + (g_x_in[d:d + n] + 1j * g_x_in[d + n:])
+        # np.add.at accumulates rows of sequences that share a token
+        np.add.at(g_embed, tokens[:, t], g_x_in[:, :d])
+        g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
-    g_a, g_b_init = _initial_state_vjp(model.init, g_psi)
+    g_a, g_b_init = _initial_state_vjp(model.init, g_psi.sum(axis=0))
     g_raw = _qr_projection_vjp(model.meas_raw, g_meas)
 
     bundle = GradientBundle(
@@ -291,7 +281,8 @@ def _one_hot_rows(targets, v: int) -> np.ndarray:
 
 def backward_full_model(model: FullModelParams, tokens, targets) -> GradientBundle:
     """Adjoint gradients of the summed per-step negative log-likelihood."""
-    return _backward_full(model, tokens, _one_hot_rows(list(targets), model.v))
+    return _backward_full(model, np.asarray([list(tokens)], dtype=int),
+                          _one_hot_rows(list(targets), model.v)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +487,8 @@ def _cusm_batch_grad(params: TrainableCusm, batch) -> tuple[float, TrainableCusm
     g_u = {tok: np.zeros((n, n), dtype=complex) for tok in unitaries}
     for tokens, target_row in batch:
         traj = evolve_fixed_unitaries(unitaries, psi0, tokens)
-        step_loss, g_psi, g_m = _born_readout_vjp(meas, traj[-1], target_row)
+        step_loss, g_psi, g_m = _born_readout_vjp(meas, traj[-1][:, None], target_row[:, None])
+        g_psi = g_psi[:, 0]
         loss += step_loss
         g_meas += g_m
         for t in range(len(tokens) - 1, -1, -1):
@@ -737,20 +729,13 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
                 v=task.v, v_in=alphabet, dt=dims.get("dt", 1.0), seed=seed,
                 hidden=dims.get("hidden"),
             )
-            seq_len = len(batch[0][0])
+            tokens = np.array([seq for seq, _ in batch])
+            weights = np.zeros((*tokens.shape, task.v))
+            weights[:, -1] = [row for _, row in batch]
 
-            def grad_fn(flat, _tmpl=template, _t=seq_len):
-                model = unflatten_model(flat, _tmpl)
-                total = 0.0
-                acc = None
-                for tokens, target_row in batch:
-                    weights = np.zeros((_t, task.v))
-                    weights[-1] = target_row
-                    bundle = _backward_full(model, tokens, weights)
-                    total += bundle.loss
-                    vec = flatten_bundle(bundle)
-                    acc = vec if acc is None else acc + vec
-                return total / len(batch), acc / len(batch)
+            def grad_fn(flat, _tmpl=template):
+                bundle = _backward_full(unflatten_model(flat, _tmpl), tokens, weights)
+                return bundle.loss / len(batch), flatten_bundle(bundle) / len(batch)
 
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -759,12 +744,7 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
                     stop_fn=lambda loss: loss - floor < config.early_stop_gap,
                 )
                 warning_count = len(caught)
-            model = unflatten_model(flat, template)
-            final = float(np.mean([
-                full_model_loss(model, tokens,
-                                np.vstack([np.zeros((len(tokens) - 1, task.v)), row[None, :]]))
-                for tokens, row in batch
-            ]))
+            final = _loss_full(unflatten_model(flat, template), tokens, weights) / len(batch)
             report_dim = n
         else:
             raise ConfigurationError(f"unknown model_kind {model_kind!r}")

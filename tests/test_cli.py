@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cusm.cli import main
+from cusm.hamgen import init_full_model, save_model
 
 
 def run(argv, tmp_path, monkeypatch):
@@ -103,6 +104,26 @@ class TestSimulate:
         code = run(["simulate", "--mode", "task", "--n", "2"], tmp_path, monkeypatch)
         assert code == 2
 
+    def test_negative_token_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        code = run(["simulate", "--mode", "full", "--tokens", "0,-1"], tmp_path, monkeypatch)
+        assert code == 2
+        assert "-1" in capsys.readouterr().err
+
+    def test_token_outside_checkpoint_vocabulary_is_usage_error(self, tmp_path, monkeypatch,
+                                                                capsys):
+        path = str(tmp_path / "model.json")
+        save_model(init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=0), path)
+        code = run(["simulate", "--mode", "full", "--checkpoint", path, "--tokens", "0,3"],
+                   tmp_path, monkeypatch)
+        assert code == 2
+        assert "error: token id 3 outside" in capsys.readouterr().err
+
+    def test_unknown_task_token_is_usage_error(self, tmp_path, monkeypatch):
+        # the n=2 task has tokens 0..4
+        code = run(["simulate", "--mode", "task", "--n", "2", "--tokens", "0,7"],
+                   tmp_path, monkeypatch)
+        assert code == 2
+
 
 class TestTrain:
     def test_reports_and_aggregate(self, tmp_path, monkeypatch):
@@ -141,6 +162,24 @@ class TestTrain:
             first = normalize(json.loads((tmp_path / "a" / name).read_text()))
             second = normalize(json.loads((tmp_path / "b" / name).read_text()))
             assert first == second
+
+    def test_ill_conditioned_full_training_is_numerical_failure(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # cond(Gram) <= (1 + dt |Phi|^2 / 2)^2, so only a huge Phi can fail the
+        # check, and only at rank >= 2: a 1 x 1 Gram matrix has condition 1
+        from cusm import train
+        real_init = train.init_full_model
+
+        def blown_up(**dims):
+            model = real_init(**{**dims, "r": 2})
+            model.mlp.biases[-1][: 2 * model.n] = 1e7   # column 0 of Phi
+            return model
+
+        monkeypatch.setattr(train, "init_full_model", blown_up)
+        code = run(["train", "--n", "2", "--model-kind", "full", "--seeds", "1",
+                    "--epochs", "2"], tmp_path, monkeypatch)
+        assert code == 3
+        assert "at step 0" in capsys.readouterr().err
 
     def test_rosm_without_dim_is_usage_error(self, tmp_path, monkeypatch):
         code = run(["train", "--n", "2", "--model-kind", "rosm", "--seeds", "1",

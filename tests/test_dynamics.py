@@ -226,3 +226,10 @@ class TestEvolveFullModel:
         norms = np.array([np.linalg.norm(s) for s in traj])
         assert np.abs(norms - 1.0).max() < 1e-10
         assert all(rep.residual < 1e-9 for rep in reports)
+
+    def test_token_outside_vocabulary(self):
+        # a negative id would otherwise index the embedding table from the end
+        model = init_full_model(n=3, r=1, d=2, v=4, v_in=3, seed=4)
+        for bad in ([0, -1], [0, 3]):
+            with pytest.raises(VocabularyError):
+                evolve_full_model(model, bad)

@@ -10,7 +10,9 @@ from cusm.hamgen import (
     initial_state,
     load_model,
     merge_factor_grads,
+    mlp_backward,
     mlp_forward,
+    mlp_forward_cached,
     save_model,
     split_factor_output,
 )
@@ -71,6 +73,25 @@ class TestMlpForward:
         mlp = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         with pytest.raises(ConfigurationError):
             mlp_forward(mlp, np.zeros(2))
+
+
+class TestMlpBackward:
+    def test_single_input_matches_one_row(self):
+        rng = make_rng(3)
+        mlp = MlpParams(weights=[rng.standard_normal((4, 3)), rng.standard_normal((2, 4))],
+                        biases=[rng.standard_normal(4), rng.standard_normal(2)])
+        x, g_out = rng.standard_normal(3), rng.standard_normal(2)
+        g_w, g_b, g_x = mlp_backward(mlp, mlp_forward_cached(mlp, x)[1], g_out)
+        r_w, r_b, r_x = mlp_backward(mlp, mlp_forward_cached(mlp, x[None])[1], g_out[None])
+        assert g_x.shape == x.shape and np.array_equal(g_x, r_x[0])
+        for got, ref in zip(g_w + g_b, r_w + r_b):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+        # explicit chain rule for the single input
+        h = np.tanh(mlp.weights[0] @ x + mlp.biases[0])
+        g_h = (mlp.weights[1].T @ g_out) * (1.0 - h ** 2)
+        assert np.abs(g_w[1] - np.outer(g_out, h)).max() < 1e-14
+        assert np.abs(g_b[0] - g_h).max() < 1e-14
+        assert np.abs(g_x - mlp.weights[0].T @ g_h).max() < 1e-14
 
 
 class TestFactorLayout:

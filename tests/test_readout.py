@@ -101,6 +101,10 @@ class TestDiagonalOnlyProbabilities:
         psi = random_state(rng, 4)
         assert abs(diagonal_only_probabilities(m, psi).sum() - 1.0) < 1e-12
 
+    def test_vanishing_normalizer_is_a_package_error(self):
+        with pytest.raises(DegenerateMeasurementError):
+            diagonal_only_probabilities(PHASE_MEAS, np.zeros(2, dtype=complex))
+
 
 class TestDensityMatrix:
     def test_basis_state(self):

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from cusm.dynamics import InteractionFactors
-from cusm.exceptions import ConfigurationError
+from cusm.dynamics import (
+    GRAM_COND_FAIL,
+    CayleyStepReport,
+    InteractionFactors,
+    evolve_full_batch,
+    evolve_full_model,
+)
+from cusm.exceptions import ConfigurationError, IllConditionedStepError
 from cusm.hamgen import init_full_model
 from cusm.numerics import ginibre, make_rng
 from cusm.septask import TargetTable, build_exact_cusm, make_task, target_table
 from cusm.train import (
     OptimizerConfig,
     TrainableCusm,
+    _backward_full,
     _cusm_batch_grad,
     adjoint_state_step,
     backward_full_model,
@@ -126,8 +133,73 @@ class TestBackwardFullModel:
         norm0 = np.linalg.norm(g)
         for _ in range(20):
             f = InteractionFactors(phi=ginibre(rng, 8, 2), delta=rng.standard_normal(8))
-            g = adjoint_state_step(f, 1.0, g)
+            g, _ = adjoint_state_step(f, 1.0, g)
             assert abs(np.linalg.norm(g) - norm0) < 1e-10
+
+
+class TestStackedFullModel:
+    """The stacked passes on what a loop over single sequences never meets:
+    sequences that share a token at the same step, and targets on several
+    steps of each sequence."""
+
+    def _batch(self):
+        model = init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=21, hidden=[4])
+        # sequences 0 and 1 share token 2 at step 0 and token 1 at step 2
+        tokens = np.array([[2, 0, 1], [2, 1, 1], [0, 2, 0]])
+        weights = np.zeros((3, 3, 4))
+        weights[:, 1] = [[1.0, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1.0]]
+        weights[:, 2] = [[0, 1.0, 0, 0], [0.25, 0, 0, 0.75], [1.0, 0, 0, 0]]
+        return model, tokens, weights
+
+    def test_summed_gradient_matches_central_difference(self):
+        model, tokens, weights = self._batch()
+        analytic = _backward_full(model, tokens, weights)
+
+        def loss_at(flat):
+            m = unflatten_model(flat, model)
+            return sum(full_model_loss(m, seq, w) for seq, w in zip(tokens, weights))
+
+        flat = flatten_model(model)
+        assert abs(analytic.loss - loss_at(flat)) < 1e-12
+        numeric = central_difference(loss_at, flat, 1e-5)
+        rel = np.abs(flatten_bundle(analytic) - numeric) / np.maximum(np.abs(numeric), 1e-8)
+        assert rel.max() < 1e-5
+
+    def test_states_match_single_sequences(self):
+        model, tokens, _ = self._batch()
+        states, _, _, _ = evolve_full_batch(model, tokens)
+        for b, seq in enumerate(tokens):
+            single, _, _ = evolve_full_model(model, seq)
+            for t, psi in enumerate(single):
+                assert np.abs(states[t][b] - psi).max() < 1e-15
+
+
+class TestFailureInsideBatch:
+    def _model(self):
+        # one affine layer; token 1 drives column 0 of Phi to 1e7, token 0
+        # leaves Phi at zero. cond(Gram) <= (1 + dt |Phi|^2 / 2)^2, so a huge
+        # Phi is the only way to fail the check, and it needs rank >= 2.
+        model = init_full_model(n=3, r=2, d=1, v=4, v_in=2, seed=0, hidden=[])
+        model.mlp.weights[0][:] = 0.0
+        model.mlp.weights[0][: 2 * model.n, 0] = 1e7
+        model.embed.vectors[:] = [[0.0], [1.0]]
+        return model
+
+    def test_forward_reports_failing_step(self):
+        with pytest.raises(IllConditionedStepError) as info:
+            evolve_full_model(self._model(), [0, 0, 1, 0])
+        assert info.value.step == 2
+        assert isinstance(info.value.report, CayleyStepReport)
+        assert info.value.report.gram_condition > GRAM_COND_FAIL
+
+    def test_batch_reports_first_failing_step(self):
+        tokens = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        weights = np.zeros((3, 3, 4))
+        weights[:, -1, 0] = 1.0
+        with pytest.raises(IllConditionedStepError) as info:
+            _backward_full(self._model(), tokens, weights)
+        assert info.value.step == 1
+        assert info.value.report.gram_condition > GRAM_COND_FAIL
 
 
 class TestCentralDifference:
