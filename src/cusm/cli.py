@@ -24,10 +24,12 @@ import time
 import numpy as np
 
 from . import __version__
+from .codec import SCHEMA_VERSION, read_json
 from .dynamics import (
     InteractionFactors,
     cayley_step_dense,
     cayley_step_woodbury,
+    evolve_fixed_batch,
     evolve_fixed_unitaries,
     evolve_full_model,
 )
@@ -61,7 +63,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 OUTPUT_DIR_ENV = "CUSM_OUTPUT_DIR"
-CONFIG_SCHEMA_VERSION = 1
 
 TOLERANCES = {
     "rank_tolerance": 1e-10,
@@ -100,7 +101,7 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 def _envelope(args, seed=None) -> dict:
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "version": __version__,
         "seed": seed,
         "config": config,
@@ -115,14 +116,15 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list) -> list:
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if known.config:
-        with open(known.config) as fh:
-            doc = json.load(fh)
-        if doc.get("schema_version") != CONFIG_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"config schema_version {doc.get('schema_version')!r}, expected {CONFIG_SCHEMA_VERSION}"
-            )
-        for sub in parser._subparsers._group_actions[0].choices.values():
-            sub.set_defaults(**{k: v for k, v in doc.items() if k != "schema_version"})
+        doc = read_json(known.config)
+        del doc["schema_version"]
+        subs = parser._subparsers._group_actions[0].choices.values()
+        options = {action.dest for sub in subs for action in sub._actions}
+        unknown = sorted(set(doc) - options)
+        if unknown:
+            raise ConfigurationError(f"config key {unknown[0]!r} is no option of any subcommand")
+        for sub in subs:
+            sub.set_defaults(**doc)
     return argv
 
 
@@ -134,21 +136,30 @@ def _parse_tokens(args) -> list:
             tokens = [int(x) for x in json.load(fh)]
     else:
         raise ConfigurationError("provide --tokens or --tokens-file")
+    if not tokens:
+        raise ConfigurationError("the token list is empty")
     negative = [tok for tok in tokens if tok < 0]
     if negative:
         raise ConfigurationError(f"token ids must be >= 0, got {negative[0]}")
     return tokens
 
 
+def _task(args):
+    """The task of --task, or one made from --n, --seed and, where the command
+    has them, --filler-length and --reference."""
+    if getattr(args, "task", None) is not None:
+        return load_task(args.task)
+    if args.n < 2:
+        raise ConfigurationError(f"--n must be >= 2, got {args.n}")
+    return make_task(args.n, args.seed, filler_length=getattr(args, "filler_length", 1),
+                     reference=getattr(args, "reference", False))
+
+
 # ---------------------------------------------------------------------------
 
 def cmd_gen_task(args) -> int:
-    if args.n < 2:
-        print("error: --n must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
     out = _output_dir(args)
-    task = make_task(args.n, args.seed, filler_length=args.filler_length,
-                     reference=args.reference)
+    task = _task(args)
     table = target_table(task)
     ranks = check_separation_ranks(table, task.n)
     task_path = os.path.join(out, f"task_n{task.n}_seed{task.seed}.json")
@@ -176,20 +187,13 @@ def cmd_gen_task(args) -> int:
 
 def cmd_verify_separation(args) -> int:
     out = _output_dir(args)
-    if args.task is not None:
-        task = load_task(args.task)
-    else:
-        task = make_task(args.n, args.seed, filler_length=args.filler_length)
+    task = _task(args)
     table = target_table(task)
     ranks = check_separation_ranks(table, task.n)
 
     cusm = build_exact_cusm(task)
-    max_err = 0.0
-    for i in range(task.n):
-        for j in range(task.n):
-            traj = evolve_fixed_unitaries(cusm.unitaries, cusm.psi0, task.sequence(i, j))
-            probs = born_probabilities(cusm.measurement, traj[-1])
-            max_err = max(max_err, float(np.abs(probs - table.pstar[i * task.n + j]).max()))
+    final = evolve_fixed_batch(cusm.unitaries, cusm.psi0, task.sequences())[-1]
+    max_err = float(np.abs(born_probabilities(cusm.measurement, final.T).T - table.pstar).max())
 
     violations = 0
     audits = []
@@ -253,13 +257,9 @@ def cmd_simulate(args) -> int:
     dt = args.dt
     rows = []
     if args.mode == "task":
-        if args.task is not None:
-            task = load_task(args.task)
-        else:
-            task = make_task(args.n, args.seed)
-        cusm = build_exact_cusm(task)
+        cusm = build_exact_cusm(_task(args))
         traj = evolve_fixed_unitaries(cusm.unitaries, cusm.psi0, tokens)
-        hams = {tok: _inverse_cayley(u, dt) for tok, u in cusm.unitaries.items()}
+        hams = [_inverse_cayley(u, dt) for u in cusm.unitaries]
         step_hams = [hams[tok] for tok in tokens]
         states = traj
     else:
@@ -305,10 +305,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     out = _output_dir(args)
-    if args.task is not None:
-        task = load_task(args.task)
-    else:
-        task = make_task(args.n, args.seed)
+    task = _task(args)
     config = OptimizerConfig(lr=args.lr, epochs=args.epochs,
                              early_stop_gap=args.early_stop_gap)
     seeds = tuple(range(args.seeds))
@@ -344,9 +341,7 @@ def cmd_train(args) -> int:
         "reports": paths,
     })
     if args.ablation:
-        table = target_table(task)
-        eval_set = [(task.sequence(i, j), table.pstar[i * task.n + j])
-                    for i in range(task.n) for j in range(task.n)]
+        eval_set = list(zip(task.sequences(), target_table(task).pstar))
         aggregate["ablation"] = readout_ablation(build_exact_cusm(task), eval_set)
     agg_path = os.path.join(out, f"train_{args.model_kind}_aggregate.json")
     _write_json(agg_path, aggregate)

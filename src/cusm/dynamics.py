@@ -8,7 +8,8 @@ transform of the interaction Hamiltonian H = Phi Phi^dag + diag(delta):
 Unitarity of this update holds for any Hermitian H and any dt > 0, so the
 norm is preserved to rounding. Two solvers are provided: a dense O(N^3)
 reference and the O(N r^2) Woodbury fast path; the dense one exists so the
-Woodbury algebra can always be cross-checked against it.
+Woodbury algebra can always be cross-checked against it. Models with one fixed
+unitary or orthogonal matrix per token advance through evolve_fixed_batch.
 """
 
 from __future__ import annotations
@@ -152,19 +153,46 @@ def _safeguard(psi: np.ndarray, step: int) -> np.ndarray:
     return psi
 
 
+def _check_vocabulary(tokens: np.ndarray, size: int) -> None:
+    bad = tokens[(tokens < 0) | (tokens >= size)]
+    if bad.size:
+        raise VocabularyError(f"token id {bad[0]} outside the vocabulary [0, {size})")
+
+
+def cayley_map(z: np.ndarray) -> np.ndarray:
+    """W = (I + S)^{-1}(I - S) with S = Z - Z^dag, for generators Z stacked
+    (..., d, d): unitary for complex Z, orthogonal for real Z."""
+    s = z - z.conj().swapaxes(-1, -2)
+    eye = np.eye(z.shape[-1])
+    return np.linalg.solve(eye + s, eye - s)
+
+
+def evolve_fixed_batch(transitions, state0: np.ndarray, tokens) -> list[np.ndarray]:
+    """Forward pass of a fixed-transition model over a (B, T) array of token ids.
+
+    transitions[k] is the (d, d) matrix of token k, complex unitary or real
+    orthogonal, as an (A, d, d) stack or a dict keyed 0..A-1. Step t gathers
+    transitions[tokens[:, t]] and applies them to the B states in one batched
+    product. Returns the T+1 states (B, d).
+    """
+    if isinstance(transitions, dict):
+        transitions = np.array([transitions[tok] for tok in range(len(transitions))])
+    tokens = np.asarray(tokens, dtype=int)
+    _check_vocabulary(tokens, len(transitions))
+    psi = np.tile(state0, (tokens.shape[0], 1))
+    states = [psi]
+    for step in range(tokens.shape[1]):
+        psi = _safeguard((transitions[tokens[:, step]] @ psi[..., None])[..., 0], step + 1)
+        states.append(psi)
+    return states
+
+
 def evolve_fixed_unitaries(
     unitaries: dict[int, np.ndarray], psi0: np.ndarray, tokens
 ) -> list[np.ndarray]:
-    """Apply one fixed unitary per token; returns all T+1 states."""
-    trajectory = [np.asarray(psi0, dtype=complex)]
-    for step, tok in enumerate(tokens, start=1):
-        try:
-            u = unitaries[tok]
-        except KeyError as exc:
-            raise VocabularyError(f"no unitary for token {tok!r}") from exc
-        psi = _safeguard(u @ trajectory[-1], step)
-        trajectory.append(psi)
-    return trajectory
+    """evolve_fixed_batch for one sequence: all T+1 states."""
+    states = evolve_fixed_batch(unitaries, np.asarray(psi0, dtype=complex), [list(tokens)])
+    return [psi[0] for psi in states]
 
 
 def evolve_full_batch(model, tokens: np.ndarray):
@@ -180,10 +208,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
     from .hamgen import initial_state, mlp_forward_cached, split_factor_output
 
     tokens = np.asarray(tokens)
-    v_in = model.embed.vectors.shape[0]
-    bad = tokens[(tokens < 0) | (tokens >= v_in)]
-    if bad.size:
-        raise VocabularyError(f"token id {bad[0]} outside the vocabulary [0, {v_in})")
+    _check_vocabulary(tokens, model.embed.vectors.shape[0])
     embeds = model.embed.vectors[tokens]
     psi = np.tile(initial_state(model.init), (tokens.shape[0], 1))
     states, factor_log, reports, mlp_inputs = [psi], [], [], []

@@ -8,11 +8,11 @@ channels) followed by the diagonal shift delta.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import complex_array, read_json, write_json
 from .dynamics import InteractionFactors
 from .exceptions import ConfigurationError, DegenerateInitializationError
 from .numerics import ginibre, make_rng
@@ -64,6 +64,22 @@ class FullModelParams:
     @property
     def d(self) -> int:
         return self.embed.vectors.shape[1]
+
+    def arrays(self) -> list:
+        """The trainable arrays in the order of the flat parameter vector."""
+        layers = [arr for pair in zip(self.mlp.weights, self.mlp.biases) for arr in pair]
+        return [self.init.a, self.init.b, self.frequencies, self.embed.vectors, *layers,
+                self.meas_raw]
+
+    def with_arrays(self, arrays: list) -> FullModelParams:
+        """This model's settings with new arrays, given in arrays() order."""
+        a, b, frequencies, embed, *layers, meas_raw = arrays
+        return FullModelParams(
+            init=InitialStateParams(a=a, b=b), frequencies=frequencies,
+            embed=EmbeddingTable(vectors=embed),
+            mlp=MlpParams(weights=layers[0::2], biases=layers[1::2]),
+            meas_raw=meas_raw, dt=self.dt, n=self.n, r=self.r, seed=self.seed,
+        )
 
 
 def initial_state(params: InitialStateParams) -> np.ndarray:
@@ -194,21 +210,10 @@ def init_full_model(
     )
 
 
-def _c2l(z: np.ndarray) -> list:
-    """Complex array -> nested lists of [re, im] pairs."""
-    return np.stack([z.real, z.imag], axis=-1).tolist()
-
-
-def _l2c(lst) -> np.ndarray:
-    arr = np.asarray(lst, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def save_model(model: FullModelParams, path: str) -> None:
     """JSON checkpoint. Field order is fixed: dims, seed, dt, init a/b,
     frequencies, embedding, mlp layers in order, then meas_raw as [re, im]."""
-    doc = {
-        "schema_version": 1,
+    write_json(path, {
         "n": model.n,
         "r": model.r,
         "d": model.d,
@@ -216,21 +221,18 @@ def save_model(model: FullModelParams, path: str) -> None:
         "v_in": model.embed.vectors.shape[0],
         "seed": model.seed,
         "dt": model.dt,
-        "init_a": model.init.a.tolist(),
-        "init_b": model.init.b.tolist(),
-        "frequencies": model.frequencies.tolist(),
-        "embed": model.embed.vectors.tolist(),
-        "mlp_weights": [w.tolist() for w in model.mlp.weights],
-        "mlp_biases": [b.tolist() for b in model.mlp.biases],
-        "meas_raw": _c2l(model.meas_raw),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+        "init_a": model.init.a,
+        "init_b": model.init.b,
+        "frequencies": model.frequencies,
+        "embed": model.embed.vectors,
+        "mlp_weights": model.mlp.weights,
+        "mlp_biases": model.mlp.biases,
+        "meas_raw": model.meas_raw,
+    })
 
 
 def load_model(path: str) -> FullModelParams:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     return FullModelParams(
         init=InitialStateParams(
             a=np.asarray(doc["init_a"], dtype=float),
@@ -242,7 +244,7 @@ def load_model(path: str) -> FullModelParams:
             weights=[np.asarray(w, dtype=float) for w in doc["mlp_weights"]],
             biases=[np.asarray(b, dtype=float) for b in doc["mlp_biases"]],
         ),
-        meas_raw=_l2c(doc["meas_raw"]),
+        meas_raw=complex_array(doc["meas_raw"]),
         dt=float(doc["dt"]),
         n=int(doc["n"]),
         r=int(doc["r"]),

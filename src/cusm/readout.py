@@ -39,11 +39,12 @@ def diagonal_only_probabilities(meas: np.ndarray, psi: np.ndarray) -> np.ndarray
     """Magnitude-only readout: drop the phase cross terms and renormalize.
 
     Insensitive to relative phases by construction, which is exactly the
-    information the full Born rule can use.
+    information the full Born rule can use. Like born_probabilities, takes one
+    state or state columns (N, B).
     """
     weights = (np.abs(meas) ** 2).T @ (np.abs(psi) ** 2)
-    total = weights.sum()
-    if total <= 0.0:
+    total = weights.sum(axis=0)
+    if np.any(total <= 0.0):
         raise DegenerateMeasurementError("diagonal readout normalizer vanished; MM^dag = I violated")
     return weights / total
 

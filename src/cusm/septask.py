@@ -11,13 +11,13 @@ model of dimension N reproduces the table exactly by construction.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve_fixed_unitaries
+from .codec import complex_array, read_json, write_json
+from .dynamics import cayley_map, evolve_fixed_batch
 from .exceptions import CusmError, InvalidDimensionError
 from .numerics import (
     ginibre,
@@ -57,6 +57,10 @@ class TaskInstance:
     def sequence(self, i: int, j: int) -> list[int]:
         return [i] + [self.filler_token] * self.filler_length + [self.query_token(j)]
 
+    def sequences(self) -> np.ndarray:
+        """All n^2 sequences as a (n^2, T) token array, rows (i, j) lexicographic."""
+        return np.array([self.sequence(i, j) for i in range(self.n) for j in range(self.n)])
+
 
 @dataclass
 class TargetTable:
@@ -69,22 +73,38 @@ class TargetTable:
 @dataclass
 class RosmParams:
     """Real orthogonal baseline: unit state, per-token orthogonal transitions
-    materialized from skew-symmetric generators by the real Cayley map, and an
-    affine-softmax readout."""
+    from the real Cayley map, and an affine-softmax readout. The parameters are
+    unconstrained: h0 is normalised on use, and token k's transition is the
+    Cayley map of S = Z - Z^T for Z = gens[k]."""
 
-    h0: np.ndarray                       # (d,), unit norm
-    generators: dict = field(default_factory=dict)  # token -> (d, d) skew-symmetric
-    out_weights: np.ndarray = None       # (V, d)
-    bias: np.ndarray = None              # (V,)
+    h0: np.ndarray            # (d,)
+    gens: np.ndarray          # (A, d, d) real, row k for token k
+    out_weights: np.ndarray   # (V, d)
+    bias: np.ndarray          # (V,)
 
     @property
     def dim(self) -> int:
         return self.h0.shape[0]
 
-    def transition(self, token: int) -> np.ndarray:
-        s = self.generators[token]
-        eye = np.eye(self.dim)
-        return np.linalg.solve(eye + s, eye - s)
+    def state0(self) -> np.ndarray:
+        return self.h0 / np.linalg.norm(self.h0)
+
+    def transitions(self) -> np.ndarray:
+        """(A, d, d) orthogonal transitions, row k for token k."""
+        return cayley_map(self.gens)
+
+    def readout(self, states: np.ndarray) -> np.ndarray:
+        """Affine-softmax probabilities (B, V) of state rows (B, d)."""
+        logits = states @ self.out_weights.T + self.bias
+        expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return expz / expz.sum(axis=1, keepdims=True)
+
+    def arrays(self) -> list:
+        """The arrays in the order of the flat parameter vector."""
+        return [self.h0, self.gens, self.out_weights, self.bias]
+
+    def with_arrays(self, arrays: list) -> RosmParams:
+        return RosmParams(*arrays)
 
 
 def _density_rows(context_states: np.ndarray, query_unitaries: np.ndarray) -> np.ndarray:
@@ -288,42 +308,20 @@ class CusmParams:
     """Fixed-transition complex model: one unitary per token, Born readout."""
 
     psi0: np.ndarray
-    unitaries: dict
+    unitaries: np.ndarray     # (A, N, N), row k for token k; or a dict token -> (N, N)
     measurement: np.ndarray
 
 
 def build_exact_cusm(task: TaskInstance) -> CusmParams:
     """Exact solver for the task: context tokens rotate psi_0 onto psi_i,
     the filler is the identity, query tokens apply W_j, and the readout is
-    the task's own measurement."""
+    the task's own measurement. Rows follow the token ids of TaskInstance."""
     psi0 = task.context_states[0]
-    unitaries = {}
-    for i in range(task.n):
-        unitaries[i] = basis_change_unitary(psi0, task.context_states[i], seed=task.seed)
-    unitaries[task.filler_token] = np.eye(task.n, dtype=complex)
-    for j in range(task.n):
-        unitaries[task.query_token(j)] = task.query_unitaries[j]
-    return CusmParams(psi0=psi0, unitaries=unitaries, measurement=task.measurement)
-
-
-def cusm_forward(cusm: CusmParams, tokens) -> np.ndarray:
-    """Born probabilities at every state along the trajectory, (T+1, V)."""
-    trajectory = evolve_fixed_unitaries(cusm.unitaries, cusm.psi0, tokens)
-    return np.stack([born_probabilities(cusm.measurement, psi) for psi in trajectory])
-
-
-def rosm_forward(rosm: RosmParams, tokens) -> np.ndarray:
-    """Softmax outputs at every state along the real orthogonal trajectory."""
-    transitions = {tok: rosm.transition(tok) for tok in set(tokens)}
-    h = rosm.h0
-    states = [h]
-    for tok in tokens:
-        h = transitions[tok] @ h
-        states.append(h)
-    logits = np.stack([rosm.out_weights @ s + rosm.bias for s in states])
-    logits -= logits.max(axis=1, keepdims=True)
-    expz = np.exp(logits)
-    return expz / expz.sum(axis=1, keepdims=True)
+    unitaries = [basis_change_unitary(psi0, state, seed=task.seed)
+                 for state in task.context_states]
+    unitaries.append(np.eye(task.n, dtype=complex))
+    return CusmParams(psi0=psi0, unitaries=np.concatenate([unitaries, task.query_unitaries]),
+                      measurement=task.measurement)
 
 
 def random_rosm(d: int, task: TaskInstance, seed: int, scale: float = 1.0) -> RosmParams:
@@ -331,13 +329,9 @@ def random_rosm(d: int, task: TaskInstance, seed: int, scale: float = 1.0) -> Ro
     rng = make_rng(seed, stream=55)
     h0 = rng.standard_normal(d)
     h0 /= np.linalg.norm(h0)
-    generators = {}
-    for tok in range(2 * task.n + 1):
-        z = rng.standard_normal((d, d)) * scale
-        generators[tok] = z - z.T
     return RosmParams(
         h0=h0,
-        generators=generators,
+        gens=np.array([rng.standard_normal((d, d)) * scale for _ in range(2 * task.n + 1)]),
         out_weights=rng.standard_normal((task.v, d)) * scale,
         bias=rng.standard_normal(task.v) * scale,
     )
@@ -349,54 +343,37 @@ def softmax_rank_audit(rosm: RosmParams, task: TaskInstance) -> dict:
     The affine-softmax bound rank <= d + 2 is a theorem; a violation here
     means the implementation is wrong, not the mathematics.
     """
-    n = task.n
-    logp = np.empty((n * n, task.v))
-    for i in range(n):
-        for j in range(n):
-            probs = rosm_forward(rosm, task.sequence(i, j))[-1]
-            logp[i * n + j], _ = floored_log(probs)
+    states = evolve_fixed_batch(rosm.transitions(), rosm.state0(), task.sequences())
+    logp, _ = floored_log(rosm.readout(states[-1]))
     rank = numerical_rank(logp, rel_tol=1e-8)
     bound = rosm.dim + 2
     return {"rank_Lbar": rank, "bound": bound, "satisfied": bool(rank <= bound)}
 
 
-def _c2l(z: np.ndarray) -> list:
-    return np.stack([z.real, z.imag], axis=-1).tolist()
-
-
-def _l2c(lst) -> np.ndarray:
-    arr = np.asarray(lst, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def save_task(task: TaskInstance, path: str) -> None:
     """JSON serialization with complex numbers as [re, im]; reload is bit-exact."""
-    doc = {
-        "schema_version": 1,
+    write_json(path, {
         "n": task.n,
         "v": task.v,
         "seed": task.seed,
         "filler_length": task.filler_length,
         "certificate_rank": task.certificate_rank,
         "measurement_rank": task.measurement_rank,
-        "context_states": _c2l(task.context_states),
-        "query_unitaries": _c2l(task.query_unitaries),
-        "measurement": _c2l(task.measurement),
+        "context_states": task.context_states,
+        "query_unitaries": task.query_unitaries,
+        "measurement": task.measurement,
         "rank_tolerance": 1e-10,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    })
 
 
 def load_task(path: str) -> TaskInstance:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     return TaskInstance(
         n=int(doc["n"]),
         v=int(doc["v"]),
-        context_states=_l2c(doc["context_states"]),
-        query_unitaries=_l2c(doc["query_unitaries"]),
-        measurement=_l2c(doc["measurement"]),
+        context_states=complex_array(doc["context_states"]),
+        query_unitaries=complex_array(doc["query_unitaries"]),
+        measurement=complex_array(doc["measurement"]),
         filler_length=int(doc["filler_length"]),
         seed=int(doc["seed"]),
         certificate_rank=int(doc["certificate_rank"]),

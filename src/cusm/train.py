@@ -13,7 +13,6 @@ imaginary parts. All vector-Jacobian rules below follow this convention.
 
 from __future__ import annotations
 
-import copy
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -24,9 +23,9 @@ from .dynamics import (
     InteractionFactors,
     _apply_cayley_side,
     _lowrank_solve,
-    evolve_fixed_unitaries,
+    cayley_map,
+    evolve_fixed_batch,
     evolve_full_batch,
-    evolve_full_model,
     schrodinger_state,
 )
 from .exceptions import ConfigurationError
@@ -46,7 +45,15 @@ from .readout import (
     floored_log,
     project_measurement,
 )
-from .septask import CusmParams, TaskInstance, TargetTable, build_exact_cusm, target_table
+from .septask import (
+    CusmParams,
+    RosmParams,
+    TaskInstance,
+    TargetTable,
+    build_exact_cusm,
+    softmax_rank_audit,
+    target_table,
+)
 
 GAP_ZERO_THRESHOLD = 1e-3
 
@@ -64,11 +71,14 @@ class GradientBundle:
     g_mlp_b: list
     g_meas_raw: np.ndarray  # complex, convention above
 
+    def arrays(self) -> list:
+        """The gradients in the order of FullModelParams.arrays()."""
+        layers = [arr for pair in zip(self.g_mlp_w, self.g_mlp_b) for arr in pair]
+        return [self.g_a, self.g_b, self.g_frequencies, self.g_embed, *layers, self.g_meas_raw]
+
     def assert_finite(self) -> None:
-        for arr in [self.g_a, self.g_b, self.g_frequencies, self.g_embed,
-                    self.g_meas_raw, *self.g_mlp_w, *self.g_mlp_b]:
-            if not np.all(np.isfinite(arr).all() if np.iscomplexobj(arr) else np.isfinite(arr)):
-                raise FloatingPointError("non-finite gradient entry")
+        if not all(np.isfinite(arr).all() for arr in self.arrays()):
+            raise FloatingPointError("non-finite gradient entry")
 
 
 @dataclass
@@ -149,14 +159,22 @@ def _qr_projection_vjp(raw: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
     return g_a.conj().T
 
 
-def _initial_state_vjp(params: InitialStateParams, g_psi0: np.ndarray):
-    """Backward through psi0 = (a + ib)/||a + ib||."""
-    vec = params.a + 1j * params.b
+def _normalize_vjp(vec: np.ndarray, g_unit: np.ndarray) -> np.ndarray:
+    """Backward through unit = vec / ||vec||, complex or real."""
     norm = np.linalg.norm(vec)
-    psi0 = vec / norm
-    beta = float(np.real(np.vdot(g_psi0, psi0)))
-    g_v = (g_psi0 - beta * psi0) / norm
-    return g_v.real, g_v.imag
+    unit = vec / norm
+    beta = float(np.real(np.vdot(g_unit, unit)))
+    return (g_unit - beta * unit) / norm
+
+
+def _cayley_generator_vjp(z: np.ndarray, w: np.ndarray, g_w: np.ndarray) -> np.ndarray:
+    """Backward through W = cayley_map(Z), stacked, complex or real: with
+    S = Z - Z^dag, g_S = -(I+S)^{-dag} g_W (I+W)^dag and g_Z = g_S - g_S^dag."""
+    eye = np.eye(z.shape[-1])
+    s = z - z.conj().swapaxes(-1, -2)
+    lhs = np.linalg.solve((eye + s).conj().swapaxes(-1, -2), g_w)
+    g_s = -lhs @ (eye + w).conj().swapaxes(-1, -2)
+    return g_s - g_s.conj().swapaxes(-1, -2)
 
 
 def _born_readout_vjp(meas: np.ndarray, psi: np.ndarray, weights: np.ndarray):
@@ -262,11 +280,11 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
         np.add.at(g_embed, tokens[:, t], g_x_in[:, :d])
         g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
-    g_a, g_b_init = _initial_state_vjp(model.init, g_psi.sum(axis=0))
+    g_v = _normalize_vjp(model.init.a + 1j * model.init.b, g_psi.sum(axis=0))
     g_raw = _qr_projection_vjp(model.meas_raw, g_meas)
 
     bundle = GradientBundle(
-        loss=loss, g_a=g_a, g_b=g_b_init, g_frequencies=g_lam, g_embed=g_embed,
+        loss=loss, g_a=g_v.real, g_b=g_v.imag, g_frequencies=g_lam, g_embed=g_embed,
         g_mlp_w=g_w, g_mlp_b=g_b, g_meas_raw=g_raw,
     )
     bundle.assert_finite()
@@ -288,48 +306,32 @@ def backward_full_model(model: FullModelParams, tokens, targets) -> GradientBund
 # ---------------------------------------------------------------------------
 # flat parameter vector plumbing (shared by the optimizer and the FD oracle)
 
-def flatten_model(model: FullModelParams) -> np.ndarray:
-    parts = [model.init.a, model.init.b, model.frequencies, model.embed.vectors.ravel()]
-    for w, b in zip(model.mlp.weights, model.mlp.biases):
-        parts.extend([w.ravel(), b])
-    parts.extend([model.meas_raw.real.ravel(), model.meas_raw.imag.ravel()])
+def flatten_model(params) -> np.ndarray:
+    """Concatenate params.arrays() into one real vector; a complex array
+    contributes its real block, then its imaginary block."""
+    parts = []
+    for arr in params.arrays():
+        parts += [arr.real.ravel(), arr.imag.ravel()] if np.iscomplexobj(arr) else [arr.ravel()]
     return np.concatenate(parts)
 
 
-def unflatten_model(flat: np.ndarray, template: FullModelParams) -> FullModelParams:
-    model = copy.deepcopy(template)
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = flat[pos:pos + size].reshape(shape)
-        pos += size
-        return out.copy()
-
-    model.init.a = take(model.init.a.shape)
-    model.init.b = take(model.init.b.shape)
-    model.frequencies = take(model.frequencies.shape)
-    model.embed.vectors = take(model.embed.vectors.shape)
-    model.mlp.weights = [None] * len(template.mlp.weights)
-    model.mlp.biases = [None] * len(template.mlp.biases)
-    for layer in range(len(template.mlp.weights)):
-        model.mlp.weights[layer] = take(template.mlp.weights[layer].shape)
-        model.mlp.biases[layer] = take(template.mlp.biases[layer].shape)
-    re = take(model.meas_raw.shape)
-    im = take(model.meas_raw.shape)
-    model.meas_raw = re + 1j * im
+def unflatten_model(flat: np.ndarray, template):
+    """Inverse of flatten_model: template.with_arrays() of the arrays carved from flat."""
+    arrays, pos = [], 0
+    for arr in template.arrays():
+        blocks = 2 if np.iscomplexobj(arr) else 1
+        chunk = flat[pos:pos + blocks * arr.size].reshape(blocks, *arr.shape)
+        arrays.append(chunk[0] + 1j * chunk[1] if blocks == 2 else chunk[0].copy())
+        pos += blocks * arr.size
     if pos != flat.shape[0]:
         raise ConfigurationError(f"flat vector length {flat.shape[0]}, consumed {pos}")
-    return model
+    return template.with_arrays(arrays)
 
 
-def flatten_bundle(bundle: GradientBundle) -> np.ndarray:
-    parts = [bundle.g_a, bundle.g_b, bundle.g_frequencies, bundle.g_embed.ravel()]
-    for gw, gb in zip(bundle.g_mlp_w, bundle.g_mlp_b):
-        parts.extend([gw.ravel(), gb])
-    parts.extend([bundle.g_meas_raw.real.ravel(), bundle.g_meas_raw.imag.ravel()])
-    return np.concatenate(parts)
+# every model kind goes through the one pair; tests and the benchmark's
+# tracer still call it under these per-kind names
+flatten_bundle = _cusm_flatten = _rosm_flatten = flatten_model
+_cusm_unflatten = _rosm_unflatten = unflatten_model
 
 
 def central_difference(fn, x0: np.ndarray, step: float) -> np.ndarray:
@@ -404,24 +406,31 @@ def adam_cosine(flat0: np.ndarray, grad_fn, config: OptimizerConfig,
 
 
 # ---------------------------------------------------------------------------
-# trainable unitary model (per-token Cayley of skew-Hermitian generators)
+# fixed-transition models: trainable unitary model and real orthogonal baseline
 
 @dataclass
 class TrainableCusm:
     a: np.ndarray                 # initial state, real part
     b: np.ndarray                 # initial state, imaginary part
-    gens: list                    # token -> (N, N) complex Z; S = Z - Z^dag
+    gens: np.ndarray              # (A, N, N) complex Z, row k for token k; S = Z - Z^dag
     meas_raw: np.ndarray          # (N, V) complex
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def unitary(self, token: int) -> np.ndarray:
-        z = self.gens[token]
-        s = z - z.conj().T
-        eye = np.eye(self.dim, dtype=complex)
-        return np.linalg.solve(eye + s, eye - s)
+    def as_cusm(self) -> CusmParams:
+        """The fixed-transition model these unconstrained parameters describe."""
+        return CusmParams(psi0=initial_state(InitialStateParams(a=self.a, b=self.b)),
+                          unitaries=cayley_map(self.gens),
+                          measurement=project_measurement(self.meas_raw))
+
+    def arrays(self) -> list:
+        """The arrays in the order of the flat parameter vector."""
+        return [self.a, self.b, self.gens, self.meas_raw]
+
+    def with_arrays(self, arrays: list) -> TrainableCusm:
+        return TrainableCusm(*arrays)
 
 
 def init_trainable_cusm(n: int, v: int, alphabet: int, seed: int) -> TrainableCusm:
@@ -430,225 +439,78 @@ def init_trainable_cusm(n: int, v: int, alphabet: int, seed: int) -> TrainableCu
     return TrainableCusm(
         a=rng.standard_normal(n),
         b=rng.standard_normal(n),
-        gens=[scale * ginibre(rng, n, n) for _ in range(alphabet)],
+        gens=np.array([scale * ginibre(rng, n, n) for _ in range(alphabet)]),
         meas_raw=ginibre(rng, n, v),
     )
 
 
-def _cusm_flatten(p: TrainableCusm) -> np.ndarray:
-    parts = [p.a, p.b]
-    for z in p.gens:
-        parts.extend([z.real.ravel(), z.imag.ravel()])
-    parts.extend([p.meas_raw.real.ravel(), p.meas_raw.imag.ravel()])
-    return np.concatenate(parts)
-
-
-def _cusm_unflatten(flat: np.ndarray, template: TrainableCusm) -> TrainableCusm:
-    n = template.dim
-    pos = 0
-
-    def take(size):
-        nonlocal pos
-        out = flat[pos:pos + size]
-        pos += size
-        return out.copy()
-
-    a = take(n)
-    b = take(n)
-    gens = []
-    for _ in template.gens:
-        re = take(n * n).reshape(n, n)
-        im = take(n * n).reshape(n, n)
-        gens.append(re + 1j * im)
-    v = template.meas_raw.shape[1]
-    re = take(n * v).reshape(n, v)
-    im = take(n * v).reshape(n, v)
-    return TrainableCusm(a=a, b=b, gens=gens, meas_raw=re + 1j * im)
-
-
-def _cayley_generator_vjp(s: np.ndarray, w: np.ndarray, g_w: np.ndarray) -> np.ndarray:
-    """Backward through W = (I + S)^{-1}(I - S): g_S = -(I+S)^{-dag} g_W (I+W)^dag."""
-    eye = np.eye(s.shape[0], dtype=complex)
-    lhs = np.linalg.solve((eye + s).conj().T, g_w)
-    return -lhs @ (eye + w).conj().T
-
-
-def _cusm_batch_grad(params: TrainableCusm, batch) -> tuple[float, TrainableCusm]:
-    """Mean loss and gradients over (tokens, target_row) pairs; gradients are
-    returned in a parameter-shaped container."""
-    n = params.dim
-    psi0 = initial_state(InitialStateParams(a=params.a, b=params.b))
-    meas = project_measurement(params.meas_raw)
-    unitaries = {tok: params.unitary(tok) for tok in range(len(params.gens))}
-
-    loss = 0.0
-    g_psi0 = np.zeros(n, dtype=complex)
-    g_meas = np.zeros_like(meas)
-    g_u = {tok: np.zeros((n, n), dtype=complex) for tok in unitaries}
-    for tokens, target_row in batch:
-        traj = evolve_fixed_unitaries(unitaries, psi0, tokens)
-        step_loss, g_psi, g_m = _born_readout_vjp(meas, traj[-1][:, None], target_row[:, None])
-        g_psi = g_psi[:, 0]
-        loss += step_loss
-        g_meas += g_m
-        for t in range(len(tokens) - 1, -1, -1):
-            g_u[tokens[t]] += np.outer(g_psi, traj[t].conj())
-            g_psi = unitaries[tokens[t]].conj().T @ g_psi
-        g_psi0 += g_psi
-
-    scale = 1.0 / len(batch)
-    g_a, g_b = _initial_state_vjp(InitialStateParams(a=params.a, b=params.b), scale * g_psi0)
-    g_gens = []
-    eye = np.eye(n, dtype=complex)
-    for tok, z in enumerate(params.gens):
-        s = z - z.conj().T
-        g_s = _cayley_generator_vjp(s, unitaries[tok], scale * g_u[tok])
-        g_gens.append(g_s - g_s.conj().T)
-    g_raw = _qr_projection_vjp(params.meas_raw, scale * g_meas)
-    grads = TrainableCusm(a=g_a, b=g_b, gens=g_gens, meas_raw=g_raw)
-    return loss * scale, grads
-
-
-def cusm_batch_loss(params: TrainableCusm, batch) -> float:
-    psi0 = initial_state(InitialStateParams(a=params.a, b=params.b))
-    meas = project_measurement(params.meas_raw)
-    unitaries = {tok: params.unitary(tok) for tok in range(len(params.gens))}
-    loss = 0.0
-    for tokens, target_row in batch:
-        traj = evolve_fixed_unitaries(unitaries, psi0, tokens)
-        logs, _ = floored_log(born_probabilities(meas, traj[-1]))
-        loss -= float(target_row @ logs)
-    return loss / len(batch)
-
-
-# ---------------------------------------------------------------------------
-# trainable real orthogonal baseline
-
-@dataclass
-class TrainableRosm:
-    h0_raw: np.ndarray           # (d,), normalized on use
-    gens: list                   # token -> (d, d) real Z; S = Z - Z^T
-    out_weights: np.ndarray      # (V, d)
-    bias: np.ndarray             # (V,)
-
-    @property
-    def dim(self) -> int:
-        return self.h0_raw.shape[0]
-
-    def transition(self, token: int) -> np.ndarray:
-        z = self.gens[token]
-        s = z - z.T
-        eye = np.eye(self.dim)
-        return np.linalg.solve(eye + s, eye - s)
-
-
-def init_trainable_rosm(d: int, v: int, alphabet: int, seed: int) -> TrainableRosm:
+def init_trainable_rosm(d: int, v: int, alphabet: int, seed: int) -> RosmParams:
     rng = make_rng(seed, stream=201)
-    return TrainableRosm(
-        h0_raw=rng.standard_normal(d),
-        gens=[0.1 * rng.standard_normal((d, d)) for _ in range(alphabet)],
+    return RosmParams(
+        h0=rng.standard_normal(d),
+        gens=np.array([0.1 * rng.standard_normal((d, d)) for _ in range(alphabet)]),
         out_weights=rng.standard_normal((v, d)) / np.sqrt(d),
         bias=np.zeros(v),
     )
 
 
-def _rosm_flatten(p: TrainableRosm) -> np.ndarray:
-    parts = [p.h0_raw]
-    parts.extend(z.ravel() for z in p.gens)
-    parts.extend([p.out_weights.ravel(), p.bias])
-    return np.concatenate(parts)
+def _stack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
+    """(tokens, target_row) pairs of one length as (B, T) token ids and (B, V) targets."""
+    return np.array([seq for seq, _ in batch]), np.array([row for _, row in batch])
 
 
-def _rosm_unflatten(flat: np.ndarray, template: TrainableRosm) -> TrainableRosm:
-    d = template.dim
-    v = template.bias.shape[0]
-    pos = 0
-
-    def take(size):
-        nonlocal pos
-        out = flat[pos:pos + size]
-        pos += size
-        return out.copy()
-
-    h0 = take(d)
-    gens = [take(d * d).reshape(d, d) for _ in template.gens]
-    out_w = take(v * d).reshape(v, d)
-    bias = take(v)
-    return TrainableRosm(h0_raw=h0, gens=gens, out_weights=out_w, bias=bias)
+def _fixed_transition_vjp(transitions: np.ndarray, states: list, tokens: np.ndarray,
+                          g_final: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pull final-state gradients (B, d) back through evolve_fixed_batch. Returns
+    the gradient of the shared initial state and of every token's matrix, both
+    summed over the batch; np.add.at sums the rows of sequences that share a
+    token, and the filler token is in every sequence."""
+    g = g_final
+    g_w = np.zeros_like(transitions)
+    for t in range(tokens.shape[1] - 1, -1, -1):
+        np.add.at(g_w, tokens[:, t], g[:, :, None] * states[t].conj()[:, None, :])
+        g = (transitions[tokens[:, t]].conj().swapaxes(-1, -2) @ g[..., None])[..., 0]
+    return g.sum(axis=0), g_w
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    expz = np.exp(shifted)
-    return expz / expz.sum()
-
-
-def rosm_batch_loss(params: TrainableRosm, batch) -> float:
-    h0 = params.h0_raw / np.linalg.norm(params.h0_raw)
-    transitions = {tok: params.transition(tok) for tok in range(len(params.gens))}
-    loss = 0.0
-    for tokens, target_row in batch:
-        h = h0
-        for tok in tokens:
-            h = transitions[tok] @ h
-        q = _softmax(params.out_weights @ h + params.bias)
-        logs, _ = floored_log(q)
-        loss -= float(target_row @ logs)
-    return loss / len(batch)
-
-
-def _rosm_batch_grad(params: TrainableRosm, batch) -> tuple[float, TrainableRosm]:
-    d = params.dim
-    norm = np.linalg.norm(params.h0_raw)
-    h0 = params.h0_raw / norm
-    transitions = {tok: params.transition(tok) for tok in range(len(params.gens))}
-
-    loss = 0.0
-    g_h0 = np.zeros(d)
-    g_q = {tok: np.zeros((d, d)) for tok in transitions}
-    g_out = np.zeros_like(params.out_weights)
-    g_bias = np.zeros_like(params.bias)
-    for tokens, target_row in batch:
-        states = [h0]
-        for tok in tokens:
-            states.append(transitions[tok] @ states[-1])
-        q = _softmax(params.out_weights @ states[-1] + params.bias)
-        logs, _ = floored_log(q)
-        loss -= float(target_row @ logs)
-        g_logits = q * target_row.sum() - target_row
-        g_out += np.outer(g_logits, states[-1])
-        g_bias += g_logits
-        g_h = params.out_weights.T @ g_logits
-        for t in range(len(tokens) - 1, -1, -1):
-            g_q[tokens[t]] += np.outer(g_h, states[t])
-            g_h = transitions[tokens[t]].T @ g_h
-        g_h0 += g_h
-
-    scale = 1.0 / len(batch)
-    g_h0 *= scale
-    g_raw = (g_h0 - h0 * float(h0 @ g_h0)) / norm
-    g_gens = []
-    eye = np.eye(d)
-    for tok, z in enumerate(params.gens):
-        s = z - z.T
-        lhs = np.linalg.solve((eye + s).T, scale * g_q[tok])
-        g_s = -lhs @ (eye + transitions[tok]).T
-        g_gens.append(g_s - g_s.T)
-    grads = TrainableRosm(h0_raw=g_raw, gens=g_gens,
-                          out_weights=scale * g_out, bias=scale * g_bias)
+def _cusm_batch_grad(params: TrainableCusm, batch) -> tuple[float, TrainableCusm]:
+    """Mean loss and gradients over (tokens, target_row) pairs of one length, in
+    one stacked forward and adjoint pass; gradients come in a parameter-shaped
+    container."""
+    tokens, targets = _stack_batch(batch)
+    cusm = params.as_cusm()
+    states = evolve_fixed_batch(cusm.unitaries, cusm.psi0, tokens)
+    loss, g_psi, g_meas = _born_readout_vjp(cusm.measurement, states[-1].T, targets.T)
+    g_psi0, g_u = _fixed_transition_vjp(cusm.unitaries, states, tokens, g_psi.T)
+    scale = 1.0 / len(tokens)
+    g_v = _normalize_vjp(params.a + 1j * params.b, scale * g_psi0)
+    g_gens = _cayley_generator_vjp(params.gens, cusm.unitaries, scale * g_u)
+    grads = TrainableCusm(a=g_v.real, b=g_v.imag, gens=g_gens,
+                          meas_raw=_qr_projection_vjp(params.meas_raw, scale * g_meas))
     return loss * scale, grads
+
+
+def _rosm_batch_grad(params: RosmParams, batch) -> tuple[float, RosmParams]:
+    """As _cusm_batch_grad, for the real orthogonal baseline."""
+    tokens, targets = _stack_batch(batch)
+    transitions = params.transitions()
+    states = evolve_fixed_batch(transitions, params.state0(), tokens)
+    q = params.readout(states[-1])
+    logs, _ = floored_log(q)
+    g_logits = q * targets.sum(axis=1, keepdims=True) - targets
+    g_h0, g_q = _fixed_transition_vjp(transitions, states, tokens, g_logits @ params.out_weights)
+    scale = 1.0 / len(tokens)
+    grads = RosmParams(
+        h0=_normalize_vjp(params.h0, scale * g_h0),
+        gens=_cayley_generator_vjp(params.gens, transitions, scale * g_q),
+        out_weights=scale * (g_logits.T @ states[-1]),
+        bias=scale * g_logits.sum(axis=0),
+    )
+    return -float(np.vdot(targets, logs)) * scale, grads
 
 
 # ---------------------------------------------------------------------------
 # experiment drivers
-
-def _task_batch(task: TaskInstance, table: TargetTable) -> list:
-    batch = []
-    for i in range(task.n):
-        for j in range(task.n):
-            batch.append((task.sequence(i, j), table.pstar[i * task.n + j]))
-    return batch
-
 
 def exact_cusm_report(task: TaskInstance) -> TrainReport:
     """Evaluate the constructed exact solver; no training. The gap is rounding."""
@@ -656,11 +518,8 @@ def exact_cusm_report(task: TaskInstance) -> TrainReport:
     floor = entropy_floor(table)
     cusm = build_exact_cusm(task)
     start = time.perf_counter()
-    loss = 0.0
-    for tokens, target_row in _task_batch(task, table):
-        traj = evolve_fixed_unitaries(cusm.unitaries, cusm.psi0, tokens)
-        logs, _ = floored_log(born_probabilities(cusm.measurement, traj[-1]))
-        loss -= float(target_row @ logs)
+    states = evolve_fixed_batch(cusm.unitaries, cusm.psi0, task.sequences())
+    loss, _, _ = _born_readout_vjp(cusm.measurement, states[-1].T, table.pstar.T)
     loss /= task.n * task.n
     gap = loss - floor
     return TrainReport(
@@ -681,113 +540,92 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
     Hamiltonians). The gap is final mean NLL minus the entropy floor and is
     declared zero below 1e-3 nats; convergence is reported, never asserted.
     """
+    if model_kind not in ("cusm-trainable", "rosm", "full"):
+        raise ConfigurationError(f"unknown model_kind {model_kind!r}")
+    if model_kind == "rosm" and dim is None:
+        raise ConfigurationError("rosm training needs an explicit dimension")
+    if dim is not None and dim < 1:
+        raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
     if config is None:
         config = OptimizerConfig()
     table = target_table(task)
     floor = entropy_floor(table)
-    batch = _task_batch(task, table)
+    batch = list(zip(task.sequences(), table.pstar))
+    tokens = task.sequences()
+    weights = np.zeros((*tokens.shape, task.v))
+    weights[:, -1] = table.pstar
     alphabet = 2 * task.n + 1
+    dims = dict(full_dims or {})
     reports = []
     for seed in seeds:
         start = time.perf_counter()
-        warning_count = 0
-        extra = {}
-        if model_kind == "cusm-trainable":
-            n = dim if dim is not None else task.n
-            template = init_trainable_cusm(n, task.v, alphabet, seed)
-
-            def grad_fn(flat, _tmpl=template):
-                loss, grads = _cusm_batch_grad(_cusm_unflatten(flat, _tmpl), batch)
-                return loss, _cusm_flatten(grads)
-
-            flat, trace, stopped = adam_cosine(
-                _cusm_flatten(template), grad_fn, config,
-                stop_fn=lambda loss: loss - floor < config.early_stop_gap,
-            )
-            final = cusm_batch_loss(_cusm_unflatten(flat, template), batch)
-            report_dim = n
-        elif model_kind == "rosm":
-            if dim is None:
-                raise ConfigurationError("rosm training needs an explicit dimension")
-            template = init_trainable_rosm(dim, task.v, alphabet, seed)
-
-            def grad_fn(flat, _tmpl=template):
-                loss, grads = _rosm_batch_grad(_rosm_unflatten(flat, _tmpl), batch)
-                return loss, _rosm_flatten(grads)
-
-            flat, trace, stopped = adam_cosine(
-                _rosm_flatten(template), grad_fn, config,
-                stop_fn=lambda loss: loss - floor < config.early_stop_gap,
-            )
-            final = rosm_batch_loss(_rosm_unflatten(flat, template), batch)
-            report_dim = dim
-        elif model_kind == "full":
-            dims = dict(full_dims or {})
-            n = dims.get("n", task.n)
+        if model_kind == "full":
             template = init_full_model(
-                n=n, r=dims.get("r", 1), d=dims.get("d", 2 * task.n),
+                n=dims.get("n", task.n), r=dims.get("r", 1), d=dims.get("d", 2 * task.n),
                 v=task.v, v_in=alphabet, dt=dims.get("dt", 1.0), seed=seed,
                 hidden=dims.get("hidden"),
             )
-            tokens = np.array([seq for seq, _ in batch])
-            weights = np.zeros((*tokens.shape, task.v))
-            weights[:, -1] = [row for _, row in batch]
+            report_dim = template.n
 
-            def grad_fn(flat, _tmpl=template):
-                bundle = _backward_full(unflatten_model(flat, _tmpl), tokens, weights)
-                return bundle.loss / len(batch), flatten_bundle(bundle) / len(batch)
+            def loss_grad(params):
+                bundle = _backward_full(params, tokens, weights)
+                return bundle.loss / len(tokens), flatten_bundle(bundle) / len(tokens)
 
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                flat, trace, stopped = adam_cosine(
-                    flatten_model(template), grad_fn, config,
-                    stop_fn=lambda loss: loss - floor < config.early_stop_gap,
-                )
-                warning_count = len(caught)
-            final = _loss_full(unflatten_model(flat, template), tokens, weights) / len(batch)
-            report_dim = n
+            def mean_loss(params):
+                return _loss_full(params, tokens, weights) / len(tokens)
         else:
-            raise ConfigurationError(f"unknown model_kind {model_kind!r}")
+            if model_kind == "cusm-trainable":
+                template = init_trainable_cusm(dim or task.n, task.v, alphabet, seed)
+                batch_grad = _cusm_batch_grad
+            else:
+                template = init_trainable_rosm(dim, task.v, alphabet, seed)
+                batch_grad = _rosm_batch_grad
+            report_dim = template.dim
 
-        gap = final - floor
-        if model_kind == "rosm":
-            from .septask import RosmParams, softmax_rank_audit
-            trained = _rosm_unflatten(flat, template)
-            audit_params = RosmParams(
-                h0=trained.h0_raw / np.linalg.norm(trained.h0_raw),
-                generators={tok: z - z.T for tok, z in enumerate(trained.gens)},
-                out_weights=trained.out_weights, bias=trained.bias,
+            def loss_grad(params):
+                loss, grads = batch_grad(params, batch)
+                return loss, flatten_model(grads)
+
+            def mean_loss(params):
+                return batch_grad(params, batch)[0]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            flat, trace, stopped = adam_cosine(
+                flatten_model(template), lambda x: loss_grad(unflatten_model(x, template)),
+                config, stop_fn=lambda loss: loss - floor < config.early_stop_gap,
             )
-            extra["softmax_rank_audit"] = softmax_rank_audit(audit_params, task)
+        trained = unflatten_model(flat, template)
+        final = mean_loss(trained)
+        gap = final - floor
+        extra = {}
+        if model_kind == "rosm":
+            extra["softmax_rank_audit"] = softmax_rank_audit(trained, task)
         reports.append(TrainReport(
             seed=seed, model_kind=model_kind, dim=report_dim, loss_trace=trace,
             final_nll=float(final), entropy_floor=floor, gap=float(gap),
             gap_zero=bool(gap < GAP_ZERO_THRESHOLD and np.isfinite(gap)),
             stopped=stopped, wall_clock=time.perf_counter() - start,
-            warning_count=warning_count, extra=extra,
+            warning_count=len(caught), extra=extra,
         ))
     return reports
 
 
 def readout_ablation(model, eval_set) -> dict:
-    """Mean NLL of the same trajectories under the full quadratic readout and
-    the magnitude-only readout; eval_set is (tokens, target_row) pairs."""
-    nll_born = 0.0
-    nll_diag = 0.0
-    for tokens, target_row in eval_set:
-        if isinstance(model, CusmParams):
-            traj = evolve_fixed_unitaries(model.unitaries, model.psi0, tokens)
-            psi = traj[-1]
-            meas = model.measurement
-        elif isinstance(model, FullModelParams):
-            trajectory, _, _ = evolve_full_model(model, tokens)
-            psi = schrodinger_state(trajectory[-1], model.frequencies,
-                                    len(tokens), model.dt)
-            meas = project_measurement(model.meas_raw)
-        else:
-            raise ConfigurationError(f"unsupported model type {type(model).__name__}")
-        logs_b, _ = floored_log(born_probabilities(meas, psi))
-        logs_d, _ = floored_log(diagonal_only_probabilities(meas, psi))
-        nll_born -= float(target_row @ logs_b)
-        nll_diag -= float(target_row @ logs_d)
-    return {"nll_born": nll_born / len(eval_set), "nll_diagonal": nll_diag / len(eval_set)}
+    """Mean NLL of the same final states under the full quadratic readout and
+    the magnitude-only readout; eval_set is (tokens, target_row) pairs of one
+    length."""
+    tokens, targets = _stack_batch(eval_set)
+    if isinstance(model, CusmParams):
+        psi = evolve_fixed_batch(model.unitaries, model.psi0, tokens)[-1]
+        meas = model.measurement
+    elif isinstance(model, FullModelParams):
+        states, _, _, _ = evolve_full_batch(model, tokens)
+        psi = schrodinger_state(states[-1], model.frequencies, tokens.shape[1], model.dt)
+        meas = project_measurement(model.meas_raw)
+    else:
+        raise ConfigurationError(f"unsupported model type {type(model).__name__}")
+    logs_b, _ = floored_log(born_probabilities(meas, psi.T))
+    logs_d, _ = floored_log(diagonal_only_probabilities(meas, psi.T))
+    return {"nll_born": -float(np.vdot(targets.T, logs_b)) / len(tokens),
+            "nll_diagonal": -float(np.vdot(targets.T, logs_d)) / len(tokens)}

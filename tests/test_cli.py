@@ -118,6 +118,12 @@ class TestSimulate:
         assert code == 2
         assert "error: token id 3 outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["task", "full"])
+    def test_empty_token_list_is_usage_error(self, mode, tmp_path, monkeypatch, capsys):
+        code = run(["simulate", "--mode", mode, "--tokens", ","], tmp_path, monkeypatch)
+        assert code == 2
+        assert "empty" in capsys.readouterr().err
+
     def test_unknown_task_token_is_usage_error(self, tmp_path, monkeypatch):
         # the n=2 task has tokens 0..4
         code = run(["simulate", "--mode", "task", "--n", "2", "--tokens", "0,7"],
@@ -187,6 +193,55 @@ class TestTrain:
         assert code == 2
 
 
+    @pytest.mark.parametrize("command", ["train", "verify-separation"])
+    def test_task_size_one_is_usage_error(self, command, tmp_path, monkeypatch, capsys):
+        code = run([command, "--n", "1"], tmp_path, monkeypatch)
+        assert code == 2
+        assert "must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["rosm", "cusm-trainable"])
+    def test_dimension_below_one_is_usage_error(self, kind, tmp_path, monkeypatch, capsys):
+        code = run(["train", "--n", "2", "--model-kind", kind, "--dim", "0", "--seeds", "1",
+                    "--epochs", "5"], tmp_path, monkeypatch)
+        assert code == 2
+        assert "dimension must be >= 1" in capsys.readouterr().err
+
+
+class TestLoadErrors:
+    def _task_file(self, tmp_path, monkeypatch):
+        assert run(["gen-task", "--n", "2"], tmp_path, monkeypatch) == 0
+        return tmp_path / "task_n2_seed0.json"
+
+    def _model_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=0), str(path))
+        return path
+
+    def _command(self, kind, path):
+        if kind == "task":
+            return ["verify-separation", "--task", str(path), "--audits", "1"]
+        return ["simulate", "--mode", "full", "--checkpoint", str(path), "--tokens", "0,1"]
+
+    @pytest.mark.parametrize("kind", ["task", "model"])
+    def test_missing_field(self, kind, tmp_path, monkeypatch, capsys):
+        path = getattr(self, f"_{kind}_file")(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        field = "measurement" if kind == "task" else "meas_raw"
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        assert run(self._command(kind, path), tmp_path, monkeypatch) == 2
+        assert f"missing field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["task", "model"])
+    def test_other_schema_version(self, kind, tmp_path, monkeypatch, capsys):
+        path = getattr(self, f"_{kind}_file")(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc["schema_version"] = 7
+        path.write_text(json.dumps(doc))
+        assert run(self._command(kind, path), tmp_path, monkeypatch) == 2
+        assert "schema_version 7" in capsys.readouterr().err
+
+
 class TestBench:
     def test_grid_complete(self, tmp_path, monkeypatch):
         code = run(["bench", "--sizes", "16,32", "--ranks", "2", "--batch", "4",
@@ -216,6 +271,13 @@ class TestConfigFile:
         code = run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch)
         assert code == 2
         assert "schema_version" in capsys.readouterr().err
+
+    def test_unknown_key(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "epoch": 3}))
+        code = run(["train", "--config", str(cfg)], tmp_path, monkeypatch)
+        assert code == 2
+        assert "'epoch'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, monkeypatch):
         code = run(["gen-task", "--config", str(tmp_path / "nope.json")],

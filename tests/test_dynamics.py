@@ -4,7 +4,9 @@ import pytest
 from cusm.dynamics import (
     InteractionFactors,
     cayley_step_dense,
+    cayley_map,
     cayley_step_woodbury,
+    evolve_fixed_batch,
     evolve_fixed_unitaries,
     evolve_full_model,
     interaction_picture_factors,
@@ -194,6 +196,33 @@ class TestEvolveFixedUnitaries:
         u = sample_haar_unitary(4, 13)
         traj = evolve_fixed_unitaries({0: u}, psi, [0] * 2000)
         assert abs(np.linalg.norm(traj[-1]) - 1.0) < 1e-10
+
+
+class TestEvolveFixedBatch:
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_matches_row_by_row_evolution(self, kind):
+        # unitary transitions from complex generators, orthogonal ones from real
+        rng = make_rng(14)
+        d, alphabet = 4, 5
+        z = rng.standard_normal((alphabet, d, d))
+        if kind == "complex":
+            z = z + 1j * rng.standard_normal((alphabet, d, d))
+        transitions = cayley_map(z)
+        state0 = z[0, :, 0] / np.linalg.norm(z[0, :, 0])
+        tokens = rng.integers(0, alphabet, size=(6, 9))
+        states = evolve_fixed_batch(transitions, state0, tokens)
+        assert len(states) == tokens.shape[1] + 1
+        for b, seq in enumerate(tokens):
+            psi = state0
+            for t, tok in enumerate(seq, start=1):
+                psi = transitions[tok] @ psi
+                assert np.abs(states[t][b] - psi).max() < 1e-15
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_token(self, bad):
+        transitions = np.stack([np.eye(2)] * 3)
+        with pytest.raises(VocabularyError):
+            evolve_fixed_batch(transitions, np.array([1.0, 0.0]), [[0, 1], [2, bad]])
 
 
 class TestEvolveFullModel:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cusm.dynamics import evolve_fixed_unitaries
+from cusm.dynamics import evolve_fixed_batch, evolve_fixed_unitaries
 from cusm.exceptions import InvalidDimensionError
 from cusm.numerics import ginibre, hermitian_basis, make_rng, numerical_rank, vec_hermitian
 from cusm.readout import born_probabilities
@@ -12,12 +12,10 @@ from cusm.septask import (
     build_ic_measurement,
     certificate_rank,
     check_separation_ranks,
-    cusm_forward,
     load_task,
     make_task,
     n2_reference_config,
     random_rosm,
-    rosm_forward,
     sample_general_position,
     save_task,
     softmax_rank_audit,
@@ -167,7 +165,8 @@ class TestExactCusm:
         cusm = build_exact_cusm(task)
         for i in range(2):
             for j in range(2):
-                probs = cusm_forward(cusm, task.sequence(i, j))[-1]
+                probs = born_probabilities(cusm.measurement, evolve_fixed_batch(
+                    cusm.unitaries, cusm.psi0, [task.sequence(i, j)])[-1][0])
                 assert np.abs(probs - table.pstar[i * 2 + j]).max() < 1e-12
 
     def test_filler_invariance(self):
@@ -175,8 +174,10 @@ class TestExactCusm:
         cusm = build_exact_cusm(task)
         short = [0] + [task.filler_token] * 0 + [task.query_token(1)]
         long = [0] + [task.filler_token] * 100 + [task.query_token(1)]
-        p_short = cusm_forward(cusm, short)[-1]
-        p_long = cusm_forward(cusm, long)[-1]
+        p_short = born_probabilities(
+            cusm.measurement, evolve_fixed_batch(cusm.unitaries, cusm.psi0, [short])[-1][0])
+        p_long = born_probabilities(
+            cusm.measurement, evolve_fixed_batch(cusm.unitaries, cusm.psi0, [long])[-1][0])
         assert np.abs(p_short - p_long).max() < 1e-12
 
     def test_context_unitaries_hit_states(self):
@@ -188,7 +189,8 @@ class TestExactCusm:
     def test_per_step_normalization(self):
         task = make_task(2, seed=13)
         cusm = build_exact_cusm(task)
-        probs = cusm_forward(cusm, task.sequence(1, 0))
+        states = evolve_fixed_batch(cusm.unitaries, cusm.psi0, [task.sequence(1, 0)])
+        probs = born_probabilities(cusm.measurement, np.concatenate(states).T).T
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-10
 
     def test_final_state_composition(self):
@@ -206,7 +208,8 @@ class TestRosm:
         rosm = random_rosm(3, task, seed=1)
         rosm.out_weights = np.zeros_like(rosm.out_weights)
         rosm.bias = np.zeros_like(rosm.bias)
-        probs = rosm_forward(rosm, task.sequence(0, 0))
+        probs = rosm.readout(np.concatenate(
+            evolve_fixed_batch(rosm.transitions(), rosm.state0(), [task.sequence(0, 0)])))
         assert np.abs(probs - 0.25).max() < 1e-14
 
     def test_transitions_orthogonal_unit_state(self):
@@ -215,7 +218,7 @@ class TestRosm:
         h = rosm.h0
         assert abs(np.linalg.norm(h) - 1.0) < 1e-12
         for tok in range(5):
-            q = rosm.transition(tok)
+            q = rosm.transitions()[tok]
             assert np.abs(q.T @ q - np.eye(4)).max() < 1e-10
             h = q @ h
             assert abs(np.linalg.norm(h) - 1.0) < 1e-10
@@ -224,11 +227,12 @@ class TestRosm:
         task = make_task(2, seed=17)
         rosm = RosmParams(
             h0=np.array([1.0]),
-            generators={tok: np.zeros((1, 1)) for tok in range(5)},
+            gens=np.zeros((5, 1, 1)),
             out_weights=np.array([[1.0], [-1.0], [0.0], [0.5]]),
             bias=np.zeros(4),
         )
-        probs = rosm_forward(rosm, task.sequence(0, 0))[-1]
+        probs = rosm.readout(evolve_fixed_batch(
+            rosm.transitions(), rosm.state0(), [task.sequence(0, 0)])[-1])[0]
         logits = np.array([1.0, -1.0, 0.0, 0.5])
         expected = np.exp(logits) / np.exp(logits).sum()
         assert np.abs(probs - expected).max() < 1e-14

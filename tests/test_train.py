@@ -20,7 +20,6 @@ from cusm.train import (
     adjoint_state_step,
     backward_full_model,
     central_difference,
-    cusm_batch_loss,
     entropy_floor,
     exact_cusm_report,
     finite_difference_grad,
@@ -104,7 +103,7 @@ class TestBackwardFullModel:
         params = TrainableCusm(
             a=np.array([1.0, 0.0]),
             b=np.zeros(2),
-            gens=[np.zeros((2, 2), dtype=complex)],
+            gens=np.zeros((1, 2, 2), dtype=complex),
             meas_raw=np.eye(2, dtype=complex),
         )
         batch = [([0], np.array([1.0, 0.0]))]
@@ -319,13 +318,13 @@ class TestTrainableCusmGradients:
         _, grads = _cusm_batch_grad(params, batch)
         flat = _cusm_flatten(params)
         fd = central_difference(
-            lambda f: cusm_batch_loss(_cusm_unflatten(f, params), batch), flat, 1e-5)
+            lambda f: _cusm_batch_grad(_cusm_unflatten(f, params), batch)[0], flat, 1e-5)
         rel = np.abs(_cusm_flatten(grads) - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
 
     def test_rosm_matches_finite_differences(self):
         from cusm.train import (_rosm_batch_grad, _rosm_flatten, _rosm_unflatten,
-                                init_trainable_rosm, rosm_batch_loss)
+                                init_trainable_rosm)
         task = make_task(2, seed=13)
         table = target_table(task)
         batch = [(task.sequence(i, j), table.pstar[i * 2 + j])
@@ -333,7 +332,7 @@ class TestTrainableCusmGradients:
         params = init_trainable_rosm(3, task.v, 5, seed=0)
         _, grads = _rosm_batch_grad(params, batch)
         fd = central_difference(
-            lambda f: rosm_batch_loss(_rosm_unflatten(f, params), batch),
+            lambda f: _rosm_batch_grad(_rosm_unflatten(f, params), batch)[0],
             _rosm_flatten(params), 1e-5)
         rel = np.abs(_rosm_flatten(grads) - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
