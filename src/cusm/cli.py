@@ -123,9 +123,31 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list) -> list:
         unknown = sorted(set(doc) - options)
         if unknown:
             raise ConfigurationError(f"config key {unknown[0]!r} is no option of any subcommand")
+        for action in (action for sub in subs for action in sub._actions):
+            if action.dest in doc:
+                doc[action.dest] = _config_value(action, doc[action.dest])
         for sub in subs:
             sub.set_defaults(**doc)
     return argv
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value checked as argparse checks a flag's text: true or false
+    for a flag without an argument, else a string or number put through the
+    flag's type and choices; null leaves an option without a default unset."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            converted = (action.type or str)(str(value))
+        except ValueError:
+            converted = None
+        if converted is not None and (action.choices is None or converted in action.choices):
+            return converted
+    raise ConfigurationError(f"config key {action.dest!r}: invalid value {value!r}")
 
 
 def _parse_tokens(args) -> list:
@@ -142,6 +164,12 @@ def _parse_tokens(args) -> list:
     if negative:
         raise ConfigurationError(f"token ids must be >= 0, got {negative[0]}")
     return tokens
+
+
+def _seeds(args) -> tuple:
+    if args.seeds < 1:
+        raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
+    return tuple(range(args.seeds))
 
 
 def _task(args):
@@ -187,6 +215,7 @@ def cmd_gen_task(args) -> int:
 
 def cmd_verify_separation(args) -> int:
     out = _output_dir(args)
+    seeds = _seeds(args)
     task = _task(args)
     table = target_table(task)
     ranks = check_separation_ranks(table, task.n)
@@ -223,8 +252,7 @@ def cmd_verify_separation(args) -> int:
         config = OptimizerConfig(epochs=args.epochs)
         sweep = []
         for d in dims:
-            reports = train_on_task(task, "rosm", dim=d, config=config,
-                                    seeds=tuple(range(args.seeds)))
+            reports = train_on_task(task, "rosm", dim=d, config=config, seeds=seeds)
             sweep.append({
                 "d": d,
                 "gaps": [r.gap for r in reports],
@@ -308,7 +336,7 @@ def cmd_train(args) -> int:
     task = _task(args)
     config = OptimizerConfig(lr=args.lr, epochs=args.epochs,
                              early_stop_gap=args.early_stop_gap)
-    seeds = tuple(range(args.seeds))
+    seeds = _seeds(args)
     reports = train_on_task(task, args.model_kind, dim=args.dim,
                             config=config, seeds=seeds)
     paths = []

@@ -3,7 +3,8 @@
 A complex array is written as nested lists of [re, im] pairs and a real array
 as nested lists; both reload bit-exactly. Every file starts with
 "schema_version": 1, and reading one checks the version and, on access, that
-each field is present.
+each field is present and, through the typed accessors, of the right type and
+shape.
 """
 
 from __future__ import annotations
@@ -24,14 +25,26 @@ def _encode(arr: np.ndarray) -> list:
     return arr.tolist()
 
 
-def complex_array(pairs) -> np.ndarray:
-    """Inverse of the [re, im] encoding."""
-    arr = np.asarray(pairs, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+def checked_array(value, shape: tuple, where: str, complex_: bool = False) -> np.ndarray:
+    """`value` as a real array of `shape`, or as a complex one from [re, im]
+    pairs; None in `shape` matches any length. `where` names it in the error."""
+    expected = (*shape, 2) if complex_ else tuple(shape)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    fits = arr.ndim == len(expected) and all(
+        want in (None, got) for got, want in zip(arr.shape, expected))
+    if arr.dtype.kind not in "iuf" or not fits:
+        found = f"shape {arr.shape}" if arr.dtype.kind in "iuf" else "non-numeric or ragged entries"
+        shown = tuple("*" if want is None else want for want in expected)
+        raise ConfigurationError(f"{where}: expected a numeric array of shape {shown}, got {found}")
+    arr = arr.astype(float)
+    return arr[..., 0] + 1j * arr[..., 1] if complex_ else arr
 
 
 class _Fields(dict):
-    """A loaded document whose missing field is a configuration error."""
+    """A loaded document whose missing or malformed field is a configuration error."""
 
     def __init__(self, doc: dict, path: str):
         super().__init__(doc)
@@ -39,6 +52,21 @@ class _Fields(dict):
 
     def __missing__(self, key):
         raise ConfigurationError(f"{self.path}: missing field {key!r}")
+
+    def _typed(self, key: str, types: tuple, kind: str):
+        value = self[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigurationError(f"{self.path}: field {key!r} must be {kind}, got {value!r}")
+        return value
+
+    def integer(self, key: str) -> int:
+        return self._typed(key, (int,), "an integer")
+
+    def number(self, key: str) -> float:
+        return float(self._typed(key, (int, float), "a number"))
+
+    def array(self, key: str, shape: tuple, complex_: bool = False) -> np.ndarray:
+        return checked_array(self[key], shape, f"{self.path}: field {key!r}", complex_)
 
 
 def write_json(path: str, doc: dict) -> None:

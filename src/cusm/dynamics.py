@@ -8,8 +8,13 @@ transform of the interaction Hamiltonian H = Phi Phi^dag + diag(delta):
 Unitarity of this update holds for any Hermitian H and any dt > 0, so the
 norm is preserved to rounding. Two solvers are provided: a dense O(N^3)
 reference and the O(N r^2) Woodbury fast path; the dense one exists so the
-Woodbury algebra can always be cross-checked against it. Models with one fixed
-unitary or orthogonal matrix per token advance through evolve_fixed_batch.
+Woodbury algebra can always be cross-checked against it. With c = i*dt/2,
+A+- = I +- cH and A+ + A- = 2I, the fast path solves once: psi_next =
+2 A+^{-1} psi - psi. As A+ has no singular value below 1, the r x r Gram
+matrix of the solve has condition <= (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM
+Rev. 31, 1989), so IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6.
+Models with one fixed unitary or orthogonal matrix per token advance through
+evolve_fixed_batch.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ class InteractionFactors:
 
     phi: np.ndarray
     delta: np.ndarray
-    time_index: int = 0
 
     @property
     def dim(self) -> int:
@@ -49,6 +53,9 @@ class InteractionFactors:
 
 @dataclass
 class CayleyStepReport:
+    """Worst values over a step's stack; gram_condition is the a-priori bound of
+    the module docstring while that is <= GRAM_COND_WARN, else the SVD condition."""
+
     gram_condition: float
     residual: float
     renorm_delta: float
@@ -72,7 +79,7 @@ def interaction_picture_factors(
     untouched because diagonal entries are invariant under the conjugation.
     """
     phase = np.exp(1j * np.asarray(frequencies) * (t * dt))
-    return InteractionFactors(phase[:, None] * factors.phi, factors.delta, factors.time_index)
+    return InteractionFactors(phase[:, None] * factors.phi, factors.delta)
 
 
 def cayley_step_dense(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -84,9 +91,9 @@ def cayley_step_dense(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
     return np.linalg.solve(np.eye(n) + k, rhs)
 
 
-def _apply_cayley_side(phi: np.ndarray, delta: np.ndarray, c: complex, x: np.ndarray) -> np.ndarray:
-    """(diag(1 + c*delta) + c*phi phi^dag) x, stacked like _lowrank_solve."""
-    return (1.0 + c * delta)[..., None] * x + c * (phi @ (phi.swapaxes(-1, -2).conj() @ x))
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """Norms of the columns of x (..., N, k), one pass over x."""
+    return np.sqrt(np.vecdot(x, x, axis=-2).real)
 
 
 def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray,
@@ -95,16 +102,16 @@ def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarr
 
     The one Woodbury solve of the forward step and its adjoint, stacked over
     leading axes: phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x
-    and the worst r x r Gram condition; fails above GRAM_COND_FAIL at `step`.
+    and the Gram condition of the stack; fails above GRAM_COND_FAIL at `step`.
     """
-    d = (1.0 + c * delta)[..., None]  # diagonal of A; modulus > 0 always
+    inv_d = (1.0 / (1.0 + c * delta))[..., None]  # |1 + c*delta| >= 1
     phi_h = phi.swapaxes(-1, -2).conj()
-    y = rhs / d
-    p = phi / d
+    y = rhs * inv_d
+    p = phi * inv_d
     gram = np.eye(phi.shape[-1]) + c * (phi_h @ p)
-    sig = np.linalg.svd(gram, compute_uv=False)
-    rcond = float((sig[..., -1] / sig[..., 0]).min())
-    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    cond = (1.0 + abs(c) * float(np.vecdot(phi, phi, axis=-2).real.sum(-1).max())) ** 2
+    if not cond <= GRAM_COND_WARN:  # NaN too, on which the SVD raises
+        cond = float(np.linalg.cond(gram).max())
     if cond > GRAM_COND_FAIL:
         report = CayleyStepReport(gram_condition=cond, residual=np.nan, renorm_delta=np.nan)
         raise IllConditionedStepError(
@@ -112,29 +119,34 @@ def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarr
             report=report, step=step,
         )
     w = np.linalg.solve(gram, phi_h @ y)
-    return y - c * (p @ w), cond
+    y -= p @ (c * w)
+    return y, cond
 
 
 def _cayley_step(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, dt: float,
                  step: int | None = None) -> tuple[np.ndarray, CayleyStepReport]:
-    """Cayley step of state columns psi (..., N, k), stacked like _lowrank_solve;
-    the report holds the worst condition, residual and norm change of the stack."""
+    """Cayley step psi' = 2 A+^{-1} psi - psi of state columns psi (..., N, k),
+    stacked like _lowrank_solve; the report holds the stack's worst values."""
     c = 0.5j * dt
-    b = _apply_cayley_side(phi, delta, -c, psi)
-    out, cond = _lowrank_solve(phi, delta, c, b, step)
-    resid = _apply_cayley_side(phi, delta, c, out) - b
-    norms = np.linalg.norm(out, axis=-2)
+    z, cond = _lowrank_solve(phi, delta, c, psi, step)
+    out = 2.0 * z - psi
+    # the residual of A+ psi' = A- psi, A+ (psi' + psi) - 2 psi, goes in z's
+    # buffer: fresh N x k arrays cost page faults
+    resid = np.add(out, psi, out=z)
+    applied = phi @ (c * (phi.swapaxes(-1, -2).conj() @ resid))
+    resid *= (1.0 + c * delta)[..., None]
+    resid += applied
+    resid -= 2.0 * psi
     return out, CayleyStepReport(
         gram_condition=cond,
-        residual=float(np.linalg.norm(resid, axis=-2).max()),
-        renorm_delta=float(np.abs(norms - np.linalg.norm(psi, axis=-2)).max()),
+        residual=float(_column_norms(resid).max()),
+        renorm_delta=float(np.abs(_column_norms(out) - _column_norms(psi)).max()),
         warning=cond > GRAM_COND_WARN,
     )
 
 
-def cayley_step_woodbury(
-    factors: InteractionFactors, psi: np.ndarray, dt: float
-) -> tuple[np.ndarray, CayleyStepReport]:
+def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
+                         dt: float) -> tuple[np.ndarray, CayleyStepReport]:
     """Low-rank Cayley step at O(N r^2 + r^3) via the Woodbury identity.
 
     `factors` must already be in the interaction picture. Accepts psi of
@@ -217,7 +229,6 @@ def evolve_full_batch(model, tokens: np.ndarray):
         out, inputs = mlp_forward_cached(model.mlp, x)
         factors = interaction_picture_factors(
             split_factor_output(out, model.n, model.r), model.frequencies, step, model.dt)
-        factors.time_index = step
         psi, report = _cayley_step(factors.phi, factors.delta, psi[..., None], model.dt, step)
         psi = _safeguard(psi[..., 0], step + 1)
         states.append(psi)
@@ -230,8 +241,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
 def evolve_full_model(model, tokens):
     """evolve_full_batch for one sequence: (trajectory, interaction-picture factors, reports)."""
     states, factor_log, reports, _ = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))
-    factors = [InteractionFactors(phi=f.phi[0], delta=f.delta[0], time_index=f.time_index)
-               for f in factor_log]
+    factors = [InteractionFactors(phi=f.phi[0], delta=f.delta[0]) for f in factor_log]
     return [psi[0] for psi in states], factors, reports
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import complex_array, read_json, write_json
+from .codec import checked_array, read_json, write_json
 from .dynamics import InteractionFactors
 from .exceptions import ConfigurationError, DegenerateInitializationError
 from .numerics import ginibre, make_rng
@@ -232,21 +232,31 @@ def save_model(model: FullModelParams, path: str) -> None:
 
 
 def load_model(path: str) -> FullModelParams:
+    """Inverse of save_model; a field of the wrong type or shape, or MLP layers
+    that do not chain from d + 2N inputs to 2Nr + N outputs, is a ConfigurationError."""
     doc = read_json(path)
+    n, r, d, v, v_in = (doc.integer(key) for key in ("n", "r", "d", "v", "v_in"))
+    weights, biases = doc["mlp_weights"], doc["mlp_biases"]
+    if not isinstance(weights, list) or not isinstance(biases, list) \
+            or not weights or len(weights) != len(biases):
+        raise ConfigurationError(f"{path}: mlp_weights and mlp_biases must be lists "
+                                 "of one array per layer")
+    width, layers = d + 2 * n, []
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        w = checked_array(w, (None, width), f"{path}: mlp_weights[{layer}]")
+        width = w.shape[0]
+        layers.append((w, checked_array(b, (width,), f"{path}: mlp_biases[{layer}]")))
+    if width != 2 * n * r + n:
+        raise ConfigurationError(f"{path}: last MLP layer has {width} outputs, "
+                                 f"expected 2*N*r + N = {2 * n * r + n}")
     return FullModelParams(
-        init=InitialStateParams(
-            a=np.asarray(doc["init_a"], dtype=float),
-            b=np.asarray(doc["init_b"], dtype=float),
-        ),
-        frequencies=np.asarray(doc["frequencies"], dtype=float),
-        embed=EmbeddingTable(vectors=np.asarray(doc["embed"], dtype=float)),
-        mlp=MlpParams(
-            weights=[np.asarray(w, dtype=float) for w in doc["mlp_weights"]],
-            biases=[np.asarray(b, dtype=float) for b in doc["mlp_biases"]],
-        ),
-        meas_raw=complex_array(doc["meas_raw"]),
-        dt=float(doc["dt"]),
-        n=int(doc["n"]),
-        r=int(doc["r"]),
-        seed=int(doc["seed"]),
+        init=InitialStateParams(a=doc.array("init_a", (n,)), b=doc.array("init_b", (n,))),
+        frequencies=doc.array("frequencies", (n,)),
+        embed=EmbeddingTable(vectors=doc.array("embed", (v_in, d))),
+        mlp=MlpParams(weights=[w for w, _ in layers], biases=[b for _, b in layers]),
+        meas_raw=doc.array("meas_raw", (n, v), complex_=True),
+        dt=doc.number("dt"),
+        n=n,
+        r=r,
+        seed=doc.integer("seed"),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import complex_array, read_json, write_json
+from .codec import read_json, write_json
 from .dynamics import cayley_map, evolve_fixed_batch
 from .exceptions import CusmError, InvalidDimensionError
 from .numerics import (
@@ -367,15 +367,17 @@ def save_task(task: TaskInstance, path: str) -> None:
 
 
 def load_task(path: str) -> TaskInstance:
+    """Inverse of save_task; a field of the wrong type or shape is a ConfigurationError."""
     doc = read_json(path)
+    n, v = doc.integer("n"), doc.integer("v")
     return TaskInstance(
-        n=int(doc["n"]),
-        v=int(doc["v"]),
-        context_states=complex_array(doc["context_states"]),
-        query_unitaries=complex_array(doc["query_unitaries"]),
-        measurement=complex_array(doc["measurement"]),
-        filler_length=int(doc["filler_length"]),
-        seed=int(doc["seed"]),
-        certificate_rank=int(doc["certificate_rank"]),
-        measurement_rank=int(doc["measurement_rank"]),
+        n=n,
+        v=v,
+        context_states=doc.array("context_states", (n, n), complex_=True),
+        query_unitaries=doc.array("query_unitaries", (n, n, n), complex_=True),
+        measurement=doc.array("measurement", (n, v), complex_=True),
+        filler_length=doc.integer("filler_length"),
+        seed=doc.integer("seed"),
+        certificate_rank=doc.integer("certificate_rank"),
+        measurement_rank=doc.integer("measurement_rank"),
     )

@@ -21,7 +21,6 @@ import numpy as np
 
 from .dynamics import (
     InteractionFactors,
-    _apply_cayley_side,
     _lowrank_solve,
     cayley_map,
     evolve_fixed_batch,
@@ -137,13 +136,12 @@ def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
                        step: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
-    The map is the conjugate transpose of the step unitary, so the adjoint
-    norm is exactly preserved: first solve A^dag s = g, then apply A. Returns
-    the pulled-back adjoint A s and s, both shaped like g.
+    The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the
+    adjoint norm is exactly preserved: solve A- s = g (A- = A+^dag), and then
+    A+ s = 2s - g because A+ + A- = 2I. Returns 2s - g and s, both shaped like g.
     """
-    c = 0.5j * dt
-    s, _ = _lowrank_solve(factors.phi, factors.delta, -c, g[..., None], step)
-    return _apply_cayley_side(factors.phi, factors.delta, c, s)[..., 0], s[..., 0]
+    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None], step)[0][..., 0]
+    return 2.0 * s - g, s
 
 
 def _qr_projection_vjp(raw: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
@@ -237,38 +235,30 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     c = 0.5j * dt
 
     for t in range(tokens.shape[1] - 1, -1, -1):
-        psi_in = states[t]
-        psi_out = states[t + 1]
-
         rows = target_weights[:, t]
         if np.any(rows):
             phase = np.exp(-1j * lam * ((t + 1) * dt))
-            psi_s = phase * psi_out
+            psi_s = phase * states[t + 1]
             step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s.T, rows.T)
             loss += step_loss
             g_meas += g_m
             g_psi += np.conj(phase) * g_psis.T
-            g_phase = np.sum(np.conj(psi_out) * g_psis.T, axis=0)
-            g_lam += (-(t + 1) * dt) * np.real(np.conj(g_phase) * 1j * phase)
+            g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
 
         # state adjoint through the step itself (norm-preserving)
         g_psi_step, s = adjoint_state_step(factor_log[t], dt, g_psi, step=t)
 
         # both sides of the solve touch X = phi phi^dag and delta; with
-        # u = psi_in + psi_out, dL/dX = -conj(c) s u^dag, applied to phi
+        # u = psi_in + psi_out, dL/dX = -conj(c) s u^dag and dL/ddelta = -Re(c conj(s) u)
         phi_ip = factor_log[t].phi
-        u = psi_in + psi_out
+        u = states[t] + states[t + 1]
         g_phi_ip = (-np.conj(c) * s[..., None]) * (u.conj()[:, None, :] @ phi_ip) \
             - c * u[..., None] * (s.conj()[:, None, :] @ phi_ip)
-        g_delta = np.real(np.conj(-s * np.conj(psi_out)) * c) \
-            + np.real(np.conj(s * np.conj(psi_in)) * (-c))
+        g_delta = -np.real(c * s.conj() * u)
 
-        # undo the interaction-picture row phases on phi
-        phase_row = np.exp(1j * lam * (t * dt))
-        phi_raw = np.conj(phase_row)[:, None] * phi_ip
-        g_phi_raw = np.conj(phase_row)[:, None] * g_phi_ip
-        g_phase_row = np.sum(np.conj(phi_raw) * g_phi_ip, axis=(0, 2))
-        g_lam += (t * dt) * np.real(np.conj(g_phase_row) * 1j * phase_row)
+        # undo the interaction-picture row phases exp(i lam t dt) on phi
+        g_phi_raw = np.exp(-1j * lam * (t * dt))[:, None] * g_phi_ip
+        g_lam -= (t * dt) * np.imag(np.sum(phi_ip * np.conj(g_phi_ip), axis=(0, 2)))
 
         # generator network, on the activations of the forward pass
         g_out = merge_factor_grads(g_phi_raw, g_delta)

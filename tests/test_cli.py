@@ -199,6 +199,12 @@ class TestTrain:
         assert code == 2
         assert "must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["train"], ["verify-separation", "--rosm-dims", "2"]])
+    def test_seeds_below_one_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        code = run(argv + ["--n", "2", "--seeds", "0", "--epochs", "5"], tmp_path, monkeypatch)
+        assert code == 2
+        assert "--seeds must be >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["rosm", "cusm-trainable"])
     def test_dimension_below_one_is_usage_error(self, kind, tmp_path, monkeypatch, capsys):
         code = run(["train", "--n", "2", "--model-kind", kind, "--dim", "0", "--seeds", "1",
@@ -241,6 +247,39 @@ class TestLoadErrors:
         assert run(self._command(kind, path), tmp_path, monkeypatch) == 2
         assert "schema_version 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["task", "model"])
+    def test_field_of_wrong_type(self, kind, tmp_path, monkeypatch, capsys):
+        path = getattr(self, f"_{kind}_file")(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc["n"] = "two"
+        path.write_text(json.dumps(doc))
+        assert run(self._command(kind, path), tmp_path, monkeypatch) == 2
+        assert "field 'n' must be an integer, got 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, field", [
+        ("task", "context_states"), ("task", "query_unitaries"), ("task", "measurement"),
+        ("model", "init_a"), ("model", "embed"), ("model", "meas_raw"),
+        ("model", "mlp_biases"),
+    ])
+    def test_array_of_wrong_shape(self, kind, field, tmp_path, monkeypatch, capsys):
+        path = getattr(self, f"_{kind}_file")(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        if field == "mlp_biases":
+            doc[field][0] = doc[field][0][:-1]
+        else:
+            doc[field] = doc[field][:-1]
+        path.write_text(json.dumps(doc))
+        assert run(self._command(kind, path), tmp_path, monkeypatch) == 2
+        assert "expected a numeric array of shape" in capsys.readouterr().err
+
+    def test_mlp_that_does_not_chain(self, tmp_path, monkeypatch, capsys):
+        path = self._model_file(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc["r"] = 2
+        path.write_text(json.dumps(doc))
+        assert run(self._command("model", path), tmp_path, monkeypatch) == 2
+        assert "last MLP layer has" in capsys.readouterr().err
+
 
 class TestBench:
     def test_grid_complete(self, tmp_path, monkeypatch):
@@ -278,6 +317,23 @@ class TestConfigFile:
         code = run(["train", "--config", str(cfg)], tmp_path, monkeypatch)
         assert code == 2
         assert "'epoch'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 2.5), ("n", "two"), ("n", True), ("n", [2]), ("reference", 1),
+        ("model_kind", "bogus"),
+    ])
+    def test_value_of_wrong_type(self, key, value, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, key: value}))
+        code = run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch)
+        assert code == 2
+        assert f"config key {key!r}: invalid value" in capsys.readouterr().err
+
+    def test_values_go_through_the_option_type(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "n": "3", "task": None}))
+        assert run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch) == 0
+        assert (tmp_path / "task_n3_seed0.json").exists()
 
     def test_missing_config_file(self, tmp_path, monkeypatch):
         code = run(["gen-task", "--config", str(tmp_path / "nope.json")],
