@@ -143,27 +143,73 @@ def _config_value(action: argparse.Action, value):
     elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
         try:
             converted = (action.type or str)(str(value))
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             converted = None
         if converted is not None and (action.choices is None or converted in action.choices):
             return converted
     raise ConfigurationError(f"config key {action.dest!r}: invalid value {value!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ConfigurationError, so that main() reports a bad
+    flag like every other usage error: one message line and exit code 2."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def _at_least(minimum, values: list) -> list:
+    """values, if it is not empty and no entry is below minimum."""
+    if not values:
+        raise argparse.ArgumentTypeError("the list is empty")
+    low = [v for v in values if v < minimum]
+    if low:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {low[0]}")
+    return values
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+
+
+def _int_at_least(minimum: int):
+    """argparse type: one integer >= minimum."""
+    return lambda text: _at_least(minimum, [_integer(text)])[0]
+
+
+def _int_list(minimum: int):
+    """argparse type: a comma list of integers, each >= minimum; blank items are
+    skipped and at least one integer must remain."""
+    return lambda text: _at_least(minimum, [_integer(x) for x in text.split(",") if x.strip()])
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _parse_tokens(args) -> list:
+    """The token ids of --tokens, or of --tokens-file, a JSON array of integers >= 0."""
     if args.tokens is not None:
-        tokens = [int(x) for x in args.tokens.split(",") if x.strip() != ""]
-    elif args.tokens_file is not None:
-        with open(args.tokens_file) as fh:
-            tokens = [int(x) for x in json.load(fh)]
-    else:
+        return args.tokens
+    if args.tokens_file is None:
         raise ConfigurationError("provide --tokens or --tokens-file")
-    if not tokens:
-        raise ConfigurationError("the token list is empty")
-    negative = [tok for tok in tokens if tok < 0]
-    if negative:
-        raise ConfigurationError(f"token ids must be >= 0, got {negative[0]}")
-    return tokens
+    with open(args.tokens_file) as fh:
+        tokens = json.load(fh)
+    if not isinstance(tokens, list) or not all(type(tok) is int for tok in tokens):
+        raise ConfigurationError(f"{args.tokens_file} does not hold a JSON array of integers")
+    try:
+        return _at_least(0, tokens)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigurationError(f"token ids in {args.tokens_file}: {exc}") from None
 
 
 def _seeds(args) -> tuple:
@@ -248,10 +294,9 @@ def cmd_verify_separation(args) -> int:
         "rosm_audits": audits,
     })
     if args.rosm_dims:
-        dims = [int(x) for x in args.rosm_dims.split(",")]
         config = OptimizerConfig(epochs=args.epochs)
         sweep = []
-        for d in dims:
+        for d in args.rosm_dims:
             reports = train_on_task(task, "rosm", dim=d, config=config, seeds=seeds)
             sweep.append({
                 "d": d,
@@ -369,8 +414,8 @@ def cmd_train(args) -> int:
         "reports": paths,
     })
     if args.ablation:
-        eval_set = list(zip(task.sequences(), target_table(task).pstar))
-        aggregate["ablation"] = readout_ablation(build_exact_cusm(task), eval_set)
+        aggregate["ablation"] = readout_ablation(build_exact_cusm(task), task.sequences(),
+                                                 target_table(task).pstar)
     agg_path = os.path.join(out, f"train_{args.model_kind}_aggregate.json")
     _write_json(agg_path, aggregate)
     print(f"wrote {agg_path}")
@@ -390,16 +435,14 @@ def _time_step(step_fn, repeats: int, inner: int = 3) -> float:
 
 def cmd_bench(args) -> int:
     out = _output_dir(args)
-    sizes = [int(x) for x in args.sizes.split(",")]
-    ranks = [int(x) for x in args.ranks.split(",")]
     rng = make_rng(args.seed, stream=777)
     grid = []
     # the fast path is timed on a batch of state columns so the measurement is
     # linear-algebra work rather than Python call overhead; the dense path is
     # timed on a single state so its cubic factorization cost dominates
     batch = args.batch
-    for n in sizes:
-        for r in ranks:
+    for n in args.sizes:
+        for r in args.ranks:
             phi = ginibre(rng, n, r)
             delta = rng.standard_normal(n)
             factors = InteractionFactors(phi=phi, delta=delta)
@@ -425,7 +468,7 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cusm",
         description="Complex-unitary sequence model experiments",
     )
@@ -440,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-task", help="generate a task instance with certificates")
     common(p)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--filler-length", type=int, default=1)
+    p.add_argument("--filler-length", type=_int_at_least(0), default=1)
     p.add_argument("--reference", action="store_true",
                    help="use the explicit N=2 witness configuration")
     p.set_defaults(func=cmd_gen_task)
@@ -449,9 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--task", help="task JSON file; otherwise generated from --n/--seed")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--filler-length", type=int, default=1)
-    p.add_argument("--audits", type=int, default=50)
-    p.add_argument("--rosm-dims", help="comma list of baseline dimensions to train")
+    p.add_argument("--filler-length", type=_int_at_least(0), default=1)
+    p.add_argument("--audits", type=_int_at_least(0), default=50)
+    p.add_argument("--rosm-dims", type=_int_list(1),
+                   help="comma list of baseline dimensions to train")
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--seeds", type=int, default=3)
     p.set_defaults(func=cmd_verify_separation)
@@ -461,13 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["task", "full"], default="task")
     p.add_argument("--task", help="task JSON file (task mode)")
     p.add_argument("--checkpoint", help="model JSON file (full mode)")
-    p.add_argument("--tokens", help="comma-separated token ids")
+    p.add_argument("--tokens", type=_int_list(0), help="comma-separated token ids")
     p.add_argument("--tokens-file", help="JSON array of token ids")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--v", type=int, default=4)
-    p.add_argument("--dt", type=float, default=1.0)
+    p.add_argument("--dt", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a model on a task, one report per seed")
@@ -486,12 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time Woodbury vs dense steps over an (N, r) grid")
     common(p)
-    p.add_argument("--sizes", default="64,128,256,512")
-    p.add_argument("--ranks", default="4")
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--dense-batch", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=15)
-    p.add_argument("--dt", type=float, default=1.0)
+    p.add_argument("--sizes", type=_int_list(1), default="64,128,256,512")
+    p.add_argument("--ranks", type=_int_list(1), default="4")
+    p.add_argument("--batch", type=_int_at_least(1), default=256)
+    p.add_argument("--dense-batch", type=_int_at_least(1), default=1)
+    p.add_argument("--repeats", type=_int_at_least(1), default=15)
+    p.add_argument("--dt", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -40,7 +40,8 @@ def checked_array(value, shape: tuple, where: str, complex_: bool = False) -> np
         shown = tuple("*" if want is None else want for want in expected)
         raise ConfigurationError(f"{where}: expected a numeric array of shape {shown}, got {found}")
     arr = arr.astype(float)
-    return arr[..., 0] + 1j * arr[..., 1] if complex_ else arr
+    # a view, not re + 1j * im: that arithmetic turns a -0.0 part into +0.0
+    return arr.view(complex)[..., 0] if complex_ else arr
 
 
 class _Fields(dict):

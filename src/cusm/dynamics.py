@@ -179,16 +179,14 @@ def cayley_map(z: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye + s, eye - s)
 
 
-def evolve_fixed_batch(transitions, state0: np.ndarray, tokens) -> list[np.ndarray]:
+def evolve_fixed_batch(transitions: np.ndarray, state0: np.ndarray, tokens) -> list[np.ndarray]:
     """Forward pass of a fixed-transition model over a (B, T) array of token ids.
 
     transitions[k] is the (d, d) matrix of token k, complex unitary or real
-    orthogonal, as an (A, d, d) stack or a dict keyed 0..A-1. Step t gathers
-    transitions[tokens[:, t]] and applies them to the B states in one batched
-    product. Returns the T+1 states (B, d).
+    orthogonal, in an (A, d, d) stack. Step t gathers transitions[tokens[:, t]]
+    and applies them to the B states in one batched product. Returns the T+1
+    states (B, d).
     """
-    if isinstance(transitions, dict):
-        transitions = np.array([transitions[tok] for tok in range(len(transitions))])
     tokens = np.asarray(tokens, dtype=int)
     _check_vocabulary(tokens, len(transitions))
     psi = np.tile(state0, (tokens.shape[0], 1))
@@ -199,9 +197,7 @@ def evolve_fixed_batch(transitions, state0: np.ndarray, tokens) -> list[np.ndarr
     return states
 
 
-def evolve_fixed_unitaries(
-    unitaries: dict[int, np.ndarray], psi0: np.ndarray, tokens
-) -> list[np.ndarray]:
+def evolve_fixed_unitaries(unitaries: np.ndarray, psi0: np.ndarray, tokens) -> list[np.ndarray]:
     """evolve_fixed_batch for one sequence: all T+1 states."""
     states = evolve_fixed_batch(unitaries, np.asarray(psi0, dtype=complex), [list(tokens)])
     return [psi[0] for psi in states]

@@ -1,14 +1,13 @@
 """Complex linear-algebra substrate.
 
-Deterministic Haar sampling, a trace-orthonormal Hermitian basis with a fixed
-canonical ordering, SVD-based rank estimation, and a uniqueness-normalized
-thin QR. Everything here is a pure function of its arguments; randomness
-always enters through an explicit 64-bit seed.
+Deterministic Haar sampling, the closed-form real coordinates of Hermitian
+matrices in a trace-orthonormal basis of fixed canonical order, SVD-based
+rank estimation, and a uniqueness-normalized thin QR. Everything here is a
+pure function of its arguments; randomness always enters through an explicit
+64-bit seed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,63 +61,26 @@ def sample_haar_unitary(dim: int, seed: int, stream: int = 0) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class HermitianBasis:
-    """Trace-orthonormal basis of the real vector space of dim x dim Hermitian matrices.
+def vec_hermitian(a: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., N^2) of Hermitian matrices stacked (..., N, N).
 
-    Canonical order: the dim diagonal projectors e_j e_j^T first, then the
-    real symmetrizers (e_j e_k^T + e_k e_j^T)/sqrt(2) for j < k in
-    lexicographic order, then the imaginary antisymmetrizers
-    (-i e_j e_k^T + i e_k e_j^T)/sqrt(2), same order.
+    Coordinate alpha is tr(E_alpha A) in the trace-orthonormal Hermitian basis
+    of canonical order: the N diagonal projectors e_j e_j^T, then the real
+    symmetrizers (e_j e_k^T + e_k e_j^T)/sqrt(2) for j < k in lexicographic
+    order, then the imaginary antisymmetrizers (-i e_j e_k^T + i e_k e_j^T)/sqrt(2),
+    same order. In closed form that is [diag A, sqrt(2) Re A_jk, -sqrt(2) Im A_jk]
+    over j < k, so vec(A) . vec(B) = tr(AB).
     """
-
-    dim: int
-    elements: np.ndarray  # (dim**2, dim, dim) complex
-
-    def __len__(self) -> int:
-        return self.dim * self.dim
-
-
-def hermitian_basis(dim: int) -> HermitianBasis:
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    mats = np.zeros((dim * dim, dim, dim), dtype=complex)
-    idx = 0
-    for j in range(dim):
-        mats[idx, j, j] = 1.0
-        idx += 1
-    s = 1.0 / np.sqrt(2.0)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            mats[idx, j, k] = s
-            mats[idx, k, j] = s
-            idx += 1
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            mats[idx, j, k] = -1j * s
-            mats[idx, k, j] = 1j * s
-            idx += 1
-    return HermitianBasis(dim=dim, elements=mats)
-
-
-def vec_hermitian(a: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """Real coordinate vector of a Hermitian matrix, v_alpha = tr(E_alpha A)."""
     a = np.asarray(a, dtype=complex)
-    if a.shape != (basis.dim, basis.dim):
-        raise InvalidDimensionError(f"matrix shape {a.shape} does not match basis dim {basis.dim}")
-    dev = np.abs(a - a.conj().T).max()
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise InvalidDimensionError(f"need (..., N, N) matrices with N >= 1, got shape {a.shape}")
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0)
     if dev > HERMITIAN_TOL:
         raise NonHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    # tr(E A) = sum_{jk} E_jk A_kj; real because both are Hermitian.
-    return np.einsum("ajk,kj->a", basis.elements, a).real
-
-
-def unvec_hermitian(v: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """Inverse of vec_hermitian: sum_alpha v_alpha E_alpha."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (basis.dim * basis.dim,):
-        raise InvalidDimensionError(f"vector length {v.shape} does not match basis dim {basis.dim}")
-    return np.einsum("a,ajk->jk", v, basis.elements)
+    j, k = np.triu_indices(a.shape[-1], 1)
+    upper = a[..., j, k]
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, np.sqrt(2.0) * upper.real, -np.sqrt(2.0) * upper.imag], axis=-1)
 
 
 def numerical_rank(a: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -50,8 +50,10 @@ def diagonal_only_probabilities(meas: np.ndarray, psi: np.ndarray) -> np.ndarray
 
 
 def density_matrix(psi: np.ndarray) -> np.ndarray:
-    """Rank-one projector rho = psi psi^dag (the quadratic lifting)."""
-    return np.outer(psi, psi.conj())
+    """Rank-one projectors rho = psi psi^dag (the quadratic lifting) of one
+    state (N,) or of state rows (..., N), shaped (..., N, N)."""
+    psi = np.asarray(psi)
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def floored_log(p: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -3,10 +3,14 @@
 A task instance of size N pairs N context states with N query unitaries in
 general position (the N^2 projectors rho_ij = W_j psi_i psi_i^dag W_j^dag
 are linearly independent) and an informationally complete measurement with
-V = N^2 outcomes. The target table p*(k|i,j) = |<m_k|W_j psi_i>|^2 then has
-full rank N^2, which is what forces any real orthogonal model with an
-affine-softmax readout up to dimension N^2 - 2, while a complex unitary
-model of dimension N reproduces the table exactly by construction.
+V = N^2 outcomes. Both conditions are rank certificates: the Born-rule lift
+psi -> psi psi^dag (readout.density_matrix) of the N^2 query states W_j psi_i,
+or of the N^2 measurement vectors, taken to real coordinates in R^{N^2}
+(numerics.vec_hermitian) in one stacked call, must have rank N^2. The target
+table p*(k|i,j) = |<m_k|W_j psi_i>|^2 then has full rank N^2, which is what
+forces any real orthogonal model with an affine-softmax readout up to
+dimension N^2 - 2, while a complex unitary model of dimension N reproduces
+the table exactly by construction.
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from .dynamics import cayley_map, evolve_fixed_batch
 from .exceptions import CusmError, InvalidDimensionError
 from .numerics import (
     ginibre,
-    hermitian_basis,
     make_rng,
     numerical_rank,
     sample_haar_unitary,
     thin_qr_unique,
     vec_hermitian,
 )
-from .readout import born_probabilities, floored_log
+from .readout import born_probabilities, density_matrix, floored_log
 
 NEAR_ORTHO_WARN = 1e-14
 _MAX_RETRIES = 16
@@ -107,23 +110,16 @@ class RosmParams:
         return RosmParams(*arrays)
 
 
-def _density_rows(context_states: np.ndarray, query_unitaries: np.ndarray) -> np.ndarray:
-    """Stack vec(rho_ij) as rows, (i, j) lexicographic."""
-    n = context_states.shape[0]
-    dim = context_states.shape[1]
-    basis = hermitian_basis(dim)
-    rows = np.empty((n * n, dim * dim))
-    for i in range(n):
-        for j in range(n):
-            state = query_unitaries[j] @ context_states[i]
-            rho = np.outer(state, state.conj())
-            rows[i * n + j] = vec_hermitian(rho, basis)
-    return rows
+def query_states(context_states: np.ndarray, query_unitaries: np.ndarray) -> np.ndarray:
+    """The n^2 states W_j psi_i as rows (n^2, N), (i, j) lexicographic."""
+    n, dim = context_states.shape
+    return (query_unitaries @ context_states[:, None, :, None]).reshape(n * n, dim)
 
 
 def certificate_rank(context_states: np.ndarray, query_unitaries: np.ndarray) -> int:
     """Numerical rank of the stacked vec(rho_ij) matrix; N^2 means general position."""
-    return numerical_rank(_density_rows(context_states, query_unitaries))
+    states = query_states(context_states, query_unitaries)
+    return numerical_rank(vec_hermitian(density_matrix(states)))
 
 
 def _projector_frame(n: int) -> np.ndarray:
@@ -153,16 +149,12 @@ def build_ic_measurement(n: int, seed: int) -> np.ndarray:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
     rng = make_rng(seed, stream=7)
     frame = _projector_frame(n)
-    basis = hermitian_basis(n)
     for attempt in range(_MAX_RETRIES):
         s = frame @ frame.conj().T
         evals, evecs = np.linalg.eigh(s)
         inv_sqrt = (evecs * (1.0 / np.sqrt(evals))[None, :]) @ evecs.conj().T
         meas = inv_sqrt @ frame
-        rows = np.stack(
-            [vec_hermitian(np.outer(meas[:, k], meas[:, k].conj()), basis) for k in range(n * n)]
-        )
-        if numerical_rank(rows) == n * n:
+        if numerical_rank(vec_hermitian(density_matrix(meas.T))) == n * n:
             return meas
         frame = frame + 1e-3 * ginibre(rng, n, n * n)
     raise CusmError("informationally complete construction failed after retries")
@@ -231,12 +223,7 @@ def make_task(n: int, seed: int, filler_length: int = 1, reference: bool = False
     else:
         states, unitaries, cert = sample_general_position(n, seed)
     meas = build_ic_measurement(n, seed)
-    basis = hermitian_basis(n)
-    meas_rank = numerical_rank(
-        np.stack(
-            [vec_hermitian(np.outer(meas[:, k], meas[:, k].conj()), basis) for k in range(n * n)]
-        )
-    )
+    meas_rank = numerical_rank(vec_hermitian(density_matrix(meas.T)))
     return TaskInstance(
         n=n,
         v=n * n,
@@ -252,12 +239,9 @@ def make_task(n: int, seed: int, filler_length: int = 1, reference: bool = False
 
 def target_table(task: TaskInstance) -> TargetTable:
     """p*(k|i,j) = |<m_k|W_j psi_i>|^2, rows (i, j) lexicographic."""
-    n = task.n
-    pstar = np.empty((n * n, task.v))
-    for i in range(n):
-        for j in range(n):
-            state = task.query_unitaries[j] @ task.context_states[i]
-            pstar[i * n + j] = born_probabilities(task.measurement, state)
+    # one Born product per state: the stacked product rounds differently
+    states = query_states(task.context_states, task.query_unitaries)
+    pstar = np.array([born_probabilities(task.measurement, state) for state in states])
     min_entry = float(pstar.min())
     if min_entry < NEAR_ORTHO_WARN:
         warnings.warn(
@@ -308,7 +292,7 @@ class CusmParams:
     """Fixed-transition complex model: one unitary per token, Born readout."""
 
     psi0: np.ndarray
-    unitaries: np.ndarray     # (A, N, N), row k for token k; or a dict token -> (N, N)
+    unitaries: np.ndarray     # (A, N, N), row k for token k
     measurement: np.ndarray
 
 

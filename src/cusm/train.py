@@ -444,11 +444,6 @@ def init_trainable_rosm(d: int, v: int, alphabet: int, seed: int) -> RosmParams:
     )
 
 
-def _stack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
-    """(tokens, target_row) pairs of one length as (B, T) token ids and (B, V) targets."""
-    return np.array([seq for seq, _ in batch]), np.array([row for _, row in batch])
-
-
 def _fixed_transition_vjp(transitions: np.ndarray, states: list, tokens: np.ndarray,
                           g_final: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pull final-state gradients (B, d) back through evolve_fixed_batch. Returns
@@ -463,11 +458,11 @@ def _fixed_transition_vjp(transitions: np.ndarray, states: list, tokens: np.ndar
     return g.sum(axis=0), g_w
 
 
-def _cusm_batch_grad(params: TrainableCusm, batch) -> tuple[float, TrainableCusm]:
-    """Mean loss and gradients over (tokens, target_row) pairs of one length, in
+def _cusm_batch_grad(params: TrainableCusm, tokens: np.ndarray,
+                     targets: np.ndarray) -> tuple[float, TrainableCusm]:
+    """Mean loss and gradients over (B, T) token ids with (B, V) target rows, in
     one stacked forward and adjoint pass; gradients come in a parameter-shaped
     container."""
-    tokens, targets = _stack_batch(batch)
     cusm = params.as_cusm()
     states = evolve_fixed_batch(cusm.unitaries, cusm.psi0, tokens)
     loss, g_psi, g_meas = _born_readout_vjp(cusm.measurement, states[-1].T, targets.T)
@@ -480,9 +475,9 @@ def _cusm_batch_grad(params: TrainableCusm, batch) -> tuple[float, TrainableCusm
     return loss * scale, grads
 
 
-def _rosm_batch_grad(params: RosmParams, batch) -> tuple[float, RosmParams]:
+def _rosm_batch_grad(params: RosmParams, tokens: np.ndarray,
+                     targets: np.ndarray) -> tuple[float, RosmParams]:
     """As _cusm_batch_grad, for the real orthogonal baseline."""
-    tokens, targets = _stack_batch(batch)
     transitions = params.transitions()
     states = evolve_fixed_batch(transitions, params.state0(), tokens)
     q = params.readout(states[-1])
@@ -540,7 +535,6 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
         config = OptimizerConfig()
     table = target_table(task)
     floor = entropy_floor(table)
-    batch = list(zip(task.sequences(), table.pstar))
     tokens = task.sequences()
     weights = np.zeros((*tokens.shape, task.v))
     weights[:, -1] = table.pstar
@@ -573,11 +567,11 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
             report_dim = template.dim
 
             def loss_grad(params):
-                loss, grads = batch_grad(params, batch)
+                loss, grads = batch_grad(params, tokens, table.pstar)
                 return loss, flatten_model(grads)
 
             def mean_loss(params):
-                return batch_grad(params, batch)[0]
+                return batch_grad(params, tokens, table.pstar)[0]
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -601,11 +595,9 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
     return reports
 
 
-def readout_ablation(model, eval_set) -> dict:
+def readout_ablation(model, tokens: np.ndarray, targets: np.ndarray) -> dict:
     """Mean NLL of the same final states under the full quadratic readout and
-    the magnitude-only readout; eval_set is (tokens, target_row) pairs of one
-    length."""
-    tokens, targets = _stack_batch(eval_set)
+    the magnitude-only readout, over (B, T) token ids with (B, V) target rows."""
     if isinstance(model, CusmParams):
         psi = evolve_fixed_batch(model.unitaries, model.psi0, tokens)[-1]
         meas = model.measurement

@@ -339,3 +339,71 @@ class TestConfigFile:
         code = run(["gen-task", "--config", str(tmp_path / "nope.json")],
                    tmp_path, monkeypatch)
         assert code == 2
+
+
+class TestFlagValues:
+    """Each bad integer or out-of-range value of a flag exits 2 with a message,
+    whether it comes from the command line or from a config file."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--tokens", "a,b"], "argument --tokens: invalid integer 'a'"),
+        (["bench", "--sizes", "8,x"], "argument --sizes: invalid integer 'x'"),
+        (["verify-separation", "--rosm-dims", "2,x"], "argument --rosm-dims: invalid integer 'x'"),
+        (["bench", "--sizes", "0"], "argument --sizes: must be >= 1, got 0"),
+        (["bench", "--ranks", "4,0"], "argument --ranks: must be >= 1, got 0"),
+        (["bench", "--batch", "0"], "argument --batch: must be >= 1, got 0"),
+        (["bench", "--dense-batch", "0"], "argument --dense-batch: must be >= 1, got 0"),
+        (["bench", "--repeats", "0"], "argument --repeats: must be >= 1, got 0"),
+        (["bench", "--dt", "-1"], "argument --dt: must be > 0, got -1.0"),
+        (["simulate", "--tokens", "0", "--dt", "0"], "argument --dt: must be > 0, got 0.0"),
+        (["gen-task", "--filler-length", "-1"], "argument --filler-length: must be >= 0, got -1"),
+        (["verify-separation", "--audits", "-1"], "argument --audits: must be >= 0, got -1"),
+        (["verify-separation", "--rosm-dims", "0"], "argument --rosm-dims: must be >= 1, got 0"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        assert run(argv, tmp_path, monkeypatch) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("content", [["x"], {"a": 1}, [1.7, 2], [True], "0,1"])
+    def test_token_file_of_non_integers_is_usage_error(self, content, tmp_path, monkeypatch,
+                                                       capsys):
+        path = tmp_path / "tokens.json"
+        path.write_text(json.dumps(content))
+        code = run(["simulate", "--tokens-file", str(path)], tmp_path, monkeypatch)
+        assert code == 2
+        assert "does not hold a JSON array of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [([], "the list is empty"),
+                                                  ([0, -2], "must be >= 0, got -2")])
+    def test_token_file_out_of_range_is_usage_error(self, content, message, tmp_path,
+                                                    monkeypatch, capsys):
+        path = tmp_path / "tokens.json"
+        path.write_text(json.dumps(content))
+        code = run(["simulate", "--tokens-file", str(path)], tmp_path, monkeypatch)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_token_file_of_integers_runs(self, tmp_path, monkeypatch):
+        path = tmp_path / "tokens.json"
+        path.write_text(json.dumps([0, 2, 2, 3]))
+        assert run(["simulate", "--tokens-file", str(path)], tmp_path, monkeypatch) == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert report["steps"] == 4
+
+    @pytest.mark.parametrize("key, value", [("sizes", "8,x"), ("sizes", 0), ("batch", 0),
+                                            ("dt", 0), ("ranks", "")])
+    def test_bad_config_value_is_usage_error(self, key, value, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, key: value}))
+        code = run(["bench", "--config", str(cfg)], tmp_path, monkeypatch)
+        assert code == 2
+        assert f"config key {key!r}: invalid value" in capsys.readouterr().err
+
+    def test_config_list_goes_through_the_option_type(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "sizes": "8, 16", "ranks": 2,
+                                   "batch": 2, "repeats": 1}))
+        assert run(["bench", "--config", str(cfg)], tmp_path, monkeypatch) == 0
+        grid = json.loads((tmp_path / "bench.json").read_text())["grid"]
+        assert [(e["n"], e["r"]) for e in grid] == [(8, 2), (16, 2)]

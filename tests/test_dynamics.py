@@ -174,7 +174,7 @@ class TestEvolveFixedUnitaries:
     def test_identity_constant(self):
         rng = make_rng(10)
         psi = random_state(rng, 3)
-        traj = evolve_fixed_unitaries({0: np.eye(3, dtype=complex)}, psi, [0] * 7)
+        traj = evolve_fixed_unitaries(np.eye(3, dtype=complex)[None], psi, [0] * 7)
         for state in traj:
             assert np.abs(state - psi).max() < 1e-15
 
@@ -182,19 +182,19 @@ class TestEvolveFixedUnitaries:
         rng = make_rng(11)
         psi = random_state(rng, 4)
         u = sample_haar_unitary(4, 12)
-        traj = evolve_fixed_unitaries({0: u}, psi, [0])
+        traj = evolve_fixed_unitaries(u[None], psi, [0])
         assert abs(np.linalg.norm(traj[-1]) - 1.0) < 1e-13
         assert np.abs(traj[-1] - u @ psi).max() < 1e-15
 
     def test_unknown_token(self):
         with pytest.raises(VocabularyError):
-            evolve_fixed_unitaries({}, np.array([1.0 + 0j]), [3])
+            evolve_fixed_unitaries(np.zeros((0, 1, 1), dtype=complex), np.array([1.0 + 0j]), [3])
 
     def test_long_trajectory_norm(self):
         rng = make_rng(12)
         psi = random_state(rng, 4)
         u = sample_haar_unitary(4, 13)
-        traj = evolve_fixed_unitaries({0: u}, psi, [0] * 2000)
+        traj = evolve_fixed_unitaries(u[None], psi, [0] * 2000)
         assert abs(np.linalg.norm(traj[-1]) - 1.0) < 1e-10
 
 

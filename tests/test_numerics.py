@@ -4,14 +4,48 @@ import pytest
 from cusm.exceptions import DegenerateFactorizationError, InvalidDimensionError, NonHermitianError
 from cusm.numerics import (
     ginibre,
-    hermitian_basis,
     make_rng,
     numerical_rank,
     sample_haar_unitary,
     thin_qr_unique,
-    unvec_hermitian,
     vec_hermitian,
 )
+
+
+def explicit_hermitian_basis(dim: int) -> np.ndarray:
+    """The canonical trace-orthonormal Hermitian basis, element by element, as
+    a (dim**2, dim, dim) stack: the oracle for the closed-form vec_hermitian.
+
+    Order: diagonal projectors e_j e_j^T, then (e_j e_k^T + e_k e_j^T)/sqrt(2)
+    for j < k lexicographic, then (-i e_j e_k^T + i e_k e_j^T)/sqrt(2), same order.
+    """
+    mats = np.zeros((dim * dim, dim, dim), dtype=complex)
+    idx = 0
+    for j in range(dim):
+        mats[idx, j, j] = 1.0
+        idx += 1
+    s = 1.0 / np.sqrt(2.0)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            mats[idx, j, k] = s
+            mats[idx, k, j] = s
+            idx += 1
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            mats[idx, j, k] = -1j * s
+            mats[idx, k, j] = 1j * s
+            idx += 1
+    return mats
+
+
+def vec_by_basis(a: np.ndarray) -> np.ndarray:
+    """Oracle coordinates v_alpha = tr(E_alpha A) over the explicit basis."""
+    return np.einsum("ajk,kj->a", explicit_hermitian_basis(a.shape[0]), a).real
+
+
+def random_hermitian(rng, dim: int) -> np.ndarray:
+    z = ginibre(rng, dim, dim)
+    return z + z.conj().T
 
 
 class TestSampleHaarUnitary:
@@ -43,54 +77,60 @@ class TestSampleHaarUnitary:
 
 
 class TestHermitianBasis:
+    """The explicit basis above is the oracle; vec_hermitian is its closed form."""
+
     def test_count(self):
-        assert len(hermitian_basis(2)) == 4
+        assert explicit_hermitian_basis(2).shape == (4, 2, 2)
+        assert vec_hermitian(np.eye(2)).shape == (4,)
 
     def test_elements_hermitian(self):
-        basis = hermitian_basis(3)
-        for e in basis.elements:
+        for e in explicit_hermitian_basis(3):
             assert np.array_equal(e, e.conj().T)
 
     def test_gram_identity(self):
-        basis = hermitian_basis(2)
-        gram = np.einsum("ajk,bkj->ab", basis.elements, basis.elements).real
+        basis = explicit_hermitian_basis(2)
+        gram = np.einsum("ajk,bkj->ab", basis, basis).real
         assert np.abs(gram - np.eye(4)).max() < 1e-14
 
     def test_invalid_dim(self):
-        with pytest.raises(InvalidDimensionError):
-            hermitian_basis(0)
+        for shape in ((0, 0), (2, 3), (4,)):
+            with pytest.raises(InvalidDimensionError):
+                vec_hermitian(np.zeros(shape))
+
+    def test_closed_form_matches_oracle(self):
+        rng = make_rng(6)
+        for dim in (1, 2, 3, 4, 5):
+            for _ in range(5):
+                a = random_hermitian(rng, dim)
+                assert np.abs(vec_hermitian(a) - vec_by_basis(a)).max() < 1e-14
 
 
 class TestVecHermitian:
     def test_zero(self):
-        basis = hermitian_basis(3)
-        assert np.array_equal(vec_hermitian(np.zeros((3, 3)), basis), np.zeros(9))
+        assert np.array_equal(vec_hermitian(np.zeros((3, 3))), np.zeros(9))
 
     def test_identity_norm(self):
-        basis = hermitian_basis(2)
-        v = vec_hermitian(np.eye(2), basis)
+        v = vec_hermitian(np.eye(2))
         assert abs(v @ v - 2.0) < 1e-12
 
     def test_witness_projector_roundtrip(self):
-        basis = hermitian_basis(2)
         rho = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-        v = vec_hermitian(rho, basis)
-        assert np.abs(unvec_hermitian(v, basis) - rho).max() < 1e-12
+        v = vec_hermitian(rho)
+        rebuilt = np.einsum("a,ajk->jk", v, explicit_hermitian_basis(2))
+        assert np.abs(rebuilt - rho).max() < 1e-12
 
     def test_non_hermitian_rejected(self):
-        basis = hermitian_basis(2)
         with pytest.raises(NonHermitianError):
-            vec_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), basis)
+            vec_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_isometry(self):
-        basis = hermitian_basis(4)
         rng = make_rng(5)
         for _ in range(20):
             z1 = ginibre(rng, 4, 4)
             z2 = ginibre(rng, 4, 4)
             a = z1 + z1.conj().T
             b = z2 + z2.conj().T
-            inner = vec_hermitian(a, basis) @ vec_hermitian(b, basis)
+            inner = vec_hermitian(a) @ vec_hermitian(b)
             assert abs(inner - np.trace(a @ b).real) < 1e-10
 
 

@@ -1,9 +1,15 @@
-"""Property tests of the Woodbury Cayley step and its adjoint over random sizes,
-step lengths and scales of Phi and delta."""
+"""Property tests: the Woodbury Cayley step and its adjoint over random sizes,
+step lengths and scales of Phi and delta; the closed-form Hermitian lift
+against its explicit basis; and bit-exact task and model file round trips."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from test_numerics import explicit_hermitian_basis, vec_by_basis
 
 from cusm.dynamics import (
     GRAM_COND_FAIL,
@@ -13,7 +19,9 @@ from cusm.dynamics import (
     cayley_step_woodbury,
 )
 from cusm.exceptions import IllConditionedStepError
-from cusm.numerics import ginibre, make_rng
+from cusm.hamgen import init_full_model, load_model, save_model
+from cusm.numerics import ginibre, make_rng, vec_hermitian
+from cusm.septask import TaskInstance, load_task, save_task
 from cusm.train import adjoint_state_step
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -98,3 +106,126 @@ def test_adjoint_step_is_the_conjugate_transpose(case):
     lhs = np.einsum("kn,nk->k", pulled.conj(), psi)
     rhs = np.einsum("kn,nk->k", g.conj(), stepped)
     assert np.abs(lhs - rhs).max() < 1e-10 * np.linalg.norm(g, axis=1).max()
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian lift
+
+@st.composite
+def hermitian_stacks(draw):
+    """A (s1, s2, N, N) stack of Hermitian matrices, scaled by a drawn decade."""
+    shape = (draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 6)))
+    rng = make_rng(draw(st.integers(0, 2 ** 31)))
+    z = ginibre(rng, int(np.prod(shape[:2])) * shape[2], shape[2]).reshape(*shape, shape[2])
+    return 10.0 ** draw(st.integers(-8, 8)) * (z + z.conj().swapaxes(-1, -2))
+
+
+@PROPERTY
+@given(hermitian_stacks())
+def test_vec_hermitian_matches_the_explicit_basis(stack):
+    for a in stack.reshape(-1, *stack.shape[-2:]):
+        scale = max(np.abs(a).max(), 1e-300)
+        assert np.abs(vec_hermitian(a) - vec_by_basis(a)).max() <= 1e-15 * scale
+        assert vec_hermitian(a).shape == (len(explicit_hermitian_basis(a.shape[0])),)
+
+
+@PROPERTY
+@given(hermitian_stacks(), st.integers(0, 2 ** 31))
+def test_vec_hermitian_inner_product_is_the_trace(stack, seed):
+    mats = stack.reshape(-1, *stack.shape[-2:])
+    rng = make_rng(seed)
+    for a in mats:
+        z = ginibre(rng, a.shape[0], a.shape[0])
+        b = z + z.conj().T
+        inner = vec_hermitian(a) @ vec_hermitian(b)
+        assert abs(inner - np.trace(a @ b).real) <= 1e-13 * np.abs(a).max() * np.abs(b).max()
+
+
+@PROPERTY
+@given(hermitian_stacks())
+def test_stacked_vec_hermitian_equals_each_matrix_bit_for_bit(stack):
+    out = vec_hermitian(stack)
+    assert out.shape == (*stack.shape[:-2], stack.shape[-1] ** 2)
+    for i in range(stack.shape[0]):
+        for j in range(stack.shape[1]):
+            assert out[i, j].tobytes() == vec_hermitian(stack[i, j]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# bit-exact file round trips, over every finite float64 (subnormals and -0.0 too)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def float_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=FINITE)
+
+
+def complex_arrays(shape):
+    def combine(parts):
+        z = np.empty(shape, dtype=complex)
+        z.real, z.imag = parts
+        return z
+    return st.tuples(float_arrays(shape), float_arrays(shape)).map(combine)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def round_trip(save, load, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.json")
+        save(obj, path)
+        return load(path)
+
+
+@st.composite
+def tasks(draw):
+    n = draw(st.integers(2, 3))
+    v = n * n
+    ints = st.integers(0, 2 ** 63)
+    return TaskInstance(
+        n=n, v=v,
+        context_states=draw(complex_arrays((n, n))),
+        query_unitaries=draw(complex_arrays((n, n, n))),
+        measurement=draw(complex_arrays((n, v))),
+        filler_length=draw(st.integers(0, 50)), seed=draw(ints),
+        certificate_rank=draw(st.integers(0, v)), measurement_rank=draw(st.integers(0, v)),
+    )
+
+
+@PROPERTY
+@given(tasks())
+def test_task_file_round_trip_is_bit_exact(task):
+    loaded = round_trip(save_task, load_task, task)
+    for name in ("n", "v", "filler_length", "seed", "certificate_rank", "measurement_rank"):
+        assert getattr(loaded, name) == getattr(task, name)
+    for name in ("context_states", "query_unitaries", "measurement"):
+        assert same_bits(getattr(loaded, name), getattr(task, name))
+
+
+@st.composite
+def models(draw):
+    n = draw(st.integers(1, 3))
+    model = init_full_model(
+        n=n, r=draw(st.integers(1, 2)), d=draw(st.integers(1, 3)),
+        v=draw(st.integers(n, n + 3)), v_in=draw(st.integers(1, 4)),
+        dt=draw(st.floats(1e-6, 1e6)), seed=draw(st.integers(0, 2 ** 63)),
+        hidden=draw(st.lists(st.integers(1, 4), max_size=2)),
+    )
+    arrays = [draw((complex_arrays if np.iscomplexobj(arr) else float_arrays)(arr.shape))
+              for arr in model.arrays()]
+    return model.with_arrays(arrays)
+
+
+@PROPERTY
+@given(models())
+def test_model_file_round_trip_is_bit_exact(model):
+    loaded = round_trip(save_model, load_model, model)
+    assert (loaded.n, loaded.r, loaded.seed) == (model.n, model.r, model.seed)
+    assert same_bits(loaded.dt, model.dt)
+    assert len(loaded.arrays()) == len(model.arrays())
+    for got, want in zip(loaded.arrays(), model.arrays()):
+        assert same_bits(got, want)

@@ -3,7 +3,7 @@ import pytest
 
 from cusm.dynamics import evolve_fixed_batch, evolve_fixed_unitaries
 from cusm.exceptions import InvalidDimensionError
-from cusm.numerics import ginibre, hermitian_basis, make_rng, numerical_rank, vec_hermitian
+from cusm.numerics import ginibre, make_rng, numerical_rank, vec_hermitian
 from cusm.readout import born_probabilities
 from cusm.septask import (
     RosmParams,
@@ -29,9 +29,8 @@ class TestIcMeasurement:
             m = build_ic_measurement(n, seed=1)
             assert m.shape == (n, n * n)
             assert np.abs(m @ m.conj().T - np.eye(n)).max() < 1e-10
-            basis = hermitian_basis(n)
             rows = np.stack([
-                vec_hermitian(np.outer(m[:, k], m[:, k].conj()), basis)
+                vec_hermitian(np.outer(m[:, k], m[:, k].conj()))
                 for k in range(n * n)
             ])
             assert numerical_rank(rows) == n * n
@@ -52,9 +51,8 @@ class TestIcMeasurement:
         rng = make_rng(5)
         z = ginibre(rng, n, n)
         rho = z + z.conj().T
-        basis = hermitian_basis(n)
         design = np.stack([
-            vec_hermitian(np.outer(m[:, k], m[:, k].conj()), basis)
+            vec_hermitian(np.outer(m[:, k], m[:, k].conj()))
             for k in range(n * n)
         ])
         outcomes = np.array([
@@ -62,7 +60,7 @@ class TestIcMeasurement:
             for k in range(n * n)
         ])
         coeffs, *_ = np.linalg.lstsq(design, outcomes, rcond=None)
-        assert np.abs(coeffs - vec_hermitian(rho, basis)).max() < 1e-10
+        assert np.abs(coeffs - vec_hermitian(rho)).max() < 1e-10
 
     def test_small_n_rejected(self):
         with pytest.raises(InvalidDimensionError):

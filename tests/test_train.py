@@ -106,8 +106,7 @@ class TestBackwardFullModel:
             gens=np.zeros((1, 2, 2), dtype=complex),
             meas_raw=np.eye(2, dtype=complex),
         )
-        batch = [([0], np.array([1.0, 0.0]))]
-        loss, grads = _cusm_batch_grad(params, batch)
+        loss, grads = _cusm_batch_grad(params, np.array([[0]]), np.array([[1.0, 0.0]]))
         assert abs(loss) < 1e-14
         assert np.abs(grads.a).max() < 1e-10
         assert np.abs(grads.b).max() < 1e-10
@@ -280,16 +279,14 @@ class TestReadoutAblation:
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         meas = np.eye(2, dtype=complex)
         model = CusmParams(psi0=np.array([1.0, 0.0], dtype=complex),
-                           unitaries={0: swap}, measurement=meas)
-        out = readout_ablation(model, [([0, 0, 0], np.array([1.0, 0.0]))])
+                           unitaries=swap[None], measurement=meas)
+        out = readout_ablation(model, np.array([[0, 0, 0]]), np.array([[1.0, 0.0]]))
         assert abs(out["nll_born"] - out["nll_diagonal"]) < 1e-12
 
     def test_exact_cusm_direction(self):
         task = make_task(2, seed=11)
         table = target_table(task)
-        eval_set = [(task.sequence(i, j), table.pstar[i * 2 + j])
-                    for i in range(2) for j in range(2)]
-        out = readout_ablation(build_exact_cusm(task), eval_set)
+        out = readout_ablation(build_exact_cusm(task), task.sequences(), table.pstar)
         assert out["nll_diagonal"] >= out["nll_born"]
         assert out["nll_diagonal"] - out["nll_born"] > 1e-6
 
@@ -298,11 +295,11 @@ class TestReadoutAblation:
         meas = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         flip = np.diag([1.0, -1.0]).astype(complex)
-        model = CusmParams(psi0=plus, unitaries={0: np.eye(2, dtype=complex), 1: flip},
+        model = CusmParams(psi0=plus, unitaries=np.stack([np.eye(2, dtype=complex), flip]),
                            measurement=meas)
-        target = np.array([1.0, 0.0])
-        same = readout_ablation(model, [([0], target)])
-        flipped = readout_ablation(model, [([1], target)])
+        target = np.array([[1.0, 0.0]])
+        same = readout_ablation(model, np.array([[0]]), target)
+        flipped = readout_ablation(model, np.array([[1]]), target)
         assert abs(same["nll_born"] - flipped["nll_born"]) > 1.0
         assert abs(same["nll_diagonal"] - flipped["nll_diagonal"]) < 1e-12
 
@@ -312,13 +309,13 @@ class TestTrainableCusmGradients:
         from cusm.train import _cusm_flatten, _cusm_unflatten, init_trainable_cusm
         task = make_task(2, seed=12)
         table = target_table(task)
-        batch = [(task.sequence(i, j), table.pstar[i * 2 + j])
-                 for i in range(2) for j in range(2)]
+        tokens = task.sequences()
         params = init_trainable_cusm(2, task.v, 5, seed=0)
-        _, grads = _cusm_batch_grad(params, batch)
+        _, grads = _cusm_batch_grad(params, tokens, table.pstar)
         flat = _cusm_flatten(params)
         fd = central_difference(
-            lambda f: _cusm_batch_grad(_cusm_unflatten(f, params), batch)[0], flat, 1e-5)
+            lambda f: _cusm_batch_grad(_cusm_unflatten(f, params), tokens, table.pstar)[0],
+            flat, 1e-5)
         rel = np.abs(_cusm_flatten(grads) - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
 
@@ -327,12 +324,11 @@ class TestTrainableCusmGradients:
                                 init_trainable_rosm)
         task = make_task(2, seed=13)
         table = target_table(task)
-        batch = [(task.sequence(i, j), table.pstar[i * 2 + j])
-                 for i in range(2) for j in range(2)]
+        tokens = task.sequences()
         params = init_trainable_rosm(3, task.v, 5, seed=0)
-        _, grads = _rosm_batch_grad(params, batch)
+        _, grads = _rosm_batch_grad(params, tokens, table.pstar)
         fd = central_difference(
-            lambda f: _rosm_batch_grad(_rosm_unflatten(f, params), batch)[0],
+            lambda f: _rosm_batch_grad(_rosm_unflatten(f, params), tokens, table.pstar)[0],
             _rosm_flatten(params), 1e-5)
         rel = np.abs(_rosm_flatten(grads) - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
