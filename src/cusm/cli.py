@@ -162,7 +162,7 @@ def _at_least(minimum, values: list) -> list:
     """values, if it is not empty and no entry is below minimum."""
     if not values:
         raise argparse.ArgumentTypeError("the list is empty")
-    low = [v for v in values if v < minimum]
+    low = [v for v in values if not v >= minimum]
     if low:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {low[0]}")
     return values
@@ -186,11 +186,20 @@ def _int_list(minimum: int):
     return lambda text: _at_least(minimum, [_integer(x) for x in text.split(",") if x.strip()])
 
 
-def _positive_float(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+
+
+def _float_at_least(minimum: float):
+    """argparse type: one number >= minimum."""
+    return lambda text: _at_least(minimum, [_number(text)])[0]
+
+
+def _positive_float(text: str) -> float:
+    value = _number(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
@@ -212,19 +221,11 @@ def _parse_tokens(args) -> list:
         raise ConfigurationError(f"token ids in {args.tokens_file}: {exc}") from None
 
 
-def _seeds(args) -> tuple:
-    if args.seeds < 1:
-        raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
-    return tuple(range(args.seeds))
-
-
 def _task(args):
     """The task of --task, or one made from --n, --seed and, where the command
     has them, --filler-length and --reference."""
     if getattr(args, "task", None) is not None:
         return load_task(args.task)
-    if args.n < 2:
-        raise ConfigurationError(f"--n must be >= 2, got {args.n}")
     return make_task(args.n, args.seed, filler_length=getattr(args, "filler_length", 1),
                      reference=getattr(args, "reference", False))
 
@@ -261,7 +262,6 @@ def cmd_gen_task(args) -> int:
 
 def cmd_verify_separation(args) -> int:
     out = _output_dir(args)
-    seeds = _seeds(args)
     task = _task(args)
     table = target_table(task)
     ranks = check_separation_ranks(table, task.n)
@@ -297,7 +297,7 @@ def cmd_verify_separation(args) -> int:
         config = OptimizerConfig(epochs=args.epochs)
         sweep = []
         for d in args.rosm_dims:
-            reports = train_on_task(task, "rosm", dim=d, config=config, seeds=seeds)
+            reports = train_on_task(task, "rosm", dim=d, config=config, seeds=range(args.seeds))
             sweep.append({
                 "d": d,
                 "gaps": [r.gap for r in reports],
@@ -330,6 +330,9 @@ def cmd_simulate(args) -> int:
     dt = args.dt
     rows = []
     if args.mode == "task":
+        # --n is also the full model's dimension, so the flag's type allows 1
+        if args.task is None and args.n < 2:
+            raise ConfigurationError(f"--n must be >= 2 in task mode, got {args.n}")
         cusm = build_exact_cusm(_task(args))
         traj = evolve_fixed_unitaries(cusm.unitaries, cusm.psi0, tokens)
         hams = [_inverse_cayley(u, dt) for u in cusm.unitaries]
@@ -381,7 +384,7 @@ def cmd_train(args) -> int:
     task = _task(args)
     config = OptimizerConfig(lr=args.lr, epochs=args.epochs,
                              early_stop_gap=args.early_stop_gap)
-    seeds = _seeds(args)
+    seeds = range(args.seeds)
     reports = train_on_task(task, args.model_kind, dim=args.dim,
                             config=config, seeds=seeds)
     paths = []
@@ -482,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-task", help="generate a task instance with certificates")
     common(p)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(2), default=2)
     p.add_argument("--filler-length", type=_int_at_least(0), default=1)
     p.add_argument("--reference", action="store_true",
                    help="use the explicit N=2 witness configuration")
@@ -491,13 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-separation", help="rank audits and exact reproduction check")
     common(p)
     p.add_argument("--task", help="task JSON file; otherwise generated from --n/--seed")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(2), default=2)
     p.add_argument("--filler-length", type=_int_at_least(0), default=1)
     p.add_argument("--audits", type=_int_at_least(0), default=50)
     p.add_argument("--rosm-dims", type=_int_list(1),
                    help="comma list of baseline dimensions to train")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--epochs", type=_int_at_least(1), default=500)
+    p.add_argument("--seeds", type=_int_at_least(1), default=3)
     p.set_defaults(func=cmd_verify_separation)
 
     p = sub.add_parser("simulate", help="run a trajectory and emit current diagnostics")
@@ -507,24 +510,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="model JSON file (full mode)")
     p.add_argument("--tokens", type=_int_list(0), help="comma-separated token ids")
     p.add_argument("--tokens-file", help="JSON array of token ids")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--v", type=int, default=4)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
+    p.add_argument("--r", type=_int_at_least(1), default=1)
+    p.add_argument("--d", type=_int_at_least(1), default=4)
+    p.add_argument("--v", type=_int_at_least(1), default=4)
     p.add_argument("--dt", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a model on a task, one report per seed")
     common(p)
     p.add_argument("--task", help="task JSON file; otherwise generated from --n/--seed")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(2), default=2)
     p.add_argument("--model-kind", choices=["cusm-trainable", "rosm", "full"],
                    default="cusm-trainable")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--early-stop-gap", type=float, default=1e-4)
+    p.add_argument("--dim", type=_int_at_least(1),
+                   help="state dimension; defaults to the task's n, and rosm needs it")
+    p.add_argument("--seeds", type=_int_at_least(1), default=5)
+    p.add_argument("--epochs", type=_int_at_least(1), default=2000)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
+    p.add_argument("--early-stop-gap", type=_float_at_least(0.0), default=1e-4)
     p.add_argument("--ablation", action="store_true")
     p.set_defaults(func=cmd_train)
 

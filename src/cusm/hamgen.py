@@ -91,11 +91,6 @@ def initial_state(params: InitialStateParams) -> np.ndarray:
     return vec / norm
 
 
-def mlp_forward(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
-    y, _ = mlp_forward_cached(mlp, x)
-    return y
-
-
 def mlp_forward_cached(mlp: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass of one input or of rows (B, in), keeping per-layer inputs."""
     inputs = []
@@ -157,8 +152,7 @@ def generate_interaction(
     """Run the generator network on (embedding, Re/Im of state) and assemble (Phi, delta)."""
     n = state.shape[0]
     x = np.concatenate([embed_vec, state.real, state.imag])
-    out = mlp_forward(mlp, x)
-    return split_factor_output(out, n, r)
+    return split_factor_output(mlp_forward_cached(mlp, x)[0], n, r)
 
 
 def init_mlp(in_width: int, out_width: int, hidden: list[int], seed: int) -> MlpParams:

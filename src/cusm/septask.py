@@ -69,7 +69,6 @@ class TaskInstance:
 class TargetTable:
     pstar: np.ndarray    # (n^2, V), rows indexed (i, j) lexicographic
     lstar: np.ndarray    # entrywise log
-    logodds: np.ndarray  # (n^2, V-1), relative to reference token k0 = 0
     min_entry: float
 
 
@@ -137,8 +136,9 @@ def _projector_frame(n: int) -> np.ndarray:
     return np.stack(cols, axis=1)  # (n, n^2)
 
 
-def build_ic_measurement(n: int, seed: int) -> np.ndarray:
-    """Informationally complete measurement with V = n^2 outcomes.
+def build_ic_measurement(n: int, seed: int) -> tuple[np.ndarray, int]:
+    """Informationally complete measurement with V = n^2 outcomes, and the
+    numerical rank of its lifted vectors, which is n^2.
 
     Take the spanning projector frame, whiten it with the inverse square root
     of the frame operator S = sum v v^dag so that the outer products resolve
@@ -154,8 +154,9 @@ def build_ic_measurement(n: int, seed: int) -> np.ndarray:
         evals, evecs = np.linalg.eigh(s)
         inv_sqrt = (evecs * (1.0 / np.sqrt(evals))[None, :]) @ evecs.conj().T
         meas = inv_sqrt @ frame
-        if numerical_rank(vec_hermitian(density_matrix(meas.T))) == n * n:
-            return meas
+        rank = numerical_rank(vec_hermitian(density_matrix(meas.T)))
+        if rank == n * n:
+            return meas, rank
         frame = frame + 1e-3 * ginibre(rng, n, n * n)
     raise CusmError("informationally complete construction failed after retries")
 
@@ -222,8 +223,7 @@ def make_task(n: int, seed: int, filler_length: int = 1, reference: bool = False
         cert = certificate_rank(states, unitaries)
     else:
         states, unitaries, cert = sample_general_position(n, seed)
-    meas = build_ic_measurement(n, seed)
-    meas_rank = numerical_rank(vec_hermitian(density_matrix(meas.T)))
+    meas, meas_rank = build_ic_measurement(n, seed)
     return TaskInstance(
         n=n,
         v=n * n,
@@ -248,20 +248,17 @@ def target_table(task: TaskInstance) -> TargetTable:
             f"target table entry {min_entry:.3e} is near zero; genericity premise at risk"
         )
     lstar, _ = floored_log(pstar)
-    logodds = lstar[:, 1:] - lstar[:, :1]
-    return TargetTable(pstar=pstar, lstar=lstar, logodds=logodds, min_entry=min_entry)
+    return TargetTable(pstar=pstar, lstar=lstar, min_entry=min_entry)
 
 
 def check_separation_ranks(table: TargetTable, n: int) -> dict:
-    """Ranks of P*, L*, and the log-odds matrix. Full rank of L* is reported
-    as an observation, never asserted; it is an assumption, not a theorem."""
+    """Ranks of P* and L*. Full rank of L* is reported as an observation,
+    never asserted; it is an assumption, not a theorem."""
     rank_p = numerical_rank(table.pstar)
     rank_l = numerical_rank(table.lstar)
-    rank_lo = numerical_rank(table.logodds)
     return {
         "rank_P": rank_p,
         "rank_L": rank_l,
-        "rank_logodds": rank_lo,
         "lstar_full_rank": bool(rank_l == n * n),
     }
 

@@ -58,29 +58,6 @@ GAP_ZERO_THRESHOLD = 1e-3
 
 
 @dataclass
-class GradientBundle:
-    """Gradients for every field of FullModelParams, same shapes."""
-
-    loss: float
-    g_a: np.ndarray
-    g_b: np.ndarray
-    g_frequencies: np.ndarray
-    g_embed: np.ndarray
-    g_mlp_w: list
-    g_mlp_b: list
-    g_meas_raw: np.ndarray  # complex, convention above
-
-    def arrays(self) -> list:
-        """The gradients in the order of FullModelParams.arrays()."""
-        layers = [arr for pair in zip(self.g_mlp_w, self.g_mlp_b) for arr in pair]
-        return [self.g_a, self.g_b, self.g_frequencies, self.g_embed, *layers, self.g_meas_raw]
-
-    def assert_finite(self) -> None:
-        if not all(np.isfinite(arr).all() for arr in self.arrays()):
-            raise FloatingPointError("non-finite gradient entry")
-
-
-@dataclass
 class TrainReport:
     seed: int
     model_kind: str
@@ -214,13 +191,20 @@ def full_model_loss(model: FullModelParams, tokens, target_weights: np.ndarray) 
                       np.asarray(target_weights)[None])
 
 
+def _assert_finite(grads) -> None:
+    """Raise FloatingPointError if any of grads.arrays() has a non-finite entry."""
+    if not all(np.isfinite(arr).all() for arr in grads.arrays()):
+        raise FloatingPointError("non-finite gradient entry")
+
+
 def _backward_full(model: FullModelParams, tokens: np.ndarray,
-                   target_weights: np.ndarray) -> GradientBundle:
-    """Loss and gradients of a (B, T) token batch (weights as in _loss_full),
-    summed over the batch. One stacked reverse traversal: Born readout, each
-    Cayley solve via its adjoint system, interaction-picture phases, the
-    generator network on the forward pass's cached activations, embeddings,
-    frequencies, the shared initial state, and the QR measurement projection."""
+                   target_weights: np.ndarray) -> tuple[float, FullModelParams]:
+    """Loss and parameter-shaped gradients of a (B, T) token batch (weights as
+    in _loss_full), both summed over the batch. One stacked reverse traversal:
+    Born readout, each Cayley solve via its adjoint system, interaction-picture
+    phases, the generator network on the forward pass's cached activations,
+    embeddings, frequencies, the shared initial state, and the QR measurement
+    projection."""
     n, d, dt, lam = model.n, model.d, model.dt, model.frequencies
     states, factor_log, _, mlp_inputs = evolve_full_batch(model, tokens)
     meas = project_measurement(model.meas_raw)
@@ -273,12 +257,10 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     g_v = _normalize_vjp(model.init.a + 1j * model.init.b, g_psi.sum(axis=0))
     g_raw = _qr_projection_vjp(model.meas_raw, g_meas)
 
-    bundle = GradientBundle(
-        loss=loss, g_a=g_v.real, g_b=g_v.imag, g_frequencies=g_lam, g_embed=g_embed,
-        g_mlp_w=g_w, g_mlp_b=g_b, g_meas_raw=g_raw,
-    )
-    bundle.assert_finite()
-    return bundle
+    layers = [arr for pair in zip(g_w, g_b) for arr in pair]
+    grads = model.with_arrays([g_v.real, g_v.imag, g_lam, g_embed, *layers, g_raw])
+    _assert_finite(grads)
+    return loss, grads
 
 
 def _one_hot_rows(targets, v: int) -> np.ndarray:
@@ -287,10 +269,10 @@ def _one_hot_rows(targets, v: int) -> np.ndarray:
     return rows
 
 
-def backward_full_model(model: FullModelParams, tokens, targets) -> GradientBundle:
+def backward_full_model(model: FullModelParams, tokens, targets) -> FullModelParams:
     """Adjoint gradients of the summed per-step negative log-likelihood."""
     return _backward_full(model, np.asarray([list(tokens)], dtype=int),
-                          _one_hot_rows(list(targets), model.v)[None])
+                          _one_hot_rows(list(targets), model.v)[None])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -337,29 +319,16 @@ def central_difference(fn, x0: np.ndarray, step: float) -> np.ndarray:
 
 
 def finite_difference_grad(model: FullModelParams, tokens, targets,
-                           step: float = 1e-5) -> GradientBundle:
+                           step: float = 1e-5) -> FullModelParams:
     """Central-difference gradient oracle; for tiny models only."""
     if not 1e-7 <= step <= 1e-3:
         raise ConfigurationError(f"step {step} outside [1e-7, 1e-3]")
     weights = _one_hot_rows(list(targets), model.v)
-    flat0 = flatten_model(model)
 
     def loss_at(flat):
         return full_model_loss(unflatten_model(flat, model), tokens, weights)
 
-    grad = central_difference(loss_at, flat0, step)
-    # reuse the unflatten layout to carve the flat FD gradient into fields
-    carved = unflatten_model(grad, model)
-    return GradientBundle(
-        loss=loss_at(flat0),
-        g_a=carved.init.a,
-        g_b=carved.init.b,
-        g_frequencies=carved.frequencies,
-        g_embed=carved.embed.vectors,
-        g_mlp_w=carved.mlp.weights,
-        g_mlp_b=carved.mlp.biases,
-        g_meas_raw=carved.meas_raw,
-    )
+    return unflatten_model(central_difference(loss_at, flatten_model(model), step), model)
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +485,24 @@ def exact_cusm_report(task: TaskInstance) -> TrainReport:
 
 
 def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
-                  config: OptimizerConfig | None = None, seeds=(0, 1, 2, 3, 4),
-                  full_dims: dict | None = None) -> list[TrainReport]:
+                  config: OptimizerConfig | None = None,
+                  seeds=(0, 1, 2, 3, 4)) -> list[TrainReport]:
     """Per-seed training runs on a separation task.
 
     model_kind: "cusm-trainable" (unitary transitions, Born readout),
     "rosm" (orthogonal transitions, affine softmax), or "full" (generated
-    Hamiltonians). The gap is final mean NLL minus the entropy floor and is
-    declared zero below 1e-3 nats; convergence is reported, never asserted.
+    Hamiltonians). dim is the state dimension; it defaults to the task's n
+    except for rosm, which needs it. The gap is final mean NLL minus the
+    entropy floor and is declared zero below 1e-3 nats; convergence is
+    reported, never asserted.
     """
     if model_kind not in ("cusm-trainable", "rosm", "full"):
         raise ConfigurationError(f"unknown model_kind {model_kind!r}")
     if model_kind == "rosm" and dim is None:
         raise ConfigurationError("rosm training needs an explicit dimension")
-    if dim is not None and dim < 1:
+    if dim is None:
+        dim = task.n
+    if dim < 1:
         raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
     if config is None:
         config = OptimizerConfig()
@@ -539,40 +512,33 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
     weights = np.zeros((*tokens.shape, task.v))
     weights[:, -1] = table.pstar
     alphabet = 2 * task.n + 1
-    dims = dict(full_dims or {})
+
+    def init_full(n, v, v_in, seed):
+        return init_full_model(n=n, r=1, d=2 * task.n, v=v, v_in=v_in, seed=seed)
+
+    # per kind: init(dim, v, alphabet, seed); batch_grad(params, tokens, targets)
+    # -> (loss, grads in the params' own type); the final loss; the targets; and
+    # the count that the losses and gradients are summed over (the fixed-
+    # transition gradients are means). The full model's final loss is the
+    # forward-only pass, under half the cost of its backward pass.
+    init, batch_grad, final_loss, targets, count = {
+        "cusm-trainable": (init_trainable_cusm, _cusm_batch_grad,
+                           lambda *batch: _cusm_batch_grad(*batch)[0], table.pstar, 1),
+        "rosm": (init_trainable_rosm, _rosm_batch_grad,
+                 lambda *batch: _rosm_batch_grad(*batch)[0], table.pstar, 1),
+        "full": (init_full, _backward_full, _loss_full, weights, len(tokens)),
+    }[model_kind]
+
+    def loss_grad(params):
+        loss, grads = batch_grad(params, tokens, targets)
+        # flatten, then divide: numpy's complex / real multiplies by a
+        # reciprocal, which rounds the complex arrays differently
+        return loss / count, flatten_model(grads) / count
+
     reports = []
     for seed in seeds:
         start = time.perf_counter()
-        if model_kind == "full":
-            template = init_full_model(
-                n=dims.get("n", task.n), r=dims.get("r", 1), d=dims.get("d", 2 * task.n),
-                v=task.v, v_in=alphabet, dt=dims.get("dt", 1.0), seed=seed,
-                hidden=dims.get("hidden"),
-            )
-            report_dim = template.n
-
-            def loss_grad(params):
-                bundle = _backward_full(params, tokens, weights)
-                return bundle.loss / len(tokens), flatten_bundle(bundle) / len(tokens)
-
-            def mean_loss(params):
-                return _loss_full(params, tokens, weights) / len(tokens)
-        else:
-            if model_kind == "cusm-trainable":
-                template = init_trainable_cusm(dim or task.n, task.v, alphabet, seed)
-                batch_grad = _cusm_batch_grad
-            else:
-                template = init_trainable_rosm(dim, task.v, alphabet, seed)
-                batch_grad = _rosm_batch_grad
-            report_dim = template.dim
-
-            def loss_grad(params):
-                loss, grads = batch_grad(params, tokens, table.pstar)
-                return loss, flatten_model(grads)
-
-            def mean_loss(params):
-                return batch_grad(params, tokens, table.pstar)[0]
-
+        template = init(dim, task.v, alphabet, seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             flat, trace, stopped = adam_cosine(
@@ -580,13 +546,13 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
                 config, stop_fn=lambda loss: loss - floor < config.early_stop_gap,
             )
         trained = unflatten_model(flat, template)
-        final = mean_loss(trained)
+        final = final_loss(trained, tokens, targets) / count
         gap = final - floor
         extra = {}
         if model_kind == "rosm":
             extra["softmax_rank_audit"] = softmax_rank_audit(trained, task)
         reports.append(TrainReport(
-            seed=seed, model_kind=model_kind, dim=report_dim, loss_trace=trace,
+            seed=seed, model_kind=model_kind, dim=dim, loss_trace=trace,
             final_nll=float(final), entropy_floor=floor, gap=float(gap),
             gap_zero=bool(gap < GAP_ZERO_THRESHOLD and np.isfinite(gap)),
             stopped=stopped, wall_clock=time.perf_counter() - start,

@@ -192,25 +192,19 @@ class TestTrain:
                     "--epochs", "5"], tmp_path, monkeypatch)
         assert code == 2
 
+    def test_full_model_trains_at_dim(self, tmp_path, monkeypatch):
+        code = run(["train", "--model-kind", "full", "--n", "2", "--dim", "3", "--seeds", "1",
+                    "--epochs", "2"], tmp_path, monkeypatch)
+        assert code == 0
+        rep = json.loads((tmp_path / "train_full_seed0.json").read_text())
+        assert rep["config"]["dim"] == 3
+        assert rep["dim"] == 3
 
     @pytest.mark.parametrize("command", ["train", "verify-separation"])
     def test_task_size_one_is_usage_error(self, command, tmp_path, monkeypatch, capsys):
         code = run([command, "--n", "1"], tmp_path, monkeypatch)
         assert code == 2
         assert "must be >= 2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [["train"], ["verify-separation", "--rosm-dims", "2"]])
-    def test_seeds_below_one_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
-        code = run(argv + ["--n", "2", "--seeds", "0", "--epochs", "5"], tmp_path, monkeypatch)
-        assert code == 2
-        assert "--seeds must be >= 1, got 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("kind", ["rosm", "cusm-trainable"])
-    def test_dimension_below_one_is_usage_error(self, kind, tmp_path, monkeypatch, capsys):
-        code = run(["train", "--n", "2", "--model-kind", kind, "--dim", "0", "--seeds", "1",
-                    "--epochs", "5"], tmp_path, monkeypatch)
-        assert code == 2
-        assert "dimension must be >= 1" in capsys.readouterr().err
 
 
 class TestLoadErrors:
@@ -359,6 +353,19 @@ class TestFlagValues:
         (["gen-task", "--filler-length", "-1"], "argument --filler-length: must be >= 0, got -1"),
         (["verify-separation", "--audits", "-1"], "argument --audits: must be >= 0, got -1"),
         (["verify-separation", "--rosm-dims", "0"], "argument --rosm-dims: must be >= 1, got 0"),
+        (["train", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+        (["verify-separation", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+        (["train", "--dim", "0"], "argument --dim: must be >= 1, got 0"),
+        (["train", "--epochs", "0"], "argument --epochs: must be >= 1, got 0"),
+        (["verify-separation", "--epochs", "-3"], "argument --epochs: must be >= 1, got -3"),
+        (["train", "--lr", "-1"], "argument --lr: must be > 0, got -1.0"),
+        (["train", "--early-stop-gap", "-1"], "argument --early-stop-gap: must be >= 0.0, got -1.0"),
+        (["train", "--early-stop-gap", "nan"], "argument --early-stop-gap: must be >= 0.0, got nan"),
+        (["simulate", "--r", "0"], "argument --r: must be >= 1, got 0"),
+        (["simulate", "--d", "0"], "argument --d: must be >= 1, got 0"),
+        (["simulate", "--v", "0"], "argument --v: must be >= 1, got 0"),
+        (["simulate", "--n", "0"], "argument --n: must be >= 1, got 0"),
+        (["simulate", "--n", "1", "--tokens", "0"], "--n must be >= 2 in task mode, got 1"),
     ])
     def test_bad_flag_value_is_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
         assert run(argv, tmp_path, monkeypatch) == 2

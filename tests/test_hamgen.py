@@ -11,7 +11,6 @@ from cusm.hamgen import (
     load_model,
     merge_factor_grads,
     mlp_backward,
-    mlp_forward,
     mlp_forward_cached,
     save_model,
     split_factor_output,
@@ -51,12 +50,12 @@ class TestMlpForward:
     def test_zero_everything(self):
         mlp = MlpParams(weights=[np.zeros((3, 2)), np.zeros((4, 3))],
                         biases=[np.zeros(3), np.zeros(4)])
-        assert np.array_equal(mlp_forward(mlp, np.zeros(2)), np.zeros(4))
+        assert np.array_equal(mlp_forward_cached(mlp, np.zeros(2))[0], np.zeros(4))
 
     def test_single_identity_layer(self):
         mlp = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         x = np.array([0.2, -1.0, 4.0])
-        assert np.array_equal(mlp_forward(mlp, x), x)
+        assert np.array_equal(mlp_forward_cached(mlp, x)[0], x)
 
     def test_scalar_recomputation(self):
         w0 = np.array([[0.5, -0.3], [1.2, 0.1]])
@@ -67,12 +66,12 @@ class TestMlpForward:
         x = np.array([0.9, -0.4])
         hidden = np.tanh(w0 @ x + b0)
         expected = w1 @ hidden + b1
-        assert np.abs(mlp_forward(mlp, x) - expected).max() < 1e-14
+        assert np.abs(mlp_forward_cached(mlp, x)[0] - expected).max() < 1e-14
 
     def test_width_mismatch(self):
         mlp = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         with pytest.raises(ConfigurationError):
-            mlp_forward(mlp, np.zeros(2))
+            mlp_forward_cached(mlp, np.zeros(2))
 
 
 class TestMlpBackward:

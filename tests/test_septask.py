@@ -26,7 +26,8 @@ from cusm.septask import (
 class TestIcMeasurement:
     def test_rank_and_identity(self):
         for n in (2, 3, 4):
-            m = build_ic_measurement(n, seed=1)
+            m, rank = build_ic_measurement(n, seed=1)
+            assert rank == n * n
             assert m.shape == (n, n * n)
             assert np.abs(m @ m.conj().T - np.eye(n)).max() < 1e-10
             rows = np.stack([
@@ -38,7 +39,7 @@ class TestIcMeasurement:
     def test_born_normalization(self):
         rng = make_rng(2)
         for n in (2, 3, 4):
-            m = build_ic_measurement(n, seed=3)
+            m, _ = build_ic_measurement(n, seed=3)
             psi = ginibre(rng, n, 1)[:, 0]
             psi /= np.linalg.norm(psi)
             assert abs(born_probabilities(m, psi).sum() - 1.0) < 1e-12
@@ -47,7 +48,7 @@ class TestIcMeasurement:
         # informational completeness: a Hermitian matrix is recoverable from
         # its outcome functionals by least squares
         n = 2
-        m = build_ic_measurement(n, seed=4)
+        m, _ = build_ic_measurement(n, seed=4)
         rng = make_rng(5)
         z = ginibre(rng, n, n)
         rho = z + z.conj().T

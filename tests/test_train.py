@@ -60,12 +60,11 @@ class TestNllLoss:
 
 class TestEntropyFloor:
     def test_one_hot_rows(self):
-        table = TargetTable(pstar=np.eye(4), lstar=None, logodds=None, min_entry=0.0)
+        table = TargetTable(pstar=np.eye(4), lstar=None, min_entry=0.0)
         assert entropy_floor(table) == 0.0
 
     def test_uniform_rows(self):
-        table = TargetTable(pstar=np.full((4, 5), 0.2), lstar=None, logodds=None,
-                            min_entry=0.2)
+        table = TargetTable(pstar=np.full((4, 5), 0.2), lstar=None, min_entry=0.2)
         assert abs(entropy_floor(table) - np.log(5.0)) < 1e-13
 
     def test_dual_path_oracle(self):
@@ -89,9 +88,10 @@ class TestBackwardFullModel:
             model = init_full_model(n=3, r=1, d=2, v=4, v_in=5, seed=seed, hidden=[6])
             tokens = [0, 2, 4]
             targets = [1, 0, 3]
-            analytic = backward_full_model(model, tokens, targets)
+            weights = _one_hot_rows(targets, model.v)
+            loss, analytic = _backward_full(model, np.array([tokens]), weights[None])
             numeric = finite_difference_grad(model, tokens, targets, step=1e-5)
-            assert abs(analytic.loss - numeric.loss) < 1e-12
+            assert abs(loss - full_model_loss(model, tokens, weights)) < 1e-12
             ga = flatten_bundle(analytic)
             gf = flatten_bundle(numeric)
             rel = np.abs(ga - gf) / np.maximum(np.abs(gf), 1e-8)
@@ -151,14 +151,14 @@ class TestStackedFullModel:
 
     def test_summed_gradient_matches_central_difference(self):
         model, tokens, weights = self._batch()
-        analytic = _backward_full(model, tokens, weights)
+        loss, analytic = _backward_full(model, tokens, weights)
 
         def loss_at(flat):
             m = unflatten_model(flat, model)
             return sum(full_model_loss(m, seq, w) for seq, w in zip(tokens, weights))
 
         flat = flatten_model(model)
-        assert abs(analytic.loss - loss_at(flat)) < 1e-12
+        assert abs(loss - loss_at(flat)) < 1e-12
         numeric = central_difference(loss_at, flat, 1e-5)
         rel = np.abs(flatten_bundle(analytic) - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() < 1e-5
@@ -239,11 +239,13 @@ class TestTrainOnTask:
         report = exact_cusm_report(task)
         assert abs(report.gap) < 1e-10
 
-    def test_optimizer_determinism(self):
+    @pytest.mark.parametrize("kind, dim", [("cusm-trainable", None), ("rosm", 2),
+                                           ("full", None)])
+    def test_optimizer_determinism(self, kind, dim):
         task = make_task(2, seed=7)
         config = OptimizerConfig(epochs=25, early_stop_gap=0.0)
-        r1 = train_on_task(task, "cusm-trainable", config=config, seeds=(0,))
-        r2 = train_on_task(task, "cusm-trainable", config=config, seeds=(0,))
+        r1 = train_on_task(task, kind, dim=dim, config=config, seeds=(0,))
+        r2 = train_on_task(task, kind, dim=dim, config=config, seeds=(0,))
         assert r1[0].loss_trace == r2[0].loss_trace
 
     def test_rosm_dim_one_stays_gapped(self):
@@ -258,8 +260,7 @@ class TestTrainOnTask:
     def test_full_model_trains_a_little(self):
         task = make_task(2, seed=9)
         config = OptimizerConfig(epochs=15, early_stop_gap=0.0)
-        reports = train_on_task(task, "full", config=config, seeds=(0,),
-                                full_dims={"r": 1, "d": 3, "hidden": [8]})
+        reports = train_on_task(task, "full", dim=2, config=config, seeds=(0,))
         rep = reports[0]
         assert np.isfinite(rep.final_nll)
         assert len(rep.loss_trace) == 15
@@ -269,6 +270,12 @@ class TestTrainOnTask:
         task = make_task(2, seed=10)
         with pytest.raises(ConfigurationError):
             train_on_task(task, "transformer", seeds=(0,))
+
+    @pytest.mark.parametrize("kind", ["cusm-trainable", "rosm", "full"])
+    def test_dimension_below_one(self, kind):
+        task = make_task(2, seed=10)
+        with pytest.raises(ConfigurationError, match="dimension must be >= 1"):
+            train_on_task(task, kind, dim=0, seeds=(0,))
 
 
 class TestReadoutAblation:
