@@ -5,6 +5,12 @@ dimension k into dimension j. Antisymmetry, zero diagonal, and global
 conservation follow from Hermiticity alone. The midpoint variant, evaluated
 at the average of the pre- and post-step amplitudes of a Cayley step,
 balances the discrete probability changes exactly.
+
+For the low-rank generator H = Phi Phi^dag + diag(delta) the diagonal shift
+drives no current, so J = 2 Im(X X^dag) with X = c^* o Phi (N x r): J is
+Im(X) Re(X)^T minus its transpose, twice, of rank at most 2r, and its row
+sums 2 Im(X (X^dag 1)) cost O(N r). factor_current and its companions take
+stacks of factors (..., N, r) and amplitudes (..., N) and never build H.
 """
 
 from __future__ import annotations
@@ -12,6 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import InteractionFactors, check_hermitian
+
+# steps of J formed at once by factor_total_current; at N=64, T=256, r=4
+# chunks of 8 timed as fast as 16 and faster than 1, 4 or 32 and above
+CHUNK_STEPS = 8
 
 
 def continuous_current(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -30,18 +40,41 @@ def midpoint_current(h: np.ndarray, psi_pre: np.ndarray, psi_post: np.ndarray) -
     return continuous_current(h, cbar)
 
 
+def factor_current(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The current J (..., N, N) of H = Phi Phi^dag + diag(delta) at amplitudes
+    c (..., N), for any delta; exactly antisymmetric."""
+    x = c.conj()[..., None] * phi
+    m = x.imag @ x.real.swapaxes(-1, -2)
+    return 2.0 * (m - m.swapaxes(-1, -2))
+
+
+def factor_current_rows(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row sums J 1 (..., N) of factor_current, at O(N r)."""
+    x = c.conj()[..., None] * phi
+    return 2.0 * np.imag(x @ x.sum(axis=-2).conj()[..., None])[..., 0]
+
+
+def factor_total_current(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """total_current of each step of stacks phi (T, N, r), c (T, N).
+
+    J is formed CHUNK_STEPS steps at a time, so memory stays at CHUNK_STEPS * N^2;
+    it is exactly antisymmetric, so the sum over j < k is half the whole sum.
+    """
+    totals = np.empty(phi.shape[0])
+    for start in range(0, phi.shape[0], CHUNK_STEPS):
+        stop = start + CHUNK_STEPS
+        j = factor_current(phi[start:stop], c[start:stop])
+        totals[start:stop] = 0.5 * np.abs(j, out=j).sum(axis=(-2, -1))
+    return totals
+
+
 def channel_currents(factors: InteractionFactors, psi: np.ndarray) -> np.ndarray:
     """Per-channel currents, one antisymmetric N x N matrix per column of Phi.
 
-    Their sum equals the off-diagonal current of the materialized interaction
-    Hamiltonian (the diagonal shift delta drives no current).
+    factor_current of each column alone; their sum is the current of the
+    materialized interaction Hamiltonian.
     """
-    outer_state = np.outer(psi.conj(), psi)
-    out = np.empty((factors.rank, factors.dim, factors.dim))
-    for a in range(factors.rank):
-        col = factors.phi[:, a]
-        out[a] = 2.0 * np.imag(np.outer(col, col.conj()) * outer_state)
-    return out
+    return factor_current(np.moveaxis(factors.phi, -1, 0)[..., None], psi)
 
 
 def total_current(j: np.ndarray) -> float:

@@ -65,6 +65,10 @@ class FullModelParams:
     def d(self) -> int:
         return self.embed.vectors.shape[1]
 
+    @property
+    def v_in(self) -> int:
+        return self.embed.vectors.shape[0]
+
     def arrays(self) -> list:
         """The trainable arrays in the order of the flat parameter vector."""
         layers = [arr for pair in zip(self.mlp.weights, self.mlp.biases) for arr in pair]
@@ -212,7 +216,7 @@ def save_model(model: FullModelParams, path: str) -> None:
         "r": model.r,
         "d": model.d,
         "v": model.v,
-        "v_in": model.embed.vectors.shape[0],
+        "v_in": model.v_in,
         "seed": model.seed,
         "dt": model.dt,
         "init_a": model.init.a,

@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from cusm import hamgen
 from cusm.cli import main
+from cusm.currents import midpoint_current, total_current
+from cusm.dynamics import InteractionFactors, evolve_full_model
 from cusm.hamgen import init_full_model, save_model
 
 
@@ -99,6 +102,56 @@ class TestSimulate:
         assert code == 0
         report = json.loads((tmp_path / "trajectory.json").read_text())
         assert report["max_norm_deviation"] < 1e-10
+
+    def test_full_mode_matches_dense_currents(self, tmp_path, monkeypatch):
+        tokens = [0, 1, 2, 1, 3, 0, 2, 2, 1, 0, 3, 3]
+        code = run(["simulate", "--mode", "full", "--n", "7", "--r", "3", "--d", "3",
+                    "--v", "7", "--dt", "0.5", "--seed", "11",
+                    "--tokens", ",".join(map(str, tokens))], tmp_path, monkeypatch)
+        assert code == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert report["max_balance_residual"] <= 1e-11
+        lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()[1:]
+        assert len(lines) == len(tokens)
+        model = init_full_model(n=7, r=3, d=3, v=7, v_in=4, dt=0.5, seed=11)
+        states, factors, _ = evolve_full_model(model, tokens)
+        for t, line in enumerate(lines):
+            _, _, _, total, balance = (float(x) for x in line.split(","))
+            pre, post = states[t], states[t + 1]
+            j = midpoint_current(factors[t].materialize(), pre, post)
+            dp = np.abs(post) ** 2 - np.abs(pre) ** 2
+            assert abs(total - total_current(j)) <= 1e-13 * total_current(j)
+            # both residuals are rounding noise of dp - dt J 1, so they agree
+            # to the size of the terms they difference
+            oracle = np.abs(dp - 0.5 * j.sum(axis=1)).max()
+            assert abs(balance - oracle) <= 1e-13 * np.abs(dp).max()
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_full_mode_reports_the_model_that_ran(self, checkpoint, tmp_path, monkeypatch):
+        argv = ["simulate", "--mode", "full", "--tokens", "0,1,2", "--dt", "0.5"]
+        if checkpoint:
+            path = str(tmp_path / "model.json")
+            save_model(init_full_model(n=8, r=2, d=3, v=9, v_in=5, dt=0.25, seed=1), path)
+            argv += ["--checkpoint", path]
+            want = {"n": 8, "r": 2, "d": 3, "v": 9, "v_in": 5, "dt": 0.25}
+        else:
+            argv += ["--n", "3", "--r", "2", "--d", "2", "--v", "4"]
+            want = {"n": 3, "r": 2, "d": 2, "v": 4, "v_in": 3, "dt": 0.5}
+        assert run(argv, tmp_path, monkeypatch) == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert report["model"] == want
+
+    def test_complex_delta_is_invariant_violation(self, tmp_path, monkeypatch, capsys):
+        split = hamgen.split_factor_output
+
+        def complex_delta(out, n, r):
+            factors = split(out, n, r)
+            return InteractionFactors(factors.phi, factors.delta + 0j)
+
+        monkeypatch.setattr(hamgen, "split_factor_output", complex_delta)
+        code = run(["simulate", "--mode", "full", "--tokens", "0,1"], tmp_path, monkeypatch)
+        assert code == 1
+        assert "delta is not real" in capsys.readouterr().err
 
     def test_missing_tokens_is_usage_error(self, tmp_path, monkeypatch):
         code = run(["simulate", "--mode", "task", "--n", "2"], tmp_path, monkeypatch)

@@ -1,6 +1,14 @@
 import numpy as np
 
-from cusm.currents import channel_currents, continuous_current, midpoint_current, total_current
+from cusm.currents import (
+    channel_currents,
+    continuous_current,
+    factor_current,
+    factor_current_rows,
+    factor_total_current,
+    midpoint_current,
+    total_current,
+)
 from cusm.dynamics import InteractionFactors, cayley_step_dense
 from cusm.numerics import ginibre, make_rng
 
@@ -127,6 +135,31 @@ class TestChannelCurrents:
         assert np.abs(chan.sum(axis=0)[off] - total[off]).max() < 1e-11
         for a in range(3):
             assert np.abs(chan[a] + chan[a].T).max() < 1e-12
+
+
+class TestFactorCurrent:
+    def test_exact_antisymmetry_and_rank(self):
+        rng = make_rng(10)
+        phi = ginibre(rng, 3 * 9, 2).reshape(3, 9, 2)
+        j = factor_current(phi, ginibre(rng, 3, 9))
+        assert np.array_equal(j, -j.swapaxes(-1, -2))
+        assert all(np.linalg.matrix_rank(m) <= 4 for m in j)
+
+    def test_channels_sum_to_the_current(self):
+        rng = make_rng(11)
+        f = InteractionFactors(phi=ginibre(rng, 6, 3), delta=rng.standard_normal(6))
+        psi = random_state(rng, 6)
+        assert np.abs(channel_currents(f, psi).sum(axis=0) - factor_current(f.phi, psi)).max() \
+            < 1e-15
+
+    def test_rows_and_totals_of_a_stack(self):
+        rng = make_rng(12)
+        # 40 steps: several whole chunks of J and a partial last one
+        phi, c = ginibre(rng, 40 * 7, 2).reshape(40, 7, 2), ginibre(rng, 40, 7)
+        j = factor_current(phi, c)
+        assert np.abs(factor_current_rows(phi, c) - j.sum(axis=-1)).max() < 1e-14
+        want = [total_current(m) for m in j]
+        assert np.abs(factor_total_current(phi, c) - want).max() < 1e-14
 
 
 class TestTotalCurrent:

@@ -1,6 +1,7 @@
 """Property tests: the Woodbury Cayley step and its adjoint over random sizes,
-step lengths and scales of Phi and delta; the closed-form Hermitian lift
-against its explicit basis; and bit-exact task and model file round trips."""
+step lengths and scales of Phi and delta; the factor-form probability
+currents against the dense ones; the closed-form Hermitian lift against its
+explicit basis; and bit-exact task and model file round trips."""
 
 import os
 import tempfile
@@ -11,6 +12,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from test_numerics import explicit_hermitian_basis, vec_by_basis
 
+from cusm.currents import (
+    continuous_current,
+    factor_current,
+    factor_current_rows,
+    factor_total_current,
+    total_current,
+)
 from cusm.dynamics import (
     GRAM_COND_FAIL,
     GRAM_COND_WARN,
@@ -106,6 +114,40 @@ def test_adjoint_step_is_the_conjugate_transpose(case):
     lhs = np.einsum("kn,nk->k", pulled.conj(), psi)
     rhs = np.einsum("kn,nk->k", g.conj(), stepped)
     assert np.abs(lhs - rhs).max() < 1e-10 * np.linalg.norm(g, axis=1).max()
+
+
+# ---------------------------------------------------------------------------
+# probability currents in factor form
+
+@st.composite
+def current_stacks(draw):
+    """(phi (T, N, r), delta (T, N), amplitudes (T, N)), scaled by drawn
+    decades; T up to 40 spans several chunks of the total current. Phi stays
+    below ~30 so that the dense oracle's absolute 1e-10 Hermitian check holds
+    for the rounding of Phi Phi^dag."""
+    t, n, r = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2 ** 31)))
+    phi = ginibre(rng, t * n, r).reshape(t, n, r) * 10.0 ** draw(st.integers(-3, 1))
+    delta = rng.standard_normal((t, n)) * 10.0 ** draw(st.integers(-3, 3))
+    c = ginibre(rng, t, n) * 10.0 ** draw(st.integers(-3, 1))
+    return phi, delta, c
+
+
+@PROPERTY
+@given(current_stacks())
+def test_factor_currents_match_dense(case):
+    phi, delta, c = case
+    currents, rows = factor_current(phi, c), factor_current_rows(phi, c)
+    totals = factor_total_current(phi, c)
+    for s in range(phi.shape[0]):
+        dense = continuous_current(InteractionFactors(phi[s], delta[s]).materialize(), c[s])
+        # the dense current's rounding scale: |c_j| |c_k| sum_a |Phi_ja| |Phi_ka|,
+        # plus |delta_j| |c_j|^2 on the diagonal, where delta enters H
+        a = np.abs(c[s])[:, None] * np.abs(phi[s])
+        scale = a @ a.T + np.diag(np.abs(delta[s]) * np.abs(c[s]) ** 2)
+        assert np.abs(currents[s] - dense).max() <= 1e-13 * scale.max()
+        assert np.abs(rows[s] - dense.sum(axis=1)).max() <= 1e-13 * scale.sum(axis=1).max()
+        assert abs(totals[s] - total_current(dense)) <= 1e-13 * np.triu(scale, k=1).sum()
 
 
 # ---------------------------------------------------------------------------
