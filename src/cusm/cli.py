@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -52,7 +53,7 @@ from .septask import (
     n2_reference_config,
     random_rosm,
     save_task,
-    softmax_rank_audit,
+    softmax_rank_audits,
     target_table,
 )
 from .train import (
@@ -69,6 +70,11 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 OUTPUT_DIR_ENV = "CUSM_OUTPUT_DIR"
+
+# the baseline dimensions that verify-separation draws its audits from
+AUDIT_DIMS = (1, 2, 4, 8)
+# simulate's model flags and their defaults; a --checkpoint fixes all of them
+SIMULATE_MODEL_DEFAULTS = {"n": 2, "r": 1, "d": 4, "v": 4, "dt": 1.0}
 
 TOLERANCES = {
     "rank_tolerance": 1e-10,
@@ -208,6 +214,8 @@ def _positive_float(text: str) -> float:
     value = _number(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if value == math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
@@ -276,16 +284,12 @@ def cmd_verify_separation(args) -> int:
     final = evolve_fixed_batch(cusm.unitaries, cusm.psi0, task.sequences())[-1]
     max_err = float(np.abs(born_probabilities(cusm.measurement, final.T).T - table.pstar).max())
 
-    violations = 0
-    audits = []
+    # one rng.integers draw per audit, the stream rng.choice(AUDIT_DIMS) draws
     rng = make_rng(args.seed, stream=900)
-    for k in range(args.audits):
-        d = int(rng.choice([1, 2, 4, 8]))
-        rosm = random_rosm(d, task, seed=args.seed * 1000 + k)
-        audit = softmax_rank_audit(rosm, task)
-        audits.append({"d": d, **audit})
-        if not audit["satisfied"]:
-            violations += 1
+    dims = [AUDIT_DIMS[rng.integers(len(AUDIT_DIMS))] for _ in range(args.audits)]
+    rosms = [random_rosm(d, task, seed=args.seed * 1000 + k) for k, d in enumerate(dims)]
+    audits = [{"d": d, **audit} for d, audit in zip(dims, softmax_rank_audits(rosms, task))]
+    violations = sum(not audit["satisfied"] for audit in audits)
 
     report = _envelope(args, seed=task.seed)
     report.update({
@@ -331,6 +335,15 @@ def _inverse_cayley(w: np.ndarray, dt: float) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    if args.mode == "full" and args.checkpoint is not None:
+        given = [key for key in SIMULATE_MODEL_DEFAULTS if getattr(args, key) is not None]
+        if given:
+            raise ConfigurationError(f"--{given[0]} does not apply with --checkpoint, "
+                                     "whose model fixes it")
+    else:
+        for key, default in SIMULATE_MODEL_DEFAULTS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
     out = _output_dir(args)
     tokens = _parse_tokens(args)
     report = _envelope(args, seed=args.seed)
@@ -521,11 +534,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="model JSON file (full mode)")
     p.add_argument("--tokens", type=_int_list(0), help="comma-separated token ids")
     p.add_argument("--tokens-file", help="JSON array of token ids")
-    p.add_argument("--n", type=_int_at_least(1), default=2)
-    p.add_argument("--r", type=_int_at_least(1), default=1)
-    p.add_argument("--d", type=_int_at_least(1), default=4)
-    p.add_argument("--v", type=_int_at_least(1), default=4)
-    p.add_argument("--dt", type=_positive_float, default=1.0)
+    # defaults in SIMULATE_MODEL_DEFAULTS, so that a flag given with --checkpoint shows
+    p.add_argument("--n", type=_int_at_least(1))
+    p.add_argument("--r", type=_int_at_least(1))
+    p.add_argument("--d", type=_int_at_least(1))
+    p.add_argument("--v", type=_int_at_least(1))
+    p.add_argument("--dt", type=_positive_float)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a model on a task, one report per seed")

@@ -63,9 +63,11 @@ class CayleyStepReport:
 
 
 def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """h as a complex array, if H - H^dag is within tol * max(1, max|H|): the
+    rounding of a product such as Phi Phi^dag grows with the entries."""
     h = np.asarray(h, dtype=complex)
     dev = np.abs(h - h.conj().T).max()
-    if dev > tol:
+    if dev > tol * max(1.0, np.abs(h).max()):
         raise NonHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
     return h
 
@@ -109,15 +111,16 @@ def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarr
     y = rhs * inv_d
     p = phi * inv_d
     gram = np.eye(phi.shape[-1]) + c * (phi_h @ p)
-    cond = (1.0 + abs(c) * float(np.vecdot(phi, phi, axis=-2).real.sum(-1).max())) ** 2
-    if not cond <= GRAM_COND_WARN:  # NaN too, on which the SVD raises
-        cond = float(np.linalg.cond(gram).max())
-    if cond > GRAM_COND_FAIL:
+    root = 1.0 + abs(c) * float(np.vecdot(phi, phi, axis=-2).real.sum(-1).max())
+    cond = root * root  # a float product overflows to inf, where ** raises
+    if not cond <= GRAM_COND_WARN:  # inf and NaN too: the SVD decides
+        # the SVD of a non-finite matrix raises; its condition is NaN here
+        cond = float(np.linalg.cond(gram).max()) if np.isfinite(gram).all() else np.nan
+    if not cond <= GRAM_COND_FAIL:
         report = CayleyStepReport(gram_condition=cond, residual=np.nan, renorm_delta=np.nan)
-        raise IllConditionedStepError(
-            f"Gram matrix condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}",
-            report=report, step=step,
-        )
+        reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}" if cond > GRAM_COND_FAIL
+                  else "has a non-finite entry")
+        raise IllConditionedStepError(f"Gram matrix {reason}", report=report, step=step)
     w = np.linalg.solve(gram, phi_h @ y)
     y -= p @ (c * w)
     return y, cond
@@ -182,17 +185,19 @@ def cayley_map(z: np.ndarray) -> np.ndarray:
 def evolve_fixed_batch(transitions: np.ndarray, state0: np.ndarray, tokens) -> list[np.ndarray]:
     """Forward pass of a fixed-transition model over a (B, T) array of token ids.
 
-    transitions[k] is the (d, d) matrix of token k, complex unitary or real
-    orthogonal, in an (A, d, d) stack. Step t gathers transitions[tokens[:, t]]
-    and applies them to the B states in one batched product. Returns the T+1
-    states (B, d).
+    transitions[..., k, :, :] is the (d, d) matrix of token k, complex unitary
+    or real orthogonal, in an (..., A, d, d) stack whose leading axes stack
+    models, with start states (..., d). Step t gathers the matrices of
+    tokens[:, t] and applies them to the B states of every model in one
+    batched product. Returns the T+1 states (..., B, d).
     """
     tokens = np.asarray(tokens, dtype=int)
-    _check_vocabulary(tokens, len(transitions))
-    psi = np.tile(state0, (tokens.shape[0], 1))
+    _check_vocabulary(tokens, transitions.shape[-3])
+    psi = np.repeat(state0[..., None, :], tokens.shape[0], axis=-2)
     states = [psi]
     for step in range(tokens.shape[1]):
-        psi = _safeguard((transitions[tokens[:, step]] @ psi[..., None])[..., 0], step + 1)
+        psi = _safeguard((transitions[..., tokens[:, step], :, :] @ psi[..., None])[..., 0],
+                         step + 1)
         states.append(psi)
     return states
 

@@ -83,15 +83,20 @@ def vec_hermitian(a: np.ndarray) -> np.ndarray:
     return np.concatenate([diag, np.sqrt(2.0) * upper.real, -np.sqrt(2.0) * upper.imag], axis=-1)
 
 
-def numerical_rank(a: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rel_tol * sigma_max * max(rows, cols)."""
+def numerical_rank(a: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int | np.ndarray:
+    """Number of singular values above rel_tol * sigma_max * max(rows, cols).
+
+    A matrix (M, N) gives an int; a stack (..., M, N) gives an int array of
+    one rank per matrix from one stacked SVD.
+    """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     a = np.asarray(a)
-    if a.size == 0:
-        return 0
-    sigma = np.linalg.svd(a, compute_uv=False)
-    smax = sigma.max()
-    if smax == 0.0:
-        return 0
-    return int(np.sum(sigma > rel_tol * smax * max(a.shape)))
+    if 0 in a.shape[-2:]:
+        ranks = np.zeros(a.shape[:-2], dtype=int)
+    else:
+        sigma = np.linalg.svd(a, compute_uv=False)
+        # an all-zero matrix has sigma_max = 0 and no singular value above it
+        smax = sigma.max(axis=-1, keepdims=True)
+        ranks = np.sum(sigma > rel_tol * smax * max(a.shape[-2:]), axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks

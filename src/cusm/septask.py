@@ -10,7 +10,8 @@ or of the N^2 measurement vectors, taken to real coordinates in R^{N^2}
 table p*(k|i,j) = |<m_k|W_j psi_i>|^2 then has full rank N^2, which is what
 forces any real orthogonal model with an affine-softmax readout up to
 dimension N^2 - 2, while a complex unitary model of dimension N reproduces
-the table exactly by construction.
+the table exactly by construction. The random baselines that audit that
+bound run stacked, one batch per baseline dimension (softmax_rank_audits).
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ class TaskInstance:
 
     def sequences(self) -> np.ndarray:
         """All n^2 sequences as a (n^2, T) token array, rows (i, j) lexicographic."""
-        return np.array([self.sequence(i, j) for i in range(self.n) for j in range(self.n)])
+        n = self.n
+        tokens = np.full((n * n, self.filler_length + 2), self.filler_token)
+        tokens[:, 0] = np.repeat(np.arange(n), n)
+        tokens[:, -1] = self.query_token(0) + np.tile(np.arange(n), n)
+        return tokens
 
 
 @dataclass
@@ -77,29 +82,32 @@ class RosmParams:
     """Real orthogonal baseline: unit state, per-token orthogonal transitions
     from the real Cayley map, and an affine-softmax readout. The parameters are
     unconstrained: h0 is normalised on use, and token k's transition is the
-    Cayley map of S = Z - Z^T for Z = gens[k]."""
+    Cayley map of S = Z - Z^T for Z = gens[k]. Every array may carry the same
+    leading axes, which stack models of one dimension."""
 
-    h0: np.ndarray            # (d,)
-    gens: np.ndarray          # (A, d, d) real, row k for token k
-    out_weights: np.ndarray   # (V, d)
-    bias: np.ndarray          # (V,)
+    h0: np.ndarray            # (..., d)
+    gens: np.ndarray          # (..., A, d, d) real, row k for token k
+    out_weights: np.ndarray   # (..., V, d)
+    bias: np.ndarray          # (..., V)
 
     @property
     def dim(self) -> int:
-        return self.h0.shape[0]
+        return self.h0.shape[-1]
 
     def state0(self) -> np.ndarray:
-        return self.h0 / np.linalg.norm(self.h0)
+        # vecdot of a row rounds as np.linalg.norm of a vector does; a norm
+        # over an axis sums in another order
+        return self.h0 / np.sqrt(np.vecdot(self.h0, self.h0))[..., None]
 
     def transitions(self) -> np.ndarray:
-        """(A, d, d) orthogonal transitions, row k for token k."""
+        """(..., A, d, d) orthogonal transitions, row k for token k."""
         return cayley_map(self.gens)
 
     def readout(self, states: np.ndarray) -> np.ndarray:
-        """Affine-softmax probabilities (B, V) of state rows (B, d)."""
-        logits = states @ self.out_weights.T + self.bias
-        expz = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return expz / expz.sum(axis=1, keepdims=True)
+        """Affine-softmax probabilities (..., B, V) of state rows (..., B, d)."""
+        logits = states @ self.out_weights.swapaxes(-1, -2) + self.bias[..., None, :]
+        expz = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return expz / expz.sum(axis=-1, keepdims=True)
 
     def arrays(self) -> list:
         """The arrays in the order of the flat parameter vector."""
@@ -312,23 +320,38 @@ def random_rosm(d: int, task: TaskInstance, seed: int, scale: float = 1.0) -> Ro
     h0 /= np.linalg.norm(h0)
     return RosmParams(
         h0=h0,
-        gens=np.array([rng.standard_normal((d, d)) * scale for _ in range(2 * task.n + 1)]),
+        gens=rng.standard_normal((2 * task.n + 1, d, d)) * scale,
         out_weights=rng.standard_normal((task.v, d)) * scale,
         bias=rng.standard_normal(task.v) * scale,
     )
 
 
-def softmax_rank_audit(rosm: RosmParams, task: TaskInstance) -> dict:
-    """Rank of the final-step log-probability matrix over all n^2 sequences.
+def softmax_rank_audits(rosms: list, task: TaskInstance) -> list[dict]:
+    """Rank of each baseline's final-step log-probability matrix over all n^2
+    sequences, in the order of rosms.
 
-    The affine-softmax bound rank <= d + 2 is a theorem; a violation here
-    means the implementation is wrong, not the mathematics.
+    The baselines of one dimension d are stacked and run together: one Cayley
+    map, one forward pass, one readout and one stacked SVD per d. The
+    affine-softmax bound rank <= d + 2 is a theorem; a violation here means
+    the implementation is wrong, not the mathematics.
     """
-    states = evolve_fixed_batch(rosm.transitions(), rosm.state0(), task.sequences())
-    logp, _ = floored_log(rosm.readout(states[-1]))
-    rank = numerical_rank(logp, rel_tol=1e-8)
-    bound = rosm.dim + 2
-    return {"rank_Lbar": rank, "bound": bound, "satisfied": bool(rank <= bound)}
+    tokens = task.sequences()
+    by_dim: dict[int, list[int]] = {}
+    for k, rosm in enumerate(rosms):
+        by_dim.setdefault(rosm.dim, []).append(k)
+    audits = [None] * len(rosms)
+    for d, members in by_dim.items():
+        stack = RosmParams(*map(np.stack, zip(*(rosms[k].arrays() for k in members))))
+        states = evolve_fixed_batch(stack.transitions(), stack.state0(), tokens)
+        logp, _ = floored_log(stack.readout(states[-1]))
+        for k, rank in zip(members, numerical_rank(logp, rel_tol=1e-8)):
+            audits[k] = {"rank_Lbar": int(rank), "bound": d + 2, "satisfied": bool(rank <= d + 2)}
+    return audits
+
+
+def softmax_rank_audit(rosm: RosmParams, task: TaskInstance) -> dict:
+    """softmax_rank_audits of one baseline."""
+    return softmax_rank_audits([rosm], task)[0]
 
 
 def save_task(task: TaskInstance, path: str) -> None:

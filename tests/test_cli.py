@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cusm import hamgen
+from cusm import hamgen, septask
 from cusm.cli import main
 from cusm.currents import midpoint_current, total_current
 from cusm.dynamics import InteractionFactors, evolve_full_model
@@ -14,6 +14,13 @@ from cusm.hamgen import init_full_model, save_model
 def run(argv, tmp_path, monkeypatch):
     monkeypatch.setenv("CUSM_OUTPUT_DIR", str(tmp_path))
     return main(argv)
+
+
+def saved_checkpoint(tmp_path) -> str:
+    """A full model saved at N=8, r=2, dt=0.25; returns its path."""
+    path = str(tmp_path / "model.json")
+    save_model(init_full_model(n=8, r=2, d=3, v=9, v_in=5, dt=0.25, seed=1), path)
+    return path
 
 
 class TestGenTask:
@@ -58,6 +65,34 @@ class TestVerifySeparation:
         code = run(["verify-separation", "--task", str(tmp_path / "task_n2_seed3.json"),
                     "--audits", "5"], tmp_path, monkeypatch)
         assert code == 0
+
+    def test_audits_run_stacked_per_dimension(self, tmp_path, monkeypatch):
+        assert run(["gen-task", "--n", "3", "--seed", "4"], tmp_path, monkeypatch) == 0
+        evolves, svd_shapes = [], []
+        evolve, svd = septask.evolve_fixed_batch, np.linalg.svd
+
+        def counting_evolve(*args):
+            evolves.append(args[0].shape)
+            return evolve(*args)
+
+        def counting_svd(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(septask, "evolve_fixed_batch", counting_evolve)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        code = run(["verify-separation", "--task", str(tmp_path / "task_n3_seed4.json"),
+                    "--audits", "50", "--seed", "4"], tmp_path, monkeypatch)
+        assert code == 0
+        audits = json.loads((tmp_path / "separation_n3_seed4.json").read_text())["rosm_audits"]
+        dims = {audit["d"] for audit in audits}
+        assert len(audits) == 50 and len(dims) > 1
+        # one forward pass and one stacked SVD per d; the two other SVDs are
+        # the ranks of P* and L*
+        assert len(evolves) == len(dims)
+        assert sum(shape[0] for shape in evolves) == 50
+        assert len(svd_shapes) == len(dims) + 2
+        assert sum(len(shape) == 3 for shape in svd_shapes) == len(dims)
 
     def test_rosm_training_sweep(self, tmp_path, monkeypatch):
         code = run(["verify-separation", "--n", "2", "--seed", "2", "--audits", "3",
@@ -128,18 +163,60 @@ class TestSimulate:
 
     @pytest.mark.parametrize("checkpoint", [False, True])
     def test_full_mode_reports_the_model_that_ran(self, checkpoint, tmp_path, monkeypatch):
-        argv = ["simulate", "--mode", "full", "--tokens", "0,1,2", "--dt", "0.5"]
+        argv = ["simulate", "--mode", "full", "--tokens", "0,1,2"]
         if checkpoint:
             path = str(tmp_path / "model.json")
             save_model(init_full_model(n=8, r=2, d=3, v=9, v_in=5, dt=0.25, seed=1), path)
             argv += ["--checkpoint", path]
             want = {"n": 8, "r": 2, "d": 3, "v": 9, "v_in": 5, "dt": 0.25}
         else:
-            argv += ["--n", "3", "--r", "2", "--d", "2", "--v", "4"]
+            argv += ["--n", "3", "--r", "2", "--d", "2", "--v", "4", "--dt", "0.5"]
             want = {"n": 3, "r": 2, "d": 2, "v": 4, "v_in": 3, "dt": 0.5}
         assert run(argv, tmp_path, monkeypatch) == 0
         report = json.loads((tmp_path / "trajectory.json").read_text())
         assert report["model"] == want
+
+    @pytest.mark.parametrize("flag, value", [("--n", "8"), ("--r", "2"), ("--d", "1"),
+                                             ("--v", "9"), ("--dt", "0.5")])
+    def test_checkpoint_rejects_model_flags(self, flag, value, tmp_path, monkeypatch, capsys):
+        path = saved_checkpoint(tmp_path)
+        out = tmp_path / "out"
+        code = main(["simulate", "--mode", "full", "--tokens", "0,1,2", "--checkpoint",
+                     path, flag, value, "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+        assert not out.exists()
+
+    def test_checkpoint_rejects_model_keys_of_a_config(self, tmp_path, monkeypatch, capsys):
+        path = saved_checkpoint(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "dt": 0.5}))
+        code = run(["simulate", "--mode", "full", "--tokens", "0,1", "--checkpoint", path,
+                    "--config", str(cfg)], tmp_path, monkeypatch)
+        assert code == 2
+        assert "--dt" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "model.json"]
+
+    def test_checkpoint_config_echoes_no_model_flag(self, tmp_path, monkeypatch):
+        path = saved_checkpoint(tmp_path)
+        assert run(["simulate", "--mode", "full", "--tokens", "0,1", "--checkpoint", path],
+                   tmp_path, monkeypatch) == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert not {"n", "r", "d", "v", "dt"} & set(report["config"])
+        assert report["model"]["dt"] == 0.25
+
+    def test_defaults_are_echoed_without_a_checkpoint(self, tmp_path, monkeypatch):
+        assert run(["simulate", "--mode", "full", "--tokens", "0,1"], tmp_path, monkeypatch) == 0
+        config = json.loads((tmp_path / "trajectory.json").read_text())["config"]
+        assert {key: config[key] for key in ("n", "r", "d", "v", "dt")} == \
+            {"n": 2, "r": 1, "d": 4, "v": 4, "dt": 1.0}
+
+    def test_overflowing_step_has_no_traceback(self, tmp_path, monkeypatch, capsys):
+        code = run(["simulate", "--mode", "full", "--tokens", "0,1,0", "--dt", "1e300"],
+                   tmp_path, monkeypatch)
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_complex_delta_is_invariant_violation(self, tmp_path, monkeypatch, capsys):
         split = hamgen.split_factor_output
@@ -419,6 +496,9 @@ class TestFlagValues:
         (["simulate", "--v", "0"], "argument --v: must be >= 1, got 0"),
         (["simulate", "--n", "0"], "argument --n: must be >= 1, got 0"),
         (["simulate", "--n", "1", "--tokens", "0"], "--n must be >= 2 in task mode, got 1"),
+        (["simulate", "--mode", "full", "--tokens", "0,1", "--dt", "inf"],
+         "argument --dt: must be finite, got inf"),
+        (["train", "--model-kind", "full", "--lr", "inf"], "argument --lr: must be finite, got inf"),
     ])
     def test_bad_flag_value_is_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
         assert run(argv, tmp_path, monkeypatch) == 2
@@ -452,7 +532,8 @@ class TestFlagValues:
         assert report["steps"] == 4
 
     @pytest.mark.parametrize("key, value", [("sizes", "8,x"), ("sizes", 0), ("batch", 0),
-                                            ("dt", 0), ("ranks", "")])
+                                            ("dt", 0), ("ranks", ""), ("dt", float("inf")),
+                                            ("lr", float("inf"))])
     def test_bad_config_value_is_usage_error(self, key, value, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema_version": 1, key: value}))

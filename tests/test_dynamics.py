@@ -3,6 +3,7 @@ import pytest
 
 from cusm.dynamics import (
     InteractionFactors,
+    check_hermitian,
     cayley_step_dense,
     cayley_map,
     cayley_step_woodbury,
@@ -12,7 +13,7 @@ from cusm.dynamics import (
     interaction_picture_factors,
     schrodinger_state,
 )
-from cusm.exceptions import NonHermitianError, VocabularyError
+from cusm.exceptions import IllConditionedStepError, NonHermitianError, VocabularyError
 from cusm.hamgen import generate_interaction, init_full_model, initial_state
 from cusm.numerics import ginibre, make_rng, sample_haar_unitary
 
@@ -77,6 +78,24 @@ class TestCayleyStepDense:
             cayley_step_dense(np.array([[0, 1], [0, 0]], dtype=complex),
                               np.array([1.0, 0.0], dtype=complex), 1.0)
 
+    def test_large_factor_products_are_hermitian(self):
+        # Phi Phi^dag rounds off Hermitian by up to ~1e-9 at |Phi| ~ 1e3; the
+        # check scales its tolerance with max|H|
+        rng = make_rng(9)
+        for n in range(2, 13):
+            for r in range(2, 5):
+                for _ in range(5):
+                    f = InteractionFactors(1e3 * ginibre(rng, n, r), rng.standard_normal(n))
+                    check_hermitian(f.materialize())
+
+    def test_relative_deviation_rejected_at_scale(self):
+        rng = make_rng(10)
+        z = ginibre(rng, 5, 5)
+        h = 1e6 * (z + z.conj().T)
+        h[0, 1] += 1e-2   # 1e-8 of max|H|, above the 1e-10 relative tolerance
+        with pytest.raises(NonHermitianError):
+            check_hermitian(h)
+
     def test_commuting_factor_identity(self):
         rng = make_rng(4)
         z = ginibre(rng, 6, 6)
@@ -128,6 +147,31 @@ class TestCayleyStepWoodbury:
             ref = cayley_step_dense(f.materialize(), psi, dt)
             worst = max(worst, float(np.abs(out - ref).max()))
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("dt", [1e160, 1e300])
+    def test_overflowing_bound_leaves_the_svd_to_decide(self, dt):
+        # (1 + dt ||Phi||^2 / 2)^2 overflows a float; the step runs on the SVD condition
+        rng = make_rng(11)
+        f = random_factors(rng, 6, 2)
+        psi = random_state(rng, 6)
+        out, report = cayley_step_woodbury(f, psi, dt)
+        assert np.isfinite(report.gram_condition) and report.gram_condition < 1e8
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_step_is_ill_conditioned(self):
+        rng = make_rng(12)
+        with pytest.raises(IllConditionedStepError, match="non-finite") as info:
+            cayley_step_woodbury(random_factors(rng, 6, 2), random_state(rng, 6), np.inf)
+        assert np.isnan(info.value.report.gram_condition)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_bound_reports_its_step(self):
+        model = init_full_model(n=3, r=1, d=2, v=4, v_in=2, seed=0)
+        model.dt = np.inf   # the phases at t * dt = 0 * inf are NaN, so is the bound
+        with pytest.raises(IllConditionedStepError) as info:
+            evolve_full_model(model, [0, 1])
+        assert info.value.step == 0
 
     def test_batch_matches_loop(self):
         rng = make_rng(8)

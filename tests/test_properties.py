@@ -1,7 +1,9 @@
 """Property tests: the Woodbury Cayley step and its adjoint over random sizes,
 step lengths and scales of Phi and delta; the factor-form probability
 currents against the dense ones; the closed-form Hermitian lift against its
-explicit basis; and bit-exact task and model file round trips."""
+explicit basis; the stacked softmax-rank audits and numerical ranks against
+one model or matrix at a time; and bit-exact task and model file round
+trips."""
 
 import os
 import tempfile
@@ -25,11 +27,20 @@ from cusm.dynamics import (
     InteractionFactors,
     cayley_step_dense,
     cayley_step_woodbury,
+    evolve_fixed_batch,
 )
 from cusm.exceptions import IllConditionedStepError
 from cusm.hamgen import init_full_model, load_model, save_model
-from cusm.numerics import ginibre, make_rng, vec_hermitian
-from cusm.septask import TaskInstance, load_task, save_task
+from cusm.numerics import ginibre, make_rng, numerical_rank, vec_hermitian
+from cusm.readout import floored_log
+from cusm.septask import (
+    TaskInstance,
+    load_task,
+    make_task,
+    random_rosm,
+    save_task,
+    softmax_rank_audits,
+)
 from cusm.train import adjoint_state_step
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -122,12 +133,10 @@ def test_adjoint_step_is_the_conjugate_transpose(case):
 @st.composite
 def current_stacks(draw):
     """(phi (T, N, r), delta (T, N), amplitudes (T, N)), scaled by drawn
-    decades; T up to 40 spans several chunks of the total current. Phi stays
-    below ~30 so that the dense oracle's absolute 1e-10 Hermitian check holds
-    for the rounding of Phi Phi^dag."""
+    decades; T up to 40 spans several chunks of the total current."""
     t, n, r = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
     rng = make_rng(draw(st.integers(0, 2 ** 31)))
-    phi = ginibre(rng, t * n, r).reshape(t, n, r) * 10.0 ** draw(st.integers(-3, 1))
+    phi = ginibre(rng, t * n, r).reshape(t, n, r) * 10.0 ** draw(st.integers(-3, 3))
     delta = rng.standard_normal((t, n)) * 10.0 ** draw(st.integers(-3, 3))
     c = ginibre(rng, t, n) * 10.0 ** draw(st.integers(-3, 1))
     return phi, delta, c
@@ -191,6 +200,62 @@ def test_stacked_vec_hermitian_equals_each_matrix_bit_for_bit(stack):
     for i in range(stack.shape[0]):
         for j in range(stack.shape[1]):
             assert out[i, j].tobytes() == vec_hermitian(stack[i, j]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stacked softmax-rank audits and numerical ranks
+
+# the audited tasks, made once: their sampling is not what these properties test
+AUDIT_TASKS = {(n, filler): make_task(n, seed=n + 10 * filler, filler_length=filler)
+               for n in (2, 3, 4) for filler in (0, 1, 3)}
+
+
+def one_model_audit(rosm, task) -> int:
+    """The rank of one baseline's log-probabilities, one sequence at a time."""
+    finals = [evolve_fixed_batch(rosm.transitions(), rosm.state0(), row[None])[-1][0]
+              for row in task.sequences()]
+    logp, _ = floored_log(rosm.readout(np.stack(finals)))
+    return numerical_rank(logp, rel_tol=1e-8)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(AUDIT_TASKS)), st.lists(st.integers(1, 8), min_size=1, max_size=12),
+       st.integers(0, 2 ** 31), st.integers(-1, 1))
+def test_stacked_audits_equal_one_model_audits(key, dims, seed, decade):
+    task = AUDIT_TASKS[key]
+    rosms = [random_rosm(d, task, seed=seed + k, scale=10.0 ** decade)
+             for k, d in enumerate(dims)]
+    audits = softmax_rank_audits(rosms, task)
+    assert len(audits) == len(rosms)
+    for rosm, audit in zip(rosms, audits):
+        rank = one_model_audit(rosm, task)
+        assert audit == {"rank_Lbar": rank, "bound": rosm.dim + 2,
+                         "satisfied": rank <= rosm.dim + 2}
+        assert type(audit["rank_Lbar"]) is int
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A (K, M, N) stack of products of random factors of drawn inner ranks,
+    zero matrices included, scaled by a drawn decade."""
+    k, m, n = draw(st.integers(0, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rng = make_rng(draw(st.integers(0, 2 ** 31)))
+    mats = []
+    for _ in range(k):
+        inner = draw(st.integers(0, min(m, n)))
+        mats.append(rng.standard_normal((m, inner)) @ rng.standard_normal((inner, n)))
+    return 10.0 ** draw(st.integers(-6, 6)) * np.array(mats).reshape(k, m, n)
+
+
+@PROPERTY
+@given(matrix_stacks())
+def test_stacked_numerical_rank_equals_each_matrix(stack):
+    ranks = numerical_rank(stack)
+    assert ranks.shape == (stack.shape[0],) and ranks.dtype.kind == "i"
+    singles = [numerical_rank(a) for a in stack]
+    assert all(type(rank) is int for rank in singles)
+    assert ranks.tolist() == singles
+    assert numerical_rank(stack[None]).tolist() == [singles]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from cusm.septask import (
     sample_general_position,
     save_task,
     softmax_rank_audit,
+    softmax_rank_audits,
     target_table,
 )
 
@@ -250,6 +251,58 @@ class TestRosm:
         rosm = random_rosm(4, task, seed=5)
         audit = softmax_rank_audit(rosm, task)
         assert audit["rank_Lbar"] <= 6
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_random_rosm_equals_per_token_draws(self, d):
+        task = make_task(3, seed=21)
+        rng = make_rng(7, stream=55)
+        h0 = rng.standard_normal(d)
+        h0 /= np.linalg.norm(h0)
+        gens = np.array([rng.standard_normal((d, d)) * 0.5 for _ in range(2 * task.n + 1)])
+        out_weights = rng.standard_normal((task.v, d)) * 0.5
+        bias = rng.standard_normal(task.v) * 0.5
+        rosm = random_rosm(d, task, seed=7, scale=0.5)
+        for got, want in zip(rosm.arrays(), [h0, gens, out_weights, bias]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 6, 9, 16])
+    def test_stacked_params_equal_each_model_bit_for_bit(self, d):
+        task = make_task(2, seed=22)
+        rosms = [random_rosm(d, task, seed=k) for k in range(40)]
+        for rosm in rosms:   # unnormalised start vectors, as training holds them
+            rosm.h0 = rosm.h0 * (1.0 + rosm.h0[0] ** 2)
+        stack = RosmParams(*map(np.stack, zip(*(rosm.arrays() for rosm in rosms))))
+        states = stack.state0()[:, None, :]
+        probs = stack.readout(states)
+        for k, rosm in enumerate(rosms):
+            # the arithmetic of a vector norm, which training has always used
+            unit = rosm.h0 / np.linalg.norm(rosm.h0)
+            assert states[k, 0].tobytes() == rosm.state0().tobytes() == unit.tobytes()
+            assert probs[k].tobytes() == rosm.readout(states[k]).tobytes()
+        assert stack.transitions().tobytes() == np.stack(
+            [rosm.transitions() for rosm in rosms]).tobytes()
+
+    def test_audits_keep_the_order_of_the_baselines(self):
+        task = make_task(3, seed=23)
+        rosms = [random_rosm(d, task, seed=k) for k, d in enumerate([8, 1, 4, 1, 2, 8, 4])]
+        rosms[2].out_weights[:] = 0.0   # constant logits: rank 1 beside the other d = 4
+        audits = softmax_rank_audits(rosms, task)
+        assert audits == [softmax_rank_audit(rosm, task) for rosm in rosms]
+        assert audits[2]["rank_Lbar"] < audits[6]["rank_Lbar"]
+        assert [a["bound"] for a in audits] == [10, 3, 6, 3, 4, 10, 6]
+        assert softmax_rank_audits([], task) == []
+
+
+class TestSequences:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("filler_length", [0, 1, 2, 3])
+    def test_array_equals_the_list_form(self, n, filler_length):
+        task = make_task(n, seed=0, filler_length=filler_length)
+        tokens = task.sequences()
+        want = np.array([task.sequence(i, j) for i in range(n) for j in range(n)])
+        assert tokens.dtype == want.dtype == np.int64
+        assert tokens.shape == want.shape == (n * n, filler_length + 2)
+        assert np.array_equal(tokens, want)
 
 
 class TestSerialization:
