@@ -31,7 +31,6 @@ from .dynamics import (
     cayley_step_dense,
     cayley_step_woodbury,
     evolve_fixed_batch,
-    evolve_fixed_unitaries,
     evolve_full_batch,
 )
 from .exceptions import (
@@ -42,10 +41,10 @@ from .exceptions import (
     VocabularyError,
 )
 from .hamgen import init_full_model, load_model
-from .numerics import make_rng, ginibre
-from .readout import born_probabilities, project_measurement
+from .numerics import DEFAULT_RANK_TOL, make_rng, ginibre
 from .currents import factor_current_rows, factor_total_current, midpoint_current, total_current
 from .septask import (
+    AUDIT_RANK_TOL,
     build_exact_cusm,
     check_separation_ranks,
     load_task,
@@ -58,7 +57,6 @@ from .septask import (
 )
 from .train import (
     OptimizerConfig,
-    entropy_floor,
     exact_cusm_report,
     readout_ablation,
     train_on_task,
@@ -77,7 +75,8 @@ AUDIT_DIMS = (1, 2, 4, 8)
 SIMULATE_MODEL_DEFAULTS = {"n": 2, "r": 1, "d": 4, "v": 4, "dt": 1.0}
 
 TOLERANCES = {
-    "rank_tolerance": 1e-10,
+    "rank_tolerance": DEFAULT_RANK_TOL,
+    "audit_rank_tolerance": AUDIT_RANK_TOL,
     "reproduction_tolerance": 1e-10,
     "balance_tolerance": 1e-11,
     "norm_tolerance": 1e-10,
@@ -279,10 +278,8 @@ def cmd_verify_separation(args) -> int:
     task = _task(args)
     table = target_table(task)
     ranks = check_separation_ranks(table, task.n)
-
-    cusm = build_exact_cusm(task)
-    final = evolve_fixed_batch(cusm.unitaries, cusm.psi0, task.sequences())[-1]
-    max_err = float(np.abs(born_probabilities(cusm.measurement, final.T).T - table.pstar).max())
+    exact = exact_cusm_report(task, table)
+    max_err = exact.extra["max_error"]
 
     # one rng.integers draw per audit, the stream rng.choice(AUDIT_DIMS) draws
     rng = make_rng(args.seed, stream=900)
@@ -298,8 +295,8 @@ def cmd_verify_separation(args) -> int:
         "rank_P": ranks["rank_P"],
         "rank_L": ranks["rank_L"],
         "lstar_full_rank": ranks["lstar_full_rank"],
-        "entropy_floor": entropy_floor(table),
-        "exact_cusm_gap": exact_cusm_report(task).gap,
+        "entropy_floor": exact.entropy_floor,
+        "exact_cusm_gap": exact.gap,
         "rosm_audit_violations": violations,
         "rosm_audits": audits,
     })
@@ -325,13 +322,13 @@ def cmd_verify_separation(args) -> int:
 
 
 def _inverse_cayley(w: np.ndarray, dt: float) -> np.ndarray:
-    """Recover the Hermitian generator of a fixed unitary step:
-    H = -(2i/dt) (I - W)(I + W)^{-1}."""
-    n = w.shape[0]
-    eye = np.eye(n)
-    k = np.linalg.solve((eye + w).conj().T, (eye - w).conj().T).conj().T
+    """Recover the Hermitian generators of fixed unitary steps, stacked
+    (..., N, N): H = -(2i/dt) (I - W)(I + W)^{-1}."""
+    eye = np.eye(w.shape[-1])
+    k = np.linalg.solve((eye + w).conj().swapaxes(-1, -2),
+                        (eye - w).conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
     h = (-2j / dt) * k
-    return 0.5 * (h + h.conj().T)  # symmetrize away rounding
+    return 0.5 * (h + h.conj().swapaxes(-1, -2))  # symmetrize away rounding
 
 
 def cmd_simulate(args) -> int:
@@ -353,12 +350,10 @@ def cmd_simulate(args) -> int:
             raise ConfigurationError(f"--n must be >= 2 in task mode, got {args.n}")
         dt = args.dt
         cusm = build_exact_cusm(_task(args))
-        states = np.stack(evolve_fixed_unitaries(cusm.unitaries, cusm.psi0, tokens))
-        hams = [_inverse_cayley(u, dt) for u in cusm.unitaries]
-        currents = [midpoint_current(hams[tok], states[t], states[t + 1])
-                    for t, tok in enumerate(tokens)]
-        row_sums = np.array([j.sum(axis=1) for j in currents])
-        totals = np.array([total_current(j) for j in currents])
+        states = np.concatenate(evolve_fixed_batch(cusm.unitaries, cusm.psi0, [tokens]))
+        currents = midpoint_current(_inverse_cayley(cusm.unitaries, dt)[tokens],
+                                    states[:-1], states[1:])
+        row_sums, totals = currents.sum(axis=-1), total_current(currents)
     else:
         if args.checkpoint is not None:
             model = load_model(args.checkpoint)
@@ -577,8 +572,9 @@ def main(argv=None) -> int:
         _load_config_defaults(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except IllConditionedStepError as exc:
-        where = f" at step {exc.step}" if exc.step is not None else ""
+    except (IllConditionedStepError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        step = getattr(exc, "step", None)
+        where = f" at step {step}" if step is not None else ""
         print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigurationError, VocabularyError, FileNotFoundError, json.JSONDecodeError) as exc:

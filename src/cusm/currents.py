@@ -4,7 +4,8 @@ J[j, k] = 2 Im(H_jk c_j^* c_k) is the flow of occupation probability from
 dimension k into dimension j. Antisymmetry, zero diagonal, and global
 conservation follow from Hermiticity alone. The midpoint variant, evaluated
 at the average of the pre- and post-step amplitudes of a Cayley step,
-balances the discrete probability changes exactly.
+balances the discrete probability changes exactly; it takes stacks (..., N, N)
+of H and (..., N) of amplitudes, so a whole trajectory is one call.
 
 For the low-rank generator H = Phi Phi^dag + diag(delta) the diagonal shift
 drives no current, so J = 2 Im(X X^dag) with X = c^* o Phi (N x r): J is
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import InteractionFactors, check_hermitian
+from .dynamics import InteractionFactors
+from .numerics import check_hermitian
 
 # steps of J formed at once by factor_total_current; at N=64, T=256, r=4
 # chunks of 8 timed as fast as 16 and faster than 1, 4 or 32 and above
@@ -25,12 +27,17 @@ CHUNK_STEPS = 8
 
 
 def continuous_current(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """J (..., N, N) of h (..., N, N) at amplitudes psi (..., N). outer is named
+    so that numpy cannot reuse it as the product's output: on a large stack
+    that swaps the operands, which under FMA changes the rounding."""
     h = check_hermitian(h)
-    return 2.0 * np.imag(h * np.outer(psi.conj(), psi))
+    outer = psi.conj()[..., :, None] * psi[..., None, :]
+    return 2.0 * np.imag(h * outer)
 
 
 def midpoint_current(h: np.ndarray, psi_pre: np.ndarray, psi_post: np.ndarray) -> np.ndarray:
-    """Current at the implicit midpoint amplitudes c_bar = (c_pre + c_post)/2.
+    """Current at the implicit midpoint amplitudes c_bar = (c_pre + c_post)/2,
+    stacked like continuous_current.
 
     Whenever psi_post is the Cayley step of psi_pre under the same H and dt,
     dt * row sums of this matrix reproduce the discrete changes |c_j|^2
@@ -77,6 +84,8 @@ def channel_currents(factors: InteractionFactors, psi: np.ndarray) -> np.ndarray
     return factor_current(np.moveaxis(factors.phi, -1, 0)[..., None], psi)
 
 
-def total_current(j: np.ndarray) -> float:
-    """Aggregate magnitude sum_{j<k} |J_{jk}|."""
-    return float(np.abs(np.triu(j, k=1)).sum())
+def total_current(j: np.ndarray) -> float | np.ndarray:
+    """Aggregate magnitude sum_{j<k} |J_{jk}| of a current (N, N), or one per
+    matrix of a stack (..., N, N)."""
+    totals = np.abs(np.triu(j, k=1)).sum(axis=(-2, -1))
+    return float(totals) if j.ndim == 2 else totals

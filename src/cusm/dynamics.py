@@ -7,14 +7,14 @@ transform of the interaction Hamiltonian H = Phi Phi^dag + diag(delta):
 
 Unitarity of this update holds for any Hermitian H and any dt > 0, so the
 norm is preserved to rounding. Two solvers are provided: a dense O(N^3)
-reference and the O(N r^2) Woodbury fast path; the dense one exists so the
-Woodbury algebra can always be cross-checked against it. With c = i*dt/2,
-A+- = I +- cH and A+ + A- = 2I, the fast path solves once: psi_next =
-2 A+^{-1} psi - psi. As A+ has no singular value below 1, the r x r Gram
-matrix of the solve has condition <= (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM
-Rev. 31, 1989), so IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6.
-Models with one fixed unitary or orthogonal matrix per token advance through
-evolve_fixed_batch.
+reference, whose H must pass numerics.check_hermitian, and the O(N r^2)
+Woodbury fast path; the dense one exists so the Woodbury algebra can always
+be cross-checked against it. With c = i*dt/2, A+- = I +- cH and A+ + A- =
+2I, the fast path solves once: psi_next = 2 A+^{-1} psi - psi. As A+ has no
+singular value below 1, the r x r Gram matrix of the solve has condition <=
+(1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so
+IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6. Models with one fixed
+unitary or orthogonal matrix per token advance through evolve_fixed_batch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import IllConditionedStepError, NonHermitianError, VocabularyError
+from .exceptions import IllConditionedStepError, VocabularyError
+from .numerics import check_hermitian
 
 GRAM_COND_FAIL = 1e12
 GRAM_COND_WARN = 1e8
@@ -60,16 +61,6 @@ class CayleyStepReport:
     residual: float
     renorm_delta: float
     warning: bool = False
-
-
-def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """h as a complex array, if H - H^dag is within tol * max(1, max|H|): the
-    rounding of a product such as Phi Phi^dag grows with the entries."""
-    h = np.asarray(h, dtype=complex)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > tol * max(1.0, np.abs(h).max()):
-        raise NonHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    return h
 
 
 def interaction_picture_factors(

@@ -36,14 +36,6 @@ class MlpParams:
     weights: list = field(default_factory=list)  # layer l: (out_l, in_l)
     biases: list = field(default_factory=list)   # layer l: (out_l,)
 
-    @property
-    def in_width(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def out_width(self) -> int:
-        return self.weights[-1].shape[0]
-
 
 @dataclass
 class FullModelParams:
@@ -87,11 +79,14 @@ class FullModelParams:
 
 
 def initial_state(params: InitialStateParams) -> np.ndarray:
-    """psi(0) = (a + i b) / ||a + i b||."""
+    """psi(0) = (a + i b) / ||a + i b||. A norm that is not finite is a
+    FloatingPointError: dividing by it would give the zero vector."""
     vec = params.a + 1j * params.b
     norm = np.linalg.norm(vec)
     if norm < 1e-300:
         raise DegenerateInitializationError("initial-state parameter vector is zero")
+    if not np.isfinite(norm):
+        raise FloatingPointError(f"initial-state parameter vector has norm {norm}")
     return vec / norm
 
 

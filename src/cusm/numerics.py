@@ -1,6 +1,7 @@
 """Complex linear-algebra substrate.
 
-Deterministic Haar sampling, the closed-form real coordinates of Hermitian
+Deterministic Haar sampling, the one Hermitian check (its tolerance scales
+with each matrix's entries), the closed-form real coordinates of Hermitian
 matrices in a trace-orthonormal basis of fixed canonical order, SVD-based
 rank estimation, and a uniqueness-normalized thin QR. Everything here is a
 pure function of its arguments; randomness always enters through an explicit
@@ -61,6 +62,18 @@ def sample_haar_unitary(dim: int, seed: int, stream: int = 0) -> np.ndarray:
     return q
 
 
+def check_hermitian(h: np.ndarray) -> np.ndarray:
+    """h as a complex array, if each matrix of the stack (..., N, N) is within
+    HERMITIAN_TOL * max(1, max|H|) of its conjugate transpose: the rounding of
+    a product such as Phi Phi^dag grows with the entries."""
+    h = np.asarray(h, dtype=complex)
+    dev = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = dev > HERMITIAN_TOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    if np.any(bad):
+        raise NonHermitianError(f"matrix deviates from Hermitian by {dev[bad].max():.3e}")
+    return h
+
+
 def vec_hermitian(a: np.ndarray) -> np.ndarray:
     """Real coordinates (..., N^2) of Hermitian matrices stacked (..., N, N).
 
@@ -71,12 +84,10 @@ def vec_hermitian(a: np.ndarray) -> np.ndarray:
     same order. In closed form that is [diag A, sqrt(2) Re A_jk, -sqrt(2) Im A_jk]
     over j < k, so vec(A) . vec(B) = tr(AB).
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise InvalidDimensionError(f"need (..., N, N) matrices with N >= 1, got shape {a.shape}")
-    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if dev > HERMITIAN_TOL:
-        raise NonHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
+    a = check_hermitian(a)
     j, k = np.triu_indices(a.shape[-1], 1)
     upper = a[..., j, k]
     diag = np.diagonal(a, axis1=-2, axis2=-1).real

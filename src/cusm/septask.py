@@ -25,6 +25,7 @@ from .codec import read_json, write_json
 from .dynamics import cayley_map, evolve_fixed_batch
 from .exceptions import CusmError, InvalidDimensionError
 from .numerics import (
+    DEFAULT_RANK_TOL,
     ginibre,
     make_rng,
     numerical_rank,
@@ -35,6 +36,7 @@ from .numerics import (
 from .readout import born_probabilities, density_matrix, floored_log
 
 NEAR_ORTHO_WARN = 1e-14
+AUDIT_RANK_TOL = 1e-8  # log-probabilities round more than the vec(rho) certificates
 _MAX_RETRIES = 16
 
 
@@ -344,7 +346,7 @@ def softmax_rank_audits(rosms: list, task: TaskInstance) -> list[dict]:
         stack = RosmParams(*map(np.stack, zip(*(rosms[k].arrays() for k in members))))
         states = evolve_fixed_batch(stack.transitions(), stack.state0(), tokens)
         logp, _ = floored_log(stack.readout(states[-1]))
-        for k, rank in zip(members, numerical_rank(logp, rel_tol=1e-8)):
+        for k, rank in zip(members, numerical_rank(logp, rel_tol=AUDIT_RANK_TOL)):
             audits[k] = {"rank_Lbar": int(rank), "bound": d + 2, "satisfied": bool(rank <= d + 2)}
     return audits
 
@@ -366,7 +368,7 @@ def save_task(task: TaskInstance, path: str) -> None:
         "context_states": task.context_states,
         "query_unitaries": task.query_unitaries,
         "measurement": task.measurement,
-        "rank_tolerance": 1e-10,
+        "rank_tolerance": DEFAULT_RANK_TOL,
     })
 
 

@@ -76,27 +76,8 @@ class TrainReport:
 @dataclass
 class OptimizerConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 5000
     early_stop_gap: float = 1e-4
-    clip_norm: float = 10.0
-
-
-def nll_loss(prob_trajectory: np.ndarray, targets) -> float:
-    """Sum of -log p(target) over steps, nats. Warns if the underflow floor fires."""
-    probs = np.atleast_2d(np.asarray(prob_trajectory, dtype=float))
-    targets = list(targets)
-    if probs.shape[0] != len(targets):
-        raise ConfigurationError(
-            f"{probs.shape[0]} probability rows vs {len(targets)} targets"
-        )
-    picked = probs[np.arange(len(targets)), targets]
-    logs, floored = floored_log(picked)
-    if floored:
-        warnings.warn("target probability underflowed; loss computed with floor")
-    return float(-logs.sum())
 
 
 def entropy_floor(table: TargetTable) -> float:
@@ -153,8 +134,9 @@ def _cayley_generator_vjp(z: np.ndarray, w: np.ndarray, g_w: np.ndarray) -> np.n
 
 
 def _born_readout_vjp(meas: np.ndarray, psi: np.ndarray, weights: np.ndarray):
-    """Gradients of -sum_k w_k log p_k at p = |M^dag psi|^2 for state columns
-    psi (N, B) and weight columns (V, B); loss and g_meas are summed over columns."""
+    """The Born-rule loss -sum_k w_k log p_k at p = |M^dag psi|^2 and its
+    gradients, for state columns psi (N, B) and weight columns (V, B); loss and
+    g_meas are summed over columns. Every Born NLL in the package is this one."""
     z = meas.conj().T @ psi
     p = np.abs(z) ** 2
     g_p = -weights / np.maximum(p, PROB_FLOOR)
@@ -177,11 +159,9 @@ def _loss_full(model: FullModelParams, tokens: np.ndarray, target_weights: np.nd
     loss = 0.0
     for t in range(target_weights.shape[1]):
         rows = target_weights[:, t]
-        if not np.any(rows):
-            continue
-        psi_s = schrodinger_state(states[t + 1], model.frequencies, t + 1, model.dt)
-        logs, _ = floored_log(born_probabilities(meas, psi_s.T))
-        loss -= float(np.vdot(rows.T, logs))
+        if np.any(rows):
+            psi_s = schrodinger_state(states[t + 1], model.frequencies, t + 1, model.dt)
+            loss += _born_readout_vjp(meas, psi_s.T, rows.T)[0]
     return loss
 
 
@@ -334,6 +314,9 @@ def finite_difference_grad(model: FullModelParams, tokens, targets,
 # ---------------------------------------------------------------------------
 # Adam with cosine decay
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CLIP_NORM = 0.9, 0.999, 1e-8, 10.0
+
+
 def adam_cosine(flat0: np.ndarray, grad_fn, config: OptimizerConfig,
                 stop_fn=None) -> tuple[np.ndarray, list, str]:
     """Full-batch Adam; grad_fn(flat) -> (loss, flat_grad). Returns the final
@@ -353,14 +336,14 @@ def adam_cosine(flat0: np.ndarray, grad_fn, config: OptimizerConfig,
             stopped = "early_stop"
             break
         gnorm = np.linalg.norm(grad)
-        if gnorm > config.clip_norm:
-            grad = grad * (config.clip_norm / gnorm)
+        if gnorm > CLIP_NORM:
+            grad = grad * (CLIP_NORM / gnorm)
         lr = config.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / max(1, config.epochs)))
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        mhat = m / (1.0 - config.beta1 ** (epoch + 1))
-        vhat = v / (1.0 - config.beta2 ** (epoch + 1))
-        x = x - lr * mhat / (np.sqrt(vhat) + config.eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        mhat = m / (1.0 - ADAM_BETA1 ** (epoch + 1))
+        vhat = v / (1.0 - ADAM_BETA2 ** (epoch + 1))
+        x = x - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return x, trace, stopped
 
 
@@ -373,10 +356,6 @@ class TrainableCusm:
     b: np.ndarray                 # initial state, imaginary part
     gens: np.ndarray              # (A, N, N) complex Z, row k for token k; S = Z - Z^dag
     meas_raw: np.ndarray          # (N, V) complex
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
 
     def as_cusm(self) -> CusmParams:
         """The fixed-transition model these unconstrained parameters describe."""
@@ -466,21 +445,23 @@ def _rosm_batch_grad(params: RosmParams, tokens: np.ndarray,
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def exact_cusm_report(task: TaskInstance) -> TrainReport:
-    """Evaluate the constructed exact solver; no training. The gap is rounding."""
-    table = target_table(task)
+def exact_cusm_report(task: TaskInstance, table: TargetTable | None = None) -> TrainReport:
+    """Evaluate the constructed exact solver on the task's target table (made if
+    not given); no training. The gap is rounding; extra["max_error"] is max |p - p*|."""
+    table = target_table(task) if table is None else table
     floor = entropy_floor(table)
     cusm = build_exact_cusm(task)
     start = time.perf_counter()
-    states = evolve_fixed_batch(cusm.unitaries, cusm.psi0, task.sequences())
-    loss, _, _ = _born_readout_vjp(cusm.measurement, states[-1].T, table.pstar.T)
+    final = evolve_fixed_batch(cusm.unitaries, cusm.psi0, task.sequences())[-1].T
+    loss, _, _ = _born_readout_vjp(cusm.measurement, final, table.pstar.T)
     loss /= task.n * task.n
     gap = loss - floor
+    max_err = float(np.abs(born_probabilities(cusm.measurement, final).T - table.pstar).max())
     return TrainReport(
         seed=task.seed, model_kind="cusm-exact", dim=task.n, loss_trace=[loss],
         final_nll=loss, entropy_floor=floor, gap=gap,
         gap_zero=bool(abs(gap) < GAP_ZERO_THRESHOLD), stopped="epochs",
-        wall_clock=time.perf_counter() - start,
+        wall_clock=time.perf_counter() - start, extra={"max_error": max_err},
     )
 
 
@@ -545,12 +526,11 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
                 flatten_model(template), lambda x: loss_grad(unflatten_model(x, template)),
                 config, stop_fn=lambda loss: loss - floor < config.early_stop_gap,
             )
-        trained = unflatten_model(flat, template)
-        final = final_loss(trained, tokens, targets) / count
+            trained = unflatten_model(flat, template)
+            final = final_loss(trained, tokens, targets) / count
+            extra = ({"softmax_rank_audit": softmax_rank_audit(trained, task)}
+                     if model_kind == "rosm" else {})
         gap = final - floor
-        extra = {}
-        if model_kind == "rosm":
-            extra["softmax_rank_audit"] = softmax_rank_audit(trained, task)
         reports.append(TrainReport(
             seed=seed, model_kind=model_kind, dim=dim, loss_trace=trace,
             final_nll=float(final), entropy_floor=floor, gap=float(gap),
@@ -561,19 +541,11 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
     return reports
 
 
-def readout_ablation(model, tokens: np.ndarray, targets: np.ndarray) -> dict:
+def readout_ablation(model: CusmParams, tokens: np.ndarray, targets: np.ndarray) -> dict:
     """Mean NLL of the same final states under the full quadratic readout and
     the magnitude-only readout, over (B, T) token ids with (B, V) target rows."""
-    if isinstance(model, CusmParams):
-        psi = evolve_fixed_batch(model.unitaries, model.psi0, tokens)[-1]
-        meas = model.measurement
-    elif isinstance(model, FullModelParams):
-        states, _, _, _ = evolve_full_batch(model, tokens)
-        psi = schrodinger_state(states[-1], model.frequencies, tokens.shape[1], model.dt)
-        meas = project_measurement(model.meas_raw)
-    else:
-        raise ConfigurationError(f"unsupported model type {type(model).__name__}")
-    logs_b, _ = floored_log(born_probabilities(meas, psi.T))
-    logs_d, _ = floored_log(diagonal_only_probabilities(meas, psi.T))
-    return {"nll_born": -float(np.vdot(targets.T, logs_b)) / len(tokens),
+    psi = evolve_fixed_batch(model.unitaries, model.psi0, tokens)[-1]
+    nll_born, _, _ = _born_readout_vjp(model.measurement, psi.T, targets.T)
+    logs_d, _ = floored_log(diagonal_only_probabilities(model.measurement, psi.T))
+    return {"nll_born": nll_born / len(tokens),
             "nll_diagonal": -float(np.vdot(targets.T, logs_d)) / len(tokens)}

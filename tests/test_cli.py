@@ -94,6 +94,24 @@ class TestVerifySeparation:
         assert len(svd_shapes) == len(dims) + 2
         assert sum(len(shape) == 3 for shape in svd_shapes) == len(dims)
 
+    def test_exact_model_is_evaluated_once(self, tmp_path, monkeypatch):
+        # one build, one forward pass and one target table give both the
+        # reproduction error and the gap
+        from cusm import cli, train
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for module in (cli, train):
+            for name in ("build_exact_cusm", "target_table", "evolve_fixed_batch"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert run(["verify-separation", "--n", "2", "--audits", "3"], tmp_path, monkeypatch) == 0
+        assert sorted(calls) == ["build_exact_cusm", "evolve_fixed_batch", "target_table"]
+
     def test_rosm_training_sweep(self, tmp_path, monkeypatch):
         code = run(["verify-separation", "--n", "2", "--seed", "2", "--audits", "3",
                     "--rosm-dims", "1", "--epochs", "60", "--seeds", "1"],
@@ -316,6 +334,22 @@ class TestTrain:
                     "--epochs", "2"], tmp_path, monkeypatch)
         assert code == 3
         assert "at step 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--model-kind", "full", "--lr", "1e200", "--epochs", "3"],
+        ["--model-kind", "full", "--lr", "1e300", "--epochs", "3"],
+        ["--model-kind", "rosm", "--dim", "2", "--lr", "1e308", "--epochs", "4"],
+        ["--model-kind", "cusm-trainable", "--lr", "1e308", "--epochs", "4"],
+    ])
+    def test_overflowing_training_is_numerical_failure(self, argv, tmp_path, monkeypatch,
+                                                       capsys):
+        # the first Adam step overflows the parameters: the initial state's norm
+        # (full, cusm-trainable) or the rank audit's SVD (rosm) cannot be formed
+        with np.errstate(all="ignore"):
+            code = run(["train", "--n", "2", "--seeds", "1", *argv], tmp_path, monkeypatch)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("numerical failure")
 
     def test_rosm_without_dim_is_usage_error(self, tmp_path, monkeypatch):
         code = run(["train", "--n", "2", "--model-kind", "rosm", "--seeds", "1",

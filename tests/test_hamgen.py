@@ -45,6 +45,12 @@ class TestInitialState:
         with pytest.raises(DegenerateInitializationError):
             initial_state(InitialStateParams(a=np.zeros(3), b=np.zeros(3)))
 
+    @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+    def test_non_finite_norm_rejected(self, entry):
+        # a norm that overflows to inf would make vec / norm the zero vector
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+            initial_state(InitialStateParams(a=np.full(3, entry), b=np.zeros(3)))
+
 
 class TestMlpForward:
     def test_zero_everything(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cusm.dynamics import InteractionFactors
 from cusm.exceptions import DegenerateFactorizationError, InvalidDimensionError, NonHermitianError
 from cusm.numerics import (
     ginibre,
@@ -118,6 +119,31 @@ class TestVecHermitian:
         v = vec_hermitian(rho)
         rebuilt = np.einsum("a,ajk->jk", v, explicit_hermitian_basis(2))
         assert np.abs(rebuilt - rho).max() < 1e-12
+
+    def test_large_factor_products_accepted(self):
+        # Phi Phi^dag rounds off Hermitian by up to ~1e-9 at |Phi| ~ 1e3, above an
+        # absolute 1e-10; the tolerance scales with each matrix's entries
+        rng = make_rng(9)
+        worst = 0.0
+        for n in range(2, 13):
+            for r in range(2, 5):
+                stack = np.stack([InteractionFactors(1e3 * ginibre(rng, n, r),
+                                                     rng.standard_normal(n)).materialize()
+                                  for _ in range(5)])
+                worst = max(worst, np.abs(stack - stack.conj().swapaxes(-1, -2)).max())
+                assert vec_hermitian(stack).shape == (5, n * n)
+        assert worst > 1e-10
+
+    def test_non_hermitian_slice_rejected(self):
+        # 1e-8 off in a slice with max|H| = 1: far below the tolerance of the
+        # 1e3-scale slices beside it, but each matrix is checked at its own scale
+        rng = make_rng(10)
+        stack = np.stack([InteractionFactors(1e3 * ginibre(rng, 4, 2),
+                                             rng.standard_normal(4)).materialize()
+                          for _ in range(3)] + [np.eye(4, dtype=complex)])
+        stack[-1, 0, 1] += 1e-8
+        with pytest.raises(NonHermitianError):
+            vec_hermitian(stack)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianError):

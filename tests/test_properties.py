@@ -1,6 +1,7 @@
 """Property tests: the Woodbury Cayley step and its adjoint over random sizes,
 step lengths and scales of Phi and delta; the factor-form probability
-currents against the dense ones; the closed-form Hermitian lift against its
+currents against the dense ones, and the stacked Hermitian check and dense
+currents against one matrix at a time; the closed-form Hermitian lift against its
 explicit basis; the stacked softmax-rank audits and numerical ranks against
 one model or matrix at a time; and bit-exact task and model file round
 trips."""
@@ -19,6 +20,7 @@ from cusm.currents import (
     factor_current,
     factor_current_rows,
     factor_total_current,
+    midpoint_current,
     total_current,
 )
 from cusm.dynamics import (
@@ -29,9 +31,9 @@ from cusm.dynamics import (
     cayley_step_woodbury,
     evolve_fixed_batch,
 )
-from cusm.exceptions import IllConditionedStepError
+from cusm.exceptions import IllConditionedStepError, NonHermitianError
 from cusm.hamgen import init_full_model, load_model, save_model
-from cusm.numerics import ginibre, make_rng, numerical_rank, vec_hermitian
+from cusm.numerics import check_hermitian, ginibre, make_rng, numerical_rank, vec_hermitian
 from cusm.readout import floored_log
 from cusm.septask import (
     TaskInstance,
@@ -157,6 +159,47 @@ def test_factor_currents_match_dense(case):
         assert np.abs(currents[s] - dense).max() <= 1e-13 * scale.max()
         assert np.abs(rows[s] - dense.sum(axis=1)).max() <= 1e-13 * scale.sum(axis=1).max()
         assert abs(totals[s] - total_current(dense)) <= 1e-13 * np.triu(scale, k=1).sum()
+
+
+@st.composite
+def hamiltonian_stacks(draw):
+    """(H (s, T, N, N) = Phi Phi^dag + diag(delta), amplitudes before and after
+    (s, T, N)), scaled by drawn decades, with one entry of the last H pushed off
+    Hermitian by a drawn fraction of its scale. Some draws are T = 120 steps at
+    N = 12, past the 16,384 entries from which numpy reuses temporary arrays."""
+    s, r = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    t, n = draw(st.sampled_from([(120, 12)]) | st.tuples(st.integers(1, 40), st.integers(1, 12)))
+    rng = make_rng(draw(st.integers(0, 2 ** 31)))
+    phi = ginibre(rng, s * t * n, r).reshape(s, t, n, r) * 10.0 ** draw(st.integers(-3, 3))
+    h = phi @ phi.conj().swapaxes(-1, -2) + rng.standard_normal((s, t, n))[..., None] * np.eye(n)
+    h[-1, -1, 0, -1] += draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6])) \
+        * max(1.0, np.abs(h[-1, -1]).max())
+    pre, post = (ginibre(rng, s * t, n).reshape(s, t, n) for _ in range(2))
+    return h, pre, post
+
+
+@PROPERTY
+@given(hamiltonian_stacks())
+def test_stacked_dense_currents_equal_each_matrix_bit_for_bit(case):
+    h, pre, post = case
+    slices = [(i, k) for i in range(h.shape[0]) for k in range(h.shape[1])]
+    rejected = 0
+    for i, k in slices:
+        try:
+            check_hermitian(h[i, k])
+        except NonHermitianError:
+            rejected += 1
+    if rejected:
+        with pytest.raises(NonHermitianError):
+            check_hermitian(h)
+        return
+    assert np.array_equal(check_hermitian(h), h)
+    dense, mid = continuous_current(h, pre), midpoint_current(h, pre, post)
+    totals = total_current(mid)
+    for i, k in slices:
+        assert np.array_equal(dense[i, k], continuous_current(h[i, k], pre[i, k]))
+        assert np.array_equal(mid[i, k], midpoint_current(h[i, k], pre[i, k], post[i, k]))
+        assert totals[i, k] == total_current(mid[i, k])
 
 
 # ---------------------------------------------------------------------------

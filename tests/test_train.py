@@ -26,36 +26,11 @@ from cusm.train import (
     flatten_bundle,
     flatten_model,
     full_model_loss,
-    nll_loss,
     readout_ablation,
     train_on_task,
     unflatten_model,
     _one_hot_rows,
 )
-
-
-class TestNllLoss:
-    def test_certain_predictions(self):
-        probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert nll_loss(probs, [0, 1]) == 0.0
-
-    def test_single_step_inverse_e(self):
-        probs = np.array([[1.0 / np.e, 1.0 - 1.0 / np.e]])
-        assert abs(nll_loss(probs, [0]) - 1.0) < 1e-14
-
-    def test_uniform_closed_form(self):
-        probs = np.full((3, 4), 0.25)
-        assert abs(nll_loss(probs, [0, 1, 2]) - 3.0 * np.log(4.0)) < 1e-13
-
-    def test_floor_warning(self):
-        probs = np.array([[0.0, 1.0]])
-        with pytest.warns(UserWarning):
-            loss = nll_loss(probs, [0])
-        assert np.isfinite(loss)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            nll_loss(np.ones((2, 2)), [0])
 
 
 class TestEntropyFloor:
