@@ -28,6 +28,7 @@ from . import __version__
 from .codec import SCHEMA_VERSION, read_json
 from .dynamics import (
     InteractionFactors,
+    cayley_map,
     cayley_step_dense,
     cayley_step_woodbury,
     evolve_fixed_batch,
@@ -73,6 +74,7 @@ OUTPUT_DIR_ENV = "CUSM_OUTPUT_DIR"
 AUDIT_DIMS = (1, 2, 4, 8)
 # simulate's model flags and their defaults; a --checkpoint fixes all of them
 SIMULATE_MODEL_DEFAULTS = {"n": 2, "r": 1, "d": 4, "v": 4, "dt": 1.0}
+BENCH_INNER_CALLS = 3  # step calls per timed repeat in bench
 
 TOLERANCES = {
     "rank_tolerance": DEFAULT_RANK_TOL,
@@ -109,36 +111,37 @@ def _write_csv(path: str, header: list, rows: list) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _envelope(args, seed=None) -> dict:
+def _write_report(args, name: str, fields: dict, seed=None) -> str:
+    """Write a command's fields under the envelope (schema and library version,
+    seed, effective flags, tolerances) as `name` in the output directory."""
+    path = os.path.join(_output_dir(args), name)
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "seed": seed,
-        "config": config,
-        "tolerances": TOLERANCES,
-    }
+    _write_json(path, {"schema_version": SCHEMA_VERSION, "version": __version__, "seed": seed,
+                       "config": config, "tolerances": TOLERANCES, **fields})
+    return path
 
 
 def _load_config_defaults(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Apply a JSON config file as defaults; explicit flags still win because
-    argparse only falls back to defaults for absent flags."""
+    """Apply a JSON config file as defaults of the chosen subcommand; explicit flags
+    still win because argparse only falls back to defaults for absent flags. A key
+    that only other subcommands have is checked there, but neither set nor echoed."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if known.config:
         doc = read_json(known.config)
         del doc["schema_version"]
-        subs = parser._subparsers._group_actions[0].choices.values()
-        options = {action.dest for sub in subs for action in sub._actions}
-        unknown = sorted(set(doc) - options)
+        subs = parser._subparsers._group_actions[0].choices
+        chosen = subs.get(argv[0])  # --config is a subcommand flag, so argv[0] names one
+        own = {action.dest: action for action in chosen._actions} if chosen else {}
+        actions = {action.dest: action for sub in subs.values() for action in sub._actions}
+        unknown = sorted(set(doc) - set(actions))
         if unknown:
             raise ConfigurationError(f"config key {unknown[0]!r} is no option of any subcommand")
-        for action in (action for sub in subs for action in sub._actions):
-            if action.dest in doc:
-                doc[action.dest] = _config_value(action, doc[action.dest])
-        for sub in subs:
-            sub.set_defaults(**doc)
+        values = {key: _config_value(own.get(key, actions[key]), value)
+                  for key, value in doc.items()}
+        if chosen:
+            chosen.set_defaults(**{key: value for key, value in values.items() if key in own})
     return argv
 
 
@@ -252,8 +255,7 @@ def cmd_gen_task(args) -> int:
     ranks = check_separation_ranks(table, task.n)
     task_path = os.path.join(out, f"task_n{task.n}_seed{task.seed}.json")
     save_task(task, task_path)
-    certificate = _envelope(args, seed=task.seed)
-    certificate.update({
+    certificate = {
         "task_file": task_path,
         "certificate_rank": task.certificate_rank,
         "measurement_rank": task.measurement_rank,
@@ -261,11 +263,11 @@ def cmd_gen_task(args) -> int:
         "rank_L": ranks["rank_L"],
         "min_pstar_entry": table.min_entry,
         "general_position": bool(task.certificate_rank == task.n ** 2),
-    })
+    }
     if args.reference:
         certificate["det"] = n2_reference_config()["detR"]
-    cert_path = os.path.join(out, f"task_n{task.n}_seed{task.seed}.certificate.json")
-    _write_json(cert_path, certificate)
+    cert_path = _write_report(args, f"task_n{task.n}_seed{task.seed}.certificate.json",
+                              certificate, seed=task.seed)
     print(f"wrote {task_path}")
     print(f"wrote {cert_path}")
     if not certificate["general_position"] or ranks["rank_P"] != task.n ** 2:
@@ -274,7 +276,6 @@ def cmd_gen_task(args) -> int:
 
 
 def cmd_verify_separation(args) -> int:
-    out = _output_dir(args)
     task = _task(args)
     table = target_table(task)
     ranks = check_separation_ranks(table, task.n)
@@ -288,8 +289,7 @@ def cmd_verify_separation(args) -> int:
     audits = [{"d": d, **audit} for d, audit in zip(dims, softmax_rank_audits(rosms, task))]
     violations = sum(not audit["satisfied"] for audit in audits)
 
-    report = _envelope(args, seed=task.seed)
-    report.update({
+    report = {
         "n": task.n,
         "cusm_max_error": max_err,
         "rank_P": ranks["rank_P"],
@@ -299,7 +299,7 @@ def cmd_verify_separation(args) -> int:
         "exact_cusm_gap": exact.gap,
         "rosm_audit_violations": violations,
         "rosm_audits": audits,
-    })
+    }
     if args.rosm_dims:
         config = OptimizerConfig(epochs=args.epochs)
         sweep = []
@@ -311,8 +311,8 @@ def cmd_verify_separation(args) -> int:
                 "best_gap": min(r.gap for r in reports),
             })
         report["rosm_gap_sweep"] = sweep
-    path = os.path.join(out, f"separation_n{task.n}_seed{task.seed}.json")
-    _write_json(path, report)
+    path = _write_report(args, f"separation_n{task.n}_seed{task.seed}.json", report,
+                         seed=task.seed)
     print(f"wrote {path}")
     if max_err > TOLERANCES["reproduction_tolerance"] or ranks["rank_P"] != task.n ** 2:
         return EXIT_INVARIANT
@@ -341,9 +341,8 @@ def cmd_simulate(args) -> int:
         for key, default in SIMULATE_MODEL_DEFAULTS.items():
             if getattr(args, key) is None:
                 setattr(args, key, default)
-    out = _output_dir(args)
     tokens = _parse_tokens(args)
-    report = _envelope(args, seed=args.seed)
+    report = {}
     if args.mode == "task":
         # --n is also the full model's dimension, so the flag's type allows 1
         if args.task is None and args.n < 2:
@@ -351,8 +350,14 @@ def cmd_simulate(args) -> int:
         dt = args.dt
         cusm = build_exact_cusm(_task(args))
         states = np.concatenate(evolve_fixed_batch(cusm.unitaries, cusm.psi0, [tokens]))
-        currents = midpoint_current(_inverse_cayley(cusm.unitaries, dt)[tokens],
-                                    states[:-1], states[1:])
+        gens = _inverse_cayley(cusm.unitaries, dt)[tokens]
+        # the Cayley map of Z = (i dt / 4) H has S = Z - Z^dag = (i dt / 2) H
+        miss = np.abs(cayley_map(0.25j * dt * gens) - cusm.unitaries[tokens]).max(axis=(-2, -1))
+        bad = [tok for tok, m in zip(tokens, miss) if not m <= TOLERANCES["reproduction_tolerance"]]
+        if bad:
+            raise CusmError(f"token {bad[0]}: its unitary has an eigenvalue at -1, "
+                            "so it has no Cayley generator")
+        currents = midpoint_current(gens, states[:-1], states[1:])
         row_sums, totals = currents.sum(axis=-1), total_current(currents)
     else:
         if args.checkpoint is not None:
@@ -381,16 +386,15 @@ def cmd_simulate(args) -> int:
     rows = [[t + 1, tok, f"{norm:.15f}", f"{total:.15e}", f"{balance:.15e}"]
             for t, (tok, norm, total, balance) in enumerate(zip(tokens, norms, totals, balances))]
 
-    csv_path = os.path.join(out, "trajectory.csv")
+    csv_path = os.path.join(_output_dir(args), "trajectory.csv")
     _write_csv(csv_path, ["step", "token", "norm", "total_current", "balance_residual"], rows)
-    report.update({
+    json_path = _write_report(args, "trajectory.json", {
+        **report,
         "steps": len(tokens),
         "max_balance_residual": max_balance,
         "max_norm_deviation": max_norm_dev,
         "csv": csv_path,
-    })
-    json_path = os.path.join(out, "trajectory.json")
-    _write_json(json_path, report)
+    }, seed=args.seed)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     if max_balance > TOLERANCES["balance_tolerance"] or max_norm_dev > TOLERANCES["norm_tolerance"]:
@@ -408,25 +412,16 @@ def cmd_train(args) -> int:
                             config=config, seeds=seeds)
     paths = []
     for rep in reports:
-        doc = _envelope(args, seed=rep.seed)
-        doc.update({
-            "model_kind": rep.model_kind, "dim": rep.dim,
-            "final_nll": rep.final_nll, "entropy_floor": rep.entropy_floor,
-            "gap": rep.gap, "gap_zero": rep.gap_zero, "stopped": rep.stopped,
-            "wall_clock": rep.wall_clock, "warning_count": rep.warning_count,
-            "extra": rep.extra,
-        })
-        path = os.path.join(out, f"train_{rep.model_kind}_seed{rep.seed}.json")
-        _write_json(path, doc)
-        paths.append(path)
+        fields = {k: v for k, v in vars(rep).items() if k not in ("seed", "loss_trace")}
+        paths.append(_write_report(args, f"train_{rep.model_kind}_seed{rep.seed}.json", fields,
+                                   seed=rep.seed))
         trace_path = os.path.join(out, f"train_{rep.model_kind}_seed{rep.seed}_trace.csv")
         _write_csv(trace_path,
                    ["epoch", "mean_nll", "gap"],
                    [[e, f"{nll:.15e}", f"{nll - rep.entropy_floor:.15e}"]
                     for e, nll in enumerate(rep.loss_trace)])
     gaps = np.array([rep.gap for rep in reports])
-    aggregate = _envelope(args)
-    aggregate.update({
+    aggregate = {
         "model_kind": args.model_kind,
         "seeds": list(seeds),
         "gap_mean": float(gaps.mean()),
@@ -434,29 +429,27 @@ def cmd_train(args) -> int:
         "gap_best": float(gaps.min()),
         "any_gap_zero": bool(any(rep.gap_zero for rep in reports)),
         "reports": paths,
-    })
+    }
     if args.ablation:
         aggregate["ablation"] = readout_ablation(build_exact_cusm(task), task.sequences(),
                                                  target_table(task).pstar)
-    agg_path = os.path.join(out, f"train_{args.model_kind}_aggregate.json")
-    _write_json(agg_path, aggregate)
+    agg_path = _write_report(args, f"train_{args.model_kind}_aggregate.json", aggregate)
     print(f"wrote {agg_path}")
     return EXIT_OK
 
 
-def _time_step(step_fn, repeats: int, inner: int = 3) -> float:
+def _time_step(step_fn, repeats: int) -> float:
     step_fn()  # warmup (allocation, BLAS thread pool)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for _ in range(inner):
+        for _ in range(BENCH_INNER_CALLS):
             step_fn()
-        times.append((time.perf_counter() - start) / inner)
+        times.append((time.perf_counter() - start) / BENCH_INNER_CALLS)
     return float(min(times))
 
 
 def cmd_bench(args) -> int:
-    out = _output_dir(args)
     rng = make_rng(args.seed, stream=777)
     grid = []
     # the fast path is timed on a batch of state columns so the measurement is
@@ -470,19 +463,16 @@ def cmd_bench(args) -> int:
             factors = InteractionFactors(phi=phi, delta=delta)
             psi = ginibre(rng, n, batch)
             psi /= np.linalg.norm(psi, axis=0)
-            entry = {"n": n, "r": r, "batch": batch, "dense_batch": args.dense_batch}
+            entry = {"n": n, "r": r, "batch": batch}
             entry["woodbury_s"] = _time_step(
                 lambda: cayley_step_woodbury(factors, psi, args.dt), args.repeats)
             h = factors.materialize()
-            psi_d = ginibre(rng, n, args.dense_batch)
+            psi_d = ginibre(rng, n, 1)
             psi_d /= np.linalg.norm(psi_d, axis=0)
             entry["dense_s"] = _time_step(
                 lambda: cayley_step_dense(h, psi_d, args.dt), args.repeats)
             grid.append(entry)
-    report = _envelope(args, seed=args.seed)
-    report["grid"] = grid
-    path = os.path.join(out, "bench.json")
-    _write_json(path, report)
+    path = _write_report(args, "bench.json", {"grid": grid}, seed=args.seed)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -500,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--output-dir", help=f"defaults to ${OUTPUT_DIR_ENV} or .")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("gen-task", help="generate a task instance with certificates")
     common(p)
@@ -557,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_int_list(1), default="64,128,256,512")
     p.add_argument("--ranks", type=_int_list(1), default="4")
     p.add_argument("--batch", type=_int_at_least(1), default=256)
-    p.add_argument("--dense-batch", type=_int_at_least(1), default=1)
     p.add_argument("--repeats", type=_int_at_least(1), default=15)
     p.add_argument("--dt", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_bench)
@@ -577,7 +566,8 @@ def main(argv=None) -> int:
         where = f" at step {step}" if step is not None else ""
         print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigurationError, VocabularyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, VocabularyError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CusmError as exc:

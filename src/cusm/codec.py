@@ -60,8 +60,11 @@ class _Fields(dict):
             raise ConfigurationError(f"{self.path}: field {key!r} must be {kind}, got {value!r}")
         return value
 
-    def integer(self, key: str) -> int:
-        return self._typed(key, (int,), "an integer")
+    def integer(self, key: str, minimum: float = -np.inf) -> int:
+        value = self._typed(key, (int,), "an integer")
+        if value < minimum:
+            raise ConfigurationError(f"{self.path}: field {key!r} must be >= {minimum}, got {value}")
+        return value
 
     def number(self, key: str) -> float:
         return float(self._typed(key, (int, float), "a number"))

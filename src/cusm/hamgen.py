@@ -225,10 +225,14 @@ def save_model(model: FullModelParams, path: str) -> None:
 
 
 def load_model(path: str) -> FullModelParams:
-    """Inverse of save_model; a field of the wrong type or shape, or MLP layers
-    that do not chain from d + 2N inputs to 2Nr + N outputs, is a ConfigurationError."""
+    """Inverse of save_model; a field of the wrong type or shape, out of range (n, r, d,
+    v_in >= 1, v >= n, seed >= 0, finite dt > 0), or MLP layers that do not chain
+    from d + 2N inputs to 2Nr + N outputs, is a ConfigurationError."""
     doc = read_json(path)
-    n, r, d, v, v_in = (doc.integer(key) for key in ("n", "r", "d", "v", "v_in"))
+    n, r, d, v_in = (doc.integer(key, 1) for key in ("n", "r", "d", "v_in"))
+    v, dt = doc.integer("v", n), doc.number("dt")
+    if not 0.0 < dt < np.inf:
+        raise ConfigurationError(f"{path}: field 'dt' must be finite and > 0, got {dt}")
     weights, biases = doc["mlp_weights"], doc["mlp_biases"]
     if not isinstance(weights, list) or not isinstance(biases, list) \
             or not weights or len(weights) != len(biases):
@@ -248,8 +252,8 @@ def load_model(path: str) -> FullModelParams:
         embed=EmbeddingTable(vectors=doc.array("embed", (v_in, d))),
         mlp=MlpParams(weights=[w for w, _ in layers], biases=[b for _, b in layers]),
         meas_raw=doc.array("meas_raw", (n, v), complex_=True),
-        dt=doc.number("dt"),
+        dt=dt,
         n=n,
         r=r,
-        seed=doc.integer("seed"),
+        seed=doc.integer("seed", 0),
     )

@@ -5,7 +5,7 @@ with each matrix's entries), the closed-form real coordinates of Hermitian
 matrices in a trace-orthonormal basis of fixed canonical order, SVD-based
 rank estimation, and a uniqueness-normalized thin QR. Everything here is a
 pure function of its arguments; randomness always enters through an explicit
-64-bit seed.
+seed, any integer >= 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ HERMITIAN_TOL = 1e-10
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded generator; distinct streams give independent sequences for workers."""
-    return np.random.default_rng([np.uint64(seed), np.uint64(stream)])
+    return np.random.default_rng([seed, stream])
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -3,10 +3,11 @@
 A task instance of size N pairs N context states with N query unitaries in
 general position (the N^2 projectors rho_ij = W_j psi_i psi_i^dag W_j^dag
 are linearly independent) and an informationally complete measurement with
-V = N^2 outcomes. Both conditions are rank certificates: the Born-rule lift
-psi -> psi psi^dag (readout.density_matrix) of the N^2 query states W_j psi_i,
-or of the N^2 measurement vectors, taken to real coordinates in R^{N^2}
-(numerics.vec_hermitian) in one stacked call, must have rank N^2. The target
+V = N^2 outcomes. Both conditions are one rank certificate (lifted_rank): the
+Born-rule lift psi -> psi psi^dag (readout.density_matrix) of the N^2 query
+states W_j psi_i, or of the N^2 measurement vectors, taken to real coordinates
+in R^{N^2} (numerics.vec_hermitian), must have rank N^2; the N=2 witness reads
+its coordinate matrix off the same lifted query states. The target
 table p*(k|i,j) = |<m_k|W_j psi_i>|^2 then has full rank N^2, which is what
 forces any real orthogonal model with an affine-softmax readout up to
 dimension N^2 - 2, while a complex unitary model of dimension N reproduces
@@ -23,7 +24,7 @@ import numpy as np
 
 from .codec import read_json, write_json
 from .dynamics import cayley_map, evolve_fixed_batch
-from .exceptions import CusmError, InvalidDimensionError
+from .exceptions import ConfigurationError, CusmError, InvalidDimensionError
 from .numerics import (
     DEFAULT_RANK_TOL,
     ginibre,
@@ -125,10 +126,14 @@ def query_states(context_states: np.ndarray, query_unitaries: np.ndarray) -> np.
     return (query_unitaries @ context_states[:, None, :, None]).reshape(n * n, dim)
 
 
-def certificate_rank(context_states: np.ndarray, query_unitaries: np.ndarray) -> int:
-    """Numerical rank of the stacked vec(rho_ij) matrix; N^2 means general position."""
-    states = query_states(context_states, query_unitaries)
+def lifted_rank(states: np.ndarray) -> int:
+    """Numerical rank of the state rows (M, N) lifted to vec(psi psi^dag)."""
     return numerical_rank(vec_hermitian(density_matrix(states)))
+
+
+def certificate_rank(context_states: np.ndarray, query_unitaries: np.ndarray) -> int:
+    """lifted_rank of the n^2 query states; N^2 means general position."""
+    return lifted_rank(query_states(context_states, query_unitaries))
 
 
 def _projector_frame(n: int) -> np.ndarray:
@@ -146,29 +151,24 @@ def _projector_frame(n: int) -> np.ndarray:
     return np.stack(cols, axis=1)  # (n, n^2)
 
 
-def build_ic_measurement(n: int, seed: int) -> tuple[np.ndarray, int]:
+def build_ic_measurement(n: int) -> tuple[np.ndarray, int]:
     """Informationally complete measurement with V = n^2 outcomes, and the
-    numerical rank of its lifted vectors, which is n^2.
+    lifted_rank of its vectors, which is n^2.
 
-    Take the spanning projector frame, whiten it with the inverse square root
-    of the frame operator S = sum v v^dag so that the outer products resolve
-    the identity; whitening is invertible, so the span (informational
-    completeness) survives.
+    Take the spanning projector frame and whiten it with the inverse square
+    root of the frame operator S = sum v v^dag, so that the outer products
+    resolve the identity. Whitening is a congruence, so the span of the lifted
+    frame, its informational completeness, survives; the rank is still checked.
     """
     if n < 2:
         raise InvalidDimensionError(f"need n >= 2, got {n}")
-    rng = make_rng(seed, stream=7)
     frame = _projector_frame(n)
-    for attempt in range(_MAX_RETRIES):
-        s = frame @ frame.conj().T
-        evals, evecs = np.linalg.eigh(s)
-        inv_sqrt = (evecs * (1.0 / np.sqrt(evals))[None, :]) @ evecs.conj().T
-        meas = inv_sqrt @ frame
-        rank = numerical_rank(vec_hermitian(density_matrix(meas.T)))
-        if rank == n * n:
-            return meas, rank
-        frame = frame + 1e-3 * ginibre(rng, n, n * n)
-    raise CusmError("informationally complete construction failed after retries")
+    evals, evecs = np.linalg.eigh(frame @ frame.conj().T)
+    meas = ((evecs * (1.0 / np.sqrt(evals))[None, :]) @ evecs.conj().T) @ frame
+    rank = lifted_rank(meas.T)
+    if rank != n * n:
+        raise CusmError(f"measurement frame lifts to rank {rank} < {n * n}")
+    return meas, rank
 
 
 def sample_general_position(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -203,21 +203,14 @@ def n2_reference_config() -> dict:
     psi1 = np.array([1.0, 1j]) / np.sqrt(2.0)
     states = np.stack([psi0, psi1])
     unitaries = np.stack([w0, w1])
-
-    def rho(i, j):
-        vec = unitaries[j] @ states[i]
-        return np.outer(vec, vec.conj())
-
-    # coordinates of [[alpha, u+iv], [u-iv, gamma]]; row order rho00, rho01, rho10, rho11
-    def coords(mat):
-        return np.array([mat[0, 0].real, mat[0, 1].real, mat[0, 1].imag, mat[1, 1].real])
-
-    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    r_mat = np.stack([coords(rho(i, j)) for (i, j) in order])
+    rho = density_matrix(query_states(states, unitaries))  # rows rho00, rho01, rho10, rho11
+    # coordinates of [[alpha, u+iv], [u-iv, gamma]]
+    r_mat = np.stack([rho[:, 0, 0].real, rho[:, 0, 1].real, rho[:, 0, 1].imag,
+                      rho[:, 1, 1].real], axis=1)
     return {
         "context_states": states,
         "query_unitaries": unitaries,
-        "rho": {f"rho{i}{j}": rho(i, j) for (i, j) in order},
+        "rho": {f"rho{k // 2}{k % 2}": rho[k] for k in range(4)},
         "coordinate_matrix": r_mat,
         "detR": float(np.linalg.det(r_mat)),
     }
@@ -233,7 +226,7 @@ def make_task(n: int, seed: int, filler_length: int = 1, reference: bool = False
         cert = certificate_rank(states, unitaries)
     else:
         states, unitaries, cert = sample_general_position(n, seed)
-    meas, meas_rank = build_ic_measurement(n, seed)
+    meas, meas_rank = build_ic_measurement(n)
     return TaskInstance(
         n=n,
         v=n * n,
@@ -285,8 +278,6 @@ def basis_change_unitary(src: np.ndarray, dst: np.ndarray, seed: int = 0) -> np.
         return np.eye(n, dtype=complex)
 
     def complete(vec, stream):
-        if n == 1:
-            return vec[:, None] / np.linalg.norm(vec)
         pad = ginibre(make_rng(seed, stream), n, n - 1)
         q, _ = thin_qr_unique(np.concatenate([vec[:, None], pad], axis=1))
         return q
@@ -373,17 +364,20 @@ def save_task(task: TaskInstance, path: str) -> None:
 
 
 def load_task(path: str) -> TaskInstance:
-    """Inverse of save_task; a field of the wrong type or shape is a ConfigurationError."""
+    """Inverse of save_task; a field of the wrong type or shape, n < 2, v other
+    than n^2, or a negative filler_length or seed is a ConfigurationError."""
     doc = read_json(path)
-    n, v = doc.integer("n"), doc.integer("v")
+    n, v = doc.integer("n", 2), doc.integer("v")
+    if v != n * n:
+        raise ConfigurationError(f"{path}: field 'v' must be n^2 = {n * n}, got {v}")
     return TaskInstance(
         n=n,
         v=v,
         context_states=doc.array("context_states", (n, n), complex_=True),
         query_unitaries=doc.array("query_unitaries", (n, n, n), complex_=True),
         measurement=doc.array("measurement", (n, v), complex_=True),
-        filler_length=doc.integer("filler_length"),
-        seed=doc.integer("seed"),
+        filler_length=doc.integer("filler_length", 0),
+        seed=doc.integer("seed", 0),
         certificate_rank=doc.integer("certificate_rank"),
         measurement_rank=doc.integer("measurement_rank"),
     )

@@ -149,6 +149,19 @@ class TestSimulate:
             total = float(line.split(",")[3])
             assert abs(total) < 1e-13
 
+    def test_witness_token_without_cayley_generator(self, tmp_path, monkeypatch, capsys):
+        # W1 of the reference witness has the eigenvalue -1
+        assert run(["gen-task", "--reference"], tmp_path, monkeypatch) == 0
+        task = str(tmp_path / "task_n2_seed0.json")
+        capsys.readouterr()
+        code = run(["simulate", "--task", task, "--tokens", "0,2,4,3,4"], tmp_path, monkeypatch)
+        assert code == 1
+        assert capsys.readouterr().err == ("invariant violation: token 4: its unitary has an "
+                                           "eigenvalue at -1, so it has no Cayley generator\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "trajectory.json").exists()
+        assert run(["simulate", "--task", task, "--tokens", "0,2,3"], tmp_path, monkeypatch) == 0
+
     def test_full_mode(self, tmp_path, monkeypatch):
         code = run(["simulate", "--mode", "full", "--n", "6", "--r", "2", "--d", "3",
                     "--v", "6", "--seed", "4", "--tokens", "0,1,2,1"], tmp_path, monkeypatch)
@@ -297,6 +310,14 @@ class TestTrain:
         assert "gap_mean" in agg and "gap_std" in agg and "gap_best" in agg
         assert agg["ablation"]["nll_diagonal"] >= agg["ablation"]["nll_born"]
 
+    def test_early_stop(self, tmp_path, monkeypatch):
+        code = run(["train", "--early-stop-gap", "100", "--seeds", "1"], tmp_path, monkeypatch)
+        assert code == 0
+        rep = json.loads((tmp_path / "train_cusm-trainable_seed0.json").read_text())
+        assert rep["stopped"] == "early_stop"
+        trace = (tmp_path / "train_cusm-trainable_seed0_trace.csv").read_text().splitlines()
+        assert len(trace) == 2
+
     def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
         argv = ["train", "--n", "2", "--seed", "0", "--model-kind", "cusm-trainable",
                 "--seeds", "1", "--epochs", "20", "--early-stop-gap", "0"]
@@ -430,6 +451,47 @@ class TestLoadErrors:
         assert run(self._command(kind, path), tmp_path, monkeypatch) == 2
         assert "expected a numeric array of shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("task", "n", 1, "field 'n' must be >= 2, got 1"),
+        ("task", "v", 3, "field 'v' must be n^2 = 4, got 3"),
+        ("task", "filler_length", -1, "field 'filler_length' must be >= 0, got -1"),
+        ("task", "seed", -5, "field 'seed' must be >= 0, got -5"),
+        ("model", "r", 0, "field 'r' must be >= 1, got 0"),
+        ("model", "v", 1, "field 'v' must be >= 2, got 1"),
+        ("model", "seed", -1, "field 'seed' must be >= 0, got -1"),
+        ("model", "dt", 0, "field 'dt' must be finite and > 0, got 0.0"),
+        ("model", "dt", -1, "field 'dt' must be finite and > 0, got -1.0"),
+        ("model", "dt", float("nan"), "field 'dt' must be finite and > 0, got nan"),
+        ("model", "dt", float("inf"), "field 'dt' must be finite and > 0, got inf"),
+    ])
+    def test_field_out_of_range(self, kind, field, value, message, tmp_path, monkeypatch,
+                                capsys):
+        path = getattr(self, f"_{kind}_file")(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(self._command(kind, path), tmp_path, monkeypatch) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--task", "--checkpoint", "--config", "--tokens-file"])
+    @pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
+    def test_unreadable_file_is_usage_error(self, flag, unreadable, tmp_path, monkeypatch,
+                                            capsys):
+        path = tmp_path / "input"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"schema_version": 1, "n": "\xff"}')
+        argv = ["simulate", "--tokens", "0", flag, str(path)]
+        if flag == "--checkpoint":
+            argv[1:1] = ["--mode", "full"]
+        elif flag == "--tokens-file":
+            argv[1:3] = []
+        assert run(argv, tmp_path, monkeypatch) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_mlp_that_does_not_chain(self, tmp_path, monkeypatch, capsys):
         path = self._model_file(tmp_path, monkeypatch)
         doc = json.loads(path.read_text())
@@ -493,6 +555,23 @@ class TestConfigFile:
         assert run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch) == 0
         assert (tmp_path / "task_n3_seed0.json").exists()
 
+    def test_key_is_converted_by_the_chosen_subcommand(self, tmp_path, monkeypatch):
+        # gen-task's --n needs 2, simulate's takes 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "n": 1}))
+        code = run(["simulate", "--mode", "full", "--tokens", "0,1", "--config", str(cfg)],
+                   tmp_path, monkeypatch)
+        assert code == 0
+        assert json.loads((tmp_path / "trajectory.json").read_text())["model"]["n"] == 1
+
+    def test_keys_of_other_subcommands_are_not_echoed(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "lr": 0.5, "model_kind": "rosm",
+                                   "tokens": "0,1"}))
+        assert run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch) == 0
+        cert = json.loads((tmp_path / "task_n2_seed0.certificate.json").read_text())
+        assert not {"lr", "model_kind", "tokens"} & set(cert["config"])
+
     def test_missing_config_file(self, tmp_path, monkeypatch):
         code = run(["gen-task", "--config", str(tmp_path / "nope.json")],
                    tmp_path, monkeypatch)
@@ -510,7 +589,7 @@ class TestFlagValues:
         (["bench", "--sizes", "0"], "argument --sizes: must be >= 1, got 0"),
         (["bench", "--ranks", "4,0"], "argument --ranks: must be >= 1, got 0"),
         (["bench", "--batch", "0"], "argument --batch: must be >= 1, got 0"),
-        (["bench", "--dense-batch", "0"], "argument --dense-batch: must be >= 1, got 0"),
+        (["bench", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
         (["bench", "--repeats", "0"], "argument --repeats: must be >= 1, got 0"),
         (["bench", "--dt", "-1"], "argument --dt: must be > 0, got -1.0"),
         (["simulate", "--tokens", "0", "--dt", "0"], "argument --dt: must be > 0, got 0.0"),
@@ -538,6 +617,14 @@ class TestFlagValues:
         assert run(argv, tmp_path, monkeypatch) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_seed_beyond_64_bits_runs(self, tmp_path, monkeypatch):
+        # verify-separation also derives the baseline seeds seed * 1000 + k
+        code = run(["verify-separation", "--seed", str(2 ** 64), "--audits", "2"],
+                   tmp_path, monkeypatch)
+        assert code == 0
+        report = json.loads((tmp_path / f"separation_n2_seed{2 ** 64}.json").read_text())
+        assert report["seed"] == 2 ** 64
 
     @pytest.mark.parametrize("content", [["x"], {"a": 1}, [1.7, 2], [True], "0,1"])
     def test_token_file_of_non_integers_is_usage_error(self, content, tmp_path, monkeypatch,

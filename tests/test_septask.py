@@ -27,7 +27,7 @@ from cusm.septask import (
 class TestIcMeasurement:
     def test_rank_and_identity(self):
         for n in (2, 3, 4):
-            m, rank = build_ic_measurement(n, seed=1)
+            m, rank = build_ic_measurement(n)
             assert rank == n * n
             assert m.shape == (n, n * n)
             assert np.abs(m @ m.conj().T - np.eye(n)).max() < 1e-10
@@ -40,7 +40,7 @@ class TestIcMeasurement:
     def test_born_normalization(self):
         rng = make_rng(2)
         for n in (2, 3, 4):
-            m, _ = build_ic_measurement(n, seed=3)
+            m, _ = build_ic_measurement(n)
             psi = ginibre(rng, n, 1)[:, 0]
             psi /= np.linalg.norm(psi)
             assert abs(born_probabilities(m, psi).sum() - 1.0) < 1e-12
@@ -49,7 +49,7 @@ class TestIcMeasurement:
         # informational completeness: a Hermitian matrix is recoverable from
         # its outcome functionals by least squares
         n = 2
-        m, _ = build_ic_measurement(n, seed=4)
+        m, _ = build_ic_measurement(n)
         rng = make_rng(5)
         z = ginibre(rng, n, n)
         rho = z + z.conj().T
@@ -66,7 +66,7 @@ class TestIcMeasurement:
 
     def test_small_n_rejected(self):
         with pytest.raises(InvalidDimensionError):
-            build_ic_measurement(1, seed=0)
+            build_ic_measurement(1)
 
 
 class TestGeneralPosition:

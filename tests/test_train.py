@@ -17,6 +17,8 @@ from cusm.train import (
     TrainableCusm,
     _backward_full,
     _cusm_batch_grad,
+    CLIP_NORM,
+    adam_cosine,
     adjoint_state_step,
     backward_full_model,
     central_difference,
@@ -206,6 +208,31 @@ class TestFlattening:
         l1 = full_model_loss(model, tokens, weights)
         l2 = full_model_loss(unflatten_model(flatten_model(model), model), tokens, weights)
         assert l1 == l2
+
+    def test_vector_longer_than_model_rejected(self):
+        model = init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=6, hidden=[4])
+        flat = flatten_model(model)
+        with pytest.raises(ConfigurationError, match=f"length {flat.size + 1}, consumed {flat.size}"):
+            unflatten_model(np.append(flat, 0.0), model)
+
+
+class TestAdamCosine:
+    def test_gradient_above_clip_norm_is_scaled_to_it(self):
+        # the first gradient has norm 500, the later ones stay below CLIP_NORM
+        grads = [np.array([300.0, -400.0]), np.array([1.0, 2.0]), np.array([-3.0, 0.5])]
+        calls = iter(grads)
+        config = OptimizerConfig(lr=0.1, epochs=3)
+        x, trace, stopped = adam_cosine(np.zeros(2), lambda x: (0.0, next(calls)), config)
+        ref, m, v = np.zeros(2), np.zeros(2), np.zeros(2)
+        for epoch, g in enumerate(grads):
+            g = g * min(1.0, CLIP_NORM / np.linalg.norm(g))
+            lr = 0.1 * 0.5 * (1.0 + np.cos(np.pi * epoch / 3))
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            ref = ref - lr * (m / (1 - 0.9 ** (epoch + 1))) / (
+                np.sqrt(v / (1 - 0.999 ** (epoch + 1))) + 1e-8)
+        assert stopped == "epochs" and trace == [0.0] * 3
+        assert np.allclose(x, ref, rtol=1e-12, atol=0.0)
 
 
 class TestTrainOnTask:
