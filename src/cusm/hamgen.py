@@ -15,7 +15,7 @@ import numpy as np
 from .codec import checked_array, read_json, write_json
 from .dynamics import InteractionFactors
 from .exceptions import ConfigurationError, DegenerateInitializationError
-from .numerics import ginibre, make_rng
+from .numerics import check_allocation, ginibre, make_rng
 
 
 @dataclass
@@ -107,32 +107,30 @@ def mlp_forward_cached(mlp: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]
     return h, inputs
 
 
-def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray):
-    """Gradients of a scalar loss wrt weights and biases (summed over the rows)
-    and the input, from the inputs cached by mlp_forward_cached for one input
-    or for rows (B, in); the input gradient has the shape of the input."""
-    g_w = [None] * len(mlp.weights)
-    g_b = [None] * len(mlp.biases)
-    rows = [np.atleast_2d(h) for h in inputs]
-    g = np.atleast_2d(np.asarray(g_out, dtype=float))
-    last = len(mlp.weights) - 1
-    for layer in range(last, -1, -1):
-        if layer != last:
-            # tanh'(z) = 1 - tanh(z)^2, and tanh(z) is the next layer's input
-            g = g * (1.0 - rows[layer + 1] ** 2)
-        g_w[layer] = g.T @ rows[layer]
-        g_b[layer] = g.sum(axis=0)
-        g = g @ mlp.weights[layer]
-    return g_w, g_b, g.reshape(np.shape(inputs[0]))
+def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray) -> tuple[list, np.ndarray]:
+    """Reverse sweep of an output gradient on the inputs cached by mlp_forward_cached
+    for one input or rows (B, in): each layer's pre-activation gradient rows
+    (B, out_l), for mlp_weight_grads, and the input gradient, shaped as the input."""
+    g_pre = [np.atleast_2d(np.asarray(g_out, dtype=float))]
+    for layer in range(len(mlp.weights) - 1, 0, -1):
+        # tanh'(z) = 1 - tanh(z)^2, and tanh(z) is this layer's input
+        g_pre.insert(0, (g_pre[0] @ mlp.weights[layer]) * (1.0 - np.atleast_2d(inputs[layer]) ** 2))
+    return g_pre, (g_pre[0] @ mlp.weights[0]).reshape(np.shape(inputs[0]))
+
+
+def mlp_weight_grads(inputs: list, g_pre: list) -> tuple[list, list]:
+    """Weight and bias gradients summed over all rows of each layer's inputs and
+    mlp_backward's pre-activation gradients, stacked alike (..., width)."""
+    rows = [(g.reshape(-1, g.shape[-1]), h.reshape(-1, h.shape[-1])) for g, h in zip(g_pre, inputs)]
+    return [g.T @ h for g, h in rows], [g.sum(axis=0) for g, _ in rows]
 
 
 def split_factor_output(out: np.ndarray, n: int, r: int) -> InteractionFactors:
     """Fixed output layout: for channel a, then row j, (Re, Im) of Phi[j, a]; then
-    delta. Leading axes are kept: rows (B, 2*N*r + N) give phi (B, N, r)."""
+    delta. Rows (B, 2*N*r + N) give phi (B, N, r), a complex view of float64 `out`."""
     if out.shape[-1] != 2 * n * r + n:
         raise ConfigurationError(f"output width {out.shape[-1]} != 2*N*r + N = {2 * n * r + n}")
-    pairs = out[..., : 2 * n * r].reshape(*out.shape[:-1], r, n, 2)
-    phi = (pairs[..., 0] + 1j * pairs[..., 1]).swapaxes(-1, -2)  # (..., N, r)
+    phi = out[..., : 2 * n * r].view(complex).reshape(*out.shape[:-1], r, n).swapaxes(-1, -2)
     delta = out[..., 2 * n * r :]
     return InteractionFactors(phi=phi, delta=delta.copy())
 
@@ -186,10 +184,13 @@ def init_full_model(
     """Fresh model with the documented defaults (tanh MLP, 2 hidden layers of 4N)."""
     if min(n, r, d, v, v_in) < 1 or v < n:
         raise ConfigurationError(f"bad dims n={n} r={r} d={d} v={v} v_in={v_in}")
-    rng = make_rng(seed, stream=100)
     if hidden is None:
         hidden = [4 * n, 4 * n]
-    mlp = init_mlp(d + 2 * n, 2 * n * r + n, hidden, seed)
+    widths = [d + 2 * n, *hidden, 2 * n * r + n]
+    check_allocation(8 * (v_in * d + 2 * n * v + sum(a * b for a, b in zip(widths, widths[1:]))),
+                     f"a model with n={n}, r={r}, d={d}, v={v} and v_in={v_in}")
+    rng = make_rng(seed, stream=100)
+    mlp = init_mlp(widths[0], widths[-1], hidden, seed)
     return FullModelParams(
         init=InitialStateParams(a=rng.standard_normal(n), b=rng.standard_normal(n)),
         frequencies=np.linspace(-np.pi / 2, np.pi / 2, n),

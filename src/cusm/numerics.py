@@ -3,16 +3,19 @@
 Deterministic Haar sampling, the one Hermitian check (its tolerance scales
 with each matrix's entries), the closed-form real coordinates of Hermitian
 matrices in a trace-orthonormal basis of fixed canonical order, SVD-based
-rank estimation, and a uniqueness-normalized thin QR. Everything here is a
-pure function of its arguments; randomness always enters through an explicit
-seed, any integer >= 0.
+rank estimation, a uniqueness-normalized thin QR, and an allocation check
+against the machine's memory. Everything else is a pure function of its
+arguments; randomness always enters through an explicit seed, any integer >= 0.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from .exceptions import DegenerateFactorizationError, InvalidDimensionError, NonHermitianError
+from .exceptions import (ConfigurationError, DegenerateFactorizationError, InvalidDimensionError,
+                         NonHermitianError)
 
 DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -21,6 +24,13 @@ HERMITIAN_TOL = 1e-10
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded generator; distinct streams give independent sequences for workers."""
     return np.random.default_rng([seed, stream])
+
+
+def check_allocation(nbytes: int, what: str) -> None:
+    """Raise ConfigurationError if `what` needs nbytes, more than the physical memory."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise ConfigurationError(f"{what} needs {nbytes:.3g} bytes; memory holds {total:.3g}")
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -16,17 +16,17 @@ from .numerics import thin_qr_unique
 PROB_FLOOR = 1e-300
 
 
-def project_measurement(raw: np.ndarray) -> np.ndarray:
-    """Replace M^dag by the Q factor of its thin QR; output satisfies MM^dag = I."""
+def project_measurement(raw: np.ndarray, with_r: bool = False):
+    """Replace M^dag by the Q factor of its thin QR, so MM^dag = I; with_r, R too."""
     raw = np.asarray(raw, dtype=complex)
     n, v = raw.shape
     if v < n:
         raise InvalidDimensionError(f"need V >= N, got N={n}, V={v}")
     try:
-        q, _ = thin_qr_unique(raw.conj().T)
+        q, r = thin_qr_unique(raw.conj().T)
     except DegenerateFactorizationError as exc:
         raise DegenerateMeasurementError("raw measurement matrix is row-rank deficient") from exc
-    return q.conj().T
+    return (q.conj().T, r) if with_r else q.conj().T
 
 
 def born_probabilities(meas: np.ndarray, psi: np.ndarray) -> np.ndarray:

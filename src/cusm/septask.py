@@ -27,6 +27,7 @@ from .dynamics import cayley_map, evolve_fixed_batch
 from .exceptions import ConfigurationError, CusmError, InvalidDimensionError
 from .numerics import (
     DEFAULT_RANK_TOL,
+    check_allocation,
     ginibre,
     make_rng,
     numerical_rank,
@@ -218,6 +219,7 @@ def n2_reference_config() -> dict:
 
 def make_task(n: int, seed: int, filler_length: int = 1, reference: bool = False) -> TaskInstance:
     """Assemble a full task instance (states, unitaries, IC measurement, certificates)."""
+    check_allocation(16 * n ** 4, f"a task with n={n}")  # the (n^2, n, n) complex lifts
     if reference:
         if n != 2:
             raise InvalidDimensionError("the reference witness is defined for n = 2 only")

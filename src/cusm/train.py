@@ -35,8 +35,9 @@ from .hamgen import (
     initial_state,
     merge_factor_grads,
     mlp_backward,
+    mlp_weight_grads,
 )
-from .numerics import ginibre, make_rng, thin_qr_unique
+from .numerics import ginibre, make_rng, thin_qr_unique  # noqa: F401, perfbench's tracer binds it
 from .readout import (
     PROB_FLOOR,
     born_probabilities,
@@ -102,10 +103,10 @@ def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
     return 2.0 * s - g, s
 
 
-def _qr_projection_vjp(raw: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
-    """Backward through project_measurement (thin QR of raw^dag, Q part only)."""
-    a = raw.conj().T
-    q, r = thin_qr_unique(a)
+def _qr_projection_vjp(meas: np.ndarray, r: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
+    """Backward through meas = project_measurement(raw), given the R factor of
+    its thin QR raw^dag = Q R, meas = Q^dag."""
+    q = meas.conj().T
     g_q = g_meas.conj().T
     b = q.conj().T @ g_q
     upper = np.triu(b, 1)
@@ -180,33 +181,35 @@ def _assert_finite(grads) -> None:
 def _backward_full(model: FullModelParams, tokens: np.ndarray,
                    target_weights: np.ndarray) -> tuple[float, FullModelParams]:
     """Loss and parameter-shaped gradients of a (B, T) token batch (weights as
-    in _loss_full), both summed over the batch. One stacked reverse traversal:
-    Born readout, each Cayley solve via its adjoint system, interaction-picture
-    phases, the generator network on the forward pass's cached activations,
-    embeddings, frequencies, the shared initial state, and the QR measurement
-    projection."""
+    in _loss_full), both summed over the batch. One stacked reverse traversal
+    holds the adjoint recurrence: Born readout, each Cayley solve via its
+    adjoint system, interaction-picture phases, and the generator network's
+    input gradients on the forward pass's activations. After it come one
+    product per layer for the network's weights, one np.add.at for the
+    embeddings, the shared initial state and the QR measurement projection."""
+    if tokens.shape[1] == 0:  # no step: zero loss and gradients
+        return 0.0, model.with_arrays([np.zeros_like(arr) for arr in model.arrays()])
     n, d, dt, lam = model.n, model.d, model.dt, model.frequencies
     states, factor_log, _, mlp_inputs = evolve_full_batch(model, tokens)
-    meas = project_measurement(model.meas_raw)
+    meas, r_meas = project_measurement(model.meas_raw, with_r=True)
+    # row t undoes the interaction picture at time t*dt
+    phases = np.exp(-1j * np.outer(np.arange(tokens.shape[1] + 1) * dt, lam))
 
     loss = 0.0
     g_psi = np.zeros_like(states[0])
     g_lam = np.zeros(n)
-    g_embed = np.zeros_like(model.embed.vectors)
-    g_w = [np.zeros_like(w) for w in model.mlp.weights]
-    g_b = [np.zeros_like(b) for b in model.mlp.biases]
+    g_rows = []  # per step, sweep order: the network's pre-activation and input gradients
     g_meas = np.zeros_like(meas)
     c = 0.5j * dt
 
     for t in range(tokens.shape[1] - 1, -1, -1):
         rows = target_weights[:, t]
         if np.any(rows):
-            phase = np.exp(-1j * lam * ((t + 1) * dt))
-            psi_s = phase * states[t + 1]
+            psi_s = phases[t + 1] * states[t + 1]
             step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s.T, rows.T)
             loss += step_loss
             g_meas += g_m
-            g_psi += np.conj(phase) * g_psis.T
+            g_psi += np.conj(phases[t + 1]) * g_psis.T
             g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
 
         # state adjoint through the step itself (norm-preserving)
@@ -221,21 +224,22 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
         g_delta = -np.real(c * s.conj() * u)
 
         # undo the interaction-picture row phases exp(i lam t dt) on phi
-        g_phi_raw = np.exp(-1j * lam * (t * dt))[:, None] * g_phi_ip
+        g_phi_raw = phases[t][:, None] * g_phi_ip
         g_lam -= (t * dt) * np.imag(np.sum(phi_ip * np.conj(g_phi_ip), axis=(0, 2)))
 
         # generator network, on the activations of the forward pass
-        g_out = merge_factor_grads(g_phi_raw, g_delta)
-        gw, gb, g_x_in = mlp_backward(model.mlp, mlp_inputs[t], g_out)
-        for layer in range(len(g_w)):
-            g_w[layer] += gw[layer]
-            g_b[layer] += gb[layer]
-        # np.add.at accumulates rows of sequences that share a token
-        np.add.at(g_embed, tokens[:, t], g_x_in[:, :d])
+        g_pre, g_x_in = mlp_backward(model.mlp, mlp_inputs[t],
+                                     merge_factor_grads(g_phi_raw, g_delta))
+        g_rows.append((*g_pre, g_x_in))
         g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
+    *g_pre, g_x = (np.stack(rows) for rows in zip(*g_rows))
+    g_w, g_b = mlp_weight_grads([np.stack(h[::-1]) for h in zip(*mlp_inputs)], g_pre)
+    g_embed = np.zeros_like(model.embed.vectors)
+    # np.add.at accumulates the rows of every step and sequence that share a token
+    np.add.at(g_embed, tokens.T[::-1], g_x[..., :d])
     g_v = _normalize_vjp(model.init.a + 1j * model.init.b, g_psi.sum(axis=0))
-    g_raw = _qr_projection_vjp(model.meas_raw, g_meas)
+    g_raw = _qr_projection_vjp(meas, r_meas, g_meas)
 
     layers = [arr for pair in zip(g_w, g_b) for arr in pair]
     grads = model.with_arrays([g_v.real, g_v.imag, g_lam, g_embed, *layers, g_raw])
@@ -357,12 +361,6 @@ class TrainableCusm:
     gens: np.ndarray              # (A, N, N) complex Z, row k for token k; S = Z - Z^dag
     meas_raw: np.ndarray          # (N, V) complex
 
-    def as_cusm(self) -> CusmParams:
-        """The fixed-transition model these unconstrained parameters describe."""
-        return CusmParams(psi0=initial_state(InitialStateParams(a=self.a, b=self.b)),
-                          unitaries=cayley_map(self.gens),
-                          measurement=project_measurement(self.meas_raw))
-
     def arrays(self) -> list:
         """The arrays in the order of the flat parameter vector."""
         return [self.a, self.b, self.gens, self.meas_raw]
@@ -411,15 +409,17 @@ def _cusm_batch_grad(params: TrainableCusm, tokens: np.ndarray,
     """Mean loss and gradients over (B, T) token ids with (B, V) target rows, in
     one stacked forward and adjoint pass; gradients come in a parameter-shaped
     container."""
-    cusm = params.as_cusm()
-    states = evolve_fixed_batch(cusm.unitaries, cusm.psi0, tokens)
-    loss, g_psi, g_meas = _born_readout_vjp(cusm.measurement, states[-1].T, targets.T)
-    g_psi0, g_u = _fixed_transition_vjp(cusm.unitaries, states, tokens, g_psi.T)
+    psi0 = initial_state(InitialStateParams(a=params.a, b=params.b))
+    unitaries = cayley_map(params.gens)
+    meas, r_meas = project_measurement(params.meas_raw, with_r=True)
+    states = evolve_fixed_batch(unitaries, psi0, tokens)
+    loss, g_psi, g_meas = _born_readout_vjp(meas, states[-1].T, targets.T)
+    g_psi0, g_u = _fixed_transition_vjp(unitaries, states, tokens, g_psi.T)
     scale = 1.0 / len(tokens)
     g_v = _normalize_vjp(params.a + 1j * params.b, scale * g_psi0)
-    g_gens = _cayley_generator_vjp(params.gens, cusm.unitaries, scale * g_u)
+    g_gens = _cayley_generator_vjp(params.gens, unitaries, scale * g_u)
     grads = TrainableCusm(a=g_v.real, b=g_v.imag, gens=g_gens,
-                          meas_raw=_qr_projection_vjp(params.meas_raw, scale * g_meas))
+                          meas_raw=_qr_projection_vjp(meas, r_meas, scale * g_meas))
     return loss * scale, grads
 
 

@@ -618,6 +618,16 @@ class TestFlagValues:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mode", "full", "--tokens", "100000000000"],  # a 2.91 TiB embedding
+        ["simulate", "--mode", "full", "--tokens", "99999999999999999999"],
+        ["gen-task", "--n", "100000"],  # 74.5 GiB of context states, and far more later
+    ])
+    def test_array_beyond_memory_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        assert run(argv, tmp_path, monkeypatch) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "bytes; memory holds" in err[0]
+
     def test_seed_beyond_64_bits_runs(self, tmp_path, monkeypatch):
         # verify-separation also derives the baseline seeds seed * 1000 + k
         code = run(["verify-separation", "--seed", str(2 ** 64), "--audits", "2"],

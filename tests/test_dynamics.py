@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cusm.dynamics import (
+    CHECK_CHUNK_STEPS,
+    CayleyStepReport,
     InteractionFactors,
     check_hermitian,
     cayley_step_dense,
@@ -9,6 +11,7 @@ from cusm.dynamics import (
     cayley_step_woodbury,
     evolve_fixed_batch,
     evolve_fixed_unitaries,
+    evolve_full_batch,
     evolve_full_model,
     interaction_picture_factors,
     schrodinger_state,
@@ -299,6 +302,25 @@ class TestEvolveFullModel:
         norms = np.array([np.linalg.norm(s) for s in traj])
         assert np.abs(norms - 1.0).max() < 1e-10
         assert all(rep.residual < 1e-9 for rep in reports)
+
+    def test_stacked_reports_equal_single_steps(self):
+        # checks made after the loop, stacked over chunks, report what
+        # cayley_step_woodbury reports for each sequence's step, to the bit
+        model = init_full_model(n=5, r=2, d=3, v=6, v_in=4, dt=0.8, seed=2)
+        tokens = make_rng(4).integers(0, 4, (3, CHECK_CHUNK_STEPS + 9))
+        states, factor_log, reports, _ = evolve_full_batch(model, tokens)
+        assert len(reports) == tokens.shape[1]
+        for t, (f, report) in enumerate(zip(factor_log, reports)):
+            steps = [cayley_step_woodbury(InteractionFactors(f.phi[b], f.delta[b]),
+                                          states[t][b], model.dt) for b in range(3)]
+            for b, (psi, _) in enumerate(steps):
+                assert np.array_equal(psi, states[t + 1][b])
+            singles = [single for _, single in steps]
+            assert report == CayleyStepReport(
+                gram_condition=max(s.gram_condition for s in singles),
+                residual=max(s.residual for s in singles),
+                renorm_delta=max(s.renorm_delta for s in singles),
+                warning=any(s.warning for s in singles))
 
     def test_token_outside_vocabulary(self):
         # a negative id would otherwise index the embedding table from the end

@@ -12,6 +12,7 @@ from cusm.hamgen import (
     merge_factor_grads,
     mlp_backward,
     mlp_forward_cached,
+    mlp_weight_grads,
     save_model,
     split_factor_output,
 )
@@ -86,8 +87,11 @@ class TestMlpBackward:
         mlp = MlpParams(weights=[rng.standard_normal((4, 3)), rng.standard_normal((2, 4))],
                         biases=[rng.standard_normal(4), rng.standard_normal(2)])
         x, g_out = rng.standard_normal(3), rng.standard_normal(2)
-        g_w, g_b, g_x = mlp_backward(mlp, mlp_forward_cached(mlp, x)[1], g_out)
-        r_w, r_b, r_x = mlp_backward(mlp, mlp_forward_cached(mlp, x[None])[1], g_out[None])
+        single, rows = mlp_forward_cached(mlp, x)[1], mlp_forward_cached(mlp, x[None])[1]
+        g_pre, g_x = mlp_backward(mlp, single, g_out)
+        r_pre, r_x = mlp_backward(mlp, rows, g_out[None])
+        g_w, g_b = mlp_weight_grads(single, g_pre)
+        r_w, r_b = mlp_weight_grads(rows, r_pre)
         assert g_x.shape == x.shape and np.array_equal(g_x, r_x[0])
         for got, ref in zip(g_w + g_b, r_w + r_b):
             assert got.shape == ref.shape and np.array_equal(got, ref)

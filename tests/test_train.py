@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cusm import numerics, readout, septask, train
 from cusm.dynamics import (
     GRAM_COND_FAIL,
     CayleyStepReport,
@@ -101,6 +102,12 @@ class TestBackwardFullModel:
             res[step] = np.linalg.norm(ga - gf)
         assert 2.5 < res[2e-4] / res[1e-4] < 6.0
 
+    def test_empty_sequence_has_zero_gradient(self):
+        model = init_full_model(n=2, r=1, d=2, v=3, v_in=2, seed=1)
+        grads = backward_full_model(model, [], [])
+        assert all(np.array_equal(g, np.zeros_like(a))
+                   for g, a in zip(grads.arrays(), model.arrays()))
+
     def test_state_adjoint_isometry(self):
         # the adjoint state norm is invariant across pure Cayley steps
         rng = make_rng(3)
@@ -139,6 +146,41 @@ class TestStackedFullModel:
         numeric = central_difference(loss_at, flat, 1e-5)
         rel = np.abs(flatten_bundle(analytic) - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() < 1e-5
+
+    def test_recurring_token_matches_central_difference(self):
+        # token 1 recurs at three steps of sequence 0 and in every sequence, with
+        # targets on every step: the embedding's one np.add.at and each layer's
+        # one weight product after the reverse sweep must sum all of its rows
+        model = init_full_model(n=2, r=1, d=2, v=3, v_in=2, seed=5, hidden=[3])
+        tokens = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1]])
+        weights = make_rng(8).random((3, 4, 3))
+        loss, analytic = _backward_full(model, tokens, weights)
+
+        def loss_at(flat):
+            m = unflatten_model(flat, model)
+            return sum(full_model_loss(m, seq, w) for seq, w in zip(tokens, weights))
+
+        # the differences' rounding, ~1e-16 * loss / step, sets the error scale
+        numeric = central_difference(loss_at, flatten_model(model), 1e-5)
+        assert np.abs(flatten_bundle(analytic) - numeric).max() < 1e-7 * np.abs(numeric).max()
+        assert np.all(analytic.embed.vectors != 0.0)
+
+    def test_one_thin_qr_per_gradient(self, monkeypatch):
+        # the backward pass reuses the R factor of the forward projection
+        calls, original = [], numerics.thin_qr_unique
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        for module in (numerics, readout, septask, train):
+            monkeypatch.setattr(module, "thin_qr_unique", counted)
+        model, tokens, weights = self._batch()
+        _backward_full(model, tokens, weights)
+        assert calls == [(4, 2)]
+        params = train.init_trainable_cusm(2, 4, 5, seed=0)
+        _cusm_batch_grad(params, np.array([[0, 1], [2, 3]]), np.full((2, 4), 0.25))
+        assert calls == [(4, 2), (4, 2)]
 
     def test_states_match_single_sequences(self):
         model, tokens, _ = self._batch()
