@@ -27,23 +27,24 @@ import numpy as np
 from . import __version__
 from .codec import SCHEMA_VERSION, read_json
 from .dynamics import (
+    REPRODUCTION_TOL,
     InteractionFactors,
-    cayley_map,
     cayley_step_dense,
     cayley_step_woodbury,
     evolve_fixed_batch,
     evolve_full_batch,
+    inverse_cayley,
 )
 from .exceptions import (
     ConfigurationError,
     CusmError,
     IllConditionedStepError,
-    NonHermitianError,
     VocabularyError,
 )
 from .hamgen import init_full_model, load_model
 from .numerics import DEFAULT_RANK_TOL, make_rng, ginibre
-from .currents import factor_current_rows, factor_total_current, midpoint_current, total_current
+from .currents import (continuity_balance, factor_current_rows, factor_total_current,
+                       midpoint_current, total_current)
 from .septask import (
     AUDIT_RANK_TOL,
     build_exact_cusm,
@@ -79,7 +80,7 @@ BENCH_INNER_CALLS = 3  # step calls per timed repeat in bench
 TOLERANCES = {
     "rank_tolerance": DEFAULT_RANK_TOL,
     "audit_rank_tolerance": AUDIT_RANK_TOL,
-    "reproduction_tolerance": 1e-10,
+    "reproduction_tolerance": REPRODUCTION_TOL,
     "balance_tolerance": 1e-11,
     "norm_tolerance": 1e-10,
 }
@@ -280,7 +281,6 @@ def cmd_verify_separation(args) -> int:
     table = target_table(task)
     ranks = check_separation_ranks(table, task.n)
     exact = exact_cusm_report(task, table)
-    max_err = exact.extra["max_error"]
 
     # one rng.integers draw per audit, the stream rng.choice(AUDIT_DIMS) draws
     rng = make_rng(args.seed, stream=900)
@@ -291,12 +291,10 @@ def cmd_verify_separation(args) -> int:
 
     report = {
         "n": task.n,
-        "cusm_max_error": max_err,
+        **exact,
         "rank_P": ranks["rank_P"],
         "rank_L": ranks["rank_L"],
         "lstar_full_rank": ranks["lstar_full_rank"],
-        "entropy_floor": exact.entropy_floor,
-        "exact_cusm_gap": exact.gap,
         "rosm_audit_violations": violations,
         "rosm_audits": audits,
     }
@@ -314,21 +312,9 @@ def cmd_verify_separation(args) -> int:
     path = _write_report(args, f"separation_n{task.n}_seed{task.seed}.json", report,
                          seed=task.seed)
     print(f"wrote {path}")
-    if max_err > TOLERANCES["reproduction_tolerance"] or ranks["rank_P"] != task.n ** 2:
-        return EXIT_INVARIANT
-    if violations > 0:
+    if violations or exact["cusm_max_error"] > REPRODUCTION_TOL or ranks["rank_P"] != task.n ** 2:
         return EXIT_INVARIANT
     return EXIT_OK
-
-
-def _inverse_cayley(w: np.ndarray, dt: float) -> np.ndarray:
-    """Recover the Hermitian generators of fixed unitary steps, stacked
-    (..., N, N): H = -(2i/dt) (I - W)(I + W)^{-1}."""
-    eye = np.eye(w.shape[-1])
-    k = np.linalg.solve((eye + w).conj().swapaxes(-1, -2),
-                        (eye - w).conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
-    h = (-2j / dt) * k
-    return 0.5 * (h + h.conj().swapaxes(-1, -2))  # symmetrize away rounding
 
 
 def cmd_simulate(args) -> int:
@@ -350,14 +336,12 @@ def cmd_simulate(args) -> int:
         dt = args.dt
         cusm = build_exact_cusm(_task(args))
         states = np.concatenate(evolve_fixed_batch(cusm.unitaries, cusm.psi0, [tokens]))
-        gens = _inverse_cayley(cusm.unitaries, dt)[tokens]
-        # the Cayley map of Z = (i dt / 4) H has S = Z - Z^dag = (i dt / 2) H
-        miss = np.abs(cayley_map(0.25j * dt * gens) - cusm.unitaries[tokens]).max(axis=(-2, -1))
-        bad = [tok for tok, m in zip(tokens, miss) if not m <= TOLERANCES["reproduction_tolerance"]]
+        gens, reproduced = inverse_cayley(cusm.unitaries, dt)
+        bad = [tok for tok in tokens if not reproduced[tok]]
         if bad:
             raise CusmError(f"token {bad[0]}: its unitary has an eigenvalue at -1, "
                             "so it has no Cayley generator")
-        currents = midpoint_current(gens, states[:-1], states[1:])
+        currents = midpoint_current(gens[tokens], states[:-1], states[1:])
         row_sums, totals = currents.sum(axis=-1), total_current(currents)
     else:
         if args.checkpoint is not None:
@@ -371,16 +355,10 @@ def cmd_simulate(args) -> int:
         states, factor_log, _, _ = evolve_full_batch(model, np.asarray([tokens]))
         states = np.concatenate(states)
         phi = np.concatenate([f.phi for f in factor_log])
-        # H = Phi Phi^dag + diag(delta) is Hermitian exactly when delta is real
-        if any(np.iscomplexobj(f.delta) for f in factor_log):
-            raise NonHermitianError("the diagonal shift delta is not real")
         cbar = 0.5 * (states[:-1] + states[1:])
         row_sums, totals = factor_current_rows(phi, cbar), factor_total_current(phi, cbar)
 
-    dp = np.abs(states[1:]) ** 2 - np.abs(states[:-1]) ** 2
-    balances = np.abs(dp - dt * row_sums).max(axis=1)
-    # one vector norm per state: a norm over an axis sums in another order
-    norms = np.array([np.linalg.norm(psi) for psi in states[1:]])
+    norms, balances = continuity_balance(states, dt, row_sums)
     max_balance = float(balances.max())
     max_norm_dev = float(np.abs(norms - 1.0).max())
     rows = [[t + 1, tok, f"{norm:.15f}", f"{total:.15e}", f"{balance:.15e}"]

@@ -6,6 +6,8 @@ conservation follow from Hermiticity alone. The midpoint variant, evaluated
 at the average of the pre- and post-step amplitudes of a Cayley step,
 balances the discrete probability changes exactly; it takes stacks (..., N, N)
 of H and (..., N) of amplitudes, so a whole trajectory is one call.
+continuity_balance checks that balance along a trajectory from the row sums of
+the midpoint current, dense or factored as below.
 
 For the low-rank generator H = Phi Phi^dag + diag(delta) the diagonal shift
 drives no current, so J = 2 Im(X X^dag) with X = c^* o Phi (N x r): J is
@@ -37,14 +39,21 @@ def continuous_current(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def midpoint_current(h: np.ndarray, psi_pre: np.ndarray, psi_post: np.ndarray) -> np.ndarray:
     """Current at the implicit midpoint amplitudes c_bar = (c_pre + c_post)/2,
-    stacked like continuous_current.
-
-    Whenever psi_post is the Cayley step of psi_pre under the same H and dt,
-    dt * row sums of this matrix reproduce the discrete changes |c_j|^2
-    exactly.
-    """
+    stacked like continuous_current; when psi_post is the Cayley step of psi_pre
+    under the same H and dt, its row sums balance in continuity_balance."""
     cbar = 0.5 * (psi_pre + psi_post)
     return continuous_current(h, cbar)
+
+
+def continuity_balance(states: np.ndarray, dt: float,
+                       row_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per step of a trajectory states (T+1, N): the norm of the post-step state
+    and the balance residual max_j |d|c_j|^2 - dt (J 1)_j| of the discrete
+    continuity equation, given the midpoint current's row sums J 1 (T, N)."""
+    dp = np.abs(states[1:]) ** 2 - np.abs(states[:-1]) ** 2
+    # one vector norm per state: a norm over an axis sums in another order
+    norms = np.array([np.linalg.norm(psi) for psi in states[1:]])
+    return norms, np.abs(dp - dt * row_sums).max(axis=1)
 
 
 def factor_current(phi: np.ndarray, c: np.ndarray) -> np.ndarray:

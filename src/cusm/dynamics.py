@@ -15,7 +15,8 @@ singular value below 1, the r x r Gram matrix of the solve has condition <=
 (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so
 IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6. evolve_full_batch checks
 each step's residual and norm change after its time loop. Models with one fixed
-unitary or orthogonal matrix per token advance through evolve_fixed_batch.
+unitary or orthogonal matrix per token advance through evolve_fixed_batch;
+inverse_cayley recovers the Hermitian generators of such unitaries.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ GRAM_COND_FAIL = 1e12
 GRAM_COND_WARN = 1e8
 # steps per stacked check; at N=64, T=256, r=4: 7.9, 1.7, 0.9, 1.7 ms for 1, 8, 64, 256
 CHECK_CHUNK_STEPS = 64
+REPRODUCTION_TOL = 1e-10  # max |cayley_map((i dt / 4) H) - W| of a recovered generator
 
 
 @dataclass
@@ -169,6 +171,22 @@ def cayley_map(z: np.ndarray) -> np.ndarray:
     s = z - z.conj().swapaxes(-1, -2)
     eye = np.eye(z.shape[-1])
     return np.linalg.solve(eye + s, eye - s)
+
+
+def inverse_cayley(w: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian generators H = -(2i/dt) (I - W)(I + W)^{-1} of unitaries W
+    stacked (..., N, N), and per matrix whether cayley_map((i dt / 4) H) gives W
+    back within REPRODUCTION_TOL: a W with an eigenvalue at -1 has no generator.
+    An overflow, as of a dt near zero, raises FloatingPointError."""
+    eye = np.eye(w.shape[-1])
+    with np.errstate(over="raise", invalid="raise"):
+        k = np.linalg.solve((eye + w).conj().swapaxes(-1, -2),
+                            (eye - w).conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+        h = (-2j / dt) * k
+        h = 0.5 * (h + h.conj().swapaxes(-1, -2))  # symmetrize away rounding
+        # Z = (i dt / 4) H has S = Z - Z^dag = (i dt / 2) H
+        miss = np.abs(cayley_map(0.25j * dt * h) - w).max(axis=(-2, -1))
+    return h, miss <= REPRODUCTION_TOL
 
 
 def evolve_fixed_batch(transitions: np.ndarray, state0: np.ndarray, tokens) -> list[np.ndarray]:

@@ -54,6 +54,11 @@ class TaskInstance:
     certificate_rank: int
     measurement_rank: int
 
+    def __post_init__(self):
+        # made or loaded, a task must fit the int64 token array of sequences()
+        check_allocation(8 * self.n ** 2 * (self.filler_length + 2),
+                         f"a task with n={self.n} and filler_length={self.filler_length}")
+
     # token ids: context a_i -> i, filler sigma -> n, query b_j -> n + 1 + j
     @property
     def filler_token(self) -> int:

@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from cusm import hamgen, septask
-from cusm.cli import main
+from cusm import cli, septask
+from cusm.cli import TOLERANCES, main
 from cusm.currents import midpoint_current, total_current
-from cusm.dynamics import InteractionFactors, evolve_full_model
+from cusm.dynamics import evolve_full_model
 from cusm.hamgen import init_full_model, save_model
 
 
@@ -112,6 +112,26 @@ class TestVerifySeparation:
         assert run(["verify-separation", "--n", "2", "--audits", "3"], tmp_path, monkeypatch) == 0
         assert sorted(calls) == ["build_exact_cusm", "evolve_fixed_batch", "target_table"]
 
+    def test_exact_model_miss_is_invariant_violation(self, tmp_path, monkeypatch):
+        exact = cli.exact_cusm_report
+        monkeypatch.setattr(cli, "exact_cusm_report",
+                            lambda *args: {**exact(*args), "cusm_max_error": 1.0})
+        assert run(["verify-separation", "--n", "2", "--audits", "3"], tmp_path, monkeypatch) == 1
+        report = json.loads((tmp_path / "separation_n2_seed0.json").read_text())
+        assert report["cusm_max_error"] == 1.0
+
+    def test_broken_rank_bound_is_invariant_violation(self, tmp_path, monkeypatch):
+        audit = cli.softmax_rank_audits
+
+        def one_unsatisfied(rosms, task):
+            audits = audit(rosms, task)
+            return [{**audits[0], "satisfied": False}, *audits[1:]]
+
+        monkeypatch.setattr(cli, "softmax_rank_audits", one_unsatisfied)
+        assert run(["verify-separation", "--n", "2", "--audits", "3"], tmp_path, monkeypatch) == 1
+        report = json.loads((tmp_path / "separation_n2_seed0.json").read_text())
+        assert report["rosm_audit_violations"] == 1
+
     def test_rosm_training_sweep(self, tmp_path, monkeypatch):
         code = run(["verify-separation", "--n", "2", "--seed", "2", "--audits", "3",
                     "--rosm-dims", "1", "--epochs", "60", "--seeds", "1"],
@@ -161,6 +181,30 @@ class TestSimulate:
         assert not (tmp_path / "trajectory.csv").exists()
         assert not (tmp_path / "trajectory.json").exists()
         assert run(["simulate", "--task", task, "--tokens", "0,2,3"], tmp_path, monkeypatch) == 0
+
+    def test_tiny_dt_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # -2i/dt overflows, so the recovered generators are not finite
+        argv = ["simulate", "--mode", "task", "--n", "2", "--tokens", "0,2,3", "--dt"]
+        assert run(argv + ["1e-308"], tmp_path, monkeypatch) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        assert not list(tmp_path.iterdir())
+        assert run(argv + ["1e-300"], tmp_path, monkeypatch) == 0
+
+    @pytest.mark.parametrize("mode", ["task", "full"])
+    def test_balance_above_tolerance_is_invariant_violation(self, mode, tmp_path, monkeypatch):
+        balance = cli.continuity_balance
+
+        def off_balance(states, dt, row_sums):
+            norms, residuals = balance(states, dt, row_sums)
+            return norms, residuals + 2.0 * TOLERANCES["balance_tolerance"]
+
+        monkeypatch.setattr(cli, "continuity_balance", off_balance)
+        code = run(["simulate", "--mode", mode, "--tokens", "0,2,3"], tmp_path, monkeypatch)
+        assert code == 1
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert report["max_balance_residual"] > TOLERANCES["balance_tolerance"]
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 4
 
     def test_full_mode(self, tmp_path, monkeypatch):
         code = run(["simulate", "--mode", "full", "--n", "6", "--r", "2", "--d", "3",
@@ -248,18 +292,6 @@ class TestSimulate:
                    tmp_path, monkeypatch)
         assert code in (0, 3)
         assert "Traceback" not in capsys.readouterr().err
-
-    def test_complex_delta_is_invariant_violation(self, tmp_path, monkeypatch, capsys):
-        split = hamgen.split_factor_output
-
-        def complex_delta(out, n, r):
-            factors = split(out, n, r)
-            return InteractionFactors(factors.phi, factors.delta + 0j)
-
-        monkeypatch.setattr(hamgen, "split_factor_output", complex_delta)
-        code = run(["simulate", "--mode", "full", "--tokens", "0,1"], tmp_path, monkeypatch)
-        assert code == 1
-        assert "delta is not real" in capsys.readouterr().err
 
     def test_missing_tokens_is_usage_error(self, tmp_path, monkeypatch):
         code = run(["simulate", "--mode", "task", "--n", "2"], tmp_path, monkeypatch)
@@ -622,8 +654,21 @@ class TestFlagValues:
         ["simulate", "--mode", "full", "--tokens", "100000000000"],  # a 2.91 TiB embedding
         ["simulate", "--mode", "full", "--tokens", "99999999999999999999"],
         ["gen-task", "--n", "100000"],  # 74.5 GiB of context states, and far more later
+        ["train", "--n", "2", "--model-kind", "rosm", "--dim", "1000000"],  # 7.28 TiB per token
+        ["train", "--n", "2", "--model-kind", "cusm-trainable", "--dim", "1000000"],
+        ["verify-separation", "--n", "2", "--rosm-dims", "1000000"],
+        # a 29.1 TiB token array, of a task that is made or loaded
+        ["gen-task", "--n", "2", "--filler-length", "1000000000000"],
+        ["verify-separation", "--n", "2", "--filler-length", "1000000000000"],
+        ["verify-separation", "--task", "huge_task.json"],
+        ["train", "--task", "huge_task.json"],
     ])
     def test_array_beyond_memory_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        if "huge_task.json" in argv:
+            task = tmp_path / "huge_task.json"
+            septask.save_task(septask.make_task(2, 0), str(task))
+            task.write_text(json.dumps({**json.loads(task.read_text()), "filler_length": 10 ** 12}))
+            argv = [str(task) if arg == task.name else arg for arg in argv]
         assert run(argv, tmp_path, monkeypatch) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "bytes; memory holds" in err[0]

@@ -1,7 +1,9 @@
 import numpy as np
 
+from cusm.cli import TOLERANCES
 from cusm.currents import (
     channel_currents,
+    continuity_balance,
     continuous_current,
     factor_current,
     factor_current_rows,
@@ -105,6 +107,34 @@ class TestMidpointCurrent:
         r1 = residual(0.1)
         r2 = residual(0.05)
         assert 3.0 < r1 / r2 < 5.0
+
+
+class TestContinuityBalance:
+    def _trajectory(self, rng, hs, dt):
+        states = [random_state(rng, hs.shape[-1])]
+        for h in hs:
+            states.append(cayley_step_dense(h, states[-1], dt))
+        return np.array(states)
+
+    def test_cayley_trajectory_balances(self):
+        rng = make_rng(13)
+        dt = 0.4
+        hs = np.array([random_hermitian(rng, 5) for _ in range(6)])
+        states = self._trajectory(rng, hs, dt)
+        rows = midpoint_current(hs, states[:-1], states[1:]).sum(axis=-1)
+        norms, residuals = continuity_balance(states, dt, rows)
+        assert residuals.shape == norms.shape == (6,)
+        assert residuals.max() <= 1e-14
+        assert np.abs(norms - 1.0).max() < 1e-14
+
+    def test_row_sums_of_another_generator_do_not_balance(self):
+        rng = make_rng(14)
+        dt = 0.4
+        hs = np.array([random_hermitian(rng, 5) for _ in range(6)])
+        states = self._trajectory(rng, hs, dt)
+        other = np.array([random_hermitian(rng, 5) for _ in range(6)])
+        rows = midpoint_current(other, states[:-1], states[1:]).sum(axis=-1)
+        assert continuity_balance(states, dt, rows)[1].max() > TOLERANCES["balance_tolerance"]
 
 
 class TestChannelCurrents:

@@ -14,11 +14,13 @@ from cusm.dynamics import (
     evolve_full_batch,
     evolve_full_model,
     interaction_picture_factors,
+    inverse_cayley,
     schrodinger_state,
 )
 from cusm.exceptions import IllConditionedStepError, NonHermitianError, VocabularyError
 from cusm.hamgen import generate_interaction, init_full_model, initial_state
 from cusm.numerics import ginibre, make_rng, sample_haar_unitary
+from cusm.septask import n2_reference_config
 
 
 def random_state(rng, n):
@@ -243,6 +245,23 @@ class TestEvolveFixedUnitaries:
         u = sample_haar_unitary(4, 13)
         traj = evolve_fixed_unitaries(u[None], psi, [0] * 2000)
         assert abs(np.linalg.norm(traj[-1]) - 1.0) < 1e-10
+
+
+class TestInverseCayley:
+    def test_recovers_a_hermitian_generator(self):
+        rng = make_rng(15)
+        z = ginibre(rng, 3 * 5, 5).reshape(3, 5, 5)
+        h = z + z.conj().swapaxes(-1, -2)
+        dt = 0.7
+        gens, reproduced = inverse_cayley(cayley_map(0.25j * dt * h), dt)
+        assert np.abs(gens - h).max() <= 1e-10 * np.abs(h).max()
+        assert reproduced.tolist() == [True] * 3
+
+    def test_flags_a_unitary_with_eigenvalue_minus_one(self):
+        # W1 of the reference witness has the eigenvalue -1
+        w = n2_reference_config()["query_unitaries"]
+        assert np.abs(np.linalg.eigvals(w[1]) + 1.0).min() < 1e-12
+        assert inverse_cayley(w, 1.0)[1].tolist() == [True, False]
 
 
 class TestEvolveFixedBatch:

@@ -280,8 +280,8 @@ class TestAdamCosine:
 class TestTrainOnTask:
     def test_exact_cusm_gap(self):
         task = make_task(2, seed=0, reference=True)
-        report = exact_cusm_report(task)
-        assert abs(report.gap) < 1e-10
+        report = exact_cusm_report(task, target_table(task))
+        assert abs(report["exact_cusm_gap"]) < 1e-10
 
     @pytest.mark.parametrize("kind, dim", [("cusm-trainable", None), ("rosm", 2),
                                            ("full", None)])
