@@ -7,6 +7,10 @@ are JSON, time series are CSV, and every report embeds the seed, the
 effective configuration, the library version, and the tolerance values, so
 a run can be reproduced bit-for-bit on one platform.
 
+main() builds its argument parser once per process and never changes it: a
+--config file's keys enter each parse as flags placed before the explicit
+ones, so one call's config cannot change the defaults of a later call.
+
 Exit codes: 0 success, 1 invariant violation, 2 usage or configuration
 error, 3 numerical failure.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -75,6 +80,8 @@ OUTPUT_DIR_ENV = "CUSM_OUTPUT_DIR"
 AUDIT_DIMS = (1, 2, 4, 8)
 # simulate's model flags and their defaults; a --checkpoint fixes all of them
 SIMULATE_MODEL_DEFAULTS = {"n": 2, "r": 1, "d": 4, "v": 4, "dt": 1.0}
+# simulate's flags that only the other --mode reads
+SIMULATE_OTHER_MODE_FLAGS = {"task": ("checkpoint", "r", "d", "v"), "full": ("task",)}
 BENCH_INNER_CALLS = 3  # step calls per timed repeat in bench
 
 TOLERANCES = {
@@ -122,28 +129,39 @@ def _write_report(args, name: str, fields: dict, seed=None) -> str:
     return path
 
 
-def _load_config_defaults(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Apply a JSON config file as defaults of the chosen subcommand; explicit flags
-    still win because argparse only falls back to defaults for absent flags. A key
-    that only other subcommands have is checked there, but neither set nor echoed."""
+@functools.cache
+def _config_probe() -> argparse.ArgumentParser:
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if known.config:
-        doc = read_json(known.config)
-        del doc["schema_version"]
-        subs = parser._subparsers._group_actions[0].choices
-        chosen = subs.get(argv[0])  # --config is a subcommand flag, so argv[0] names one
-        own = {action.dest: action for action in chosen._actions} if chosen else {}
-        actions = {action.dest: action for sub in subs.values() for action in sub._actions}
-        unknown = sorted(set(doc) - set(actions))
-        if unknown:
-            raise ConfigurationError(f"config key {unknown[0]!r} is no option of any subcommand")
-        values = {key: _config_value(own.get(key, actions[key]), value)
-                  for key, value in doc.items()}
-        if chosen:
-            chosen.set_defaults(**{key: value for key, value in values.items() if key in own})
-    return argv
+    return probe
+
+
+def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with the chosen subcommand's keys of a JSON config file put in as
+    flags right after the subcommand name, so that explicit flags, which come
+    later, still win and the shared parser is never changed. A true switch is
+    the bare flag; null and false add nothing. A key that only other
+    subcommands have is checked there, but neither set nor echoed."""
+    known, _ = _config_probe().parse_known_args(argv)
+    if not known.config:
+        return argv
+    doc = read_json(known.config)
+    del doc["schema_version"]
+    subs = parser._subparsers._group_actions[0].choices
+    chosen = subs.get(argv[0])  # --config is a subcommand flag, so argv[0] names one
+    own = {action.dest: action for action in chosen._actions} if chosen else {}
+    actions = {action.dest: action for sub in subs.values() for action in sub._actions
+               if action.dest != "help"}
+    unknown = sorted(set(doc) - set(actions))
+    if unknown:
+        raise ConfigurationError(f"config key {unknown[0]!r} is no option of any subcommand")
+    flags = []
+    for key, value in doc.items():
+        converted = _config_value(own.get(key, actions[key]), value)
+        if key in own and converted is not None and converted is not False:
+            flag = own[key].option_strings[0]
+            flags.append(flag if converted is True else f"{flag}={value}")
+    return argv[:1] + flags + argv[1:]
 
 
 def _config_value(action: argparse.Action, value):
@@ -318,6 +336,9 @@ def cmd_verify_separation(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    given = [key for key in SIMULATE_OTHER_MODE_FLAGS[args.mode] if getattr(args, key) is not None]
+    if given:
+        raise ConfigurationError(f"--{given[0]} does not apply in {args.mode} mode")
     if args.mode == "full" and args.checkpoint is not None:
         given = [key for key in SIMULATE_MODEL_DEFAULTS if getattr(args, key) is not None]
         if given:
@@ -532,12 +553,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built once per process; parsing never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _shared_parser()
     try:
-        _load_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
     except (IllConditionedStepError, FloatingPointError, np.linalg.LinAlgError) as exc:
         step = getattr(exc, "step", None)

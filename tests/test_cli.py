@@ -47,6 +47,15 @@ class TestGenTask:
         assert code == 2
         assert "must be >= 2" in capsys.readouterr().err
 
+    def test_rank_deficient_table_is_invariant_violation(self, tmp_path, monkeypatch):
+        ranks = cli.check_separation_ranks
+        monkeypatch.setattr(cli, "check_separation_ranks",
+                            lambda table, n: {**ranks(table, n), "rank_P": n * n - 1})
+        assert run(["gen-task", "--n", "2"], tmp_path, monkeypatch) == 1
+        cert = json.loads((tmp_path / "task_n2_seed0.certificate.json").read_text())
+        assert cert["rank_P"] == 3
+        assert (tmp_path / "task_n2_seed0.json").exists()
+
 
 class TestVerifySeparation:
     def test_report_contents(self, tmp_path, monkeypatch):
@@ -272,6 +281,25 @@ class TestSimulate:
         assert code == 2
         assert "--dt" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "model.json"]
+
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("task", "--checkpoint", "/nonexistent/model.json"), ("task", "--r", "5"),
+        ("task", "--d", "3"), ("task", "--v", "4"), ("full", "--task", "/nonexistent/task.json"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_of_the_other_mode_is_usage_error(self, mode, flag, value, source, tmp_path,
+                                                   monkeypatch, capsys):
+        argv = ["simulate", "--mode", mode, "--n", "2", "--tokens", "0,2,3"]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"schema_version": 1, flag[2:]: value}))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} does not apply in {mode} mode\n"
+        assert not out.exists()
 
     def test_checkpoint_config_echoes_no_model_flag(self, tmp_path, monkeypatch):
         path = saved_checkpoint(tmp_path)
@@ -524,6 +552,22 @@ class TestLoadErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_ragged_array(self, tmp_path, monkeypatch, capsys):
+        path = self._task_file(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc["measurement"][0] = doc["measurement"][0][:-1]
+        path.write_text(json.dumps(doc))
+        assert run(self._command("task", path), tmp_path, monkeypatch) == 2
+        assert "got non-numeric or ragged entries" in capsys.readouterr().err
+
+    def test_mlp_layers_that_are_not_lists(self, tmp_path, monkeypatch, capsys):
+        path = self._model_file(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc["mlp_weights"] = {}
+        path.write_text(json.dumps(doc))
+        assert run(self._command("model", path), tmp_path, monkeypatch) == 2
+        assert "must be lists of one array per layer" in capsys.readouterr().err
+
     def test_mlp_that_does_not_chain(self, tmp_path, monkeypatch, capsys):
         path = self._model_file(tmp_path, monkeypatch)
         doc = json.loads(path.read_text())
@@ -609,6 +653,47 @@ class TestConfigFile:
                    tmp_path, monkeypatch)
         assert code == 2
 
+    def test_true_switch_sets_the_flag(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "reference": True}))
+        assert run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch) == 0
+        cert = json.loads((tmp_path / "task_n2_seed0.certificate.json").read_text())
+        assert abs(cert["det"] - (-0.25)) < 1e-12
+        assert cert["config"]["reference"] is True
+
+    def test_config_does_not_leak_into_a_later_call(self, tmp_path, monkeypatch):
+        # one parser serves every call, so a config must not change its defaults;
+        # the first run also shows a true switch from a config turning its flag on
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "epochs": 3, "ablation": True}))
+        argv = ["train", "--seeds", "1", "--early-stop-gap", "100"]
+        assert run(argv + ["--config", str(cfg)], tmp_path / "a", monkeypatch) == 0
+        assert run(argv, tmp_path / "b", monkeypatch) == 0
+        first, second = (json.loads((tmp_path / out / "train_cusm-trainable_aggregate.json")
+                                    .read_text()) for out in ("a", "b"))
+        assert first["config"]["epochs"] == 3 and "ablation" in first
+        assert second["config"]["epochs"] == 2000 and "ablation" not in second
+        assert second["config"]["ablation"] is False and "config" not in second["config"]
+
+    def test_help_is_no_config_key(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "help": True}))
+        assert run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch) == 2
+        assert "config key 'help' is no option" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._shared_parser.cache_clear()
+    try:
+        assert run(["gen-task"], tmp_path, monkeypatch) == 0
+        assert run(["gen-task", "--seed", "1"], tmp_path, monkeypatch) == 0
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(builds) == 1
+
 
 class TestFlagValues:
     """Each bad integer or out-of-range value of a flag exits 2 with a message,
@@ -644,6 +729,7 @@ class TestFlagValues:
         (["simulate", "--mode", "full", "--tokens", "0,1", "--dt", "inf"],
          "argument --dt: must be finite, got inf"),
         (["train", "--model-kind", "full", "--lr", "inf"], "argument --lr: must be finite, got inf"),
+        (["simulate", "--tokens", "0", "--dt", "abc"], "argument --dt: invalid number 'abc'"),
     ])
     def test_bad_flag_value_is_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
         assert run(argv, tmp_path, monkeypatch) == 2

@@ -167,6 +167,10 @@ class TestNumericalRank:
     def test_zero(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
 
+    def test_empty(self):
+        assert numerical_rank(np.zeros((0, 3))) == 0
+        assert numerical_rank(np.zeros((2, 3, 0))).tolist() == [0, 0]
+
     def test_outer_product(self):
         rng = make_rng(2)
         a = rng.standard_normal(6)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from cusm import septask
 from cusm.dynamics import evolve_fixed_batch, evolve_fixed_unitaries
-from cusm.exceptions import InvalidDimensionError
+from cusm.exceptions import CusmError, InvalidDimensionError
 from cusm.numerics import ginibre, make_rng, numerical_rank, vec_hermitian
 from cusm.readout import born_probabilities
 from cusm.septask import (
@@ -68,6 +71,11 @@ class TestIcMeasurement:
         with pytest.raises(InvalidDimensionError):
             build_ic_measurement(1)
 
+    def test_rank_deficient_lift_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(septask, "lifted_rank", lambda vectors: 3)
+        with pytest.raises(CusmError, match="lifts to rank 3 < 4"):
+            build_ic_measurement(2)
+
 
 class TestGeneralPosition:
     def test_certificate_ranks(self):
@@ -86,6 +94,31 @@ class TestGeneralPosition:
             _, unitaries, _ = sample_general_position(n, seed=1)
             rank = certificate_rank(states, unitaries)
             assert rank <= n * n - (n - 1)
+
+    def test_small_n_rejected(self):
+        with pytest.raises(InvalidDimensionError):
+            sample_general_position(1, seed=0)
+
+    @pytest.mark.parametrize("failures", [1, septask._MAX_RETRIES])
+    def test_each_resample_warns(self, failures, monkeypatch):
+        ranks = []
+
+        def deficient_at_first(states, unitaries):
+            ranks.append(certificate_rank(states, unitaries) - (len(ranks) < failures))
+            return ranks[-1]
+
+        monkeypatch.setattr(septask, "certificate_rank", deficient_at_first)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if failures == septask._MAX_RETRIES:
+                with pytest.raises(CusmError, match="general-position"):
+                    sample_general_position(2, seed=0)
+            else:
+                _, _, rank = sample_general_position(2, seed=0)
+                assert rank == 4
+        assert [str(w.message) for w in caught] == [
+            f"general-position resample (seed=0, attempt={k}): rank 3 < 4"
+            for k in range(failures)]
 
 
 class TestN2Reference:
@@ -128,6 +161,16 @@ class TestTargetTable:
             task = make_task(n, seed=8)
             report = check_separation_ranks(target_table(task), n)
             assert report["rank_P"] == n * n
+
+    def test_near_zero_entry_warns(self):
+        # a context state that W_0 maps orthogonal to m_0 gives p*(0|0,0) = 0
+        task = make_task(2, seed=6)
+        m0 = task.measurement[:, 0]
+        orthogonal = np.array([-m0[1].conj(), m0[0].conj()]) / np.linalg.norm(m0)
+        task.context_states[0] = task.query_unitaries[0].conj().T @ orthogonal
+        with pytest.warns(UserWarning, match="is near zero"):
+            table = target_table(task)
+        assert table.min_entry < septask.NEAR_ORTHO_WARN
 
     def test_degenerate_rows_detected(self):
         task = make_task(2, seed=9)

@@ -219,6 +219,15 @@ class TestFailureInsideBatch:
         assert info.value.report.gram_condition > GRAM_COND_FAIL
 
 
+class TestAssertFinite:
+    def test_nan_gradient_raises(self):
+        grads = init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=0)
+        train._assert_finite(grads)
+        grads.mlp.weights[0][0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite gradient entry"):
+            train._assert_finite(grads)
+
+
 class TestCentralDifference:
     def test_quadratic_exact(self):
         coef = np.array([2.0, -1.0, 0.5])
