@@ -2,14 +2,16 @@
 
 Subcommands wire the library into reproducible experiments: task generation
 with rank certificates, separation verification, trajectory simulation with
-current diagnostics, the training drivers, and a solver benchmark. Reports
-are JSON, time series are CSV, and every report embeds the seed, the
-effective configuration, the library version, and the tolerance values, so
-a run can be reproduced bit-for-bit on one platform.
+current diagnostics, and the training drivers. Reports are JSON, time series
+are CSV, and every report embeds the seed, the effective configuration, the
+library version, and the tolerance values, so a run can be reproduced
+bit-for-bit on one platform.
 
 main() builds its argument parser once per process and never changes it: a
 --config file's keys enter each parse as flags placed before the explicit
-ones, so one call's config cannot change the defaults of a later call.
+ones, so one call's config cannot change the defaults of a later call. A flag
+that the run does not read, because its --task or --checkpoint file or the
+other simulate mode fixes it, is a usage error, and gets no default to echo.
 
 Exit codes: 0 success, 1 invariant violation, 2 usage or configuration
 error, 3 numerical failure.
@@ -25,21 +27,12 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import __version__
 from .codec import SCHEMA_VERSION, read_json
-from .dynamics import (
-    REPRODUCTION_TOL,
-    InteractionFactors,
-    cayley_step_dense,
-    cayley_step_woodbury,
-    evolve_fixed_batch,
-    evolve_full_batch,
-    inverse_cayley,
-)
+from .dynamics import REPRODUCTION_TOL, evolve_fixed_batch, evolve_full_batch, inverse_cayley
 from .exceptions import (
     ConfigurationError,
     CusmError,
@@ -47,7 +40,7 @@ from .exceptions import (
     VocabularyError,
 )
 from .hamgen import init_full_model, load_model
-from .numerics import DEFAULT_RANK_TOL, make_rng, ginibre
+from .numerics import DEFAULT_RANK_TOL, make_rng
 from .currents import (continuity_balance, factor_current_rows, factor_total_current,
                        midpoint_current, total_current)
 from .septask import (
@@ -78,11 +71,11 @@ OUTPUT_DIR_ENV = "CUSM_OUTPUT_DIR"
 
 # the baseline dimensions that verify-separation draws its audits from
 AUDIT_DIMS = (1, 2, 4, 8)
-# simulate's model flags and their defaults; a --checkpoint fixes all of them
-SIMULATE_MODEL_DEFAULTS = {"n": 2, "r": 1, "d": 4, "v": 4, "dt": 1.0}
+# the defaults of the flags that some runs do not read; a run gets only the
+# defaults it reads, so that a flag it ignores is neither accepted nor echoed
+DEFAULTS = {"n": 2, "filler_length": 1, "r": 1, "d": 4, "v": 4, "dt": 1.0}
 # simulate's flags that only the other --mode reads
 SIMULATE_OTHER_MODE_FLAGS = {"task": ("checkpoint", "r", "d", "v"), "full": ("task",)}
-BENCH_INNER_CALLS = 3  # step calls per timed repeat in bench
 
 TOLERANCES = {
     "rank_tolerance": DEFAULT_RANK_TOL,
@@ -244,8 +237,6 @@ def _parse_tokens(args) -> list:
     """The token ids of --tokens, or of --tokens-file, a JSON array of integers >= 0."""
     if args.tokens is not None:
         return args.tokens
-    if args.tokens_file is None:
-        raise ConfigurationError("provide --tokens or --tokens-file")
     with open(args.tokens_file) as fh:
         tokens = json.load(fh)
     if not isinstance(tokens, list) or not all(type(tok) is int for tok in tokens):
@@ -256,12 +247,32 @@ def _parse_tokens(args) -> list:
         raise ConfigurationError(f"token ids in {args.tokens_file}: {exc}") from None
 
 
+def _settle(args) -> None:
+    """Reject a given flag that the run does not read, saying why, and set each
+    flag in DEFAULTS that it reads and that was not given."""
+    unread = {}
+    if args.command == "simulate":
+        unread = dict.fromkeys(SIMULATE_OTHER_MODE_FLAGS[args.mode], f"in {args.mode} mode")
+        if args.mode == "full" and args.checkpoint is not None:
+            unread.update(dict.fromkeys(("n", "r", "d", "v", "dt"),
+                                        "with --checkpoint, whose model fixes it"))
+    if getattr(args, "task", None) is not None:
+        unread.update(dict.fromkeys(("n", "filler_length"), "with --task, whose task fixes it"))
+    for key, reason in unread.items():
+        if getattr(args, key, None) is not None:
+            raise ConfigurationError(f"--{key.replace('_', '-')} does not apply {reason}")
+    for key, default in DEFAULTS.items():
+        if key not in unread and hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, default)
+
+
 def _task(args):
     """The task of --task, or one made from --n, --seed and, where the command
     has them, --filler-length and --reference."""
     if getattr(args, "task", None) is not None:
         return load_task(args.task)
-    return make_task(args.n, args.seed, filler_length=getattr(args, "filler_length", 1),
+    return make_task(args.n, args.seed,
+                     filler_length=getattr(args, "filler_length", DEFAULTS["filler_length"]),
                      reference=getattr(args, "reference", False))
 
 
@@ -336,18 +347,6 @@ def cmd_verify_separation(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    given = [key for key in SIMULATE_OTHER_MODE_FLAGS[args.mode] if getattr(args, key) is not None]
-    if given:
-        raise ConfigurationError(f"--{given[0]} does not apply in {args.mode} mode")
-    if args.mode == "full" and args.checkpoint is not None:
-        given = [key for key in SIMULATE_MODEL_DEFAULTS if getattr(args, key) is not None]
-        if given:
-            raise ConfigurationError(f"--{given[0]} does not apply with --checkpoint, "
-                                     "whose model fixes it")
-    else:
-        for key, default in SIMULATE_MODEL_DEFAULTS.items():
-            if getattr(args, key) is None:
-                setattr(args, key, default)
     tokens = _parse_tokens(args)
     report = {}
     if args.mode == "task":
@@ -437,45 +436,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _time_step(step_fn, repeats: int) -> float:
-    step_fn()  # warmup (allocation, BLAS thread pool)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(BENCH_INNER_CALLS):
-            step_fn()
-        times.append((time.perf_counter() - start) / BENCH_INNER_CALLS)
-    return float(min(times))
-
-
-def cmd_bench(args) -> int:
-    rng = make_rng(args.seed, stream=777)
-    grid = []
-    # the fast path is timed on a batch of state columns so the measurement is
-    # linear-algebra work rather than Python call overhead; the dense path is
-    # timed on a single state so its cubic factorization cost dominates
-    batch = args.batch
-    for n in args.sizes:
-        for r in args.ranks:
-            phi = ginibre(rng, n, r)
-            delta = rng.standard_normal(n)
-            factors = InteractionFactors(phi=phi, delta=delta)
-            psi = ginibre(rng, n, batch)
-            psi /= np.linalg.norm(psi, axis=0)
-            entry = {"n": n, "r": r, "batch": batch}
-            entry["woodbury_s"] = _time_step(
-                lambda: cayley_step_woodbury(factors, psi, args.dt), args.repeats)
-            h = factors.materialize()
-            psi_d = ginibre(rng, n, 1)
-            psi_d /= np.linalg.norm(psi_d, axis=0)
-            entry["dense_s"] = _time_step(
-                lambda: cayley_step_dense(h, psi_d, args.dt), args.repeats)
-            grid.append(entry)
-    path = _write_report(args, "bench.json", {"grid": grid}, seed=args.seed)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # --n, --filler-length and simulate's model flags take their defaults from
+    # DEFAULTS, and only where the run reads them: see _settle
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--output-dir", help=f"defaults to ${OUTPUT_DIR_ENV} or .")
@@ -493,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-task", help="generate a task instance with certificates")
     common(p)
-    p.add_argument("--n", type=_int_at_least(2), default=2)
-    p.add_argument("--filler-length", type=_int_at_least(0), default=1)
+    p.add_argument("--n", type=_int_at_least(2))
+    p.add_argument("--filler-length", type=_int_at_least(0))
     p.add_argument("--reference", action="store_true",
                    help="use the explicit N=2 witness configuration")
     p.set_defaults(func=cmd_gen_task)
@@ -502,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-separation", help="rank audits and exact reproduction check")
     common(p)
     p.add_argument("--task", help="task JSON file; otherwise generated from --n/--seed")
-    p.add_argument("--n", type=_int_at_least(2), default=2)
-    p.add_argument("--filler-length", type=_int_at_least(0), default=1)
+    p.add_argument("--n", type=_int_at_least(2))
+    p.add_argument("--filler-length", type=_int_at_least(0))
     p.add_argument("--audits", type=_int_at_least(0), default=50)
     p.add_argument("--rosm-dims", type=_int_list(1),
                    help="comma list of baseline dimensions to train")
@@ -516,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["task", "full"], default="task")
     p.add_argument("--task", help="task JSON file (task mode)")
     p.add_argument("--checkpoint", help="model JSON file (full mode)")
-    p.add_argument("--tokens", type=_int_list(0), help="comma-separated token ids")
-    p.add_argument("--tokens-file", help="JSON array of token ids")
-    # defaults in SIMULATE_MODEL_DEFAULTS, so that a flag given with --checkpoint shows
+    tokens = p.add_mutually_exclusive_group(required=True)
+    tokens.add_argument("--tokens", type=_int_list(0), help="comma-separated token ids")
+    tokens.add_argument("--tokens-file", help="JSON array of token ids")
     p.add_argument("--n", type=_int_at_least(1))
     p.add_argument("--r", type=_int_at_least(1))
     p.add_argument("--d", type=_int_at_least(1))
@@ -529,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a task, one report per seed")
     common(p)
     p.add_argument("--task", help="task JSON file; otherwise generated from --n/--seed")
-    p.add_argument("--n", type=_int_at_least(2), default=2)
+    p.add_argument("--n", type=_int_at_least(2))
     p.add_argument("--model-kind", choices=["cusm-trainable", "rosm", "full"],
                    default="cusm-trainable")
     p.add_argument("--dim", type=_int_at_least(1),
@@ -540,15 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--early-stop-gap", type=_float_at_least(0.0), default=1e-4)
     p.add_argument("--ablation", action="store_true")
     p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("bench", help="time Woodbury vs dense steps over an (N, r) grid")
-    common(p)
-    p.add_argument("--sizes", type=_int_list(1), default="64,128,256,512")
-    p.add_argument("--ranks", type=_int_list(1), default="4")
-    p.add_argument("--batch", type=_int_at_least(1), default=256)
-    p.add_argument("--repeats", type=_int_at_least(1), default=15)
-    p.add_argument("--dt", type=_positive_float, default=1.0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -564,6 +517,7 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     try:
         args = parser.parse_args(_with_config(parser, argv))
+        _settle(args)
         return args.func(args)
     except (IllConditionedStepError, FloatingPointError, np.linalg.LinAlgError) as exc:
         step = getattr(exc, "step", None)

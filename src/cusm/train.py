@@ -461,9 +461,8 @@ def exact_cusm_report(task: TaskInstance, table: TargetTable) -> dict:
             "exact_cusm_gap": loss / (task.n * task.n) - floor}
 
 
-def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
-                  config: OptimizerConfig | None = None,
-                  seeds=(0, 1, 2, 3, 4)) -> list[TrainReport]:
+def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
+                  dim: int | None = None, seeds=(0, 1, 2, 3, 4)) -> list[TrainReport]:
     """Per-seed training runs on a separation task.
 
     model_kind: "cusm-trainable" (unitary transitions, Born readout),
@@ -481,8 +480,6 @@ def train_on_task(task: TaskInstance, model_kind: str, dim: int | None = None,
         dim = task.n
     if dim < 1:
         raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
-    if config is None:
-        config = OptimizerConfig()
     table = target_table(task)
     floor = entropy_floor(table)
     tokens = task.sequences()

@@ -325,6 +325,24 @@ class TestSimulate:
         code = run(["simulate", "--mode", "task", "--n", "2"], tmp_path, monkeypatch)
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tokens_and_tokens_file_is_usage_error(self, source, tmp_path, capsys):
+        path = tmp_path / "tokens.json"
+        path.write_text(json.dumps([0, 1, 0]))
+        argv = ["simulate", "--mode", "full", "--tokens", "0,1,2,3"]
+        if source == "flag":
+            argv += ["--tokens-file", str(path)]
+            message = "argument --tokens-file: not allowed with argument --tokens"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"schema_version": 1, "tokens_file": str(path)}))
+            argv += ["--config", str(cfg)]
+            message = "argument --tokens: not allowed with argument --tokens-file"
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_negative_token_is_usage_error(self, tmp_path, monkeypatch, capsys):
         code = run(["simulate", "--mode", "full", "--tokens", "0,-1"], tmp_path, monkeypatch)
         assert code == 2
@@ -452,6 +470,62 @@ class TestTrain:
         assert "must be >= 2" in capsys.readouterr().err
 
 
+class TestTaskFile:
+    """A --task file fixes the task: --n and --filler-length do not apply, by
+    flag or by config key, and the runs do not echo them."""
+
+    def _task_file(self, tmp_path) -> str:
+        path = str(tmp_path / "task.json")
+        septask.save_task(septask.make_task(2, 0), path)
+        return path
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify-separation", "--audits", "2"], "--n"),
+        (["verify-separation", "--audits", "2"], "--filler-length"),
+        (["train", "--seeds", "1", "--epochs", "2"], "--n"),
+        (["simulate", "--tokens", "0,2,3"], "--n"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_task_flag_with_a_task_file_is_usage_error(self, argv, flag, source, tmp_path,
+                                                       capsys):
+        # even the task's own value: the file alone sets it
+        value = {"--n": "2", "--filler-length": "1"}[flag]
+        argv = argv + ["--task", self._task_file(tmp_path)]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"schema_version": 1, flag[2:].replace("-", "_"): value}))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} does not apply with --task, " \
+                                          "whose task fixes it\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, report", [
+        (["verify-separation", "--audits", "2"], "separation_n2_seed0.json"),
+        (["train", "--seeds", "1", "--epochs", "2"], "train_cusm-trainable_seed0.json"),
+        (["simulate", "--tokens", "0,2,3"], "trajectory.json"),
+    ])
+    def test_task_file_run_echoes_no_task_flag(self, argv, report, tmp_path, monkeypatch):
+        argv = argv + ["--task", self._task_file(tmp_path)]
+        assert run(argv, tmp_path, monkeypatch) == 0
+        config = json.loads((tmp_path / report).read_text())["config"]
+        assert not {"n", "filler_length"} & set(config)
+
+    @pytest.mark.parametrize("task_file", [False, True])
+    def test_task_mode_simulate_echoes_no_model_flag(self, task_file, tmp_path, monkeypatch):
+        argv = ["simulate", "--tokens", "0,2,3"]
+        if task_file:
+            argv += ["--task", self._task_file(tmp_path)]
+        assert run(argv, tmp_path, monkeypatch) == 0
+        config = json.loads((tmp_path / "trajectory.json").read_text())["config"]
+        assert not {"r", "d", "v"} & set(config)
+        assert config["dt"] == 1.0
+        assert config.get("n") == (None if task_file else 2)
+
+
 class TestLoadErrors:
     def _task_file(self, tmp_path, monkeypatch):
         assert run(["gen-task", "--n", "2"], tmp_path, monkeypatch) == 0
@@ -577,19 +651,6 @@ class TestLoadErrors:
         assert "last MLP layer has" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_grid_complete(self, tmp_path, monkeypatch):
-        code = run(["bench", "--sizes", "16,32", "--ranks", "2", "--batch", "4",
-                    "--repeats", "2"], tmp_path, monkeypatch)
-        assert code == 0
-        report = json.loads((tmp_path / "bench.json").read_text())
-        grid = report["grid"]
-        assert [(e["n"], e["r"]) for e in grid] == [(16, 2), (32, 2)]
-        for entry in grid:
-            assert entry["woodbury_s"] > 0
-            assert entry["dense_s"] > 0
-
-
 class TestConfigFile:
     def test_defaults_from_config_with_flag_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
@@ -701,14 +762,14 @@ class TestFlagValues:
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--tokens", "a,b"], "argument --tokens: invalid integer 'a'"),
-        (["bench", "--sizes", "8,x"], "argument --sizes: invalid integer 'x'"),
+        (["simulate", "--tokens", "0,x"], "argument --tokens: invalid integer 'x'"),
         (["verify-separation", "--rosm-dims", "2,x"], "argument --rosm-dims: invalid integer 'x'"),
-        (["bench", "--sizes", "0"], "argument --sizes: must be >= 1, got 0"),
-        (["bench", "--ranks", "4,0"], "argument --ranks: must be >= 1, got 0"),
-        (["bench", "--batch", "0"], "argument --batch: must be >= 1, got 0"),
-        (["bench", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
-        (["bench", "--repeats", "0"], "argument --repeats: must be >= 1, got 0"),
-        (["bench", "--dt", "-1"], "argument --dt: must be > 0, got -1.0"),
+        (["verify-separation", "--rosm-dims", "0,"], "argument --rosm-dims: must be >= 1, got 0"),
+        (["verify-separation", "--rosm-dims", "4,0"], "argument --rosm-dims: must be >= 1, got 0"),
+        (["verify-separation", "--epochs", "0"], "argument --epochs: must be >= 1, got 0"),
+        (["gen-task", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["gen-task", "--n", "1"], "argument --n: must be >= 2, got 1"),
+        (["simulate", "--tokens", "0", "--dt", "-1"], "argument --dt: must be > 0, got -1.0"),
         (["simulate", "--tokens", "0", "--dt", "0"], "argument --dt: must be > 0, got 0.0"),
         (["gen-task", "--filler-length", "-1"], "argument --filler-length: must be >= 0, got -1"),
         (["verify-separation", "--audits", "-1"], "argument --audits: must be >= 0, got -1"),
@@ -793,20 +854,23 @@ class TestFlagValues:
         report = json.loads((tmp_path / "trajectory.json").read_text())
         assert report["steps"] == 4
 
-    @pytest.mark.parametrize("key, value", [("sizes", "8,x"), ("sizes", 0), ("batch", 0),
-                                            ("dt", 0), ("ranks", ""), ("dt", float("inf")),
-                                            ("lr", float("inf"))])
+    @pytest.mark.parametrize("key, value", [("rosm_dims", "8,x"), ("rosm_dims", 0),
+                                            ("audits", -1), ("dt", 0), ("rosm_dims", ""),
+                                            ("dt", float("inf")), ("lr", float("inf"))])
     def test_bad_config_value_is_usage_error(self, key, value, tmp_path, monkeypatch, capsys):
+        # each key is given to the subcommand that reads it
+        command = {"dt": ["simulate", "--tokens", "0"], "lr": ["train"]}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema_version": 1, key: value}))
-        code = run(["bench", "--config", str(cfg)], tmp_path, monkeypatch)
+        code = run(command.get(key, ["verify-separation"]) + ["--config", str(cfg)],
+                   tmp_path, monkeypatch)
         assert code == 2
         assert f"config key {key!r}: invalid value" in capsys.readouterr().err
 
     def test_config_list_goes_through_the_option_type(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "sizes": "8, 16", "ranks": 2,
-                                   "batch": 2, "repeats": 1}))
-        assert run(["bench", "--config", str(cfg)], tmp_path, monkeypatch) == 0
-        grid = json.loads((tmp_path / "bench.json").read_text())["grid"]
-        assert [(e["n"], e["r"]) for e in grid] == [(8, 2), (16, 2)]
+        cfg.write_text(json.dumps({"schema_version": 1, "tokens": "0, 2, 3"}))
+        assert run(["simulate", "--config", str(cfg)], tmp_path, monkeypatch) == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert report["steps"] == 3
+        assert report["config"]["tokens"] == [0, 2, 3]

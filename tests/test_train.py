@@ -322,13 +322,13 @@ class TestTrainOnTask:
     def test_unknown_kind(self):
         task = make_task(2, seed=10)
         with pytest.raises(ConfigurationError):
-            train_on_task(task, "transformer", seeds=(0,))
+            train_on_task(task, "transformer", config=OptimizerConfig(), seeds=(0,))
 
     @pytest.mark.parametrize("kind", ["cusm-trainable", "rosm", "full"])
     def test_dimension_below_one(self, kind):
         task = make_task(2, seed=10)
         with pytest.raises(ConfigurationError, match="dimension must be >= 1"):
-            train_on_task(task, kind, dim=0, seeds=(0,))
+            train_on_task(task, kind, dim=0, config=OptimizerConfig(), seeds=(0,))
 
 
 class TestReadoutAblation:
