@@ -7,11 +7,10 @@ are CSV, and every report embeds the seed, the effective configuration, the
 library version, and the tolerance values, so a run can be reproduced
 bit-for-bit on one platform.
 
-main() builds its argument parser once per process and never changes it: a
---config file's keys enter each parse as flags placed before the explicit
-ones, so one call's config cannot change the defaults of a later call. A flag
-that the run does not read, because its --task or --checkpoint file or the
-other simulate mode fixes it, is a usage error, and gets no default to echo.
+One table, FLAGS, holds every flag with the condition under which a run reads
+it; the parser, the defaults, the "does not apply" errors and --help come from
+it. main() builds its parser once per process and never changes it: a --config
+file's keys enter each parse as flags placed before the explicit ones.
 
 Exit codes: 0 success, 1 invariant violation, 2 usage or configuration
 error, 3 numerical failure.
@@ -27,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -71,11 +71,6 @@ OUTPUT_DIR_ENV = "CUSM_OUTPUT_DIR"
 
 # the baseline dimensions that verify-separation draws its audits from
 AUDIT_DIMS = (1, 2, 4, 8)
-# the defaults of the flags that some runs do not read; a run gets only the
-# defaults it reads, so that a flag it ignores is neither accepted nor echoed
-DEFAULTS = {"n": 2, "filler_length": 1, "r": 1, "d": 4, "v": 4, "dt": 1.0}
-# simulate's flags that only the other --mode reads
-SIMULATE_OTHER_MODE_FLAGS = {"task": ("checkpoint", "r", "d", "v"), "full": ("task",)}
 
 TOLERANCES = {
     "rank_tolerance": DEFAULT_RANK_TOL,
@@ -160,8 +155,8 @@ def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
 def _config_value(action: argparse.Action, value):
     """A config value checked as argparse checks a flag's text: true or false
     for a flag without an argument, else a string or number put through the
-    flag's type and choices; null leaves an option without a default unset."""
-    if value is None and action.default is None:
+    flag's type and choices; null adds nothing, as if the key were absent."""
+    if value is None:
         return None
     if action.nargs == 0:
         if isinstance(value, bool):
@@ -194,36 +189,39 @@ def _at_least(minimum, values: list) -> list:
     return values
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+def _limited(limit: str, convert):
+    """convert, labelled with the limit on its values that --help shows."""
+    convert.limit = limit
+    return convert
 
 
 def _int_at_least(minimum: int):
     """argparse type: one integer >= minimum."""
-    return lambda text: _at_least(minimum, [_integer(text)])[0]
+    return _limited(f">= {minimum}", lambda text: _at_least(minimum, [_number(text, int)])[0])
 
 
 def _int_list(minimum: int):
     """argparse type: a comma list of integers, each >= minimum; blank items are
     skipped and at least one integer must remain."""
-    return lambda text: _at_least(minimum, [_integer(x) for x in text.split(",") if x.strip()])
+    return _limited(f"each >= {minimum}", lambda text: _at_least(
+        minimum, [_number(x, int) for x in text.split(",") if x.strip()]))
 
 
-def _number(text: str) -> float:
+def _number(text: str, parse=float):
+    """text parsed as a float, or as an int if parse is int."""
     try:
-        return float(text)
+        return parse(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        kind = "integer" if parse is int else "number"
+        raise argparse.ArgumentTypeError(f"invalid {kind} {text!r}") from None
 
 
 def _float_at_least(minimum: float):
     """argparse type: one number >= minimum."""
-    return lambda text: _at_least(minimum, [_number(text)])[0]
+    return _limited(f">= {minimum}", lambda text: _at_least(minimum, [_number(text)])[0])
 
 
+@functools.partial(_limited, "> 0 and finite")
 def _positive_float(text: str) -> float:
     value = _number(text)
     if not value > 0.0:
@@ -247,23 +245,87 @@ def _parse_tokens(args) -> list:
         raise ConfigurationError(f"token ids in {args.tokens_file}: {exc}") from None
 
 
+# Conditions under which a run reads a flag: a test of the parsed arguments, what
+# --help says of a run that meets it, and why a flag does not apply to one that does not.
+TASK_MODE = (lambda args: args.mode == "task", "in task mode", "in full mode")
+FULL_MODE = (lambda args: args.mode == "full", "in full mode", "in task mode")
+NO_TASK = (lambda args: args.task is None, "without --task, whose task fixes it",
+           "with --task, whose task fixes it")
+NO_CHECKPOINT = (lambda args: args.checkpoint is None,
+                 "without --checkpoint, whose model fixes it",
+                 "with --checkpoint, whose model fixes it")
+ROSM_DIMS = (lambda args: args.rosm_dims is not None, "with --rosm-dims", "without --rosm-dims")
+NO_FILE, MODEL = (NO_TASK, NO_CHECKPOINT), (FULL_MODE, NO_CHECKPOINT)
+
+
+# A flag of the named subcommands. kind is its argparse type, a tuple of choices,
+# or bool for a switch. A run reads the flag where every condition of `when`
+# holds. A subcommand needs exactly one of its `one_of` flags.
+Flag = namedtuple("Flag", "name commands kind default help when one_of",
+                  defaults=(None, None, "", (), False))
+
+
+GEN, VER, SIM, TRAIN = ("gen-task",), ("verify-separation",), ("simulate",), ("train",)
+# A row comes after those of the flags that its conditions read, so that a flag
+# of the other mode is blamed, not the flags whose conditions it fails.
+FLAGS = (
+    Flag("--mode", SIM, ("task", "full"), "task", "the exact model of a task, or a full model"),
+    Flag("--task", VER + TRAIN, help="task JSON file; else made from --n and --seed"),
+    Flag("--task", SIM, help="task JSON file; else made from --n and --seed", when=(TASK_MODE,)),
+    Flag("--checkpoint", SIM, help="model JSON file; else a new model", when=(FULL_MODE,)),
+    Flag("--rosm-dims", VER, _int_list(1), help="comma list of baseline dimensions to train"),
+    Flag("--config", GEN + VER + SIM + TRAIN, help="JSON config file; flags override it"),
+    Flag("--output-dir", GEN + VER + SIM + TRAIN, help=f"defaults to ${OUTPUT_DIR_ENV} or ."),
+    Flag("--seed", GEN + VER, _int_at_least(0), 0, "random seed"),
+    Flag("--seed", TRAIN, _int_at_least(0), 0, "random seed", (NO_TASK,)),
+    Flag("--seed", SIM, _int_at_least(0), 0, "random seed", NO_FILE),
+    Flag("--n", GEN, _int_at_least(2), 2, "task size"),
+    Flag("--n", VER + TRAIN, _int_at_least(2), 2, "task size", (NO_TASK,)),
+    Flag("--n", SIM, _int_at_least(1), 2, "model dimension, or task size of 2 or more", NO_FILE),
+    Flag("--filler-length", GEN, _int_at_least(0), 1, "filler tokens per sequence"),
+    Flag("--filler-length", VER, _int_at_least(0), 1, "filler tokens per sequence", (NO_TASK,)),
+    Flag("--reference", GEN, bool, False, "use the explicit N=2 witness configuration"),
+    Flag("--audits", VER, _int_at_least(0), 50, "random baselines to audit"),
+    Flag("--epochs", VER, _int_at_least(1), 500, "epochs per baseline", (ROSM_DIMS,)),
+    Flag("--seeds", VER, _int_at_least(1), 3, "seeds per baseline", (ROSM_DIMS,)),
+    Flag("--tokens", SIM, _int_list(0), help="comma-separated token ids", one_of=True),
+    Flag("--tokens-file", SIM, help="JSON array of token ids", one_of=True),
+    Flag("--r", SIM, _int_at_least(1), 1, "model rank", MODEL),
+    Flag("--d", SIM, _int_at_least(1), 4, "model embedding width", MODEL),
+    Flag("--v", SIM, _int_at_least(1), 4, "model readout size", MODEL),
+    Flag("--dt", SIM, _positive_float, 1.0, "time step", (NO_CHECKPOINT,)),
+    Flag("--model-kind", TRAIN, ("cusm-trainable", "rosm", "full"), "cusm-trainable", "the model"),
+    Flag("--dim", TRAIN, _int_at_least(1),
+         help="state dimension; defaults to the task's n, and rosm needs it"),
+    Flag("--seeds", TRAIN, _int_at_least(1), 5, "runs, seeded 0, 1, ..."),
+    Flag("--epochs", TRAIN, _int_at_least(1), 2000, "epochs per run"),
+    Flag("--lr", TRAIN, _positive_float, 1e-3, "learning rate"),
+    Flag("--early-stop-gap", TRAIN, _float_at_least(0.0), 1e-4, "stop once the gap is below this"),
+    Flag("--ablation", TRAIN, bool, False, "also report the readout ablation"),
+)
+
+
+def _help(flag: Flag) -> str:
+    """flag's help, with its limit, its default and when a run reads it."""
+    notes = [getattr(flag.kind, "limit", None),
+             flag.default is not None and flag.kind is not bool and f"default {flag.default}",
+             flag.when and "read " + " and ".join(met for _, met, _ in flag.when)]
+    notes = "; ".join(note for note in notes if note)
+    return f"{flag.help} ({notes})" if notes else flag.help
+
+
 def _settle(args) -> None:
-    """Reject a given flag that the run does not read, saying why, and set each
-    flag in DEFAULTS that it reads and that was not given."""
-    unread = {}
-    if args.command == "simulate":
-        unread = dict.fromkeys(SIMULATE_OTHER_MODE_FLAGS[args.mode], f"in {args.mode} mode")
-        if args.mode == "full" and args.checkpoint is not None:
-            unread.update(dict.fromkeys(("n", "r", "d", "v", "dt"),
-                                        "with --checkpoint, whose model fixes it"))
-    if getattr(args, "task", None) is not None:
-        unread.update(dict.fromkeys(("n", "filler_length"), "with --task, whose task fixes it"))
-    for key, reason in unread.items():
-        if getattr(args, key, None) is not None:
-            raise ConfigurationError(f"--{key.replace('_', '-')} does not apply {reason}")
-    for key, default in DEFAULTS.items():
-        if key not in unread and hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, default)
+    """Apply FLAGS to a parse: a given flag that the run does not read is a
+    usage error that says why, a read flag that was not given takes its
+    default, and an unread flag stays unset, so that no report echoes it."""
+    for flag in FLAGS:
+        if args.command in flag.commands:
+            dest = flag.name[2:].replace("-", "_")
+            unmet = [unmet for holds, _, unmet in flag.when if not holds(args)]
+            if unmet and getattr(args, dest) is not None:
+                raise ConfigurationError(f"{flag.name} does not apply {unmet[0]}")
+            if not unmet and getattr(args, dest) is None:
+                setattr(args, dest, flag.default)
 
 
 def _task(args):
@@ -271,9 +333,8 @@ def _task(args):
     has them, --filler-length and --reference."""
     if getattr(args, "task", None) is not None:
         return load_task(args.task)
-    return make_task(args.n, args.seed,
-                     filler_length=getattr(args, "filler_length", DEFAULTS["filler_length"]),
-                     reference=getattr(args, "reference", False))
+    return make_task(args.n, args.seed, **{key: value for key, value in vars(args).items()
+                                          if key in ("filler_length", "reference")})
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +411,10 @@ def cmd_simulate(args) -> int:
     tokens = _parse_tokens(args)
     report = {}
     if args.mode == "task":
-        # --n is also the full model's dimension, so the flag's type allows 1
-        if args.task is None and args.n < 2:
+        if args.task is None and args.n < 2:  # the type of --n allows a model of 1
             raise ConfigurationError(f"--n must be >= 2 in task mode, got {args.n}")
-        dt = args.dt
-        cusm = build_exact_cusm(_task(args))
+        task = _task(args)
+        seed, dt, cusm = task.seed, args.dt, build_exact_cusm(task)
         states = np.concatenate(evolve_fixed_batch(cusm.unitaries, cusm.psi0, [tokens]))
         gens, reproduced = inverse_cayley(cusm.unitaries, dt)
         bad = [tok for tok in tokens if not reproduced[tok]]
@@ -369,7 +429,7 @@ def cmd_simulate(args) -> int:
         else:
             model = init_full_model(n=args.n, r=args.r, d=args.d, v=args.v,
                                     v_in=max(tokens) + 1, dt=args.dt, seed=args.seed)
-        dt = model.dt
+        seed, dt = model.seed, model.dt
         report["model"] = {"n": model.n, "r": model.r, "d": model.d, "v": model.v,
                            "v_in": model.v_in, "dt": dt}
         states, factor_log, _, _ = evolve_full_batch(model, np.asarray([tokens]))
@@ -392,7 +452,7 @@ def cmd_simulate(args) -> int:
         "max_balance_residual": max_balance,
         "max_norm_deviation": max_norm_dev,
         "csv": csv_path,
-    }, seed=args.seed)
+    }, seed=seed)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     if max_balance > TOLERANCES["balance_tolerance"] or max_norm_dev > TOLERANCES["norm_tolerance"]:
@@ -439,70 +499,26 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cusm",
-        description="Complex-unitary sequence model experiments",
-    )
+    parser = _Parser(prog="cusm", description="Complex-unitary sequence model experiments")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # --n, --filler-length and simulate's model flags take their defaults from
-    # DEFAULTS, and only where the run reads them: see _settle
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--output-dir", help=f"defaults to ${OUTPUT_DIR_ENV} or .")
-        p.add_argument("--seed", type=_int_at_least(0), default=0)
-
-    p = sub.add_parser("gen-task", help="generate a task instance with certificates")
-    common(p)
-    p.add_argument("--n", type=_int_at_least(2))
-    p.add_argument("--filler-length", type=_int_at_least(0))
-    p.add_argument("--reference", action="store_true",
-                   help="use the explicit N=2 witness configuration")
-    p.set_defaults(func=cmd_gen_task)
-
-    p = sub.add_parser("verify-separation", help="rank audits and exact reproduction check")
-    common(p)
-    p.add_argument("--task", help="task JSON file; otherwise generated from --n/--seed")
-    p.add_argument("--n", type=_int_at_least(2))
-    p.add_argument("--filler-length", type=_int_at_least(0))
-    p.add_argument("--audits", type=_int_at_least(0), default=50)
-    p.add_argument("--rosm-dims", type=_int_list(1),
-                   help="comma list of baseline dimensions to train")
-    p.add_argument("--epochs", type=_int_at_least(1), default=500)
-    p.add_argument("--seeds", type=_int_at_least(1), default=3)
-    p.set_defaults(func=cmd_verify_separation)
-
-    p = sub.add_parser("simulate", help="run a trajectory and emit current diagnostics")
-    common(p)
-    p.add_argument("--mode", choices=["task", "full"], default="task")
-    p.add_argument("--task", help="task JSON file (task mode)")
-    p.add_argument("--checkpoint", help="model JSON file (full mode)")
-    tokens = p.add_mutually_exclusive_group(required=True)
-    tokens.add_argument("--tokens", type=_int_list(0), help="comma-separated token ids")
-    tokens.add_argument("--tokens-file", help="JSON array of token ids")
-    p.add_argument("--n", type=_int_at_least(1))
-    p.add_argument("--r", type=_int_at_least(1))
-    p.add_argument("--d", type=_int_at_least(1))
-    p.add_argument("--v", type=_int_at_least(1))
-    p.add_argument("--dt", type=_positive_float)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("train", help="train a model on a task, one report per seed")
-    common(p)
-    p.add_argument("--task", help="task JSON file; otherwise generated from --n/--seed")
-    p.add_argument("--n", type=_int_at_least(2))
-    p.add_argument("--model-kind", choices=["cusm-trainable", "rosm", "full"],
-                   default="cusm-trainable")
-    p.add_argument("--dim", type=_int_at_least(1),
-                   help="state dimension; defaults to the task's n, and rosm needs it")
-    p.add_argument("--seeds", type=_int_at_least(1), default=5)
-    p.add_argument("--epochs", type=_int_at_least(1), default=2000)
-    p.add_argument("--lr", type=_positive_float, default=1e-3)
-    p.add_argument("--early-stop-gap", type=_float_at_least(0.0), default=1e-4)
-    p.add_argument("--ablation", action="store_true")
-    p.set_defaults(func=cmd_train)
-
+    for command, func, about in (
+        ("gen-task", cmd_gen_task, "generate a task instance with certificates"),
+        ("verify-separation", cmd_verify_separation, "rank audits and exact reproduction check"),
+        ("simulate", cmd_simulate, "run a trajectory and emit current diagnostics"),
+        ("train", cmd_train, "train a model on a task, one report per seed"),
+    ):
+        p = sub.add_parser(command, help=about)
+        p.set_defaults(func=func)
+        flags = [flag for flag in FLAGS if command in flag.commands]
+        if any(flag.one_of for flag in flags):  # argparse cannot format an empty group
+            one_of = p.add_mutually_exclusive_group(required=True)
+        for flag in flags:
+            options = ({"action": "store_true"} if flag.kind is bool else {"choices": flag.kind}
+                       if isinstance(flag.kind, tuple) else {"type": flag.kind})
+            # no argparse default: _settle sets the defaults of the flags a run reads
+            (one_of if flag.one_of else p).add_argument(flag.name, default=None,
+                                                        help=_help(flag), **options)
     return parser
 
 

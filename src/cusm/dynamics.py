@@ -198,8 +198,9 @@ def evolve_fixed_batch(transitions: np.ndarray, state0: np.ndarray, tokens) -> l
     tokens[:, t] and applies them to the B states of every model in one
     batched product. Returns the T+1 states (..., B, d).
     """
-    tokens = np.asarray(tokens, dtype=int)
-    _check_vocabulary(tokens, transitions.shape[-3])
+    tokens = np.asarray(tokens)
+    _check_vocabulary(tokens, transitions.shape[-3])  # before the cast, which overflows
+    tokens = tokens.astype(int, copy=False)
     psi = np.repeat(state0[..., None, :], tokens.shape[0], axis=-2)
     states = [psi]
     for step in range(tokens.shape[1]):

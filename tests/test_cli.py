@@ -301,6 +301,40 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {flag} does not apply in {mode} mode\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag, value, reason", [
+        (["verify-separation", "--audits", "1"], "--epochs", "7", "without --rosm-dims"),
+        (["verify-separation", "--audits", "1"], "--seeds", "4", "without --rosm-dims"),
+        (["simulate", "--mode", "full", "--tokens", "0,1", "--checkpoint"], "--seed", "1",
+         "with --checkpoint, whose model fixes it"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_that_the_run_does_not_read_is_usage_error(self, argv, flag, value, reason,
+                                                            source, tmp_path, capsys):
+        if argv[-1] == "--checkpoint":
+            argv = argv + [saved_checkpoint(tmp_path)]
+        if source == "flag":
+            argv = argv + [flag, value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"schema_version": 1, flag[2:]: value}))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} does not apply {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, seed", [("task", 5), ("checkpoint", 1)])
+    def test_report_seed_is_the_seed_of_what_ran(self, source, seed, tmp_path, monkeypatch):
+        if source == "task":
+            assert run(["gen-task", "--seed", "5"], tmp_path, monkeypatch) == 0
+            argv = ["--task", str(tmp_path / "task_n2_seed5.json"), "--tokens", "0,2,3"]
+        else:
+            argv = ["--mode", "full", "--checkpoint", saved_checkpoint(tmp_path), "--tokens", "0,1"]
+        assert run(["simulate", *argv], tmp_path, monkeypatch) == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert report["seed"] == seed
+        assert "seed" not in report["config"]
+
     def test_checkpoint_config_echoes_no_model_flag(self, tmp_path, monkeypatch):
         path = saved_checkpoint(tmp_path)
         assert run(["simulate", "--mode", "full", "--tokens", "0,1", "--checkpoint", path],
@@ -356,6 +390,24 @@ class TestSimulate:
                    tmp_path, monkeypatch)
         assert code == 2
         assert "error: token id 3 outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["task", "full"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_token_id_beyond_64_bits_is_usage_error(self, mode, source, tmp_path, capsys):
+        big = 10 ** 23
+        argv = ["simulate", "--mode", mode]
+        if mode == "full":
+            argv += ["--checkpoint", saved_checkpoint(tmp_path)]
+        if source == "flag":
+            argv += ["--tokens", f"0,{big}"]
+        else:
+            path = tmp_path / "tokens.json"
+            path.write_text(json.dumps([0, big]))
+            argv += ["--tokens-file", str(path)]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: token id {big} outside the vocabulary [0, 5)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["task", "full"])
     def test_empty_token_list_is_usage_error(self, mode, tmp_path, monkeypatch, capsys):
@@ -484,12 +536,14 @@ class TestTaskFile:
         (["verify-separation", "--audits", "2"], "--filler-length"),
         (["train", "--seeds", "1", "--epochs", "2"], "--n"),
         (["simulate", "--tokens", "0,2,3"], "--n"),
+        (["train", "--seeds", "1", "--epochs", "2"], "--seed"),
+        (["simulate", "--tokens", "0,2,3"], "--seed"),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_task_flag_with_a_task_file_is_usage_error(self, argv, flag, source, tmp_path,
                                                        capsys):
         # even the task's own value: the file alone sets it
-        value = {"--n": "2", "--filler-length": "1"}[flag]
+        value = {"--n": "2", "--filler-length": "1", "--seed": "0"}[flag]
         argv = argv + ["--task", self._task_file(tmp_path)]
         if source == "flag":
             argv += [flag, value]
@@ -692,6 +746,20 @@ class TestConfigFile:
         assert run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch) == 0
         assert (tmp_path / "task_n3_seed0.json").exists()
 
+    @pytest.mark.parametrize("argv, key, default, report", [
+        (["gen-task"], "seed", 0, "task_n2_seed0.certificate.json"),
+        (["verify-separation"], "audits", 50, "separation_n2_seed0.json"),
+        (["simulate", "--tokens", "0,2,3"], "mode", "task", "trajectory.json"),
+        (["simulate", "--tokens", "0,2,3"], "n", 2, "trajectory.json"),
+        (["verify-separation", "--audits", "1"], "epochs", None, "separation_n2_seed0.json"),
+    ])
+    def test_null_adds_nothing(self, argv, key, default, report, tmp_path, monkeypatch):
+        # the run takes the default where it reads the flag, as if the key were absent
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, key: None}))
+        assert run(argv + ["--config", str(cfg)], tmp_path, monkeypatch) == 0
+        assert json.loads((tmp_path / report).read_text())["config"].get(key) == default
+
     def test_key_is_converted_by_the_chosen_subcommand(self, tmp_path, monkeypatch):
         # gen-task's --n needs 2, simulate's takes 1
         cfg = tmp_path / "cfg.json"
@@ -754,6 +822,24 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
     finally:
         cli._shared_parser.cache_clear()
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("command", ["gen-task", "verify-separation", "simulate", "train"])
+def test_help_shows_each_flags_limit_default_and_read_condition(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping, which may split a flag's name
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    # each entry: the flag's name without its dashes, metavar or choices, and help
+    entries = {entry.split()[0]: " ".join(entry.split())
+               for entry in capsys.readouterr().out.split("\n  --")[1:]}
+    flags = [flag for flag in cli.FLAGS if command in flag.commands]
+    assert sorted(flag.name[2:] for flag in flags) == sorted(entries)
+    for flag in flags:
+        entry = entries[flag.name[2:]]
+        assert getattr(flag.kind, "limit", "") in entry
+        assert "read " + " and ".join(met for _, met, _ in flag.when) in entry or not flag.when
+        if flag.kind is not bool and flag.default is not None:
+            assert f"default {flag.default}" in entry
 
 
 class TestFlagValues:
