@@ -9,8 +9,8 @@ bit-for-bit on one platform.
 
 One table, FLAGS, holds every flag with the condition under which a run reads
 it; the parser, the defaults, the "does not apply" errors and --help come from
-it. main() builds its parser once per process and never changes it: a --config
-file's keys enter each parse as flags placed before the explicit ones.
+it. main() parses argv once, with a parser built once per process that nothing
+changes; a --config file's keys then fill, by row, the flags argv left unset.
 
 Exit codes: 0 success, 1 invariant violation, 2 usage or configuration
 error, 3 numerical failure.
@@ -23,9 +23,9 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
+import textwrap
 from collections import namedtuple
 
 import numpy as np
@@ -37,6 +37,7 @@ from .exceptions import (
     ConfigurationError,
     CusmError,
     IllConditionedStepError,
+    InvalidDimensionError,
     VocabularyError,
 )
 from .hamgen import init_full_model, load_model
@@ -101,9 +102,7 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _write_csv(path: str, header: list, rows: list) -> None:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf).writerows([header, *rows])
     _atomic_write(path, buf.getvalue())
 
 
@@ -117,58 +116,43 @@ def _write_report(args, name: str, fields: dict, seed=None) -> str:
     return path
 
 
-@functools.cache
-def _config_probe() -> argparse.ArgumentParser:
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    return probe
-
-
-def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
-    """argv with the chosen subcommand's keys of a JSON config file put in as
-    flags right after the subcommand name, so that explicit flags, which come
-    later, still win and the shared parser is never changed. A true switch is
-    the bare flag; null and false add nothing. A key that only other
-    subcommands have is checked there, but neither set nor echoed."""
-    known, _ = _config_probe().parse_known_args(argv)
-    if not known.config:
-        return argv
-    doc = read_json(known.config)
+def _merge_config(args) -> None:
+    """Fill the flags that argv left unset from the --config file's keys. A key
+    converts through its row of the chosen subcommand, else through a row of
+    another subcommand, and then is neither set nor echoed. Of two exclusive
+    flags the later source is blamed, config keys in file order coming first."""
+    doc = read_json(args.config)
     del doc["schema_version"]
-    subs = parser._subparsers._group_actions[0].choices
-    chosen = subs.get(argv[0])  # --config is a subcommand flag, so argv[0] names one
-    own = {action.dest: action for action in chosen._actions} if chosen else {}
-    actions = {action.dest: action for sub in subs.values() for action in sub._actions
-               if action.dest != "help"}
-    unknown = sorted(set(doc) - set(actions))
+    rows = {flag.dest: flag for flag in sorted(FLAGS, key=lambda f: args.command in f.commands)}
+    unknown = sorted(set(doc) - set(rows))
     if unknown:
         raise ConfigurationError(f"config key {unknown[0]!r} is no option of any subcommand")
-    flags = []
-    for key, value in doc.items():
-        converted = _config_value(own.get(key, actions[key]), value)
-        if key in own and converted is not None and converted is not False:
-            flag = own[key].option_strings[0]
-            flags.append(flag if converted is True else f"{flag}={value}")
-    return argv[:1] + flags + argv[1:]
+    values = {key: _config_value(rows[key], value) for key, value in doc.items()}
+    own = {key: value for key, value in values.items()
+           if value is not None and args.command in rows[key].commands}
+    given = [key for key, value in vars(args).items() if value is not None]
+    exclusive = [rows[key].name for key in [*own, *given] if key in rows and rows[key].one_of]
+    clash = next((name for name in exclusive if name != exclusive[0]), None)
+    if clash:
+        raise ConfigurationError(f"argument {clash}: not allowed with argument {exclusive[0]}")
+    vars(args).update({key: value for key, value in own.items() if key not in given})
 
 
-def _config_value(action: argparse.Action, value):
-    """A config value checked as argparse checks a flag's text: true or false
-    for a flag without an argument, else a string or number put through the
-    flag's type and choices; null adds nothing, as if the key were absent."""
-    if value is None:
-        return None
-    if action.nargs == 0:
-        if isinstance(value, bool):
-            return value
-    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+def _config_value(flag, value):
+    """A config value checked as argparse checks a flag's text: a bool for a
+    switch, else a string or number put through the flag's type or choices.
+    None, for null or a false switch, adds nothing, as if the key were absent."""
+    if value is None or flag.kind is bool and isinstance(value, bool):
+        return value or None
+    if flag.kind is not bool and type(value) in (str, int, float):
+        choices = flag.kind if isinstance(flag.kind, tuple) else None
         try:
-            converted = (action.type or str)(str(value))
-        except (ValueError, argparse.ArgumentTypeError):
-            converted = None
-        if converted is not None and (action.choices is None or converted in action.choices):
-            return converted
-    raise ConfigurationError(f"config key {action.dest!r}: invalid value {value!r}")
+            converted = str(value) if choices else flag.kind(str(value))
+            if not choices or converted in choices:
+                return converted
+        except argparse.ArgumentTypeError:
+            pass
+    raise ConfigurationError(f"config key {flag.dest!r}: invalid value {value!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,56 +163,45 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _at_least(minimum, values: list) -> list:
-    """values, if it is not empty and no entry is below minimum."""
-    if not values:
-        raise argparse.ArgumentTypeError("the list is empty")
-    low = [v for v in values if not v >= minimum]
-    if low:
-        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {low[0]}")
-    return values
+class _Formatter(argparse.HelpFormatter):
+    """Wraps help at spaces only, never inside a flag's name at a hyphen."""
+
+    def _split_lines(self, text, width):
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
-def _limited(limit: str, convert):
-    """convert, labelled with the limit on its values that --help shows."""
-    convert.limit = limit
-    return convert
+class _Bounded:
+    """argparse type: an int or a float >= low, or with strict a finite one >
+    low; of kind list, a comma list of ints >= low, whose blank items are
+    skipped and of which one must remain. limit is the bound --help shows."""
 
+    def __init__(self, kind, low, strict=False):
+        self.kind, self.low, self.strict = kind, low, strict
+        self.bound = f"{'>' if strict else '>='} {low}"
+        self.limit = f"{'each ' if kind is list else ''}{self.bound}{' and finite' if strict else ''}"
 
-def _int_at_least(minimum: int):
-    """argparse type: one integer >= minimum."""
-    return _limited(f">= {minimum}", lambda text: _at_least(minimum, [_number(text, int)])[0])
+    def __call__(self, text: str):
+        items = [item for item in text.split(",") if item.strip()] if self.kind is list else [text]
+        values = self.check([self._number(item) for item in items])
+        return values if self.kind is list else values[0]
 
+    def _number(self, text: str):
+        try:
+            return float(text) if self.kind is float else int(text)
+        except ValueError:
+            kind = "number" if self.kind is float else "integer"
+            raise argparse.ArgumentTypeError(f"invalid {kind} {text!r}") from None
 
-def _int_list(minimum: int):
-    """argparse type: a comma list of integers, each >= minimum; blank items are
-    skipped and at least one integer must remain."""
-    return _limited(f"each >= {minimum}", lambda text: _at_least(
-        minimum, [_number(x, int) for x in text.split(",") if x.strip()]))
-
-
-def _number(text: str, parse=float):
-    """text parsed as a float, or as an int if parse is int."""
-    try:
-        return parse(text)
-    except ValueError:
-        kind = "integer" if parse is int else "number"
-        raise argparse.ArgumentTypeError(f"invalid {kind} {text!r}") from None
-
-
-def _float_at_least(minimum: float):
-    """argparse type: one number >= minimum."""
-    return _limited(f">= {minimum}", lambda text: _at_least(minimum, [_number(text)])[0])
-
-
-@functools.partial(_limited, "> 0 and finite")
-def _positive_float(text: str) -> float:
-    value = _number(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    if value == math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
+    def check(self, values: list) -> list:
+        """values, if it is not empty and each entry meets the bound."""
+        if not values:
+            raise argparse.ArgumentTypeError("the list is empty")
+        for value in values:
+            if not (value > self.low if self.strict else value >= self.low):
+                raise argparse.ArgumentTypeError(f"must be {self.bound}, got {value}")
+            if self.strict and value == np.inf:
+                raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        return values
 
 
 def _parse_tokens(args) -> list:
@@ -240,7 +213,7 @@ def _parse_tokens(args) -> list:
     if not isinstance(tokens, list) or not all(type(tok) is int for tok in tokens):
         raise ConfigurationError(f"{args.tokens_file} does not hold a JSON array of integers")
     try:
-        return _at_least(0, tokens)
+        return _Bounded(list, 0).check(tokens)
     except argparse.ArgumentTypeError as exc:
         raise ConfigurationError(f"token ids in {args.tokens_file}: {exc}") from None
 
@@ -258,11 +231,13 @@ ROSM_DIMS = (lambda args: args.rosm_dims is not None, "with --rosm-dims", "witho
 NO_FILE, MODEL = (NO_TASK, NO_CHECKPOINT), (FULL_MODE, NO_CHECKPOINT)
 
 
-# A flag of the named subcommands. kind is its argparse type, a tuple of choices,
-# or bool for a switch. A run reads the flag where every condition of `when`
-# holds. A subcommand needs exactly one of its `one_of` flags.
-Flag = namedtuple("Flag", "name commands kind default help when one_of",
-                  defaults=(None, None, "", (), False))
+class Flag(namedtuple("Flag", "name commands kind default help when one_of",
+                      defaults=(str, None, "", (), False))):
+    """A flag of the named subcommands. kind is its argparse type, a tuple of
+    choices, or bool for a switch. A run reads the flag where every condition
+    of `when` holds. A subcommand needs exactly one of its `one_of` flags."""
+
+    dest = property(lambda flag: flag.name[2:].replace("-", "_"))
 
 
 GEN, VER, SIM, TRAIN = ("gen-task",), ("verify-separation",), ("simulate",), ("train",)
@@ -273,34 +248,34 @@ FLAGS = (
     Flag("--task", VER + TRAIN, help="task JSON file; else made from --n and --seed"),
     Flag("--task", SIM, help="task JSON file; else made from --n and --seed", when=(TASK_MODE,)),
     Flag("--checkpoint", SIM, help="model JSON file; else a new model", when=(FULL_MODE,)),
-    Flag("--rosm-dims", VER, _int_list(1), help="comma list of baseline dimensions to train"),
+    Flag("--rosm-dims", VER, _Bounded(list, 1), help="comma list of baseline dimensions to train"),
     Flag("--config", GEN + VER + SIM + TRAIN, help="JSON config file; flags override it"),
     Flag("--output-dir", GEN + VER + SIM + TRAIN, help=f"defaults to ${OUTPUT_DIR_ENV} or ."),
-    Flag("--seed", GEN + VER, _int_at_least(0), 0, "random seed"),
-    Flag("--seed", TRAIN, _int_at_least(0), 0, "random seed", (NO_TASK,)),
-    Flag("--seed", SIM, _int_at_least(0), 0, "random seed", NO_FILE),
-    Flag("--n", GEN, _int_at_least(2), 2, "task size"),
-    Flag("--n", VER + TRAIN, _int_at_least(2), 2, "task size", (NO_TASK,)),
-    Flag("--n", SIM, _int_at_least(1), 2, "model dimension, or task size of 2 or more", NO_FILE),
-    Flag("--filler-length", GEN, _int_at_least(0), 1, "filler tokens per sequence"),
-    Flag("--filler-length", VER, _int_at_least(0), 1, "filler tokens per sequence", (NO_TASK,)),
+    Flag("--seed", GEN + VER, _Bounded(int, 0), 0, "random seed"),
+    Flag("--seed", TRAIN, _Bounded(int, 0), 0, "random seed", (NO_TASK,)),
+    Flag("--seed", SIM, _Bounded(int, 0), 0, "random seed", NO_FILE),
+    Flag("--n", GEN, _Bounded(int, 2), 2, "task size"),
+    Flag("--n", VER + TRAIN, _Bounded(int, 2), 2, "task size", (NO_TASK,)),
+    Flag("--n", SIM, _Bounded(int, 1), 2, "model dimension, or task size of 2 or more", NO_FILE),
+    Flag("--filler-length", GEN, _Bounded(int, 0), 1, "filler tokens per sequence"),
+    Flag("--filler-length", VER, _Bounded(int, 0), 1, "filler tokens per sequence", (NO_TASK,)),
     Flag("--reference", GEN, bool, False, "use the explicit N=2 witness configuration"),
-    Flag("--audits", VER, _int_at_least(0), 50, "random baselines to audit"),
-    Flag("--epochs", VER, _int_at_least(1), 500, "epochs per baseline", (ROSM_DIMS,)),
-    Flag("--seeds", VER, _int_at_least(1), 3, "seeds per baseline", (ROSM_DIMS,)),
-    Flag("--tokens", SIM, _int_list(0), help="comma-separated token ids", one_of=True),
+    Flag("--audits", VER, _Bounded(int, 0), 50, "random baselines to audit"),
+    Flag("--epochs", VER, _Bounded(int, 1), 500, "epochs per baseline", (ROSM_DIMS,)),
+    Flag("--seeds", VER, _Bounded(int, 1), 3, "seeds per baseline", (ROSM_DIMS,)),
+    Flag("--tokens", SIM, _Bounded(list, 0), help="comma-separated token ids", one_of=True),
     Flag("--tokens-file", SIM, help="JSON array of token ids", one_of=True),
-    Flag("--r", SIM, _int_at_least(1), 1, "model rank", MODEL),
-    Flag("--d", SIM, _int_at_least(1), 4, "model embedding width", MODEL),
-    Flag("--v", SIM, _int_at_least(1), 4, "model readout size", MODEL),
-    Flag("--dt", SIM, _positive_float, 1.0, "time step", (NO_CHECKPOINT,)),
+    Flag("--r", SIM, _Bounded(int, 1), 1, "model rank", MODEL),
+    Flag("--d", SIM, _Bounded(int, 1), 4, "model embedding width", MODEL),
+    Flag("--v", SIM, _Bounded(int, 1), 4, "model readout size", MODEL),
+    Flag("--dt", SIM, _Bounded(float, 0, strict=True), 1.0, "time step", (NO_CHECKPOINT,)),
     Flag("--model-kind", TRAIN, ("cusm-trainable", "rosm", "full"), "cusm-trainable", "the model"),
-    Flag("--dim", TRAIN, _int_at_least(1),
+    Flag("--dim", TRAIN, _Bounded(int, 1),
          help="state dimension; defaults to the task's n, and rosm needs it"),
-    Flag("--seeds", TRAIN, _int_at_least(1), 5, "runs, seeded 0, 1, ..."),
-    Flag("--epochs", TRAIN, _int_at_least(1), 2000, "epochs per run"),
-    Flag("--lr", TRAIN, _positive_float, 1e-3, "learning rate"),
-    Flag("--early-stop-gap", TRAIN, _float_at_least(0.0), 1e-4, "stop once the gap is below this"),
+    Flag("--seeds", TRAIN, _Bounded(int, 1), 5, "runs, seeded 0, 1, ..."),
+    Flag("--epochs", TRAIN, _Bounded(int, 1), 2000, "epochs per run"),
+    Flag("--lr", TRAIN, _Bounded(float, 0, strict=True), 1e-3, "learning rate"),
+    Flag("--early-stop-gap", TRAIN, _Bounded(float, 0.0), 1e-4, "stop once the gap is below this"),
     Flag("--ablation", TRAIN, bool, False, "also report the readout ablation"),
 )
 
@@ -315,17 +290,21 @@ def _help(flag: Flag) -> str:
 
 
 def _settle(args) -> None:
-    """Apply FLAGS to a parse: a given flag that the run does not read is a
-    usage error that says why, a read flag that was not given takes its
-    default, and an unread flag stays unset, so that no report echoes it."""
-    for flag in FLAGS:
-        if args.command in flag.commands:
-            dest = flag.name[2:].replace("-", "_")
-            unmet = [unmet for holds, _, unmet in flag.when if not holds(args)]
-            if unmet and getattr(args, dest) is not None:
-                raise ConfigurationError(f"{flag.name} does not apply {unmet[0]}")
-            if not unmet and getattr(args, dest) is None:
-                setattr(args, dest, flag.default)
+    """Apply FLAGS to a parse: a subcommand needs one of its one_of flags, a
+    given flag that the run does not read is a usage error that says why, a
+    read flag that was not given takes its default, and an unread flag stays
+    unset, so that no report echoes it."""
+    flags = [flag for flag in FLAGS if args.command in flag.commands]
+    one_of = [flag for flag in flags if flag.one_of]
+    if one_of and all(getattr(args, flag.dest) is None for flag in one_of):
+        names = " ".join(flag.name for flag in one_of)
+        raise ConfigurationError(f"one of the arguments {names} is required")
+    for flag in flags:
+        unmet = [unmet for holds, _, unmet in flag.when if not holds(args)]
+        if unmet and getattr(args, flag.dest) is not None:
+            raise ConfigurationError(f"{flag.name} does not apply {unmet[0]}")
+        if not unmet and getattr(args, flag.dest) is None:
+            setattr(args, flag.dest, flag.default)
 
 
 def _task(args):
@@ -340,8 +319,8 @@ def _task(args):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_task(args) -> int:
-    out = _output_dir(args)
     task = _task(args)
+    out = _output_dir(args)
     table = target_table(task)
     ranks = check_separation_ranks(table, task.n)
     task_path = os.path.join(out, f"task_n{task.n}_seed{task.seed}.json")
@@ -393,11 +372,8 @@ def cmd_verify_separation(args) -> int:
         sweep = []
         for d in args.rosm_dims:
             reports = train_on_task(task, "rosm", dim=d, config=config, seeds=range(args.seeds))
-            sweep.append({
-                "d": d,
-                "gaps": [r.gap for r in reports],
-                "best_gap": min(r.gap for r in reports),
-            })
+            gaps = [r.gap for r in reports]
+            sweep.append({"d": d, "gaps": gaps, "best_gap": min(gaps)})
         report["rosm_gap_sweep"] = sweep
     path = _write_report(args, f"separation_n{task.n}_seed{task.seed}.json", report,
                          seed=task.seed)
@@ -432,7 +408,7 @@ def cmd_simulate(args) -> int:
         seed, dt = model.seed, model.dt
         report["model"] = {"n": model.n, "r": model.r, "d": model.d, "v": model.v,
                            "v_in": model.v_in, "dt": dt}
-        states, factor_log, _, _ = evolve_full_batch(model, np.asarray([tokens]))
+        states, factor_log, _, _ = evolve_full_batch(model, [tokens])
         states = np.concatenate(states)
         phi = np.concatenate([f.phi for f in factor_log])
         cbar = 0.5 * (states[:-1] + states[1:])
@@ -463,11 +439,9 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     out = _output_dir(args)
     task = _task(args)
-    config = OptimizerConfig(lr=args.lr, epochs=args.epochs,
-                             early_stop_gap=args.early_stop_gap)
+    config = OptimizerConfig(lr=args.lr, epochs=args.epochs, early_stop_gap=args.early_stop_gap)
     seeds = range(args.seeds)
-    reports = train_on_task(task, args.model_kind, dim=args.dim,
-                            config=config, seeds=seeds)
+    reports = train_on_task(task, args.model_kind, dim=args.dim, config=config, seeds=seeds)
     paths = []
     for rep in reports:
         fields = {k: v for k, v in vars(rep).items() if k not in ("seed", "loss_trace")}
@@ -499,7 +473,8 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cusm", description="Complex-unitary sequence model experiments")
+    parser = _Parser(prog="cusm", description="Complex-unitary sequence model experiments",
+                     formatter_class=_Formatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func, about in (
@@ -508,11 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", cmd_simulate, "run a trajectory and emit current diagnostics"),
         ("train", cmd_train, "train a model on a task, one report per seed"),
     ):
-        p = sub.add_parser(command, help=about)
+        p = sub.add_parser(command, help=about, formatter_class=_Formatter)
         p.set_defaults(func=func)
         flags = [flag for flag in FLAGS if command in flag.commands]
         if any(flag.one_of for flag in flags):  # argparse cannot format an empty group
-            one_of = p.add_mutually_exclusive_group(required=True)
+            one_of = p.add_mutually_exclusive_group()  # _settle asks for one
         for flag in flags:
             options = ({"action": "store_true"} if flag.kind is bool else {"choices": flag.kind}
                        if isinstance(flag.kind, tuple) else {"type": flag.kind})
@@ -529,10 +504,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _shared_parser()
     try:
-        args = parser.parse_args(_with_config(parser, argv))
+        args = _shared_parser().parse_args(argv)
+        if args.config is not None:
+            _merge_config(args)
         _settle(args)
         return args.func(args)
     except (IllConditionedStepError, FloatingPointError, np.linalg.LinAlgError) as exc:
@@ -540,8 +515,8 @@ def main(argv=None) -> int:
         where = f" at step {step}" if step is not None else ""
         print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigurationError, VocabularyError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (ConfigurationError, VocabularyError, InvalidDimensionError, OSError,
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CusmError as exc:

@@ -40,6 +40,9 @@ def checked_array(value, shape: tuple, where: str, complex_: bool = False) -> np
         shown = tuple("*" if want is None else want for want in expected)
         raise ConfigurationError(f"{where}: expected a numeric array of shape {shown}, got {found}")
     arr = arr.astype(float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ConfigurationError(f"{where}: expected finite entries, got {bad[0]}")
     # a view, not re + 1j * im: that arithmetic turns a -0.0 part into +0.0
     return arr.view(complex)[..., 0] if complex_ else arr
 

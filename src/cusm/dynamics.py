@@ -159,10 +159,16 @@ def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
     return out.reshape(psi.shape), report
 
 
-def _check_vocabulary(tokens: np.ndarray, size: int) -> None:
-    bad = tokens[(tokens < 0) | (tokens >= size)]
+def _checked_tokens(tokens, size: int) -> np.ndarray:
+    """tokens as an int array, once each id is in [0, size). An id outside is
+    reported as given: ids beyond int64 are checked as Python ints, not floats."""
+    arr = np.asarray(tokens)
+    if arr.dtype.kind not in "iu":
+        arr = np.asarray(tokens, dtype=object)
+    bad = arr[(arr < 0) | (arr >= size)]
     if bad.size:
         raise VocabularyError(f"token id {bad[0]} outside the vocabulary [0, {size})")
+    return arr.astype(int, copy=False)
 
 
 def cayley_map(z: np.ndarray) -> np.ndarray:
@@ -198,9 +204,7 @@ def evolve_fixed_batch(transitions: np.ndarray, state0: np.ndarray, tokens) -> l
     tokens[:, t] and applies them to the B states of every model in one
     batched product. Returns the T+1 states (..., B, d).
     """
-    tokens = np.asarray(tokens)
-    _check_vocabulary(tokens, transitions.shape[-3])  # before the cast, which overflows
-    tokens = tokens.astype(int, copy=False)
+    tokens = _checked_tokens(tokens, transitions.shape[-3])
     psi = np.repeat(state0[..., None, :], tokens.shape[0], axis=-2)
     states = [psi]
     for step in range(tokens.shape[1]):
@@ -228,8 +232,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
     """
     from .hamgen import initial_state, mlp_forward_cached, split_factor_output
 
-    tokens = np.asarray(tokens)
-    _check_vocabulary(tokens, model.embed.vectors.shape[0])
+    tokens = _checked_tokens(tokens, model.embed.vectors.shape[0])
     n, steps, dt = model.n, tokens.shape[1], model.dt
     x = np.empty((steps, tokens.shape[0], model.d + 2 * n))
     x[..., :model.d] = model.embed.vectors[tokens.T]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,12 @@ class TestGenTask:
         code = run(["gen-task", "--n", "0"], tmp_path, monkeypatch)
         assert code == 2
         assert "must be >= 2" in capsys.readouterr().err
+
+    def test_reference_of_another_size_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-task", "--reference", "--n", "3", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the reference witness is defined for n = 2 only\n"
+        assert not out.exists()
 
     def test_rank_deficient_table_is_invariant_violation(self, tmp_path, monkeypatch):
         ranks = cli.check_separation_ranks
@@ -410,6 +417,26 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["task", "full"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_token_id_that_a_float_rounds_is_reported_as_given(self, mode, source, tmp_path,
+                                                               capsys):
+        # beside a smaller id, numpy holds 2**63 + 1 as a float64, which rounds it to 2**63
+        big = 2 ** 63 + 1
+        argv = ["simulate", "--mode", mode]
+        if mode == "full":
+            argv += ["--checkpoint", saved_checkpoint(tmp_path)]
+        if source == "flag":
+            argv += ["--tokens", f"0,{big}"]
+        else:
+            path = tmp_path / "tokens.json"
+            path.write_text(json.dumps([0, big]))
+            argv += ["--tokens-file", str(path)]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: token id {big} outside the vocabulary [0, 5)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["task", "full"])
     def test_empty_token_list_is_usage_error(self, mode, tmp_path, monkeypatch, capsys):
         code = run(["simulate", "--mode", mode, "--tokens", ","], tmp_path, monkeypatch)
         assert code == 2
@@ -680,6 +707,29 @@ class TestLoadErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, field, value, command", [
+        ("task", "context_states", "nan", None),  # None: the command of _command
+        ("task", "query_unitaries", "inf", "train"),
+        ("task", "measurement", "nan", "simulate"),
+        ("model", "embed", "inf", None),
+        ("model", "mlp_weights", "-inf", None),
+    ])
+    def test_non_finite_entry(self, kind, field, value, command, tmp_path, monkeypatch, capsys):
+        path = getattr(self, f"_{kind}_file")(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        entries = doc[field]
+        while isinstance(entries[0], list):
+            entries = entries[0]
+        entries[0] = float(value)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = {"train": ["train", "--task", str(path), "--seeds", "1", "--epochs", "2"],
+                "simulate": ["simulate", "--task", str(path), "--tokens", "0,2,3"]}.get(command)
+        assert run(argv or self._command(kind, path), tmp_path, monkeypatch) == 2
+        where = "mlp_weights[0]" if field == "mlp_weights" else f"field {field!r}"
+        assert capsys.readouterr().err == \
+            f"error: {path}: {where}: expected finite entries, got {value}\n"
+
     def test_ragged_array(self, tmp_path, monkeypatch, capsys):
         path = self._task_file(tmp_path, monkeypatch)
         doc = json.loads(path.read_text())
@@ -811,6 +861,76 @@ class TestConfigFile:
         assert "config key 'help' is no option" in capsys.readouterr().err
 
 
+class TestConfigMerge:
+    """Config keys fill the flags that argv left unset, after one parse of argv.
+    Of two exclusive flags, argparse's message blames the later source: argv's
+    flags come after the config's keys, which come in file order."""
+
+    NOT_AFTER_TOKENS = "argument --tokens-file: not allowed with argument --tokens"
+    NOT_AFTER_FILE = "argument --tokens: not allowed with argument --tokens-file"
+
+    @pytest.mark.parametrize("flags, keys, message", [
+        (["--tokens", "0,1", "--tokens-file", "T"], {}, NOT_AFTER_TOKENS),
+        (["--tokens-file", "T", "--tokens", "0,1"], {}, NOT_AFTER_FILE),
+        (["--tokens-file", "T"], {"tokens": "0,1"}, NOT_AFTER_TOKENS),
+        (["--tokens", "0,1"], {"tokens_file": "T"}, NOT_AFTER_FILE),
+        ([], {"tokens": "0,1", "tokens_file": "T"}, NOT_AFTER_TOKENS),
+        ([], {"tokens_file": "T", "tokens": "0,1"}, NOT_AFTER_FILE),
+        # the keys clash before argv's flag is reached
+        (["--tokens", "0,2"], {"tokens": "0,1", "tokens_file": "T"}, NOT_AFTER_TOKENS),
+    ], ids=["flag-tokens,flag-file", "flag-file,flag-tokens", "key-tokens,flag-file",
+            "key-file,flag-tokens", "key-tokens,key-file", "key-file,key-tokens",
+            "key-tokens,key-file,flag-tokens"])
+    def test_exclusive_flags_blame_the_later_source(self, flags, keys, message, tmp_path,
+                                                    capsys):
+        path = tmp_path / "tokens.json"
+        path.write_text("[0, 1]")
+        argv = ["simulate"] + [str(path) if arg == "T" else arg for arg in flags]
+        if keys:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"schema_version": 1, **{
+                key: str(path) if value == "T" else value for key, value in keys.items()}}))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["tokens", "tokens_file"])
+    def test_tokens_from_the_config_alone(self, key, tmp_path, monkeypatch):
+        path = tmp_path / "tokens.json"
+        path.write_text("[0, 2, 2, 3]")
+        cfg = tmp_path / "cfg.json"
+        value = {"tokens": "0,2,2,3", "tokens_file": str(path)}[key]
+        cfg.write_text(json.dumps({"schema_version": 1, key: value}))
+        assert run(["simulate", "--config", str(cfg)], tmp_path, monkeypatch) == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert report["steps"] == 4
+        assert report["config"][key] == ([0, 2, 2, 3] if key == "tokens" else str(path))
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_tokens_from_no_source_is_usage_error(self, config, tmp_path, capsys):
+        argv = ["simulate", "--n", "2"]
+        if config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"schema_version": 1, "tokens": None, "dt": 0.5}))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: one of the arguments --tokens --tokens-file is required\n"
+        assert not out.exists()
+
+    def test_argv_error_is_reported_before_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "n": "two"}))
+        out = tmp_path / "out"
+        assert main(["gen-task", "--seed", "-1", "--config", str(cfg),
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: argument --seed: must be >= 0, got -1\n"
+        assert not out.exists()
+
+
 def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
     builds = []
     build = cli.build_parser
@@ -840,6 +960,16 @@ def test_help_shows_each_flags_limit_default_and_read_condition(command, monkeyp
         assert "read " + " and ".join(met for _, met, _ in flag.when) in entry or not flag.when
         if flag.kind is not bool and flag.default is not None:
             assert f"default {flag.default}" in entry
+
+
+@pytest.mark.parametrize("command", ["gen-task", "verify-separation", "simulate", "train"])
+def test_help_at_80_columns_keeps_each_flag_name_whole(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    # a name split at one of its hyphens would leave a fragment such as "--rosm-"
+    names = {flag.name for flag in cli.FLAGS if command in flag.commands}
+    assert set(re.findall(r"--[\w-]*", capsys.readouterr().out)) == names | {"--help"}
 
 
 class TestFlagValues:
