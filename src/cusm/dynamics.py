@@ -13,8 +13,9 @@ be cross-checked against it. With c = i*dt/2, A+- = I +- cH and A+ + A- =
 2I, the fast path solves once: psi_next = 2 A+^{-1} psi - psi. As A+ has no
 singular value below 1, the r x r Gram matrix of the solve has condition <=
 (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so
-IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6. evolve_full_batch checks
-each step's residual and norm change after its time loop. Models with one fixed
+IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6. evolve_full_batch writes a
+batch's whole trajectory into arrays allocated once and checks each step's
+residual and norm change after its time loop. Models with one fixed
 unitary or orthogonal matrix per token advance through evolve_fixed_batch;
 inverse_cayley recovers the Hermitian generators of such unitaries.
 """
@@ -50,9 +51,14 @@ class InteractionFactors:
     def rank(self) -> int:
         return self.phi.shape[-1]
 
+    def __getitem__(self, index) -> InteractionFactors:
+        """The factors at `index` of the leading stack axes."""
+        return InteractionFactors(self.phi[index], self.delta[index])
+
     def materialize(self) -> np.ndarray:
-        """Dense H = Phi Phi^dag + diag(delta); Hermitian by construction."""
-        return self.phi @ self.phi.conj().T + np.diag(self.delta.astype(complex))
+        """Dense H = Phi Phi^dag + diag(delta), (..., N, N); Hermitian by construction."""
+        diag = np.where(np.eye(self.dim, dtype=bool), self.delta[..., None].astype(complex), 0j)
+        return self.phi @ self.phi.conj().swapaxes(-1, -2) + diag
 
 
 @dataclass
@@ -62,7 +68,7 @@ class CayleyStepReport:
 
     gram_condition: float
     residual: float
-    renorm_delta: float
+    norm_change: float
     warning: bool = False
 
 
@@ -111,7 +117,7 @@ def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarr
         # the SVD of a non-finite matrix raises; its condition is NaN here
         cond = float(np.linalg.cond(gram).max()) if np.isfinite(gram).all() else np.nan
     if not cond <= GRAM_COND_FAIL:
-        report = CayleyStepReport(gram_condition=cond, residual=np.nan, renorm_delta=np.nan)
+        report = CayleyStepReport(gram_condition=cond, residual=np.nan, norm_change=np.nan)
         reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}" if cond > GRAM_COND_FAIL
                   else "has a non-finite entry")
         raise IllConditionedStepError(f"Gram matrix {reason}", report=report, step=step)
@@ -141,7 +147,7 @@ def _step_reports(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np.n
     resid -= 2.0 * psi
     worst = [x.reshape(len(conds), -1).max(axis=1).tolist() for x in (
         _column_norms(resid), np.abs(_column_norms(out) - _column_norms(psi)))]
-    return [CayleyStepReport(gram_condition=cond, residual=res, renorm_delta=drift,
+    return [CayleyStepReport(gram_condition=cond, residual=res, norm_change=drift,
                              warning=cond > GRAM_COND_WARN)
             for cond, res, drift in zip(conds, *worst)]
 
@@ -222,48 +228,49 @@ def evolve_fixed_unitaries(unitaries: np.ndarray, psi0: np.ndarray, tokens) -> l
 def evolve_full_batch(model, tokens: np.ndarray):
     """Forward pass of the full model over a (B, T) array of token ids.
 
-    The time loop holds only the recurrence: at each step the generator network
-    consumes one row per sequence (token embedding, Re/Im of the current
-    interaction-picture state) of one (T, B, d + 2N) input array, its output
-    factors are phase-conjugated into the interaction picture, and one stacked
-    Woodbury solve advances all B states, raising at an ill-conditioned step;
-    the stacked checks follow the loop. Returns T+1 states (B, N) and per step
-    the factors (phi (B, N, r)), one report and the network's layer inputs.
+    The trajectory is allocated once and the time loop, which holds only the
+    recurrence, writes into it: at each step the generator network consumes one
+    row per sequence (token embedding, Re/Im of the current interaction-picture
+    state), its output factors are phase-conjugated into the interaction
+    picture, and one stacked Woodbury solve advances all B states, raising at an
+    ill-conditioned step; the stacked checks follow the loop. Returns the states
+    (T+1, B, N), the factors stacked (phi (T, B, N, r), delta (T, B, N)), one
+    report per step and the network's layer inputs and output (T, B, width).
     """
-    from .hamgen import initial_state, mlp_forward_cached, split_factor_output
+    from .hamgen import initial_state, mlp_buffers, mlp_forward_cached, split_factor_output
 
     tokens = _checked_tokens(tokens, model.embed.vectors.shape[0])
-    n, steps, dt = model.n, tokens.shape[1], model.dt
-    x = np.empty((steps, tokens.shape[0], model.d + 2 * n))
+    n, r, dt, (batch, steps) = model.n, model.r, model.dt, tokens.shape
+    acts = mlp_buffers(model.mlp, (steps, batch), model.d + 2 * n)
+    x, raw = acts[0], split_factor_output(acts[-1], n, r)
     x[..., :model.d] = model.embed.vectors[tokens.T]
     phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))
-    psi = np.tile(initial_state(model.init), (tokens.shape[0], 1))[..., None]
-    columns, factor_log, conds, mlp_inputs = [psi], [], [], []  # states as columns (B, N, 1)
+    # phi keeps the network's channel-major layout, in which the solve and the
+    # currents round as they did on each step's own product; delta is contiguous
+    phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
+    delta, conds = np.empty((steps, batch, n)), []
+    cols = np.empty((steps + 1, batch, n, 1), dtype=complex)  # states as columns
+    cols[0] = initial_state(model.init)[:, None]
     for step in range(steps):
-        x[step, :, -2 * n:-n], x[step, :, -n:] = psi[..., 0].real, psi[..., 0].imag
-        out, inputs = mlp_forward_cached(model.mlp, x[step])
-        raw = split_factor_output(out, n, model.r)
-        factors = InteractionFactors(phases[step][:, None] * raw.phi, raw.delta)
-        psi, cond = _cayley_step(factors.phi, factors.delta, psi, dt, step)
-        columns.append(psi)
-        factor_log.append(factors)
+        x[step, :, -2 * n:-n], x[step, :, -n:] = cols[step, ..., 0].real, cols[step, ..., 0].imag
+        mlp_forward_cached(model.mlp, x[step], [a[step] for a in acts[1:]])
+        np.multiply(phases[step][:, None], raw.phi[step], out=phi[step])
+        delta[step] = raw.delta[step]
+        cols[step + 1], cond = _cayley_step(phi[step], delta[step], cols[step], dt, step)
         conds.append(cond)
-        mlp_inputs.append(inputs)
     reports = []
     for start in range(0, steps, CHECK_CHUNK_STEPS):
-        part = slice(start, start + CHECK_CHUNK_STEPS)
-        psi = np.stack(columns[start:start + CHECK_CHUNK_STEPS + 1])
-        reports += _step_reports(np.stack([f.phi for f in factor_log[part]]),
-                                 np.stack([f.delta for f in factor_log[part]]),
-                                 psi[:-1], psi[1:], dt, conds[part])
-    return [psi[..., 0] for psi in columns], factor_log, reports, mlp_inputs
+        stop = min(start + CHECK_CHUNK_STEPS, steps)
+        reports += _step_reports(phi[start:stop], delta[start:stop], cols[start:stop],
+                                 cols[start + 1:stop + 1], dt, conds[start:stop])
+    return cols[..., 0], InteractionFactors(phi, delta), reports, acts
 
 
 def evolve_full_model(model, tokens):
-    """evolve_full_batch for one sequence: (trajectory, interaction-picture factors, reports)."""
-    states, factor_log, reports, _ = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))
-    factors = [InteractionFactors(phi=f.phi[0], delta=f.delta[0]) for f in factor_log]
-    return [psi[0] for psi in states], factors, reports
+    """evolve_full_batch for one sequence: (trajectory (T+1, N), interaction-picture
+    factors stacked (T, N, r) and (T, N), reports)."""
+    states, factors, reports, _ = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))
+    return states[:, 0], factors[:, 0], reports
 
 
 def schrodinger_state(psi_ip: np.ndarray, frequencies: np.ndarray, t: int, dt: float) -> np.ndarray:

@@ -90,32 +90,45 @@ def initial_state(params: InitialStateParams) -> np.ndarray:
     return vec / norm
 
 
-def mlp_forward_cached(mlp: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass of one input or of rows (B, in), keeping per-layer inputs."""
-    inputs = []
+def mlp_buffers(mlp: MlpParams, lead: tuple, width: int) -> list:
+    """Empty rows (*lead, width_l) for each layer's input and for the output, once
+    every layer's input width is checked against the width before it."""
+    widths = [width, *(w.shape[0] for w in mlp.weights)]
+    for layer, w in enumerate(mlp.weights):
+        if w.shape[1] != widths[layer]:
+            raise ConfigurationError(f"layer {layer} expects input width {w.shape[1]}, "
+                                     f"got {widths[layer]}")
+    return [np.empty((*lead, k)) for k in widths]
+
+
+def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list | None = None):
+    """Forward pass of one input or of rows (B, in): the output and each layer's
+    input. Layer l writes its output into out[l], rows the caller took from
+    mlp_buffers, or into a new array."""
     h = np.asarray(x, dtype=float)
-    last = len(mlp.weights) - 1
+    out = mlp_buffers(mlp, h.shape[:-1], h.shape[-1])[1:] if out is None else out
+    inputs = [h, *out[:-1]]
     for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        if w.shape[1] != h.shape[-1]:
-            raise ConfigurationError(
-                f"layer {layer} expects input width {w.shape[1]}, got {h.shape[-1]}"
-            )
-        inputs.append(h)
-        h = h @ w.T + b
-        if layer != last:
-            h = np.tanh(h)
-    return h, inputs
+        np.matmul(inputs[layer], w.T, out=out[layer])
+        out[layer] += b
+        if layer < len(mlp.weights) - 1:
+            np.tanh(out[layer], out=out[layer])
+    return out[-1], inputs
 
 
-def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray) -> tuple[list, np.ndarray]:
-    """Reverse sweep of an output gradient on the inputs cached by mlp_forward_cached
-    for one input or rows (B, in): each layer's pre-activation gradient rows
-    (B, out_l), for mlp_weight_grads, and the input gradient, shaped as the input."""
-    g_pre = [np.atleast_2d(np.asarray(g_out, dtype=float))]
-    for layer in range(len(mlp.weights) - 1, 0, -1):
-        # tanh'(z) = 1 - tanh(z)^2, and tanh(z) is this layer's input
-        g_pre.insert(0, (g_pre[0] @ mlp.weights[layer]) * (1.0 - np.atleast_2d(inputs[layer]) ** 2))
-    return g_pre, (g_pre[0] @ mlp.weights[0]).reshape(np.shape(inputs[0]))
+def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray, out: list | None = None):
+    """Reverse sweep of g_out on the inputs cached by mlp_forward_cached for one input or
+    rows (B, in): each layer's pre-activation gradient rows (B, out_l), for mlp_weight_grads,
+    and the input gradient, shaped as the input. Rows from mlp_buffers in `out` take them."""
+    if out is None:
+        out = mlp_buffers(mlp, np.atleast_2d(inputs[0]).shape[:-1], inputs[0].shape[-1])
+    out[-1][...] = g_out
+    for layer in range(len(mlp.weights) - 1, -1, -1):
+        np.matmul(out[layer + 1], mlp.weights[layer], out=out[layer])
+        if layer:
+            # tanh'(z) = 1 - tanh(z)^2, and tanh(z) is this layer's input
+            out[layer] *= 1.0 - inputs[layer] ** 2
+    return out[1:], out[0].reshape(inputs[0].shape)
 
 
 def mlp_weight_grads(inputs: list, g_pre: list) -> tuple[list, list]:
@@ -127,20 +140,22 @@ def mlp_weight_grads(inputs: list, g_pre: list) -> tuple[list, list]:
 
 def split_factor_output(out: np.ndarray, n: int, r: int) -> InteractionFactors:
     """Fixed output layout: for channel a, then row j, (Re, Im) of Phi[j, a]; then
-    delta. Rows (B, 2*N*r + N) give phi (B, N, r), a complex view of float64 `out`."""
+    delta. Rows (..., 2*N*r + N) give views of float64 `out`: phi (..., N, r),
+    complex, and delta (..., N)."""
     if out.shape[-1] != 2 * n * r + n:
         raise ConfigurationError(f"output width {out.shape[-1]} != 2*N*r + N = {2 * n * r + n}")
     phi = out[..., : 2 * n * r].view(complex).reshape(*out.shape[:-1], r, n).swapaxes(-1, -2)
-    delta = out[..., 2 * n * r :]
-    return InteractionFactors(phi=phi, delta=delta.copy())
+    return InteractionFactors(phi=phi, delta=out[..., 2 * n * r :])
 
 
 def merge_factor_grads(g_phi: np.ndarray, g_delta: np.ndarray) -> np.ndarray:
-    """Adjoint of split_factor_output: complex Phi gradient back to real outputs."""
+    """Adjoint of split_factor_output, which only views its input in another layout:
+    the complex Phi gradient and the delta gradient written through its views."""
     *lead, n, r = g_phi.shape
-    pairs = np.stack([g_phi.real, g_phi.imag], axis=-1)  # (..., N, r, 2)
-    flat = pairs.swapaxes(-3, -2).reshape(*lead, 2 * n * r)
-    return np.concatenate([flat, g_delta], axis=-1)
+    out = np.empty((*lead, 2 * n * r + n))
+    grads = split_factor_output(out, n, r)
+    grads.phi[...], grads.delta[...] = g_phi, g_delta
+    return out
 
 
 def generate_interaction(

@@ -156,7 +156,7 @@ def _born_readout_vjp(meas: np.ndarray, psi: np.ndarray, weights: np.ndarray):
 def _loss_full(model: FullModelParams, tokens: np.ndarray, target_weights: np.ndarray) -> float:
     """Forward-only loss of a (B, T) token batch, summed over the batch; entry
     [b, t] of the (B, T, V) target_weights weights readout b after step t."""
-    states, _, _, _ = evolve_full_batch(model, tokens)
+    states = evolve_full_batch(model, tokens)[0]
     meas = project_measurement(model.meas_raw)
     loss = 0.0
     for t in range(target_weights.shape[1]):
@@ -191,7 +191,7 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     if tokens.shape[1] == 0:  # no step: zero loss and gradients
         return 0.0, model.with_arrays([np.zeros_like(arr) for arr in model.arrays()])
     n, d, dt, lam = model.n, model.d, model.dt, model.frequencies
-    states, factor_log, _, mlp_inputs = evolve_full_batch(model, tokens)
+    states, factors, _, acts = evolve_full_batch(model, tokens)
     meas, r_meas = project_measurement(model.meas_raw, with_r=True)
     # row t undoes the interaction picture at time t*dt
     phases = np.exp(-1j * np.outer(np.arange(tokens.shape[1] + 1) * dt, lam))
@@ -199,7 +199,8 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     loss = 0.0
     g_psi = np.zeros_like(states[0])
     g_lam = np.zeros(n)
-    g_rows = []  # per step, sweep order: the network's pre-activation and input gradients
+    # per step, the network's input gradient and each layer's pre-activation gradient
+    g_acts = [np.empty_like(a) for a in acts]
     g_meas = np.zeros_like(meas)
     c = 0.5j * dt
 
@@ -214,11 +215,11 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
             g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
 
         # state adjoint through the step itself (norm-preserving)
-        g_psi_step, s = adjoint_state_step(factor_log[t], dt, g_psi, step=t)
+        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, step=t)
 
         # both sides of the solve touch X = phi phi^dag and delta; with
         # u = psi_in + psi_out, dL/dX = -conj(c) s u^dag and dL/ddelta = -Re(c conj(s) u)
-        phi_ip = factor_log[t].phi
+        phi_ip = factors.phi[t]
         u = states[t] + states[t + 1]
         g_phi_ip = (-np.conj(c) * s[..., None]) * (u.conj()[:, None, :] @ phi_ip) \
             - c * u[..., None] * (s.conj()[:, None, :] @ phi_ip)
@@ -229,16 +230,15 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
         g_lam -= (t * dt) * np.imag(np.sum(phi_ip * np.conj(g_phi_ip), axis=(0, 2)))
 
         # generator network, on the activations of the forward pass
-        g_pre, g_x_in = mlp_backward(model.mlp, mlp_inputs[t],
-                                     merge_factor_grads(g_phi_raw, g_delta))
-        g_rows.append((*g_pre, g_x_in))
+        _, g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]],
+                                 merge_factor_grads(g_phi_raw, g_delta), [g[t] for g in g_acts])
         g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
-    *g_pre, g_x = (np.stack(rows) for rows in zip(*g_rows))
-    g_w, g_b = mlp_weight_grads([np.stack(h[::-1]) for h in zip(*mlp_inputs)], g_pre)
+    # the sums over steps run in sweep order, last step first
+    g_w, g_b = mlp_weight_grads([h[::-1] for h in acts[:-1]], [g[::-1] for g in g_acts[1:]])
     g_embed = np.zeros_like(model.embed.vectors)
     # np.add.at accumulates the rows of every step and sequence that share a token
-    np.add.at(g_embed, tokens.T[::-1], g_x[..., :d])
+    np.add.at(g_embed, tokens.T[::-1], g_acts[0][::-1, :, :d])
     g_v = _normalize_vjp(model.init.a + 1j * model.init.b, g_psi.sum(axis=0))
     g_raw = _qr_projection_vjp(meas, r_meas, g_meas)
 

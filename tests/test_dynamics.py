@@ -53,6 +53,19 @@ class TestInteractionPicture:
         assert np.abs(out.phi - np.array([[-1.0], [1.0]])).max() < 1e-12
 
 
+class TestMaterialize:
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 4, 2)])
+    def test_stack_equals_each_slice(self, shape):
+        # r = N and r != N: each H of a stack is its slice's H, to the bit
+        rng = make_rng(5)
+        phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        delta = rng.standard_normal(shape[:2])
+        h = InteractionFactors(phi, delta).materialize()
+        assert h.shape == (*shape[:2], shape[1])
+        for k in range(shape[0]):
+            assert np.array_equal(h[k], InteractionFactors(phi[k], delta[k]).materialize())
+
+
 class TestCayleyStepDense:
     def test_zero_hamiltonian(self):
         rng = make_rng(2)
@@ -338,7 +351,7 @@ class TestEvolveFullModel:
             assert report == CayleyStepReport(
                 gram_condition=max(s.gram_condition for s in singles),
                 residual=max(s.residual for s in singles),
-                renorm_delta=max(s.renorm_delta for s in singles),
+                norm_change=max(s.norm_change for s in singles),
                 warning=any(s.warning for s in singles))
 
     def test_token_outside_vocabulary(self):

@@ -110,8 +110,9 @@ class TestFactorLayout:
         f = split_factor_output(out, n, r)
         assert f.phi.shape == (n, r)
         assert f.delta.shape == (n,)
-        # channel 0, row 0 holds the first (re, im) pair
+        # channel 0, row 0 holds the first (re, im) pair, and row 1 the second
         assert f.phi[0, 0] == 0.0 + 1.0j
+        assert f.phi[1, 0] == 2.0 + 3.0j
         assert np.array_equal(f.delta, out[2 * n * r:])
 
     def test_merge_is_adjoint_of_split(self):

@@ -79,7 +79,7 @@ def test_woodbury_matches_dense(case):
     fast, report = cayley_step_woodbury(factors, psi, dt)
     dense = cayley_step_dense(factors.materialize(), psi, dt)
     assert np.abs(fast - dense).max() < 1e-10
-    assert report.renorm_delta < 1e-12
+    assert report.norm_change < 1e-12
 
 
 @PROPERTY
