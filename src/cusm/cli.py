@@ -227,7 +227,6 @@ NO_TASK = (lambda args: args.task is None, "without --task, whose task fixes it"
 NO_CHECKPOINT = (lambda args: args.checkpoint is None,
                  "without --checkpoint, whose model fixes it",
                  "with --checkpoint, whose model fixes it")
-ROSM_DIMS = (lambda args: args.rosm_dims is not None, "with --rosm-dims", "without --rosm-dims")
 NO_FILE, MODEL = (NO_TASK, NO_CHECKPOINT), (FULL_MODE, NO_CHECKPOINT)
 
 
@@ -248,7 +247,6 @@ FLAGS = (
     Flag("--task", VER + TRAIN, help="task JSON file; else made from --n and --seed"),
     Flag("--task", SIM, help="task JSON file; else made from --n and --seed", when=(TASK_MODE,)),
     Flag("--checkpoint", SIM, help="model JSON file; else a new model", when=(FULL_MODE,)),
-    Flag("--rosm-dims", VER, _Bounded(list, 1), help="comma list of baseline dimensions to train"),
     Flag("--config", GEN + VER + SIM + TRAIN, help="JSON config file; flags override it"),
     Flag("--output-dir", GEN + VER + SIM + TRAIN, help=f"defaults to ${OUTPUT_DIR_ENV} or ."),
     Flag("--seed", GEN + VER, _Bounded(int, 0), 0, "random seed"),
@@ -261,8 +259,6 @@ FLAGS = (
     Flag("--filler-length", VER, _Bounded(int, 0), 1, "filler tokens per sequence", (NO_TASK,)),
     Flag("--reference", GEN, bool, False, "use the explicit N=2 witness configuration"),
     Flag("--audits", VER, _Bounded(int, 0), 50, "random baselines to audit"),
-    Flag("--epochs", VER, _Bounded(int, 1), 500, "epochs per baseline", (ROSM_DIMS,)),
-    Flag("--seeds", VER, _Bounded(int, 1), 3, "seeds per baseline", (ROSM_DIMS,)),
     Flag("--tokens", SIM, _Bounded(list, 0), help="comma-separated token ids", one_of=True),
     Flag("--tokens-file", SIM, help="JSON array of token ids", one_of=True),
     Flag("--r", SIM, _Bounded(int, 1), 1, "model rank", MODEL),
@@ -367,14 +363,6 @@ def cmd_verify_separation(args) -> int:
         "rosm_audit_violations": violations,
         "rosm_audits": audits,
     }
-    if args.rosm_dims:
-        config = OptimizerConfig(epochs=args.epochs)
-        sweep = []
-        for d in args.rosm_dims:
-            reports = train_on_task(task, "rosm", dim=d, config=config, seeds=range(args.seeds))
-            gaps = [r.gap for r in reports]
-            sweep.append({"d": d, "gaps": gaps, "best_gap": min(gaps)})
-        report["rosm_gap_sweep"] = sweep
     path = _write_report(args, f"separation_n{task.n}_seed{task.seed}.json", report,
                          seed=task.seed)
     print(f"wrote {path}")

@@ -188,8 +188,6 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     input gradients on the forward pass's activations. After it come one
     product per layer for the network's weights, one np.add.at for the
     embeddings, the shared initial state and the QR measurement projection."""
-    if tokens.shape[1] == 0:  # no step: zero loss and gradients
-        return 0.0, model.with_arrays([np.zeros_like(arr) for arr in model.arrays()])
     n, d, dt, lam = model.n, model.d, model.dt, model.frequencies
     states, factors, _, acts = evolve_full_batch(model, tokens)
     meas, r_meas = project_measurement(model.meas_raw, with_r=True)

@@ -148,16 +148,6 @@ class TestVerifySeparation:
         report = json.loads((tmp_path / "separation_n2_seed0.json").read_text())
         assert report["rosm_audit_violations"] == 1
 
-    def test_rosm_training_sweep(self, tmp_path, monkeypatch):
-        code = run(["verify-separation", "--n", "2", "--seed", "2", "--audits", "3",
-                    "--rosm-dims", "1", "--epochs", "60", "--seeds", "1"],
-                   tmp_path, monkeypatch)
-        assert code == 0
-        report = json.loads((tmp_path / "separation_n2_seed2.json").read_text())
-        sweep = report["rosm_gap_sweep"]
-        assert sweep[0]["d"] == 1
-        assert sweep[0]["best_gap"] > 0
-
 
 class TestSimulate:
     def test_task_mode_diagnostics(self, tmp_path, monkeypatch):
@@ -309,8 +299,10 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag, value, reason", [
-        (["verify-separation", "--audits", "1"], "--epochs", "7", "without --rosm-dims"),
-        (["verify-separation", "--audits", "1"], "--seeds", "4", "without --rosm-dims"),
+        (["simulate", "--mode", "full", "--tokens", "0,1", "--checkpoint"], "--dt", "0.5",
+         "with --checkpoint, whose model fixes it"),
+        (["simulate", "--mode", "full", "--tokens", "0,1", "--checkpoint"], "--r", "2",
+         "with --checkpoint, whose model fixes it"),
         (["simulate", "--mode", "full", "--tokens", "0,1", "--checkpoint"], "--seed", "1",
          "with --checkpoint, whose model fixes it"),
     ])
@@ -774,10 +766,12 @@ class TestConfigFile:
 
     def test_unknown_key(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "epoch": 3}))
-        code = run(["train", "--config", str(cfg)], tmp_path, monkeypatch)
-        assert code == 2
-        assert "'epoch'" in capsys.readouterr().err
+        for command, key in (("train", "epoch"), ("verify-separation", "rosm_dims")):
+            cfg.write_text(json.dumps({"schema_version": 1, key: 3}))
+            code = run([command, "--config", str(cfg)], tmp_path, monkeypatch)
+            assert code == 2
+            assert f"config key {key!r} is no option of any subcommand" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("key, value", [
         ("n", 2.5), ("n", "two"), ("n", True), ("n", [2]), ("reference", 1),
@@ -821,11 +815,15 @@ class TestConfigFile:
 
     def test_keys_of_other_subcommands_are_not_echoed(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "lr": 0.5, "model_kind": "rosm",
-                                   "tokens": "0,1"}))
-        assert run(["gen-task", "--config", str(cfg)], tmp_path, monkeypatch) == 0
-        cert = json.loads((tmp_path / "task_n2_seed0.certificate.json").read_text())
-        assert not {"lr", "model_kind", "tokens"} & set(cert["config"])
+        for argv, keys, report in (
+            (["gen-task"], {"lr": 0.5, "model_kind": "rosm", "tokens": "0,1"},
+             "task_n2_seed0.certificate.json"),
+            (["verify-separation", "--audits", "1"], {"epochs": 7, "seeds": 4},
+             "separation_n2_seed0.json"),
+        ):
+            cfg.write_text(json.dumps({"schema_version": 1, **keys}))
+            assert run(argv + ["--config", str(cfg)], tmp_path, monkeypatch) == 0
+            assert not set(keys) & set(json.loads((tmp_path / report).read_text())["config"])
 
     def test_missing_config_file(self, tmp_path, monkeypatch):
         code = run(["gen-task", "--config", str(tmp_path / "nope.json")],
@@ -967,7 +965,7 @@ def test_help_at_80_columns_keeps_each_flag_name_whole(command, monkeypatch, cap
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    # a name split at one of its hyphens would leave a fragment such as "--rosm-"
+    # a name split at one of its hyphens would leave a fragment such as "--early-"
     names = {flag.name for flag in cli.FLAGS if command in flag.commands}
     assert set(re.findall(r"--[\w-]*", capsys.readouterr().out)) == names | {"--help"}
 
@@ -979,22 +977,22 @@ class TestFlagValues:
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--tokens", "a,b"], "argument --tokens: invalid integer 'a'"),
         (["simulate", "--tokens", "0,x"], "argument --tokens: invalid integer 'x'"),
-        (["verify-separation", "--rosm-dims", "2,x"], "argument --rosm-dims: invalid integer 'x'"),
-        (["verify-separation", "--rosm-dims", "0,"], "argument --rosm-dims: must be >= 1, got 0"),
-        (["verify-separation", "--rosm-dims", "4,0"], "argument --rosm-dims: must be >= 1, got 0"),
-        (["verify-separation", "--epochs", "0"], "argument --epochs: must be >= 1, got 0"),
+        (["verify-separation", "--rosm-dims", "1"], "unrecognized arguments: --rosm-dims 1"),
+        (["simulate", "--tokens=-1,"], "argument --tokens: must be >= 0, got -1"),
+        (["simulate", "--tokens=4,-1"], "argument --tokens: must be >= 0, got -1"),
+        (["verify-separation", "--epochs", "7"], "unrecognized arguments: --epochs 7"),
         (["gen-task", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
         (["gen-task", "--n", "1"], "argument --n: must be >= 2, got 1"),
         (["simulate", "--tokens", "0", "--dt", "-1"], "argument --dt: must be > 0, got -1.0"),
         (["simulate", "--tokens", "0", "--dt", "0"], "argument --dt: must be > 0, got 0.0"),
         (["gen-task", "--filler-length", "-1"], "argument --filler-length: must be >= 0, got -1"),
         (["verify-separation", "--audits", "-1"], "argument --audits: must be >= 0, got -1"),
-        (["verify-separation", "--rosm-dims", "0"], "argument --rosm-dims: must be >= 1, got 0"),
+        (["verify-separation", "--seeds", "3"], "unrecognized arguments: --seeds 3"),
         (["train", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
-        (["verify-separation", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+        (["train", "--epochs", "1.5"], "argument --epochs: invalid integer '1.5'"),
         (["train", "--dim", "0"], "argument --dim: must be >= 1, got 0"),
         (["train", "--epochs", "0"], "argument --epochs: must be >= 1, got 0"),
-        (["verify-separation", "--epochs", "-3"], "argument --epochs: must be >= 1, got -3"),
+        (["train", "--model-kind", "bogus"], "argument --model-kind: invalid choice: 'bogus'"),
         (["train", "--lr", "-1"], "argument --lr: must be > 0, got -1.0"),
         (["train", "--early-stop-gap", "-1"], "argument --early-stop-gap: must be >= 0.0, got -1.0"),
         (["train", "--early-stop-gap", "nan"], "argument --early-stop-gap: must be >= 0.0, got nan"),
@@ -1019,7 +1017,6 @@ class TestFlagValues:
         ["gen-task", "--n", "100000"],  # 74.5 GiB of context states, and far more later
         ["train", "--n", "2", "--model-kind", "rosm", "--dim", "1000000"],  # 7.28 TiB per token
         ["train", "--n", "2", "--model-kind", "cusm-trainable", "--dim", "1000000"],
-        ["verify-separation", "--n", "2", "--rosm-dims", "1000000"],
         # a 29.1 TiB token array, of a task that is made or loaded
         ["gen-task", "--n", "2", "--filler-length", "1000000000000"],
         ["verify-separation", "--n", "2", "--filler-length", "1000000000000"],
@@ -1070,12 +1067,12 @@ class TestFlagValues:
         report = json.loads((tmp_path / "trajectory.json").read_text())
         assert report["steps"] == 4
 
-    @pytest.mark.parametrize("key, value", [("rosm_dims", "8,x"), ("rosm_dims", 0),
-                                            ("audits", -1), ("dt", 0), ("rosm_dims", ""),
+    @pytest.mark.parametrize("key, value", [("tokens", "8,x"), ("tokens", -1),
+                                            ("audits", -1), ("dt", 0), ("tokens", ""),
                                             ("dt", float("inf")), ("lr", float("inf"))])
     def test_bad_config_value_is_usage_error(self, key, value, tmp_path, monkeypatch, capsys):
         # each key is given to the subcommand that reads it
-        command = {"dt": ["simulate", "--tokens", "0"], "lr": ["train"]}
+        command = {"tokens": ["simulate"], "dt": ["simulate", "--tokens", "0"], "lr": ["train"]}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema_version": 1, key: value}))
         code = run(command.get(key, ["verify-separation"]) + ["--config", str(cfg)],
