@@ -263,7 +263,7 @@ FLAGS = (
     Flag("--tokens-file", SIM, help="JSON array of token ids", one_of=True),
     Flag("--r", SIM, _Bounded(int, 1), 1, "model rank", MODEL),
     Flag("--d", SIM, _Bounded(int, 1), 4, "model embedding width", MODEL),
-    Flag("--v", SIM, _Bounded(int, 1), 4, "model readout size", MODEL),
+    Flag("--v", SIM, _Bounded(int, 1), 4, "model readout size, at least --n", MODEL),
     Flag("--dt", SIM, _Bounded(float, 0, strict=True), 1.0, "time step", (NO_CHECKPOINT,)),
     Flag("--model-kind", TRAIN, ("cusm-trainable", "rosm", "full"), "cusm-trainable", "the model"),
     Flag("--dim", TRAIN, _Bounded(int, 1),

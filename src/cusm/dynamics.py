@@ -99,28 +99,33 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray,
-                   step: int | None = None) -> tuple[np.ndarray, float]:
+                   step: int | None = None, cond: float | None = None) -> tuple[np.ndarray, float]:
     """Solve (diag(1 + c*delta) + c*phi phi^dag) x = rhs at O(N r^2 + r^3).
 
-    The one Woodbury solve of the forward step and its adjoint, stacked over
-    leading axes: phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x
-    and the Gram condition of the stack; fails above GRAM_COND_FAIL at `step`.
+    The one Woodbury solve of the forward step and its adjoint, stacked over leading axes:
+    phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x and the Gram condition of
+    the stack; fails above GRAM_COND_FAIL at `step`. A known `cond` skips that check: the
+    adjoint's Gram matrix is the conjugate transpose of the forward step's.
     """
     inv_d = (1.0 / (1.0 + c * delta))[..., None]  # |1 + c*delta| >= 1
     phi_h = phi.swapaxes(-1, -2).conj()
     y = rhs * inv_d
     p = phi * inv_d
-    gram = np.eye(phi.shape[-1]) + c * (phi_h @ p)
-    root = 1.0 + abs(c) * float(np.vecdot(phi, phi, axis=-2).real.sum(-1).max())
-    cond = root * root  # a float product overflows to inf, where ** raises
-    if not cond <= GRAM_COND_WARN:  # inf and NaN too: the SVD decides
-        # the SVD of a non-finite matrix raises; its condition is NaN here
-        cond = float(np.linalg.cond(gram).max()) if np.isfinite(gram).all() else np.nan
-    if not cond <= GRAM_COND_FAIL:
-        report = CayleyStepReport(gram_condition=cond, residual=np.nan, norm_change=np.nan)
-        reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}" if cond > GRAM_COND_FAIL
-                  else "has a non-finite entry")
-        raise IllConditionedStepError(f"Gram matrix {reason}", report=report, step=step)
+    r = phi.shape[-1]
+    gram = phi_h @ p
+    gram *= c
+    gram.reshape(-1, r * r)[:, :: r + 1] += 1.0  # I + c phi^dag p, in place
+    if cond is None:
+        root = 1.0 + abs(c) * float(np.vecdot(phi, phi, axis=-2).real.sum(-1).max())
+        cond = root * root  # a float product overflows to inf, where ** raises
+        if not cond <= GRAM_COND_WARN:  # inf and NaN too: the SVD decides
+            # the SVD of a non-finite matrix raises; its condition is NaN here
+            cond = float(np.linalg.cond(gram).max()) if np.isfinite(gram).all() else np.nan
+        if not cond <= GRAM_COND_FAIL:
+            report = CayleyStepReport(gram_condition=cond, residual=np.nan, norm_change=np.nan)
+            reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}"
+                      if cond > GRAM_COND_FAIL else "has a non-finite entry")
+            raise IllConditionedStepError(f"Gram matrix {reason}", report=report, step=step)
     w = np.linalg.solve(gram, phi_h @ y)
     y -= p @ (c * w)
     return y, cond

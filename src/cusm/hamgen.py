@@ -116,13 +116,13 @@ def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list | None = None):
     return out[-1], inputs
 
 
-def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray, out: list | None = None):
-    """Reverse sweep of g_out on the inputs cached by mlp_forward_cached for one input or
-    rows (B, in): each layer's pre-activation gradient rows (B, out_l), for mlp_weight_grads,
-    and the input gradient, shaped as the input. Rows from mlp_buffers in `out` take them."""
+def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray | None, out: list | None = None):
+    """Reverse sweep of g_out, or of out[-1] when rows from mlp_buffers in `out` take the result,
+    on the inputs cached by mlp_forward_cached for one input or rows (B, in): each layer's
+    pre-activation gradient rows (B, out_l), for mlp_weight_grads, and the input gradient."""
     if out is None:
         out = mlp_buffers(mlp, np.atleast_2d(inputs[0]).shape[:-1], inputs[0].shape[-1])
-    out[-1][...] = g_out
+        out[-1][...] = g_out
     for layer in range(len(mlp.weights) - 1, -1, -1):
         np.matmul(out[layer + 1], mlp.weights[layer], out=out[layer])
         if layer:
@@ -146,16 +146,6 @@ def split_factor_output(out: np.ndarray, n: int, r: int) -> InteractionFactors:
         raise ConfigurationError(f"output width {out.shape[-1]} != 2*N*r + N = {2 * n * r + n}")
     phi = out[..., : 2 * n * r].view(complex).reshape(*out.shape[:-1], r, n).swapaxes(-1, -2)
     return InteractionFactors(phi=phi, delta=out[..., 2 * n * r :])
-
-
-def merge_factor_grads(g_phi: np.ndarray, g_delta: np.ndarray) -> np.ndarray:
-    """Adjoint of split_factor_output, which only views its input in another layout:
-    the complex Phi gradient and the delta gradient written through its views."""
-    *lead, n, r = g_phi.shape
-    out = np.empty((*lead, 2 * n * r + n))
-    grads = split_factor_output(out, n, r)
-    grads.phi[...], grads.delta[...] = g_phi, g_delta
-    return out
 
 
 def generate_interaction(
@@ -198,7 +188,9 @@ def init_full_model(
 ) -> FullModelParams:
     """Fresh model with the documented defaults (tanh MLP, 2 hidden layers of 4N)."""
     if min(n, r, d, v, v_in) < 1 or v < n:
-        raise ConfigurationError(f"bad dims n={n} r={r} d={d} v={v} v_in={v_in}")
+        low = [f"{k}={size}" for k, size in dict(n=n, r=r, d=d, v=v, v_in=v_in).items() if size < 1]
+        raise ConfigurationError(f"{low[0]} is below 1" if low
+                                 else f"v={v} is below n={n}; the Born readout needs v >= n")
     if hidden is None:
         hidden = [4 * n, 4 * n]
     widths = [d + 2 * n, *hidden, 2 * n * r + n]

@@ -33,9 +33,9 @@ from .hamgen import (
     InitialStateParams,
     init_full_model,
     initial_state,
-    merge_factor_grads,
     mlp_backward,
     mlp_weight_grads,
+    split_factor_output,
 )
 from .numerics import check_allocation, ginibre, make_rng
 from .numerics import thin_qr_unique  # noqa: F401, perfbench's tracer binds it
@@ -93,28 +93,27 @@ def entropy_floor(table: TargetTable) -> float:
 # adjoint building blocks
 
 def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
-                       step: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       step: int | None = None, cond: float | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
     The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the
     adjoint norm is exactly preserved: solve A- s = g (A- = A+^dag), and then
-    A+ s = 2s - g because A+ + A- = 2I. Returns 2s - g and s, both shaped like g.
+    A+ s = 2s - g because A+ + A- = 2I. Returns 2s - g and s, both shaped like g;
+    `cond`, the forward step's Gram condition, is also this solve's.
     """
-    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None], step)[0][..., 0]
+    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None], step, cond)[0][..., 0]
     return 2.0 * s - g, s
 
 
 def _qr_projection_vjp(meas: np.ndarray, r: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
     """Backward through meas = project_measurement(raw), given the R factor of
     its thin QR raw^dag = Q R, meas = Q^dag."""
-    q = meas.conj().T
-    g_q = g_meas.conj().T
-    b = q.conj().T @ g_q
+    b = meas @ g_meas.conj().T
     upper = np.triu(b, 1)
     w = upper + upper.conj().T + np.diag(np.real(np.diag(b)))
-    r_inv_dag = np.linalg.inv(r).conj().T
-    g_a = (g_q - q @ w) @ r_inv_dag
-    return g_a.conj().T
+    # the conjugate transpose of (g_Q - Q w) R^{-dag}, with Q = meas^dag and w Hermitian
+    return np.linalg.solve(r, g_meas - w @ meas)
 
 
 def _normalize_vjp(vec: np.ndarray, g_unit: np.ndarray) -> np.ndarray:
@@ -173,9 +172,9 @@ def full_model_loss(model: FullModelParams, tokens, target_weights: np.ndarray) 
                       np.asarray(target_weights)[None])
 
 
-def _assert_finite(grads) -> None:
-    """Raise FloatingPointError if any of grads.arrays() has a non-finite entry."""
-    if not all(np.isfinite(arr).all() for arr in grads.arrays()):
+def _assert_finite(flat: np.ndarray) -> None:
+    """Raise FloatingPointError if the flat gradient has a non-finite entry."""
+    if not np.isfinite(flat).all():
         raise FloatingPointError("non-finite gradient entry")
 
 
@@ -183,26 +182,34 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
                    target_weights: np.ndarray) -> tuple[float, FullModelParams]:
     """Loss and parameter-shaped gradients of a (B, T) token batch (weights as
     in _loss_full), both summed over the batch. One stacked reverse traversal
-    holds the adjoint recurrence: Born readout, each Cayley solve via its
-    adjoint system, interaction-picture phases, and the generator network's
-    input gradients on the forward pass's activations. After it come one
-    product per layer for the network's weights, one np.add.at for the
-    embeddings, the shared initial state and the QR measurement projection."""
-    n, d, dt, lam = model.n, model.d, model.dt, model.frequencies
-    states, factors, _, acts = evolve_full_batch(model, tokens)
+    holds the adjoint recurrence: Born readout, each Cayley solve via its adjoint
+    system at the forward step's Gram condition, interaction-picture phases, and
+    the generator network's input gradients on the forward pass's activations.
+    After it come the frequencies' factor term, one product per layer for the
+    network's weights, one np.add.at for the embeddings, the initial state and
+    the QR measurement projection."""
+    n, d, dt, lam, steps = model.n, model.d, model.dt, model.frequencies, tokens.shape[1]
+    states, factors, reports, acts = evolve_full_batch(model, tokens)
     meas, r_meas = project_measurement(model.meas_raw, with_r=True)
     # row t undoes the interaction picture at time t*dt
-    phases = np.exp(-1j * np.outer(np.arange(tokens.shape[1] + 1) * dt, lam))
+    phases = np.exp(-1j * np.outer(np.arange(steps + 1) * dt, lam))
 
     loss = 0.0
     g_psi = np.zeros_like(states[0])
     g_lam = np.zeros(n)
-    # per step, the network's input gradient and each layer's pre-activation gradient
+    # per step, the network's input gradient, each layer's pre-activation gradient
+    # and its output gradient, whose rows take dL/dPhi and dL/ddelta through views
     g_acts = [np.empty_like(a) for a in acts]
+    raw, g_factors = (split_factor_output(a[-1], n, model.r) for a in (acts, g_acts))
     g_meas = np.zeros_like(meas)
     c = 0.5j * dt
+    # both sides of each solve touch X = phi phi^dag and delta; with u = psi_in +
+    # psi_out, dL/dX = -conj(c) s u^dag - c u s^dag: us[t] holds the rows u, s
+    us = np.empty((steps, len(tokens), 2, n), dtype=complex)
+    np.add(states[:-1], states[1:], out=us[:, :, 0])
+    coef = np.array([[-np.conj(c)], [-c]])
 
-    for t in range(tokens.shape[1] - 1, -1, -1):
+    for t in range(steps - 1, -1, -1):
         rows = target_weights[:, t]
         if np.any(rows):
             psi_s = phases[t + 1] * states[t + 1]
@@ -213,37 +220,29 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
             g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
 
         # state adjoint through the step itself (norm-preserving)
-        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, step=t)
-
-        # both sides of the solve touch X = phi phi^dag and delta; with
-        # u = psi_in + psi_out, dL/dX = -conj(c) s u^dag and dL/ddelta = -Re(c conj(s) u)
-        phi_ip = factors.phi[t]
-        u = states[t] + states[t + 1]
-        g_phi_ip = (-np.conj(c) * s[..., None]) * (u.conj()[:, None, :] @ phi_ip) \
-            - c * u[..., None] * (s.conj()[:, None, :] @ phi_ip)
-        g_delta = -np.real(c * s.conj() * u)
-
-        # undo the interaction-picture row phases exp(i lam t dt) on phi
-        g_phi_raw = phases[t][:, None] * g_phi_ip
-        g_lam -= (t * dt) * np.imag(np.sum(phi_ip * np.conj(g_phi_ip), axis=(0, 2)))
+        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, t, reports[t].gram_condition)
+        us[t, :, 1] = s
+        # [-conj(c) s, -c u] @ [u^dag phi; s^dag phi], its rows' phases exp(i lam t dt) undone
+        g_phi_ip = (coef * us[t, :, ::-1]).swapaxes(-1, -2) @ (us[t].conj() @ factors.phi[t])
+        np.multiply(phases[t][:, None], g_phi_ip, out=g_factors.phi[t])
+        np.negative(np.real(c * s.conj() * us[t, :, 0]), out=g_factors.delta[t])
 
         # generator network, on the activations of the forward pass
-        _, g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]],
-                                 merge_factor_grads(g_phi_raw, g_delta), [g[t] for g in g_acts])
+        _, g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]], None, [g[t] for g in g_acts])
         g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
+    # d phi_ip / d lam = i t dt phi_ip, and phi_ip conj(g_phi_ip) = phi conj(g_phi)
+    g_lam -= (np.arange(steps) * dt) @ np.vecdot(g_factors.phi, raw.phi).imag.sum(axis=1)
     # the sums over steps run in sweep order, last step first
     g_w, g_b = mlp_weight_grads([h[::-1] for h in acts[:-1]], [g[::-1] for g in g_acts[1:]])
     g_embed = np.zeros_like(model.embed.vectors)
     # np.add.at accumulates the rows of every step and sequence that share a token
     np.add.at(g_embed, tokens.T[::-1], g_acts[0][::-1, :, :d])
     g_v = _normalize_vjp(model.init.a + 1j * model.init.b, g_psi.sum(axis=0))
-    g_raw = _qr_projection_vjp(meas, r_meas, g_meas)
+    g_meas_raw = _qr_projection_vjp(meas, r_meas, g_meas)
 
     layers = [arr for pair in zip(g_w, g_b) for arr in pair]
-    grads = model.with_arrays([g_v.real, g_v.imag, g_lam, g_embed, *layers, g_raw])
-    _assert_finite(grads)
-    return loss, grads
+    return loss, model.with_arrays([g_v.real, g_v.imag, g_lam, g_embed, *layers, g_meas_raw])
 
 
 def _one_hot_rows(targets, v: int) -> np.ndarray:
@@ -271,12 +270,13 @@ def flatten_model(params) -> np.ndarray:
 
 
 def unflatten_model(flat: np.ndarray, template):
-    """Inverse of flatten_model: template.with_arrays() of the arrays carved from flat."""
+    """Inverse of flatten_model: template.with_arrays() of the arrays carved from
+    flat. The real arrays are views of flat, so flat must not change after."""
     arrays, pos = [], 0
     for arr in template.arrays():
         blocks = 2 if np.iscomplexobj(arr) else 1
         chunk = flat[pos:pos + blocks * arr.size].reshape(blocks, *arr.shape)
-        arrays.append(chunk[0] + 1j * chunk[1] if blocks == 2 else chunk[0].copy())
+        arrays.append(chunk[0] + 1j * chunk[1] if blocks == 2 else chunk[0])
         pos += blocks * arr.size
     if pos != flat.shape[0]:
         raise ConfigurationError(f"flat vector length {flat.shape[0]}, consumed {pos}")
@@ -505,7 +505,10 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
         loss, grads = batch_grad(params, tokens, targets)
         # flatten, then divide: numpy's complex / real multiplies by a
         # reciprocal, which rounds the complex arrays differently
-        return loss / count, flatten_model(grads) / count
+        flat = flatten_model(grads) / count
+        if model_kind == "full":
+            _assert_finite(flat)
+        return loss / count, flat
 
     reports = []
     for seed in seeds:

@@ -354,6 +354,20 @@ class TestSimulate:
         assert code in (0, 3)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_readout_below_model_dimension_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # --v's default of 4 fails every full-mode --n above 4: the error names the
+        # rule, and --help gives the bound
+        argv = ["simulate", "--mode", "full", "--n", "6", "--r", "2", "--tokens", "0,1,2"]
+        assert run(argv, tmp_path, monkeypatch) == 2
+        assert capsys.readouterr().err == \
+            "error: v=4 is below n=6; the Born readout needs v >= n\n"
+        assert not list(tmp_path.iterdir())
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "--v V model readout size, at least --n (>= 1; default 4;" in \
+            " ".join(capsys.readouterr().out.split())
+
     def test_missing_tokens_is_usage_error(self, tmp_path, monkeypatch):
         code = run(["simulate", "--mode", "task", "--n", "2"], tmp_path, monkeypatch)
         assert code == 2

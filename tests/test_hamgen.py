@@ -9,7 +9,6 @@ from cusm.hamgen import (
     init_full_model,
     initial_state,
     load_model,
-    merge_factor_grads,
     mlp_backward,
     mlp_forward_cached,
     mlp_weight_grads,
@@ -116,14 +115,17 @@ class TestFactorLayout:
         assert np.array_equal(f.delta, out[2 * n * r:])
 
     def test_merge_is_adjoint_of_split(self):
-        # <merge(gp, gd), out> must equal Re<gp, phi> + <gd, delta>
+        # gradients written through split's views of an output-gradient row (the
+        # backward pass's merge) give <merged, out> = Re<gp, phi> + <gd, delta>
         rng = make_rng(3)
         n, r = 4, 3
         out = rng.standard_normal(2 * n * r + n)
         f = split_factor_output(out, n, r)
         g_phi = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
         g_delta = rng.standard_normal(n)
-        merged = merge_factor_grads(g_phi, g_delta)
+        merged = np.empty_like(out)
+        views = split_factor_output(merged, n, r)
+        views.phi[...], views.delta[...] = g_phi, g_delta
         lhs = merged @ out
         rhs = np.sum(np.real(np.conj(g_phi) * f.phi)) + g_delta @ f.delta
         assert abs(lhs - rhs) < 1e-12
@@ -170,5 +172,11 @@ class TestSerialization:
             loaded.n, loaded.r, loaded.dt, loaded.seed)
 
     def test_bad_dims_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # the message names the rule that failed
+        with pytest.raises(ConfigurationError, match="^n=0 is below 1$"):
             init_full_model(n=0, r=1, d=1, v=1, v_in=1)
+        with pytest.raises(ConfigurationError, match="^v_in=0 is below 1$"):
+            init_full_model(n=2, r=1, d=1, v=2, v_in=0)
+        with pytest.raises(ConfigurationError,
+                           match="^v=4 is below n=6; the Born readout needs v >= n$"):
+            init_full_model(n=6, r=2, d=4, v=4, v_in=3)

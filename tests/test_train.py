@@ -4,6 +4,7 @@ import pytest
 from cusm import numerics, readout, septask, train
 from cusm.dynamics import (
     GRAM_COND_FAIL,
+    GRAM_COND_WARN,
     CayleyStepReport,
     InteractionFactors,
     evolve_full_batch,
@@ -119,6 +120,19 @@ class TestBackwardFullModel:
             assert abs(np.linalg.norm(g) - norm0) < 1e-10
 
 
+def richardson_misses(loss_at, flat, grad, rng, directions, h=1e-4):
+    """|g.v - (4 D(h/2) - D(h)) / 3| for unit random directions v, where D(s) is the
+    central difference of loss_at along v at step s: its error is O(h^4)."""
+    misses = []
+    for _ in range(directions):
+        v = rng.standard_normal(flat.size)
+        v /= np.linalg.norm(v)
+        d_h, d_half = ((loss_at(flat + s * v) - loss_at(flat - s * v)) / (2 * s)
+                       for s in (h, h / 2))
+        misses.append(abs((4 * d_half - d_h) / 3 - grad @ v))
+    return np.array(misses)
+
+
 class TestBackwardFullDirectional:
     def test_directional_derivative_past_one_check_chunk(self):
         # rank 2, three recurring tokens, 70 steps (past one 64-step check chunk),
@@ -127,25 +141,88 @@ class TestBackwardFullDirectional:
         # rounding floor is about 1.5 * 1.5e-12 / h = 2e-8 (1.5e-12: the largest
         # loss change under 1e-15 parameter noise), and over 30 directions the
         # largest miss was 7.7e-9; a swapped (Re, Im) or row-major Phi gradient
-        # in merge_factor_grads misses by 0.6 to 1.0.
+        # written into the network's output-gradient rows misses by 0.6 to 1.0.
         model = init_full_model(n=4, r=2, d=3, v=5, v_in=3, dt=0.5, seed=3)
         model.mlp.weights[-1] *= 20.0  # interaction well above the free dynamics
         rng = make_rng(8)
         tokens = rng.integers(0, 3, (2, 70))
         weights = rng.random((2, 70, 5)) * (rng.random((2, 70, 1)) < 0.3)
-        flat = flatten_model(model)
         grad = flatten_model(_backward_full(model, tokens, weights)[1])
 
         def loss_at(x):
             return train._loss_full(unflatten_model(x, model), tokens, weights)
 
-        h = 1e-4
-        for _ in range(3):
-            v = rng.standard_normal(flat.size)
-            v /= np.linalg.norm(v)
-            d_h, d_half = ((loss_at(flat + s * v) - loss_at(flat - s * v)) / (2 * s)
-                           for s in (h, h / 2))
-            assert abs((4 * d_half - d_h) / 3 - grad @ v) < 1e-7
+        assert richardson_misses(loss_at, flatten_model(model), grad, rng, 3).max() < 1e-7
+
+
+class TestDirectionalAtRunningShapes:
+    """Directional derivatives at the shapes the rewritten reverse sweep runs, with
+    each bound a multiple of the rounding floor eps |L| / h of the differences."""
+
+    def test_full_model_at_rank_four(self):
+        # r = 4 = N, so a transposed (row-major) Phi gradient still fits its rows; the
+        # default hidden widths; 80 steps, past one 64-step check chunk; 16 tokens that
+        # recur. Over 240 directions of eight model seeds the largest miss was 137 floors
+        # (10.4 at this seed). Each of these misses by more than 1e6 floors: step 0
+        # dropped from the weight products, inputs paired with the wrong step, an
+        # assignment in place of np.add.at, a conjugated or transposed Phi gradient,
+        # swapped coefficients of its two rank-one terms, and the frequencies' factor
+        # term one step off.
+        model = init_full_model(n=4, r=4, d=3, v=5, v_in=16, dt=0.5, seed=3)
+        model.mlp.weights[-1] *= 20.0  # interaction well above the free dynamics
+        rng = make_rng(9)
+        tokens = rng.integers(0, 16, (2, 80))
+        weights = rng.random((2, 80, 5)) * (rng.random((2, 80, 1)) < 0.3)
+        loss, grads = _backward_full(model, tokens, weights)
+        floor = np.finfo(float).eps * abs(loss) / 1e-4
+
+        def loss_at(x):
+            return train._loss_full(unflatten_model(x, model), tokens, weights)
+
+        misses = richardson_misses(loss_at, flatten_model(model), flatten_model(grads), rng, 3)
+        assert misses.max() < 1e3 * floor
+
+    def test_trainable_unitary_model_at_n_four(self):
+        # the QR projection's VJP solves with R; over 240 directions of eight seeds the
+        # largest miss was 3.1 floors, and a solve with R^dag, or without the VJP's
+        # Hermitian w term, misses by more than 1e8 floors
+        task = make_task(4, 3)
+        tokens, targets = task.sequences(), target_table(task).pstar
+        params = train.init_trainable_cusm(4, task.v, 2 * 4 + 1, seed=3)
+        loss, grads = _cusm_batch_grad(params, tokens, targets)
+        floor = np.finfo(float).eps * abs(loss) / 1e-4
+
+        def loss_at(x):
+            return _cusm_batch_grad(unflatten_model(x, params), tokens, targets)[0]
+
+        misses = richardson_misses(loss_at, flatten_model(params), flatten_model(grads),
+                                   make_rng(9), 3)
+        assert misses.max() < 30 * floor
+
+
+class TestAdjointReusesForwardCondition:
+    def test_one_gram_svd_per_step(self, monkeypatch):
+        # one affine layer; the token drives column 0 of Phi to 1e4 (1 + i) per row
+        # and leaves column 1 and delta at zero, so each step's bound
+        # (1 + dt ||Phi||^2 / 2)^2 is above GRAM_COND_WARN and its Gram SVD reads
+        # about dt ||Phi||^2 / 2 = 3e8, below GRAM_COND_FAIL. The forward pass takes
+        # one SVD per step, and the adjoint solves reuse those conditions.
+        model = init_full_model(n=3, r=2, d=1, v=4, v_in=1, seed=0, hidden=[])
+        model.mlp.weights[0][:] = 0.0
+        model.mlp.weights[0][: 2 * model.n, 0] = 1e4
+        model.embed.vectors[:] = 1.0
+        calls, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a.shape) or cond(a))
+        steps = 6
+        tokens = np.zeros((2, steps), dtype=int)
+        weights = np.zeros((2, steps, 4))
+        weights[:, -1, 0] = 1.0
+        reports = evolve_full_batch(model, tokens)[2]
+        assert len(calls) == steps
+        assert all(GRAM_COND_WARN < rep.gram_condition < GRAM_COND_FAIL for rep in reports)
+        calls.clear()
+        _backward_full(model, tokens, weights)
+        assert calls == [(2, 2, 2)] * steps
 
 
 class TestStackedFullModel:
@@ -250,11 +327,24 @@ class TestFailureInsideBatch:
 
 class TestAssertFinite:
     def test_nan_gradient_raises(self):
-        grads = init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=0)
-        train._assert_finite(grads)
-        grads.mlp.weights[0][0, 0] = np.nan
+        flat = flatten_model(init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=0))
+        train._assert_finite(flat)
+        flat[7] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite gradient entry"):
-            train._assert_finite(grads)
+            train._assert_finite(flat)
+
+    def test_full_model_training_checks_the_flat_gradient(self, monkeypatch):
+        # one check on the flat vector that train_on_task builds stops the run
+        def non_finite(model, tokens, weights):
+            loss, grads = backward(model, tokens, weights)
+            grads.mlp.biases[-1][0] = np.inf
+            return loss, grads
+
+        backward = train._backward_full
+        monkeypatch.setattr(train, "_backward_full", non_finite)
+        task = make_task(2, seed=0, reference=True)
+        with pytest.raises(FloatingPointError, match="non-finite gradient entry"):
+            train_on_task(task, "full", OptimizerConfig(epochs=2), seeds=(0,))
 
 
 class TestCentralDifference:
