@@ -396,7 +396,7 @@ def cmd_simulate(args) -> int:
         seed, dt = model.seed, model.dt
         report["model"] = {"n": model.n, "r": model.r, "d": model.d, "v": model.v,
                            "v_in": model.v_in, "dt": dt}
-        states, factors, _, _ = evolve_full_batch(model, [tokens])
+        states, factors = evolve_full_batch(model, [tokens])[:2]
         states, phi = states[:, 0], factors.phi[:, 0]
         cbar = 0.5 * (states[:-1] + states[1:])
         row_sums, totals = factor_current_rows(phi, cbar), factor_total_current(phi, cbar)

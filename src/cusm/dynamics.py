@@ -12,11 +12,12 @@ Woodbury fast path; the dense one exists so the Woodbury algebra can always
 be cross-checked against it. With c = i*dt/2, A+- = I +- cH and A+ + A- =
 2I, the fast path solves once: psi_next = 2 A+^{-1} psi - psi. As A+ has no
 singular value below 1, the r x r Gram matrix of the solve has condition <=
-(1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so
-IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6. evolve_full_batch writes a
-batch's whole trajectory into arrays allocated once and checks each step's
-residual and norm change after its time loop. Models with one fixed
-unitary or orthogonal matrix per token advance through evolve_fixed_batch;
+(1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so IllConditionedStepError
+needs dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. evolve_full_batch
+writes a batch's whole trajectory into arrays allocated once, with each step's
+1/(1 + c delta) and Gram matrix, whose conjugates the adjoint solve (A- = A+^dag) reuses,
+and checks each step's residual and norm change after its time loop. Models with one
+fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch;
 inverse_cayley recovers the Hermitian generators of such unitaries.
 """
 
@@ -99,22 +100,29 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray,
-                   step: int | None = None, cond: float | None = None) -> tuple[np.ndarray, float]:
+                   step: int | None = None, cond: float | None = None,
+                   pieces=None) -> tuple[np.ndarray, float]:
     """Solve (diag(1 + c*delta) + c*phi phi^dag) x = rhs at O(N r^2 + r^3).
 
     The one Woodbury solve of the forward step and its adjoint, stacked over leading axes:
     phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x and the Gram condition of
-    the stack; fails above GRAM_COND_FAIL at `step`. A known `cond` skips that check: the
-    adjoint's Gram matrix is the conjugate transpose of the forward step's.
+    the stack; fails above GRAM_COND_FAIL at `step`. A forward step fills the buffers `pieces`
+    with 1/(1 + c*delta) (..., N) and its Gram matrix G (..., r, r); its adjoint passes them
+    back with the step's `cond`, skips the check and solves with conj and G^dag (A- = A+^dag).
     """
-    inv_d = (1.0 / (1.0 + c * delta))[..., None]  # |1 + c*delta| >= 1
+    reuse = pieces is not None and cond is not None  # the adjoint of the step that filled them
+    inv_d, gram = pieces or (None, None)
+    # |1 + c*delta| >= 1
+    inv_d = (np.conj(inv_d) if reuse else np.divide(1.0, 1.0 + c * delta, out=inv_d))[..., None]
     phi_h = phi.swapaxes(-1, -2).conj()
-    y = rhs * inv_d
-    p = phi * inv_d
+    y, p = rhs * inv_d, phi * inv_d
     r = phi.shape[-1]
-    gram = phi_h @ p
-    gram *= c
-    gram.reshape(-1, r * r)[:, :: r + 1] += 1.0  # I + c phi^dag p, in place
+    if reuse:
+        gram = gram.conj().swapaxes(-1, -2)
+    else:
+        gram = np.matmul(phi_h, p, out=gram)
+        gram *= c
+        gram.reshape(-1, r * r)[:, :: r + 1] += 1.0  # I + c phi^dag p, in place
     if cond is None:
         root = 1.0 + abs(c) * float(np.vecdot(phi, phi, axis=-2).real.sum(-1).max())
         cond = root * root  # a float product overflows to inf, where ** raises
@@ -126,16 +134,16 @@ def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarr
             reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}"
                       if cond > GRAM_COND_FAIL else "has a non-finite entry")
             raise IllConditionedStepError(f"Gram matrix {reason}", report=report, step=step)
-    w = np.linalg.solve(gram, phi_h @ y)
+    w = phi_h @ y / gram if r == 1 else np.linalg.solve(gram, phi_h @ y)
     y -= p @ (c * w)
     return y, cond
 
 
 def _cayley_step(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, dt: float,
-                 step: int | None = None) -> tuple[np.ndarray, float]:
+                 step: int | None = None, pieces=None) -> tuple[np.ndarray, float]:
     """Cayley step psi' = 2 A+^{-1} psi - psi of state columns psi (..., N, k),
     stacked like _lowrank_solve; returns psi' and the stack's Gram condition."""
-    z, cond = _lowrank_solve(phi, delta, 0.5j * dt, psi, step)
+    z, cond = _lowrank_solve(phi, delta, 0.5j * dt, psi, step, pieces=pieces)
     return 2.0 * z - psi, cond
 
 
@@ -233,14 +241,14 @@ def evolve_fixed_unitaries(unitaries: np.ndarray, psi0: np.ndarray, tokens) -> l
 def evolve_full_batch(model, tokens: np.ndarray):
     """Forward pass of the full model over a (B, T) array of token ids.
 
-    The trajectory is allocated once and the time loop, which holds only the
-    recurrence, writes into it: at each step the generator network consumes one
-    row per sequence (token embedding, Re/Im of the current interaction-picture
-    state), its output factors are phase-conjugated into the interaction
-    picture, and one stacked Woodbury solve advances all B states, raising at an
-    ill-conditioned step; the stacked checks follow the loop. Returns the states
-    (T+1, B, N), the factors stacked (phi (T, B, N, r), delta (T, B, N)), one
-    report per step and the network's layer inputs and output (T, B, width).
+    The trajectory is allocated once and the time loop, which holds only the recurrence,
+    writes into it: at each step the generator network consumes one row per sequence
+    (token embedding, Re/Im of the current interaction-picture state), its output factors
+    are phase-conjugated into the interaction picture, and one stacked Woodbury solve
+    advances all B states, raising at an ill-conditioned step; the stacked checks follow
+    the loop. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N, r), delta
+    (T, B, N)), one report per step, the network's layer inputs and output (T, B, width)
+    and the solves' pieces for their adjoints: 1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
     """
     from .hamgen import initial_state, mlp_buffers, mlp_forward_cached, split_factor_output
 
@@ -253,7 +261,8 @@ def evolve_full_batch(model, tokens: np.ndarray):
     # phi keeps the network's channel-major layout, in which the solve and the
     # currents round as they did on each step's own product; delta is contiguous
     phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
-    delta, conds = np.empty((steps, batch, n)), []
+    delta, conds = np.empty((steps, batch, n)), [0.0] * steps
+    inv_d, gram = np.empty((steps, batch, n), complex), np.empty((steps, batch, r, r), complex)
     cols = np.empty((steps + 1, batch, n, 1), dtype=complex)  # states as columns
     cols[0] = initial_state(model.init)[:, None]
     for step in range(steps):
@@ -261,20 +270,20 @@ def evolve_full_batch(model, tokens: np.ndarray):
         mlp_forward_cached(model.mlp, x[step], [a[step] for a in acts[1:]])
         np.multiply(phases[step][:, None], raw.phi[step], out=phi[step])
         delta[step] = raw.delta[step]
-        cols[step + 1], cond = _cayley_step(phi[step], delta[step], cols[step], dt, step)
-        conds.append(cond)
+        cols[step + 1], conds[step] = _cayley_step(phi[step], delta[step], cols[step], dt, step,
+                                                   (inv_d[step], gram[step]))
     reports = []
     for start in range(0, steps, CHECK_CHUNK_STEPS):
         stop = min(start + CHECK_CHUNK_STEPS, steps)
         reports += _step_reports(phi[start:stop], delta[start:stop], cols[start:stop],
                                  cols[start + 1:stop + 1], dt, conds[start:stop])
-    return cols[..., 0], InteractionFactors(phi, delta), reports, acts
+    return cols[..., 0], InteractionFactors(phi, delta), reports, acts, (inv_d, gram)
 
 
 def evolve_full_model(model, tokens):
     """evolve_full_batch for one sequence: (trajectory (T+1, N), interaction-picture
     factors stacked (T, N, r) and (T, N), reports)."""
-    states, factors, reports, _ = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))
+    states, factors, reports = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))[:3]
     return states[:, 0], factors[:, 0], reports
 
 

@@ -93,17 +93,17 @@ def entropy_floor(table: TargetTable) -> float:
 # adjoint building blocks
 
 def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
-                       step: int | None = None, cond: float | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       step: int | None = None, cond: float | None = None,
+                       pieces=None) -> tuple[np.ndarray, np.ndarray]:
     """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
     The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the
     adjoint norm is exactly preserved: solve A- s = g (A- = A+^dag), and then
     A+ s = 2s - g because A+ + A- = 2I. Returns 2s - g and s, both shaped like g;
-    `cond`, the forward step's Gram condition, is also this solve's.
+    `cond` and `pieces`, the forward step's, serve this solve as _lowrank_solve says.
     """
-    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None], step, cond)[0][..., 0]
-    return 2.0 * s - g, s
+    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None], step, cond, pieces)[0]
+    return 2.0 * s[..., 0] - g, s[..., 0]
 
 
 def _qr_projection_vjp(meas: np.ndarray, r: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
@@ -183,13 +183,13 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     """Loss and parameter-shaped gradients of a (B, T) token batch (weights as
     in _loss_full), both summed over the batch. One stacked reverse traversal
     holds the adjoint recurrence: Born readout, each Cayley solve via its adjoint
-    system at the forward step's Gram condition, interaction-picture phases, and
-    the generator network's input gradients on the forward pass's activations.
+    system on its forward step's condition and pieces, interaction-picture phases,
+    and the generator network's input gradients on the forward pass's activations.
     After it come the frequencies' factor term, one product per layer for the
     network's weights, one np.add.at for the embeddings, the initial state and
     the QR measurement projection."""
     n, d, dt, lam, steps = model.n, model.d, model.dt, model.frequencies, tokens.shape[1]
-    states, factors, reports, acts = evolve_full_batch(model, tokens)
+    states, factors, reports, acts, (inv_d, gram) = evolve_full_batch(model, tokens)
     meas, r_meas = project_measurement(model.meas_raw, with_r=True)
     # row t undoes the interaction picture at time t*dt
     phases = np.exp(-1j * np.outer(np.arange(steps + 1) * dt, lam))
@@ -220,7 +220,8 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
             g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
 
         # state adjoint through the step itself (norm-preserving)
-        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, t, reports[t].gram_condition)
+        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, t, reports[t].gram_condition,
+                                           (inv_d[t], gram[t]))
         us[t, :, 1] = s
         # [-conj(c) s, -c u] @ [u^dag phi; s^dag phi], its rows' phases exp(i lam t dt) undone
         g_phi_ip = (coef * us[t, :, ::-1]).swapaxes(-1, -2) @ (us[t].conj() @ factors.phi[t])

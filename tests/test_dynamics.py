@@ -340,7 +340,7 @@ class TestEvolveFullModel:
         # cayley_step_woodbury reports for each sequence's step, to the bit
         model = init_full_model(n=5, r=2, d=3, v=6, v_in=4, dt=0.8, seed=2)
         tokens = make_rng(4).integers(0, 4, (3, CHECK_CHUNK_STEPS + 9))
-        states, factor_log, reports, _ = evolve_full_batch(model, tokens)
+        states, factor_log, reports = evolve_full_batch(model, tokens)[:3]
         assert len(reports) == tokens.shape[1]
         for t, (f, report) in enumerate(zip(factor_log, reports)):
             steps = [cayley_step_woodbury(InteractionFactors(f.phi[b], f.delta[b]),

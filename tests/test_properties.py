@@ -27,6 +27,7 @@ from cusm.dynamics import (
     GRAM_COND_FAIL,
     GRAM_COND_WARN,
     InteractionFactors,
+    _lowrank_solve,
     cayley_step_dense,
     cayley_step_woodbury,
     evolve_fixed_batch,
@@ -127,6 +128,23 @@ def test_adjoint_step_is_the_conjugate_transpose(case):
     lhs = np.einsum("kn,nk->k", pulled.conj(), psi)
     rhs = np.einsum("kn,nk->k", g.conj(), stepped)
     assert np.abs(lhs - rhs).max() < 1e-10 * np.linalg.norm(g, axis=1).max()
+
+
+@PROPERTY
+@given(hnp.arrays(np.float64, st.integers(1, 16),
+                  elements=st.floats(-1e300, 1e300, allow_subnormal=True)),
+       st.floats(1e-300, 4.0))
+def test_conjugate_of_stored_inverse_diagonal_is_the_adjoints(delta, dt):
+    # the adjoint solve uses conj of the forward step's 1/(1 + c delta); for real
+    # delta (|c delta| finite) it equals the adjoint's own 1/(1 + conj(c) delta), bit
+    # for bit but for the sign of an imaginary part that is zero (c delta = 0 or underflows)
+    phi, rhs = np.zeros((delta.size, 1), dtype=complex), np.ones((delta.size, 1), dtype=complex)
+    stored, fresh = (np.empty(delta.shape, dtype=complex) for _ in range(2))
+    for c, inv_d in ((0.5j * dt, stored), (-0.5j * dt, fresh)):
+        _lowrank_solve(phi, delta, c, rhs, pieces=(inv_d, np.empty((1, 1), dtype=complex)))
+    assert np.array_equal(np.conj(stored), fresh)
+    nonzero = fresh.imag != 0
+    assert np.conj(stored)[nonzero].tobytes() == fresh[nonzero].tobytes()
 
 
 # ---------------------------------------------------------------------------

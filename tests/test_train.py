@@ -7,6 +7,7 @@ from cusm.dynamics import (
     GRAM_COND_WARN,
     CayleyStepReport,
     InteractionFactors,
+    _lowrank_solve,
     evolve_full_batch,
     evolve_full_model,
 )
@@ -19,6 +20,7 @@ from cusm.train import (
     TrainableCusm,
     _backward_full,
     _cusm_batch_grad,
+    _rosm_batch_grad,
     CLIP_NORM,
     adam_cosine,
     adjoint_state_step,
@@ -199,6 +201,47 @@ class TestDirectionalAtRunningShapes:
                                    make_rng(9), 3)
         assert misses.max() < 30 * floor
 
+    def test_full_model_at_rank_two(self):
+        # r = 2 with the default hidden widths: each adjoint solve runs the forward
+        # step's stored Gram matrix through np.linalg.solve. Over 240 directions of
+        # eight model seeds the largest miss was 13 floors, but for one seed whose
+        # Richardson truncation error (it shrinks 30-fold as h halves) read 1.4e3;
+        # 4.8 at this seed. An adjoint that solves with G+ or G+^T in place of G+^dag
+        # misses by more than 1e6 floors, with conj(G+) by 6e4, and with 1/(1 + c delta)
+        # unconjugated by 1e11.
+        model = init_full_model(n=4, r=2, d=3, v=5, v_in=16, dt=0.5, seed=3)
+        model.mlp.weights[-1] *= 20.0  # interaction well above the free dynamics
+        rng = make_rng(9)
+        tokens = rng.integers(0, 16, (2, 80))
+        weights = rng.random((2, 80, 5)) * (rng.random((2, 80, 1)) < 0.3)
+        loss, grads = _backward_full(model, tokens, weights)
+        floor = np.finfo(float).eps * abs(loss) / 1e-4
+
+        def loss_at(x):
+            return train._loss_full(unflatten_model(x, model), tokens, weights)
+
+        misses = richardson_misses(loss_at, flatten_model(model), flatten_model(grads), rng, 3)
+        assert misses.max() < 100 * floor
+
+    def test_orthogonal_baseline_at_n_four(self):
+        # dimension 4 on the n = 4 task; over 240 directions of eight seeds the largest
+        # miss was 2.0 floors (0.91 at this seed). Each of these misses by more than 1e8
+        # floors: the readout weights' gradient on the state before last, an unscaled
+        # bias or h0 gradient, a transposed generator gradient, and an assignment in
+        # place of np.add.at.
+        task = make_task(4, 3)
+        tokens, targets = task.sequences(), target_table(task).pstar
+        params = train.init_trainable_rosm(4, task.v, 2 * 4 + 1, seed=3)
+        loss, grads = _rosm_batch_grad(params, tokens, targets)
+        floor = np.finfo(float).eps * abs(loss) / 1e-4
+
+        def loss_at(x):
+            return _rosm_batch_grad(unflatten_model(x, params), tokens, targets)[0]
+
+        misses = richardson_misses(loss_at, flatten_model(params), flatten_model(grads),
+                                   make_rng(9), 3)
+        assert misses.max() < 30 * floor
+
 
 class TestAdjointReusesForwardCondition:
     def test_one_gram_svd_per_step(self, monkeypatch):
@@ -223,6 +266,42 @@ class TestAdjointReusesForwardCondition:
         calls.clear()
         _backward_full(model, tokens, weights)
         assert calls == [(2, 2, 2)] * steps
+
+
+class TestAdjointReusesForwardPieces:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_linalg_solve_calls_per_backward_pass(self, r, monkeypatch):
+        # an r = 1 Gram system is a division, so the QR projection's VJP makes the one
+        # np.linalg.solve call; at r = 2 each forward step and its adjoint make one more
+        model = init_full_model(n=3, r=r, d=2, v=4, v_in=3, seed=1, hidden=[4])
+        steps = 5
+        tokens = make_rng(2).integers(0, 3, (2, steps))
+        weights = make_rng(3).random((2, steps, 4))
+        calls, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+        _backward_full(model, tokens, weights)
+        assert len(calls) == (1 if r == 1 else 2 * steps + 1)
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_stored_pieces_match_a_fresh_adjoint_solve(self, r):
+        # the adjoint conjugates the forward step's 1/(1 + c delta) and takes G+^dag
+        # for its Gram matrix; a fresh adjoint solve builds both from phi and delta
+        model = init_full_model(n=4, r=r, d=3, v=5, v_in=3, dt=0.5, seed=4)
+        model.mlp.weights[-1] *= 1e3  # Gram matrices far from I: conditions 9 to 69
+        tokens = make_rng(5).integers(0, 3, (3, 6))
+        _, factors, reports, _, (inv_d, gram) = evolve_full_batch(model, tokens)
+        g = ginibre(make_rng(6), 3, 4)
+        for t, report in enumerate(reports):
+            reused = adjoint_state_step(factors[t], model.dt, g, t, report.gram_condition,
+                                        (inv_d[t], gram[t]))
+            fresh = adjoint_state_step(factors[t], model.dt, g)
+            assert max(np.abs(a - b).max() for a, b in zip(reused, fresh)) < 1e-14
+            own = np.empty_like(inv_d[t]), np.empty_like(gram[t])
+            _lowrank_solve(factors.phi[t], factors.delta[t], -0.5j * model.dt, g[..., None],
+                           pieces=own)
+            assert np.array_equal(own[0], inv_d[t].conj())
+            stored = gram[t].conj().swapaxes(-1, -2)
+            assert np.abs(own[1] - stored).max() < 1e-14 * np.abs(stored).max()
 
 
 class TestStackedFullModel:
@@ -290,7 +369,7 @@ class TestStackedFullModel:
 
     def test_states_match_single_sequences(self):
         model, tokens, _ = self._batch()
-        states, _, _, _ = evolve_full_batch(model, tokens)
+        states = evolve_full_batch(model, tokens)[0]
         for b, seq in enumerate(tokens):
             single, _, _ = evolve_full_model(model, seq)
             for t, psi in enumerate(single):
