@@ -31,7 +31,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__
-from .codec import SCHEMA_VERSION, read_json
+from .codec import SCHEMA_VERSION, atomic_write, read_json
 from .dynamics import REPRODUCTION_TOL, evolve_fixed_batch, evolve_full_batch, inverse_cayley
 from .exceptions import (
     ConfigurationError,
@@ -88,22 +88,14 @@ def _output_dir(args) -> str:
     return out
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: str, doc: dict) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True))
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
     buf = io.StringIO()
     csv.writer(buf).writerows([header, *rows])
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def _write_report(args, name: str, fields: dict, seed=None) -> str:

@@ -10,6 +10,7 @@ shape.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -76,9 +77,18 @@ class _Fields(dict):
         return checked_array(self[key], shape, f"{self.path}: field {key!r}", complex_)
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Write text beside path, then rename it over path: never a partial file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, **doc}, fh, default=_encode)
+    """Encode doc under the schema version in full, then write it atomically."""
+    atomic_write(path, json.dumps({"schema_version": SCHEMA_VERSION, **doc}, default=_encode))
 
 
 def read_json(path: str) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import IllConditionedStepError, VocabularyError
-from .numerics import check_hermitian
+from .numerics import check_hermitian, initial_state
 
 GRAM_COND_FAIL = 1e12
 GRAM_COND_WARN = 1e8
@@ -250,13 +250,13 @@ def evolve_full_batch(model, tokens: np.ndarray):
     (T, B, N)), one report per step, the network's layer inputs and output (T, B, width)
     and the solves' pieces for their adjoints: 1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
     """
-    from .hamgen import initial_state, mlp_buffers, mlp_forward_cached, split_factor_output
+    from .hamgen import mlp_buffers, mlp_forward_cached, split_factor_output
 
-    tokens = _checked_tokens(tokens, model.embed.vectors.shape[0])
+    tokens = _checked_tokens(tokens, model.embed.shape[0])
     n, r, dt, (batch, steps) = model.n, model.r, model.dt, tokens.shape
     acts = mlp_buffers(model.mlp, (steps, batch), model.d + 2 * n)
     x, raw = acts[0], split_factor_output(acts[-1], n, r)
-    x[..., :model.d] = model.embed.vectors[tokens.T]
+    x[..., :model.d] = model.embed[tokens.T]
     phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))
     # phi keeps the network's channel-major layout, in which the solve and the
     # currents round as they did on each step's own product; delta is contiguous
@@ -264,7 +264,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
     delta, conds = np.empty((steps, batch, n)), [0.0] * steps
     inv_d, gram = np.empty((steps, batch, n), complex), np.empty((steps, batch, r, r), complex)
     cols = np.empty((steps + 1, batch, n, 1), dtype=complex)  # states as columns
-    cols[0] = initial_state(model.init)[:, None]
+    cols[0] = initial_state(model.a + 1j * model.b)[:, None]
     for step in range(steps):
         x[step, :, -2 * n:-n], x[step, :, -n:] = cols[step, ..., 0].real, cols[step, ..., 0].imag
         mlp_forward_cached(model.mlp, x[step], [a[step] for a in acts[1:]])

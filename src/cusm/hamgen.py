@@ -15,18 +15,7 @@ import numpy as np
 from .codec import checked_array, read_json, write_json
 from .dynamics import InteractionFactors
 from .exceptions import ConfigurationError, DegenerateInitializationError
-from .numerics import check_allocation, ginibre, make_rng
-
-
-@dataclass
-class InitialStateParams:
-    a: np.ndarray
-    b: np.ndarray
-
-
-@dataclass
-class EmbeddingTable:
-    vectors: np.ndarray  # (V_in, d) real
+from .numerics import check_allocation, ginibre, initial_state, make_rng
 
 
 @dataclass
@@ -39,9 +28,10 @@ class MlpParams:
 
 @dataclass
 class FullModelParams:
-    init: InitialStateParams
+    a: np.ndarray                  # initial state, real part, (N,)
+    b: np.ndarray                  # initial state, imaginary part, (N,)
     frequencies: np.ndarray        # lambda, (N,) real
-    embed: EmbeddingTable
+    embed: np.ndarray              # token embeddings, (V_in, d) real
     mlp: MlpParams
     meas_raw: np.ndarray           # (N, V) complex, pre-projection
     dt: float
@@ -55,39 +45,25 @@ class FullModelParams:
 
     @property
     def d(self) -> int:
-        return self.embed.vectors.shape[1]
+        return self.embed.shape[1]
 
     @property
     def v_in(self) -> int:
-        return self.embed.vectors.shape[0]
+        return self.embed.shape[0]
 
     def arrays(self) -> list:
         """The trainable arrays in the order of the flat parameter vector."""
         layers = [arr for pair in zip(self.mlp.weights, self.mlp.biases) for arr in pair]
-        return [self.init.a, self.init.b, self.frequencies, self.embed.vectors, *layers,
-                self.meas_raw]
+        return [self.a, self.b, self.frequencies, self.embed, *layers, self.meas_raw]
 
     def with_arrays(self, arrays: list) -> FullModelParams:
         """This model's settings with new arrays, given in arrays() order."""
         a, b, frequencies, embed, *layers, meas_raw = arrays
         return FullModelParams(
-            init=InitialStateParams(a=a, b=b), frequencies=frequencies,
-            embed=EmbeddingTable(vectors=embed),
+            a=a, b=b, frequencies=frequencies, embed=embed,
             mlp=MlpParams(weights=layers[0::2], biases=layers[1::2]),
             meas_raw=meas_raw, dt=self.dt, n=self.n, r=self.r, seed=self.seed,
         )
-
-
-def initial_state(params: InitialStateParams) -> np.ndarray:
-    """psi(0) = (a + i b) / ||a + i b||. A norm that is not finite is a
-    FloatingPointError: dividing by it would give the zero vector."""
-    vec = params.a + 1j * params.b
-    norm = np.linalg.norm(vec)
-    if norm < 1e-300:
-        raise DegenerateInitializationError("initial-state parameter vector is zero")
-    if not np.isfinite(norm):
-        raise FloatingPointError(f"initial-state parameter vector has norm {norm}")
-    return vec / norm
 
 
 def mlp_buffers(mlp: MlpParams, lead: tuple, width: int) -> list:
@@ -199,9 +175,9 @@ def init_full_model(
     rng = make_rng(seed, stream=100)
     mlp = init_mlp(widths[0], widths[-1], hidden, seed)
     return FullModelParams(
-        init=InitialStateParams(a=rng.standard_normal(n), b=rng.standard_normal(n)),
+        a=rng.standard_normal(n), b=rng.standard_normal(n),
         frequencies=np.linspace(-np.pi / 2, np.pi / 2, n),
-        embed=EmbeddingTable(vectors=rng.standard_normal((v_in, d)) / np.sqrt(d)),
+        embed=rng.standard_normal((v_in, d)) / np.sqrt(d),
         mlp=mlp,
         meas_raw=ginibre(rng, n, v),
         dt=dt,
@@ -222,10 +198,10 @@ def save_model(model: FullModelParams, path: str) -> None:
         "v_in": model.v_in,
         "seed": model.seed,
         "dt": model.dt,
-        "init_a": model.init.a,
-        "init_b": model.init.b,
+        "init_a": model.a,
+        "init_b": model.b,
         "frequencies": model.frequencies,
-        "embed": model.embed.vectors,
+        "embed": model.embed,
         "mlp_weights": model.mlp.weights,
         "mlp_biases": model.mlp.biases,
         "meas_raw": model.meas_raw,
@@ -234,8 +210,9 @@ def save_model(model: FullModelParams, path: str) -> None:
 
 def load_model(path: str) -> FullModelParams:
     """Inverse of save_model; a field of the wrong type or shape, out of range (n, r, d,
-    v_in >= 1, v >= n, seed >= 0, finite dt > 0), or MLP layers that do not chain
-    from d + 2N inputs to 2Nr + N outputs, is a ConfigurationError."""
+    v_in >= 1, v >= n, seed >= 0, finite dt > 0), MLP layers that do not chain
+    from d + 2N inputs to 2Nr + N outputs, or a start vector init_a + i init_b
+    whose norm is zero or not finite, is a ConfigurationError."""
     doc = read_json(path)
     n, r, d, v_in = (doc.integer(key, 1) for key in ("n", "r", "d", "v_in"))
     v, dt = doc.integer("v", n), doc.number("dt")
@@ -254,10 +231,15 @@ def load_model(path: str) -> FullModelParams:
     if width != 2 * n * r + n:
         raise ConfigurationError(f"{path}: last MLP layer has {width} outputs, "
                                  f"expected 2*N*r + N = {2 * n * r + n}")
+    a, b = doc.array("init_a", (n,)), doc.array("init_b", (n,))
+    try:
+        with np.errstate(over="ignore"):
+            initial_state(a + 1j * b)
+    except (DegenerateInitializationError, FloatingPointError) as exc:
+        raise ConfigurationError(f"{path}: fields 'init_a' and 'init_b': {exc}") from None
     return FullModelParams(
-        init=InitialStateParams(a=doc.array("init_a", (n,)), b=doc.array("init_b", (n,))),
-        frequencies=doc.array("frequencies", (n,)),
-        embed=EmbeddingTable(vectors=doc.array("embed", (v_in, d))),
+        a=a, b=b, frequencies=doc.array("frequencies", (n,)),
+        embed=doc.array("embed", (v_in, d)),
         mlp=MlpParams(weights=[w for w, _ in layers], biases=[b for _, b in layers]),
         meas_raw=doc.array("meas_raw", (n, v), complex_=True),
         dt=dt,

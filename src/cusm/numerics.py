@@ -3,9 +3,10 @@
 Deterministic Haar sampling, the one Hermitian check (its tolerance scales
 with each matrix's entries), the closed-form real coordinates of Hermitian
 matrices in a trace-orthonormal basis of fixed canonical order, SVD-based
-rank estimation, a uniqueness-normalized thin QR, and an allocation check
-against the machine's memory. Everything else is a pure function of its
-arguments; randomness always enters through an explicit seed, any integer >= 0.
+rank estimation, a uniqueness-normalized thin QR, the one normalisation of
+start states (initial_state), and an allocation check against the machine's
+memory. Everything else is a pure function of its arguments; randomness
+always enters through an explicit seed, any integer >= 0.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import os
 
 import numpy as np
 
-from .exceptions import (ConfigurationError, DegenerateFactorizationError, InvalidDimensionError,
-                         NonHermitianError)
+from .exceptions import (ConfigurationError, DegenerateFactorizationError,
+                         DegenerateInitializationError, InvalidDimensionError, NonHermitianError)
 
 DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -57,6 +58,24 @@ def thin_qr_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = q * phases[None, :]
     r = phases.conj()[:, None] * r
     return q, r
+
+
+def initial_state(vec: np.ndarray) -> np.ndarray:
+    """Start-state rows (..., N), real or complex, each divided by its norm
+    sqrt(re . re + im . im), which rounds as np.linalg.norm of one vector does
+    (a norm over an axis sums in another order). A zero norm raises
+    DegenerateInitializationError, and a norm that is not finite raises
+    FloatingPointError: dividing by it would not give a unit vector."""
+    sq = np.vecdot(vec.real, vec.real)
+    if np.iscomplexobj(vec):
+        sq = sq + np.vecdot(vec.imag, vec.imag)
+    norm = np.sqrt(sq)[..., None]
+    if not 0.0 < norm.min() <= norm.max() < np.inf:  # NaN fails every comparison
+        if np.any(norm == 0.0):
+            raise DegenerateInitializationError("initial-state parameter vector is zero")
+        bad = norm[~np.isfinite(norm)][0]
+        raise FloatingPointError(f"initial-state parameter vector has norm {bad}")
+    return vec / norm
 
 
 def sample_haar_unitary(dim: int, seed: int, stream: int = 0) -> np.ndarray:

@@ -29,6 +29,7 @@ from .numerics import (
     DEFAULT_RANK_TOL,
     check_allocation,
     ginibre,
+    initial_state,
     make_rng,
     numerical_rank,
     sample_haar_unitary,
@@ -104,9 +105,7 @@ class RosmParams:
         return self.h0.shape[-1]
 
     def state0(self) -> np.ndarray:
-        # vecdot of a row rounds as np.linalg.norm of a vector does; a norm
-        # over an axis sums in another order
-        return self.h0 / np.sqrt(np.vecdot(self.h0, self.h0))[..., None]
+        return initial_state(self.h0)
 
     def transitions(self) -> np.ndarray:
         """(..., A, d, d) orthogonal transitions, row k for token k."""

@@ -28,16 +28,9 @@ from .dynamics import (
     schrodinger_state,
 )
 from .exceptions import ConfigurationError
-from .hamgen import (
-    FullModelParams,
-    InitialStateParams,
-    init_full_model,
-    initial_state,
-    mlp_backward,
-    mlp_weight_grads,
-    split_factor_output,
-)
-from .numerics import check_allocation, ginibre, make_rng
+from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_grads,
+                     split_factor_output)
+from .numerics import check_allocation, ginibre, initial_state, make_rng
 from .numerics import thin_qr_unique  # noqa: F401, perfbench's tracer binds it
 from .readout import (
     PROB_FLOOR,
@@ -93,8 +86,7 @@ def entropy_floor(table: TargetTable) -> float:
 # adjoint building blocks
 
 def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
-                       step: int | None = None, cond: float | None = None,
-                       pieces=None) -> tuple[np.ndarray, np.ndarray]:
+                       cond: float | None = None, pieces=None) -> tuple[np.ndarray, np.ndarray]:
     """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
     The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the
@@ -102,7 +94,8 @@ def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
     A+ s = 2s - g because A+ + A- = 2I. Returns 2s - g and s, both shaped like g;
     `cond` and `pieces`, the forward step's, serve this solve as _lowrank_solve says.
     """
-    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None], step, cond, pieces)[0]
+    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None], cond=cond,
+                       pieces=pieces)[0]
     return 2.0 * s[..., 0] - g, s[..., 0]
 
 
@@ -220,7 +213,7 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
             g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
 
         # state adjoint through the step itself (norm-preserving)
-        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, t, reports[t].gram_condition,
+        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, reports[t].gram_condition,
                                            (inv_d[t], gram[t]))
         us[t, :, 1] = s
         # [-conj(c) s, -c u] @ [u^dag phi; s^dag phi], its rows' phases exp(i lam t dt) undone
@@ -236,10 +229,10 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     g_lam -= (np.arange(steps) * dt) @ np.vecdot(g_factors.phi, raw.phi).imag.sum(axis=1)
     # the sums over steps run in sweep order, last step first
     g_w, g_b = mlp_weight_grads([h[::-1] for h in acts[:-1]], [g[::-1] for g in g_acts[1:]])
-    g_embed = np.zeros_like(model.embed.vectors)
+    g_embed = np.zeros_like(model.embed)
     # np.add.at accumulates the rows of every step and sequence that share a token
     np.add.at(g_embed, tokens.T[::-1], g_acts[0][::-1, :, :d])
-    g_v = _normalize_vjp(model.init.a + 1j * model.init.b, g_psi.sum(axis=0))
+    g_v = _normalize_vjp(model.a + 1j * model.b, g_psi.sum(axis=0))
     g_meas_raw = _qr_projection_vjp(meas, r_meas, g_meas)
 
     layers = [arr for pair in zip(g_w, g_b) for arr in pair]
@@ -411,7 +404,7 @@ def _cusm_batch_grad(params: TrainableCusm, tokens: np.ndarray,
     """Mean loss and gradients over (B, T) token ids with (B, V) target rows, in
     one stacked forward and adjoint pass; gradients come in a parameter-shaped
     container."""
-    psi0 = initial_state(InitialStateParams(a=params.a, b=params.b))
+    psi0 = initial_state(params.a + 1j * params.b)
     unitaries = cayley_map(params.gens)
     meas, r_meas = project_measurement(params.meas_raw, with_r=True)
     states = evolve_fixed_batch(unitaries, psi0, tokens)

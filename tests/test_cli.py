@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -528,12 +529,23 @@ class TestTrain:
     def test_overflowing_training_is_numerical_failure(self, argv, tmp_path, monkeypatch,
                                                        capsys):
         # the first Adam step overflows the parameters: the initial state's norm
-        # (full, cusm-trainable) or the rank audit's SVD (rosm) cannot be formed
+        # cannot be formed
         with np.errstate(all="ignore"):
             code = run(["train", "--n", "2", "--seeds", "1", *argv], tmp_path, monkeypatch)
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 3
         assert len(err) == 1 and err[0].startswith("numerical failure")
+
+    def test_baseline_start_state_that_overflows_is_numerical_failure(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # h0 grows to about 5e300, so h0 . h0 overflows and the start state has no
+        # unit vector; dividing by the inf norm would give the zero vector
+        code = run(["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--lr", "1e300",
+                    "--epochs", "30"], tmp_path, monkeypatch)
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: initial-state parameter vector has norm inf\n"
+        assert not list(tmp_path.iterdir())
 
     def test_rosm_without_dim_is_usage_error(self, tmp_path, monkeypatch):
         code = run(["train", "--n", "2", "--model-kind", "rosm", "--seeds", "1",
@@ -735,6 +747,22 @@ class TestLoadErrors:
         where = "mlp_weights[0]" if field == "mlp_weights" else f"field {field!r}"
         assert capsys.readouterr().err == \
             f"error: {path}: {where}: expected finite entries, got {value}\n"
+
+    @pytest.mark.parametrize("entry, message", [
+        (0.0, "initial-state parameter vector is zero"),
+        (1e200, "initial-state parameter vector has norm inf"),
+    ])
+    def test_degenerate_start_vector(self, entry, message, tmp_path, monkeypatch, capsys):
+        path = self._model_file(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc["init_a"] = [entry] * len(doc["init_a"])
+        doc["init_b"] = [0.0] * len(doc["init_b"])
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert run(self._command("model", path), tmp_path, monkeypatch) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: fields 'init_a' and 'init_b': {message}\n"
 
     def test_ragged_array(self, tmp_path, monkeypatch, capsys):
         path = self._task_file(tmp_path, monkeypatch)

@@ -18,8 +18,8 @@ from cusm.dynamics import (
     schrodinger_state,
 )
 from cusm.exceptions import IllConditionedStepError, NonHermitianError, VocabularyError
-from cusm.hamgen import generate_interaction, init_full_model, initial_state
-from cusm.numerics import ginibre, make_rng, sample_haar_unitary
+from cusm.hamgen import generate_interaction, init_full_model
+from cusm.numerics import ginibre, initial_state, make_rng, sample_haar_unitary
 from cusm.septask import n2_reference_config
 
 
@@ -312,7 +312,7 @@ class TestEvolveFullModel:
         for b in model.mlp.biases:
             b[:] = 0.0
         traj, factors, _ = evolve_full_model(model, [0, 1, 2, 3])
-        psi0 = initial_state(model.init)
+        psi0 = initial_state(model.a + 1j * model.b)
         for state in traj:
             assert np.abs(state - psi0).max() < 1e-14
         for f in factors:
@@ -321,8 +321,8 @@ class TestEvolveFullModel:
     def test_single_step_composition(self):
         model = init_full_model(n=3, r=1, d=2, v=4, v_in=3, seed=4)
         traj, _, _ = evolve_full_model(model, [1])
-        psi0 = initial_state(model.init)
-        f = generate_interaction(model.mlp, model.embed.vectors[1], psi0, model.r)
+        psi0 = initial_state(model.a + 1j * model.b)
+        f = generate_interaction(model.mlp, model.embed[1], psi0, model.r)
         f_ip = interaction_picture_factors(f, model.frequencies, 0, model.dt)
         manual, _ = cayley_step_woodbury(f_ip, psi0, model.dt)
         assert np.abs(traj[-1] - manual).max() < 1e-15

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from cusm.codec import write_json
 from cusm.exceptions import ConfigurationError, DegenerateInitializationError
 from cusm.hamgen import (
-    InitialStateParams,
     MlpParams,
     generate_interaction,
     init_full_model,
-    initial_state,
     load_model,
     mlp_backward,
     mlp_forward_cached,
@@ -15,41 +14,40 @@ from cusm.hamgen import (
     save_model,
     split_factor_output,
 )
-from cusm.numerics import make_rng
+from cusm.numerics import initial_state, make_rng
 
 
 class TestInitialState:
     def test_basis_vector(self):
-        psi = initial_state(InitialStateParams(a=np.array([1.0, 0.0]), b=np.zeros(2)))
+        psi = initial_state(np.array([1.0, 0.0]) + 1j * np.zeros(2))
         assert np.array_equal(psi, np.array([1.0 + 0j, 0.0]))
 
     def test_complex_combination(self):
-        psi = initial_state(InitialStateParams(a=np.array([1.0, 0.0]), b=np.array([0.0, 1.0])))
+        psi = initial_state(np.array([1.0, 0.0]) + 1j * np.array([0.0, 1.0]))
         assert np.abs(psi - np.array([1.0, 1j]) / np.sqrt(2.0)).max() < 1e-15
 
     def test_unit_norm(self):
         rng = make_rng(1)
         for _ in range(20):
-            psi = initial_state(InitialStateParams(a=rng.standard_normal(5),
-                                                   b=rng.standard_normal(5)))
+            psi = initial_state(rng.standard_normal(5) + 1j * rng.standard_normal(5))
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-15
 
     def test_scale_invariance(self):
         rng = make_rng(2)
         a, b = rng.standard_normal(4), rng.standard_normal(4)
-        p1 = initial_state(InitialStateParams(a=a, b=b))
-        p2 = initial_state(InitialStateParams(a=3.0 * a, b=3.0 * b))
+        p1 = initial_state(a + 1j * b)
+        p2 = initial_state(3.0 * a + 1j * (3.0 * b))
         assert np.abs(p1 - p2).max() < 1e-15
 
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInitializationError):
-            initial_state(InitialStateParams(a=np.zeros(3), b=np.zeros(3)))
+            initial_state(np.zeros(3) + 1j * np.zeros(3))
 
     @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
     def test_non_finite_norm_rejected(self, entry):
         # a norm that overflows to inf would make vec / norm the zero vector
         with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
-            initial_state(InitialStateParams(a=np.full(3, entry), b=np.zeros(3)))
+            initial_state(np.full(3, entry) + 1j * np.zeros(3))
 
 
 class TestMlpForward:
@@ -140,8 +138,8 @@ class TestGenerateInteraction:
         model = init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=0)
         for w in model.mlp.weights:
             w[:] = 0.0
-        psi = initial_state(model.init)
-        f = generate_interaction(model.mlp, model.embed.vectors[0], psi, model.r)
+        psi = initial_state(model.a + 1j * model.b)
+        f = generate_interaction(model.mlp, model.embed[0], psi, model.r)
         assert np.abs(f.phi).max() == 0.0
         assert np.abs(f.delta).max() == 0.0
 
@@ -149,7 +147,7 @@ class TestGenerateInteraction:
         rng = make_rng(4)
         for draw in range(1000):
             model = init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=draw, hidden=[5])
-            psi = initial_state(model.init)
+            psi = initial_state(model.a + 1j * model.b)
             x = rng.standard_normal(2)
             f = generate_interaction(model.mlp, x, psi, model.r)
             h = f.materialize()
@@ -157,14 +155,24 @@ class TestGenerateInteraction:
 
 
 class TestSerialization:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # the encoder fails on the last field, after the earlier ones are encoded
+        path = tmp_path / "model.json"
+        save_model(init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=0), str(path))
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_json(str(path), {"n": 2, "init_a": np.ones(2), "broken": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_roundtrip_exact(self, tmp_path):
         model = init_full_model(n=3, r=2, d=2, v=9, v_in=5, dt=0.5, seed=17)
         path = str(tmp_path / "model.json")
         save_model(model, path)
         loaded = load_model(path)
-        assert np.array_equal(model.init.a, loaded.init.a)
+        assert np.array_equal(model.a, loaded.a)
         assert np.array_equal(model.frequencies, loaded.frequencies)
-        assert np.array_equal(model.embed.vectors, loaded.embed.vectors)
+        assert np.array_equal(model.embed, loaded.embed)
         for w1, w2 in zip(model.mlp.weights, loaded.mlp.weights):
             assert np.array_equal(w1, w2)
         assert np.array_equal(model.meas_raw, loaded.meas_raw)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cusm.dynamics import InteractionFactors
-from cusm.exceptions import DegenerateFactorizationError, InvalidDimensionError, NonHermitianError
+from cusm.exceptions import (DegenerateFactorizationError, DegenerateInitializationError,
+                             InvalidDimensionError, NonHermitianError)
 from cusm.numerics import (
     ginibre,
+    initial_state,
     make_rng,
     numerical_rank,
     sample_haar_unitary,
@@ -220,3 +222,25 @@ class TestThinQrUnique:
         q2, r2 = thin_qr_unique(a.copy())
         assert np.array_equal(q1, q2)
         assert np.array_equal(r1, r2)
+
+
+class TestInitialStateStack:
+    @staticmethod
+    def _rows(dtype, seed):
+        vec = ginibre(make_rng(seed), 4, 5)
+        return vec if dtype is complex else vec.real.copy()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_row_rejected(self, dtype):
+        vec = self._rows(dtype, 3)
+        vec[2] = 0.0
+        with pytest.raises(DegenerateInitializationError, match="is zero"):
+            initial_state(vec)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_row_rejected(self, dtype, entry):
+        vec = self._rows(dtype, 4)
+        vec[1, 3] = entry
+        with pytest.raises(FloatingPointError, match=f"has norm {entry}"):
+            initial_state(vec)

@@ -32,9 +32,11 @@ from cusm.dynamics import (
     cayley_step_woodbury,
     evolve_fixed_batch,
 )
-from cusm.exceptions import IllConditionedStepError, NonHermitianError
+from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
+                             IllConditionedStepError, NonHermitianError)
 from cusm.hamgen import init_full_model, load_model, save_model
-from cusm.numerics import check_hermitian, ginibre, make_rng, numerical_rank, vec_hermitian
+from cusm.numerics import (check_hermitian, ginibre, initial_state, make_rng, numerical_rank,
+                           vec_hermitian)
 from cusm.readout import floored_log
 from cusm.septask import (
     TaskInstance,
@@ -349,6 +351,20 @@ def round_trip(save, load, obj):
         return load(path)
 
 
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       st.integers(-150, 150))
+def test_initial_state_rounds_as_each_row_alone(k, n, complex_, seed, exponent):
+    # the rows' norms as np.linalg.norm of one vector (complex) and sqrt(h0 . h0) (real)
+    rng = make_rng(seed)
+    vec = rng.standard_normal((k, n)) * 10.0 ** exponent
+    if complex_:
+        vec = vec + 1j * (rng.standard_normal((k, n)) * 10.0 ** exponent)
+    for row, got in zip(vec, initial_state(vec)):
+        want = row / (np.linalg.norm(row) if complex_ else np.sqrt(np.vecdot(row, row)))
+        assert same_bits(got, want)
+
+
 @st.composite
 def tasks(draw):
     n = draw(st.integers(2, 3))
@@ -391,6 +407,14 @@ def models(draw):
 @PROPERTY
 @given(models())
 def test_model_file_round_trip_is_bit_exact(model):
+    try:
+        with np.errstate(over="ignore"):
+            initial_state(model.a + 1j * model.b)
+    except (DegenerateInitializationError, FloatingPointError):
+        # a start vector of zero or non-finite norm is no model: loading rejects it
+        with pytest.raises(ConfigurationError, match="fields 'init_a' and 'init_b'"):
+            round_trip(save_model, load_model, model)
+        return
     loaded = round_trip(save_model, load_model, model)
     assert (loaded.n, loaded.r, loaded.seed) == (model.n, model.r, model.seed)
     assert same_bits(loaded.dt, model.dt)

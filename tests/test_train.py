@@ -253,7 +253,7 @@ class TestAdjointReusesForwardCondition:
         model = init_full_model(n=3, r=2, d=1, v=4, v_in=1, seed=0, hidden=[])
         model.mlp.weights[0][:] = 0.0
         model.mlp.weights[0][: 2 * model.n, 0] = 1e4
-        model.embed.vectors[:] = 1.0
+        model.embed[:] = 1.0
         calls, cond = [], np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a.shape) or cond(a))
         steps = 6
@@ -292,7 +292,7 @@ class TestAdjointReusesForwardPieces:
         _, factors, reports, _, (inv_d, gram) = evolve_full_batch(model, tokens)
         g = ginibre(make_rng(6), 3, 4)
         for t, report in enumerate(reports):
-            reused = adjoint_state_step(factors[t], model.dt, g, t, report.gram_condition,
+            reused = adjoint_state_step(factors[t], model.dt, g, report.gram_condition,
                                         (inv_d[t], gram[t]))
             fresh = adjoint_state_step(factors[t], model.dt, g)
             assert max(np.abs(a - b).max() for a, b in zip(reused, fresh)) < 1e-14
@@ -348,7 +348,7 @@ class TestStackedFullModel:
         # the differences' rounding, ~1e-16 * loss / step, sets the error scale
         numeric = central_difference(loss_at, flatten_model(model), 1e-5)
         assert np.abs(flatten_bundle(analytic) - numeric).max() < 1e-7 * np.abs(numeric).max()
-        assert np.all(analytic.embed.vectors != 0.0)
+        assert np.all(analytic.embed != 0.0)
 
     def test_one_thin_qr_per_gradient(self, monkeypatch):
         # the backward pass reuses the R factor of the forward projection
@@ -384,7 +384,7 @@ class TestFailureInsideBatch:
         model = init_full_model(n=3, r=2, d=1, v=4, v_in=2, seed=0, hidden=[])
         model.mlp.weights[0][:] = 0.0
         model.mlp.weights[0][: 2 * model.n, 0] = 1e7
-        model.embed.vectors[:] = [[0.0], [1.0]]
+        model.embed[:] = [[0.0], [1.0]]
         return model
 
     def test_forward_reports_failing_step(self):
@@ -482,6 +482,13 @@ class TestAdamCosine:
                 np.sqrt(v / (1 - 0.999 ** (epoch + 1))) + 1e-8)
         assert stopped == "epochs" and trace == [0.0] * 3
         assert np.allclose(x, ref, rtol=1e-12, atol=0.0)
+
+
+    def test_non_finite_loss_stops_the_run_as_diverged(self):
+        losses = iter([1.0, np.inf, 0.5])
+        _, trace, stopped = adam_cosine(np.zeros(2), lambda x: (next(losses), np.ones(2)),
+                                        OptimizerConfig(lr=0.1, epochs=3))
+        assert stopped == "diverged" and trace == [1.0, np.inf]
 
 
 class TestTrainOnTask:
