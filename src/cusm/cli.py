@@ -396,8 +396,9 @@ def cmd_simulate(args) -> int:
     norms, balances = continuity_balance(states, dt, row_sums)
     max_balance = float(balances.max())
     max_norm_dev = float(np.abs(norms - 1.0).max())
+    columns = zip(tokens, norms.tolist(), totals.tolist(), balances.tolist())
     rows = [[t + 1, tok, f"{norm:.15f}", f"{total:.15e}", f"{balance:.15e}"]
-            for t, (tok, norm, total, balance) in enumerate(zip(tokens, norms, totals, balances))]
+            for t, (tok, norm, total, balance) in enumerate(columns)]
 
     csv_path = os.path.join(_output_dir(args), "trajectory.csv")
     _write_csv(csv_path, ["step", "token", "norm", "total_current", "balance_residual"], rows)

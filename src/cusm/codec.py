@@ -78,12 +78,17 @@ class _Fields(dict):
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write text beside path, then rename it over path: never a partial file."""
+    """Write text beside path, then rename it over path; on failure, remove what it wrote."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_json(path: str, doc: dict) -> None:

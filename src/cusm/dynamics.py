@@ -257,7 +257,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
     acts = mlp_buffers(model.mlp, (steps, batch), model.d + 2 * n)
     x, raw = acts[0], split_factor_output(acts[-1], n, r)
     x[..., :model.d] = model.embed[tokens.T]
-    phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))
+    phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))[..., None]
     # phi keeps the network's channel-major layout, in which the solve and the
     # currents round as they did on each step's own product; delta is contiguous
     phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
@@ -265,11 +265,13 @@ def evolve_full_batch(model, tokens: np.ndarray):
     inv_d, gram = np.empty((steps, batch, n), complex), np.empty((steps, batch, r, r), complex)
     cols = np.empty((steps + 1, batch, n, 1), dtype=complex)  # states as columns
     cols[0] = initial_state(model.a + 1j * model.b)[:, None]
+    x_re, x_im, psi = x[..., -2 * n:-n], x[..., -n:], cols[..., 0]
+    layer_rows = [list(rows) for rows in zip(*acts[1:])]  # step t: each layer's output rows
     for step in range(steps):
-        x[step, :, -2 * n:-n], x[step, :, -n:] = cols[step, ..., 0].real, cols[step, ..., 0].imag
-        mlp_forward_cached(model.mlp, x[step], [a[step] for a in acts[1:]])
-        np.multiply(phases[step][:, None], raw.phi[step], out=phi[step])
-        delta[step] = raw.delta[step]
+        x_re[step], x_im[step] = psi[step].real, psi[step].imag
+        mlp_forward_cached(model.mlp, x[step], layer_rows[step])
+        np.multiply(phases[step], raw.phi[step], out=phi[step])
+        np.copyto(delta[step], raw.delta[step])
         cols[step + 1], conds[step] = _cayley_step(phi[step], delta[step], cols[step], dt, step,
                                                    (inv_d[step], gram[step]))
     reports = []

@@ -139,17 +139,14 @@ def init_mlp(in_width: int, out_width: int, hidden: list[int], seed: int) -> Mlp
     well conditioned)."""
     rng = make_rng(seed, stream=101)
     widths = [in_width] + list(hidden) + [out_width]
-    weights, biases = [], []
-    for layer in range(len(widths) - 1):
-        fan_in = widths[layer]
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(widths[layer + 1], widths[layer]))
-        b = np.zeros(widths[layer + 1])
-        if layer == len(widths) - 2:
-            w = 0.01 * w
-        weights.append(w)
-        biases.append(b)
-    return MlpParams(weights=weights, biases=biases)
+    weights = [rng.random((fan_out, fan_in)) for fan_in, fan_out in zip(widths, widths[1:])]
+    for w in weights:
+        # rng.uniform(-bound, bound) of the same stream: its low + (high - low) u, in place
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w *= bound - -bound
+        w += -bound
+    weights[-1] *= 0.01
+    return MlpParams(weights=weights, biases=[np.zeros(w.shape[0]) for w in weights])
 
 
 def init_full_model(

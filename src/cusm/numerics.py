@@ -2,11 +2,11 @@
 
 Deterministic Haar sampling, the one Hermitian check (its tolerance scales
 with each matrix's entries), the closed-form real coordinates of Hermitian
-matrices in a trace-orthonormal basis of fixed canonical order, SVD-based
-rank estimation, a uniqueness-normalized thin QR, the one normalisation of
-start states (initial_state), and an allocation check against the machine's
-memory. Everything else is a pure function of its arguments; randomness
-always enters through an explicit seed, any integer >= 0.
+matrices in a trace-orthonormal basis of fixed canonical order, SVD-based rank
+estimation, a uniqueness-normalized thin QR, one row norm (row_norms), the one
+normalisation of start states (initial_state), and an allocation check against
+the machine's memory. Everything else is a pure function of its arguments;
+randomness always enters through an explicit seed, any integer >= 0.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .exceptions import (ConfigurationError, DegenerateFactorizationError,
 
 DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
+_MIN_NORM = 2.0 ** -511  # its square is the smallest normal float
+_UNDERFLOW_SCALE = 2.0 ** 600  # exact; lifts any nonzero row of a smaller norm above _MIN_NORM
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -60,21 +62,25 @@ def thin_qr_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def initial_state(vec: np.ndarray) -> np.ndarray:
-    """Start-state rows (..., N), real or complex, each divided by its norm
-    sqrt(re . re + im . im), which rounds as np.linalg.norm of one vector does
-    (a norm over an axis sums in another order). A zero norm raises
-    DegenerateInitializationError, and a norm that is not finite raises
-    FloatingPointError: dividing by it would not give a unit vector."""
+def row_norms(vec: np.ndarray) -> np.ndarray:
+    """sqrt(re . re + im . im) of rows (..., N), real or complex: np.linalg.norm of each row."""
     sq = np.vecdot(vec.real, vec.real)
-    if np.iscomplexobj(vec):
-        sq = sq + np.vecdot(vec.imag, vec.imag)
-    norm = np.sqrt(sq)[..., None]
-    if not 0.0 < norm.min() <= norm.max() < np.inf:  # NaN fails every comparison
-        if np.any(norm == 0.0):
+    return np.sqrt(sq + np.vecdot(vec.imag, vec.imag) if np.iscomplexobj(vec) else sq)
+
+
+def initial_state(vec: np.ndarray) -> np.ndarray:
+    """Start-state rows (..., N), real or complex, each divided by its row_norms; a row whose
+    squared norm is below the normal range is first scaled by _UNDERFLOW_SCALE. A zero
+    row raises DegenerateInitializationError, and a norm that is not finite raises
+    FloatingPointError: dividing by it would not give a unit vector."""
+    norm = row_norms(vec)[..., None]
+    if not _MIN_NORM <= norm.min() <= norm.max() < np.inf:  # NaN fails every comparison
+        if not vec.any(axis=-1).all():
             raise DegenerateInitializationError("initial-state parameter vector is zero")
-        bad = norm[~np.isfinite(norm)][0]
-        raise FloatingPointError(f"initial-state parameter vector has norm {bad}")
+        bad = norm[~np.isfinite(norm)]
+        if bad.size:
+            raise FloatingPointError(f"initial-state parameter vector has norm {bad[0]}")
+        return initial_state(np.where(norm < _MIN_NORM, vec * _UNDERFLOW_SCALE, vec))
     return vec / norm
 
 

@@ -55,6 +55,12 @@ class TestGenTask:
         assert capsys.readouterr().err == "error: the reference witness is defined for n = 2 only\n"
         assert not out.exists()
 
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "task_n2_seed0.json").mkdir()
+        assert run(["gen-task", "--n", "2"], tmp_path, monkeypatch) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
+
     def test_rank_deficient_table_is_invariant_violation(self, tmp_path, monkeypatch):
         ranks = cli.check_separation_ranks
         monkeypatch.setattr(cli, "check_separation_ranks",
@@ -763,6 +769,19 @@ class TestLoadErrors:
             assert run(self._command("model", path), tmp_path, monkeypatch) == 2
         assert capsys.readouterr().err == \
             f"error: {path}: fields 'init_a' and 'init_b': {message}\n"
+
+    def test_start_vector_below_the_normal_range(self, tmp_path, monkeypatch):
+        # its squared norm underflows to zero, but the vector is not zero
+        path = self._model_file(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc["init_a"] = [1e-170] * len(doc["init_a"])
+        doc["init_b"] = [0.0] * len(doc["init_b"])
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(self._command("model", path), tmp_path, monkeypatch) == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        assert report["max_norm_deviation"] < 1e-14
 
     def test_ragged_array(self, tmp_path, monkeypatch, capsys):
         path = self._task_file(tmp_path, monkeypatch)

@@ -191,6 +191,13 @@ class TestFactorCurrent:
         want = [total_current(m) for m in j]
         assert np.abs(factor_total_current(phi, c) - want).max() < 1e-14
 
+    def test_totals_keep_the_bits_of_half_the_whole_sum(self):
+        # the chunked sums of |J/2| are half the sums of |J| bit for bit: scaling by 2 is exact
+        rng = make_rng(13)
+        phi, c = ginibre(rng, 40 * 9, 3).reshape(40, 9, 3), ginibre(rng, 40, 9)
+        want = 0.5 * np.abs(factor_current(phi, c)).sum(axis=(-2, -1))
+        assert factor_total_current(phi, c).tobytes() == want.tobytes()
+
 
 class TestTotalCurrent:
     def test_zero(self):

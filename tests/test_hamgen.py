@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cusm import hamgen
 from cusm.codec import write_json
 from cusm.exceptions import ConfigurationError, DegenerateInitializationError
 from cusm.hamgen import (
@@ -152,6 +153,29 @@ class TestGenerateInteraction:
             f = generate_interaction(model.mlp, x, psi, model.r)
             h = f.materialize()
             assert np.abs(h - h.conj().T).max() < 1e-12
+
+
+class TestInitMlp:
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (64, 4)])
+    def test_weights_are_the_uniform_draws_of_their_stream(self, n, r, monkeypatch):
+        made = {}
+
+        def recording_rng(seed, stream=0):
+            made[stream] = make_rng(seed, stream)
+            return made[stream]
+
+        monkeypatch.setattr(hamgen, "make_rng", recording_rng)
+        for seed in range(10):
+            model = init_full_model(n=n, r=r, d=3, v=n, v_in=4, seed=seed)
+            ref = make_rng(seed, stream=101)
+            for layer, w in enumerate(model.mlp.weights):
+                bound = 1.0 / np.sqrt(w.shape[1])
+                want = ref.uniform(-bound, bound, size=w.shape)
+                if layer == len(model.mlp.weights) - 1:
+                    want = 0.01 * want
+                assert w.tobytes() == want.tobytes()
+                assert not model.mlp.biases[layer].any()
+            assert made[101].random() == ref.random()  # the stream moved as far
 
 
 class TestSerialization:

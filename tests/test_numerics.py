@@ -238,6 +238,26 @@ class TestInitialStateStack:
             initial_state(vec)
 
     @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("entry", [1e-160, 1e-170, 5e-324])
+    def test_row_below_the_normal_range_is_unit(self, dtype, entry):
+        # a squared norm that is subnormal (1e-160) or underflows to zero (1e-170, 5e-324)
+        direction = np.arange(1.0, 6.0) * (1.0 + 1j if dtype is complex else 1.0)
+        vec = self._rows(dtype, 5)
+        vec[2] = entry * direction
+        got = initial_state(vec)
+        assert abs(np.linalg.norm(got[2]) - 1.0) < 1e-15
+        assert np.abs(got[2] - direction / np.linalg.norm(direction)).max() < 1e-15
+        for row in (0, 1, 3):  # the other rows keep their rounding
+            assert got[row].tobytes() == initial_state(vec[row]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_row_beside_a_tiny_row_rejected(self, dtype):
+        vec = self._rows(dtype, 6)
+        vec[0], vec[3] = 1e-170, 0.0
+        with pytest.raises(DegenerateInitializationError, match="is zero"):
+            initial_state(vec)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("entry", [np.inf, np.nan])
     def test_non_finite_row_rejected(self, dtype, entry):
         vec = self._rows(dtype, 4)

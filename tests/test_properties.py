@@ -1,10 +1,10 @@
 """Property tests: the Woodbury Cayley step and its adjoint over random sizes,
-step lengths and scales of Phi and delta; the factor-form probability
-currents against the dense ones, and the stacked Hermitian check and dense
-currents against one matrix at a time; the closed-form Hermitian lift against its
-explicit basis; the stacked softmax-rank audits and numerical ranks against
-one model or matrix at a time; and bit-exact task and model file round
-trips."""
+step lengths and scales of Phi and delta; the factor-form probability currents
+against the dense ones, and the stacked Hermitian check and dense currents
+against one matrix at a time, and the stacked row norms against one row at a
+time; the closed-form Hermitian lift against its explicit basis; the stacked
+softmax-rank audits and numerical ranks against one model or matrix at a time;
+and bit-exact task and model file round trips."""
 
 import os
 import tempfile
@@ -36,7 +36,7 @@ from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
                              IllConditionedStepError, NonHermitianError)
 from cusm.hamgen import init_full_model, load_model, save_model
 from cusm.numerics import (check_hermitian, ginibre, initial_state, make_rng, numerical_rank,
-                           vec_hermitian)
+                           row_norms, vec_hermitian)
 from cusm.readout import floored_log
 from cusm.septask import (
     TaskInstance,
@@ -363,6 +363,17 @@ def test_initial_state_rounds_as_each_row_alone(k, n, complex_, seed, exponent):
     for row, got in zip(vec, initial_state(vec)):
         want = row / (np.linalg.norm(row) if complex_ else np.sqrt(np.vecdot(row, row)))
         assert same_bits(got, want)
+
+
+@PROPERTY
+@given(st.integers(1, 300), st.integers(1, 128), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       st.integers(-150, 150))
+def test_row_norms_round_as_each_row_alone(t, n, complex_, seed, exponent):
+    rng = make_rng(seed)
+    vec = rng.standard_normal((t, n)) * 10.0 ** exponent
+    if complex_:
+        vec = vec + 1j * (rng.standard_normal((t, n)) * 10.0 ** exponent)
+    assert same_bits(row_norms(vec), [np.linalg.norm(row) for row in vec])
 
 
 @st.composite
