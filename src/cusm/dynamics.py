@@ -99,31 +99,30 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x, axis=-2).real)
 
 
-def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray,
-                   step: int | None = None, cond: float | None = None,
-                   pieces=None) -> tuple[np.ndarray, float]:
+def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray, step=None,
+                   fill=None, adjoint_of=None) -> tuple[np.ndarray, float | None]:
     """Solve (diag(1 + c*delta) + c*phi phi^dag) x = rhs at O(N r^2 + r^3).
 
     The one Woodbury solve of the forward step and its adjoint, stacked over leading axes:
     phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x and the Gram condition of
-    the stack; fails above GRAM_COND_FAIL at `step`. A forward step fills the buffers `pieces`
-    with 1/(1 + c*delta) (..., N) and its Gram matrix G (..., r, r); its adjoint passes them
-    back with the step's `cond`, skips the check and solves with conj and G^dag (A- = A+^dag).
+    the stack; fails above GRAM_COND_FAIL at `step`. A forward step may fill the buffers
+    `fill` with 1/(1 + c*delta) (..., N) and its Gram matrix G (..., r, r). The adjoint of
+    that step (conj(c), A- = A+^dag) passes them back as `adjoint_of` and solves with their
+    conj and G^dag: it builds no system and checks no condition, and returns None for it.
     """
-    reuse = pieces is not None and cond is not None  # the adjoint of the step that filled them
-    inv_d, gram = pieces or (None, None)
+    inv_d, gram = adjoint_of or fill or (None, None)
     # |1 + c*delta| >= 1
-    inv_d = (np.conj(inv_d) if reuse else np.divide(1.0, 1.0 + c * delta, out=inv_d))[..., None]
+    inv_d = (np.conj(inv_d) if adjoint_of else
+             np.divide(1.0, 1.0 + c * delta, out=inv_d))[..., None]
     phi_h = phi.swapaxes(-1, -2).conj()
     y, p = rhs * inv_d, phi * inv_d
     r = phi.shape[-1]
-    if reuse:
-        gram = gram.conj().swapaxes(-1, -2)
+    if adjoint_of:
+        gram, cond = gram.conj().swapaxes(-1, -2), None
     else:
         gram = np.matmul(phi_h, p, out=gram)
         gram *= c
         gram.reshape(-1, r * r)[:, :: r + 1] += 1.0  # I + c phi^dag p, in place
-    if cond is None:
         root = 1.0 + abs(c) * float(np.vecdot(phi, phi, axis=-2).real.sum(-1).max())
         cond = root * root  # a float product overflows to inf, where ** raises
         if not cond <= GRAM_COND_WARN:  # inf and NaN too: the SVD decides
@@ -140,10 +139,10 @@ def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarr
 
 
 def _cayley_step(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, dt: float,
-                 step: int | None = None, pieces=None) -> tuple[np.ndarray, float]:
+                 step: int | None = None, fill=None) -> tuple[np.ndarray, float]:
     """Cayley step psi' = 2 A+^{-1} psi - psi of state columns psi (..., N, k),
     stacked like _lowrank_solve; returns psi' and the stack's Gram condition."""
-    z, cond = _lowrank_solve(phi, delta, 0.5j * dt, psi, step, pieces=pieces)
+    z, cond = _lowrank_solve(phi, delta, 0.5j * dt, psi, step, fill)
     return 2.0 * z - psi, cond
 
 
@@ -247,8 +246,9 @@ def evolve_full_batch(model, tokens: np.ndarray):
     are phase-conjugated into the interaction picture, and one stacked Woodbury solve
     advances all B states, raising at an ill-conditioned step; the stacked checks follow
     the loop. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N, r), delta
-    (T, B, N)), one report per step, the network's layer inputs and output (T, B, width)
-    and the solves' pieces for their adjoints: 1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
+    (T, B, N), a view of the network's output), one report per step, the network's layer
+    inputs and output (T, B, width) and the solves' pieces for their adjoints:
+    1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
     """
     from .hamgen import mlp_buffers, mlp_forward_cached, split_factor_output
 
@@ -259,9 +259,9 @@ def evolve_full_batch(model, tokens: np.ndarray):
     x[..., :model.d] = model.embed[tokens.T]
     phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))[..., None]
     # phi keeps the network's channel-major layout, in which the solve and the
-    # currents round as they did on each step's own product; delta is contiguous
+    # currents round as they did on each step's own product; delta is read in place
     phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
-    delta, conds = np.empty((steps, batch, n)), [0.0] * steps
+    delta, conds = raw.delta, [0.0] * steps
     inv_d, gram = np.empty((steps, batch, n), complex), np.empty((steps, batch, r, r), complex)
     cols = np.empty((steps + 1, batch, n, 1), dtype=complex)  # states as columns
     cols[0] = initial_state(model.a + 1j * model.b)[:, None]
@@ -271,7 +271,6 @@ def evolve_full_batch(model, tokens: np.ndarray):
         x_re[step], x_im[step] = psi[step].real, psi[step].imag
         mlp_forward_cached(model.mlp, x[step], layer_rows[step])
         np.multiply(phases[step], raw.phi[step], out=phi[step])
-        np.copyto(delta[step], raw.delta[step])
         cols[step + 1], conds[step] = _cayley_step(phi[step], delta[step], cols[step], dt, step,
                                                    (inv_d[step], gram[step]))
     reports = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import read_json, write_json
-from .dynamics import cayley_map, evolve_fixed_batch
+from .dynamics import REPRODUCTION_TOL, cayley_map, evolve_fixed_batch
 from .exceptions import ConfigurationError, CusmError, InvalidDimensionError
 from .numerics import (
     DEFAULT_RANK_TOL,
@@ -371,12 +371,14 @@ def save_task(task: TaskInstance, path: str) -> None:
 
 def load_task(path: str) -> TaskInstance:
     """Inverse of save_task; a field of the wrong type or shape, n < 2, v other
-    than n^2, or a negative filler_length or seed is a ConfigurationError."""
+    than n^2, a negative filler_length or seed, or a context state, query matrix
+    or measurement that misses its unit norm, W^dag W = I or MM^dag = I by more
+    than REPRODUCTION_TOL in its largest entry is a ConfigurationError."""
     doc = read_json(path)
     n, v = doc.integer("n", 2), doc.integer("v")
     if v != n * n:
         raise ConfigurationError(f"{path}: field 'v' must be n^2 = {n * n}, got {v}")
-    return TaskInstance(
+    task = TaskInstance(
         n=n,
         v=v,
         context_states=doc.array("context_states", (n, n), complex_=True),
@@ -387,3 +389,13 @@ def load_task(path: str) -> TaskInstance:
         certificate_rank=doc.integer("certificate_rank"),
         measurement_rank=doc.integer("measurement_rank"),
     )
+    c, w, m, eye = task.context_states, task.query_unitaries, task.measurement, np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow misses by inf
+        for field, what, miss in (
+                ("context_states", "a norm misses 1", np.linalg.norm(c, axis=1) - 1),
+                ("query_unitaries", "W^dag W misses I", w.conj().swapaxes(-1, -2) @ w - eye),
+                ("measurement", "MM^dag misses I", m @ m.conj().T - eye)):
+            worst = np.abs(miss).max()
+            if not worst <= REPRODUCTION_TOL:
+                raise ConfigurationError(f"{path}: field {field!r}: {what} by {worst:.3e}")
+    return task

@@ -25,7 +25,6 @@ from .dynamics import (
     cayley_map,
     evolve_fixed_batch,
     evolve_full_batch,
-    schrodinger_state,
 )
 from .exceptions import ConfigurationError
 from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_grads,
@@ -86,16 +85,16 @@ def entropy_floor(table: TargetTable) -> float:
 # adjoint building blocks
 
 def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
-                       cond: float | None = None, pieces=None) -> tuple[np.ndarray, np.ndarray]:
+                       pieces=None) -> tuple[np.ndarray, np.ndarray]:
     """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
     The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the
     adjoint norm is exactly preserved: solve A- s = g (A- = A+^dag), and then
     A+ s = 2s - g because A+ + A- = 2I. Returns 2s - g and s, both shaped like g;
-    `cond` and `pieces`, the forward step's, serve this solve as _lowrank_solve says.
+    `pieces`, those the forward step filled, serve as _lowrank_solve's `adjoint_of`.
     """
-    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None], cond=cond,
-                       pieces=pieces)[0]
+    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None],
+                       adjoint_of=pieces)[0]
     return 2.0 * s[..., 0] - g, s[..., 0]
 
 
@@ -145,18 +144,32 @@ def _born_readout_vjp(meas: np.ndarray, psi: np.ndarray, weights: np.ndarray):
 # ---------------------------------------------------------------------------
 # full model: forward loss and the adjoint backward pass
 
+def _full_readout(model: FullModelParams, tokens: np.ndarray, target_weights: np.ndarray):
+    """evolve_full_batch of a (B, T) token batch, then the Born readout of each weighted
+    step, last step first as the adjoint sums; entry [b, t] of the (B, T, V) target_weights
+    weights readout b after step t. Returns the loss, summed over the batch, and its
+    gradients with respect to the interaction-picture states ({t: (B, N)}, weighted states
+    t only), the measurement and the frequencies; the phases (T+1, N) that undo the
+    interaction picture; the measurement and its R; and evolve_full_batch's results."""
+    forward = evolve_full_batch(model, tokens)
+    states, dt = forward[0], model.dt
+    meas, r_meas = project_measurement(model.meas_raw, with_r=True)
+    # row t undoes the interaction picture at time t*dt
+    phases = np.exp(-1j * np.outer(np.arange(len(states)) * dt, model.frequencies))
+    loss, g_states, g_meas, g_lam = 0.0, {}, np.zeros_like(meas), np.zeros(model.n)
+    for t in np.flatnonzero(target_weights.any(axis=(0, 2)))[::-1].tolist():
+        psi_s = phases[t + 1] * states[t + 1]
+        step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s.T, target_weights[:, t].T)
+        loss += step_loss
+        g_meas += g_m
+        g_states[t + 1] = np.conj(phases[t + 1]) * g_psis.T
+        g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
+    return loss, g_states, g_meas, g_lam, phases, (meas, r_meas), forward
+
+
 def _loss_full(model: FullModelParams, tokens: np.ndarray, target_weights: np.ndarray) -> float:
-    """Forward-only loss of a (B, T) token batch, summed over the batch; entry
-    [b, t] of the (B, T, V) target_weights weights readout b after step t."""
-    states = evolve_full_batch(model, tokens)[0]
-    meas = project_measurement(model.meas_raw)
-    loss = 0.0
-    for t in range(target_weights.shape[1]):
-        rows = target_weights[:, t]
-        if np.any(rows):
-            psi_s = schrodinger_state(states[t + 1], model.frequencies, t + 1, model.dt)
-            loss += _born_readout_vjp(meas, psi_s.T, rows.T)[0]
-    return loss
+    """The loss alone of _full_readout, which is forward-only."""
+    return _full_readout(model, tokens, target_weights)[0]
 
 
 def full_model_loss(model: FullModelParams, tokens, target_weights: np.ndarray) -> float:
@@ -174,27 +187,21 @@ def _assert_finite(flat: np.ndarray) -> None:
 def _backward_full(model: FullModelParams, tokens: np.ndarray,
                    target_weights: np.ndarray) -> tuple[float, FullModelParams]:
     """Loss and parameter-shaped gradients of a (B, T) token batch (weights as
-    in _loss_full), both summed over the batch. One stacked reverse traversal
-    holds the adjoint recurrence: Born readout, each Cayley solve via its adjoint
-    system on its forward step's condition and pieces, interaction-picture phases,
-    and the generator network's input gradients on the forward pass's activations.
-    After it come the frequencies' factor term, one product per layer for the
-    network's weights, one np.add.at for the embeddings, the initial state and
-    the QR measurement projection."""
-    n, d, dt, lam, steps = model.n, model.d, model.dt, model.frequencies, tokens.shape[1]
-    states, factors, reports, acts, (inv_d, gram) = evolve_full_batch(model, tokens)
-    meas, r_meas = project_measurement(model.meas_raw, with_r=True)
-    # row t undoes the interaction picture at time t*dt
-    phases = np.exp(-1j * np.outer(np.arange(steps + 1) * dt, lam))
-
-    loss = 0.0
+    in _full_readout, which gives the loss and its gradients at the readouts), both
+    summed over the batch. One stacked reverse traversal holds the adjoint recurrence:
+    each Cayley solve via its adjoint system on its forward step's pieces,
+    interaction-picture phases, and the generator network's input gradients on the
+    forward pass's activations. After it come the frequencies' factor term, one product
+    per layer for the network's weights, one np.add.at for the embeddings, the initial
+    state and the QR measurement projection."""
+    n, d, dt, steps = model.n, model.d, model.dt, tokens.shape[1]
+    (loss, g_states, g_meas, g_lam, phases, (meas, r_meas),
+     (states, factors, _, acts, (inv_d, gram))) = _full_readout(model, tokens, target_weights)
     g_psi = np.zeros_like(states[0])
-    g_lam = np.zeros(n)
     # per step, the network's input gradient, each layer's pre-activation gradient
     # and its output gradient, whose rows take dL/dPhi and dL/ddelta through views
     g_acts = [np.empty_like(a) for a in acts]
     raw, g_factors = (split_factor_output(a[-1], n, model.r) for a in (acts, g_acts))
-    g_meas = np.zeros_like(meas)
     c = 0.5j * dt
     # both sides of each solve touch X = phi phi^dag and delta; with u = psi_in +
     # psi_out, dL/dX = -conj(c) s u^dag - c u s^dag: us[t] holds the rows u, s
@@ -203,18 +210,10 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     coef = np.array([[-np.conj(c)], [-c]])
 
     for t in range(steps - 1, -1, -1):
-        rows = target_weights[:, t]
-        if np.any(rows):
-            psi_s = phases[t + 1] * states[t + 1]
-            step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s.T, rows.T)
-            loss += step_loss
-            g_meas += g_m
-            g_psi += np.conj(phases[t + 1]) * g_psis.T
-            g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
-
+        if t + 1 in g_states:
+            g_psi += g_states[t + 1]
         # state adjoint through the step itself (norm-preserving)
-        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, reports[t].gram_condition,
-                                           (inv_d[t], gram[t]))
+        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, (inv_d[t], gram[t]))
         us[t, :, 1] = s
         # [-conj(c) s, -c u] @ [u^dag phi; s^dag phi], its rows' phases exp(i lam t dt) undone
         g_phi_ip = (coef * us[t, :, ::-1]).swapaxes(-1, -2) @ (us[t].conj() @ factors.phi[t])

@@ -754,6 +754,30 @@ class TestLoadErrors:
         assert capsys.readouterr().err == \
             f"error: {path}: {where}: expected finite entries, got {value}\n"
 
+    @pytest.mark.parametrize("field, scale, message", [
+        ("context_states", 3.0, "a norm misses 1 by 2.000e+00"),
+        ("query_unitaries", 2.0, "W^dag W misses I by 3.000e+00"),
+        ("measurement", 0.0, "MM^dag misses I by 1.000e+00"),
+    ])
+    @pytest.mark.parametrize("command", ["verify-separation", "train"])
+    def test_task_that_breaks_its_physics(self, field, scale, message, command, tmp_path,
+                                          monkeypatch, capsys):
+        # gen-task files, doctored: the first two ran to exit 0, the third to exit 1
+        # with a raw numpy warning
+        path = self._task_file(tmp_path, monkeypatch)
+        doc = json.loads(path.read_text())
+        doc[field] = (scale * np.array(doc[field])).tolist()
+        path.write_text(json.dumps(doc))
+        written = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        argv = {"verify-separation": self._command("task", path),
+                "train": ["train", "--task", str(path), "--seeds", "1", "--epochs", "2"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv, tmp_path, monkeypatch) == 2
+        assert capsys.readouterr().err == f"error: {path}: field {field!r}: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == written
+
     @pytest.mark.parametrize("entry, message", [
         (0.0, "initial-state parameter vector is zero"),
         (1e200, "initial-state parameter vector has norm inf"),

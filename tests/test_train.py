@@ -292,16 +292,43 @@ class TestAdjointReusesForwardPieces:
         _, factors, reports, _, (inv_d, gram) = evolve_full_batch(model, tokens)
         g = ginibre(make_rng(6), 3, 4)
         for t, report in enumerate(reports):
-            reused = adjoint_state_step(factors[t], model.dt, g, report.gram_condition,
+            reused = adjoint_state_step(factors[t], model.dt, g,
                                         (inv_d[t], gram[t]))
             fresh = adjoint_state_step(factors[t], model.dt, g)
             assert max(np.abs(a - b).max() for a, b in zip(reused, fresh)) < 1e-14
             own = np.empty_like(inv_d[t]), np.empty_like(gram[t])
             _lowrank_solve(factors.phi[t], factors.delta[t], -0.5j * model.dt, g[..., None],
-                           pieces=own)
+                           fill=own)
             assert np.array_equal(own[0], inv_d[t].conj())
             stored = gram[t].conj().swapaxes(-1, -2)
             assert np.abs(own[1] - stored).max() < 1e-14 * np.abs(stored).max()
+
+
+class TestOneReadout:
+    """_loss_full and _backward_full reach the Born readout through _full_readout."""
+
+    @pytest.mark.parametrize("r, n, batch, steps",
+                             [(1, 3, 3, 70), (4, 5, 2, 70), (2, 4, 2, 130), (4, 8, 1, 66)])
+    def test_forward_loss_is_the_backward_loss_bit_for_bit(self, r, n, batch, steps):
+        # weights on every step: two readout loops summing in opposite orders missed
+        # each other by up to 8 ulps
+        model = init_full_model(n=n, r=r, d=3, v=n + 2, v_in=4, dt=0.7, seed=10 + r)
+        rng = make_rng(100 + n)
+        tokens = rng.integers(0, 4, (batch, steps))
+        weights = rng.random((batch, steps, n + 2))
+        assert train._loss_full(model, tokens, weights) == _backward_full(model, tokens, weights)[0]
+
+    def test_backward_reads_no_step_report(self, monkeypatch):
+        model = init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=1, hidden=[4])
+        tokens = make_rng(2).integers(0, 3, (2, 8))
+        weights = make_rng(3).random((2, 8, 4))
+        loss, grads = _backward_full(model, tokens, weights)
+        monkeypatch.setattr(train, "evolve_full_batch",
+                            lambda *args: (*evolve_full_batch(*args)[:2], [],
+                                           *evolve_full_batch(*args)[3:]))
+        unreported, unreported_grads = _backward_full(model, tokens, weights)
+        assert unreported == loss
+        assert flatten_model(unreported_grads).tobytes() == flatten_model(grads).tobytes()
 
 
 class TestStackedFullModel:
