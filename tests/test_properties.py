@@ -4,7 +4,8 @@ against the dense ones, and the stacked Hermitian check and dense currents
 against one matrix at a time, and the stacked row norms against one row at a
 time; the closed-form Hermitian lift against its explicit basis; the stacked
 softmax-rank audits and numerical ranks against one model or matrix at a time;
-and bit-exact task and model file round trips."""
+and bit-exact task and model file round trips, which reject a task that breaks
+its physics and a model without a start state."""
 
 import os
 import tempfile
@@ -397,7 +398,8 @@ def made_tasks(draw):
     n = draw(st.integers(2, 3))
     task = make_task(n, draw(st.integers(0, 2 ** 32 - 1)), reference=n == 2 and draw(st.booleans()))
     task.filler_length, task.seed = draw(st.integers(0, 50)), draw(st.integers(0, 2 ** 63))
-    task.certificate_rank, task.measurement_rank = (draw(st.integers(0, task.v)) for _ in "cm")
+    task.certificate_rank = draw(st.integers(0, task.v))
+    task.measurement_rank = draw(st.integers(0, task.v))
     return task
 
 
