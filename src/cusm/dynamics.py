@@ -13,12 +13,13 @@ be cross-checked against it. With c = i*dt/2, A+- = I +- cH and A+ + A- =
 2I, the fast path solves once: psi_next = 2 A+^{-1} psi - psi. As A+ has no
 singular value below 1, the r x r Gram matrix of the solve has condition <=
 (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so IllConditionedStepError
-needs dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. evolve_full_batch
-writes a batch's whole trajectory into arrays allocated once, with each step's
-1/(1 + c delta) and Gram matrix, whose conjugates the adjoint solve (A- = A+^dag) reuses,
-and checks each step's residual and norm change after its time loop. Models with one
-fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch;
-inverse_cayley recovers the Hermitian generators of such unitaries.
+needs dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. A step of k state columns
+makes only the (N, k) arrays its arithmetic needs: two in the solve, psi_next in place on the
+first, and two in its report. evolve_full_batch writes a batch's whole trajectory into arrays
+allocated once, with each step's 1/(1 + c delta) and Gram matrix, whose conjugates the adjoint
+solve (A- = A+^dag) reuses, and checks each step's residual and norm change after its time
+loop. Models with one fixed unitary or orthogonal matrix per token advance through
+evolve_fixed_batch; inverse_cayley recovers the Hermitian generators of such unitaries.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# np.linalg.solve's gufunc, 7 us a call faster; a singular system gives NaN, not LinAlgError
+from numpy.linalg._umath_linalg import solve as _solve
 
 from .exceptions import IllConditionedStepError, VocabularyError
 from .numerics import check_hermitian, initial_state
@@ -133,7 +136,7 @@ def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarr
             reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}"
                       if cond > GRAM_COND_FAIL else "has a non-finite entry")
             raise IllConditionedStepError(f"Gram matrix {reason}", report=report, step=step)
-    w = phi_h @ y / gram if r == 1 else np.linalg.solve(gram, phi_h @ y)
+    w = phi_h @ y / gram if r == 1 else _solve(gram, phi_h @ y, signature="DD->D")
     y -= p @ (c * w)
     return y, cond
 
@@ -143,7 +146,8 @@ def _cayley_step(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, dt: float,
     """Cayley step psi' = 2 A+^{-1} psi - psi of state columns psi (..., N, k),
     stacked like _lowrank_solve; returns psi' and the stack's Gram condition."""
     z, cond = _lowrank_solve(phi, delta, 0.5j * dt, psi, step, fill)
-    return 2.0 * z - psi, cond
+    z *= 2.0  # psi' = 2z - psi in place on the solve's own fresh z
+    return np.subtract(z, psi, out=z), cond
 
 
 def _step_reports(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np.ndarray,
@@ -156,7 +160,7 @@ def _step_reports(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np.n
     applied = phi @ (c * (phi.swapaxes(-1, -2).conj() @ resid))
     resid *= (1.0 + c * delta)[..., None]
     resid += applied
-    resid -= 2.0 * psi
+    resid -= np.multiply(2.0, psi, out=applied)
     worst = [x.reshape(len(conds), -1).max(axis=1).tolist() for x in (
         _column_norms(resid), np.abs(_column_norms(out) - _column_norms(psi)))]
     return [CayleyStepReport(gram_condition=cond, residual=res, norm_change=drift,
@@ -286,8 +290,3 @@ def evolve_full_model(model, tokens):
     factors stacked (T, N, r) and (T, N), reports)."""
     states, factors, reports = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))[:3]
     return states[:, 0], factors[:, 0], reports
-
-
-def schrodinger_state(psi_ip: np.ndarray, frequencies: np.ndarray, t: int, dt: float) -> np.ndarray:
-    """Undo the interaction picture: psi(t) = exp(-i H0 t) psi_I(t)."""
-    return np.exp(-1j * np.asarray(frequencies) * (t * dt)) * psi_ip

@@ -94,8 +94,9 @@ def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
     `pieces`, those the forward step filled, serve as _lowrank_solve's `adjoint_of`.
     """
     s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None],
-                       adjoint_of=pieces)[0]
-    return 2.0 * s[..., 0] - g, s[..., 0]
+                       adjoint_of=pieces)[0][..., 0]
+    back = 2.0 * s  # 2s - g in one array of its own: s is returned too
+    return np.subtract(back, g, out=back), s
 
 
 def _qr_projection_vjp(meas: np.ndarray, r: np.ndarray, g_meas: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cusm import dynamics
 from cusm.dynamics import (
     CHECK_CHUNK_STEPS,
     CayleyStepReport,
@@ -15,7 +18,6 @@ from cusm.dynamics import (
     evolve_full_model,
     interaction_picture_factors,
     inverse_cayley,
-    schrodinger_state,
 )
 from cusm.exceptions import IllConditionedStepError, NonHermitianError, VocabularyError
 from cusm.hamgen import generate_interaction, init_full_model
@@ -30,6 +32,11 @@ def random_state(rng, n):
 
 def random_factors(rng, n, r):
     return InteractionFactors(phi=ginibre(rng, n, r), delta=rng.standard_normal(n))
+
+
+def schrodinger_state(psi_ip, frequencies, t, dt):
+    """Undo the interaction picture: psi(t) = exp(-i H0 t) psi_I(t)."""
+    return np.exp(-1j * np.asarray(frequencies) * (t * dt)) * psi_ip
 
 
 class TestInteractionPicture:
@@ -190,6 +197,47 @@ class TestCayleyStepWoodbury:
         with pytest.raises(IllConditionedStepError) as info:
             evolve_full_model(model, [0, 1])
         assert info.value.step == 0
+
+    def test_step_makes_no_avoidable_temporary(self):
+        # at N = 512, r = 4, k = 32 a step peaks at 3.54 arrays of N k complex: the new
+        # state, the report's residual and its rank-r product, and the 128 KiB buffer
+        # numpy takes to scale the residual by a broadcast column. A step that forms
+        # 2z - psi and the report's 2 psi in fresh arrays peaks at 4.00; 3.6 leaves
+        # 15 KB for Python objects that a tracer running the suite may allocate
+        n, r, k = 512, 4, 32
+        rng = make_rng(13)
+        f = InteractionFactors(phi=ginibre(rng, n, r) / np.sqrt(n), delta=rng.standard_normal(n))
+        psi = ginibre(rng, n, k)
+        psi /= np.linalg.norm(psi, axis=0)
+        cayley_step_woodbury(f, psi, 1.0)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            cayley_step_woodbury(f, psi, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3.6 * n * k * 16
+
+    def test_singular_gram_never_reaches_the_unchecked_solve(self, monkeypatch):
+        # the r >= 2 solve calls np.linalg.solve's gufunc, which returns NaN for a
+        # singular system where np.linalg.solve raises; a Gram matrix that near
+        # singular fails the condition check first
+        singular = np.zeros((2, 2), dtype=complex), np.ones((2, 1), dtype=complex)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert np.isnan(dynamics._solve(*singular, signature="DD->D")).all()
+        calls = []
+        monkeypatch.setattr(dynamics, "_solve", lambda *a, **k: calls.append(a))
+        rng = make_rng(14)
+        column = 1e10 * ginibre(rng, 6, 1)
+        f = InteractionFactors(phi=np.hstack([column, column]), delta=np.zeros(6))
+        with pytest.raises(IllConditionedStepError, match="condition") as info:
+            cayley_step_woodbury(f, random_state(rng, 6), 1.0)
+        assert info.value.report.gram_condition > dynamics.GRAM_COND_FAIL
+        assert calls == []
 
     def test_batch_matches_loop(self):
         rng = make_rng(8)

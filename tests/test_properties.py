@@ -1,6 +1,7 @@
 """Property tests: the Woodbury Cayley step and its adjoint over random sizes,
-step lengths and scales of Phi and delta; the factor-form probability currents
-against the dense ones, and the stacked Hermitian check and dense currents
+step lengths and scales of Phi and delta, and bit for bit against the same
+arithmetic with every intermediate in a fresh array; the factor-form
+probability currents against the dense ones, and the stacked Hermitian check and dense currents
 against one matrix at a time, and the stacked row norms against one row at a
 time; the closed-form Hermitian lift against its explicit basis; the stacked
 softmax-rank audits and numerical ranks against one model or matrix at a time;
@@ -28,7 +29,10 @@ from cusm.dynamics import (
     GRAM_COND_FAIL,
     GRAM_COND_WARN,
     InteractionFactors,
+    _cayley_step,
     _lowrank_solve,
+    _solve,
+    _step_reports,
     cayley_step_dense,
     cayley_step_woodbury,
     evolve_fixed_batch,
@@ -148,6 +152,107 @@ def test_conjugate_of_stored_inverse_diagonal_is_the_adjoints(delta, dt):
     assert np.array_equal(np.conj(stored), fresh)
     nonzero = fresh.imag != 0
     assert np.conj(stored)[nonzero].tobytes() == fresh[nonzero].tobytes()
+
+
+def fresh_temporary_step(phi, delta, psi, dt, pieces=None):
+    """The Woodbury Cayley step of columns psi (..., N, k) and its report's column
+    residuals and norm changes, each intermediate in a fresh array, through
+    np.linalg.solve; with `pieces`, the adjoint solve A- s = psi of a step that filled
+    them, and 2s - psi in place of the step."""
+    c = 0.5j * dt
+    if pieces is None:
+        inv_d = (1.0 / (1.0 + c * delta))[..., None]
+    else:
+        c, inv_d = -c, np.conj(pieces[0])[..., None]
+    phi_h = phi.swapaxes(-1, -2).conj()
+    y, p = psi * inv_d, phi * inv_d
+    r = phi.shape[-1]
+    if pieces is None:
+        gram = phi_h @ p
+        gram *= c
+        gram.reshape(-1, r * r)[:, :: r + 1] += 1.0
+    else:
+        gram = pieces[1].conj().swapaxes(-1, -2)
+    w = phi_h @ y / gram if r == 1 else np.linalg.solve(gram, phi_h @ y)
+    y -= p @ (c * w)
+    out = 2.0 * y - psi
+    if pieces is not None:
+        return out, y
+    resid = out + psi
+    applied = phi @ (c * (phi.swapaxes(-1, -2).conj() @ resid))
+    resid *= (1.0 + c * delta)[..., None]
+    resid += applied
+    resid -= 2.0 * psi
+
+    def norms(x):
+        return np.sqrt(np.vecdot(x, x, axis=-2).real)
+
+    return out, norms(resid), np.abs(norms(out) - norms(psi))
+
+
+@st.composite
+def step_stacks(draw):
+    """(phi (S, B, N, r), delta (S, B, N), unit columns (S, B, N, k), dt), with dt and
+    the scales of Phi and delta drawn by decade; the Gram bound stays below
+    GRAM_COND_FAIL, so no step raises."""
+    s, b, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 64))
+    r, k = draw(st.integers(1, min(4, n))), draw(st.integers(1, 8))
+    dt = 10.0 ** draw(st.integers(-3, 1)) * draw(st.floats(1.0, 10.0))
+    rng = make_rng(draw(st.integers(0, 2 ** 31)))
+    phi = ginibre(rng, s * b * n, r).reshape(s, b, n, r)
+    phi *= 10.0 ** draw(st.integers(-2, 0)) * draw(st.floats(1.0, 3.0))
+    delta = rng.standard_normal((s, b, n)) * 10.0 ** draw(st.integers(-2, 3))
+    psi = ginibre(rng, s * b * n, k).reshape(s, b, n, k)
+    return phi, delta, psi / np.linalg.norm(psi, axis=-2, keepdims=True), dt
+
+
+@PROPERTY
+@given(step_stacks())
+def test_step_reports_and_adjoint_equal_fresh_temporaries_bit_for_bit(case):
+    # the step forms 2z - psi in place on the solve's z, the report writes 2 psi into
+    # its rank-r product and the adjoint builds 2s - g in one array; r >= 2 systems go
+    # to np.linalg.solve's gufunc. None of it may move a bit.
+    phi, delta, psi, dt = case
+    s = phi.shape[0]
+    factors = InteractionFactors(phi[0, 0], delta[0, 0])
+    out, report = cayley_step_woodbury(factors, psi[0, 0], dt)
+    want, resid, drift = fresh_temporary_step(phi[0, 0], delta[0, 0], psi[0, 0], dt)
+    cond = _lowrank_solve(phi[0, 0], delta[0, 0], 0.5j * dt, psi[0, 0])[1]
+    assert same_bits(out, want)
+    assert (report.gram_condition, report.warning) == (cond, cond > GRAM_COND_WARN)
+    assert (report.residual, report.norm_change) == (resid.max(), drift.max())
+
+    cols = psi[..., :1]  # stacked steps as evolve_full_batch takes them
+    out, conds = _cayley_step(phi, delta, cols, dt)
+    want, resid, drift = fresh_temporary_step(phi, delta, cols, dt)
+    assert same_bits(out, want)
+    reports = _step_reports(phi, delta, cols, out, dt, [conds] * s)
+    assert [(rep.residual, rep.norm_change) for rep in reports] == list(zip(
+        resid.reshape(s, -1).max(axis=1).tolist(), drift.reshape(s, -1).max(axis=1).tolist()))
+
+    pieces = np.empty(delta.shape, dtype=complex), np.empty(phi.shape[:-2] + (phi.shape[-1],) * 2,
+                                                           dtype=complex)
+    _lowrank_solve(phi, delta, 0.5j * dt, cols, fill=pieces)
+    g = psi[..., 0].conj()
+    for stored in (None, pieces):
+        pulled, solved = adjoint_state_step(InteractionFactors(phi, delta), dt, g, stored)
+        if stored is None:  # a fresh adjoint solve is the forward one at -dt
+            want, s_want = fresh_temporary_step(phi, delta, g[..., None], -dt)[0], None
+        else:
+            want, s_want = fresh_temporary_step(phi, delta, g[..., None], dt, stored)
+        assert same_bits(pulled, want[..., 0])
+        assert s_want is None or same_bits(solved, s_want[..., 0])
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 4), min_size=0, max_size=2), st.integers(2, 5),
+       st.integers(1, 8), st.integers(0, 2 ** 31))
+def test_gufunc_solve_equals_numpy_solve_bit_for_bit(stack, r, k, seed):
+    rng = make_rng(seed)
+    shape = tuple(stack)
+    gram = np.eye(r) + ginibre(rng, int(np.prod(shape)) * r, r).reshape(shape + (r, r))
+    rhs = ginibre(rng, int(np.prod(shape)) * r, k).reshape(shape + (r, k))
+    assert same_bits(_solve(gram, rhs, signature="DD->D"), np.linalg.solve(gram, rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cusm import numerics, readout, septask, train
+from cusm import dynamics, numerics, readout, septask, train
 from cusm.dynamics import (
     GRAM_COND_FAIL,
     GRAM_COND_WARN,
@@ -203,7 +203,7 @@ class TestDirectionalAtRunningShapes:
 
     def test_full_model_at_rank_two(self):
         # r = 2 with the default hidden widths: each adjoint solve runs the forward
-        # step's stored Gram matrix through np.linalg.solve. Over 240 directions of
+        # step's stored Gram matrix through np.linalg.solve's gufunc. Over 240 directions of
         # eight model seeds the largest miss was 13 floors, but for one seed whose
         # Richardson truncation error (it shrinks 30-fold as h halves) read 1.4e3;
         # 4.8 at this seed. An adjoint that solves with G+ or G+^T in place of G+^dag
@@ -272,13 +272,16 @@ class TestAdjointReusesForwardPieces:
     @pytest.mark.parametrize("r", [1, 2])
     def test_linalg_solve_calls_per_backward_pass(self, r, monkeypatch):
         # an r = 1 Gram system is a division, so the QR projection's VJP makes the one
-        # np.linalg.solve call; at r = 2 each forward step and its adjoint make one more
+        # np.linalg.solve call; at r = 2 each forward step and its adjoint make one more,
+        # through the gufunc that np.linalg.solve wraps
         model = init_full_model(n=3, r=r, d=2, v=4, v_in=3, seed=1, hidden=[4])
         steps = 5
         tokens = make_rng(2).integers(0, 3, (2, steps))
         weights = make_rng(3).random((2, steps, 4))
-        calls, solve = [], np.linalg.solve
+        calls, solve, gufunc = [], np.linalg.solve, dynamics._solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+        monkeypatch.setattr(dynamics, "_solve",
+                            lambda a, b, **kw: calls.append(a.shape) or gufunc(a, b, **kw))
         _backward_full(model, tokens, weights)
         assert len(calls) == (1 if r == 1 else 2 * steps + 1)
 
