@@ -142,18 +142,12 @@ def certificate_rank(context_states: np.ndarray, query_unitaries: np.ndarray) ->
 
 
 def _projector_frame(n: int) -> np.ndarray:
-    """The n^2 spanning unit vectors: e_j, (e_j+e_k)/sqrt2, (e_j+i e_k)/sqrt2."""
-    cols = []
+    """The n^2 spanning unit vectors (n, n^2): e_j, then (e_j+e_k)/sqrt2 and
+    (e_j+i e_k)/sqrt2 over j < k in lexicographic order, as vec_hermitian."""
     eye = np.eye(n, dtype=complex)
-    for j in range(n):
-        cols.append(eye[:, j])
-    for j in range(n):
-        for k in range(j + 1, n):
-            cols.append((eye[:, j] + eye[:, k]) / np.sqrt(2.0))
-    for j in range(n):
-        for k in range(j + 1, n):
-            cols.append((eye[:, j] + 1j * eye[:, k]) / np.sqrt(2.0))
-    return np.stack(cols, axis=1)  # (n, n^2)
+    j, k = np.triu_indices(n, 1)
+    return np.concatenate([eye, (eye[:, j] + eye[:, k]) / np.sqrt(2.0),
+                           (eye[:, j] + 1j * eye[:, k]) / np.sqrt(2.0)], axis=1)
 
 
 def build_ic_measurement(n: int) -> tuple[np.ndarray, int]:

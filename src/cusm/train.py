@@ -29,7 +29,8 @@ from .dynamics import (
 from .exceptions import ConfigurationError
 from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_grads,
                      split_factor_output)
-from .numerics import check_allocation, ginibre, initial_state, make_rng
+from .numerics import (_MIN_NORM, _UNDERFLOW_SCALE, check_allocation, ginibre, initial_state,
+                       make_rng, row_norms)
 from .numerics import thin_qr_unique  # noqa: F401, perfbench's tracer binds it
 from .readout import (
     PROB_FLOOR,
@@ -110,8 +111,11 @@ def _qr_projection_vjp(meas: np.ndarray, r: np.ndarray, g_meas: np.ndarray) -> n
 
 
 def _normalize_vjp(vec: np.ndarray, g_unit: np.ndarray) -> np.ndarray:
-    """Backward through unit = vec / ||vec||, complex or real."""
-    norm = np.linalg.norm(vec)
+    """Backward through unit = initial_state(vec), complex or real, which first
+    scales a vector of norm below _MIN_NORM by the exact _UNDERFLOW_SCALE."""
+    norm = row_norms(vec)
+    if norm < _MIN_NORM:
+        return _UNDERFLOW_SCALE * _normalize_vjp(vec * _UNDERFLOW_SCALE, g_unit)
     unit = vec / norm
     beta = float(np.real(np.vdot(g_unit, unit)))
     return (g_unit - beta * unit) / norm
@@ -277,12 +281,6 @@ def unflatten_model(flat: np.ndarray, template):
     return template.with_arrays(arrays)
 
 
-# every model kind goes through the one pair; tests and the benchmark's
-# tracer still call it under these per-kind names
-flatten_bundle = _cusm_flatten = _rosm_flatten = flatten_model
-_cusm_unflatten = _rosm_unflatten = unflatten_model
-
-
 def central_difference(fn, x0: np.ndarray, step: float) -> np.ndarray:
     """Central finite differences of a scalar function of a flat real vector."""
     grad = np.empty_like(x0)
@@ -399,42 +397,54 @@ def _fixed_transition_vjp(transitions: np.ndarray, states: list, tokens: np.ndar
     return g.sum(axis=0), g_w
 
 
-def _cusm_batch_grad(params: TrainableCusm, tokens: np.ndarray,
-                     targets: np.ndarray) -> tuple[float, TrainableCusm]:
-    """Mean loss and gradients over (B, T) token ids with (B, V) target rows, in
-    one stacked forward and adjoint pass; gradients come in a parameter-shaped
-    container."""
-    psi0 = initial_state(params.a + 1j * params.b)
-    unitaries = cayley_map(params.gens)
+def _born_batch_vjp(params: TrainableCusm, final: np.ndarray, targets: np.ndarray,
+                    scale: float) -> tuple[float, np.ndarray, list]:
+    """The Born readout's summed loss over final state rows (B, N), its gradient
+    there, and the measurement's gradient times scale."""
     meas, r_meas = project_measurement(params.meas_raw, with_r=True)
-    states = evolve_fixed_batch(unitaries, psi0, tokens)
-    loss, g_psi, g_meas = _born_readout_vjp(meas, states[-1].T, targets.T)
-    g_psi0, g_u = _fixed_transition_vjp(unitaries, states, tokens, g_psi.T)
-    scale = 1.0 / len(tokens)
-    g_v = _normalize_vjp(params.a + 1j * params.b, scale * g_psi0)
-    g_gens = _cayley_generator_vjp(params.gens, unitaries, scale * g_u)
-    grads = TrainableCusm(a=g_v.real, b=g_v.imag, gens=g_gens,
-                          meas_raw=_qr_projection_vjp(meas, r_meas, scale * g_meas))
-    return loss * scale, grads
+    loss, g_psi, g_meas = _born_readout_vjp(meas, final.T, targets.T)
+    return loss, g_psi.T, [_qr_projection_vjp(meas, r_meas, scale * g_meas)]
 
 
-def _rosm_batch_grad(params: RosmParams, tokens: np.ndarray,
-                     targets: np.ndarray) -> tuple[float, RosmParams]:
-    """As _cusm_batch_grad, for the real orthogonal baseline."""
-    transitions = params.transitions()
-    states = evolve_fixed_batch(transitions, params.state0(), tokens)
-    q = params.readout(states[-1])
+def _softmax_batch_vjp(params: RosmParams, final: np.ndarray, targets: np.ndarray,
+                       scale: float) -> tuple[float, np.ndarray, list]:
+    """As _born_batch_vjp, for the affine-softmax readout and its weights and bias."""
+    q = params.readout(final)
     logs, _ = floored_log(q)
     g_logits = q * targets.sum(axis=1, keepdims=True) - targets
-    g_h0, g_q = _fixed_transition_vjp(transitions, states, tokens, g_logits @ params.out_weights)
+    return (-float(np.vdot(targets, logs)), g_logits @ params.out_weights,
+            [scale * (g_logits.T @ final), scale * g_logits.sum(axis=0)])
+
+
+# per fixed-transition kind: its raw start vector and its readout's VJP
+_FIXED_KINDS = {TrainableCusm: (lambda params: params.a + 1j * params.b, _born_batch_vjp),
+                RosmParams: (lambda params: params.h0, _softmax_batch_vjp)}
+
+
+def _fixed_batch_grad(params: TrainableCusm | RosmParams, tokens: np.ndarray,
+                      targets: np.ndarray) -> tuple[float, TrainableCusm | RosmParams]:
+    """Mean loss and gradients over (B, T) token ids with (B, V) target rows, in one
+    stacked forward and adjoint pass; gradients come in the parameters' own type, a
+    complex start vector's as its real and imaginary parts."""
+    start_vector, readout_vjp = _FIXED_KINDS[type(params)]
+    vec = start_vector(params)
+    transitions = cayley_map(params.gens)
+    states = evolve_fixed_batch(transitions, initial_state(vec), tokens)
     scale = 1.0 / len(tokens)
-    grads = RosmParams(
-        h0=_normalize_vjp(params.h0, scale * g_h0),
-        gens=_cayley_generator_vjp(params.gens, transitions, scale * g_q),
-        out_weights=scale * (g_logits.T @ states[-1]),
-        bias=scale * g_logits.sum(axis=0),
-    )
-    return -float(np.vdot(targets, logs)) * scale, grads
+    loss, g_final, g_readout = readout_vjp(params, states[-1], targets, scale)
+    g_start, g_w = _fixed_transition_vjp(transitions, states, tokens, g_final)
+    g_vec = _normalize_vjp(vec, scale * g_start)
+    g_vecs = [g_vec.real, g_vec.imag] if np.iscomplexobj(g_vec) else [g_vec]
+    g_gens = _cayley_generator_vjp(params.gens, transitions, scale * g_w)
+    return loss * scale, params.with_arrays([*g_vecs, g_gens, *g_readout])
+
+
+# every model kind goes through the one flatten pair, and both fixed-transition
+# kinds through the one batch gradient; tests and the benchmark's tracer still
+# call them under these per-kind names
+flatten_bundle = _cusm_flatten = _rosm_flatten = flatten_model
+_cusm_unflatten = _rosm_unflatten = unflatten_model
+_cusm_batch_grad = _rosm_batch_grad = _fixed_batch_grad
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +497,10 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     # the count that the losses and gradients are summed over (the fixed-
     # transition gradients are means). The full model's final loss is the
     # forward-only pass, under half the cost of its backward pass.
+    fixed = (_fixed_batch_grad, lambda *batch: _fixed_batch_grad(*batch)[0], table.pstar, 1)
     init, batch_grad, final_loss, targets, count = {
-        "cusm-trainable": (init_trainable_cusm, _cusm_batch_grad,
-                           lambda *batch: _cusm_batch_grad(*batch)[0], table.pstar, 1),
-        "rosm": (init_trainable_rosm, _rosm_batch_grad,
-                 lambda *batch: _rosm_batch_grad(*batch)[0], table.pstar, 1),
+        "cusm-trainable": (init_trainable_cusm, *fixed),
+        "rosm": (init_trainable_rosm, *fixed),
         "full": (init_full, _backward_full, _loss_full, weights, len(tokens)),
     }[model_kind]
 

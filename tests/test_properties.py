@@ -5,15 +5,16 @@ probability currents against the dense ones, and the stacked Hermitian check and
 against one matrix at a time, and the stacked row norms against one row at a
 time; the closed-form Hermitian lift against its explicit basis; the stacked
 softmax-rank audits and numerical ranks against one model or matrix at a time;
-and bit-exact task and model file round trips, which reject a task that breaks
-its physics and a model without a start state."""
+bit-exact task and model file round trips, which reject a task that breaks
+its physics and a model without a start state; and the one fixed-transition
+batch gradient bit for bit against the per-kind functions it replaced."""
 
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from test_numerics import explicit_hermitian_basis, vec_by_basis
 
@@ -35,6 +36,7 @@ from cusm.dynamics import (
     _step_reports,
     cayley_step_dense,
     cayley_step_woodbury,
+    cayley_map,
     evolve_fixed_batch,
 )
 from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
@@ -42,8 +44,9 @@ from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
 from cusm.hamgen import init_full_model, load_model, save_model
 from cusm.numerics import (check_hermitian, ginibre, initial_state, make_rng, numerical_rank,
                            row_norms, vec_hermitian)
-from cusm.readout import floored_log
+from cusm.readout import floored_log, project_measurement
 from cusm.septask import (
+    RosmParams,
     TaskInstance,
     load_task,
     make_task,
@@ -51,7 +54,18 @@ from cusm.septask import (
     save_task,
     softmax_rank_audits,
 )
-from cusm.train import adjoint_state_step
+from cusm.train import (
+    TrainableCusm,
+    _born_readout_vjp,
+    _cayley_generator_vjp,
+    _fixed_batch_grad,
+    _fixed_transition_vjp,
+    _normalize_vjp,
+    _qr_projection_vjp,
+    adjoint_state_step,
+    init_trainable_cusm,
+    init_trainable_rosm,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -565,3 +579,64 @@ def test_model_file_round_trip_is_bit_exact(model):
     assert len(loaded.arrays()) == len(model.arrays())
     for got, want in zip(loaded.arrays(), model.arrays()):
         assert same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# one batch gradient for both fixed-transition models, against the per-kind
+# functions it replaced
+
+def cusm_batch_grad_oracle(params: TrainableCusm, tokens, targets):
+    """The trainable unitary model's batch gradient as a function of its own."""
+    psi0 = initial_state(params.a + 1j * params.b)
+    unitaries = cayley_map(params.gens)
+    meas, r_meas = project_measurement(params.meas_raw, with_r=True)
+    states = evolve_fixed_batch(unitaries, psi0, tokens)
+    loss, g_psi, g_meas = _born_readout_vjp(meas, states[-1].T, targets.T)
+    g_psi0, g_u = _fixed_transition_vjp(unitaries, states, tokens, g_psi.T)
+    scale = 1.0 / len(tokens)
+    g_v = _normalize_vjp(params.a + 1j * params.b, scale * g_psi0)
+    g_gens = _cayley_generator_vjp(params.gens, unitaries, scale * g_u)
+    grads = TrainableCusm(a=g_v.real, b=g_v.imag, gens=g_gens,
+                          meas_raw=_qr_projection_vjp(meas, r_meas, scale * g_meas))
+    return loss * scale, grads
+
+
+def rosm_batch_grad_oracle(params: RosmParams, tokens, targets):
+    """As cusm_batch_grad_oracle, for the real orthogonal baseline."""
+    transitions = params.transitions()
+    states = evolve_fixed_batch(transitions, params.state0(), tokens)
+    q = params.readout(states[-1])
+    logs, _ = floored_log(q)
+    g_logits = q * targets.sum(axis=1, keepdims=True) - targets
+    g_h0, g_q = _fixed_transition_vjp(transitions, states, tokens, g_logits @ params.out_weights)
+    scale = 1.0 / len(tokens)
+    grads = RosmParams(
+        h0=_normalize_vjp(params.h0, scale * g_h0),
+        gens=_cayley_generator_vjp(params.gens, transitions, scale * g_q),
+        out_weights=scale * (g_logits.T @ states[-1]),
+        bias=scale * g_logits.sum(axis=0),
+    )
+    return -float(np.vdot(targets, logs)) * scale, grads
+
+
+FIXED_KINDS = {"cusm-trainable": (init_trainable_cusm, cusm_batch_grad_oracle),
+               "rosm": (init_trainable_rosm, rosm_batch_grad_oracle)}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(FIXED_KINDS)), st.integers(1, 4), st.integers(0, 4),
+       st.integers(1, 9), st.integers(1, 9), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@example("rosm", 1, 3, 5, 9, 3, 0)  # d = 1: g_logits @ out_weights is a rank-one product
+def test_fixed_batch_grad_equals_the_per_kind_oracles_bit_for_bit(kind, dim, extra_v, alphabet,
+                                                                  batch, steps, seed):
+    # the Born readout needs V >= N; tokens and unnormalised target rows come from the seed
+    init, oracle = FIXED_KINDS[kind]
+    params = init(dim, dim + extra_v, alphabet, seed)
+    rng = make_rng(seed)
+    tokens = rng.integers(0, alphabet, (batch, steps))
+    targets = rng.random((batch, dim + extra_v))
+    loss, grads = _fixed_batch_grad(params, tokens, targets)
+    want_loss, want = oracle(params, tokens, targets)
+    assert same_bits(loss, want_loss) and type(grads) is type(want)
+    for got, expected in zip(grads.arrays(), want.arrays(), strict=True):
+        assert same_bits(got, expected)

@@ -27,7 +27,35 @@ from cusm.septask import (
 )
 
 
+def loop_projector_frame(n: int) -> np.ndarray:
+    """septask._projector_frame's loop form: e_j, (e_j+e_k)/sqrt2, (e_j+i e_k)/sqrt2."""
+    cols = []
+    eye = np.eye(n, dtype=complex)
+    for j in range(n):
+        cols.append(eye[:, j])
+    for j in range(n):
+        for k in range(j + 1, n):
+            cols.append((eye[:, j] + eye[:, k]) / np.sqrt(2.0))
+    for j in range(n):
+        for k in range(j + 1, n):
+            cols.append((eye[:, j] + 1j * eye[:, k]) / np.sqrt(2.0))
+    return np.stack(cols, axis=1)  # (n, n^2)
+
+
 class TestIcMeasurement:
+    def test_closed_form_frame_equals_the_loop_form_bit_for_bit(self):
+        for n in range(1, 10):
+            frame, want = septask._projector_frame(n), loop_projector_frame(n)
+            assert (frame.dtype, frame.shape) == (want.dtype, want.shape) == (complex, (n, n * n))
+            assert frame.tobytes() == want.tobytes()
+
+    def test_measurement_bits_as_from_the_loop_frame(self, monkeypatch):
+        closed = {n: build_ic_measurement(n) for n in (2, 3, 4)}
+        monkeypatch.setattr(septask, "_projector_frame", loop_projector_frame)
+        for n, (meas, rank) in closed.items():
+            want, want_rank = build_ic_measurement(n)
+            assert meas.tobytes() == want.tobytes() and rank == want_rank
+
     def test_rank_and_identity(self):
         for n in (2, 3, 4):
             m, rank = build_ic_measurement(n)
