@@ -15,15 +15,16 @@ singular value below 1, the r x r Gram matrix of the solve has condition <=
 (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so IllConditionedStepError
 needs dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. A step of k state columns
 makes only the (N, k) arrays its arithmetic needs: two in the solve, psi_next in place on the
-first, and two in its report. evolve_full_batch writes a batch's whole trajectory into arrays
-allocated once, with each step's 1/(1 + c delta) and Gram matrix, whose conjugates the adjoint
-solve (A- = A+^dag) reuses, and checks each step's residual and norm change after its time
-loop. Models with one fixed unitary or orthogonal matrix per token advance through
-evolve_fixed_batch; inverse_cayley recovers the Hermitian generators of such unitaries.
+first or in its trajectory row, and two in its report. evolve_full_batch writes a batch's
+trajectory into arrays allocated once, with each step's 1/(1 + c delta) and Gram matrix for the
+adjoint solve (A- = A+^dag), and checks each step's Gram condition, residual and norm change
+after its time loop. Models with one fixed unitary or orthogonal matrix per token advance
+through evolve_fixed_batch; inverse_cayley recovers the Hermitian generators of such unitaries.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ GRAM_COND_FAIL = 1e12
 GRAM_COND_WARN = 1e8
 # steps per stacked check; at N=64, T=256, r=4: 7.9, 1.7, 0.9, 1.7 ms for 1, 8, 64, 256
 CHECK_CHUNK_STEPS = 64
+_gram_identity = functools.cache(lambda r: np.where(np.eye(r, dtype=bool), 1.0, -0j))
 REPRODUCTION_TOL = 1e-10  # max |cayley_map((i dt / 4) H) - W| of a recovered generator
 
 
@@ -76,9 +78,8 @@ class CayleyStepReport:
     warning: bool = False
 
 
-def interaction_picture_factors(
-    factors: InteractionFactors, frequencies: np.ndarray, t: int, dt: float
-) -> InteractionFactors:
+def interaction_picture_factors(factors: InteractionFactors, frequencies: np.ndarray, t: int,
+                                dt: float) -> InteractionFactors:
     """Conjugate the low-rank factor into the interaction picture at time t*dt.
 
     Row j of Phi picks up the phase exp(i * lambda_j * t * dt); delta is
@@ -90,11 +91,8 @@ def interaction_picture_factors(
 
 def cayley_step_dense(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
     """Reference Cayley step: direct dense solve, O(N^3)."""
-    h = check_hermitian(h)
-    n = h.shape[0]
-    k = (0.5j * dt) * h
-    rhs = psi - k @ psi
-    return np.linalg.solve(np.eye(n) + k, rhs)
+    k = (0.5j * dt) * check_hermitian(h)
+    return np.linalg.solve(np.eye(len(k)) + k, psi - k @ psi)
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -102,16 +100,34 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x, axis=-2).real)
 
 
+def _gram_conditions(phi: np.ndarray, c: complex, gram: np.ndarray, first=None) -> list:
+    """The gram_condition of CayleyStepReport for steps stacked on the leading axis of phi
+    (S, ..., N, r) and gram (S, ..., r, r); fails at the first bad one, as step first + s."""
+    squares = np.vecdot(phi, phi, axis=-2).real.sum(-1)
+    conds = squares.max(axis=tuple(range(1, squares.ndim))).tolist()
+    for s, (square, g) in enumerate(zip(conds, gram)):
+        root = 1.0 + abs(c) * square
+        conds[s] = cond = root * root  # a float product overflows to inf, where ** raises
+        if not cond <= GRAM_COND_WARN:  # inf and NaN too; a non-finite G, whose SVD raises, is NaN
+            conds[s] = cond = float(np.linalg.cond(g).max()) if np.isfinite(g).all() else np.nan
+        if not cond <= GRAM_COND_FAIL:
+            reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}"
+                      if cond > GRAM_COND_FAIL else "has a non-finite entry")
+            raise IllConditionedStepError(f"Gram matrix {reason}", report=CayleyStepReport(
+                cond, np.nan, np.nan), step=None if first is None else first + s)
+    return conds
+
+
 def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray, step=None,
-                   fill=None, adjoint_of=None) -> tuple[np.ndarray, float | None]:
+                   fill=None, adjoint_of=None, check=True) -> tuple[np.ndarray, float | None]:
     """Solve (diag(1 + c*delta) + c*phi phi^dag) x = rhs at O(N r^2 + r^3).
 
     The one Woodbury solve of the forward step and its adjoint, stacked over leading axes:
-    phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x and the Gram condition of
-    the stack; fails above GRAM_COND_FAIL at `step`. A forward step may fill the buffers
-    `fill` with 1/(1 + c*delta) (..., N) and its Gram matrix G (..., r, r). The adjoint of
-    that step (conj(c), A- = A+^dag) passes them back as `adjoint_of` and solves with their
-    conj and G^dag: it builds no system and checks no condition, and returns None for it.
+    phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x and the Gram condition of the
+    stack, checked before the solve (failing above GRAM_COND_FAIL at `step`), or None if `check`
+    is False. A forward step may fill `fill` with 1/(1 + c*delta) (..., N) and its Gram matrix
+    G (..., r, r). The adjoint of that step (conj(c), A- = A+^dag) passes them back as
+    `adjoint_of` and solves with their conj and G^dag: it builds no system and checks nothing.
     """
     inv_d, gram = adjoint_of or fill or (None, None)
     # |1 + c*delta| >= 1
@@ -125,29 +141,20 @@ def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarr
     else:
         gram = np.matmul(phi_h, p, out=gram)
         gram *= c
-        gram.reshape(-1, r * r)[:, :: r + 1] += 1.0  # I + c phi^dag p, in place
-        root = 1.0 + abs(c) * float(np.vecdot(phi, phi, axis=-2).real.sum(-1).max())
-        cond = root * root  # a float product overflows to inf, where ** raises
-        if not cond <= GRAM_COND_WARN:  # inf and NaN too: the SVD decides
-            # the SVD of a non-finite matrix raises; its condition is NaN here
-            cond = float(np.linalg.cond(gram).max()) if np.isfinite(gram).all() else np.nan
-        if not cond <= GRAM_COND_FAIL:
-            report = CayleyStepReport(gram_condition=cond, residual=np.nan, norm_change=np.nan)
-            reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}"
-                      if cond > GRAM_COND_FAIL else "has a non-finite entry")
-            raise IllConditionedStepError(f"Gram matrix {reason}", report=report, step=step)
+        gram += _gram_identity(r)  # I + c phi^dag p in place; adding -0.0 changes no bits
+        cond = _gram_conditions(phi[None], c, gram[None], step)[0] if check else None
     w = phi_h @ y / gram if r == 1 else _solve(gram, phi_h @ y, signature="DD->D")
-    y -= p @ (c * w)
+    y -= p @ np.multiply(c, w, out=w)  # c * w, in place
     return y, cond
 
 
-def _cayley_step(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, dt: float,
-                 step: int | None = None, fill=None) -> tuple[np.ndarray, float]:
-    """Cayley step psi' = 2 A+^{-1} psi - psi of state columns psi (..., N, k),
-    stacked like _lowrank_solve; returns psi' and the stack's Gram condition."""
-    z, cond = _lowrank_solve(phi, delta, 0.5j * dt, psi, step, fill)
-    z *= 2.0  # psi' = 2z - psi in place on the solve's own fresh z
-    return np.subtract(z, psi, out=z), cond
+def _cayley_step(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, dt: float, step=None,
+                 fill=None, out=None, check=True) -> tuple[np.ndarray, float | None]:
+    """Cayley step psi' = 2 A+^{-1} psi - psi of state columns psi (..., N, k), stacked like
+    _lowrank_solve, into `out` or the solve's fresh x; returns psi' and its Gram condition."""
+    z, cond = _lowrank_solve(phi, delta, 0.5j * dt, psi, step, fill, check=check)
+    z *= 2.0
+    return np.subtract(z, psi, out=z if out is None else out), cond
 
 
 def _step_reports(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np.ndarray,
@@ -248,8 +255,8 @@ def evolve_full_batch(model, tokens: np.ndarray):
     writes into it: at each step the generator network consumes one row per sequence
     (token embedding, Re/Im of the current interaction-picture state), its output factors
     are phase-conjugated into the interaction picture, and one stacked Woodbury solve
-    advances all B states, raising at an ill-conditioned step; the stacked checks follow
-    the loop. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N, r), delta
+    advances all B states. The stacked checks follow, raising at the first ill-conditioned
+    step. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N, r), delta
     (T, B, N), a view of the network's output), one report per step, the network's layer
     inputs and output (T, B, width) and the solves' pieces for their adjoints:
     1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
@@ -264,19 +271,27 @@ def evolve_full_batch(model, tokens: np.ndarray):
     phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))[..., None]
     # phi keeps the network's channel-major layout, in which the solve and the
     # currents round as they did on each step's own product; delta is read in place
-    phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
-    delta, conds = raw.delta, [0.0] * steps
+    phi, delta = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2), raw.delta
     inv_d, gram = np.empty((steps, batch, n), complex), np.empty((steps, batch, r, r), complex)
     cols = np.empty((steps + 1, batch, n, 1), dtype=complex)  # states as columns
     cols[0] = initial_state(model.a + 1j * model.b)[:, None]
     x_re, x_im, psi = x[..., -2 * n:-n], x[..., -n:], cols[..., 0]
     layer_rows = [list(rows) for rows in zip(*acts[1:])]  # step t: each layer's output rows
-    for step in range(steps):
+
+    def advance(step, check):  # the network's row, the phases and the solve of one step
         x_re[step], x_im[step] = psi[step].real, psi[step].imag
         mlp_forward_cached(model.mlp, x[step], layer_rows[step])
         np.multiply(phases[step], raw.phi[step], out=phi[step])
-        cols[step + 1], conds[step] = _cayley_step(phi[step], delta[step], cols[step], dt, step,
-                                                   (inv_d[step], gram[step]))
+        return _cayley_step(phi[step], delta[step], cols[step], dt, step,
+                            (inv_d[step], gram[step]), cols[step + 1], check)[1]
+    try:  # unchecked until a floating-point event, which a failing step may raise
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for step in range(steps):
+                advance(step, False)
+    except FloatingPointError:  # rerun checked, so that no step past a failing one warns
+        conds = [advance(step, True) for step in range(steps)]
+    else:
+        conds = _gram_conditions(phi, 0.5j * dt, gram, first=0)
     reports = []
     for start in range(0, steps, CHECK_CHUNK_STEPS):
         stop = min(start + CHECK_CHUNK_STEPS, steps)

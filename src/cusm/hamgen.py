@@ -85,11 +85,11 @@ def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list | None = None):
     out = mlp_buffers(mlp, h.shape[:-1], h.shape[-1])[1:] if out is None else out
     inputs = [h, *out[:-1]]
     for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        np.matmul(inputs[layer], w.T, out=out[layer])
-        out[layer] += b
+        h = np.matmul(h, w.T, out=out[layer])  # this layer's output, the next one's input
+        h += b
         if layer < len(mlp.weights) - 1:
-            np.tanh(out[layer], out=out[layer])
-    return out[-1], inputs
+            np.tanh(h, out=h)
+    return h, inputs
 
 
 def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray | None, out: list | None = None):

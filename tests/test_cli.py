@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_properties import blown_up_model
 
 from cusm import cli, septask
 from cusm.cli import TOLERANCES, main
@@ -360,6 +361,35 @@ class TestSimulate:
                    tmp_path, monkeypatch)
         assert code in (0, 3)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", ["1e160", "1e300"])
+    def test_overflowing_gram_bound_warns_nothing(self, dt, tmp_path, monkeypatch):
+        # (1 + dt ||Phi||^2 / 2)^2 overflows a float at every step, so the SVD decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["simulate", "--mode", "full", "--tokens", "0,1,0,2", "--dt", dt],
+                       tmp_path, monkeypatch)
+        assert code == 0
+
+    @pytest.mark.parametrize("scale, twin, reason", [
+        (1e7, False, "condition 3.000e+14 exceeds 1e+12"),
+        (1e160, False, "has a non-finite entry"), (1e9, True, "condition inf exceeds 1e+12")])
+    def test_first_ill_conditioned_step_fails_the_run(self, scale, twin, reason, tmp_path,
+                                                      capsys):
+        # step 2 is the first ill-conditioned one; neither it nor a later step is solved,
+        # so the only warnings are those of building and bounding its Gram matrix
+        path = str(tmp_path / "model.json")
+        save_model(blown_up_model(scale, twin), path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--mode", "full", "--checkpoint", path,
+                         "--tokens", "0,0,1,0,1", "--output-dir", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"numerical failure at step 2: Gram matrix {reason}\n"
+        assert not out.exists() or not list(out.iterdir())
+        messages = {str(w.message).rsplit(" in ", 1)[-1] for w in caught}
+        assert messages == (set() if scale < 1e154 else {"matmul", "vecdot"})
 
     def test_readout_below_model_dimension_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # --v's default of 4 fails every full-mode --n above 4: the error names the

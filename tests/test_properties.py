@@ -6,11 +6,15 @@ against one matrix at a time, and the stacked row norms against one row at a
 time; the closed-form Hermitian lift against its explicit basis; the stacked
 softmax-rank audits and numerical ranks against one model or matrix at a time;
 bit-exact task and model file round trips, which reject a task that breaks
-its physics and a model without a start state; and the one fixed-transition
-batch gradient bit for bit against the per-kind functions it replaced."""
+its physics and a model without a start state; the one fixed-transition
+batch gradient bit for bit against the per-kind functions it replaced; and the
+full model's forward pass, which checks its Gram matrices after the time loop,
+bit for bit against a loop that checks each step before solving it."""
 
+import dataclasses
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +31,10 @@ from cusm.currents import (
     total_current,
 )
 from cusm.dynamics import (
+    CHECK_CHUNK_STEPS,
     GRAM_COND_FAIL,
     GRAM_COND_WARN,
+    CayleyStepReport,
     InteractionFactors,
     _cayley_step,
     _lowrank_solve,
@@ -38,6 +44,7 @@ from cusm.dynamics import (
     cayley_step_woodbury,
     cayley_map,
     evolve_fixed_batch,
+    evolve_full_batch,
 )
 from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
                              IllConditionedStepError, NonHermitianError)
@@ -640,3 +647,145 @@ def test_fixed_batch_grad_equals_the_per_kind_oracles_bit_for_bit(kind, dim, ext
     assert same_bits(loss, want_loss) and type(grads) is type(want)
     for got, expected in zip(grads.arrays(), want.arrays(), strict=True):
         assert same_bits(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# the full model's forward pass, with every Gram check after its time loop,
+# against the loop that checks each step between building and solving it
+
+def checked_in_loop(model, tokens):
+    """evolve_full_batch's results as a loop that checks each step's Gram matrices
+    before it solves them and copies each fresh psi' into the trajectory: the states,
+    phi, delta, 1/(1 + c delta), Gram matrices, layer rows and the reports, stacked
+    over CHECK_CHUNK_STEPS steps after the loop."""
+    mlp, n, r, dt, (batch, steps) = model.mlp, model.n, model.r, model.dt, tokens.shape
+    c = 0.5j * dt
+    widths = [model.d + 2 * n, *(w.shape[0] for w in mlp.weights)]
+    acts = [np.empty((steps, batch, k)) for k in widths]
+    acts[0][..., :model.d] = model.embed[tokens.T]
+    raw = acts[-1][..., : 2 * n * r].view(complex).reshape(steps, batch, r, n).swapaxes(-1, -2)
+    delta = acts[-1][..., 2 * n * r:]
+    phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))[..., None]
+    phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
+    inv_d, gram = np.empty((steps, batch, n), complex), np.empty((steps, batch, r, r), complex)
+    states = np.empty((steps + 1, batch, n, 1), dtype=complex)
+    states[0] = initial_state(model.a + 1j * model.b)[:, None]
+    conds = []
+    for t in range(steps):
+        psi = states[t, ..., 0]
+        acts[0][t, :, -2 * n:-n], acts[0][t, :, -n:] = psi.real, psi.imag
+        for layer, (weight, bias) in enumerate(zip(mlp.weights, mlp.biases)):
+            np.matmul(acts[layer][t], weight.T, out=acts[layer + 1][t])
+            acts[layer + 1][t] += bias
+            if layer < len(mlp.weights) - 1:
+                np.tanh(acts[layer + 1][t], out=acts[layer + 1][t])
+        np.multiply(phases[t], raw[t], out=phi[t])
+        d = np.divide(1.0, 1.0 + c * delta[t], out=inv_d[t])[..., None]
+        phi_h = phi[t].swapaxes(-1, -2).conj()
+        y, p = states[t] * d, phi[t] * d
+        g = np.matmul(phi_h, p, out=gram[t])
+        g *= c
+        g.reshape(-1, r * r)[:, :: r + 1] += 1.0
+        root = 1.0 + abs(c) * float(np.vecdot(phi[t], phi[t], axis=-2).real.sum(-1).max())
+        cond = root * root
+        if not cond <= GRAM_COND_WARN:
+            cond = float(np.linalg.cond(g).max()) if np.isfinite(g).all() else np.nan
+        if not cond <= GRAM_COND_FAIL:
+            reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}"
+                      if cond > GRAM_COND_FAIL else "has a non-finite entry")
+            raise IllConditionedStepError(f"Gram matrix {reason}", step=t, report=CayleyStepReport(
+                gram_condition=cond, residual=np.nan, norm_change=np.nan))
+        w = phi_h @ y / g if r == 1 else _solve(g, phi_h @ y, signature="DD->D")
+        y -= p @ (c * w)
+        y *= 2.0
+        states[t + 1] = np.subtract(y, states[t], out=y)
+        conds.append(cond)
+    reports = []
+    for start in range(0, steps, CHECK_CHUNK_STEPS):
+        stop = min(start + CHECK_CHUNK_STEPS, steps)
+        reports += _step_reports(phi[start:stop], delta[start:stop], states[start:stop],
+                                 states[start + 1:stop + 1], dt, conds[start:stop])
+    return states[..., 0], phi, delta, inv_d, gram, acts, reports
+
+
+def report_bits(reports) -> list:
+    return [np.array(dataclasses.astuple(rep)).tobytes() for rep in reports]
+
+
+def blown_up_model(scale: float, twin: bool = False):
+    """One affine layer; token 1 sets column 0 of Phi to `scale` (1 + i) on every row and token 0
+    leaves Phi at zero, so a step on token 1 is ill-conditioned from scale 1e7, by its Gram
+    condition 3e14, and has a non-finite Gram matrix from scale 1e155. A twin column 1 and
+    delta = 1 make the Gram matrix of scale 1e9 singular in floating point: its solve warns."""
+    model = init_full_model(n=3, r=2, d=1, v=4, v_in=2, seed=0, hidden=[])
+    model.mlp.weights[0][:] = 0.0
+    model.mlp.weights[0][: (4 if twin else 2) * model.n, 0] = scale
+    model.mlp.biases[0][4 * model.n:] = 1.0 if twin else 0.0
+    model.embed[:] = [[0.0], [1.0]]
+    return model
+
+
+def signed_zero_model():
+    """Zero weights, and biases that set column 0 of Phi to 1 and column 1 to -1: each
+    Gram matrix I + c Phi^dag Phi has -0.0 as the real part of its off-diagonal entries."""
+    model = init_full_model(n=2, r=2, d=1, v=2, v_in=1, seed=0, hidden=[])
+    model.mlp.weights[0][:] = 0.0
+    model.mlp.biases[0][:] = 0.0
+    model.mlp.biases[0][0:4:2], model.mlp.biases[0][4:8:2] = 1.0, -1.0
+    return model
+
+
+@st.composite
+def full_model_runs(draw):
+    """(model, tokens (B, T)) at n 1-6, r 1-4, B 1-3 and T up to 130, more than two
+    CHECK_CHUNK_STEPS. The network's Phi outputs scaled by 10^0 to 10^10 put the Gram
+    bounds from about 1 to past GRAM_COND_WARN, and fail some runs (r > n: a rank-
+    deficient Phi^dag Phi) at a step of the SVD's choosing."""
+    n, r, seed = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32))
+    model = init_full_model(n=n, r=r, d=2, v=n, v_in=3, dt=draw(st.floats(0.1, 2.0)), seed=seed,
+                            hidden=draw(st.sampled_from([[], [5]])))
+    model.mlp.weights[-1][: 2 * n * r] *= 10.0 ** draw(st.sampled_from([0, 3, 5, 8, 9, 10]))
+    shape = draw(st.integers(1, 3)), draw(st.sampled_from([130, 65, 64, 2, 1, 0]))
+    return model, make_rng(seed).integers(0, 3, shape)
+
+
+def forward_or_failure(evolve, model, tokens):
+    """evolve's results, or the step, message and report of its IllConditionedStepError."""
+    try:
+        return evolve(model, tokens)
+    except IllConditionedStepError as exc:
+        return exc.step, str(exc), report_bits([exc.report])
+
+
+@PROPERTY
+@given(full_model_runs())
+@example((blown_up_model(1e7), np.array([[0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 0, 1]])))  # 2-5 fail
+@example((signed_zero_model(), np.zeros((1, 3), dtype=int)))
+def test_gram_check_after_the_loop_equals_the_check_in_it_bit_for_bit(run):
+    got, want = (forward_or_failure(f, *run) for f in (evolve_full_batch, checked_in_loop))
+    if isinstance(want[0], int):  # the first ill-conditioned step, as the loop check raised it
+        assert got == want
+        return
+    states, factors, reports, acts, (inv_d, gram) = got
+    *arrays, want_acts, want_reports = want
+    for array, expected in zip((states, factors.phi, factors.delta, inv_d, gram, *acts),
+                               (*arrays, *want_acts), strict=True):
+        assert same_bits(array, expected)
+    assert report_bits(reports) == report_bits(want_reports)
+
+
+@pytest.mark.parametrize("scale, twin", [(1e7, False), (1e160, False), (1e9, True)])
+def test_first_ill_conditioned_step_fails_as_in_the_loop_check(scale, twin):
+    # step 2 is the first ill-conditioned one of the batch: the same step, message, report
+    # and warnings as a loop that stops at its check, so no solve of it or of a later step
+    # warns; only a non-finite Gram matrix warns, as it is built and bounded
+    tokens = np.array([[0, 0, 1, 0, 1], [0, 0, 0, 1, 0]])
+    failures = []
+    for evolve in (evolve_full_batch, checked_in_loop):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            failures.append((forward_or_failure(evolve, blown_up_model(scale, twin), tokens),
+                             [(w.category, str(w.message)) for w in caught]))
+    assert failures[0] == failures[1]
+    assert failures[0][0][0] == 2
+    assert bool(failures[0][1]) == (scale > 1e154)
