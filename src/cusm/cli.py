@@ -31,7 +31,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__
-from .codec import SCHEMA_VERSION, atomic_write, read_json
+from .codec import SCHEMA_VERSION, atomic_write, load_json, read_json
 from .dynamics import REPRODUCTION_TOL, evolve_fixed_batch, evolve_full_batch, inverse_cayley
 from .exceptions import (
     ConfigurationError,
@@ -200,8 +200,7 @@ def _parse_tokens(args) -> list:
     """The token ids of --tokens, or of --tokens-file, a JSON array of integers >= 0."""
     if args.tokens is not None:
         return args.tokens
-    with open(args.tokens_file) as fh:
-        tokens = json.load(fh)
+    tokens = load_json(args.tokens_file)
     if not isinstance(tokens, list) or not all(type(tok) is int for tok in tokens):
         raise ConfigurationError(f"{args.tokens_file} does not hold a JSON array of integers")
     try:
@@ -328,9 +327,8 @@ def cmd_gen_task(args) -> int:
                               certificate, seed=task.seed)
     print(f"wrote {task_path}")
     print(f"wrote {cert_path}")
-    if not certificate["general_position"] or ranks["rank_P"] != task.n ** 2:
-        return EXIT_INVARIANT
-    return EXIT_OK
+    ok = certificate["general_position"] and ranks["rank_P"] == task.n ** 2
+    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def cmd_verify_separation(args) -> int:
@@ -358,9 +356,8 @@ def cmd_verify_separation(args) -> int:
     path = _write_report(args, f"separation_n{task.n}_seed{task.seed}.json", report,
                          seed=task.seed)
     print(f"wrote {path}")
-    if violations or exact["cusm_max_error"] > REPRODUCTION_TOL or ranks["rank_P"] != task.n ** 2:
-        return EXIT_INVARIANT
-    return EXIT_OK
+    bad = violations or exact["cusm_max_error"] > REPRODUCTION_TOL or ranks["rank_P"] != task.n ** 2
+    return EXIT_INVARIANT if bad else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -428,8 +425,7 @@ def cmd_train(args) -> int:
         paths.append(_write_report(args, f"train_{rep.model_kind}_seed{rep.seed}.json", fields,
                                    seed=rep.seed))
         trace_path = os.path.join(out, f"train_{rep.model_kind}_seed{rep.seed}_trace.csv")
-        _write_csv(trace_path,
-                   ["epoch", "mean_nll", "gap"],
+        _write_csv(trace_path, ["epoch", "mean_nll", "gap"],
                    [[e, f"{nll:.15e}", f"{nll - rep.entropy_floor:.15e}"]
                     for e, nll in enumerate(rep.loss_trace)])
     gaps = np.array([rep.gap for rep in reports])
@@ -495,8 +491,7 @@ def main(argv=None) -> int:
         where = f" at step {step}" if step is not None else ""
         print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigurationError, VocabularyError, InvalidDimensionError, OSError,
-            UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, VocabularyError, InvalidDimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CusmError as exc:

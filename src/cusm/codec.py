@@ -96,10 +96,22 @@ def write_json(path: str, doc: dict) -> None:
     atomic_write(path, json.dumps({"schema_version": SCHEMA_VERSION, **doc}, default=_encode))
 
 
+def load_json(path: str):
+    """json.load of path. Text it cannot decode or parse is a ConfigurationError with the
+    decoder's message, or one naming the file past the parser's nesting or digit limits."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(str(exc)) from None
+    except (RecursionError, ValueError) as exc:  # the ValueError of int()'s digit limit
+        what = "nesting" if isinstance(exc, RecursionError) else "integer literal"
+        raise ConfigurationError(f"{path}: JSON {what} beyond the parser's limits") from None
+
+
 def read_json(path: str) -> dict:
     """Load a document written by write_json; any other schema_version is rejected."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ConfigurationError(f"{path}: schema_version {version!r}, expected {SCHEMA_VERSION}")

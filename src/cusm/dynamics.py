@@ -5,21 +5,20 @@ transform of the interaction Hamiltonian H = Phi Phi^dag + diag(delta):
 
     (I + i*dt/2 * H) psi_next = (I - i*dt/2 * H) psi
 
-Unitarity of this update holds for any Hermitian H and any dt > 0, so the
-norm is preserved to rounding. Two solvers are provided: a dense O(N^3)
-reference, whose H must pass numerics.check_hermitian, and the O(N r^2)
-Woodbury fast path; the dense one exists so the Woodbury algebra can always
-be cross-checked against it. With c = i*dt/2, A+- = I +- cH and A+ + A- =
-2I, the fast path solves once: psi_next = 2 A+^{-1} psi - psi. As A+ has no
-singular value below 1, the r x r Gram matrix of the solve has condition <=
-(1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so IllConditionedStepError
-needs dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. A step of k state columns
-makes only the (N, k) arrays its arithmetic needs: two in the solve, psi_next in place on the
-first or in its trajectory row, and two in its report. evolve_full_batch writes a batch's
-trajectory into arrays allocated once, with each step's 1/(1 + c delta) and Gram matrix for the
-adjoint solve (A- = A+^dag), and checks each step's Gram condition, residual and norm change
-after its time loop. Models with one fixed unitary or orthogonal matrix per token advance
-through evolve_fixed_batch; inverse_cayley recovers the Hermitian generators of such unitaries.
+which is unitary for any Hermitian H and dt > 0, so the norm is preserved to rounding. A dense
+O(N^3) reference solve, whose H must pass numerics.check_hermitian, cross-checks the O(N r^2)
+Woodbury path. With c = i*dt/2, A+- = I +- cH and A+ + A- = 2I, that path solves once, psi_next =
+2 A+^{-1} psi - psi, in three calls: _woodbury_system builds A+'s pieces, _gram_conditions checks
+their r x r Gram matrix and _lowrank_solve solves; the adjoint solve (A- = A+^dag) takes the
+conjugated pieces. As A+ has no singular value below 1, the Gram matrix has condition <=
+(1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so IllConditionedStepError needs
+dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. A step of k state columns makes
+only the (N, k) arrays its arithmetic needs: two in the solve, psi_next in place on the first or
+in its trajectory row, and two in its report. evolve_full_batch writes a batch's trajectory into
+arrays allocated once, with each step's 1/(1 + c delta) and Gram matrix for the adjoint, and
+checks each step's Gram condition, residual and norm change after its time loop. Models with one
+fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch; inverse_cayley
+recovers the Hermitian generators of such unitaries.
 """
 
 from __future__ import annotations
@@ -118,48 +117,39 @@ def _gram_conditions(phi: np.ndarray, c: complex, gram: np.ndarray, first=None) 
     return conds
 
 
-def _lowrank_solve(phi: np.ndarray, delta: np.ndarray, c: complex, rhs: np.ndarray, step=None,
-                   fill=None, adjoint_of=None, check=True) -> tuple[np.ndarray, float | None]:
-    """Solve (diag(1 + c*delta) + c*phi phi^dag) x = rhs at O(N r^2 + r^3).
+def _woodbury_system(phi: np.ndarray, delta: np.ndarray, c: complex, inv_d=None, gram=None):
+    """The pieces of A+ = diag(1 + c*delta) + c*phi phi^dag for phi (..., N, r) and delta
+    (..., N): phi^dag, p = phi * inv_d, inv_d = 1/(1 + c*delta) and the Gram matrix
+    G = I + c*phi^dag p (..., r, r), the last two written into `inv_d` and `gram` if given."""
+    inv_d = np.divide(1.0, 1.0 + c * delta, out=inv_d)  # |1 + c*delta| >= 1
+    phi_h, p = phi.swapaxes(-1, -2).conj(), phi * inv_d[..., None]
+    gram = np.matmul(phi_h, p, out=gram)
+    gram *= c
+    gram += _gram_identity(phi.shape[-1])  # I + c phi^dag p in place; adding -0.0 changes no bits
+    return phi_h, p, inv_d, gram
 
-    The one Woodbury solve of the forward step and its adjoint, stacked over leading axes:
-    phi (..., N, r), delta (..., N), rhs (..., N, k). Returns x and the Gram condition of the
-    stack, checked before the solve (failing above GRAM_COND_FAIL at `step`), or None if `check`
-    is False. A forward step may fill `fill` with 1/(1 + c*delta) (..., N) and its Gram matrix
-    G (..., r, r). The adjoint of that step (conj(c), A- = A+^dag) passes them back as
-    `adjoint_of` and solves with their conj and G^dag: it builds no system and checks nothing.
-    """
-    inv_d, gram = adjoint_of or fill or (None, None)
-    # |1 + c*delta| >= 1
-    inv_d = (np.conj(inv_d) if adjoint_of else
-             np.divide(1.0, 1.0 + c * delta, out=inv_d))[..., None]
-    phi_h = phi.swapaxes(-1, -2).conj()
-    y, p = rhs * inv_d, phi * inv_d
-    r = phi.shape[-1]
-    if adjoint_of:
-        gram, cond = gram.conj().swapaxes(-1, -2), None
-    else:
-        gram = np.matmul(phi_h, p, out=gram)
-        gram *= c
-        gram += _gram_identity(r)  # I + c phi^dag p in place; adding -0.0 changes no bits
-        cond = _gram_conditions(phi[None], c, gram[None], step)[0] if check else None
-    w = phi_h @ y / gram if r == 1 else _solve(gram, phi_h @ y, signature="DD->D")
+
+def _lowrank_solve(phi_h: np.ndarray, p: np.ndarray, inv_d: np.ndarray, gram: np.ndarray,
+                   c: complex, rhs: np.ndarray) -> np.ndarray:
+    """The one Woodbury solve, unchecked, of rhs (..., N, k) on _woodbury_system's pieces at
+    O(N r^2 + r^3): of the forward step, or of its adjoint on their conjugates and conj(c)."""
+    y = rhs * inv_d[..., None]
+    w = phi_h @ y / gram if gram.shape[-1] == 1 else _solve(gram, phi_h @ y, signature="DD->D")
     y -= p @ np.multiply(c, w, out=w)  # c * w, in place
-    return y, cond
+    return y
 
 
-def _cayley_step(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, dt: float, step=None,
-                 fill=None, out=None, check=True) -> tuple[np.ndarray, float | None]:
-    """Cayley step psi' = 2 A+^{-1} psi - psi of state columns psi (..., N, k), stacked like
-    _lowrank_solve, into `out` or the solve's fresh x; returns psi' and its Gram condition."""
-    z, cond = _lowrank_solve(phi, delta, 0.5j * dt, psi, step, fill, check=check)
+def _cayley_step(system: tuple, psi: np.ndarray, dt: float, out=None) -> np.ndarray:
+    """psi' = 2 A+^{-1} psi - psi of columns psi (..., N, k) on A+'s _woodbury_system,
+    into `out` or the solve's fresh x."""
+    z = _lowrank_solve(*system, 0.5j * dt, psi)
     z *= 2.0
-    return np.subtract(z, psi, out=z if out is None else out), cond
+    return np.subtract(z, psi, out=z if out is None else out)
 
 
 def _step_reports(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np.ndarray,
                   dt: float, conds: list) -> list[CayleyStepReport]:
-    """Reports of steps out = _cayley_step(phi, delta, psi, dt) of columns (..., N, k),
+    """Reports of Cayley steps psi -> out of columns (..., N, k) under phi and delta,
     one per Gram condition in conds, stacked on a leading axis (or one step): the
     worst residual ||A+ (out + psi) - 2 psi|| and norm change, as for each step alone."""
     c = 0.5j * dt
@@ -182,8 +172,11 @@ def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
     `factors` must already be in the interaction picture. Accepts psi of
     shape (N,) or a batch (N, B) sharing the same factors.
     """
-    cols = psi.reshape(psi.shape[0], -1)
-    out, cond = _cayley_step(factors.phi, factors.delta, cols, dt)
+    cols, c = psi.reshape(psi.shape[0], -1), 0.5j * dt
+    system = _woodbury_system(factors.phi, factors.delta, c)
+    cond = _gram_conditions(factors.phi[None], c, system[3][None])[0]
+    out = _cayley_step(system, cols, dt)
+    del system  # its (N, r) pieces, before the report's (N, k) arrays
     report = _step_reports(factors.phi, factors.delta, cols, out, dt, [cond])[0]
     return out.reshape(psi.shape), report
 
@@ -264,7 +257,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
     from .hamgen import mlp_buffers, mlp_forward_cached, split_factor_output
 
     tokens = _checked_tokens(tokens, model.embed.shape[0])
-    n, r, dt, (batch, steps) = model.n, model.r, model.dt, tokens.shape
+    n, r, dt, c, (batch, steps) = model.n, model.r, model.dt, 0.5j * model.dt, tokens.shape
     acts = mlp_buffers(model.mlp, (steps, batch), model.d + 2 * n)
     x, raw = acts[0], split_factor_output(acts[-1], n, r)
     x[..., :model.d] = model.embed[tokens.T]
@@ -278,20 +271,23 @@ def evolve_full_batch(model, tokens: np.ndarray):
     x_re, x_im, psi = x[..., -2 * n:-n], x[..., -n:], cols[..., 0]
     layer_rows = [list(rows) for rows in zip(*acts[1:])]  # step t: each layer's output rows
 
-    def advance(step, check):  # the network's row, the phases and the solve of one step
+    def advance(step):  # the network's row, the phases and the Woodbury system of one step
         x_re[step], x_im[step] = psi[step].real, psi[step].imag
         mlp_forward_cached(model.mlp, x[step], layer_rows[step])
         np.multiply(phases[step], raw.phi[step], out=phi[step])
-        return _cayley_step(phi[step], delta[step], cols[step], dt, step,
-                            (inv_d[step], gram[step]), cols[step + 1], check)[1]
+        return _woodbury_system(phi[step], delta[step], c, inv_d[step], gram[step])
     try:  # unchecked until a floating-point event, which a failing step may raise
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for step in range(steps):
-                advance(step, False)
+                _cayley_step(advance(step), cols[step], dt, cols[step + 1])
     except FloatingPointError:  # rerun checked, so that no step past a failing one warns
-        conds = [advance(step, True) for step in range(steps)]
+        conds = []
+        for step in range(steps):
+            system = advance(step)
+            conds += _gram_conditions(phi[step:step + 1], c, gram[step:step + 1], step)
+            _cayley_step(system, cols[step], dt, cols[step + 1])
     else:
-        conds = _gram_conditions(phi, 0.5j * dt, gram, first=0)
+        conds = _gram_conditions(phi, c, gram, first=0)
     reports = []
     for start in range(0, steps, CHECK_CHUNK_STEPS):
         stop = min(start + CHECK_CHUNK_STEPS, steps)

@@ -92,19 +92,17 @@ def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list | None = None):
     return h, inputs
 
 
-def mlp_backward(mlp: MlpParams, inputs: list, g_out: np.ndarray | None, out: list | None = None):
-    """Reverse sweep of g_out, or of out[-1] when rows from mlp_buffers in `out` take the result,
-    on the inputs cached by mlp_forward_cached for one input or rows (B, in): each layer's
-    pre-activation gradient rows (B, out_l), for mlp_weight_grads, and the input gradient."""
-    if out is None:
-        out = mlp_buffers(mlp, np.atleast_2d(inputs[0]).shape[:-1], inputs[0].shape[-1])
-        out[-1][...] = g_out
+def mlp_backward(mlp: MlpParams, inputs: list, out: list):
+    """Reverse sweep of the output gradient that the caller put in out[-1], in place through
+    the rows `out` from mlp_buffers, on the inputs cached by mlp_forward_cached for one input
+    or rows (B, in): each layer's pre-activation gradient rows (B, out_l), for
+    mlp_weight_grads, and the input gradient."""
     for layer in range(len(mlp.weights) - 1, -1, -1):
         np.matmul(out[layer + 1], mlp.weights[layer], out=out[layer])
         if layer:
             # tanh'(z) = 1 - tanh(z)^2, and tanh(z) is this layer's input
             out[layer] *= 1.0 - inputs[layer] ** 2
-    return out[1:], out[0].reshape(inputs[0].shape)
+    return out[1:], out[0]
 
 
 def mlp_weight_grads(inputs: list, g_pre: list) -> tuple[list, list]:
@@ -164,8 +162,7 @@ def init_full_model(
         low = [f"{k}={size}" for k, size in dict(n=n, r=r, d=d, v=v, v_in=v_in).items() if size < 1]
         raise ConfigurationError(f"{low[0]} is below 1" if low
                                  else f"v={v} is below n={n}; the Born readout needs v >= n")
-    if hidden is None:
-        hidden = [4 * n, 4 * n]
+    hidden = [4 * n, 4 * n] if hidden is None else hidden
     widths = [d + 2 * n, *hidden, 2 * n * r + n]
     check_allocation(8 * (v_in * d + 2 * n * v + sum(a * b for a, b in zip(widths, widths[1:]))),
                      f"a model with n={n}, r={r}, d={d}, v={v} and v_in={v_in}")
@@ -176,11 +173,7 @@ def init_full_model(
         frequencies=np.linspace(-np.pi / 2, np.pi / 2, n),
         embed=rng.standard_normal((v_in, d)) / np.sqrt(d),
         mlp=mlp,
-        meas_raw=ginibre(rng, n, v),
-        dt=dt,
-        n=n,
-        r=r,
-        seed=seed,
+        meas_raw=ginibre(rng, n, v), dt=dt, n=n, r=r, seed=seed,
     )
 
 
@@ -239,8 +232,5 @@ def load_model(path: str) -> FullModelParams:
         embed=doc.array("embed", (v_in, d)),
         mlp=MlpParams(weights=[w for w, _ in layers], biases=[b for _, b in layers]),
         meas_raw=doc.array("meas_raw", (n, v), complex_=True),
-        dt=dt,
-        n=n,
-        r=r,
-        seed=doc.integer("seed", 0),
+        dt=dt, n=n, r=r, seed=doc.integer("seed", 0),
     )

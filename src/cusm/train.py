@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    InteractionFactors,
-    _lowrank_solve,
-    cayley_map,
-    evolve_fixed_batch,
-    evolve_full_batch,
-)
+from .dynamics import (InteractionFactors, _gram_conditions, _lowrank_solve, _woodbury_system,
+                       cayley_map, evolve_fixed_batch, evolve_full_batch)
 from .exceptions import ConfigurationError
 from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_grads,
                      split_factor_output)
@@ -89,13 +84,19 @@ def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
                        pieces=None) -> tuple[np.ndarray, np.ndarray]:
     """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
-    The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the
-    adjoint norm is exactly preserved: solve A- s = g (A- = A+^dag), and then
-    A+ s = 2s - g because A+ + A- = 2I. Returns 2s - g and s, both shaped like g;
-    `pieces`, those the forward step filled, serve as _lowrank_solve's `adjoint_of`.
+    The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the adjoint norm is
+    exactly preserved: solve A- s = g (A- = A+^dag), and then A+ s = 2s - g because A+ + A- = 2I.
+    Returns 2s - g and s, both shaped like g. A- takes the conjugates of the forward step's
+    1/(1 + c delta) and G+: `pieces`, as evolve_full_batch stores them, or else those built and
+    checked here as cayley_step_woodbury does.
     """
-    s = _lowrank_solve(factors.phi, factors.delta, -0.5j * dt, g[..., None],
-                       adjoint_of=pieces)[0][..., 0]
+    phi, c = factors.phi, 0.5j * dt
+    if pieces is None:
+        pieces = _woodbury_system(phi, factors.delta, c)[2:]
+        _gram_conditions(phi[None], c, pieces[1][None])
+    inv_d = np.conj(pieces[0])
+    s = _lowrank_solve(phi.swapaxes(-1, -2).conj(), phi * inv_d[..., None], inv_d,
+                       pieces[1].conj().swapaxes(-1, -2), -0.5j * dt, g[..., None])[..., 0]
     back = 2.0 * s  # 2s - g in one array of its own: s is returned too
     return np.subtract(back, g, out=back), s
 
@@ -226,7 +227,7 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
         np.negative(np.real(c * s.conj() * us[t, :, 0]), out=g_factors.delta[t])
 
         # generator network, on the activations of the forward pass
-        _, g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]], None, [g[t] for g in g_acts])
+        _, g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]], [g[t] for g in g_acts])
         g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
     # d phi_ip / d lam = i t dt phi_ip, and phi_ip conj(g_phi_ip) = phi conj(g_phi)
@@ -478,8 +479,7 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
         raise ConfigurationError(f"unknown model_kind {model_kind!r}")
     if model_kind == "rosm" and dim is None:
         raise ConfigurationError("rosm training needs an explicit dimension")
-    if dim is None:
-        dim = task.n
+    dim = task.n if dim is None else dim
     if dim < 1:
         raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
     table = target_table(task)

@@ -761,6 +761,27 @@ class TestLoadErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--task", "--checkpoint", "--config", "--tokens-file"])
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200000 + "]" * 200000, "{path}: JSON nesting beyond the parser's limits"),
+        ("[" + "7" * 5000 + "]", "{path}: JSON integer literal beyond the parser's limits"),
+        ("[7,", "Expecting value: line 1 column 4 (char 3)")],
+        ids=["deep", "long-integer", "malformed"])
+    def test_json_the_parser_rejects_is_usage_error(self, flag, text, message, tmp_path, capsys):
+        # json.load raises RecursionError, or the ValueError of int()'s digit limit, where
+        # malformed JSON raises JSONDecodeError, whose message is kept
+        path, out = tmp_path / "input.json", tmp_path / "out"
+        path.write_text(text)
+        argv = ["simulate", "--tokens", "0", flag, str(path), "--output-dir", str(out)]
+        if flag == "--checkpoint":
+            argv[1:1] = ["--mode", "full"]
+        elif flag == "--tokens-file":
+            argv[1:3] = []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(path=path)}\n"
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("kind, field, value, command", [
         ("task", "context_states", "nan", None),  # None: the command of _command
         ("task", "query_unitaries", "inf", "train"),

@@ -10,6 +10,7 @@ from cusm.hamgen import (
     init_full_model,
     load_model,
     mlp_backward,
+    mlp_buffers,
     mlp_forward_cached,
     mlp_weight_grads,
     save_model,
@@ -86,8 +87,10 @@ class TestMlpBackward:
                         biases=[rng.standard_normal(4), rng.standard_normal(2)])
         x, g_out = rng.standard_normal(3), rng.standard_normal(2)
         single, rows = mlp_forward_cached(mlp, x)[1], mlp_forward_cached(mlp, x[None])[1]
-        g_pre, g_x = mlp_backward(mlp, single, g_out)
-        r_pre, r_x = mlp_backward(mlp, rows, g_out[None])
+        g_rows, r_rows = mlp_buffers(mlp, (), 3), mlp_buffers(mlp, (1,), 3)
+        g_rows[-1][...], r_rows[-1][...] = g_out, g_out[None]
+        g_pre, g_x = mlp_backward(mlp, single, g_rows)
+        r_pre, r_x = mlp_backward(mlp, rows, r_rows)
         g_w, g_b = mlp_weight_grads(single, g_pre)
         r_w, r_b = mlp_weight_grads(rows, r_pre)
         assert g_x.shape == x.shape and np.array_equal(g_x, r_x[0])

@@ -37,9 +37,11 @@ from cusm.dynamics import (
     CayleyStepReport,
     InteractionFactors,
     _cayley_step,
+    _gram_conditions,
     _lowrank_solve,
     _solve,
     _step_reports,
+    _woodbury_system,
     cayley_step_dense,
     cayley_step_woodbury,
     cayley_map,
@@ -166,10 +168,8 @@ def test_conjugate_of_stored_inverse_diagonal_is_the_adjoints(delta, dt):
     # the adjoint solve uses conj of the forward step's 1/(1 + c delta); for real
     # delta (|c delta| finite) it equals the adjoint's own 1/(1 + conj(c) delta), bit
     # for bit but for the sign of an imaginary part that is zero (c delta = 0 or underflows)
-    phi, rhs = np.zeros((delta.size, 1), dtype=complex), np.ones((delta.size, 1), dtype=complex)
-    stored, fresh = (np.empty(delta.shape, dtype=complex) for _ in range(2))
-    for c, inv_d in ((0.5j * dt, stored), (-0.5j * dt, fresh)):
-        _lowrank_solve(phi, delta, c, rhs, fill=(inv_d, np.empty((1, 1), dtype=complex)))
+    phi = np.zeros((delta.size, 1), dtype=complex)
+    stored, fresh = (_woodbury_system(phi, delta, c)[2] for c in (0.5j * dt, -0.5j * dt))
     assert np.array_equal(np.conj(stored), fresh)
     nonzero = fresh.imag != 0
     assert np.conj(stored)[nonzero].tobytes() == fresh[nonzero].tobytes()
@@ -236,33 +236,34 @@ def test_step_reports_and_adjoint_equal_fresh_temporaries_bit_for_bit(case):
     phi, delta, psi, dt = case
     s = phi.shape[0]
     factors = InteractionFactors(phi[0, 0], delta[0, 0])
+    c = 0.5j * dt
     out, report = cayley_step_woodbury(factors, psi[0, 0], dt)
     want, resid, drift = fresh_temporary_step(phi[0, 0], delta[0, 0], psi[0, 0], dt)
-    cond = _lowrank_solve(phi[0, 0], delta[0, 0], 0.5j * dt, psi[0, 0])[1]
+    cond = _gram_conditions(phi[:1, 0], c, _woodbury_system(phi[0, 0], delta[0, 0], c)[3][None])[0]
     assert same_bits(out, want)
     assert (report.gram_condition, report.warning) == (cond, cond > GRAM_COND_WARN)
     assert (report.residual, report.norm_change) == (resid.max(), drift.max())
 
     cols = psi[..., :1]  # stacked steps as evolve_full_batch takes them
-    out, conds = _cayley_step(phi, delta, cols, dt)
+    system = _woodbury_system(phi, delta, c)
+    conds = _gram_conditions(phi[None], c, system[3][None])[0]
+    out = _cayley_step(system, cols, dt)
     want, resid, drift = fresh_temporary_step(phi, delta, cols, dt)
     assert same_bits(out, want)
     reports = _step_reports(phi, delta, cols, out, dt, [conds] * s)
     assert [(rep.residual, rep.norm_change) for rep in reports] == list(zip(
         resid.reshape(s, -1).max(axis=1).tolist(), drift.reshape(s, -1).max(axis=1).tolist()))
 
-    pieces = np.empty(delta.shape, dtype=complex), np.empty(phi.shape[:-2] + (phi.shape[-1],) * 2,
-                                                           dtype=complex)
-    _lowrank_solve(phi, delta, 0.5j * dt, cols, fill=pieces)
+    pieces = system[2:]
     g = psi[..., 0].conj()
-    for stored in (None, pieces):
+    want, s_want = fresh_temporary_step(phi, delta, g[..., None], dt, pieces)
+    for stored in (None, pieces):  # without pieces, it builds the forward ones itself
         pulled, solved = adjoint_state_step(InteractionFactors(phi, delta), dt, g, stored)
-        if stored is None:  # a fresh adjoint solve is the forward one at -dt
-            want, s_want = fresh_temporary_step(phi, delta, g[..., None], -dt)[0], None
-        else:
-            want, s_want = fresh_temporary_step(phi, delta, g[..., None], dt, stored)
         assert same_bits(pulled, want[..., 0])
-        assert s_want is None or same_bits(solved, s_want[..., 0])
+        assert same_bits(solved, s_want[..., 0])
+    # a fresh adjoint solve is the forward one at -dt
+    fresh = 2.0 * _lowrank_solve(*_woodbury_system(phi, delta, -c), -c, g[..., None]) - g[..., None]
+    assert same_bits(fresh, fresh_temporary_step(phi, delta, g[..., None], -dt)[0])
 
 
 @PROPERTY

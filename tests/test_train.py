@@ -8,6 +8,7 @@ from cusm.dynamics import (
     CayleyStepReport,
     InteractionFactors,
     _lowrank_solve,
+    _woodbury_system,
     evolve_full_batch,
     evolve_full_model,
 )
@@ -292,18 +293,17 @@ class TestAdjointReusesForwardPieces:
         model.mlp.weights[-1] *= 1e3  # Gram matrices far from I: conditions 9 to 69
         tokens = make_rng(5).integers(0, 3, (3, 6))
         _, factors, reports, _, (inv_d, gram) = evolve_full_batch(model, tokens)
-        g = ginibre(make_rng(6), 3, 4)
+        g, c = ginibre(make_rng(6), 3, 4), -0.5j * model.dt
         for t, report in enumerate(reports):
             reused = adjoint_state_step(factors[t], model.dt, g,
                                         (inv_d[t], gram[t]))
-            fresh = adjoint_state_step(factors[t], model.dt, g)
+            own = _woodbury_system(factors.phi[t], factors.delta[t], c)
+            s = _lowrank_solve(*own, c, g[..., None])[..., 0]
+            fresh = 2.0 * s - g, s
             assert max(np.abs(a - b).max() for a, b in zip(reused, fresh)) < 1e-14
-            own = np.empty_like(inv_d[t]), np.empty_like(gram[t])
-            _lowrank_solve(factors.phi[t], factors.delta[t], -0.5j * model.dt, g[..., None],
-                           fill=own)
-            assert np.array_equal(own[0], inv_d[t].conj())
+            assert np.array_equal(own[2], inv_d[t].conj())
             stored = gram[t].conj().swapaxes(-1, -2)
-            assert np.abs(own[1] - stored).max() < 1e-14 * np.abs(stored).max()
+            assert np.abs(own[3] - stored).max() < 1e-14 * np.abs(stored).max()
 
 
 class TestOneReadout:
