@@ -13,12 +13,14 @@ their r x r Gram matrix and _lowrank_solve solves; the adjoint solve (A- = A+^da
 conjugated pieces. As A+ has no singular value below 1, the Gram matrix has condition <=
 (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so IllConditionedStepError needs
 dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. A step of k state columns makes
-only the (N, k) arrays its arithmetic needs: two in the solve, psi_next in place on the first or
-in its trajectory row, and two in its report. evolve_full_batch writes a batch's trajectory into
-arrays allocated once, with each step's 1/(1 + c delta) and Gram matrix for the adjoint, and
-checks each step's Gram condition, residual and norm change after its time loop. Models with one
-fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch; inverse_cayley
-recovers the Hermitian generators of such unitaries.
+only the (N, k) arrays its arithmetic needs, each laid out like the columns: two in the solve,
+psi_next in place on the first or in its trajectory row, and two in its report. A lone step
+returns a batch state-major (column-contiguous), so a loop of steps reads contiguous columns
+after its first. evolve_full_batch writes a batch's trajectory into arrays allocated once, with
+each step's 1/(1 + c delta) and Gram matrix for the adjoint, and checks each step's Gram condition,
+residual and norm change after its time loop. Models with one fixed unitary or orthogonal matrix
+per token advance through evolve_fixed_batch; inverse_cayley recovers the Hermitian generators of
+such unitaries.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def _lowrank_solve(phi_h: np.ndarray, p: np.ndarray, inv_d: np.ndarray, gram: np
     O(N r^2 + r^3): of the forward step, or of its adjoint on their conjugates and conj(c)."""
     y = rhs * inv_d[..., None]
     w = phi_h @ y / gram if gram.shape[-1] == 1 else _solve(gram, phi_h @ y, signature="DD->D")
-    y -= p @ np.multiply(c, w, out=w)  # c * w, in place
+    y -= np.matmul(p, np.multiply(c, w, out=w), out=np.empty_like(y))  # in y's layout
     return y
 
 
@@ -154,7 +156,7 @@ def _step_reports(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np.n
     worst residual ||A+ (out + psi) - 2 psi|| and norm change, as for each step alone."""
     c = 0.5j * dt
     resid = out + psi
-    applied = phi @ (c * (phi.swapaxes(-1, -2).conj() @ resid))
+    applied = np.matmul(phi, c * (phi.swapaxes(-1, -2).conj() @ resid), out=np.empty_like(resid))
     resid *= (1.0 + c * delta)[..., None]
     resid += applied
     resid -= np.multiply(2.0, psi, out=applied)
@@ -170,7 +172,9 @@ def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
     """Low-rank Cayley step at O(N r^2 + r^3) via the Woodbury identity.
 
     `factors` must already be in the interaction picture. Accepts psi of
-    shape (N,) or a batch (N, B) sharing the same factors.
+    shape (N,) or a batch (N, B) sharing the same factors. A batch comes back
+    state-major; a row-major one is solved and reported in its own layout (whose
+    rank-r products round differently) and pays one transposing copy at the end.
     """
     cols, c = psi.reshape(psi.shape[0], -1), 0.5j * dt
     system = _woodbury_system(factors.phi, factors.delta, c)
@@ -178,7 +182,7 @@ def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
     out = _cayley_step(system, cols, dt)
     del system  # its (N, r) pieces, before the report's (N, k) arrays
     report = _step_reports(factors.phi, factors.delta, cols, out, dt, [cond])[0]
-    return out.reshape(psi.shape), report
+    return np.asfortranarray(out).reshape(psi.shape), report
 
 
 def _checked_tokens(tokens, size: int) -> np.ndarray:

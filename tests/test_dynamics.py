@@ -198,16 +198,18 @@ class TestCayleyStepWoodbury:
             evolve_full_model(model, [0, 1])
         assert info.value.step == 0
 
-    def test_step_makes_no_avoidable_temporary(self):
+    @pytest.mark.parametrize("order", ["C", "F"], ids=["row-major", "state-major"])
+    def test_step_makes_no_avoidable_temporary(self, order):
         # at N = 512, r = 4, k = 32 a step peaks at 3.54 arrays of N k complex: the new
         # state, the report's residual and its rank-r product, and the 128 KiB buffer
         # numpy takes to scale the residual by a broadcast column. A step that forms
-        # 2z - psi and the report's 2 psi in fresh arrays peaks at 4.00; 3.6 leaves
+        # 2z - psi and the report's 2 psi in fresh arrays peaks at 4.00, and so does a
+        # state-major step whose rank-r products come back row-major; 3.6 leaves
         # 15 KB for Python objects that a tracer running the suite may allocate
         n, r, k = 512, 4, 32
         rng = make_rng(13)
         f = InteractionFactors(phi=ginibre(rng, n, r) / np.sqrt(n), delta=rng.standard_normal(n))
-        psi = ginibre(rng, n, k)
+        psi = np.array(ginibre(rng, n, k), order=order)
         psi /= np.linalg.norm(psi, axis=0)
         cayley_step_woodbury(f, psi, 1.0)
         tracing = tracemalloc.is_tracing()
@@ -238,6 +240,23 @@ class TestCayleyStepWoodbury:
             cayley_step_woodbury(f, random_state(rng, 6), 1.0)
         assert info.value.report.gram_condition > dynamics.GRAM_COND_FAIL
         assert calls == []
+
+    def test_batch_comes_back_state_major_with_its_elements_in_place(self):
+        # a (N, 2, 3) batch is stepped as the row-major columns (N, 6) of its reshape and
+        # given back in its own shape; a reshape in the array's own order would move them
+        rng = make_rng(15)
+        f = random_factors(rng, 10, 2)
+        psi = ginibre(rng, 10, 6)
+        psi /= np.linalg.norm(psi, axis=0)
+        for cols in (psi, np.asfortranarray(psi)):
+            assert cayley_step_woodbury(f, cols, 1.0)[0].flags.f_contiguous
+        assert cayley_step_woodbury(f, psi[:, 0], 1.0)[0].shape == (10,)
+        flat, _ = cayley_step_woodbury(f, psi, 1.0)
+        out, _ = cayley_step_woodbury(f, psi.reshape(10, 2, 3), 1.0)
+        assert out.shape == (10, 2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[:, i, j], flat[:, 3 * i + j])
 
     def test_batch_matches_loop(self):
         rng = make_rng(8)

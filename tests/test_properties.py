@@ -1,6 +1,7 @@
 """Property tests: the Woodbury Cayley step and its adjoint over random sizes,
 step lengths and scales of Phi and delta, and bit for bit against the same
-arithmetic with every intermediate in a fresh array; the factor-form
+arithmetic with every intermediate in a fresh array, for row-major and for
+state-major columns; the factor-form
 probability currents against the dense ones, and the stacked Hermitian check and dense currents
 against one matrix at a time, and the stacked row norms against one row at a
 time; the closed-form Hermitian lift against its explicit basis; the stacked
@@ -175,11 +176,13 @@ def test_conjugate_of_stored_inverse_diagonal_is_the_adjoints(delta, dt):
     assert np.conj(stored)[nonzero].tobytes() == fresh[nonzero].tobytes()
 
 
-def fresh_temporary_step(phi, delta, psi, dt, pieces=None):
+def fresh_temporary_step(phi, delta, psi, dt, pieces=None, state_major=False):
     """The Woodbury Cayley step of columns psi (..., N, k) and its report's column
     residuals and norm changes, each intermediate in a fresh array, through
     np.linalg.solve; with `pieces`, the adjoint solve A- s = psi of a step that filled
-    them, and 2s - psi in place of the step."""
+    them, and 2s - psi in place of the step. With `state_major`, the two (N, k) rank-r
+    products are formed column-contiguous, as the transposed products (b^T a^T)^T."""
+    product = transposed_product if state_major else np.matmul
     c = 0.5j * dt
     if pieces is None:
         inv_d = (1.0 / (1.0 + c * delta))[..., None]
@@ -195,12 +198,12 @@ def fresh_temporary_step(phi, delta, psi, dt, pieces=None):
     else:
         gram = pieces[1].conj().swapaxes(-1, -2)
     w = phi_h @ y / gram if r == 1 else np.linalg.solve(gram, phi_h @ y)
-    y -= p @ (c * w)
+    y -= product(p, c * w)
     out = 2.0 * y - psi
     if pieces is not None:
         return out, y
     resid = out + psi
-    applied = phi @ (c * (phi.swapaxes(-1, -2).conj() @ resid))
+    applied = product(phi, c * (phi.swapaxes(-1, -2).conj() @ resid))
     resid *= (1.0 + c * delta)[..., None]
     resid += applied
     resid -= 2.0 * psi
@@ -209,6 +212,16 @@ def fresh_temporary_step(phi, delta, psi, dt, pieces=None):
         return np.sqrt(np.vecdot(x, x, axis=-2).real)
 
     return out, norms(resid), np.abs(norms(out) - norms(psi))
+
+
+def transposed_product(a, b):
+    """a @ b of stacks (..., N, r) and (..., r, k), column-contiguous in each matrix."""
+    return (b.swapaxes(-1, -2) @ a.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def state_major(x):
+    """A copy of x (..., N, k) whose (N, k) matrices are column-contiguous."""
+    return x.swapaxes(-1, -2).copy().swapaxes(-1, -2)
 
 
 @st.composite
@@ -264,6 +277,33 @@ def test_step_reports_and_adjoint_equal_fresh_temporaries_bit_for_bit(case):
     # a fresh adjoint solve is the forward one at -dt
     fresh = 2.0 * _lowrank_solve(*_woodbury_system(phi, delta, -c), -c, g[..., None]) - g[..., None]
     assert same_bits(fresh, fresh_temporary_step(phi, delta, g[..., None], -dt)[0])
+
+
+@PROPERTY
+@given(step_stacks())
+def test_state_major_steps_equal_fresh_temporaries_in_their_layout(case):
+    # columns given state-major are solved and reported in that layout: the rank-r
+    # products round as transposed products, so the states stay within a few ulps of
+    # the row-major step of the same columns and come back state-major
+    phi, delta, psi, dt = case
+    s, c = phi.shape[0], 0.5j * dt
+    factors, cols = InteractionFactors(phi[0, 0], delta[0, 0]), state_major(psi)
+    out, report = cayley_step_woodbury(factors, cols[0, 0], dt)
+    want, resid, drift = fresh_temporary_step(phi[0, 0], delta[0, 0], cols[0, 0], dt,
+                                              state_major=True)
+    assert out.flags.f_contiguous and same_bits(out, want)
+    assert (report.residual, report.norm_change) == (resid.max(), drift.max())
+    rows, _ = cayley_step_woodbury(factors, psi[0, 0], dt)
+    assert np.abs(out - rows).max() <= 4 * np.finfo(float).eps * np.abs(psi[0, 0]).max()
+    dense = cayley_step_dense(factors.materialize(), cols[0, 0], dt)
+    assert np.abs(out - dense).max() < 1e-10
+
+    out = _cayley_step(_woodbury_system(phi, delta, c), cols, dt)  # stacked steps
+    want, resid, drift = fresh_temporary_step(phi, delta, cols, dt, state_major=True)
+    assert same_bits(out, want)
+    reports = _step_reports(phi, delta, cols, out, dt, [1.0] * s)
+    assert [(rep.residual, rep.norm_change) for rep in reports] == list(zip(
+        resid.reshape(s, -1).max(axis=1).tolist(), drift.reshape(s, -1).max(axis=1).tolist()))
 
 
 @PROPERTY
