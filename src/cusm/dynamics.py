@@ -18,9 +18,9 @@ psi_next in place on the first or in its trajectory row, and two in its report. 
 returns a batch state-major (column-contiguous), so a loop of steps reads contiguous columns
 after its first. evolve_full_batch writes a batch's trajectory into arrays allocated once, with
 each step's 1/(1 + c delta) and Gram matrix for the adjoint, and checks each step's Gram condition,
-residual and norm change after its time loop. Models with one fixed unitary or orthogonal matrix
-per token advance through evolve_fixed_batch; inverse_cayley recovers the Hermitian generators of
-such unitaries.
+residual and norm change after its time loop, into one CayleyStepReport of (T,) arrays. Models
+with one fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch;
+inverse_cayley recovers the Hermitian generators of such unitaries.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ class InteractionFactors:
 
 @dataclass
 class CayleyStepReport:
-    """Worst values over a step's stack; gram_condition is the a-priori bound of
-    the module docstring while that is <= GRAM_COND_WARN, else the SVD condition."""
+    """Worst values over a step's stack, or (T,) arrays of them for a trajectory's steps;
+    gram_condition is the a-priori bound of the module docstring while that is <=
+    GRAM_COND_WARN, else the SVD condition. A step warns where it is > GRAM_COND_WARN."""
 
-    gram_condition: float
-    residual: float
-    norm_change: float
-    warning: bool = False
+    gram_condition: float | np.ndarray
+    residual: float | np.ndarray
+    norm_change: float | np.ndarray
 
 
 def interaction_picture_factors(factors: InteractionFactors, frequencies: np.ndarray, t: int,
@@ -149,22 +149,19 @@ def _cayley_step(system: tuple, psi: np.ndarray, dt: float, out=None) -> np.ndar
     return np.subtract(z, psi, out=z if out is None else out)
 
 
-def _step_reports(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np.ndarray,
-                  dt: float, conds: list) -> list[CayleyStepReport]:
-    """Reports of Cayley steps psi -> out of columns (..., N, k) under phi and delta,
-    one per Gram condition in conds, stacked on a leading axis (or one step): the
-    worst residual ||A+ (out + psi) - 2 psi|| and norm change, as for each step alone."""
+def _step_residuals(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np.ndarray,
+                    dt: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(steps,) arrays of the worst residual ||A+ (out + psi) - 2 psi|| and norm change of
+    Cayley steps psi -> out of columns (..., N, k) under phi and delta, stacked on a leading
+    axis (or one step), as for each step alone: the scaling is out of place, as a
+    one-element in-place complex multiply rounds without the vector loop's fused multiply-add."""
     c = 0.5j * dt
-    resid = out + psi
-    applied = np.matmul(phi, c * (phi.swapaxes(-1, -2).conj() @ resid), out=np.empty_like(resid))
-    resid *= (1.0 + c * delta)[..., None]
-    resid += applied
-    resid -= np.multiply(2.0, psi, out=applied)
-    worst = [x.reshape(len(conds), -1).max(axis=1).tolist() for x in (
-        _column_norms(resid), np.abs(_column_norms(out) - _column_norms(psi)))]
-    return [CayleyStepReport(gram_condition=cond, residual=res, norm_change=drift,
-                             warning=cond > GRAM_COND_WARN)
-            for cond, res, drift in zip(conds, *worst)]
+    summed = out + psi
+    resid = summed * (1.0 + c * delta)[..., None]
+    resid += np.matmul(phi, c * (phi.swapaxes(-1, -2).conj() @ summed), out=summed)
+    resid -= np.multiply(2.0, psi, out=summed)
+    return tuple(x.reshape(steps, -1).max(axis=1) for x in (
+        _column_norms(resid), np.abs(_column_norms(out) - _column_norms(psi))))
 
 
 def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
@@ -181,8 +178,9 @@ def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
     cond = _gram_conditions(factors.phi[None], c, system[3][None])[0]
     out = _cayley_step(system, cols, dt)
     del system  # its (N, r) pieces, before the report's (N, k) arrays
-    report = _step_reports(factors.phi, factors.delta, cols, out, dt, [cond])[0]
-    return np.asfortranarray(out).reshape(psi.shape), report
+    residual, norm_change = _step_residuals(factors.phi, factors.delta, cols, out, dt, 1)
+    return (np.asfortranarray(out).reshape(psi.shape),
+            CayleyStepReport(cond, residual.item(), norm_change.item()))
 
 
 def _checked_tokens(tokens, size: int) -> np.ndarray:
@@ -254,9 +252,9 @@ def evolve_full_batch(model, tokens: np.ndarray):
     are phase-conjugated into the interaction picture, and one stacked Woodbury solve
     advances all B states. The stacked checks follow, raising at the first ill-conditioned
     step. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N, r), delta
-    (T, B, N), a view of the network's output), one report per step, the network's layer
-    inputs and output (T, B, width) and the solves' pieces for their adjoints:
-    1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
+    (T, B, N), a view of the network's output), the checks (a CayleyStepReport of (T,) arrays),
+    the network's layer inputs and output (T, B, width) and the solves' pieces for their
+    adjoints: 1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
     """
     from .hamgen import mlp_buffers, mlp_forward_cached, split_factor_output
 
@@ -280,28 +278,28 @@ def evolve_full_batch(model, tokens: np.ndarray):
         mlp_forward_cached(model.mlp, x[step], layer_rows[step])
         np.multiply(phases[step], raw.phi[step], out=phi[step])
         return _woodbury_system(phi[step], delta[step], c, inv_d[step], gram[step])
+    checks = CayleyStepReport(np.empty(steps), np.empty(steps), np.empty(steps))
     try:  # unchecked until a floating-point event, which a failing step may raise
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for step in range(steps):
                 _cayley_step(advance(step), cols[step], dt, cols[step + 1])
     except FloatingPointError:  # rerun checked, so that no step past a failing one warns
-        conds = []
         for step in range(steps):
             system = advance(step)
-            conds += _gram_conditions(phi[step:step + 1], c, gram[step:step + 1], step)
+            checks.gram_condition[step] = _gram_conditions(phi[step:step + 1], c,
+                                                           gram[step:step + 1], step)[0]
             _cayley_step(system, cols[step], dt, cols[step + 1])
     else:
-        conds = _gram_conditions(phi, c, gram, first=0)
-    reports = []
+        checks.gram_condition = np.array(_gram_conditions(phi, c, gram, first=0))
     for start in range(0, steps, CHECK_CHUNK_STEPS):
-        stop = min(start + CHECK_CHUNK_STEPS, steps)
-        reports += _step_reports(phi[start:stop], delta[start:stop], cols[start:stop],
-                                 cols[start + 1:stop + 1], dt, conds[start:stop])
-    return cols[..., 0], InteractionFactors(phi, delta), reports, acts, (inv_d, gram)
+        chunk = slice(start, start + CHECK_CHUNK_STEPS)  # the last may be shorter
+        checks.residual[chunk], checks.norm_change[chunk] = _step_residuals(
+            phi[chunk], delta[chunk], cols[:-1][chunk], cols[1:][chunk], dt, len(phi[chunk]))
+    return cols[..., 0], InteractionFactors(phi, delta), checks, acts, (inv_d, gram)
 
 
 def evolve_full_model(model, tokens):
     """evolve_full_batch for one sequence: (trajectory (T+1, N), interaction-picture
-    factors stacked (T, N, r) and (T, N), reports)."""
-    states, factors, reports = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))[:3]
-    return states[:, 0], factors[:, 0], reports
+    factors stacked (T, N, r) and (T, N), the checks of (T,) arrays)."""
+    states, factors, checks = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))[:3]
+    return states[:, 0], factors[:, 0], checks

@@ -41,7 +41,7 @@ from cusm.dynamics import (
     _gram_conditions,
     _lowrank_solve,
     _solve,
-    _step_reports,
+    _step_residuals,
     _woodbury_system,
     cayley_step_dense,
     cayley_step_woodbury,
@@ -138,7 +138,7 @@ def test_gram_condition_bounds_svd_and_decides_as_svd(case, tilt):
         assert exc.report.gram_condition > GRAM_COND_FAIL
         assert exc.report.gram_condition == pytest.approx(exact, rel=1e-3)
         return
-    assert report.warning == (exact > GRAM_COND_WARN)
+    assert (report.gram_condition > GRAM_COND_WARN) == (exact > GRAM_COND_WARN)
     if bound <= GRAM_COND_WARN:
         assert report.gram_condition == pytest.approx(bound, rel=1e-12)
         assert exact <= report.gram_condition * (1.0 + 1e-9)
@@ -202,9 +202,9 @@ def fresh_temporary_step(phi, delta, psi, dt, pieces=None, state_major=False):
     out = 2.0 * y - psi
     if pieces is not None:
         return out, y
-    resid = out + psi
-    applied = product(phi, c * (phi.swapaxes(-1, -2).conj() @ resid))
-    resid *= (1.0 + c * delta)[..., None]
+    summed = out + psi
+    applied = product(phi, c * (phi.swapaxes(-1, -2).conj() @ summed))
+    resid = summed * (1.0 + c * delta)[..., None]
     resid += applied
     resid -= 2.0 * psi
 
@@ -254,18 +254,17 @@ def test_step_reports_and_adjoint_equal_fresh_temporaries_bit_for_bit(case):
     want, resid, drift = fresh_temporary_step(phi[0, 0], delta[0, 0], psi[0, 0], dt)
     cond = _gram_conditions(phi[:1, 0], c, _woodbury_system(phi[0, 0], delta[0, 0], c)[3][None])[0]
     assert same_bits(out, want)
-    assert (report.gram_condition, report.warning) == (cond, cond > GRAM_COND_WARN)
+    assert report.gram_condition == cond
     assert (report.residual, report.norm_change) == (resid.max(), drift.max())
+    assert all(type(value) is float for value in dataclasses.astuple(report))
 
     cols = psi[..., :1]  # stacked steps as evolve_full_batch takes them
     system = _woodbury_system(phi, delta, c)
-    conds = _gram_conditions(phi[None], c, system[3][None])[0]
     out = _cayley_step(system, cols, dt)
     want, resid, drift = fresh_temporary_step(phi, delta, cols, dt)
     assert same_bits(out, want)
-    reports = _step_reports(phi, delta, cols, out, dt, [conds] * s)
-    assert [(rep.residual, rep.norm_change) for rep in reports] == list(zip(
-        resid.reshape(s, -1).max(axis=1).tolist(), drift.reshape(s, -1).max(axis=1).tolist()))
+    for got, worst in zip(_step_residuals(phi, delta, cols, out, dt, s), (resid, drift)):
+        assert same_bits(got, worst.reshape(s, -1).max(axis=1))
 
     pieces = system[2:]
     g = psi[..., 0].conj()
@@ -301,9 +300,8 @@ def test_state_major_steps_equal_fresh_temporaries_in_their_layout(case):
     out = _cayley_step(_woodbury_system(phi, delta, c), cols, dt)  # stacked steps
     want, resid, drift = fresh_temporary_step(phi, delta, cols, dt, state_major=True)
     assert same_bits(out, want)
-    reports = _step_reports(phi, delta, cols, out, dt, [1.0] * s)
-    assert [(rep.residual, rep.norm_change) for rep in reports] == list(zip(
-        resid.reshape(s, -1).max(axis=1).tolist(), drift.reshape(s, -1).max(axis=1).tolist()))
+    for got, worst in zip(_step_residuals(phi, delta, cols, out, dt, s), (resid, drift)):
+        assert same_bits(got, worst.reshape(s, -1).max(axis=1))
 
 
 @PROPERTY
@@ -697,8 +695,8 @@ def test_fixed_batch_grad_equals_the_per_kind_oracles_bit_for_bit(kind, dim, ext
 def checked_in_loop(model, tokens):
     """evolve_full_batch's results as a loop that checks each step's Gram matrices
     before it solves them and copies each fresh psi' into the trajectory: the states,
-    phi, delta, 1/(1 + c delta), Gram matrices, layer rows and the reports, stacked
-    over CHECK_CHUNK_STEPS steps after the loop."""
+    phi, delta, 1/(1 + c delta), Gram matrices, layer rows and the checks, one report
+    of (T,) arrays whose residuals are stacked over CHECK_CHUNK_STEPS steps after the loop."""
     mlp, n, r, dt, (batch, steps) = model.mlp, model.n, model.r, model.dt, tokens.shape
     c = 0.5j * dt
     widths = [model.d + 2 * n, *(w.shape[0] for w in mlp.weights)]
@@ -741,16 +739,21 @@ def checked_in_loop(model, tokens):
         y *= 2.0
         states[t + 1] = np.subtract(y, states[t], out=y)
         conds.append(cond)
-    reports = []
+    residuals, norm_changes = [], []
     for start in range(0, steps, CHECK_CHUNK_STEPS):
         stop = min(start + CHECK_CHUNK_STEPS, steps)
-        reports += _step_reports(phi[start:stop], delta[start:stop], states[start:stop],
-                                 states[start + 1:stop + 1], dt, conds[start:stop])
-    return states[..., 0], phi, delta, inv_d, gram, acts, reports
+        residual, norm_change = _step_residuals(phi[start:stop], delta[start:stop],
+                                                states[start:stop], states[start + 1:stop + 1],
+                                                dt, stop - start)
+        residuals += residual.tolist()
+        norm_changes += norm_change.tolist()
+    checks = CayleyStepReport(np.array(conds), np.array(residuals), np.array(norm_changes))
+    return states[..., 0], phi, delta, inv_d, gram, acts, checks
 
 
-def report_bits(reports) -> list:
-    return [np.array(dataclasses.astuple(rep)).tobytes() for rep in reports]
+def report_bits(report) -> list:
+    """The bytes of each field of a report, of floats or of arrays."""
+    return [np.asarray(value, dtype=float).tobytes() for value in dataclasses.astuple(report)]
 
 
 def blown_up_model(scale: float, twin: bool = False):
@@ -795,7 +798,7 @@ def forward_or_failure(evolve, model, tokens):
     try:
         return evolve(model, tokens)
     except IllConditionedStepError as exc:
-        return exc.step, str(exc), report_bits([exc.report])
+        return exc.step, str(exc), report_bits(exc.report)
 
 
 @PROPERTY
@@ -807,12 +810,12 @@ def test_gram_check_after_the_loop_equals_the_check_in_it_bit_for_bit(run):
     if isinstance(want[0], int):  # the first ill-conditioned step, as the loop check raised it
         assert got == want
         return
-    states, factors, reports, acts, (inv_d, gram) = got
-    *arrays, want_acts, want_reports = want
+    states, factors, checks, acts, (inv_d, gram) = got
+    *arrays, want_acts, want_checks = want
     for array, expected in zip((states, factors.phi, factors.delta, inv_d, gram, *acts),
                                (*arrays, *want_acts), strict=True):
         assert same_bits(array, expected)
-    assert report_bits(reports) == report_bits(want_reports)
+    assert report_bits(checks) == report_bits(want_checks)
 
 
 @pytest.mark.parametrize("scale, twin", [(1e7, False), (1e160, False), (1e9, True)])
