@@ -12,15 +12,14 @@ the midpoint current, dense or factored as below.
 For the low-rank generator H = Phi Phi^dag + diag(delta) the diagonal shift
 drives no current, so J = 2 Im(X X^dag) with X = c^* o Phi (N x r): J is
 Im(X) Re(X)^T minus its transpose, twice, of rank at most 2r, and its row
-sums 2 Im(X (X^dag 1)) cost O(N r). factor_current and its companions take
-stacks of factors (..., N, r) and amplitudes (..., N) and never build H.
+sums 2 Im(X (X^dag 1)) cost O(N r). The factor_* functions take stacks of
+factors (..., N, r) and amplitudes (..., N) and never build H.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import InteractionFactors
 from .numerics import check_hermitian, row_norms
 
 # steps of J formed at once by factor_total_current; at N=64, T=256, r=4
@@ -56,20 +55,15 @@ def continuity_balance(states: np.ndarray, dt: float,
 
 
 def _half_current(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """M - M^T with M = Im(X) Re(X)^T: half of factor_current, a new array."""
+    """M - M^T with M = Im(X) Re(X)^T, a new array: half the current J (..., N, N) of
+    H = Phi Phi^dag + diag(delta) at amplitudes c (..., N), for any delta."""
     x = c.conj()[..., None] * phi
     m = x.imag @ x.real.swapaxes(-1, -2)
     return m - m.swapaxes(-1, -2)
 
 
-def factor_current(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The current J (..., N, N) of H = Phi Phi^dag + diag(delta) at amplitudes
-    c (..., N), for any delta; exactly antisymmetric."""
-    return 2.0 * _half_current(phi, c)
-
-
 def factor_current_rows(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Row sums J 1 (..., N) of factor_current, at O(N r)."""
+    """Row sums J 1 (..., N) of that current, at O(N r)."""
     x = c.conj()[..., None] * phi
     return 2.0 * np.imag(x @ x.sum(axis=-2).conj()[..., None])[..., 0]
 
@@ -86,15 +80,6 @@ def factor_total_current(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
         half = _half_current(phi[chunk], c[chunk])
         totals[chunk] = np.abs(half, out=half).sum(axis=(-2, -1))
     return totals
-
-
-def channel_currents(factors: InteractionFactors, psi: np.ndarray) -> np.ndarray:
-    """Per-channel currents, one antisymmetric N x N matrix per column of Phi.
-
-    factor_current of each column alone; their sum is the current of the
-    materialized interaction Hamiltonian.
-    """
-    return factor_current(np.moveaxis(factors.phi, -1, 0)[..., None], psi)
 
 
 def total_current(j: np.ndarray) -> float | np.ndarray:

@@ -54,10 +54,6 @@ class InteractionFactors:
     def dim(self) -> int:
         return self.phi.shape[-2]
 
-    @property
-    def rank(self) -> int:
-        return self.phi.shape[-1]
-
     def __getitem__(self, index) -> InteractionFactors:
         """The factors at `index` of the leading stack axes."""
         return InteractionFactors(self.phi[index], self.delta[index])
@@ -71,8 +67,8 @@ class InteractionFactors:
 @dataclass
 class CayleyStepReport:
     """Worst values over a step's stack, or (T,) arrays of them for a trajectory's steps;
-    gram_condition is the a-priori bound of the module docstring while that is <=
-    GRAM_COND_WARN, else the SVD condition. A step warns where it is > GRAM_COND_WARN."""
+    gram_condition takes per factor the a-priori bound of the module docstring while that
+    is <= GRAM_COND_WARN, else its SVD condition. A step is flagged above GRAM_COND_WARN."""
 
     gram_condition: float | np.ndarray
     residual: float | np.ndarray
@@ -103,14 +99,19 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 
 def _gram_conditions(phi: np.ndarray, c: complex, gram: np.ndarray, first=None) -> list:
     """The gram_condition of CayleyStepReport for steps stacked on the leading axis of phi
-    (S, ..., N, r) and gram (S, ..., r, r); fails at the first bad one, as step first + s."""
+    (S, ..., N, r) and gram (S, ..., r, r); fails at the first bad one, as step first + s.
+    A step's bound is its stack's largest; only a step flagged by it runs an SVD."""
     squares = np.vecdot(phi, phi, axis=-2).real.sum(-1)
     conds = squares.max(axis=tuple(range(1, squares.ndim))).tolist()
     for s, (square, g) in enumerate(zip(conds, gram)):
         root = 1.0 + abs(c) * square
         conds[s] = cond = root * root  # a float product overflows to inf, where ** raises
         if not cond <= GRAM_COND_WARN:  # inf and NaN too; a non-finite G, whose SVD raises, is NaN
-            conds[s] = cond = float(np.linalg.cond(g).max()) if np.isfinite(g).all() else np.nan
+            # per factor, its own bound where that is <= GRAM_COND_WARN, else its SVD condition
+            roots = [1.0 + abs(c) * x for x in np.ravel(squares[s]).tolist()]
+            bounds = np.array([x * x for x in roots])
+            svds = np.linalg.cond(g).ravel() if np.isfinite(g).all() else np.nan
+            conds[s] = cond = float(np.where(bounds <= GRAM_COND_WARN, bounds, svds).max())
         if not cond <= GRAM_COND_FAIL:
             reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}"
                       if cond > GRAM_COND_FAIL else "has a non-finite entry")

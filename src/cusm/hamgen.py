@@ -77,13 +77,11 @@ def mlp_buffers(mlp: MlpParams, lead: tuple, width: int) -> list:
     return [np.empty((*lead, k)) for k in widths]
 
 
-def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list | None = None):
+def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list):
     """Forward pass of one input or of rows (B, in): the output and each layer's
     input. Layer l writes its output into out[l], rows the caller took from
-    mlp_buffers, or into a new array."""
-    h = np.asarray(x, dtype=float)
-    out = mlp_buffers(mlp, h.shape[:-1], h.shape[-1])[1:] if out is None else out
-    inputs = [h, *out[:-1]]
+    mlp_buffers."""
+    h, inputs = x, [x, *out[:-1]]
     for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         h = np.matmul(h, w.T, out=out[layer])  # this layer's output, the next one's input
         h += b
@@ -92,17 +90,17 @@ def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list | None = None):
     return h, inputs
 
 
-def mlp_backward(mlp: MlpParams, inputs: list, out: list):
+def mlp_backward(mlp: MlpParams, inputs: list, out: list) -> np.ndarray:
     """Reverse sweep of the output gradient that the caller put in out[-1], in place through
     the rows `out` from mlp_buffers, on the inputs cached by mlp_forward_cached for one input
-    or rows (B, in): each layer's pre-activation gradient rows (B, out_l), for
-    mlp_weight_grads, and the input gradient."""
+    or rows (B, in): out[l + 1] ends as layer l's pre-activation gradient rows (B, out_l),
+    for mlp_weight_grads, and out[0] as the input gradient, which is returned."""
     for layer in range(len(mlp.weights) - 1, -1, -1):
         np.matmul(out[layer + 1], mlp.weights[layer], out=out[layer])
         if layer:
             # tanh'(z) = 1 - tanh(z)^2, and tanh(z) is this layer's input
             out[layer] *= 1.0 - inputs[layer] ** 2
-    return out[1:], out[0]
+    return out[0]
 
 
 def mlp_weight_grads(inputs: list, g_pre: list) -> tuple[list, list]:
@@ -120,15 +118,6 @@ def split_factor_output(out: np.ndarray, n: int, r: int) -> InteractionFactors:
         raise ConfigurationError(f"output width {out.shape[-1]} != 2*N*r + N = {2 * n * r + n}")
     phi = out[..., : 2 * n * r].view(complex).reshape(*out.shape[:-1], r, n).swapaxes(-1, -2)
     return InteractionFactors(phi=phi, delta=out[..., 2 * n * r :])
-
-
-def generate_interaction(
-    mlp: MlpParams, embed_vec: np.ndarray, state: np.ndarray, r: int
-) -> InteractionFactors:
-    """Run the generator network on (embedding, Re/Im of state) and assemble (Phi, delta)."""
-    n = state.shape[0]
-    x = np.concatenate([embed_vec, state.real, state.imag])
-    return split_factor_output(mlp_forward_cached(mlp, x)[0], n, r)
 
 
 def init_mlp(in_width: int, out_width: int, hidden: list[int], seed: int) -> MlpParams:

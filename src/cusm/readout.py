@@ -16,8 +16,8 @@ from .numerics import thin_qr_unique
 PROB_FLOOR = 1e-300
 
 
-def project_measurement(raw: np.ndarray, with_r: bool = False):
-    """Replace M^dag by the Q factor of its thin QR, so MM^dag = I; with_r, R too."""
+def project_measurement(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replace M^dag by the Q factor of its thin QR, so MM^dag = I: (M, R)."""
     raw = np.asarray(raw, dtype=complex)
     n, v = raw.shape
     if v < n:
@@ -26,7 +26,7 @@ def project_measurement(raw: np.ndarray, with_r: bool = False):
         q, r = thin_qr_unique(raw.conj().T)
     except DegenerateFactorizationError as exc:
         raise DegenerateMeasurementError("raw measurement matrix is row-rank deficient") from exc
-    return (q.conj().T, r) if with_r else q.conj().T
+    return q.conj().T, r
 
 
 def born_probabilities(meas: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -56,7 +56,6 @@ def density_matrix(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def floored_log(p: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Elementwise log with underflow floor; flags whether the floor fired."""
-    floored = bool(np.any(p < PROB_FLOOR))
-    return np.log(np.maximum(p, PROB_FLOOR)), floored
+def floored_log(p: np.ndarray) -> np.ndarray:
+    """Elementwise log with underflow floor."""
+    return np.log(np.maximum(p, PROB_FLOOR))

@@ -250,7 +250,7 @@ def target_table(task: TaskInstance) -> TargetTable:
         warnings.warn(
             f"target table entry {min_entry:.3e} is near zero; genericity premise at risk"
         )
-    lstar, _ = floored_log(pstar)
+    lstar = floored_log(pstar)
     return TargetTable(pstar=pstar, lstar=lstar, min_entry=min_entry)
 
 
@@ -306,16 +306,16 @@ def build_exact_cusm(task: TaskInstance) -> CusmParams:
                       measurement=task.measurement)
 
 
-def random_rosm(d: int, task: TaskInstance, seed: int, scale: float = 1.0) -> RosmParams:
+def random_rosm(d: int, task: TaskInstance, seed: int) -> RosmParams:
     """Random baseline over the task's alphabet (2n + 1 tokens) and vocabulary."""
     rng = make_rng(seed, stream=55)
     h0 = rng.standard_normal(d)
     h0 /= np.linalg.norm(h0)
     return RosmParams(
         h0=h0,
-        gens=rng.standard_normal((2 * task.n + 1, d, d)) * scale,
-        out_weights=rng.standard_normal((task.v, d)) * scale,
-        bias=rng.standard_normal(task.v) * scale,
+        gens=rng.standard_normal((2 * task.n + 1, d, d)),
+        out_weights=rng.standard_normal((task.v, d)),
+        bias=rng.standard_normal(task.v),
     )
 
 
@@ -336,7 +336,7 @@ def softmax_rank_audits(rosms: list, task: TaskInstance) -> list[dict]:
     for d, members in by_dim.items():
         stack = RosmParams(*map(np.stack, zip(*(rosms[k].arrays() for k in members))))
         states = evolve_fixed_batch(stack.transitions(), stack.state0(), tokens)
-        logp, _ = floored_log(stack.readout(states[-1]))
+        logp = floored_log(stack.readout(states[-1]))
         for k, rank in zip(members, numerical_rank(logp, rel_tol=AUDIT_RANK_TOL)):
             audits[k] = {"rank_Lbar": int(rank), "bound": d + 2, "satisfied": bool(rank <= d + 2)}
     return audits

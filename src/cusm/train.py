@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (InteractionFactors, _gram_conditions, _lowrank_solve, _woodbury_system,
-                       cayley_map, evolve_fixed_batch, evolve_full_batch)
+from .dynamics import (InteractionFactors, _lowrank_solve, cayley_map, evolve_fixed_batch,
+                       evolve_full_batch)
 from .exceptions import ConfigurationError
 from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_grads,
                      split_factor_output)
@@ -81,20 +81,15 @@ def entropy_floor(table: TargetTable) -> float:
 # adjoint building blocks
 
 def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
-                       pieces=None) -> tuple[np.ndarray, np.ndarray]:
+                       pieces: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
     The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the adjoint norm is
     exactly preserved: solve A- s = g (A- = A+^dag), and then A+ s = 2s - g because A+ + A- = 2I.
     Returns 2s - g and s, both shaped like g. A- takes the conjugates of the forward step's
-    1/(1 + c delta) and G+: `pieces`, as evolve_full_batch stores them, or else those built and
-    checked here as cayley_step_woodbury does.
+    1/(1 + c delta) and G+, the `pieces` that evolve_full_batch stores.
     """
-    phi, c = factors.phi, 0.5j * dt
-    if pieces is None:
-        pieces = _woodbury_system(phi, factors.delta, c)[2:]
-        _gram_conditions(phi[None], c, pieces[1][None])
-    inv_d = np.conj(pieces[0])
+    phi, inv_d = factors.phi, np.conj(pieces[0])
     s = _lowrank_solve(phi.swapaxes(-1, -2).conj(), phi * inv_d[..., None], inv_d,
                        pieces[1].conj().swapaxes(-1, -2), -0.5j * dt, g[..., None])[..., 0]
     back = 2.0 * s  # 2s - g in one array of its own: s is returned too
@@ -142,7 +137,7 @@ def _born_readout_vjp(meas: np.ndarray, psi: np.ndarray, weights: np.ndarray):
     g_z = 2.0 * g_p * z
     g_psi = meas @ g_z
     g_meas = psi @ g_z.conj().T
-    logs, _ = floored_log(p)
+    logs = floored_log(p)
     loss = float(-np.vdot(weights, logs))
     return loss, g_psi, g_meas
 
@@ -159,7 +154,7 @@ def _full_readout(model: FullModelParams, tokens: np.ndarray, target_weights: np
     interaction picture; the measurement and its R; and evolve_full_batch's results."""
     forward = evolve_full_batch(model, tokens)
     states, dt = forward[0], model.dt
-    meas, r_meas = project_measurement(model.meas_raw, with_r=True)
+    meas, r_meas = project_measurement(model.meas_raw)
     # row t undoes the interaction picture at time t*dt
     phases = np.exp(-1j * np.outer(np.arange(len(states)) * dt, model.frequencies))
     loss, g_states, g_meas, g_lam = 0.0, {}, np.zeros_like(meas), np.zeros(model.n)
@@ -227,7 +222,7 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
         np.negative(np.real(c * s.conj() * us[t, :, 0]), out=g_factors.delta[t])
 
         # generator network, on the activations of the forward pass
-        _, g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]], [g[t] for g in g_acts])
+        g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]], [g[t] for g in g_acts])
         g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
     # d phi_ip / d lam = i t dt phi_ip, and phi_ip conj(g_phi_ip) = phi conj(g_phi)
@@ -402,7 +397,7 @@ def _born_batch_vjp(params: TrainableCusm, final: np.ndarray, targets: np.ndarra
                     scale: float) -> tuple[float, np.ndarray, list]:
     """The Born readout's summed loss over final state rows (B, N), its gradient
     there, and the measurement's gradient times scale."""
-    meas, r_meas = project_measurement(params.meas_raw, with_r=True)
+    meas, r_meas = project_measurement(params.meas_raw)
     loss, g_psi, g_meas = _born_readout_vjp(meas, final.T, targets.T)
     return loss, g_psi.T, [_qr_projection_vjp(meas, r_meas, scale * g_meas)]
 
@@ -411,7 +406,7 @@ def _softmax_batch_vjp(params: RosmParams, final: np.ndarray, targets: np.ndarra
                        scale: float) -> tuple[float, np.ndarray, list]:
     """As _born_batch_vjp, for the affine-softmax readout and its weights and bias."""
     q = params.readout(final)
-    logs, _ = floored_log(q)
+    logs = floored_log(q)
     g_logits = q * targets.sum(axis=1, keepdims=True) - targets
     return (-float(np.vdot(targets, logs)), g_logits @ params.out_weights,
             [scale * (g_logits.T @ final), scale * g_logits.sum(axis=0)])
@@ -543,6 +538,6 @@ def readout_ablation(model: CusmParams, tokens: np.ndarray, targets: np.ndarray)
     the magnitude-only readout, over (B, T) token ids with (B, V) target rows."""
     psi = evolve_fixed_batch(model.unitaries, model.psi0, tokens)[-1]
     nll_born, _, _ = _born_readout_vjp(model.measurement, psi.T, targets.T)
-    logs_d, _ = floored_log(diagonal_only_probabilities(model.measurement, psi.T))
+    logs_d = floored_log(diagonal_only_probabilities(model.measurement, psi.T))
     return {"nll_born": nll_born / len(tokens),
             "nll_diagonal": -float(np.vdot(targets.T, logs_d)) / len(tokens)}

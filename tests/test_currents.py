@@ -1,11 +1,10 @@
 import numpy as np
+from test_properties import channel_currents, factor_current
 
 from cusm.cli import TOLERANCES
 from cusm.currents import (
-    channel_currents,
     continuity_balance,
     continuous_current,
-    factor_current,
     factor_current_rows,
     factor_total_current,
     midpoint_current,

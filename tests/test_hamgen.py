@@ -4,9 +4,10 @@ import pytest
 from cusm import hamgen
 from cusm.codec import write_json
 from cusm.exceptions import ConfigurationError, DegenerateInitializationError
+from test_properties import generate_interaction
+
 from cusm.hamgen import (
     MlpParams,
-    generate_interaction,
     init_full_model,
     load_model,
     mlp_backward,
@@ -52,16 +53,21 @@ class TestInitialState:
             initial_state(np.full(3, entry) + 1j * np.zeros(3))
 
 
+def forward(mlp, x):
+    """mlp_forward_cached of x (..., in), into rows from mlp_buffers."""
+    return mlp_forward_cached(mlp, x, mlp_buffers(mlp, x.shape[:-1], x.shape[-1])[1:])
+
+
 class TestMlpForward:
     def test_zero_everything(self):
         mlp = MlpParams(weights=[np.zeros((3, 2)), np.zeros((4, 3))],
                         biases=[np.zeros(3), np.zeros(4)])
-        assert np.array_equal(mlp_forward_cached(mlp, np.zeros(2))[0], np.zeros(4))
+        assert np.array_equal(forward(mlp, np.zeros(2))[0], np.zeros(4))
 
     def test_single_identity_layer(self):
         mlp = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         x = np.array([0.2, -1.0, 4.0])
-        assert np.array_equal(mlp_forward_cached(mlp, x)[0], x)
+        assert np.array_equal(forward(mlp, x)[0], x)
 
     def test_scalar_recomputation(self):
         w0 = np.array([[0.5, -0.3], [1.2, 0.1]])
@@ -72,12 +78,12 @@ class TestMlpForward:
         x = np.array([0.9, -0.4])
         hidden = np.tanh(w0 @ x + b0)
         expected = w1 @ hidden + b1
-        assert np.abs(mlp_forward_cached(mlp, x)[0] - expected).max() < 1e-14
+        assert np.abs(forward(mlp, x)[0] - expected).max() < 1e-14
 
     def test_width_mismatch(self):
         mlp = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         with pytest.raises(ConfigurationError):
-            mlp_forward_cached(mlp, np.zeros(2))
+            forward(mlp, np.zeros(2))
 
 
 class TestMlpBackward:
@@ -86,11 +92,11 @@ class TestMlpBackward:
         mlp = MlpParams(weights=[rng.standard_normal((4, 3)), rng.standard_normal((2, 4))],
                         biases=[rng.standard_normal(4), rng.standard_normal(2)])
         x, g_out = rng.standard_normal(3), rng.standard_normal(2)
-        single, rows = mlp_forward_cached(mlp, x)[1], mlp_forward_cached(mlp, x[None])[1]
+        single, rows = forward(mlp, x)[1], forward(mlp, x[None])[1]
         g_rows, r_rows = mlp_buffers(mlp, (), 3), mlp_buffers(mlp, (1,), 3)
         g_rows[-1][...], r_rows[-1][...] = g_out, g_out[None]
-        g_pre, g_x = mlp_backward(mlp, single, g_rows)
-        r_pre, r_x = mlp_backward(mlp, rows, r_rows)
+        g_x, r_x = mlp_backward(mlp, single, g_rows), mlp_backward(mlp, rows, r_rows)
+        g_pre, r_pre = g_rows[1:], r_rows[1:]  # the pre-activation gradients, in place
         g_w, g_b = mlp_weight_grads(single, g_pre)
         r_w, r_b = mlp_weight_grads(rows, r_pre)
         assert g_x.shape == x.shape and np.array_equal(g_x, r_x[0])

@@ -10,7 +10,9 @@ bit-exact task and model file round trips, which reject a task that breaks
 its physics and a model without a start state; the one fixed-transition
 batch gradient bit for bit against the per-kind functions it replaced; and the
 full model's forward pass, which checks its Gram matrices after the time loop,
-bit for bit against a loop that checks each step before solving it."""
+bit for bit against a loop that checks each step before solving it. It also holds
+the reference forms that no command runs and other test modules import: the
+factor-form current, the per-channel currents and one generator-network call."""
 
 import dataclasses
 import os
@@ -24,8 +26,8 @@ from hypothesis.extra import numpy as hnp
 from test_numerics import explicit_hermitian_basis, vec_by_basis
 
 from cusm.currents import (
+    _half_current,
     continuous_current,
-    factor_current,
     factor_current_rows,
     factor_total_current,
     midpoint_current,
@@ -51,7 +53,8 @@ from cusm.dynamics import (
 )
 from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
                              IllConditionedStepError, NonHermitianError)
-from cusm.hamgen import init_full_model, load_model, save_model
+from cusm.hamgen import (init_full_model, load_model, mlp_buffers, mlp_forward_cached, save_model,
+                         split_factor_output)
 from cusm.numerics import (check_hermitian, ginibre, initial_state, make_rng, numerical_rank,
                            row_norms, vec_hermitian)
 from cusm.readout import floored_log, project_measurement
@@ -80,6 +83,29 @@ from cusm.train import (
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
+# ---------------------------------------------------------------------------
+# reference forms that no command runs
+
+def factor_current(phi, c):
+    """The current J (..., N, N) of H = Phi Phi^dag + diag(delta) at amplitudes
+    c (..., N), for any delta; exactly antisymmetric."""
+    return 2.0 * _half_current(phi, c)
+
+
+def channel_currents(factors, psi):
+    """Per-channel currents, one antisymmetric N x N matrix per column of Phi:
+    factor_current of each column alone; their sum is the current of the
+    materialized interaction Hamiltonian."""
+    return factor_current(np.moveaxis(factors.phi, -1, 0)[..., None], psi)
+
+
+def generate_interaction(mlp, embed_vec, state, r):
+    """Run the generator network on (embedding, Re/Im of state) and assemble (Phi, delta)."""
+    x = np.concatenate([embed_vec, state.real, state.imag])
+    out = mlp_forward_cached(mlp, x, mlp_buffers(mlp, (), x.size)[1:])[0]
+    return split_factor_output(out, state.shape[0], r)
+
+
 @st.composite
 def step_cases(draw, phi_exponents=(-2, 1)):
     """(factors, unit state columns (N, k), dt), drawn through a numpy seed;
@@ -101,7 +127,7 @@ def gram_svd_condition(factors, dt):
     """Condition of I + c Phi^dag diag(1 + c delta)^{-1} Phi, c = i dt/2, by SVD."""
     c = 0.5j * dt
     p = factors.phi / (1.0 + c * factors.delta)[:, None]
-    return np.linalg.cond(np.eye(factors.rank) + c * (factors.phi.conj().T @ p))
+    return np.linalg.cond(np.eye(factors.phi.shape[-1]) + c * (factors.phi.conj().T @ p))
 
 
 @PROPERTY
@@ -151,7 +177,8 @@ def test_gram_condition_bounds_svd_and_decides_as_svd(case, tilt):
 def test_adjoint_step_is_the_conjugate_transpose(case):
     factors, psi, dt = case
     g = ginibre(make_rng(7), factors.dim, psi.shape[1]).T   # adjoint rows (k, N)
-    pulled, _ = adjoint_state_step(factors, dt, g)
+    pulled, _ = adjoint_state_step(factors, dt, g,
+                                   _woodbury_system(factors.phi, factors.delta, 0.5j * dt)[2:])
     assert np.abs(np.linalg.norm(pulled, axis=1) - np.linalg.norm(g, axis=1)).max() \
         < 1e-10 * np.linalg.norm(g, axis=1).max()
     stepped, _ = cayley_step_woodbury(factors, psi, dt)
@@ -269,10 +296,9 @@ def test_step_reports_and_adjoint_equal_fresh_temporaries_bit_for_bit(case):
     pieces = system[2:]
     g = psi[..., 0].conj()
     want, s_want = fresh_temporary_step(phi, delta, g[..., None], dt, pieces)
-    for stored in (None, pieces):  # without pieces, it builds the forward ones itself
-        pulled, solved = adjoint_state_step(InteractionFactors(phi, delta), dt, g, stored)
-        assert same_bits(pulled, want[..., 0])
-        assert same_bits(solved, s_want[..., 0])
+    pulled, solved = adjoint_state_step(InteractionFactors(phi, delta), dt, g, pieces)
+    assert same_bits(pulled, want[..., 0])
+    assert same_bits(solved, s_want[..., 0])
     # a fresh adjoint solve is the forward one at -dt
     fresh = 2.0 * _lowrank_solve(*_woodbury_system(phi, delta, -c), -c, g[..., None]) - g[..., None]
     assert same_bits(fresh, fresh_temporary_step(phi, delta, g[..., None], -dt)[0])
@@ -443,7 +469,7 @@ def one_model_audit(rosm, task) -> int:
     """The rank of one baseline's log-probabilities, one sequence at a time."""
     finals = [evolve_fixed_batch(rosm.transitions(), rosm.state0(), row[None])[-1][0]
               for row in task.sequences()]
-    logp, _ = floored_log(rosm.readout(np.stack(finals)))
+    logp = floored_log(rosm.readout(np.stack(finals)))
     return numerical_rank(logp, rel_tol=1e-8)
 
 
@@ -452,8 +478,10 @@ def one_model_audit(rosm, task) -> int:
        st.integers(0, 2 ** 31), st.integers(-1, 1))
 def test_stacked_audits_equal_one_model_audits(key, dims, seed, decade):
     task = AUDIT_TASKS[key]
-    rosms = [random_rosm(d, task, seed=seed + k, scale=10.0 ** decade)
-             for k, d in enumerate(dims)]
+    rosms = [random_rosm(d, task, seed=seed + k) for k, d in enumerate(dims)]
+    for rosm in rosms:  # the drawn decade scales each baseline's transitions and readout
+        rosm.gens, rosm.out_weights, rosm.bias = (
+            x * 10.0 ** decade for x in (rosm.gens, rosm.out_weights, rosm.bias))
     audits = softmax_rank_audits(rosms, task)
     assert len(audits) == len(rosms)
     for rosm, audit in zip(rosms, audits):
@@ -635,7 +663,7 @@ def cusm_batch_grad_oracle(params: TrainableCusm, tokens, targets):
     """The trainable unitary model's batch gradient as a function of its own."""
     psi0 = initial_state(params.a + 1j * params.b)
     unitaries = cayley_map(params.gens)
-    meas, r_meas = project_measurement(params.meas_raw, with_r=True)
+    meas, r_meas = project_measurement(params.meas_raw)
     states = evolve_fixed_batch(unitaries, psi0, tokens)
     loss, g_psi, g_meas = _born_readout_vjp(meas, states[-1].T, targets.T)
     g_psi0, g_u = _fixed_transition_vjp(unitaries, states, tokens, g_psi.T)
@@ -652,7 +680,7 @@ def rosm_batch_grad_oracle(params: RosmParams, tokens, targets):
     transitions = params.transitions()
     states = evolve_fixed_batch(transitions, params.state0(), tokens)
     q = params.readout(states[-1])
-    logs, _ = floored_log(q)
+    logs = floored_log(q)
     g_logits = q * targets.sum(axis=1, keepdims=True) - targets
     g_h0, g_q = _fixed_transition_vjp(transitions, states, tokens, g_logits @ params.out_weights)
     scale = 1.0 / len(tokens)
@@ -725,10 +753,13 @@ def checked_in_loop(model, tokens):
         g = np.matmul(phi_h, p, out=gram[t])
         g *= c
         g.reshape(-1, r * r)[:, :: r + 1] += 1.0
-        root = 1.0 + abs(c) * float(np.vecdot(phi[t], phi[t], axis=-2).real.sum(-1).max())
+        squares = np.vecdot(phi[t], phi[t], axis=-2).real.sum(-1)
+        root = 1.0 + abs(c) * float(squares.max())
         cond = root * root
-        if not cond <= GRAM_COND_WARN:
-            cond = float(np.linalg.cond(g).max()) if np.isfinite(g).all() else np.nan
+        if not cond <= GRAM_COND_WARN:  # each sequence's own bound below the switch, else its SVD
+            bounds = [(1.0 + abs(c) * x) * (1.0 + abs(c) * x) for x in squares.tolist()]
+            cond = max(bound if bound <= GRAM_COND_WARN else svd for bound, svd in
+                       zip(bounds, np.linalg.cond(g).tolist())) if np.isfinite(g).all() else np.nan
         if not cond <= GRAM_COND_FAIL:
             reason = (f"condition {cond:.3e} exceeds {GRAM_COND_FAIL:.0e}"
                       if cond > GRAM_COND_FAIL else "has a non-finite entry")

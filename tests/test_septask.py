@@ -329,10 +329,10 @@ class TestRosm:
         rng = make_rng(7, stream=55)
         h0 = rng.standard_normal(d)
         h0 /= np.linalg.norm(h0)
-        gens = np.array([rng.standard_normal((d, d)) * 0.5 for _ in range(2 * task.n + 1)])
-        out_weights = rng.standard_normal((task.v, d)) * 0.5
-        bias = rng.standard_normal(task.v) * 0.5
-        rosm = random_rosm(d, task, seed=7, scale=0.5)
+        gens = np.array([rng.standard_normal((d, d)) for _ in range(2 * task.n + 1)])
+        out_weights = rng.standard_normal((task.v, d))
+        bias = rng.standard_normal(task.v)
+        rosm = random_rosm(d, task, seed=7)
         for got, want in zip(rosm.arrays(), [h0, gens, out_weights, bias]):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

@@ -118,7 +118,7 @@ class TestBackwardFullModel:
         norm0 = np.linalg.norm(g)
         for _ in range(20):
             f = InteractionFactors(phi=ginibre(rng, 8, 2), delta=rng.standard_normal(8))
-            g, _ = adjoint_state_step(f, 1.0, g)
+            g, _ = adjoint_state_step(f, 1.0, g, _woodbury_system(f.phi, f.delta, 0.5j)[2:])
             assert abs(np.linalg.norm(g) - norm0) < 1e-10
 
 

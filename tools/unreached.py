@@ -1,7 +1,9 @@
-"""List the function-body statements of src/cusm that a test run never executes.
+"""List the function-body statements of src/cusm that a test run never executes,
+or the functions of src/cusm that no command of a fixed catalogue of CLI runs enters.
 
     python3 tools/unreached.py                 # the Tier-1 suite
     python3 tools/unreached.py tests/test_cli.py -q
+    python3 tools/unreached.py --cli           # the CLI catalogue
 
 Run it from anywhere; it changes to the repository root. It runs pytest in
 this process under sys.settrace, with the Tier-1 arguments unless others are
@@ -17,21 +19,89 @@ run with the tracer suspended: they compare call times, which the tracer's
 fixed cost per call would skew; other tests reach the lines they run. A line
 report cannot see data branches: an `np.where` on a line that runs is reached
 even if it never picks one side. Standard library and pytest only.
+
+With --cli it runs each argv of CATALOGUE through cli.main in this process,
+under the same tracer, each in a fresh CUSM_OUTPUT_DIR, after writing the
+input files the catalogue names. It prints `path:line name` for each function
+or method of src/cusm that no run entered and that ALLOWED does not name, and
+their count; then each run whose exit code is not the catalogue's. It exits 1
+if it printed a function or a run. ALLOWED is what the acceptance suite
+imports, what perfbench's tracer binds, and EXTRA_ALLOWED; an allowed function
+allows the functions nested in it, but a class allows none of its methods.
+Not part of Tier-1.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
+import io
+import json
 import os
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cusm"
 TIER1_ARGS = ["-q", "--continue-on-collection-errors"]
 UNTRACED = {"test_criterion_11_scaling_trend"}  # it checks per-step time ratios
+
+# (argv, exit code) of --version, --help, every subcommand and mode, all three model kinds
+# with --ablation, each kind of input file, an overflowing step, an ill-conditioned one, two
+# diverging training runs and twelve usage errors; {name} is the path of input file `name`,
+# which write_inputs makes
+CATALOGUE = (
+    (["gen-task", "--n", "2", "--seed", "0"], 0),
+    (["gen-task", "--n", "3", "--seed", "1", "--filler-length", "0"], 0),
+    (["gen-task", "--n", "2", "--reference"], 0),
+    (["verify-separation", "--n", "2", "--seed", "0", "--audits", "8"], 0),
+    (["verify-separation", "--task", "{task}", "--audits", "4"], 0),
+    (["simulate", "--mode", "task", "--n", "2", "--tokens", "0,2,2,1"], 0),
+    (["simulate", "--task", "{task}", "--tokens-file", "{tokens}"], 0),
+    (["simulate", "--mode", "full", "--n", "6", "--r", "2", "--d", "3", "--v", "6",
+      "--tokens", "0,1,2,1"], 0),
+    (["simulate", "--mode", "full", "--checkpoint", "{model}", "--tokens", "0,1,1,0"], 0),
+    (["simulate", "--mode", "full", "--tokens", "0,1,0,2", "--dt", "1e300"], 0),
+    (["simulate", "--mode", "full", "--checkpoint", "{blown_up_model}", "--tokens", "0,0,1,0"], 3),
+    (["simulate", "--config", "{config}", "--tokens", "1,0,2"], 0),
+    (["train", "--n", "2", "--model-kind", "cusm-trainable", "--seeds", "2", "--epochs", "5",
+      "--ablation"], 0),
+    (["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--seeds", "2", "--epochs", "5",
+      "--ablation"], 0),
+    (["train", "--n", "2", "--model-kind", "full", "--seeds", "1", "--epochs", "3",
+      "--ablation"], 0),
+    (["train", "--task", "{task}", "--model-kind", "rosm", "--dim", "1", "--seeds", "1",
+      "--epochs", "5"], 0),
+    (["train", "--n", "2", "--model-kind", "full", "--seeds", "1", "--epochs", "3",
+      "--lr", "1e300"], 3),
+    (["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--seeds", "1", "--epochs", "30",
+      "--lr", "1e300"], 3),
+    (["--version"], 0),
+    (["simulate", "--help"], 0),
+    ([], 2),
+    (["gen-task", "--n", "1"], 2),
+    (["gen-task", "--bogus"], 2),
+    (["simulate", "--mode", "task", "--n", "2"], 2),
+    (["simulate", "--tokens", "0", "--tokens-file", "{tokens}"], 2),
+    (["simulate", "--mode", "task", "--tokens", "0", "--checkpoint", "{model}"], 2),
+    (["simulate", "--mode", "task", "--n", "2", "--tokens", "0,9"], 2),
+    (["simulate", "--mode", "full", "--n", "6", "--r", "2", "--tokens", "0,1,2"], 2),
+    (["train", "--n", "2", "--model-kind", "rosm", "--seeds", "1"], 2),
+    (["verify-separation", "--task", "{missing}"], 2),
+    (["verify-separation", "--task", "{bad_config}"], 2),
+    (["train", "--config", "{bad_config}"], 2),
+)
+# what no command enters besides the acceptance suite's imports and perfbench's bindings:
+# what the acceptance suite reaches through them (finite_difference_grad's and
+# backward_full_model's helpers, materialize's dim, the sequences of make_task's task), and
+# save_model, whose fate ROADMAP item 9 decides
+EXTRA_ALLOWED = ("train.central_difference", "train.full_model_loss", "train._one_hot_rows",
+                 "dynamics.InteractionFactors.dim", "septask.TaskInstance.sequence",
+                 "hamgen.save_model")
 
 
 def _evidence(stmt: ast.stmt) -> range:
@@ -77,12 +147,11 @@ def _code_lines(code) -> frozenset:
     return frozenset(line for _, _, line in code.co_lines() if line is not None)
 
 
-def traced_pytest(args: list) -> tuple[int, dict]:
-    """pytest's exit code and the lines run in each file under src/cusm."""
-    import pytest
-
+def traced(run) -> tuple:
+    """run()'s result, the lines run in each file under src/cusm, and the first lines of
+    the code objects entered in each."""
     prefix = str(PACKAGE) + os.sep
-    executed, wanted, done = {}, {}, set()
+    executed, entered, wanted, done = {}, {}, {}, set()
 
     def on_call(frame, event, arg):
         code = frame.f_code
@@ -92,7 +161,9 @@ def traced_pytest(args: list) -> tuple[int, dict]:
             wanted[code.co_filename] = os.path.realpath(code.co_filename).startswith(prefix)
         if not wanted[code.co_filename]:
             return None
-        lines = executed.setdefault(os.path.realpath(code.co_filename), set())
+        path = os.path.realpath(code.co_filename)
+        entered.setdefault(path, set()).add(code.co_firstlineno)
+        lines = executed.setdefault(path, set())
         lines.add(frame.f_lineno)
 
         def on_line(frame, event, arg):
@@ -102,6 +173,20 @@ def traced_pytest(args: list) -> tuple[int, dict]:
                 done.add(code)  # every line of it has run: stop tracing it
             return on_line
         return on_line
+
+    threading.settrace(on_call)
+    sys.settrace(on_call)
+    try:
+        result = run()
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return result, executed, entered
+
+
+def traced_pytest(args: list) -> tuple[int, dict]:
+    """pytest's exit code and the lines run in each file under src/cusm."""
+    import pytest
 
     class Untraced:
         @pytest.hookimpl(hookwrapper=True)
@@ -114,19 +199,114 @@ def traced_pytest(args: list) -> tuple[int, dict]:
             finally:
                 sys.settrace(tracer)
 
-    threading.settrace(on_call)
-    sys.settrace(on_call)
-    try:
-        code = pytest.main(args, plugins=[Untraced()])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    code, executed, _ = traced(lambda: pytest.main(args, plugins=[Untraced()]))
     return int(code), executed
+
+
+def write_inputs(directory: Path) -> dict:
+    """The input files that CATALOGUE names, written into directory, except `missing`,
+    which stays absent: name -> path."""
+    from cusm.hamgen import init_full_model, save_model
+    from cusm.septask import make_task, save_task
+
+    files = {name: str(directory / f"{name}.json") for name in
+             ("task", "model", "blown_up_model", "tokens", "config", "bad_config", "missing")}
+    save_task(make_task(2, seed=0), files["task"])
+    save_model(init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=1), files["model"])
+    # token 1 sets column 0 of Phi to 1e7 (1 + i): a Gram condition of 3e14
+    model = init_full_model(n=3, r=2, d=1, v=4, v_in=2, seed=0, hidden=[])
+    model.mlp.weights[0][:] = 0.0
+    model.mlp.weights[0][: 2 * model.n, 0] = 1e7
+    model.embed[:] = [[0.0], [1.0]]
+    save_model(model, files["blown_up_model"])
+    for name, doc in (("tokens", [0, 2, 2, 1]), ("bad_config", {"schema_version": 1, "bogus": 1}),
+                      ("config", {"schema_version": 1, "mode": "full", "n": 3, "r": 2, "d": 2,
+                                  "v": 4, "seed": 5})):
+        Path(files[name]).write_text(json.dumps(doc))
+    return files
+
+
+def run_catalogue(files: dict, output_root: Path) -> list:
+    """Each CATALOGUE argv through cli.main in its own CUSM_OUTPUT_DIR under output_root,
+    its output and warnings swallowed: a message for each run whose exit code is wrong."""
+    from cusm import cli
+
+    wrong = []
+    for k, (argv, want) in enumerate(CATALOGUE):
+        argv = [arg.format(**files) for arg in argv]
+        os.environ[cli.OUTPUT_DIR_ENV] = str(output_root / f"run{k:02d}")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # --help and --version
+                code = exc.code
+        if code != want:
+            wrong.append(f"run {k} (cusm {' '.join(argv)}) exited {code}, expected {want}")
+    del os.environ[cli.OUTPUT_DIR_ENV]
+    return wrong
+
+
+def allowed_names() -> set:
+    """ALLOWED: module.name of each cusm import of tests/test_acceptance.py and of each
+    binding in perfbench's TRACED, and EXTRA_ALLOWED."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    names = {f"{node.module.removeprefix('cusm.')}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cusm.")
+             for alias in node.names}
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from spantrace import TRACED
+
+    names |= {f"{module.removeprefix('cusm.')}.{attr}" for _, module, attr, _ in TRACED}
+    return names | set(EXTRA_ALLOWED)
+
+
+def functions(path: Path) -> list:
+    """(module.qualified name, the lines on which its code object may start) of each
+    function or method in path, nested ones included."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found.append((prefix + child.name, range(first, child.lineno + 1)))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(), str(path)), f"{path.stem}.")
+    return found
+
+
+def main_cli() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        files = write_inputs(Path(work))  # before tracing: save_model is no command's
+        wrong, _, entered = traced(lambda: run_catalogue(files, Path(work)))
+    found = [(path, *function) for path in sorted(PACKAGE.glob("*.py"))
+             for function in functions(path)]
+    names, allowed = {name for _, name, _ in found}, allowed_names()
+    # an allowed function allows the functions nested in it; a class allows no method
+    allowed |= {name for name in names if any(name.startswith(f"{ok}.") for ok in allowed & names)}
+    unreached, skipped = [], 0
+    for path, name, starts in found:
+        if entered.get(str(path), set()).isdisjoint(starts):
+            if name in allowed:
+                skipped += 1
+            else:
+                unreached.append(f"{path.relative_to(ROOT)}:{starts[-1]} {name}")
+    print("\n".join(unreached + [f"{len(unreached)} functions of src/cusm entered by no CLI run "
+                                  f"outside the allow-list ({skipped} on it)"] + wrong))
+    return 1 if unreached or wrong else 0
 
 
 def main(argv: list) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(PACKAGE.parent))
+    if argv == ["--cli"]:
+        return main_cli()
     code, executed = traced_pytest(argv or TIER1_ARGS)
     unreached, total = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
