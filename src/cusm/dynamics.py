@@ -33,6 +33,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve as _solve
 
 from .exceptions import IllConditionedStepError, VocabularyError
+from .hamgen import mlp_buffers, mlp_forward_cached, split_factor_output
 from .numerics import check_hermitian, initial_state
 
 GRAM_COND_FAIL = 1e12
@@ -257,27 +258,25 @@ def evolve_full_batch(model, tokens: np.ndarray):
     the network's layer inputs and output (T, B, width) and the solves' pieces for their
     adjoints: 1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
     """
-    from .hamgen import mlp_buffers, mlp_forward_cached, split_factor_output
-
     tokens = _checked_tokens(tokens, model.embed.shape[0])
     n, r, dt, c, (batch, steps) = model.n, model.r, model.dt, 0.5j * model.dt, tokens.shape
     acts = mlp_buffers(model.mlp, (steps, batch), model.d + 2 * n)
-    x, raw = acts[0], split_factor_output(acts[-1], n, r)
+    x, (raw_phi, delta) = acts[0], split_factor_output(acts[-1], n, r)
     x[..., :model.d] = model.embed[tokens.T]
     phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))[..., None]
     # phi keeps the network's channel-major layout, in which the solve and the
     # currents round as they did on each step's own product; delta is read in place
-    phi, delta = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2), raw.delta
+    phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
     inv_d, gram = np.empty((steps, batch, n), complex), np.empty((steps, batch, r, r), complex)
     cols = np.empty((steps + 1, batch, n, 1), dtype=complex)  # states as columns
-    cols[0] = initial_state(model.a + 1j * model.b)[:, None]
+    cols[0] = initial_state(model.h0)[:, None]
     x_re, x_im, psi = x[..., -2 * n:-n], x[..., -n:], cols[..., 0]
     layer_rows = [list(rows) for rows in zip(*acts[1:])]  # step t: each layer's output rows
 
     def advance(step):  # the network's row, the phases and the Woodbury system of one step
         x_re[step], x_im[step] = psi[step].real, psi[step].imag
         mlp_forward_cached(model.mlp, x[step], layer_rows[step])
-        np.multiply(phases[step], raw.phi[step], out=phi[step])
+        np.multiply(phases[step], raw_phi[step], out=phi[step])
         return _woodbury_system(phi[step], delta[step], c, inv_d[step], gram[step])
     checks = CayleyStepReport(np.empty(steps), np.empty(steps), np.empty(steps))
     try:  # unchecked until a floating-point event, which a failing step may raise

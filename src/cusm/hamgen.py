@@ -3,7 +3,9 @@
 The generator network g is a plain affine-tanh feedforward net mapping the
 concatenation [embedding, Re(state), Im(state)] to 2*N*r + N real outputs:
 the low-rank factor Phi (real/imag interleaved per entry, column-major over
-channels) followed by the diagonal shift delta.
+channels) followed by the diagonal shift delta. A model's raw start vector h0 is
+one complex array, normalised on use; its checkpoint keeps the real and
+imaginary parts as the fields init_a and init_b.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import checked_array, read_json, write_json
-from .dynamics import InteractionFactors
 from .exceptions import ConfigurationError, DegenerateInitializationError
 from .numerics import check_allocation, ginibre, initial_state, make_rng
 
@@ -28,8 +29,7 @@ class MlpParams:
 
 @dataclass
 class FullModelParams:
-    a: np.ndarray                  # initial state, real part, (N,)
-    b: np.ndarray                  # initial state, imaginary part, (N,)
+    h0: np.ndarray                 # raw initial state, (N,) complex
     frequencies: np.ndarray        # lambda, (N,) real
     embed: np.ndarray              # token embeddings, (V_in, d) real
     mlp: MlpParams
@@ -54,13 +54,13 @@ class FullModelParams:
     def arrays(self) -> list:
         """The trainable arrays in the order of the flat parameter vector."""
         layers = [arr for pair in zip(self.mlp.weights, self.mlp.biases) for arr in pair]
-        return [self.a, self.b, self.frequencies, self.embed, *layers, self.meas_raw]
+        return [self.h0, self.frequencies, self.embed, *layers, self.meas_raw]
 
     def with_arrays(self, arrays: list) -> FullModelParams:
         """This model's settings with new arrays, given in arrays() order."""
-        a, b, frequencies, embed, *layers, meas_raw = arrays
+        h0, frequencies, embed, *layers, meas_raw = arrays
         return FullModelParams(
-            a=a, b=b, frequencies=frequencies, embed=embed,
+            h0=h0, frequencies=frequencies, embed=embed,
             mlp=MlpParams(weights=layers[0::2], biases=layers[1::2]),
             meas_raw=meas_raw, dt=self.dt, n=self.n, r=self.r, seed=self.seed,
         )
@@ -110,14 +110,14 @@ def mlp_weight_grads(inputs: list, g_pre: list) -> tuple[list, list]:
     return [g.T @ h for g, h in rows], [g.sum(axis=0) for g, _ in rows]
 
 
-def split_factor_output(out: np.ndarray, n: int, r: int) -> InteractionFactors:
+def split_factor_output(out: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed output layout: for channel a, then row j, (Re, Im) of Phi[j, a]; then
-    delta. Rows (..., 2*N*r + N) give views of float64 `out`: phi (..., N, r),
-    complex, and delta (..., N)."""
+    delta. Rows (..., 2*N*r + N) give views of float64 `out`: the pair phi
+    (..., N, r), complex, and delta (..., N)."""
     if out.shape[-1] != 2 * n * r + n:
         raise ConfigurationError(f"output width {out.shape[-1]} != 2*N*r + N = {2 * n * r + n}")
     phi = out[..., : 2 * n * r].view(complex).reshape(*out.shape[:-1], r, n).swapaxes(-1, -2)
-    return InteractionFactors(phi=phi, delta=out[..., 2 * n * r :])
+    return phi, out[..., 2 * n * r :]
 
 
 def init_mlp(in_width: int, out_width: int, hidden: list[int], seed: int) -> MlpParams:
@@ -158,7 +158,7 @@ def init_full_model(
     rng = make_rng(seed, stream=100)
     mlp = init_mlp(widths[0], widths[-1], hidden, seed)
     return FullModelParams(
-        a=rng.standard_normal(n), b=rng.standard_normal(n),
+        h0=rng.standard_normal(n) + 1j * rng.standard_normal(n),
         frequencies=np.linspace(-np.pi / 2, np.pi / 2, n),
         embed=rng.standard_normal((v_in, d)) / np.sqrt(d),
         mlp=mlp,
@@ -167,7 +167,7 @@ def init_full_model(
 
 
 def save_model(model: FullModelParams, path: str) -> None:
-    """JSON checkpoint. Field order is fixed: dims, seed, dt, init a/b,
+    """JSON checkpoint. Field order is fixed: dims, seed, dt, h0's parts init_a/init_b,
     frequencies, embedding, mlp layers in order, then meas_raw as [re, im]."""
     write_json(path, {
         "n": model.n,
@@ -177,8 +177,8 @@ def save_model(model: FullModelParams, path: str) -> None:
         "v_in": model.v_in,
         "seed": model.seed,
         "dt": model.dt,
-        "init_a": model.a,
-        "init_b": model.b,
+        "init_a": model.h0.real,
+        "init_b": model.h0.imag,
         "frequencies": model.frequencies,
         "embed": model.embed,
         "mlp_weights": model.mlp.weights,
@@ -210,14 +210,16 @@ def load_model(path: str) -> FullModelParams:
     if width != 2 * n * r + n:
         raise ConfigurationError(f"{path}: last MLP layer has {width} outputs, "
                                  f"expected 2*N*r + N = {2 * n * r + n}")
-    a, b = doc.array("init_a", (n,)), doc.array("init_b", (n,))
+    # set part by part, not a + 1j * b: that arithmetic turns a -0.0 part into +0.0
+    h0 = np.empty(n, dtype=complex)
+    h0.real, h0.imag = doc.array("init_a", (n,)), doc.array("init_b", (n,))
     try:
         with np.errstate(over="ignore"):
-            initial_state(a + 1j * b)
+            initial_state(h0)
     except (DegenerateInitializationError, FloatingPointError) as exc:
         raise ConfigurationError(f"{path}: fields 'init_a' and 'init_b': {exc}") from None
     return FullModelParams(
-        a=a, b=b, frequencies=doc.array("frequencies", (n,)),
+        h0=h0, frequencies=doc.array("frequencies", (n,)),
         embed=doc.array("embed", (v_in, d)),
         mlp=MlpParams(weights=[w for w, _ in layers], biases=[b for _, b in layers]),
         meas_raw=doc.array("meas_raw", (n, v), complex_=True),

@@ -91,9 +91,10 @@ class TargetTable:
 class RosmParams:
     """Real orthogonal baseline: unit state, per-token orthogonal transitions
     from the real Cayley map, and an affine-softmax readout. The parameters are
-    unconstrained: h0 is normalised on use, and token k's transition is the
-    Cayley map of S = Z - Z^T for Z = gens[k]. Every array may carry the same
-    leading axes, which stack models of one dimension."""
+    unconstrained: the raw h0 is normalised on use by numerics.initial_state, and
+    token k's transition is dynamics.cayley_map of S = Z - Z^T for Z = gens[k].
+    Every array may carry the same leading axes, which stack models of one
+    dimension."""
 
     h0: np.ndarray            # (..., d)
     gens: np.ndarray          # (..., A, d, d) real, row k for token k
@@ -103,13 +104,6 @@ class RosmParams:
     @property
     def dim(self) -> int:
         return self.h0.shape[-1]
-
-    def state0(self) -> np.ndarray:
-        return initial_state(self.h0)
-
-    def transitions(self) -> np.ndarray:
-        """(..., A, d, d) orthogonal transitions, row k for token k."""
-        return cayley_map(self.gens)
 
     def readout(self, states: np.ndarray) -> np.ndarray:
         """Affine-softmax probabilities (..., B, V) of state rows (..., B, d)."""
@@ -307,12 +301,10 @@ def build_exact_cusm(task: TaskInstance) -> CusmParams:
 
 
 def random_rosm(d: int, task: TaskInstance, seed: int) -> RosmParams:
-    """Random baseline over the task's alphabet (2n + 1 tokens) and vocabulary."""
+    """Random baseline over the task's alphabet (2n + 1 tokens) and vocabulary; h0 is raw."""
     rng = make_rng(seed, stream=55)
-    h0 = rng.standard_normal(d)
-    h0 /= np.linalg.norm(h0)
     return RosmParams(
-        h0=h0,
+        h0=rng.standard_normal(d),
         gens=rng.standard_normal((2 * task.n + 1, d, d)),
         out_weights=rng.standard_normal((task.v, d)),
         bias=rng.standard_normal(task.v),
@@ -335,7 +327,7 @@ def softmax_rank_audits(rosms: list, task: TaskInstance) -> list[dict]:
     audits = [None] * len(rosms)
     for d, members in by_dim.items():
         stack = RosmParams(*map(np.stack, zip(*(rosms[k].arrays() for k in members))))
-        states = evolve_fixed_batch(stack.transitions(), stack.state0(), tokens)
+        states = evolve_fixed_batch(cayley_map(stack.gens), initial_state(stack.h0), tokens)
         logp = floored_log(stack.readout(states[-1]))
         for k, rank in zip(members, numerical_rank(logp, rel_tol=AUDIT_RANK_TOL)):
             audits[k] = {"rank_Lbar": int(rank), "bound": d + 2, "satisfied": bool(rank <= d + 2)}

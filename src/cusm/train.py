@@ -8,7 +8,8 @@ baseline, and the full generated-Hamiltonian model).
 Gradient convention for complex parameters: the gradient g of a real loss
 with respect to a complex quantity z is defined by dL = Re(conj(g) . dz),
 so g.real and g.imag are the ordinary partials with respect to the real and
-imaginary parts. All vector-Jacobian rules below follow this convention.
+imaginary parts. All vector-Jacobian rules below follow this convention; the
+gradient of a complex array, the raw start vector h0 among them, is one complex array.
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     # per step, the network's input gradient, each layer's pre-activation gradient
     # and its output gradient, whose rows take dL/dPhi and dL/ddelta through views
     g_acts = [np.empty_like(a) for a in acts]
-    raw, g_factors = (split_factor_output(a[-1], n, model.r) for a in (acts, g_acts))
+    raw_phi = split_factor_output(acts[-1], n, model.r)[0]
+    g_phi, g_delta = split_factor_output(g_acts[-1], n, model.r)
     c = 0.5j * dt
     # both sides of each solve touch X = phi phi^dag and delta; with u = psi_in +
     # psi_out, dL/dX = -conj(c) s u^dag - c u s^dag: us[t] holds the rows u, s
@@ -218,25 +220,25 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
         us[t, :, 1] = s
         # [-conj(c) s, -c u] @ [u^dag phi; s^dag phi], its rows' phases exp(i lam t dt) undone
         g_phi_ip = (coef * us[t, :, ::-1]).swapaxes(-1, -2) @ (us[t].conj() @ factors.phi[t])
-        np.multiply(phases[t][:, None], g_phi_ip, out=g_factors.phi[t])
-        np.negative(np.real(c * s.conj() * us[t, :, 0]), out=g_factors.delta[t])
+        np.multiply(phases[t][:, None], g_phi_ip, out=g_phi[t])
+        np.negative(np.real(c * s.conj() * us[t, :, 0]), out=g_delta[t])
 
         # generator network, on the activations of the forward pass
         g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]], [g[t] for g in g_acts])
         g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
     # d phi_ip / d lam = i t dt phi_ip, and phi_ip conj(g_phi_ip) = phi conj(g_phi)
-    g_lam -= (np.arange(steps) * dt) @ np.vecdot(g_factors.phi, raw.phi).imag.sum(axis=1)
+    g_lam -= (np.arange(steps) * dt) @ np.vecdot(g_phi, raw_phi).imag.sum(axis=1)
     # the sums over steps run in sweep order, last step first
     g_w, g_b = mlp_weight_grads([h[::-1] for h in acts[:-1]], [g[::-1] for g in g_acts[1:]])
     g_embed = np.zeros_like(model.embed)
     # np.add.at accumulates the rows of every step and sequence that share a token
     np.add.at(g_embed, tokens.T[::-1], g_acts[0][::-1, :, :d])
-    g_v = _normalize_vjp(model.a + 1j * model.b, g_psi.sum(axis=0))
+    g_h0 = _normalize_vjp(model.h0, g_psi.sum(axis=0))
     g_meas_raw = _qr_projection_vjp(meas, r_meas, g_meas)
 
     layers = [arr for pair in zip(g_w, g_b) for arr in pair]
-    return loss, model.with_arrays([g_v.real, g_v.imag, g_lam, g_embed, *layers, g_meas_raw])
+    return loss, model.with_arrays([g_h0, g_lam, g_embed, *layers, g_meas_raw])
 
 
 def _one_hot_rows(targets, v: int) -> np.ndarray:
@@ -343,14 +345,13 @@ def adam_cosine(flat0: np.ndarray, grad_fn, config: OptimizerConfig,
 
 @dataclass
 class TrainableCusm:
-    a: np.ndarray                 # initial state, real part
-    b: np.ndarray                 # initial state, imaginary part
+    h0: np.ndarray                # (N,) complex, normalised on use
     gens: np.ndarray              # (A, N, N) complex Z, row k for token k; S = Z - Z^dag
     meas_raw: np.ndarray          # (N, V) complex
 
     def arrays(self) -> list:
         """The arrays in the order of the flat parameter vector."""
-        return [self.a, self.b, self.gens, self.meas_raw]
+        return [self.h0, self.gens, self.meas_raw]
 
     def with_arrays(self, arrays: list) -> TrainableCusm:
         return TrainableCusm(*arrays)
@@ -361,8 +362,7 @@ def init_trainable_cusm(n: int, v: int, alphabet: int, seed: int) -> TrainableCu
     rng = make_rng(seed, stream=200)
     scale = 0.1
     return TrainableCusm(
-        a=rng.standard_normal(n),
-        b=rng.standard_normal(n),
+        h0=rng.standard_normal(n) + 1j * rng.standard_normal(n),
         gens=np.array([scale * ginibre(rng, n, n) for _ in range(alphabet)]),
         meas_raw=ginibre(rng, n, v),
     )
@@ -412,27 +412,22 @@ def _softmax_batch_vjp(params: RosmParams, final: np.ndarray, targets: np.ndarra
             [scale * (g_logits.T @ final), scale * g_logits.sum(axis=0)])
 
 
-# per fixed-transition kind: its raw start vector and its readout's VJP
-_FIXED_KINDS = {TrainableCusm: (lambda params: params.a + 1j * params.b, _born_batch_vjp),
-                RosmParams: (lambda params: params.h0, _softmax_batch_vjp)}
+# per fixed-transition kind: its readout's VJP
+_FIXED_KINDS = {TrainableCusm: _born_batch_vjp, RosmParams: _softmax_batch_vjp}
 
 
 def _fixed_batch_grad(params: TrainableCusm | RosmParams, tokens: np.ndarray,
                       targets: np.ndarray) -> tuple[float, TrainableCusm | RosmParams]:
     """Mean loss and gradients over (B, T) token ids with (B, V) target rows, in one
-    stacked forward and adjoint pass; gradients come in the parameters' own type, a
-    complex start vector's as its real and imaginary parts."""
-    start_vector, readout_vjp = _FIXED_KINDS[type(params)]
-    vec = start_vector(params)
+    stacked forward and adjoint pass; gradients come in the parameters' own type."""
     transitions = cayley_map(params.gens)
-    states = evolve_fixed_batch(transitions, initial_state(vec), tokens)
+    states = evolve_fixed_batch(transitions, initial_state(params.h0), tokens)
     scale = 1.0 / len(tokens)
-    loss, g_final, g_readout = readout_vjp(params, states[-1], targets, scale)
+    loss, g_final, g_readout = _FIXED_KINDS[type(params)](params, states[-1], targets, scale)
     g_start, g_w = _fixed_transition_vjp(transitions, states, tokens, g_final)
-    g_vec = _normalize_vjp(vec, scale * g_start)
-    g_vecs = [g_vec.real, g_vec.imag] if np.iscomplexobj(g_vec) else [g_vec]
+    g_h0 = _normalize_vjp(params.h0, scale * g_start)
     g_gens = _cayley_generator_vjp(params.gens, transitions, scale * g_w)
-    return loss * scale, params.with_arrays([*g_vecs, g_gens, *g_readout])
+    return loss * scale, params.with_arrays([g_h0, g_gens, *g_readout])
 
 
 # every model kind goes through the one flatten pair, and both fixed-transition

@@ -388,7 +388,7 @@ class TestEvolveFullModel:
         for b in model.mlp.biases:
             b[:] = 0.0
         traj, factors, _ = evolve_full_model(model, [0, 1, 2, 3])
-        psi0 = initial_state(model.a + 1j * model.b)
+        psi0 = initial_state(model.h0)
         for state in traj:
             assert np.abs(state - psi0).max() < 1e-14
         for f in factors:
@@ -397,7 +397,7 @@ class TestEvolveFullModel:
     def test_single_step_composition(self):
         model = init_full_model(n=3, r=1, d=2, v=4, v_in=3, seed=4)
         traj, _, _ = evolve_full_model(model, [1])
-        psi0 = initial_state(model.a + 1j * model.b)
+        psi0 = initial_state(model.h0)
         f = generate_interaction(model.mlp, model.embed[1], psi0, model.r)
         f_ip = interaction_picture_factors(f, model.frequencies, 0, model.dt)
         manual, _ = cayley_step_woodbury(f_ip, psi0, model.dt)

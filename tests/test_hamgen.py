@@ -114,13 +114,13 @@ class TestFactorLayout:
     def test_split_shapes(self):
         n, r = 3, 2
         out = np.arange(2 * n * r + n, dtype=float)
-        f = split_factor_output(out, n, r)
-        assert f.phi.shape == (n, r)
-        assert f.delta.shape == (n,)
+        phi, delta = split_factor_output(out, n, r)
+        assert phi.shape == (n, r)
+        assert delta.shape == (n,)
         # channel 0, row 0 holds the first (re, im) pair, and row 1 the second
-        assert f.phi[0, 0] == 0.0 + 1.0j
-        assert f.phi[1, 0] == 2.0 + 3.0j
-        assert np.array_equal(f.delta, out[2 * n * r:])
+        assert phi[0, 0] == 0.0 + 1.0j
+        assert phi[1, 0] == 2.0 + 3.0j
+        assert np.array_equal(delta, out[2 * n * r:])
 
     def test_merge_is_adjoint_of_split(self):
         # gradients written through split's views of an output-gradient row (the
@@ -128,14 +128,14 @@ class TestFactorLayout:
         rng = make_rng(3)
         n, r = 4, 3
         out = rng.standard_normal(2 * n * r + n)
-        f = split_factor_output(out, n, r)
+        phi, delta = split_factor_output(out, n, r)
         g_phi = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
         g_delta = rng.standard_normal(n)
         merged = np.empty_like(out)
-        views = split_factor_output(merged, n, r)
-        views.phi[...], views.delta[...] = g_phi, g_delta
+        view_phi, view_delta = split_factor_output(merged, n, r)
+        view_phi[...], view_delta[...] = g_phi, g_delta
         lhs = merged @ out
-        rhs = np.sum(np.real(np.conj(g_phi) * f.phi)) + g_delta @ f.delta
+        rhs = np.sum(np.real(np.conj(g_phi) * phi)) + g_delta @ delta
         assert abs(lhs - rhs) < 1e-12
 
     def test_bad_width(self):
@@ -148,7 +148,7 @@ class TestGenerateInteraction:
         model = init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=0)
         for w in model.mlp.weights:
             w[:] = 0.0
-        psi = initial_state(model.a + 1j * model.b)
+        psi = initial_state(model.h0)
         f = generate_interaction(model.mlp, model.embed[0], psi, model.r)
         assert np.abs(f.phi).max() == 0.0
         assert np.abs(f.delta).max() == 0.0
@@ -157,7 +157,7 @@ class TestGenerateInteraction:
         rng = make_rng(4)
         for draw in range(1000):
             model = init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=draw, hidden=[5])
-            psi = initial_state(model.a + 1j * model.b)
+            psi = initial_state(model.h0)
             x = rng.standard_normal(2)
             f = generate_interaction(model.mlp, x, psi, model.r)
             h = f.materialize()
@@ -203,7 +203,7 @@ class TestSerialization:
         path = str(tmp_path / "model.json")
         save_model(model, path)
         loaded = load_model(path)
-        assert np.array_equal(model.a, loaded.a)
+        assert np.array_equal(model.h0, loaded.h0)
         assert np.array_equal(model.frequencies, loaded.frequencies)
         assert np.array_equal(model.embed, loaded.embed)
         for w1, w2 in zip(model.mlp.weights, loaded.mlp.weights):

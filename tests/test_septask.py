@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cusm import septask
-from cusm.dynamics import evolve_fixed_batch, evolve_fixed_unitaries
+from cusm.dynamics import cayley_map, evolve_fixed_batch, evolve_fixed_unitaries
 from cusm.exceptions import CusmError, InvalidDimensionError
-from cusm.numerics import ginibre, make_rng, numerical_rank, vec_hermitian
+from cusm.numerics import ginibre, initial_state, make_rng, numerical_rank, vec_hermitian
 from cusm.readout import born_probabilities
 from cusm.septask import (
     RosmParams,
@@ -280,16 +280,16 @@ class TestRosm:
         rosm.out_weights = np.zeros_like(rosm.out_weights)
         rosm.bias = np.zeros_like(rosm.bias)
         probs = rosm.readout(np.concatenate(
-            evolve_fixed_batch(rosm.transitions(), rosm.state0(), [task.sequence(0, 0)])))
+            evolve_fixed_batch(cayley_map(rosm.gens), initial_state(rosm.h0), [task.sequence(0, 0)])))
         assert np.abs(probs - 0.25).max() < 1e-14
 
     def test_transitions_orthogonal_unit_state(self):
         task = make_task(2, seed=16)
         rosm = random_rosm(4, task, seed=2)
-        h = rosm.h0
+        h = initial_state(rosm.h0)
         assert abs(np.linalg.norm(h) - 1.0) < 1e-12
         for tok in range(5):
-            q = rosm.transitions()[tok]
+            q = cayley_map(rosm.gens)[tok]
             assert np.abs(q.T @ q - np.eye(4)).max() < 1e-10
             h = q @ h
             assert abs(np.linalg.norm(h) - 1.0) < 1e-10
@@ -303,7 +303,7 @@ class TestRosm:
             bias=np.zeros(4),
         )
         probs = rosm.readout(evolve_fixed_batch(
-            rosm.transitions(), rosm.state0(), [task.sequence(0, 0)])[-1])[0]
+            cayley_map(rosm.gens), initial_state(rosm.h0), [task.sequence(0, 0)])[-1])[0]
         logits = np.array([1.0, -1.0, 0.0, 0.5])
         expected = np.exp(logits) / np.exp(logits).sum()
         assert np.abs(probs - expected).max() < 1e-14
@@ -327,8 +327,7 @@ class TestRosm:
     def test_random_rosm_equals_per_token_draws(self, d):
         task = make_task(3, seed=21)
         rng = make_rng(7, stream=55)
-        h0 = rng.standard_normal(d)
-        h0 /= np.linalg.norm(h0)
+        h0 = rng.standard_normal(d)  # raw: initial_state normalises it on use
         gens = np.array([rng.standard_normal((d, d)) for _ in range(2 * task.n + 1)])
         out_weights = rng.standard_normal((task.v, d))
         bias = rng.standard_normal(task.v)
@@ -343,15 +342,15 @@ class TestRosm:
         for rosm in rosms:   # unnormalised start vectors, as training holds them
             rosm.h0 = rosm.h0 * (1.0 + rosm.h0[0] ** 2)
         stack = RosmParams(*map(np.stack, zip(*(rosm.arrays() for rosm in rosms))))
-        states = stack.state0()[:, None, :]
+        states = initial_state(stack.h0)[:, None, :]
         probs = stack.readout(states)
         for k, rosm in enumerate(rosms):
             # the arithmetic of a vector norm, which training has always used
             unit = rosm.h0 / np.linalg.norm(rosm.h0)
-            assert states[k, 0].tobytes() == rosm.state0().tobytes() == unit.tobytes()
+            assert states[k, 0].tobytes() == initial_state(rosm.h0).tobytes() == unit.tobytes()
             assert probs[k].tobytes() == rosm.readout(states[k]).tobytes()
-        assert stack.transitions().tobytes() == np.stack(
-            [rosm.transitions() for rosm in rosms]).tobytes()
+        assert cayley_map(stack.gens).tobytes() == np.stack(
+            [cayley_map(rosm.gens) for rosm in rosms]).tobytes()
 
     def test_audits_keep_the_order_of_the_baselines(self):
         task = make_task(3, seed=23)

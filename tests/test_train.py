@@ -82,15 +82,13 @@ class TestBackwardFullModel:
         # identity transitions, basis initial state, measurement aligned with
         # it: the target probability is exactly 1, a maximum of the log-prob
         params = TrainableCusm(
-            a=np.array([1.0, 0.0]),
-            b=np.zeros(2),
+            h0=np.array([1.0, 0.0], dtype=complex),
             gens=np.zeros((1, 2, 2), dtype=complex),
             meas_raw=np.eye(2, dtype=complex),
         )
         loss, grads = _fixed_batch_grad(params, np.array([[0]]), np.array([[1.0, 0.0]]))
         assert abs(loss) < 1e-14
-        assert np.abs(grads.a).max() < 1e-10
-        assert np.abs(grads.b).max() < 1e-10
+        assert np.abs(grads.h0).max() < 1e-10
         assert np.abs(grads.gens[0]).max() < 1e-10
         assert np.abs(grads.meas_raw).max() < 1e-10
 
@@ -487,6 +485,23 @@ class TestFlattening:
         l2 = full_model_loss(unflatten_model(flatten_model(model), model), tokens, weights)
         assert l1 == l2
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("kind, stream, parts", [
+        ("full", 100, 2), ("cusm-trainable", 200, 2), ("rosm", 201, 1)])
+    def test_template_leads_with_the_first_draws_of_its_stream(self, kind, stream, parts, seed):
+        # the flat vector starts with Re h0, then Im h0 for a complex start vector: the
+        # first standard_normal(n) draws of the kind's stream, in that order; reordering
+        # them or the arrays would change every training trace
+        n, v, alphabet = 3, 9, 7
+        template = {
+            "full": lambda: init_full_model(n=n, r=1, d=6, v=v, v_in=alphabet, seed=seed),
+            "cusm-trainable": lambda: train.init_trainable_cusm(n, v, alphabet, seed),
+            "rosm": lambda: train.init_trainable_rosm(n, v, alphabet, seed),
+        }[kind]()
+        rng = make_rng(seed, stream)
+        draws = np.concatenate([rng.standard_normal(n) for _ in range(parts)])
+        assert flatten_model(template)[:parts * n].tobytes() == draws.tobytes()
+
     def test_vector_longer_than_model_rejected(self):
         model = init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=6, hidden=[4])
         flat = flatten_model(model)
@@ -638,16 +653,15 @@ class TestTinyStartVector:
     # an unscaled norm that underflows to zero gave NaN
     LIFT = 2.0 ** 600
 
-    def check(self, params, starts, grads_of):
-        """The first `starts` of params.arrays() hold the start vector; grads_of(params)
-        gives the gradients' arrays in the same order."""
-        arrays = params.arrays()
-        got, want = (grads_of(params.with_arrays(
-            [a * 1e-170 * lift for a in arrays[:starts]] + arrays[starts:]))
-            for lift in (1.0, self.LIFT))
-        assert all(np.isfinite(g).all() for g in got[:starts])
+    def check(self, params, grads_of):
+        """params.arrays()[0] is the start vector; grads_of(params) gives the gradients'
+        arrays in the same order."""
+        h0, *rest = params.arrays()
+        got, want = (grads_of(params.with_arrays([h0 * 1e-170 * lift, *rest]))
+                     for lift in (1.0, self.LIFT))
+        assert np.isfinite(got[0]).all()
         for k, (g, w) in enumerate(zip(got, want)):
-            assert np.array_equal(g, self.LIFT * w if k < starts else w)
+            assert np.array_equal(g, self.LIFT * w if k == 0 else w)
 
     def test_fixed_kinds(self):
         task = make_task(2, seed=0)
@@ -656,9 +670,9 @@ class TestTinyStartVector:
         def grads_of(params):
             return _fixed_batch_grad(params, tokens, targets)[1].arrays()
 
-        self.check(train.init_trainable_cusm(2, task.v, 5, seed=0), 2, grads_of)
-        self.check(train.init_trainable_rosm(3, task.v, 5, seed=0), 1, grads_of)
+        self.check(train.init_trainable_cusm(2, task.v, 5, seed=0), grads_of)
+        self.check(train.init_trainable_rosm(3, task.v, 5, seed=0), grads_of)
 
     def test_full_model(self):
-        self.check(init_full_model(n=2, r=1, d=2, v=4, v_in=4, seed=0), 2,
+        self.check(init_full_model(n=2, r=1, d=2, v=4, v_in=4, seed=0),
                    lambda model: backward_full_model(model, [0, 1, 3], [2, 3, 0]).arrays())
