@@ -42,8 +42,7 @@ from .exceptions import (
 )
 from .hamgen import init_full_model, load_model
 from .numerics import DEFAULT_RANK_TOL, make_rng
-from .currents import (continuity_balance, factor_current_rows, factor_total_current,
-                       midpoint_current, total_current)
+from .currents import continuity_balance, factor_currents, midpoint_current, total_current
 from .septask import (
     AUDIT_RANK_TOL,
     build_exact_cusm,
@@ -347,9 +346,7 @@ def cmd_verify_separation(args) -> int:
     report = {
         "n": task.n,
         **exact,
-        "rank_P": ranks["rank_P"],
-        "rank_L": ranks["rank_L"],
-        "lstar_full_rank": ranks["lstar_full_rank"],
+        **ranks,
         "rosm_audit_violations": violations,
         "rosm_audits": audits,
     }
@@ -388,7 +385,7 @@ def cmd_simulate(args) -> int:
         states, factors = evolve_full_batch(model, [tokens])[:2]
         states, phi = states[:, 0], factors.phi[:, 0]
         cbar = 0.5 * (states[:-1] + states[1:])
-        row_sums, totals = factor_current_rows(phi, cbar), factor_total_current(phi, cbar)
+        row_sums, totals = factor_currents(phi, cbar)
 
     norms, balances = continuity_balance(states, dt, row_sums)
     max_balance = float(balances.max())

@@ -12,8 +12,8 @@ the midpoint current, dense or factored as below.
 For the low-rank generator H = Phi Phi^dag + diag(delta) the diagonal shift
 drives no current, so J = 2 Im(X X^dag) with X = c^* o Phi (N x r): J is
 Im(X) Re(X)^T minus its transpose, twice, of rank at most 2r, and its row
-sums 2 Im(X (X^dag 1)) cost O(N r). The factor_* functions take stacks of
-factors (..., N, r) and amplitudes (..., N) and never build H.
+sums 2 Im(X (X^dag 1)) cost O(N r). factor_currents takes a stack of factors
+(T, N, r) and amplitudes (T, N), forms X once and never builds H.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .numerics import check_hermitian, row_norms
 
-# steps of J formed at once by factor_total_current; at N=64, T=256, r=4
+# steps of J formed at once by factor_currents; at N=64, T=256, r=4
 # chunks of 8 timed as fast as 16 and faster than 1, 4 or 32 and above
 CHUNK_STEPS = 8
 
@@ -49,37 +49,34 @@ def continuity_balance(states: np.ndarray, dt: float,
     """Per step of a trajectory states (T+1, N): the norm of the post-step state
     and the balance residual max_j |d|c_j|^2 - dt (J 1)_j| of the discrete
     continuity equation, given the midpoint current's row sums J 1 (T, N)."""
-    dp = np.abs(states[1:]) ** 2 - np.abs(states[:-1]) ** 2
+    squares = np.abs(states) ** 2
+    dp = squares[1:] - squares[:-1]
     # row_norms rounds as np.linalg.norm of each state alone, in one stacked call
     return row_norms(states[1:]), np.abs(dp - dt * row_sums).max(axis=1)
 
 
-def _half_current(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _half_current(x: np.ndarray) -> np.ndarray:
     """M - M^T with M = Im(X) Re(X)^T, a new array: half the current J (..., N, N) of
-    H = Phi Phi^dag + diag(delta) at amplitudes c (..., N), for any delta."""
-    x = c.conj()[..., None] * phi
+    H = Phi Phi^dag + diag(delta), for any delta, from X = c^* o Phi (..., N, r)."""
     m = x.imag @ x.real.swapaxes(-1, -2)
     return m - m.swapaxes(-1, -2)
 
 
-def factor_current_rows(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Row sums J 1 (..., N) of that current, at O(N r)."""
-    x = c.conj()[..., None] * phi
-    return 2.0 * np.imag(x @ x.sum(axis=-2).conj()[..., None])[..., 0]
-
-
-def factor_total_current(phi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """total_current of each step of stacks phi (T, N, r), c (T, N).
+def factor_currents(phi: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row sums J 1 (T, N) of that current, at O(N r), and its total_current (T,), of
+    each step of stacks phi (T, N, r), c (T, N).
 
     J/2 is formed CHUNK_STEPS steps at a time, so memory stays at CHUNK_STEPS * N^2; J is
     exactly antisymmetric, so the sum over j < k is the whole sum of |J/2|.
     """
+    x = c.conj()[..., None] * phi
+    rows = 2.0 * np.imag(x @ x.sum(axis=-2).conj()[..., None])[..., 0]
     totals = np.empty(phi.shape[0])
     for start in range(0, phi.shape[0], CHUNK_STEPS):
         chunk = slice(start, start + CHUNK_STEPS)
-        half = _half_current(phi[chunk], c[chunk])
+        half = _half_current(x[chunk])
         totals[chunk] = np.abs(half, out=half).sum(axis=(-2, -1))
-    return totals
+    return rows, totals
 
 
 def total_current(j: np.ndarray) -> float | np.ndarray:

@@ -255,15 +255,15 @@ def evolve_full_batch(model, tokens: np.ndarray):
     advances all B states. The stacked checks follow, raising at the first ill-conditioned
     step. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N, r), delta
     (T, B, N), a view of the network's output), the checks (a CayleyStepReport of (T,) arrays),
-    the network's layer inputs and output (T, B, width) and the solves' pieces for their
-    adjoints: 1/(1 + c delta) (T, B, N), Gram (T, B, r, r).
+    the network's layer inputs and output (T, B, width), the solves' pieces for their adjoints
+    (1/(1 + c delta) (T, B, N), Gram (T, B, r, r)) and the phases exp(i lambda t dt) (T+1, N).
     """
     tokens = _checked_tokens(tokens, model.embed.shape[0])
     n, r, dt, c, (batch, steps) = model.n, model.r, model.dt, 0.5j * model.dt, tokens.shape
     acts = mlp_buffers(model.mlp, (steps, batch), model.d + 2 * n)
     x, (raw_phi, delta) = acts[0], split_factor_output(acts[-1], n, r)
     x[..., :model.d] = model.embed[tokens.T]
-    phases = np.exp(1j * np.outer(np.arange(steps) * dt, model.frequencies))[..., None]
+    phases = np.exp(1j * np.outer(np.arange(steps + 1) * dt, model.frequencies))
     # phi keeps the network's channel-major layout, in which the solve and the
     # currents round as they did on each step's own product; delta is read in place
     phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
@@ -276,7 +276,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
     def advance(step):  # the network's row, the phases and the Woodbury system of one step
         x_re[step], x_im[step] = psi[step].real, psi[step].imag
         mlp_forward_cached(model.mlp, x[step], layer_rows[step])
-        np.multiply(phases[step], raw_phi[step], out=phi[step])
+        np.multiply(phases[step, :, None], raw_phi[step], out=phi[step])
         return _woodbury_system(phi[step], delta[step], c, inv_d[step], gram[step])
     checks = CayleyStepReport(np.empty(steps), np.empty(steps), np.empty(steps))
     try:  # unchecked until a floating-point event, which a failing step may raise
@@ -295,7 +295,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
         chunk = slice(start, start + CHECK_CHUNK_STEPS)  # the last may be shorter
         checks.residual[chunk], checks.norm_change[chunk] = _step_residuals(
             phi[chunk], delta[chunk], cols[:-1][chunk], cols[1:][chunk], dt, len(phi[chunk]))
-    return cols[..., 0], InteractionFactors(phi, delta), checks, acts, (inv_d, gram)
+    return cols[..., 0], InteractionFactors(phi, delta), checks, acts, (inv_d, gram), phases
 
 
 def evolve_full_model(model, tokens):

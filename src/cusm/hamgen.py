@@ -77,17 +77,16 @@ def mlp_buffers(mlp: MlpParams, lead: tuple, width: int) -> list:
     return [np.empty((*lead, k)) for k in widths]
 
 
-def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list):
-    """Forward pass of one input or of rows (B, in): the output and each layer's
-    input. Layer l writes its output into out[l], rows the caller took from
-    mlp_buffers."""
-    h, inputs = x, [x, *out[:-1]]
+def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list) -> None:
+    """Forward pass of one input or of rows (B, in) into rows the caller took from
+    mlp_buffers: layer l writes its output, the next layer's input, into out[l], so
+    out[-1] ends as the network's output and [x, *out[:-1]] as each layer's input."""
+    h = x
     for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = np.matmul(h, w.T, out=out[layer])  # this layer's output, the next one's input
+        h = np.matmul(h, w.T, out=out[layer])
         h += b
         if layer < len(mlp.weights) - 1:
             np.tanh(h, out=h)
-    return h, inputs
 
 
 def mlp_backward(mlp: MlpParams, inputs: list, out: list) -> np.ndarray:

@@ -156,8 +156,8 @@ def _full_readout(model: FullModelParams, tokens: np.ndarray, target_weights: np
     forward = evolve_full_batch(model, tokens)
     states, dt = forward[0], model.dt
     meas, r_meas = project_measurement(model.meas_raw)
-    # row t undoes the interaction picture at time t*dt
-    phases = np.exp(-1j * np.outer(np.arange(len(states)) * dt, model.frequencies))
+    # row t undoes the interaction picture at time t*dt: the bits of exp(-ix) at any x != 0
+    phases = forward[-1].conj()
     loss, g_states, g_meas, g_lam = 0.0, {}, np.zeros_like(meas), np.zeros(model.n)
     for t in np.flatnonzero(target_weights.any(axis=(0, 2)))[::-1].tolist():
         psi_s = phases[t + 1] * states[t + 1]
@@ -198,7 +198,7 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
     state and the QR measurement projection."""
     n, d, dt, steps = model.n, model.d, model.dt, tokens.shape[1]
     (loss, g_states, g_meas, g_lam, phases, (meas, r_meas),
-     (states, factors, _, acts, (inv_d, gram))) = _full_readout(model, tokens, target_weights)
+     (states, factors, _, acts, (inv_d, gram), _)) = _full_readout(model, tokens, target_weights)
     g_psi = np.zeros_like(states[0])
     # per step, the network's input gradient, each layer's pre-activation gradient
     # and its output gradient, whose rows take dL/dPhi and dL/ddelta through views

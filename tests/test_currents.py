@@ -5,8 +5,7 @@ from cusm.cli import TOLERANCES
 from cusm.currents import (
     continuity_balance,
     continuous_current,
-    factor_current_rows,
-    factor_total_current,
+    factor_currents,
     midpoint_current,
     total_current,
 )
@@ -186,16 +185,16 @@ class TestFactorCurrent:
         # 40 steps: several whole chunks of J and a partial last one
         phi, c = ginibre(rng, 40 * 7, 2).reshape(40, 7, 2), ginibre(rng, 40, 7)
         j = factor_current(phi, c)
-        assert np.abs(factor_current_rows(phi, c) - j.sum(axis=-1)).max() < 1e-14
+        assert np.abs(factor_currents(phi, c)[0] - j.sum(axis=-1)).max() < 1e-14
         want = [total_current(m) for m in j]
-        assert np.abs(factor_total_current(phi, c) - want).max() < 1e-14
+        assert np.abs(factor_currents(phi, c)[1] - want).max() < 1e-14
 
     def test_totals_keep_the_bits_of_half_the_whole_sum(self):
         # the chunked sums of |J/2| are half the sums of |J| bit for bit: scaling by 2 is exact
         rng = make_rng(13)
         phi, c = ginibre(rng, 40 * 9, 3).reshape(40, 9, 3), ginibre(rng, 40, 9)
         want = 0.5 * np.abs(factor_current(phi, c)).sum(axis=(-2, -1))
-        assert factor_total_current(phi, c).tobytes() == want.tobytes()
+        assert factor_currents(phi, c)[1].tobytes() == want.tobytes()
 
 
 class TestTotalCurrent:

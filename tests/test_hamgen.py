@@ -54,8 +54,11 @@ class TestInitialState:
 
 
 def forward(mlp, x):
-    """mlp_forward_cached of x (..., in), into rows from mlp_buffers."""
-    return mlp_forward_cached(mlp, x, mlp_buffers(mlp, x.shape[:-1], x.shape[-1])[1:])
+    """mlp_forward_cached of x (..., in), into rows from mlp_buffers: the output and
+    each layer's input."""
+    rows = mlp_buffers(mlp, x.shape[:-1], x.shape[-1])[1:]
+    mlp_forward_cached(mlp, x, rows)
+    return rows[-1], [x, *rows[:-1]]
 
 
 class TestMlpForward:

@@ -2,7 +2,8 @@
 step lengths and scales of Phi and delta, and bit for bit against the same
 arithmetic with every intermediate in a fresh array, for row-major and for
 state-major columns; the factor-form
-probability currents against the dense ones, and the stacked Hermitian check and dense currents
+probability currents against the dense ones, and bit for bit against the two passes over
+the factors that their one pass replaced; the stacked Hermitian check and dense currents
 against one matrix at a time, and the stacked row norms against one row at a
 time; the closed-form Hermitian lift against its explicit basis; the stacked
 softmax-rank audits and numerical ranks against one model or matrix at a time;
@@ -10,7 +11,8 @@ bit-exact task and model file round trips, which reject a task that breaks
 its physics and a model without a start state; the one fixed-transition
 batch gradient bit for bit against the per-kind functions it replaced; and the
 full model's forward pass, which checks its Gram matrices after the time loop,
-bit for bit against a loop that checks each step before solving it. It also holds
+bit for bit against a loop that checks each step before solving it, and the conjugate of its
+phase table against the exp of the negated phases. It also holds
 the reference forms that no command runs and other test modules import: the
 factor-form current, the per-channel currents and one generator-network call."""
 
@@ -26,10 +28,10 @@ from hypothesis.extra import numpy as hnp
 from test_numerics import explicit_hermitian_basis, vec_by_basis
 
 from cusm.currents import (
+    CHUNK_STEPS,
     _half_current,
     continuous_current,
-    factor_current_rows,
-    factor_total_current,
+    factor_currents,
     midpoint_current,
     total_current,
 )
@@ -89,7 +91,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 def factor_current(phi, c):
     """The current J (..., N, N) of H = Phi Phi^dag + diag(delta) at amplitudes
     c (..., N), for any delta; exactly antisymmetric."""
-    return 2.0 * _half_current(phi, c)
+    return 2.0 * _half_current(c.conj()[..., None] * phi)
 
 
 def channel_currents(factors, psi):
@@ -102,8 +104,9 @@ def channel_currents(factors, psi):
 def generate_interaction(mlp, embed_vec, state, r):
     """Run the generator network on (embedding, Re/Im of state) and assemble (Phi, delta)."""
     x = np.concatenate([embed_vec, state.real, state.imag])
-    out = mlp_forward_cached(mlp, x, mlp_buffers(mlp, (), x.size)[1:])[0]
-    return InteractionFactors(*split_factor_output(out, state.shape[0], r))
+    rows = mlp_buffers(mlp, (), x.size)[1:]
+    mlp_forward_cached(mlp, x, rows)
+    return InteractionFactors(*split_factor_output(rows[-1], state.shape[0], r))
 
 
 @st.composite
@@ -344,24 +347,46 @@ def test_gufunc_solve_equals_numpy_solve_bit_for_bit(stack, r, k, seed):
 # ---------------------------------------------------------------------------
 # probability currents in factor form
 
+def factor_current_rows(phi, c):
+    """Row sums J 1 (..., N) of factor_current, at O(N r), from X = c^* o Phi formed here."""
+    x = c.conj()[..., None] * phi
+    return 2.0 * np.imag(x @ x.sum(axis=-2).conj()[..., None])[..., 0]
+
+
+def factor_total_current(phi, c):
+    """total_current of each step of stacks phi (T, N, r), c (T, N), from J/2 formed
+    CHUNK_STEPS steps at a time, each chunk from an X = c^* o Phi of its own."""
+    totals = np.empty(phi.shape[0])
+    for start in range(0, phi.shape[0], CHUNK_STEPS):
+        chunk = slice(start, start + CHUNK_STEPS)
+        half = _half_current(c[chunk].conj()[..., None] * phi[chunk])
+        totals[chunk] = np.abs(half, out=half).sum(axis=(-2, -1))
+    return totals
+
+
+def current_stack(t, n, r, seed, decades=(0, 0, 0)):
+    """(phi (T, N, r), delta (T, N), amplitudes (T, N)) from seed, scaled by 10^decades."""
+    rng = make_rng(seed)
+    phi = ginibre(rng, t * n, r).reshape(t, n, r) * 10.0 ** decades[0]
+    delta = rng.standard_normal((t, n)) * 10.0 ** decades[1]
+    return phi, delta, ginibre(rng, t, n) * 10.0 ** decades[2]
+
+
 @st.composite
 def current_stacks(draw):
-    """(phi (T, N, r), delta (T, N), amplitudes (T, N)), scaled by drawn
-    decades; T up to 40 spans several chunks of the total current."""
+    """current_stack of drawn sizes, seed and decades; T up to 40 spans several chunks
+    of the total current."""
     t, n, r = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
-    rng = make_rng(draw(st.integers(0, 2 ** 31)))
-    phi = ginibre(rng, t * n, r).reshape(t, n, r) * 10.0 ** draw(st.integers(-3, 3))
-    delta = rng.standard_normal((t, n)) * 10.0 ** draw(st.integers(-3, 3))
-    c = ginibre(rng, t, n) * 10.0 ** draw(st.integers(-3, 1))
-    return phi, delta, c
+    seed = draw(st.integers(0, 2 ** 31))
+    decades = [draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), draw(st.integers(-3, 1))]
+    return current_stack(t, n, r, seed, decades)
 
 
 @PROPERTY
 @given(current_stacks())
 def test_factor_currents_match_dense(case):
     phi, delta, c = case
-    currents, rows = factor_current(phi, c), factor_current_rows(phi, c)
-    totals = factor_total_current(phi, c)
+    currents, (rows, totals) = factor_current(phi, c), factor_currents(phi, c)
     for s in range(phi.shape[0]):
         dense = continuous_current(InteractionFactors(phi[s], delta[s]).materialize(), c[s])
         # the dense current's rounding scale: |c_j| |c_k| sum_a |Phi_ja| |Phi_ka|,
@@ -371,6 +396,23 @@ def test_factor_currents_match_dense(case):
         assert np.abs(currents[s] - dense).max() <= 1e-13 * scale.max()
         assert np.abs(rows[s] - dense.sum(axis=1)).max() <= 1e-13 * scale.sum(axis=1).max()
         assert abs(totals[s] - total_current(dense)) <= 1e-13 * np.triu(scale, k=1).sum()
+
+
+@PROPERTY
+@given(current_stacks())
+@example(current_stack(0, 5, 2, 1))
+@example(current_stack(1, 5, 2, 2))
+@example(current_stack(CHUNK_STEPS - 1, 6, 3, 3, (2, 0, -1)))
+@example(current_stack(CHUNK_STEPS, 6, 3, 4))
+@example(current_stack(CHUNK_STEPS + 1, 7, 1, 5, (-3, 1, 1)))
+@example(current_stack(2 * CHUNK_STEPS + 3, 2, 4, 6))  # r > N
+def test_one_pass_over_the_factors_equals_a_pass_for_rows_and_one_for_totals(case):
+    # factor_currents forms X once for the row sums and the chunked totals; the two
+    # functions it replaced formed X each, the totals' chunk by chunk
+    phi, _, c = case
+    rows, totals = factor_currents(phi, c)
+    assert same_bits(rows, factor_current_rows(phi, c))
+    assert same_bits(totals, factor_total_current(phi, c))
 
 
 @st.composite
@@ -843,12 +885,32 @@ def test_gram_check_after_the_loop_equals_the_check_in_it_bit_for_bit(run):
     if isinstance(want[0], int):  # the first ill-conditioned step, as the loop check raised it
         assert got == want
         return
-    states, factors, checks, acts, (inv_d, gram) = got
+    states, factors, checks, acts, (inv_d, gram), _ = got
     *arrays, want_acts, want_checks = want
     for array, expected in zip((states, factors.phi, factors.delta, inv_d, gram, *acts),
                                (*arrays, *want_acts), strict=True):
         assert same_bits(array, expected)
     assert report_bits(checks) == report_bits(want_checks)
+
+
+@PROPERTY
+@given(st.floats(1e-3, 1e2), st.integers(1, 64), st.integers(0, 300), st.integers(-2, 2),
+       st.integers(0, 2 ** 32))
+@example(1e2, 64, 300, 2, 0)
+def test_conjugate_phase_table_is_the_exp_of_the_negated_phases(dt, n, steps, decade, seed):
+    # the readout undoes the interaction picture with the conjugate of the forward pass's
+    # phases: the bytes of exp(-i lambda t dt) wherever the angle is not zero, as cos is even
+    # and sin odd to the last bit. At angle +-0 both are 1 with a zero imaginary part whose
+    # sign may differ: for a = [-0.0], np.exp(1j * a) is [1+0j], whose conjugate is [1-0j],
+    # but np.exp(-1j * a) is [1+0j]; row 0 has that angle at every negative frequency
+    model = init_full_model(n=n, r=1, d=1, v=n, v_in=1, dt=dt, seed=seed % 1000, hidden=[])
+    model.mlp.weights[0][:], model.mlp.biases[0][:] = 0.0, 0.0  # H = 0: every step is I
+    model.frequencies = make_rng(seed).standard_normal(n) * 10.0 ** decade
+    got = evolve_full_batch(model, np.zeros((1, steps), dtype=int))[-1].conj()
+    angles = np.outer(np.arange(steps + 1) * dt, model.frequencies)
+    want, zero = np.exp(-1j * angles), angles == 0.0
+    assert same_bits(np.where(zero, 1.0, got), np.where(zero, 1.0, want))
+    assert (got[zero] == 1.0).all() and (want[zero] == 1.0).all() and zero[0].all()
 
 
 @pytest.mark.parametrize("scale, twin", [(1e7, False), (1e160, False), (1e9, True)])

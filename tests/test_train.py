@@ -290,7 +290,7 @@ class TestAdjointReusesForwardPieces:
         model = init_full_model(n=4, r=r, d=3, v=5, v_in=3, dt=0.5, seed=4)
         model.mlp.weights[-1] *= 1e3  # Gram matrices far from I: conditions 9 to 69
         tokens = make_rng(5).integers(0, 3, (3, 6))
-        _, factors, _, _, (inv_d, gram) = evolve_full_batch(model, tokens)
+        _, factors, _, _, (inv_d, gram), _ = evolve_full_batch(model, tokens)
         g, c = ginibre(make_rng(6), 3, 4), -0.5j * model.dt
         for t in range(tokens.shape[1]):
             reused = adjoint_state_step(factors[t], model.dt, g,
