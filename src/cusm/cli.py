@@ -435,6 +435,8 @@ def cmd_train(args) -> int:
         "any_gap_zero": bool(any(rep.gap_zero for rep in reports)),
         "reports": paths,
     }
+    if args.model_kind == "rosm":  # the rank bound's verdict, the same in every seed's report
+        aggregate.update({k: v for k, v in reports[0].extra.items() if k != "softmax_rank_audit"})
     if args.ablation:
         aggregate["ablation"] = readout_ablation(build_exact_cusm(task), task.sequences(),
                                                  target_table(task).pstar)

@@ -29,12 +29,13 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-# np.linalg.solve's gufunc, 7 us a call faster; a singular system gives NaN, not LinAlgError
+# np.linalg.solve's gufunc, 7 us a call faster; a singular system gives NaN, not
+# LinAlgError, except under the error state that linalg_solve sets
 from numpy.linalg._umath_linalg import solve as _solve
 
 from .exceptions import IllConditionedStepError, VocabularyError
 from .hamgen import mlp_buffers, mlp_forward_cached, split_factor_output
-from .numerics import check_hermitian, initial_state
+from .numerics import check_hermitian, initial_state, lapack_errstate
 
 GRAM_COND_FAIL = 1e12
 GRAM_COND_WARN = 1e8
@@ -85,6 +86,14 @@ def interaction_picture_factors(factors: InteractionFactors, frequencies: np.nda
     """
     phase = np.exp(1j * np.asarray(frequencies) * (t * dt))
     return InteractionFactors(phase[:, None] * factors.phi, factors.delta)
+
+
+def linalg_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of float64 or complex128 stacks a (..., d, d), b (..., d, k), with its
+    bits and its LinAlgError("Singular matrix"): its gufunc under its error state, without
+    the wrapper's Python-level checks."""
+    with lapack_errstate("Singular matrix"):
+        return _solve(a, b)
 
 
 def cayley_step_dense(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -202,7 +211,7 @@ def cayley_map(z: np.ndarray) -> np.ndarray:
     (..., d, d): unitary for complex Z, orthogonal for real Z."""
     s = z - z.conj().swapaxes(-1, -2)
     eye = np.eye(z.shape[-1])
-    return np.linalg.solve(eye + s, eye - s)
+    return linalg_solve(eye + s, eye - s)
 
 
 def inverse_cayley(w: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -5,15 +5,20 @@ with each matrix's entries), the closed-form real coordinates of Hermitian
 matrices in a trace-orthonormal basis of fixed canonical order, SVD-based rank
 estimation, a uniqueness-normalized thin QR, one row norm (row_norms), the one
 normalisation of start states (initial_state), and an allocation check against
-the machine's memory. Everything else is a pure function of its arguments;
-randomness always enters through an explicit seed, any integer >= 0.
+the machine's memory. The thin QR calls the two LAPACK gufuncs of
+np.linalg.qr(mode="reduced") directly, without the wrapper's Python-level checks,
+under the error state in which np.linalg runs them (lapack_errstate). Everything
+else is a pure function of its arguments; randomness always enters through an
+explicit seed, any integer >= 0.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
 
 from .exceptions import (ConfigurationError, DegenerateFactorizationError,
                          DegenerateInitializationError, InvalidDimensionError, NonHermitianError)
@@ -22,6 +27,7 @@ DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 _MIN_NORM = 2.0 ** -511  # its square is the smallest normal float
 _UNDERFLOW_SCALE = 2.0 ** 600  # exact; lifts any nonzero row of a smaller norm above _MIN_NORM
+_upper = functools.cache(lambda n: ~np.tri(n, k=-1, dtype=bool))  # np.triu's mask
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -36,6 +42,16 @@ def check_allocation(nbytes: int, what: str) -> None:
         raise ConfigurationError(f"{what} needs {nbytes:.3g} bytes; memory holds {total:.3g}")
 
 
+def lapack_errstate(message: str) -> np.errstate:
+    """The error state in which np.linalg runs its LAPACK gufuncs: an error that the gufunc
+    flags as invalid, such as a singular solve, raises LinAlgError(message), and overflow,
+    division and underflow pass silently. A bare gufunc returns NaN in its place."""
+    def raise_error(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=raise_error, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
 def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Complex standard-normal matrix, entries ~ CN(0, 1)."""
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
@@ -46,13 +62,18 @@ def thin_qr_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The positivity normalization makes the factorization unique, hence
     byte-deterministic for identical input. Requires rows >= cols and full
-    column rank.
+    column rank. The factors are np.linalg.qr's bits: its two gufuncs, qr_r_raw
+    (R and the reflectors, in place on a copy) and qr_reduced (Q), under its error
+    state, and R cut from the copy by np.triu's mask.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise InvalidDimensionError(f"need rows >= cols, got shape {a.shape}")
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r).copy()
+    with lapack_errstate("Incorrect argument found while performing QR factorization"):
+        q = qr_reduced(a, qr_r_raw(a, signature="D->D"), signature="DD->D")
+    cols = a.shape[1]
+    r = np.where(_upper(cols), a[:cols], 0j)
+    d = np.diagonal(r)
     smax = np.abs(d).max() if d.size else 0.0
     if smax == 0.0 or np.abs(d).min() <= 1e-10 * smax * max(a.shape):
         raise DegenerateFactorizationError("input is numerically rank-deficient")
@@ -65,7 +86,7 @@ def thin_qr_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def row_norms(vec: np.ndarray) -> np.ndarray:
     """sqrt(re . re + im . im) of rows (..., N), real or complex: np.linalg.norm of each row."""
     sq = np.vecdot(vec.real, vec.real)
-    return np.sqrt(sq + np.vecdot(vec.imag, vec.imag) if np.iscomplexobj(vec) else sq)
+    return np.sqrt(sq + np.vecdot(vec.imag, vec.imag) if vec.dtype.kind == "c" else sq)
 
 
 def initial_state(vec: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ table p*(k|i,j) = |<m_k|W_j psi_i>|^2 then has full rank N^2, which is what
 forces any real orthogonal model with an affine-softmax readout up to
 dimension N^2 - 2, while a complex unitary model of dimension N reproduces
 the table exactly by construction. The random baselines that audit that
-bound run stacked, one batch per baseline dimension (softmax_rank_audits).
+bound run stacked, one batch per baseline dimension (softmax_rank_audits), and
+rank_bound_verdict states what the bound leaves a trained baseline of dimension d.
 """
 
 from __future__ import annotations
@@ -258,6 +259,18 @@ def check_separation_ranks(table: TargetTable, n: int) -> dict:
         "rank_L": rank_l,
         "lstar_full_rank": bool(rank_l == n * n),
     }
+
+
+def rank_bound_verdict(table: TargetTable, n: int, d: int) -> dict:
+    """The affine-softmax bound's verdict on baselines of dimension d: rank_L of
+    check_separation_ranks, whether d + 2 < rank_L forbids an exact fit, and the
+    Eckart-Young floor sqrt(sum of sigma_i(L*)^2 over i > d + 2), the Frobenius distance
+    to L* that no matrix of rank <= d + 2 beats. Reported, never asserted of the NLL gap:
+    the bound limits L-bar, not the mean KL."""
+    rank_l = check_separation_ranks(table, n)["rank_L"]
+    tail = np.linalg.svd(table.lstar, compute_uv=False)[d + 2:]
+    return {"rank_L": rank_l, "bound_forbids_exact": d + 2 < rank_l,
+            "eckart_young_floor": float(np.sqrt(np.vecdot(tail, tail)))}
 
 
 def basis_change_unitary(src: np.ndarray, dst: np.ndarray, seed: int = 0) -> np.ndarray:

@@ -14,6 +14,7 @@ gradient of a complex array, the raw start vector h0 among them, is one complex 
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (InteractionFactors, _lowrank_solve, cayley_map, evolve_fixed_batch,
-                       evolve_full_batch)
+                       evolve_full_batch, linalg_solve)
 from .exceptions import ConfigurationError
 from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_grads,
                      split_factor_output)
@@ -41,6 +42,7 @@ from .septask import (
     TaskInstance,
     TargetTable,
     build_exact_cusm,
+    rank_bound_verdict,
     softmax_rank_audit,
     target_table,
 )
@@ -97,14 +99,19 @@ def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
     return np.subtract(back, g, out=back), s
 
 
+# per size n: the masks of np.triu(b, 1) and of the diagonal
+_vjp_masks = functools.cache(lambda n: (~np.tri(n, dtype=bool), np.eye(n, dtype=bool)))
+
+
 def _qr_projection_vjp(meas: np.ndarray, r: np.ndarray, g_meas: np.ndarray) -> np.ndarray:
     """Backward through meas = project_measurement(raw), given the R factor of
     its thin QR raw^dag = Q R, meas = Q^dag."""
     b = meas @ g_meas.conj().T
-    upper = np.triu(b, 1)
-    w = upper + upper.conj().T + np.diag(np.real(np.diag(b)))
+    strict_upper, diagonal = _vjp_masks(len(b))
+    upper = np.where(strict_upper, b, 0j)
+    w = upper + upper.conj().T + np.where(diagonal, b.real, 0.0)  # a real diagonal, as np.diag's
     # the conjugate transpose of (g_Q - Q w) R^{-dag}, with Q = meas^dag and w Hermitian
-    return np.linalg.solve(r, g_meas - w @ meas)
+    return linalg_solve(r, g_meas - w @ meas)
 
 
 def _normalize_vjp(vec: np.ndarray, g_unit: np.ndarray) -> np.ndarray:
@@ -123,7 +130,7 @@ def _cayley_generator_vjp(z: np.ndarray, w: np.ndarray, g_w: np.ndarray) -> np.n
     S = Z - Z^dag, g_S = -(I+S)^{-dag} g_W (I+W)^dag and g_Z = g_S - g_S^dag."""
     eye = np.eye(z.shape[-1])
     s = z - z.conj().swapaxes(-1, -2)
-    lhs = np.linalg.solve((eye + s).conj().swapaxes(-1, -2), g_w)
+    lhs = linalg_solve((eye + s).conj().swapaxes(-1, -2), g_w)
     g_s = -lhs @ (eye + w).conj().swapaxes(-1, -2)
     return g_s - g_s.conj().swapaxes(-1, -2)
 
@@ -261,7 +268,7 @@ def flatten_model(params) -> np.ndarray:
     contributes its real block, then its imaginary block."""
     parts = []
     for arr in params.arrays():
-        parts += [arr.real.ravel(), arr.imag.ravel()] if np.iscomplexobj(arr) else [arr.ravel()]
+        parts += [arr.real.ravel(), arr.imag.ravel()] if arr.dtype.kind == "c" else [arr.ravel()]
     return np.concatenate(parts)
 
 
@@ -270,7 +277,7 @@ def unflatten_model(flat: np.ndarray, template):
     flat. The real arrays are views of flat, so flat must not change after."""
     arrays, pos = [], 0
     for arr in template.arrays():
-        blocks = 2 if np.iscomplexobj(arr) else 1
+        blocks = 2 if arr.dtype.kind == "c" else 1
         chunk = flat[pos:pos + blocks * arr.size].reshape(blocks, *arr.shape)
         arrays.append(chunk[0] + 1j * chunk[1] if blocks == 2 else chunk[0])
         pos += blocks * arr.size
@@ -328,7 +335,7 @@ def adam_cosine(flat0: np.ndarray, grad_fn, config: OptimizerConfig,
         if stop_fn is not None and stop_fn(loss):
             stopped = "early_stop"
             break
-        gnorm = np.linalg.norm(grad)
+        gnorm = np.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D float vector
         if gnorm > CLIP_NORM:
             grad = grad * (CLIP_NORM / gnorm)
         lr = config.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / max(1, config.epochs)))
@@ -463,7 +470,8 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     Hamiltonians). dim is the state dimension; it defaults to the task's n
     except for rosm, which needs it. The gap is final mean NLL minus the
     entropy floor and is declared zero below 1e-3 nats; convergence is
-    reported, never asserted.
+    reported, never asserted. A rosm report's extra holds the trained
+    baseline's softmax_rank_audit and the task's rank_bound_verdict at dim.
     """
     if model_kind not in ("cusm-trainable", "rosm", "full"):
         raise ConfigurationError(f"unknown model_kind {model_kind!r}")
@@ -473,6 +481,7 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     if dim < 1:
         raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
     table = target_table(task)
+    verdict = rank_bound_verdict(table, task.n, dim) if model_kind == "rosm" else {}
     floor = entropy_floor(table)
     tokens = task.sequences()
     weights = np.zeros((*tokens.shape, task.v))
@@ -515,7 +524,7 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
             )
             trained = unflatten_model(flat, template)
             final = final_loss(trained, tokens, targets) / count
-            extra = ({"softmax_rank_audit": softmax_rank_audit(trained, task)}
+            extra = ({"softmax_rank_audit": softmax_rank_audit(trained, task), **verdict}
                      if model_kind == "rosm" else {})
         gap = final - floor
         reports.append(TrainReport(

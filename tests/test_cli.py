@@ -507,6 +507,10 @@ class TestTrain:
             assert trace.splitlines()[0] == "epoch,mean_nll,gap"
         agg = json.loads((tmp_path / "train_rosm_aggregate.json").read_text())
         assert agg["seeds"] == [0, 1]
+        # the rank bound's verdict, in each seed's extra and once in the aggregate
+        verdict = {"rank_L": 4, "bound_forbids_exact": True}
+        assert verdict.items() <= rep["extra"].items() and verdict.items() <= agg.items()
+        assert agg["eckart_young_floor"] == rep["extra"]["eckart_young_floor"] > 0.0
         assert "gap_mean" in agg and "gap_std" in agg and "gap_best" in agg
         assert agg["ablation"]["nll_diagonal"] >= agg["ablation"]["nll_born"]
 
@@ -581,6 +585,16 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr().err == \
             "numerical failure: initial-state parameter vector has norm inf\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_singular_cayley_system_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # at d = 3 the overflowing Adam step leaves generators whose Cayley system I + S is
+        # singular; np.linalg.solve's gufunc alone would return NaN there, and the run would
+        # fail later, at the start state's norm
+        code = run(["train", "--n", "2", "--model-kind", "rosm", "--dim", "3", "--seeds", "2",
+                    "--epochs", "30", "--lr", "1e300"], tmp_path, monkeypatch)
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
         assert not list(tmp_path.iterdir())
 
     def test_rosm_without_dim_is_usage_error(self, tmp_path, monkeypatch):

@@ -12,7 +12,10 @@ its physics and a model without a start state; the one fixed-transition
 batch gradient bit for bit against the per-kind functions it replaced; and the
 full model's forward pass, which checks its Gram matrices after the time loop,
 bit for bit against a loop that checks each step before solving it, and the conjugate of its
-phase table against the exp of the negated phases. It also holds
+phase table against the exp of the negated phases; the thin QR, the QR projection's VJP
+and linalg_solve, which call np.linalg's gufuncs without its wrappers, bit for bit and error
+for error against the np.linalg calls; and the rank bound's verdict against random and
+briefly trained baselines. It also holds
 the reference forms that no command runs and other test modules import: the
 factor-form current, the per-channel currents and one generator-network call."""
 
@@ -52,13 +55,14 @@ from cusm.dynamics import (
     cayley_map,
     evolve_fixed_batch,
     evolve_full_batch,
+    linalg_solve,
 )
 from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
                              IllConditionedStepError, NonHermitianError)
 from cusm.hamgen import (init_full_model, load_model, mlp_buffers, mlp_forward_cached, save_model,
                          split_factor_output)
 from cusm.numerics import (check_hermitian, ginibre, initial_state, make_rng, numerical_rank,
-                           row_norms, vec_hermitian)
+                           row_norms, thin_qr_unique, vec_hermitian)
 from cusm.readout import floored_log, project_measurement
 from cusm.septask import (
     RosmParams,
@@ -66,10 +70,13 @@ from cusm.septask import (
     load_task,
     make_task,
     random_rosm,
+    rank_bound_verdict,
     save_task,
     softmax_rank_audits,
+    target_table,
 )
 from cusm.train import (
+    OptimizerConfig,
     TrainableCusm,
     _born_readout_vjp,
     _cayley_generator_vjp,
@@ -77,9 +84,12 @@ from cusm.train import (
     _fixed_transition_vjp,
     _normalize_vjp,
     _qr_projection_vjp,
+    adam_cosine,
     adjoint_state_step,
+    flatten_model,
     init_trainable_cusm,
     init_trainable_rosm,
+    unflatten_model,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -345,6 +355,90 @@ def test_gufunc_solve_equals_numpy_solve_bit_for_bit(stack, r, k, seed):
 
 
 # ---------------------------------------------------------------------------
+# np.linalg's gufuncs called without its wrappers, against the np.linalg calls they replace
+
+def thin_qr_oracle(a):
+    """thin_qr_unique as np.linalg.qr and the same phase normalisation."""
+    q, r = np.linalg.qr(np.asarray(a, dtype=complex))
+    d = np.diagonal(r).copy()
+    phases = d / np.abs(d)
+    return q * phases[None, :], phases.conj()[:, None] * r
+
+
+def qr_projection_vjp_oracle(meas, r, g_meas):
+    """_qr_projection_vjp as np.triu, np.diag and np.linalg.solve."""
+    b = meas @ g_meas.conj().T
+    upper = np.triu(b, 1)
+    w = upper + upper.conj().T + np.diag(np.real(np.diag(b)))
+    return np.linalg.solve(r, g_meas - w @ meas)
+
+
+@st.composite
+def tall_matrices(draw):
+    """(rows, cols) with 16 >= rows >= cols, real or complex, scaled by a drawn decade;
+    drawn transposed or not, as project_measurement passes raw^dag."""
+    cols = draw(st.integers(1, 16))
+    rows = draw(st.integers(cols, 16))
+    rng = make_rng(draw(st.integers(0, 2 ** 31)))
+    a = ginibre(rng, rows, cols) if draw(st.booleans()) else rng.standard_normal((rows, cols))
+    a = a * 10.0 ** draw(st.integers(-3, 3))
+    return np.ascontiguousarray(a.T).T if draw(st.booleans()) else a
+
+
+@PROPERTY
+@given(tall_matrices())
+@example(np.array([[-0.0, 1.0], [2.0, complex(0.5, -0.0)], [1.0, -0.0]]))
+def test_thin_qr_unique_equals_numpy_qr_bit_for_bit(a):
+    for got, want in zip(thin_qr_unique(a), thin_qr_oracle(a), strict=True):
+        assert same_bits(got, want)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 2 ** 31), st.integers(-3, 3))
+def test_qr_projection_vjp_equals_the_triu_diag_solve_formula(n, extra_v, seed, decade):
+    rng = make_rng(seed)
+    meas, r = project_measurement(ginibre(rng, n, n + extra_v))
+    g_meas = ginibre(rng, n, n + extra_v) * 10.0 ** decade
+    g_meas[:, rng.random(n + extra_v) < 0.2] = 0.0  # columns of zeros, signed zeros in b
+    assert same_bits(_qr_projection_vjp(meas, r, g_meas),
+                     qr_projection_vjp_oracle(meas, r, g_meas))
+
+
+@st.composite
+def solve_systems(draw):
+    """Stacks a (..., d, d), b (..., d, k), each real or complex: finite, or with a
+    zeroed column of a (singular), or with an inf or NaN entry in a or b."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    d, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2 ** 31)))
+    a, b = (ginibre(rng, int(np.prod(shape)) * d, cols).reshape(shape + (d, cols))
+            for cols in (d, k))
+    a, b = (x if draw(st.booleans()) else x.real.copy() for x in (a, b))
+    flaw = draw(st.sampled_from(["none", "singular", "inf", "nan"]))
+    if flaw == "singular":
+        a[..., draw(st.integers(0, d - 1))] = 0.0
+    elif flaw != "none":
+        target = a if draw(st.booleans()) else b
+        target.reshape(-1)[draw(st.integers(0, target.size - 1))] = float(flaw)
+    return a, b
+
+
+@PROPERTY
+@given(solve_systems())
+@example((np.zeros((2, 2)), np.ones((2, 1))))
+@example((np.array([[np.inf, 1.0], [1.0, 1.0]]), np.ones((2, 3), dtype=complex)))
+def test_linalg_solve_equals_numpy_solve_and_raises_as_it_does(system):
+    try:
+        want = np.linalg.solve(*system)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            linalg_solve(*system)
+        assert str(got.value) == str(exc) == "Singular matrix"
+    else:
+        assert same_bits(linalg_solve(*system), want)
+
+
+# ---------------------------------------------------------------------------
 # probability currents in factor form
 
 def factor_current_rows(phi, c):
@@ -531,6 +625,39 @@ def test_stacked_audits_equal_one_model_audits(key, dims, seed, decade):
         assert audit == {"rank_Lbar": rank, "bound": rosm.dim + 2,
                          "satisfied": rank <= rosm.dim + 2}
         assert type(audit["rank_Lbar"]) is int
+
+
+@PROPERTY
+@given(st.sampled_from([key for key in sorted(AUDIT_TASKS) if key[0] <= 3]), st.data(),
+       st.integers(0, 2 ** 31), st.sampled_from([0, 5, 30]))
+def test_baselines_keep_the_eckart_young_floor_and_the_verdict_agrees_with_their_audits(
+        key, data, seed, epochs):
+    # a random baseline (epochs = 0) or one briefly trained as train_on_task trains it
+    task = AUDIT_TASKS[key]
+    d = data.draw(st.integers(1, task.n ** 2))
+    table, tokens = target_table(task), task.sequences()
+    rosm = init_trainable_rosm(d, task.v, 2 * task.n + 1, seed)
+
+    def loss_grad(flat):
+        loss, grads = _fixed_batch_grad(unflatten_model(flat, rosm), tokens, table.pstar)
+        return loss, flatten_model(grads)
+
+    if epochs:
+        rosm = unflatten_model(adam_cosine(flatten_model(rosm), loss_grad,
+                                           OptimizerConfig(lr=0.05, epochs=epochs))[0], rosm)
+    verdict = rank_bound_verdict(table, task.n, d)
+    floor = verdict["eckart_young_floor"]
+    lbar = floored_log(rosm.readout(evolve_fixed_batch(
+        cayley_map(rosm.gens), initial_state(rosm.h0), tokens)[-1]))
+    assert np.linalg.norm(lbar - table.lstar) >= floor - 1e-9
+    # the truncated SVD of L* at rank d + 2 attains the floor
+    u, sigma, vt = np.linalg.svd(table.lstar)
+    nearest = (u[:, :d + 2] * sigma[:d + 2]) @ vt[:d + 2]
+    assert abs(np.linalg.norm(nearest - table.lstar) - floor) <= 1e-9 * max(1.0, floor)
+    audit = softmax_rank_audits([rosm], task)[0]
+    assert verdict["bound_forbids_exact"] is (audit["bound"] < verdict["rank_L"])
+    if verdict["bound_forbids_exact"]:
+        assert audit["rank_Lbar"] < verdict["rank_L"] and floor > 0.0
 
 
 @st.composite

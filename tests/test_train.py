@@ -270,8 +270,8 @@ class TestAdjointReusesForwardPieces:
     @pytest.mark.parametrize("r", [1, 2])
     def test_linalg_solve_calls_per_backward_pass(self, r, monkeypatch):
         # an r = 1 Gram system is a division, so the QR projection's VJP makes the one
-        # np.linalg.solve call; at r = 2 each forward step and its adjoint make one more,
-        # through the gufunc that np.linalg.solve wraps
+        # solve, through linalg_solve; at r = 2 each forward step and its adjoint make one
+        # more; each calls the gufunc that np.linalg.solve wraps
         model = init_full_model(n=3, r=r, d=2, v=4, v_in=3, seed=1, hidden=[4])
         steps = 5
         tokens = make_rng(2).integers(0, 3, (2, steps))

@@ -51,7 +51,7 @@ TIER1_ARGS = ["-q", "--continue-on-collection-errors"]
 UNTRACED = {"test_criterion_11_scaling_trend"}  # it checks per-step time ratios
 
 # (argv, exit code) of --version, --help, every subcommand and mode, all three model kinds
-# with --ablation, each kind of input file, an overflowing step, an ill-conditioned one, two
+# with --ablation, each kind of input file, an overflowing step, an ill-conditioned one, three
 # diverging training runs and twelve usage errors; {name} is the path of input file `name`,
 # which write_inputs makes
 CATALOGUE = (
@@ -80,6 +80,8 @@ CATALOGUE = (
       "--lr", "1e300"], 3),
     (["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--seeds", "1", "--epochs", "30",
       "--lr", "1e300"], 3),
+    (["train", "--n", "2", "--model-kind", "rosm", "--dim", "3", "--seeds", "2", "--epochs", "30",
+      "--lr", "1e300"], 3),  # a singular Cayley system: LinAlgError from linalg_solve
     (["--version"], 0),
     (["simulate", "--help"], 0),
     ([], 2),
