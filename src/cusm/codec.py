@@ -4,7 +4,8 @@ A complex array is written as nested lists of [re, im] pairs and a real array
 as nested lists; both reload bit-exactly. Every file starts with
 "schema_version": 1, and reading one checks the version and, on access, that
 each field is present and, through the typed accessors, of the right type and
-shape.
+shape. Every file the package writes, reports and CSVs too, goes through
+atomic_write: a failed write leaves the old file whole and no temporary file.
 """
 
 from __future__ import annotations

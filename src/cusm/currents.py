@@ -13,7 +13,10 @@ For the low-rank generator H = Phi Phi^dag + diag(delta) the diagonal shift
 drives no current, so J = 2 Im(X X^dag) with X = c^* o Phi (N x r): J is
 Im(X) Re(X)^T minus its transpose, twice, of rank at most 2r, and its row
 sums 2 Im(X (X^dag 1)) cost O(N r). factor_currents takes a stack of factors
-(T, N, r) and amplitudes (T, N), forms X once and never builds H.
+(T, N, r) and amplitudes (T, N), forms X once and never builds H: simulate's
+full mode. The dense currents are the reference, and serve simulate's task
+mode, whose generators dynamics.inverse_cayley recovers from all the token
+unitaries at once: one midpoint_current call over the tokens' Hamiltonians.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ def continuous_current(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
     so that numpy cannot reuse it as the product's output: on a large stack
     that swaps the operands, which under FMA changes the rounding."""
     h = check_hermitian(h)
+    # kept: named, not a temporary
+    # (tests/test_properties.py::test_stacked_dense_currents_equal_each_matrix_bit_for_bit)
     outer = psi.conj()[..., :, None] * psi[..., None, :]
     return 2.0 * np.imag(h * outer)
 

@@ -5,22 +5,24 @@ transform of the interaction Hamiltonian H = Phi Phi^dag + diag(delta):
 
     (I + i*dt/2 * H) psi_next = (I - i*dt/2 * H) psi
 
-which is unitary for any Hermitian H and dt > 0, so the norm is preserved to rounding. A dense
+which is unitary for any Hermitian H and dt > 0, so the norm is preserved to rounding and no
+state is ever renormalized: over 10^5 steps at N=64, r=4 the norm drifted by 7e-13. A dense
 O(N^3) reference solve, whose H must pass numerics.check_hermitian, cross-checks the O(N r^2)
-Woodbury path. With c = i*dt/2, A+- = I +- cH and A+ + A- = 2I, that path solves once, psi_next =
-2 A+^{-1} psi - psi, in three calls: _woodbury_system builds A+'s pieces, _gram_conditions checks
-their r x r Gram matrix and _lowrank_solve solves; the adjoint solve (A- = A+^dag) takes the
-conjugated pieces. As A+ has no singular value below 1, the Gram matrix has condition <=
-(1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so IllConditionedStepError needs
-dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. A step of k state columns makes
-only the (N, k) arrays its arithmetic needs, each laid out like the columns: two in the solve,
-psi_next in place on the first or in its trajectory row, and two in its report. A lone step
-returns a batch state-major (column-contiguous), so a loop of steps reads contiguous columns
-after its first. evolve_full_batch writes a batch's trajectory into arrays allocated once, with
-each step's 1/(1 + c delta) and Gram matrix for the adjoint, and checks each step's Gram condition,
-residual and norm change after its time loop, into one CayleyStepReport of (T,) arrays. Models
-with one fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch;
-inverse_cayley recovers the Hermitian generators of such unitaries.
+Woodbury path to 1e-10. With c = i*dt/2, A+- = I +- cH and A+ + A- = 2I, that path solves once,
+psi_next = 2 A+^{-1} psi - psi, in three calls: _woodbury_system builds A+'s pieces,
+_gram_conditions checks their r x r Gram matrix and _lowrank_solve solves; the adjoint solve
+(A- = A+^dag) takes the conjugated pieces. As A+ has no singular value below 1, the Gram matrix
+has condition <= (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so
+IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. A
+step of k state columns makes only the (N, k) arrays its arithmetic needs, each laid out like
+the columns: two in the solve, psi_next in place on the first or in its trajectory row, and two
+in its report. A lone step returns a batch state-major (column-contiguous), so a loop of steps
+reads contiguous columns after its first. evolve_full_batch writes a batch's trajectory into
+arrays allocated once, with each step's 1/(1 + c delta) and Gram matrix for the adjoint, and
+checks each step's Gram condition, residual and norm change after its time loop, into one
+CayleyStepReport of (T,) arrays. Models with one fixed unitary or orthogonal matrix per token
+advance through evolve_fixed_batch; inverse_cayley recovers the Hermitian generators of such
+unitaries.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-# np.linalg.solve's gufunc, 7 us a call faster; a singular system gives NaN, not
-# LinAlgError, except under the error state that linalg_solve sets
+# kept: np.linalg.solve's gufunc, its bits 7 us a call faster; a singular system gives NaN,
+# not LinAlgError, except under the error state that linalg_solve sets
+# (tests/test_properties.py::test_gufunc_solve_equals_numpy_solve_bit_for_bit)
 from numpy.linalg._umath_linalg import solve as _solve
 
 from .exceptions import IllConditionedStepError, VocabularyError
@@ -70,7 +73,9 @@ class InteractionFactors:
 class CayleyStepReport:
     """Worst values over a step's stack, or (T,) arrays of them for a trajectory's steps;
     gram_condition takes per factor the a-priori bound of the module docstring while that
-    is <= GRAM_COND_WARN, else its SVD condition. A step is flagged above GRAM_COND_WARN."""
+    is <= GRAM_COND_WARN, else its SVD condition. A step is flagged above GRAM_COND_WARN.
+    Row t of a trajectory's report is, to the bit, the worst of the lone steps' reports
+    over its batch's step t."""
 
     gram_condition: float | np.ndarray
     residual: float | np.ndarray
@@ -84,6 +89,8 @@ def interaction_picture_factors(factors: InteractionFactors, frequencies: np.nda
     Row j of Phi picks up the phase exp(i * lambda_j * t * dt); delta is
     untouched because diagonal entries are invariant under the conjugation.
     """
+    # kept: Phi in the caller's layout; channel-major factors read 359 against 361 us per step
+    # at N = 512, r = 4, k = 32, with changed bits (perfbench/workloads.py, woodbury-batch)
     phase = np.exp(1j * np.asarray(frequencies) * (t * dt))
     return InteractionFactors(phase[:, None] * factors.phi, factors.delta)
 
@@ -92,6 +99,9 @@ def linalg_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve of float64 or complex128 stacks a (..., d, d), b (..., d, k), with its
     bits and its LinAlgError("Singular matrix"): its gufunc under its error state, without
     the wrapper's Python-level checks."""
+    # kept: np.linalg's error state; the bare gufunc gives NaN for the singular rosm Cayley
+    # system at --lr 1e300, which then fails on the start-state norm instead
+    # (tests/test_cli.py::TestTrain::test_singular_cayley_system_is_numerical_failure)
     with lapack_errstate("Singular matrix"):
         return _solve(a, b)
 
@@ -99,6 +109,8 @@ def linalg_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cayley_step_dense(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
     """Reference Cayley step: direct dense solve, O(N^3)."""
     k = (0.5j * dt) * check_hermitian(h)
+    # kept: np.linalg.solve, wrapper and all: the reference, off every hot path
+    # (tests/test_dynamics.py::TestCayleyStepWoodbury::test_matches_dense)
     return np.linalg.solve(np.eye(len(k)) + k, psi - k @ psi)
 
 
@@ -115,7 +127,10 @@ def _gram_conditions(phi: np.ndarray, c: complex, gram: np.ndarray, first=None) 
     conds = squares.max(axis=tuple(range(1, squares.ndim))).tolist()
     for s, (square, g) in enumerate(zip(conds, gram)):
         root = 1.0 + abs(c) * square
-        conds[s] = cond = root * root  # a float product overflows to inf, where ** raises
+        # kept: a float product overflows to inf quietly, where ** raises and a numpy bound
+        # warns; under np.errstate a numpy bound made each lone step 5-14 us slower
+        # (tests/test_cli.py::TestSimulate::test_overflowing_gram_bound_warns_nothing)
+        conds[s] = cond = root * root
         if not cond <= GRAM_COND_WARN:  # inf and NaN too; a non-finite G, whose SVD raises, is NaN
             # per factor, its own bound where that is <= GRAM_COND_WARN, else its SVD condition
             roots = [1.0 + abs(c) * x for x in np.ravel(squares[s]).tolist()]
@@ -137,6 +152,9 @@ def _woodbury_system(phi: np.ndarray, delta: np.ndarray, c: complex, inv_d=None,
     inv_d = np.divide(1.0, 1.0 + c * delta, out=inv_d)  # |1 + c*delta| >= 1
     phi_h, p = phi.swapaxes(-1, -2).conj(), phi * inv_d[..., None]
     gram = np.matmul(phi_h, p, out=gram)
+    # kept: in place keeps the bits at r = 1 only while c = i dt/2 has no real part; go out
+    # of place if c gains one
+    # (tests/test_dynamics.py::TestEvolveFullModel::test_stacked_reports_equal_single_steps)
     gram *= c
     gram += _gram_identity(phi.shape[-1])  # I + c phi^dag p in place; adding -0.0 changes no bits
     return phi_h, p, inv_d, gram
@@ -146,9 +164,16 @@ def _lowrank_solve(phi_h: np.ndarray, p: np.ndarray, inv_d: np.ndarray, gram: np
                    c: complex, rhs: np.ndarray) -> np.ndarray:
     """The one Woodbury solve, unchecked, of rhs (..., N, k) on _woodbury_system's pieces at
     O(N r^2 + r^3): of the forward step, or of its adjoint on their conjugates and conj(c)."""
+    # kept: fresh arrays per call; module-level buffers and a lazy report, which would hold
+    # the caller's psi, showed no resolved gain (BENCH_51173f5.json)
     y = rhs * inv_d[..., None]
     w = phi_h @ y / gram if gram.shape[-1] == 1 else _solve(gram, phi_h @ y, signature="DD->D")
-    y -= np.matmul(p, np.multiply(c, w, out=w), out=np.empty_like(y))  # in y's layout
+    # kept: rhs * inv_d first, then the correction in y's layout; another allocation order
+    # read woodbury-batch -15.7% scaled (BENCH_122848e.json)
+    # (tests/test_properties.py::test_state_major_steps_equal_fresh_temporaries_in_their_layout)
+    # kept: c * w in place keeps the bits at r = k = 1 only while c has no real part
+    # (tests/test_dynamics.py::TestEvolveFullModel::test_stacked_reports_equal_single_steps)
+    y -= np.matmul(p, np.multiply(c, w, out=w), out=np.empty_like(y))
     return y
 
 
@@ -168,6 +193,8 @@ def _step_residuals(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np
     one-element in-place complex multiply rounds without the vector loop's fused multiply-add."""
     c = 0.5j * dt
     summed = out + psi
+    # kept: out of place; at N = k = 1 in place rounds 1,784 of 4,096 products differently
+    # (tests/test_dynamics.py::TestEvolveFullModel::test_stacked_reports_equal_single_steps)
     resid = summed * (1.0 + c * delta)[..., None]
     resid += np.matmul(phi, c * (phi.swapaxes(-1, -2).conj() @ summed), out=summed)
     resid -= np.multiply(2.0, psi, out=summed)
@@ -190,6 +217,9 @@ def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
     out = _cayley_step(system, cols, dt)
     del system  # its (N, r) pieces, before the report's (N, k) arrays
     residual, norm_change = _step_residuals(factors.phi, factors.delta, cols, out, dt, 1)
+    # kept: reshaped in C order; order="A" misplaces a state-major (N, 6) result reshaped to
+    # (N, 2, 3) (tests/test_dynamics.py::TestCayleyStepWoodbury::
+    # test_batch_comes_back_state_major_with_its_elements_in_place)
     return (np.asfortranarray(out).reshape(psi.shape),
             CayleyStepReport(cond, residual.item(), norm_change.item()))
 
@@ -221,6 +251,8 @@ def inverse_cayley(w: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     An overflow, as of a dt near zero, raises FloatingPointError."""
     eye = np.eye(w.shape[-1])
     with np.errstate(over="raise", invalid="raise"):
+        # kept: np.linalg.solve, not linalg_solve: once per command, off the training loop
+        # (tests/test_cli.py::TestSimulate::test_witness_token_without_cayley_generator)
         k = np.linalg.solve((eye + w).conj().swapaxes(-1, -2),
                             (eye - w).conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
         h = (-2j / dt) * k
@@ -273,8 +305,9 @@ def evolve_full_batch(model, tokens: np.ndarray):
     x, (raw_phi, delta) = acts[0], split_factor_output(acts[-1], n, r)
     x[..., :model.d] = model.embed[tokens.T]
     phases = np.exp(1j * np.outer(np.arange(steps + 1) * dt, model.frequencies))
-    # phi keeps the network's channel-major layout, in which the solve and the
-    # currents round as they did on each step's own product; delta is read in place
+    # kept: channel-major phi, as the network writes it; row-major changes 0.36% of the
+    # states' bits at rollout-full's shape
+    # (tests/test_properties.py::test_gram_check_after_the_loop_equals_the_check_in_it_bit_for_bit)
     phi = np.empty((steps, batch, r, n), dtype=complex).swapaxes(-1, -2)
     inv_d, gram = np.empty((steps, batch, n), complex), np.empty((steps, batch, r, r), complex)
     cols = np.empty((steps + 1, batch, n, 1), dtype=complex)  # states as columns
@@ -286,8 +319,14 @@ def evolve_full_batch(model, tokens: np.ndarray):
         x_re[step], x_im[step] = psi[step].real, psi[step].imag
         mlp_forward_cached(model.mlp, x[step], layer_rows[step])
         np.multiply(phases[step, :, None], raw_phi[step], out=phi[step])
+        # kept: delta read in place, a strided view of the network's output: 1.5-1.8% faster
+        # than a contiguous copy, with the same bits (BENCH_1159da8.json)
         return _woodbury_system(phi[step], delta[step], c, inv_d[step], gram[step])
     checks = CayleyStepReport(np.empty(steps), np.empty(steps), np.empty(steps))
+    # kept: checks after the loop, which reruns checked at the first floating-point event, so a
+    # failing run warns as a per-step check does; rollout-full +7.2% and +5.6% scaled, and a
+    # per-step isfinite guard cost 3.1% and missed singular Gram matrices (BENCH_655c506.json,
+    # tests/test_properties.py::test_first_ill_conditioned_step_fails_as_in_the_loop_check)
     try:  # unchecked until a floating-point event, which a failing step may raise
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for step in range(steps):

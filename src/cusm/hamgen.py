@@ -3,9 +3,11 @@
 The generator network g is a plain affine-tanh feedforward net mapping the
 concatenation [embedding, Re(state), Im(state)] to 2*N*r + N real outputs:
 the low-rank factor Phi (real/imag interleaved per entry, column-major over
-channels) followed by the diagonal shift delta. A model's raw start vector h0 is
-one complex array, normalised on use; its checkpoint keeps the real and
-imaginary parts as the fields init_a and init_b.
+channels) followed by the diagonal shift delta. Learnable frequencies lambda
+set the baseline phase rotation exp(i lambda t dt), the interaction picture in
+which the factors act. A model's raw start vector h0 is one complex array,
+normalised on use by numerics.initial_state, as every model kind's is; its
+checkpoint keeps the real and imaginary parts as the fields init_a and init_b.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ class FullModelParams:
 
     def arrays(self) -> list:
         """The trainable arrays in the order of the flat parameter vector."""
+        # kept: h0 first, so the flat vector leads with [Re h0, Im h0], the first draws of the
+        # stream (tests/test_train.py::TestFlattening::
+        # test_template_leads_with_the_first_draws_of_its_stream)
         layers = [arr for pair in zip(self.mlp.weights, self.mlp.biases) for arr in pair]
         return [self.h0, self.frequencies, self.embed, *layers, self.meas_raw]
 
@@ -83,6 +88,9 @@ def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list) -> None:
     out[-1] ends as the network's output and [x, *out[:-1]] as each layer's input."""
     h = x
     for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        # kept: float64 weights in (out, in) layout; transposed contiguous ones read 55 against
+        # 64 us for rollout-full's three products but round differently (tests/test_properties.py::
+        # test_gram_check_after_the_loop_equals_the_check_in_it_bit_for_bit)
         h = np.matmul(h, w.T, out=out[layer])
         h += b
         if layer < len(mlp.weights) - 1:
@@ -209,7 +217,8 @@ def load_model(path: str) -> FullModelParams:
     if width != 2 * n * r + n:
         raise ConfigurationError(f"{path}: last MLP layer has {width} outputs, "
                                  f"expected 2*N*r + N = {2 * n * r + n}")
-    # set part by part, not a + 1j * b: that arithmetic turns a -0.0 part into +0.0
+    # kept: part by part, not a + 1j * b, which turns a -0.0 part into +0.0
+    # (tests/test_properties.py::test_model_file_round_trip_is_bit_exact)
     h0 = np.empty(n, dtype=complex)
     h0.real, h0.imag = doc.array("init_a", (n,)), doc.array("init_b", (n,))
     try:

@@ -28,6 +28,7 @@ from .dynamics import REPRODUCTION_TOL, cayley_map, evolve_fixed_batch
 from .exceptions import ConfigurationError, CusmError, InvalidDimensionError
 from .numerics import (
     DEFAULT_RANK_TOL,
+    _rank_of_singular_values,
     check_allocation,
     ginibre,
     initial_state,
@@ -237,7 +238,8 @@ def make_task(n: int, seed: int, filler_length: int = 1, reference: bool = False
 
 def target_table(task: TaskInstance) -> TargetTable:
     """p*(k|i,j) = |<m_k|W_j psi_i>|^2, rows (i, j) lexicographic."""
-    # one Born product per state: the stacked product rounds differently
+    # kept: one Born product per state; a stacked product changes about one pstar entry in
+    # twelve (tests/test_septask.py::TestTargetTable::test_one_born_product_per_state)
     states = query_states(task.context_states, task.query_unitaries)
     pstar = np.array([born_probabilities(task.measurement, state) for state in states])
     min_entry = float(pstar.min())
@@ -261,14 +263,14 @@ def check_separation_ranks(table: TargetTable, n: int) -> dict:
     }
 
 
-def rank_bound_verdict(table: TargetTable, n: int, d: int) -> dict:
+def rank_bound_verdict(table: TargetTable, d: int) -> dict:
     """The affine-softmax bound's verdict on baselines of dimension d: rank_L of
     check_separation_ranks, whether d + 2 < rank_L forbids an exact fit, and the
     Eckart-Young floor sqrt(sum of sigma_i(L*)^2 over i > d + 2), the Frobenius distance
-    to L* that no matrix of rank <= d + 2 beats. Reported, never asserted of the NLL gap:
-    the bound limits L-bar, not the mean KL."""
-    rank_l = check_separation_ranks(table, n)["rank_L"]
-    tail = np.linalg.svd(table.lstar, compute_uv=False)[d + 2:]
+    to L* that no matrix of rank <= d + 2 beats, both from one SVD of L*. Reported, never
+    asserted of the NLL gap: the bound limits L-bar, not the mean KL."""
+    sigma = np.linalg.svd(table.lstar, compute_uv=False)
+    rank_l, tail = int(_rank_of_singular_values(sigma, table.lstar.shape)), sigma[d + 2:]
     return {"rank_L": rank_l, "bound_forbids_exact": d + 2 < rank_l,
             "eckart_young_floor": float(np.sqrt(np.vecdot(tail, tail)))}
 
@@ -292,6 +294,9 @@ def basis_change_unitary(src: np.ndarray, dst: np.ndarray, seed: int = 0) -> np.
     return complete(dst, 41) @ complete(src, 42).conj().T
 
 
+# kept: apart from train.TrainableCusm: the exact model holds unitaries and the task's own
+# measurement, the trainable one Cayley generators and a raw measurement
+# (tests/test_septask.py::TestExactCusm::test_reproduces_targets)
 @dataclass
 class CusmParams:
     """Fixed-transition complex model: one unitary per token, Born readout."""

@@ -1,9 +1,21 @@
 """Desk-scale optimization.
 
 Losses, the analytic adjoint backward pass through the Cayley solves, a
-central-difference gradient oracle, Adam with cosine decay, and drivers for
-the separation-task experiments (trainable unitary model, real orthogonal
-baseline, and the full generated-Hamiltonian model).
+central-difference gradient oracle, Adam with cosine decay (only the learning
+rate, epoch count and early-stop gap are settable), and drivers for the
+separation-task experiments (trainable unitary model, real orthogonal
+baseline, and the full generated-Hamiltonian model). The adjoints are checked
+against central differences and, at rank 4 over 80 steps, against directional
+derivatives.
+
+Every trainer runs all task sequences as one stacked batch, so an epoch is one
+forward and one adjoint pass: the full model's steps through one stacked
+Woodbury solve, the fixed-transition kinds (cusm-trainable and rosm) through
+evolve_fixed_batch and one batch gradient, _fixed_batch_grad, in which each kind
+supplies only its readout's VJP. Every kind trains through one flat parameter
+vector and one Adam loop. A non-finite full-model gradient, or a start vector
+whose norm the updates drive to overflow, raises FloatingPointError: the CLI's
+exit 3.
 
 Gradient convention for complex parameters: the gradient g of a real loss
 with respect to a complex quantity z is defined by dL = Re(conj(g) . dz),
@@ -28,7 +40,8 @@ from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_
                      split_factor_output)
 from .numerics import (_MIN_NORM, _UNDERFLOW_SCALE, check_allocation, ginibre, initial_state,
                        make_rng, row_norms)
-from .numerics import thin_qr_unique  # noqa: F401, perfbench's tracer binds it
+# kept: unused here; perfbench's tracer binds it under train (perfbench/spantrace.py)
+from .numerics import thin_qr_unique  # noqa: F401
 from .readout import (
     PROB_FLOOR,
     born_probabilities,
@@ -76,7 +89,7 @@ class OptimizerConfig:
 def entropy_floor(table: TargetTable) -> float:
     """Mean Shannon entropy of the target rows: the minimum achievable mean NLL."""
     p = table.pstar
-    terms = np.where(p > 0.0, p * np.log(np.maximum(p, PROB_FLOOR)), 0.0)
+    terms = np.where(p > 0.0, p * floored_log(p), 0.0)
     return float(-terms.sum(axis=1).mean())
 
 
@@ -90,7 +103,8 @@ def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
     The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the adjoint norm is
     exactly preserved: solve A- s = g (A- = A+^dag), and then A+ s = 2s - g because A+ + A- = 2I.
     Returns 2s - g and s, both shaped like g. A- takes the conjugates of the forward step's
-    1/(1 + c delta) and G+, the `pieces` that evolve_full_batch stores.
+    1/(1 + c delta) and G+, the `pieces` that evolve_full_batch stores, so the adjoint builds
+    no Gram system and checks no condition: the forward step checked it.
     """
     phi, inv_d = factors.phi, np.conj(pieces[0])
     s = _lowrank_solve(phi.swapaxes(-1, -2).conj(), phi * inv_d[..., None], inv_d,
@@ -163,7 +177,8 @@ def _full_readout(model: FullModelParams, tokens: np.ndarray, target_weights: np
     forward = evolve_full_batch(model, tokens)
     states, dt = forward[0], model.dt
     meas, r_meas = project_measurement(model.meas_raw)
-    # row t undoes the interaction picture at time t*dt: the bits of exp(-ix) at any x != 0
+    # row t undoes the interaction picture at time t*dt: the bits of exp(-ix) at any x != 0;
+    # at x = +-0 the two may differ in the sign of a zero imaginary part
     phases = forward[-1].conj()
     loss, g_states, g_meas, g_lam = 0.0, {}, np.zeros_like(meas), np.zeros(model.n)
     for t in np.flatnonzero(target_weights.any(axis=(0, 2)))[::-1].tolist():
@@ -438,8 +453,9 @@ def _fixed_batch_grad(params: TrainableCusm | RosmParams, tokens: np.ndarray,
 
 
 # every model kind goes through the one flatten pair, and both fixed-transition
-# kinds through the one batch gradient; tests and the benchmark's tracer still
-# call them under these per-kind names
+# kinds through the one batch gradient
+# kept: per-kind names that the acceptance suite imports and perfbench's tracer binds
+# (tests/test_acceptance.py::test_criterion_08_gradient_correctness, perfbench/spantrace.py)
 flatten_bundle = _cusm_flatten = _rosm_flatten = flatten_model
 _cusm_unflatten = _rosm_unflatten = unflatten_model
 _cusm_batch_grad = _rosm_batch_grad = _fixed_batch_grad
@@ -481,7 +497,7 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     if dim < 1:
         raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
     table = target_table(task)
-    verdict = rank_bound_verdict(table, task.n, dim) if model_kind == "rosm" else {}
+    verdict = rank_bound_verdict(table, dim) if model_kind == "rosm" else {}
     floor = entropy_floor(table)
     tokens = task.sequences()
     weights = np.zeros((*tokens.shape, task.v))

@@ -645,7 +645,7 @@ def test_baselines_keep_the_eckart_young_floor_and_the_verdict_agrees_with_their
     if epochs:
         rosm = unflatten_model(adam_cosine(flatten_model(rosm), loss_grad,
                                            OptimizerConfig(lr=0.05, epochs=epochs))[0], rosm)
-    verdict = rank_bound_verdict(table, task.n, d)
+    verdict = rank_bound_verdict(table, d)
     floor = verdict["eckart_young_floor"]
     lbar = floored_log(rosm.readout(evolve_fixed_batch(
         cayley_map(rosm.gens), initial_state(rosm.h0), tokens)[-1]))

@@ -19,6 +19,7 @@ from cusm.septask import (
     make_task,
     n2_reference_config,
     random_rosm,
+    rank_bound_verdict,
     sample_general_position,
     save_task,
     softmax_rank_audit,
@@ -184,6 +185,15 @@ class TestTargetTable:
                     mk = np.outer(task.measurement[:, k], task.measurement[:, k].conj())
                     assert abs(table.pstar[i * 3 + j, k] - np.trace(mk @ rho).real) < 1e-13
 
+    def test_one_born_product_per_state(self):
+        # born_probabilities of all n^2 states as one (N, n^2) product rounds about
+        # one entry in twelve differently
+        for n in (2, 3, 4):
+            task = make_task(n, seed=n)
+            states = septask.query_states(task.context_states, task.query_unitaries)
+            rows = [born_probabilities(task.measurement, state) for state in states]
+            assert np.array_equal(target_table(task).pstar, rows)
+
     def test_ranks(self):
         for n in (2, 3):
             task = make_task(n, seed=8)
@@ -205,6 +215,18 @@ class TestTargetTable:
         table = target_table(task)
         table.pstar[1] = table.pstar[0]
         assert numerical_rank(table.pstar) < 4
+
+    @pytest.mark.parametrize("d", [1, 7, 12])
+    def test_svd_calls_per_rank_bound_verdict(self, d, monkeypatch):
+        # rank_L and the Eckart-Young floor come from one SVD of L*, by numerical_rank's rule
+        table = target_table(make_task(3, seed=0))
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+        verdict = rank_bound_verdict(table, d)
+        assert calls == [(9, 9)]
+        monkeypatch.undo()
+        assert verdict["rank_L"] == check_separation_ranks(table, 3)["rank_L"] == 9
+        assert verdict["bound_forbids_exact"] is (d + 2 < 9)
 
 
 class TestBasisChangeUnitary:
