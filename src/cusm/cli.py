@@ -61,12 +61,7 @@ from .septask import (
     softmax_rank_audits,
     target_table,
 )
-from .train import (
-    OptimizerConfig,
-    exact_cusm_report,
-    readout_ablation,
-    train_on_task,
-)
+from .train import MODEL_KINDS, OptimizerConfig, exact_cusm_report, train_on_task
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -263,13 +258,14 @@ FLAGS = (
     Flag("--d", SIM, _Bounded(int, 1), 4, "model embedding width", MODEL),
     Flag("--v", SIM, _Bounded(int, 1), 4, "model readout size, at least --n", MODEL),
     Flag("--dt", SIM, _Bounded(float, 0, strict=True), 1.0, "time step", (NO_CHECKPOINT,)),
-    Flag("--model-kind", TRAIN, ("cusm-trainable", "rosm", "full"), "cusm-trainable", "the model"),
+    Flag("--model-kind", TRAIN, MODEL_KINDS, MODEL_KINDS[0], "the model"),
     Flag("--dim", TRAIN, _Bounded(int, 1),
          help="state dimension; defaults to the task's n, and rosm needs it"),
     Flag("--seeds", TRAIN, _Bounded(int, 1), 5, "runs, seeded 0, 1, ..."),
-    Flag("--epochs", TRAIN, _Bounded(int, 1), 2000, "epochs per run"),
-    Flag("--lr", TRAIN, _Bounded(float, 0, strict=True), 1e-3, "learning rate"),
-    Flag("--early-stop-gap", TRAIN, _Bounded(float, 0.0), 1e-4, "stop once the gap is below this"),
+    Flag("--epochs", TRAIN, _Bounded(int, 1), OptimizerConfig.epochs, "epochs per run"),
+    Flag("--lr", TRAIN, _Bounded(float, 0, strict=True), OptimizerConfig.lr, "learning rate"),
+    Flag("--early-stop-gap", TRAIN, _Bounded(float, 0.0), OptimizerConfig.early_stop_gap,
+         "stop once the gap is below this"),
     Flag("--ablation", TRAIN, bool, False, "also report the readout ablation"),
 )
 
@@ -446,8 +442,7 @@ def cmd_train(args) -> int:
     if args.model_kind == "rosm":  # the rank bound's verdict, the same in every seed's report
         aggregate.update({k: v for k, v in reports[0].extra.items() if k != "softmax_rank_audit"})
     if args.ablation:
-        aggregate["ablation"] = readout_ablation(build_exact_cusm(task), task.sequences(),
-                                                 target_table(task).pstar)
+        aggregate["ablation"] = exact_cusm_report(task, target_table(task))["ablation"]
     agg_path = _write_report(args, f"train_{args.model_kind}_aggregate.json", aggregate)
     print(f"wrote {agg_path}")
     return EXIT_OK

@@ -251,10 +251,8 @@ def inverse_cayley(w: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     An overflow, as of a dt near zero, raises FloatingPointError."""
     eye = np.eye(w.shape[-1])
     with np.errstate(over="raise", invalid="raise"):
-        # kept: np.linalg.solve, not linalg_solve: once per command, off the training loop
-        # (tests/test_cli.py::TestSimulate::test_witness_token_without_cayley_generator)
-        k = np.linalg.solve((eye + w).conj().swapaxes(-1, -2),
-                            (eye - w).conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+        k = linalg_solve((eye + w).conj().swapaxes(-1, -2),
+                         (eye - w).conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
         h = (-2j / dt) * k
         h = 0.5 * (h + h.conj().swapaxes(-1, -2))  # symmetrize away rounding
         # Z = (i dt / 4) H has S = Z - Z^dag = (i dt / 2) H

@@ -13,7 +13,7 @@ forward and one adjoint pass: the full model's steps through one stacked
 Woodbury solve, the fixed-transition kinds (cusm-trainable and rosm) through
 evolve_fixed_batch and one batch gradient, _fixed_batch_grad, in which each kind
 supplies only its readout's VJP. Every kind trains through one flat parameter
-vector and one Adam loop. A non-finite full-model gradient, or a start vector
+vector and one Adam loop. A non-finite gradient of any kind, or a start vector
 whose norm the updates drive to overflow, raises FloatingPointError: the CLI's
 exit 3.
 
@@ -50,7 +50,6 @@ from .readout import (
     project_measurement,
 )
 from .septask import (
-    CusmParams,
     RosmParams,
     TaskInstance,
     TargetTable,
@@ -61,6 +60,7 @@ from .septask import (
 )
 
 GAP_ZERO_THRESHOLD = 1e-3
+MODEL_KINDS = ("cusm-trainable", "rosm", "full")
 
 
 @dataclass
@@ -81,8 +81,9 @@ class TrainReport:
 
 @dataclass
 class OptimizerConfig:
+    """The settable Adam values; its defaults are the CLI's."""
     lr: float = 1e-3
-    epochs: int = 5000
+    epochs: int = 2000
     early_stop_gap: float = 1e-4
 
 
@@ -466,15 +467,20 @@ _cusm_batch_grad = _rosm_batch_grad = _fixed_batch_grad
 
 def exact_cusm_report(task: TaskInstance, table: TargetTable) -> dict:
     """The constructed exact solver, untrained, on the task's target table: max
-    |p - p*| as cusm_max_error, the entropy floor, and the gap of its mean NLL
-    over that floor as exact_cusm_gap, which is rounding."""
+    |p - p*| as cusm_max_error, the entropy floor, the gap of its mean NLL over
+    that floor as exact_cusm_gap, which is rounding, and as ablation the mean NLL
+    of its final states under the Born readout and under the magnitude-only one."""
     floor = entropy_floor(table)
     cusm = build_exact_cusm(task)
     final = evolve_fixed_batch(cusm.unitaries, cusm.psi0, task.sequences())[-1].T
+    count = len(table.pstar)
     loss, _, _ = _born_readout_vjp(cusm.measurement, final, table.pstar.T)
+    logs_d = floored_log(diagonal_only_probabilities(cusm.measurement, final))
+    ablation = {"nll_born": loss / count,
+                "nll_diagonal": -float(np.vdot(table.pstar.T, logs_d)) / count}
     max_err = float(np.abs(born_probabilities(cusm.measurement, final).T - table.pstar).max())
     return {"cusm_max_error": max_err, "entropy_floor": floor,
-            "exact_cusm_gap": loss / (task.n * task.n) - floor}
+            "exact_cusm_gap": ablation["nll_born"] - floor, "ablation": ablation}
 
 
 def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
@@ -489,7 +495,7 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     reported, never asserted. A rosm report's extra holds the trained
     baseline's softmax_rank_audit and the task's rank_bound_verdict at dim.
     """
-    if model_kind not in ("cusm-trainable", "rosm", "full"):
+    if model_kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model_kind {model_kind!r}")
     if model_kind == "rosm" and dim is None:
         raise ConfigurationError("rosm training needs an explicit dimension")
@@ -507,25 +513,24 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     def init_full(n, v, v_in, seed):
         return init_full_model(n=n, r=1, d=2 * task.n, v=v, v_in=v_in, seed=seed)
 
-    # per kind: init(dim, v, alphabet, seed); batch_grad(params, tokens, targets)
-    # -> (loss, grads in the params' own type); the final loss; the targets; and
-    # the count that the losses and gradients are summed over (the fixed-
+    # per kind, in MODEL_KINDS' order: init(dim, v, alphabet, seed); batch_grad(params,
+    # tokens, targets) -> (loss, grads in the params' own type); the final loss; the
+    # targets; and the count that the losses and gradients are summed over (the fixed-
     # transition gradients are means). The full model's final loss is the
     # forward-only pass, under half the cost of its backward pass.
     fixed = (_fixed_batch_grad, lambda *batch: _fixed_batch_grad(*batch)[0], table.pstar, 1)
-    init, batch_grad, final_loss, targets, count = {
-        "cusm-trainable": (init_trainable_cusm, *fixed),
-        "rosm": (init_trainable_rosm, *fixed),
-        "full": (init_full, _backward_full, _loss_full, weights, len(tokens)),
-    }[model_kind]
+    init, batch_grad, final_loss, targets, count = dict(zip(MODEL_KINDS, (
+        (init_trainable_cusm, *fixed),
+        (init_trainable_rosm, *fixed),
+        (init_full, _backward_full, _loss_full, weights, len(tokens)),
+    )))[model_kind]
 
     def loss_grad(params):
         loss, grads = batch_grad(params, tokens, targets)
         # flatten, then divide: numpy's complex / real multiplies by a
         # reciprocal, which rounds the complex arrays differently
         flat = flatten_model(grads) / count
-        if model_kind == "full":
-            _assert_finite(flat)
+        _assert_finite(flat)
         return loss / count, flat
 
     reports = []
@@ -552,12 +557,3 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
         ))
     return reports
 
-
-def readout_ablation(model: CusmParams, tokens: np.ndarray, targets: np.ndarray) -> dict:
-    """Mean NLL of the same final states under the full quadratic readout and
-    the magnitude-only readout, over (B, T) token ids with (B, V) target rows."""
-    psi = evolve_fixed_batch(model.unitaries, model.psi0, tokens)[-1]
-    nll_born, _, _ = _born_readout_vjp(model.measurement, psi.T, targets.T)
-    logs_d = floored_log(diagonal_only_probabilities(model.measurement, psi.T))
-    return {"nll_born": nll_born / len(tokens),
-            "nll_diagonal": -float(np.vdot(targets.T, logs_d)) / len(tokens)}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from cusm.cli import TOLERANCES, main
 from cusm.currents import midpoint_current, total_current
 from cusm.dynamics import evolve_full_model
 from cusm.hamgen import init_full_model, save_model
+from cusm.train import MODEL_KINDS, OptimizerConfig
 
 
 def run(argv, tmp_path, monkeypatch):
@@ -135,6 +137,20 @@ class TestVerifySeparation:
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert run(["verify-separation", "--n", "2", "--audits", "3"], tmp_path, monkeypatch) == 0
         assert sorted(calls) == ["build_exact_cusm", "evolve_fixed_batch", "target_table"]
+
+    def test_ablation_is_the_one_train_reports(self, tmp_path, monkeypatch):
+        # both commands report the one evaluation of the task's exact model
+        assert run(["gen-task", "--n", "3", "--seed", "2"], tmp_path, monkeypatch) == 0
+        task = str(tmp_path / "task_n3_seed2.json")
+        assert run(["verify-separation", "--task", task, "--audits", "2"],
+                   tmp_path, monkeypatch) == 0
+        assert run(["train", "--task", task, "--seeds", "1", "--epochs", "1", "--ablation"],
+                   tmp_path, monkeypatch) == 0
+        report = json.loads((tmp_path / "separation_n3_seed2.json").read_text())
+        aggregate = json.loads((tmp_path / "train_cusm-trainable_aggregate.json").read_text())
+        assert report["ablation"] == aggregate["ablation"]
+        nll_born = report["ablation"]["nll_born"]
+        assert report["exact_cusm_gap"] == nll_born - report["entropy_floor"]
 
     def test_exact_model_miss_is_invariant_violation(self, tmp_path, monkeypatch):
         exact = cli.exact_cusm_report
@@ -1090,6 +1106,14 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
     finally:
         cli._shared_parser.cache_clear()
     assert len(builds) == 1
+
+
+def test_train_flags_default_to_the_optimizer_config_and_model_kinds():
+    rows = {flag.dest: flag for flag in cli.FLAGS if "train" in flag.commands}
+    defaults = {key: rows[key].default for key in ("lr", "epochs", "early_stop_gap")}
+    assert defaults == dataclasses.asdict(OptimizerConfig())
+    assert rows["model_kind"].kind == MODEL_KINDS
+    assert rows["model_kind"].default == MODEL_KINDS[0]
 
 
 @pytest.mark.parametrize("command", ["gen-task", "verify-separation", "simulate", "train"])

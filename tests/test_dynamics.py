@@ -352,6 +352,12 @@ class TestInverseCayley:
         assert np.abs(np.linalg.eigvals(w[1]) + 1.0).min() < 1e-12
         assert inverse_cayley(w, 1.0)[1].tolist() == [True, False]
 
+    def test_singular_system_is_linalg_error(self):
+        # I + W is singular at W = -I; under this function's error state the bare
+        # solve gufunc would raise FloatingPointError instead
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            inverse_cayley(-np.eye(2, dtype=complex), 1.0)
+
 
 class TestEvolveFixedBatch:
     @pytest.mark.parametrize("kind", ["complex", "real"])

@@ -15,7 +15,7 @@ from cusm.dynamics import (
 from cusm.exceptions import ConfigurationError, IllConditionedStepError
 from cusm.hamgen import init_full_model
 from cusm.numerics import ginibre, make_rng
-from cusm.septask import TargetTable, build_exact_cusm, make_task, target_table
+from cusm.septask import TargetTable, make_task, target_table
 from cusm.train import (
     OptimizerConfig,
     TrainableCusm,
@@ -32,7 +32,6 @@ from cusm.train import (
     flatten_bundle,
     flatten_model,
     full_model_loss,
-    readout_ablation,
     train_on_task,
     unflatten_model,
     _one_hot_rows,
@@ -452,6 +451,21 @@ class TestAssertFinite:
         with pytest.raises(FloatingPointError, match="non-finite gradient entry"):
             train_on_task(task, "full", OptimizerConfig(epochs=2), seeds=(0,))
 
+    @pytest.mark.parametrize("kind, dim", [("cusm-trainable", None), ("rosm", 2)])
+    def test_fixed_kind_training_checks_the_flat_gradient(self, kind, dim, monkeypatch):
+        # the same check stops a fixed-transition run, which would otherwise take
+        # the NaN into its parameters
+        def non_finite(params, tokens, targets):
+            loss, grads = batch_grad(params, tokens, targets)
+            grads.gens[0, 0, 0] = np.nan
+            return loss, grads
+
+        batch_grad = train._fixed_batch_grad
+        monkeypatch.setattr(train, "_fixed_batch_grad", non_finite)
+        task = make_task(2, seed=0, reference=True)
+        with pytest.raises(FloatingPointError, match="non-finite gradient entry"):
+            train_on_task(task, kind, OptimizerConfig(epochs=2), dim=dim, seeds=(0,))
+
 
 class TestCentralDifference:
     def test_quadratic_exact(self):
@@ -581,6 +595,18 @@ class TestTrainOnTask:
 
 
 class TestReadoutAblation:
+    @staticmethod
+    def _nlls(model, tokens, targets):
+        # mean NLL of the final states under the Born and the magnitude-only readout
+        psi = dynamics.evolve_fixed_batch(model.unitaries, model.psi0, tokens)[-1].T
+
+        def nll(probabilities):
+            logs = readout.floored_log(probabilities(model.measurement, psi))
+            return -float(np.vdot(targets.T, logs)) / len(tokens)
+
+        return {"nll_born": nll(readout.born_probabilities),
+                "nll_diagonal": nll(readout.diagonal_only_probabilities)}
+
     def test_basis_trajectory_equal(self):
         # permutation dynamics keep the state on basis vectors, where the
         # quadratic and magnitude-only readouts coincide
@@ -589,13 +615,13 @@ class TestReadoutAblation:
         meas = np.eye(2, dtype=complex)
         model = CusmParams(psi0=np.array([1.0, 0.0], dtype=complex),
                            unitaries=swap[None], measurement=meas)
-        out = readout_ablation(model, np.array([[0, 0, 0]]), np.array([[1.0, 0.0]]))
+        out = self._nlls(model, np.array([[0, 0, 0]]), np.array([[1.0, 0.0]]))
         assert abs(out["nll_born"] - out["nll_diagonal"]) < 1e-12
 
     def test_exact_cusm_direction(self):
         task = make_task(2, seed=11)
         table = target_table(task)
-        out = readout_ablation(build_exact_cusm(task), task.sequences(), table.pstar)
+        out = exact_cusm_report(task, table)["ablation"]
         assert out["nll_diagonal"] >= out["nll_born"]
         assert out["nll_diagonal"] - out["nll_born"] > 1e-6
 
@@ -607,8 +633,8 @@ class TestReadoutAblation:
         model = CusmParams(psi0=plus, unitaries=np.stack([np.eye(2, dtype=complex), flip]),
                            measurement=meas)
         target = np.array([[1.0, 0.0]])
-        same = readout_ablation(model, np.array([[0]]), target)
-        flipped = readout_ablation(model, np.array([[1]]), target)
+        same = self._nlls(model, np.array([[0]]), target)
+        flipped = self._nlls(model, np.array([[1]]), target)
         assert abs(same["nll_born"] - flipped["nll_born"]) > 1.0
         assert abs(same["nll_diagonal"] - flipped["nll_diagonal"]) < 1e-12
 

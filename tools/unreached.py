@@ -100,7 +100,7 @@ CATALOGUE = (
 # what no command enters besides the acceptance suite's imports and perfbench's bindings:
 # what the acceptance suite reaches through them (finite_difference_grad's and
 # backward_full_model's helpers, materialize's dim, the sequences of make_task's task), and
-# save_model, whose fate ROADMAP item 9 decides
+# save_model, whose fate ROADMAP item 6 decides
 EXTRA_ALLOWED = ("train.central_difference", "train.full_model_loss", "train._one_hot_rows",
                  "dynamics.InteractionFactors.dim", "septask.TaskInstance.sequence",
                  "hamgen.save_model")
