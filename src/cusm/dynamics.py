@@ -116,6 +116,9 @@ def cayley_step_dense(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
     """Norms of the columns of x (..., N, k), one pass over x."""
+    # kept: not numerics.row_norms of the transposed columns, which read 18.6 against 8.5 us on a
+    # state-major (512, 32) batch (best of 2,000 calls) and differs by up to 3.1e-16 relative
+    # (perfbench/workloads.py, woodbury-batch)
     return np.sqrt(np.vecdot(x, x, axis=-2).real)
 
 
@@ -216,6 +219,9 @@ def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
     cond = _gram_conditions(factors.phi[None], c, system[3][None])[0]
     out = _cayley_step(system, cols, dt)
     del system  # its (N, r) pieces, before the report's (N, k) arrays
+    # kept: the residual and norm change that only tests read; without them a state-major step
+    # at N = 512, r = 4, k = 32 read 378 against 551 us, which pushes the Woodbury 64 -> 128
+    # ratio below its 1.6 floor (tests/test_acceptance.py::test_criterion_11_scaling_trend)
     residual, norm_change = _step_residuals(factors.phi, factors.delta, cols, out, dt, 1)
     # kept: reshaped in C order; order="A" misplaces a state-major (N, 6) result reshaped to
     # (N, 2, 3) (tests/test_dynamics.py::TestCayleyStepWoodbury::
@@ -322,8 +328,10 @@ def evolve_full_batch(model, tokens: np.ndarray):
         return _woodbury_system(phi[step], delta[step], c, inv_d[step], gram[step])
     checks = CayleyStepReport(np.empty(steps), np.empty(steps), np.empty(steps))
     # kept: checks after the loop, which reruns checked at the first floating-point event, so a
-    # failing run warns as a per-step check does; rollout-full +7.2% and +5.6% scaled, and a
-    # per-step isfinite guard cost 3.1% and missed singular Gram matrices (BENCH_655c506.json,
+    # failing run warns as a per-step check does; in process, one loop checking each step
+    # before its solve read +2.6%, +10.0% and +12.3% at rollout-full's shape and +4.9% to
+    # +6.8% at train-full's, with the same bits, and a per-step isfinite guard cost 3.1% and
+    # missed singular Gram matrices (BENCH_655c506.json,
     # tests/test_properties.py::test_first_ill_conditioned_step_fails_as_in_the_loop_check)
     try:  # unchecked until a floating-point event, which a failing step may raise
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -70,8 +70,13 @@ class TaskInstance:
     def query_token(self, j: int) -> int:
         return self.n + 1 + j
 
+    @property
+    def alphabet(self) -> int:
+        """The number of token ids, 2n + 1."""
+        return self.query_token(self.n)
+
     def sequence(self, i: int, j: int) -> list[int]:
-        return [i] + [self.filler_token] * self.filler_length + [self.query_token(j)]
+        return self.sequences()[i * self.n + j].tolist()
 
     def sequences(self) -> np.ndarray:
         """All n^2 sequences as a (n^2, T) token array, rows (i, j) lexicographic."""
@@ -319,11 +324,11 @@ def build_exact_cusm(task: TaskInstance) -> CusmParams:
 
 
 def random_rosm(d: int, task: TaskInstance, seed: int) -> RosmParams:
-    """Random baseline over the task's alphabet (2n + 1 tokens) and vocabulary; h0 is raw."""
+    """Random baseline over the task's alphabet and vocabulary; h0 is raw."""
     rng = make_rng(seed, stream=55)
     return RosmParams(
         h0=rng.standard_normal(d),
-        gens=rng.standard_normal((2 * task.n + 1, d, d)),
+        gens=rng.standard_normal((task.alphabet, d, d)),
         out_weights=rng.standard_normal((task.v, d)),
         bias=rng.standard_normal(task.v),
     )

@@ -508,7 +508,6 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     tokens = task.sequences()
     weights = np.zeros((*tokens.shape, task.v))
     weights[:, -1] = table.pstar
-    alphabet = 2 * task.n + 1
 
     def init_full(n, v, v_in, seed):
         return init_full_model(n=n, r=1, d=2 * task.n, v=v, v_in=v_in, seed=seed)
@@ -536,7 +535,7 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     reports = []
     for seed in seeds:
         start = time.perf_counter()
-        template = init(dim, task.v, alphabet, seed)
+        template = init(dim, task.v, task.alphabet, seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             flat, trace, stopped = adam_cosine(

@@ -396,6 +396,20 @@ class TestSequences:
         assert tokens.shape == want.shape == (n * n, filler_length + 2)
         assert np.array_equal(tokens, want)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("filler_length", [0, 1, 2])
+    def test_token_layout(self, n, filler_length):
+        task = make_task(n, seed=0, filler_length=filler_length)
+        tokens = task.sequences()
+        assert (task.alphabet == tokens.max() + 1 == len(build_exact_cusm(task).unitaries)
+                == random_rosm(2, task, 0).gens.shape[0] == 2 * n + 1)
+        for i in range(n):
+            for j in range(n):
+                seq = task.sequence(i, j)
+                assert seq == tokens[i * n + j].tolist()
+                assert seq == [i] + [n] * filler_length + [n + 1 + j]
+                assert all(type(tok) is int for tok in seq)
+
 
 class TestSerialization:
     def test_bit_exact_roundtrip(self, tmp_path):

@@ -52,8 +52,9 @@ UNTRACED = {"test_criterion_11_scaling_trend"}  # it checks per-step time ratios
 
 # (argv, exit code) of --version, --help, every subcommand and mode, all three model kinds
 # with --ablation, each kind of input file, an overflowing step, an ill-conditioned one, three
-# diverging training runs and twelve usage errors; {name} is the path of input file `name`,
-# which write_inputs makes
+# diverging training runs, an invariant violation (a token of the witness task with no Cayley
+# generator) and twelve usage errors; {name} is the path of input file `name`, which
+# write_inputs makes
 CATALOGUE = (
     (["gen-task", "--n", "2", "--seed", "0"], 0),
     (["gen-task", "--n", "3", "--seed", "1", "--filler-length", "0"], 0),
@@ -62,6 +63,7 @@ CATALOGUE = (
     (["verify-separation", "--task", "{task}", "--audits", "4"], 0),
     (["simulate", "--mode", "task", "--n", "2", "--tokens", "0,2,2,1"], 0),
     (["simulate", "--task", "{task}", "--tokens-file", "{tokens}"], 0),
+    (["simulate", "--task", "{witness}", "--tokens", "0,4"], 1),  # W1 has an eigenvalue at -1
     (["simulate", "--mode", "full", "--n", "6", "--r", "2", "--d", "3", "--v", "6",
       "--tokens", "0,1,2,1"], 0),
     (["simulate", "--mode", "full", "--checkpoint", "{model}", "--tokens", "0,1,1,0"], 0),
@@ -212,8 +214,10 @@ def write_inputs(directory: Path) -> dict:
     from cusm.septask import make_task, save_task
 
     files = {name: str(directory / f"{name}.json") for name in
-             ("task", "model", "blown_up_model", "tokens", "config", "bad_config", "missing")}
+             ("task", "witness", "model", "blown_up_model", "tokens", "config", "bad_config",
+              "missing")}
     save_task(make_task(2, seed=0), files["task"])
+    save_task(make_task(2, seed=0, reference=True), files["witness"])
     save_model(init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=1), files["model"])
     # token 1 sets column 0 of Phi to 1e7 (1 + i): a Gram condition of 3e14
     model = init_full_model(n=3, r=2, d=1, v=4, v_in=2, seed=0, hidden=[])
