@@ -16,13 +16,14 @@ has condition <= (1 + dt ||Phi||_F^2 / 2)^2 (Hager, SIAM Rev. 31, 1989), so
 IllConditionedStepError needs dt ||Phi||^2 / 2 >~ 1e6; an r = 1 Gram system is a division. A
 step of k state columns makes only the (N, k) arrays its arithmetic needs, each laid out like
 the columns: two in the solve, psi_next in place on the first or in its trajectory row, and two
-in its report. A lone step returns a batch state-major (column-contiguous), so a loop of steps
-reads contiguous columns after its first. evolve_full_batch writes a batch's trajectory into
-arrays allocated once, with each step's 1/(1 + c delta) and Gram matrix for the adjoint, and
-checks each step's Gram condition, residual and norm change after its time loop, into one
-CayleyStepReport of (T,) arrays. Models with one fixed unitary or orthogonal matrix per token
-advance through evolve_fixed_batch; inverse_cayley recovers the Hermitian generators of such
-unitaries.
+in its report; its factors of two ride exactly on N-vectors, not on passes over the columns:
+the solve's scale 2/(1 + c delta) and the report's halved residual. A lone step returns a batch
+state-major (column-contiguous), so a loop of steps reads contiguous columns after its first.
+evolve_full_batch writes a batch's trajectory into arrays allocated once, with each step's
+1/(1 + c delta) and Gram matrix for the adjoint, and checks each step's Gram condition,
+residual and norm change after its time loop, into one CayleyStepReport of (T,) arrays. Models
+with one fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch;
+inverse_cayley recovers the Hermitian generators of such unitaries.
 """
 
 from __future__ import annotations
@@ -181,10 +182,10 @@ def _lowrank_solve(phi_h: np.ndarray, p: np.ndarray, inv_d: np.ndarray, gram: np
 
 
 def _cayley_step(system: tuple, psi: np.ndarray, dt: float, out=None) -> np.ndarray:
-    """psi' = 2 A+^{-1} psi - psi of columns psi (..., N, k) on A+'s _woodbury_system,
-    into `out` or the solve's fresh x."""
-    z = _lowrank_solve(*system, 0.5j * dt, psi)
-    z *= 2.0
+    """psi' = 2 A+^{-1} psi - psi of columns psi (..., N, k) on A+'s _woodbury_system, into
+    `out` or the solve's fresh 2 A+^{-1} psi, exact from the linear solve's scale 2 inv_d."""
+    phi_h, p, inv_d, gram = system
+    z = _lowrank_solve(phi_h, p, 2.0 * inv_d, gram, 0.5j * dt, psi)
     return np.subtract(z, psi, out=z if out is None else out)
 
 
@@ -192,17 +193,18 @@ def _step_residuals(phi: np.ndarray, delta: np.ndarray, psi: np.ndarray, out: np
                     dt: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(steps,) arrays of the worst residual ||A+ (out + psi) - 2 psi|| and norm change of
     Cayley steps psi -> out of columns (..., N, k) under phi and delta, stacked on a leading
-    axis (or one step), as for each step alone: the scaling is out of place, as a
-    one-element in-place complex multiply rounds without the vector loop's fused multiply-add."""
-    c = 0.5j * dt
+    axis (or one step), as for each step alone: the scaling is out of place, as a one-element
+    in-place complex multiply rounds without the vector loop's fused multiply-add. It forms the
+    residual halved, at c/2 = i dt/4, and doubles its norms: exact, barring subnormals."""
+    half_c = 0.25j * dt
     summed = out + psi
     # kept: out of place; at N = k = 1 in place rounds 1,784 of 4,096 products differently
     # (tests/test_dynamics.py::TestEvolveFullModel::test_stacked_reports_equal_single_steps)
-    resid = summed * (1.0 + c * delta)[..., None]
-    resid += np.matmul(phi, c * (phi.swapaxes(-1, -2).conj() @ summed), out=summed)
-    resid -= np.multiply(2.0, psi, out=summed)
+    resid = summed * (0.5 + half_c * delta)[..., None]
+    resid += np.matmul(phi, half_c * (phi.swapaxes(-1, -2).conj() @ summed), out=summed)
+    resid -= psi
     return tuple(x.reshape(steps, -1).max(axis=1) for x in (
-        _column_norms(resid), np.abs(_column_norms(out) - _column_norms(psi))))
+        2.0 * _column_norms(resid), np.abs(_column_norms(out) - _column_norms(psi))))
 
 
 def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
@@ -220,7 +222,7 @@ def cayley_step_woodbury(factors: InteractionFactors, psi: np.ndarray,
     out = _cayley_step(system, cols, dt)
     del system  # its (N, r) pieces, before the report's (N, k) arrays
     # kept: the residual and norm change that only tests read; without them a state-major step
-    # at N = 512, r = 4, k = 32 read 378 against 551 us, which pushes the Woodbury 64 -> 128
+    # at N = 512, r = 4, k = 32 read 183 against 293 us, which pushes the Woodbury 64 -> 128
     # ratio below its 1.6 floor (tests/test_acceptance.py::test_criterion_11_scaling_trend)
     residual, norm_change = _step_residuals(factors.phi, factors.delta, cols, out, dt, 1)
     # kept: reshaped in C order; order="A" misplaces a state-major (N, 6) result reshaped to

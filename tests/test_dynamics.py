@@ -211,8 +211,8 @@ class TestCayleyStepWoodbury:
     def test_step_makes_no_avoidable_temporary(self, order):
         # at N = 512, r = 4, k = 32 a step peaks at 3.54 arrays of N k complex: the new
         # state, the report's residual and its rank-r product, and the 128 KiB buffer
-        # numpy takes to scale the residual by a broadcast column. A step that forms
-        # 2z - psi and the report's 2 psi in fresh arrays peaks at 4.00, and so does a
+        # numpy takes to scale the residual by a broadcast column. A step that formed
+        # 2z - psi and the report's 2 psi in fresh arrays peaked at 4.00, and so does a
         # state-major step whose rank-r products come back row-major; 3.6 leaves
         # 15 KB for Python objects that a tracer running the suite may allocate
         n, r, k = 512, 4, 32

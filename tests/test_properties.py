@@ -280,12 +280,23 @@ def step_stacks(draw):
     return phi, delta, psi / np.linalg.norm(psi, axis=-2, keepdims=True), dt
 
 
+def woodbury_batch_step():
+    """A step_stacks case at perfbench's woodbury-batch shape, N = 512, r = 4, k = 32 and
+    dt = 1: one step of unit columns under Phi of scale 1/sqrt(N) and a standard normal delta."""
+    n, r, k, rng = 512, 4, 32, make_rng(0)
+    phi = ginibre(rng, n, r).reshape(1, 1, n, r) / np.sqrt(n)
+    psi = ginibre(rng, n, k).reshape(1, 1, n, k)
+    return (phi, rng.standard_normal((1, 1, n)),
+            psi / np.linalg.norm(psi, axis=-2, keepdims=True), 1.0)
+
+
 @PROPERTY
 @given(step_stacks())
 def test_step_reports_and_adjoint_equal_fresh_temporaries_bit_for_bit(case):
-    # the step forms 2z - psi in place on the solve's z, the report writes 2 psi into
-    # its rank-r product and the adjoint builds 2s - g in one array; r >= 2 systems go
-    # to np.linalg.solve's gufunc. None of it may move a bit.
+    # the solve scales psi by 2 inv_d and returns 2z, from which the step subtracts psi in
+    # place; the report forms half the residual, at c/2, and doubles its norms; the adjoint
+    # builds 2s - g in one array; r >= 2 systems go to np.linalg.solve's gufunc. The oracle
+    # forms z, 2z - psi and the whole residual unscaled, and none of it may move a bit.
     phi, delta, psi, dt = case
     s = phi.shape[0]
     factors = InteractionFactors(phi[0, 0], delta[0, 0])
@@ -319,6 +330,7 @@ def test_step_reports_and_adjoint_equal_fresh_temporaries_bit_for_bit(case):
 
 @PROPERTY
 @given(step_stacks())
+@example(woodbury_batch_step())
 def test_state_major_steps_equal_fresh_temporaries_in_their_layout(case):
     # columns given state-major are solved and reported in that layout: the rank-r
     # products round as transposed products, so the states stay within a few ulps of
