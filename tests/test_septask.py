@@ -388,10 +388,22 @@ class TestRosm:
 class TestSequences:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("filler_length", [0, 1, 2, 3])
+    def test_array_equals_the_list_form(self, n, filler_length):
+        # The list form is written out by hand: sequence(i, j) is a row of
+        # sequences(), so building it from sequence() would compare the array with itself.
+        task = make_task(n, seed=0, filler_length=filler_length)
+        tokens = task.sequences()
+        want = np.array([[i] + [n] * filler_length + [n + 1 + j]
+                         for i in range(n) for j in range(n)])
+        assert tokens.dtype == want.dtype == np.int64
+        assert tokens.shape == want.shape == (n * n, filler_length + 2)
+        assert np.array_equal(tokens, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("filler_length", [0, 1, 2, 3])
     def test_token_layout(self, n, filler_length):
         task = make_task(n, seed=0, filler_length=filler_length)
         tokens = task.sequences()
-        assert tokens.dtype == np.int64 and tokens.shape == (n * n, filler_length + 2)
         assert (task.alphabet == tokens.max() + 1 == len(build_exact_cusm(task).unitaries)
                 == random_rosm(2, task, 0).gens.shape[0] == 2 * n + 1)
         for i in range(n):
