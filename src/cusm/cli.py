@@ -19,13 +19,15 @@ value its flag rejects, is an error, reported after any error of argv. When
 later one, counting the config's keys in file order before argv's flags.
 
 Exit codes: 0 success, 1 invariant violation, 2 usage or configuration
-error, 3 numerical failure.
+error, 3 numerical failure, which also writes failure.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -38,11 +40,12 @@ import numpy as np
 
 from . import __version__
 from .codec import SCHEMA_VERSION, atomic_write, load_json, read_json
-from .dynamics import REPRODUCTION_TOL, evolve_fixed_batch, evolve_full_batch, inverse_cayley
+from .dynamics import (REPRODUCTION_TOL, CayleyStepReport, evolve_fixed_batch, evolve_full_batch,
+                       inverse_cayley)
 from .exceptions import (
+    NUMERICAL_FAILURES,
     ConfigurationError,
     CusmError,
-    IllConditionedStepError,
     InvalidDimensionError,
     VocabularyError,
 )
@@ -106,6 +109,23 @@ def _write_report(args, name: str, fields: dict, seed=None) -> str:
     _write_json(path, {"schema_version": SCHEMA_VERSION, "version": __version__, "seed": seed,
                        "config": config, "tolerances": TOLERANCES, **fields})
     return path
+
+
+def _write_failure(args, exc) -> None:
+    """failure.json for a numerical failure: the exception's type and message, its step
+    and its CayleyStepReport's fields, null where absent (a NaN field was not computed),
+    and for train the model kind, seed and epoch that it carries."""
+    report = getattr(exc, "report", None)
+    fields = {"exception": type(exc).__name__, "message": str(exc),
+              "step": getattr(exc, "step", None)}
+    for name in (field.name for field in dataclasses.fields(CayleyStepReport)):
+        value = getattr(report, name, None)
+        fields[name] = None if value is None or np.isnan(value) else float(value)
+    if args.command == "train":
+        fields.update({key: getattr(exc, key, None) for key in ("model_kind", "seed", "epoch")})
+    # the failure stays exit 3 with its one stderr line when its record cannot be written
+    with contextlib.suppress(OSError):
+        _write_report(args, "failure.json", fields)
 
 
 def _merge_config(args) -> None:
@@ -490,10 +510,11 @@ def main(argv=None) -> int:
             _merge_config(args)
         _settle(args)
         return args.func(args)
-    except (IllConditionedStepError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         step = getattr(exc, "step", None)
         where = f" at step {step}" if step is not None else ""
         print(f"numerical failure{where}: {exc}", file=sys.stderr)
+        _write_failure(args, exc)
         return EXIT_NUMERICAL
     except (ConfigurationError, VocabularyError, InvalidDimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

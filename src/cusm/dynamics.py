@@ -22,8 +22,11 @@ state-major (column-contiguous), so a loop of steps reads contiguous columns aft
 evolve_full_batch writes a batch's trajectory into arrays allocated once, with each step's
 1/(1 + c delta) and Gram matrix for the adjoint, and checks each step's Gram condition,
 residual and norm change after its time loop, into one CayleyStepReport of (T,) arrays. Models
-with one fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch;
-inverse_cayley recovers the Hermitian generators of such unitaries.
+with one fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch: the
+token check, then _fixed_states, the one time loop, which a trainer that checked its tokens once
+calls directly. Their matrices W = cayley_map(Z) come from _cayley_system, which also returns
+the I + S that W's VJP solves with; inverse_cayley recovers the Hermitian generators of such
+unitaries.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ GRAM_COND_WARN = 1e8
 # steps per stacked check; at N=64, T=256, r=4: 7.9, 1.7, 0.9, 1.7 ms for 1, 8, 64, 256
 CHECK_CHUNK_STEPS = 64
 _gram_identity = functools.cache(lambda r: np.where(np.eye(r, dtype=bool), 1.0, -0j))
+_identity = functools.cache(np.eye)  # np.eye(d), per d; read-only by convention
 REPRODUCTION_TOL = 1e-10  # max |cayley_map((i dt / 4) H) - W| of a recovered generator
 
 
@@ -244,12 +248,19 @@ def _checked_tokens(tokens, size: int) -> np.ndarray:
     return arr.astype(int, copy=False)
 
 
-def cayley_map(z: np.ndarray) -> np.ndarray:
-    """W = (I + S)^{-1}(I - S) with S = Z - Z^dag, for generators Z stacked
-    (..., d, d): unitary for complex Z, orthogonal for real Z."""
+def _cayley_system(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I + S and W = (I + S)^{-1}(I - S) with S = Z - Z^dag, for generators Z stacked
+    (..., d, d): W is unitary for complex Z, orthogonal for real Z, and W's VJP
+    solves with the same I + S."""
     s = z - z.conj().swapaxes(-1, -2)
-    eye = np.eye(z.shape[-1])
-    return linalg_solve(eye + s, eye - s)
+    eye = _identity(z.shape[-1])
+    i_plus_s = eye + s
+    return i_plus_s, linalg_solve(i_plus_s, eye - s)
+
+
+def cayley_map(z: np.ndarray) -> np.ndarray:
+    """W of _cayley_system."""
+    return _cayley_system(z)[1]
 
 
 def inverse_cayley(w: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +288,11 @@ def evolve_fixed_batch(transitions: np.ndarray, state0: np.ndarray, tokens) -> l
     tokens[:, t] and applies them to the B states of every model in one
     batched product. Returns the T+1 states (..., B, d).
     """
-    tokens = _checked_tokens(tokens, transitions.shape[-3])
+    return _fixed_states(transitions, state0, _checked_tokens(tokens, transitions.shape[-3]))
+
+
+def _fixed_states(transitions: np.ndarray, state0: np.ndarray, tokens: np.ndarray) -> list:
+    """evolve_fixed_batch's time loop over an int array of ids already in [0, A)."""
     psi = np.repeat(state0[..., None, :], tokens.shape[0], axis=-2)
     states = [psi]
     for step in range(tokens.shape[1]):

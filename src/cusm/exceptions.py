@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class CusmError(Exception):
     """Base class for all package errors."""
@@ -45,3 +47,7 @@ class IllConditionedStepError(CusmError, RuntimeError):
         super().__init__(message)
         self.report = report
         self.step = step
+
+
+# the numerical failures: the CLI's exit 3, which trainers tag with where they failed
+NUMERICAL_FAILURES = (IllConditionedStepError, FloatingPointError, np.linalg.LinAlgError)

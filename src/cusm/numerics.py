@@ -6,10 +6,9 @@ matrices in a trace-orthonormal basis of fixed canonical order, SVD-based rank
 estimation, a uniqueness-normalized thin QR, one row norm (row_norms), the one
 normalisation of start states (initial_state), and an allocation check against
 the machine's memory. The thin QR calls the two LAPACK gufuncs of
-np.linalg.qr(mode="reduced") directly, without the wrapper's Python-level checks,
-under the error state in which np.linalg runs them (lapack_errstate). Everything
-else is a pure function of its arguments; randomness always enters through an
-explicit seed, any integer >= 0.
+np.linalg.qr(mode="reduced") directly, without the wrapper's Python-level checks.
+Everything else is a pure function of its arguments; randomness always enters
+through an explicit seed, any integer >= 0.
 """
 
 from __future__ import annotations
@@ -63,23 +62,24 @@ def thin_qr_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The positivity normalization makes the factorization unique, hence
     byte-deterministic for identical input. Requires rows >= cols and full
     column rank. The factors are np.linalg.qr's bits: its two gufuncs, qr_r_raw
-    (R and the reflectors, in place on a copy) and qr_reduced (Q), under its error
-    state, and R cut from the copy by np.triu's mask.
+    (R and the reflectors, in place on a copy) and qr_reduced (Q), and R cut from the
+    copy by np.triu's mask. They run without np.linalg's error state, as they flag no
+    error for any input, NaN, inf, huge and subnormal entries included.
     """
     a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise InvalidDimensionError(f"need rows >= cols, got shape {a.shape}")
     # kept: np.linalg.qr's two gufuncs without its wrapper, 28-32 -> 18 us at 9 x 3, with its
     # bits (tests/test_properties.py::test_thin_qr_unique_equals_numpy_qr_bit_for_bit)
-    with lapack_errstate("Incorrect argument found while performing QR factorization"):
-        q = qr_reduced(a, qr_r_raw(a, signature="D->D"), signature="DD->D")
+    q = qr_reduced(a, qr_r_raw(a, signature="D->D"), signature="DD->D")
     cols = a.shape[1]
     r = np.where(_upper(cols), a[:cols], 0j)
     d = np.diagonal(r)
-    smax = np.abs(d).max() if d.size else 0.0
-    if smax == 0.0 or np.abs(d).min() <= 1e-10 * smax * max(a.shape):
+    mag = np.abs(d)
+    smax = mag.max() if d.size else 0.0
+    if smax == 0.0 or mag.min() <= 1e-10 * smax * max(a.shape):
         raise DegenerateFactorizationError("input is numerically rank-deficient")
-    phases = d / np.abs(d)
+    phases = d / mag
     q = q * phases[None, :]
     r = phases.conj()[:, None] * r
     return q, r

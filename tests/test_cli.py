@@ -16,6 +16,11 @@ from cusm.hamgen import init_full_model, save_model
 from cusm.train import MODEL_KINDS, OptimizerConfig
 
 
+# the keys of every report's envelope, and those that failure.json adds to it
+ENVELOPE = {"schema_version", "version", "seed", "config", "tolerances"}
+FAILURE = {"exception", "message", "step", "gram_condition", "residual", "norm_change"}
+
+
 def run(argv, tmp_path, monkeypatch):
     monkeypatch.setenv("CUSM_OUTPUT_DIR", str(tmp_path))
     return main(argv)
@@ -218,7 +223,7 @@ class TestSimulate:
         assert run(argv + ["1e-308"], tmp_path, monkeypatch) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
-        assert not list(tmp_path.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["failure.json"]
         assert run(argv + ["1e-300"], tmp_path, monkeypatch) == 0
 
     @pytest.mark.parametrize("mode", ["task", "full"])
@@ -403,9 +408,36 @@ class TestSimulate:
                          "--tokens", "0,0,1,0,1", "--output-dir", str(out)])
         assert code == 3
         assert capsys.readouterr().err == f"numerical failure at step 2: Gram matrix {reason}\n"
-        assert not out.exists() or not list(out.iterdir())
+        assert [p.name for p in out.iterdir()] == ["failure.json"]
         messages = {str(w.message).rsplit(" in ", 1)[-1] for w in caught}
         assert messages == (set() if scale < 1e154 else {"matmul", "vecdot"})
+
+    def test_numerical_failure_writes_failure_json(self, tmp_path, monkeypatch):
+        # the catalogue's exit-3 rollout: step 2 is the first ill-conditioned one, and
+        # its report holds the Gram condition only
+        path = str(tmp_path / "model.json")
+        save_model(blown_up_model(1e7), path)
+        monkeypatch.setenv("CUSM_OUTPUT_DIR", str(tmp_path / "out"))
+        code = main(["simulate", "--mode", "full", "--checkpoint", path, "--tokens", "0,0,1,0"])
+        assert code == 3
+        doc = json.loads((tmp_path / "out" / "failure.json").read_text())
+        assert set(doc) == ENVELOPE | FAILURE
+        assert doc["config"]["checkpoint"] == path and doc["seed"] is None
+        assert {key: doc[key] for key in FAILURE} == {
+            "exception": "IllConditionedStepError", "step": 2, "gram_condition": 3e14,
+            "message": "Gram matrix condition 3.000e+14 exceeds 1e+12", "residual": None,
+            "norm_change": None}
+
+    def test_failure_json_that_cannot_be_written_keeps_exit_3(self, tmp_path, capsys):
+        # full mode makes its output directory after the rollout, so an --output-dir that
+        # is a file fails only when failure.json is written: the failure stays exit 3
+        path, blocked = str(tmp_path / "model.json"), tmp_path / "file"
+        save_model(blown_up_model(1e7), path)
+        blocked.write_text("")
+        code = main(["simulate", "--mode", "full", "--checkpoint", path, "--tokens", "0,0,1,0",
+                     "--output-dir", str(blocked)])
+        assert code == 3
+        assert capsys.readouterr().err.count("\n") == 1 and blocked.read_text() == ""
 
     def test_readout_below_model_dimension_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # --v's default of 4 fails every full-mode --n above 4: the error names the
@@ -601,7 +633,7 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr().err == \
             "numerical failure: initial-state parameter vector has norm inf\n"
-        assert not list(tmp_path.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["failure.json"]
 
     def test_singular_cayley_system_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # at d = 3 the overflowing Adam step leaves generators whose Cayley system I + S is
@@ -611,7 +643,21 @@ class TestTrain:
                     "--epochs", "30", "--lr", "1e300"], tmp_path, monkeypatch)
         assert code == 3
         assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
-        assert not list(tmp_path.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["failure.json"]
+
+    def test_numerical_failure_writes_failure_json(self, tmp_path, monkeypatch):
+        # the first Adam step overflows h0, so epoch 1's start state has no unit vector;
+        # the failure is no Cayley step's, so the report's fields are null
+        code = run(["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--lr", "1e300",
+                    "--seeds", "1", "--epochs", "30"], tmp_path, monkeypatch)
+        assert code == 3
+        doc = json.loads((tmp_path / "failure.json").read_text())
+        assert set(doc) == ENVELOPE | FAILURE | {"model_kind", "epoch"}
+        assert doc["config"]["lr"] == 1e300
+        assert {key: doc[key] for key in FAILURE | {"model_kind", "seed", "epoch"}} == {
+            "exception": "FloatingPointError", "step": None, "gram_condition": None,
+            "message": "initial-state parameter vector has norm inf", "residual": None,
+            "norm_change": None, "model_kind": "rosm", "seed": 0, "epoch": 1}
 
     def test_rosm_without_dim_is_usage_error(self, tmp_path, monkeypatch):
         code = run(["train", "--n", "2", "--model-kind", "rosm", "--seeds", "1",

@@ -20,11 +20,11 @@ fixed cost per call would skew; other tests reach the lines they run. A line
 report cannot see data branches: an `np.where` on a line that runs is reached
 even if it never picks one side. Standard library and pytest only.
 
-With --cli it runs each argv of CATALOGUE through cli.main in this process,
-under the same tracer, each in a fresh CUSM_OUTPUT_DIR, after writing the
-input files the catalogue names. It prints `path:line name` for each function
-or method of src/cusm that no run entered and that ALLOWED does not name, and
-their count; then each run whose exit code is not the catalogue's. It exits 1
+With --cli it runs each argv of tools/catalogue.py's CATALOGUE through cli.main
+in this process, under the same tracer, each in a fresh CUSM_OUTPUT_DIR, after
+writing the input files the catalogue names. It prints `path:line name` for each
+function or method of src/cusm that no run entered and that ALLOWED does not
+name, and their count; then each run whose exit code is not the catalogue's. It exits 1
 if it printed a function or a run. ALLOWED is what the acceptance suite
 imports, what perfbench's tracer binds, and EXTRA_ALLOWED; an allowed function
 allows the functions nested in it, but a class allows none of its methods.
@@ -37,7 +37,6 @@ import ast
 import contextlib
 import functools
 import io
-import json
 import os
 import sys
 import tempfile
@@ -45,60 +44,13 @@ import threading
 import warnings
 from pathlib import Path
 
+from catalogue import CATALOGUE, write_inputs
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cusm"
 TIER1_ARGS = ["-q", "--continue-on-collection-errors"]
 UNTRACED = {"test_criterion_11_scaling_trend"}  # it checks per-step time ratios
 
-# (argv, exit code) of --version, --help, every subcommand and mode, all three model kinds
-# with --ablation, each kind of input file, an overflowing step, an ill-conditioned one, three
-# diverging training runs, an invariant violation (a token of the witness task with no Cayley
-# generator) and twelve usage errors; {name} is the path of input file `name`, which
-# write_inputs makes
-CATALOGUE = (
-    (["gen-task", "--n", "2", "--seed", "0"], 0),
-    (["gen-task", "--n", "3", "--seed", "1", "--filler-length", "0"], 0),
-    (["gen-task", "--n", "2", "--reference"], 0),
-    (["verify-separation", "--n", "2", "--seed", "0", "--audits", "8"], 0),
-    (["verify-separation", "--task", "{task}", "--audits", "4"], 0),
-    (["simulate", "--mode", "task", "--n", "2", "--tokens", "0,2,2,1"], 0),
-    (["simulate", "--task", "{task}", "--tokens-file", "{tokens}"], 0),
-    (["simulate", "--task", "{witness}", "--tokens", "0,4"], 1),  # W1 has an eigenvalue at -1
-    (["simulate", "--mode", "full", "--n", "6", "--r", "2", "--d", "3", "--v", "6",
-      "--tokens", "0,1,2,1"], 0),
-    (["simulate", "--mode", "full", "--checkpoint", "{model}", "--tokens", "0,1,1,0"], 0),
-    (["simulate", "--mode", "full", "--tokens", "0,1,0,2", "--dt", "1e300"], 0),
-    (["simulate", "--mode", "full", "--checkpoint", "{blown_up_model}", "--tokens", "0,0,1,0"], 3),
-    (["simulate", "--config", "{config}", "--tokens", "1,0,2"], 0),
-    (["train", "--n", "2", "--model-kind", "cusm-trainable", "--seeds", "2", "--epochs", "5",
-      "--ablation"], 0),
-    (["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--seeds", "2", "--epochs", "5",
-      "--ablation"], 0),
-    (["train", "--n", "2", "--model-kind", "full", "--seeds", "1", "--epochs", "3",
-      "--ablation"], 0),
-    (["train", "--task", "{task}", "--model-kind", "rosm", "--dim", "1", "--seeds", "1",
-      "--epochs", "5"], 0),
-    (["train", "--n", "2", "--model-kind", "full", "--seeds", "1", "--epochs", "3",
-      "--lr", "1e300"], 3),
-    (["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--seeds", "1", "--epochs", "30",
-      "--lr", "1e300"], 3),
-    (["train", "--n", "2", "--model-kind", "rosm", "--dim", "3", "--seeds", "2", "--epochs", "30",
-      "--lr", "1e300"], 3),  # a singular Cayley system: LinAlgError from linalg_solve
-    (["--version"], 0),
-    (["simulate", "--help"], 0),
-    ([], 2),
-    (["gen-task", "--n", "1"], 2),
-    (["gen-task", "--bogus"], 2),
-    (["simulate", "--mode", "task", "--n", "2"], 2),
-    (["simulate", "--tokens", "0", "--tokens-file", "{tokens}"], 2),
-    (["simulate", "--mode", "task", "--tokens", "0", "--checkpoint", "{model}"], 2),
-    (["simulate", "--mode", "task", "--n", "2", "--tokens", "0,9"], 2),
-    (["simulate", "--mode", "full", "--n", "6", "--r", "2", "--tokens", "0,1,2"], 2),
-    (["train", "--n", "2", "--model-kind", "rosm", "--seeds", "1"], 2),
-    (["verify-separation", "--task", "{missing}"], 2),
-    (["verify-separation", "--task", "{bad_config}"], 2),
-    (["train", "--config", "{bad_config}"], 2),
-)
 # what no command enters besides the acceptance suite's imports and perfbench's bindings:
 # what the acceptance suite reaches through them (finite_difference_grad's and
 # backward_full_model's helpers, materialize's dim, the sequences of make_task's task), and
@@ -205,31 +157,6 @@ def traced_pytest(args: list) -> tuple[int, dict]:
 
     code, executed, _ = traced(lambda: pytest.main(args, plugins=[Untraced()]))
     return int(code), executed
-
-
-def write_inputs(directory: Path) -> dict:
-    """The input files that CATALOGUE names, written into directory, except `missing`,
-    which stays absent: name -> path."""
-    from cusm.hamgen import init_full_model, save_model
-    from cusm.septask import make_task, save_task
-
-    files = {name: str(directory / f"{name}.json") for name in
-             ("task", "witness", "model", "blown_up_model", "tokens", "config", "bad_config",
-              "missing")}
-    save_task(make_task(2, seed=0), files["task"])
-    save_task(make_task(2, seed=0, reference=True), files["witness"])
-    save_model(init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=1), files["model"])
-    # token 1 sets column 0 of Phi to 1e7 (1 + i): a Gram condition of 3e14
-    model = init_full_model(n=3, r=2, d=1, v=4, v_in=2, seed=0, hidden=[])
-    model.mlp.weights[0][:] = 0.0
-    model.mlp.weights[0][: 2 * model.n, 0] = 1e7
-    model.embed[:] = [[0.0], [1.0]]
-    save_model(model, files["blown_up_model"])
-    for name, doc in (("tokens", [0, 2, 2, 1]), ("bad_config", {"schema_version": 1, "bogus": 1}),
-                      ("config", {"schema_version": 1, "mode": "full", "n": 3, "r": 2, "d": 2,
-                                  "v": 4, "seed": 5})):
-        Path(files[name]).write_text(json.dumps(doc))
-    return files
 
 
 def run_catalogue(files: dict, output_root: Path) -> list:
