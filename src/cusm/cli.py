@@ -280,7 +280,7 @@ FLAGS = (
     Flag("--dt", SIM, _Bounded(float, 0, strict=True), 1.0, "time step", (NO_CHECKPOINT,)),
     Flag("--model-kind", TRAIN, MODEL_KINDS, MODEL_KINDS[0], "the model"),
     Flag("--dim", TRAIN, _Bounded(int, 1),
-         help="state dimension; defaults to the task's n, and rosm needs it"),
+         help="state dimension, also the verdict's; defaults to the task's n; rosm needs it"),
     Flag("--seeds", TRAIN, _Bounded(int, 1), 5, "runs, seeded 0, 1, ..."),
     Flag("--epochs", TRAIN, _Bounded(int, 1), OptimizerConfig.epochs, "epochs per run"),
     Flag("--lr", TRAIN, _Bounded(float, 0, strict=True), OptimizerConfig.lr, "learning rate"),
@@ -459,8 +459,8 @@ def cmd_train(args) -> int:
         "any_gap_zero": bool(any(rep.gap_zero for rep in reports)),
         "reports": paths,
     }
-    if args.model_kind == "rosm":  # the rank bound's verdict, the same in every seed's report
-        aggregate.update({k: v for k, v in reports[0].extra.items() if k != "softmax_rank_audit"})
+    # the readout's verdict, the same in every seed's report (a Born kind's is empty)
+    aggregate.update({k: v for k, v in reports[0].extra.items() if k != "softmax_rank_audit"})
     if args.ablation:
         aggregate["ablation"] = exact_cusm_report(task, target_table(task))["ablation"]
     agg_path = _write_report(args, f"train_{args.model_kind}_aggregate.json", aggregate)

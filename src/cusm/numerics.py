@@ -64,7 +64,9 @@ def thin_qr_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column rank. The factors are np.linalg.qr's bits: its two gufuncs, qr_r_raw
     (R and the reflectors, in place on a copy) and qr_reduced (Q), and R cut from the
     copy by np.triu's mask. They run without np.linalg's error state, as they flag no
-    error for any input, NaN, inf, huge and subnormal entries included.
+    error for any input, NaN, inf, huge and subnormal entries included. The phases of a
+    diagonal below the normal range are taken after scaling it and its moduli by the
+    exact _UNDERFLOW_SCALE, since dividing by a subnormal modulus overflows.
     """
     a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
@@ -79,6 +81,8 @@ def thin_qr_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     smax = mag.max() if d.size else 0.0
     if smax == 0.0 or mag.min() <= 1e-10 * smax * max(a.shape):
         raise DegenerateFactorizationError("input is numerically rank-deficient")
+    if mag.min() < np.finfo(float).tiny:  # d / mag would overflow in its 1 / mag
+        d, mag = d * _UNDERFLOW_SCALE, mag * _UNDERFLOW_SCALE
     phases = d / mag
     q = q * phases[None, :]
     r = phases.conj()[:, None] * r

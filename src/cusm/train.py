@@ -11,8 +11,11 @@ derivatives.
 Every trainer runs all task sequences as one stacked batch, so an epoch is one
 forward and one adjoint pass: the full model's steps through one stacked
 Woodbury solve, the fixed-transition kinds (cusm-trainable and rosm) through
-evolve_fixed_batch's time loop and one batch gradient, _fixed_batch_grad, in which
-each kind supplies only its readout's VJP. A fixed-kind epoch builds each piece of
+evolve_fixed_batch's time loop and one batch gradient, _fixed_batch_grad, to which
+each kind passes only its readout's VJP. One table in train_on_task holds, per kind,
+all that differs between kinds: its init, batch gradient, final loss and targets,
+whether it needs a dimension, its readout's verdict and its audit of a trained
+model; no other line compares a kind's name. A fixed-kind epoch builds each piece of
 its Cayley system once: S = Z - Z^dag and I + S, which the transitions W and their
 VJP share (the identity is cached per d), and the transitions' conjugate
 transposes, whose rows each adjoint step gathers. A run checks its task's tokens
@@ -93,9 +96,7 @@ class OptimizerConfig:
 
 def entropy_floor(table: TargetTable) -> float:
     """Mean Shannon entropy of the target rows: the minimum achievable mean NLL."""
-    p = table.pstar
-    terms = np.where(p > 0.0, p * floored_log(p), 0.0)
-    return float(-terms.sum(axis=1).mean())
+    return float(-np.where(table.pstar > 0.0, table.pstar * table.lstar, 0.0).sum(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +268,7 @@ def _backward_full(model: FullModelParams, tokens: np.ndarray,
 
 
 def _one_hot_rows(targets, v: int) -> np.ndarray:
-    rows = np.zeros((len(targets), v))
-    rows[np.arange(len(targets)), list(targets)] = 1.0
-    return rows
+    return np.eye(v)[list(targets)]
 
 
 def backward_full_model(model: FullModelParams, tokens, targets) -> FullModelParams:
@@ -446,19 +445,16 @@ def _softmax_batch_vjp(params: RosmParams, final: np.ndarray, targets: np.ndarra
             [scale * (g_logits.T @ final), scale * g_logits.sum(axis=0)])
 
 
-# per fixed-transition kind: its readout's VJP
-_FIXED_KINDS = {TrainableCusm: _born_batch_vjp, RosmParams: _softmax_batch_vjp}
-
-
 def _fixed_batch_grad(params: TrainableCusm | RosmParams, tokens: np.ndarray,
-                      targets: np.ndarray) -> tuple[float, TrainableCusm | RosmParams]:
+                      targets: np.ndarray, readout_vjp) -> tuple[float, TrainableCusm | RosmParams]:
     """Mean loss and gradients over a (B, T) int array of token ids in [0, A), checked
-    once by the caller, with (B, V) target rows, in one stacked forward and adjoint pass;
-    gradients come in the parameters' own type."""
+    once by the caller, with (B, V) target rows, in one stacked forward and adjoint pass
+    whose readout is readout_vjp (_born_batch_vjp or _softmax_batch_vjp); gradients come
+    in the parameters' own type."""
     i_plus_s, transitions = _cayley_system(params.gens)
     states = _fixed_states(transitions, initial_state(params.h0), tokens)
     scale = 1.0 / len(tokens)
-    loss, g_final, g_readout = _FIXED_KINDS[type(params)](params, states[-1], targets, scale)
+    loss, g_final, g_readout = readout_vjp(params, states[-1], targets, scale)
     g_start, g_w = _fixed_transition_vjp(transitions, states, tokens, g_final)
     g_h0 = _normalize_vjp(params.h0, scale * g_start)
     g_gens = _cayley_generator_vjp(i_plus_s, transitions, scale * g_w)
@@ -501,23 +497,20 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
 
     model_kind: "cusm-trainable" (unitary transitions, Born readout),
     "rosm" (orthogonal transitions, affine softmax), or "full" (generated
-    Hamiltonians). dim is the state dimension; it defaults to the task's n
+    Hamiltonians); its row of the kind table below is all that this function
+    knows of it. dim is the state dimension; it defaults to the task's n
     except for rosm, which needs it. The gap is final mean NLL minus the
     entropy floor and is declared zero below 1e-3 nats; convergence is
-    reported, never asserted. A rosm report's extra holds the trained
-    baseline's softmax_rank_audit and the task's rank_bound_verdict at dim.
+    reported, never asserted. A report's extra holds the kind's audit of the
+    trained model and its readout's verdict at dim, the same for every seed:
+    for rosm the baseline's softmax_rank_audit and the task's rank_bound_verdict;
+    the Born readout, exact at N = n, has neither.
     A numerical failure raised while a seed trains carries model_kind and seed,
     and adam_cosine's epoch if it was raised in the loop.
     """
     if model_kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model_kind {model_kind!r}")
-    if model_kind == "rosm" and dim is None:
-        raise ConfigurationError("rosm training needs an explicit dimension")
-    dim = task.n if dim is None else dim
-    if dim < 1:
-        raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
     table = target_table(task)
-    verdict = rank_bound_verdict(table, dim) if model_kind == "rosm" else {}
     floor = entropy_floor(table)
     tokens = _checked_tokens(task.sequences(), task.alphabet)  # once per run
     weights = np.zeros((*tokens.shape, task.v))
@@ -526,17 +519,33 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     def init_full(n, v, v_in, seed):
         return init_full_model(n=n, r=1, d=2 * task.n, v=v, v_in=v_in, seed=seed)
 
+    def fixed(readout_vjp):  # a fixed-transition kind's gradient, final loss, targets, count
+        grad = functools.partial(_fixed_batch_grad, readout_vjp=readout_vjp)
+        return grad, lambda *batch: grad(*batch)[0], table.pstar, 1
+
+    def none(*_):
+        return {}
+
     # per kind, in MODEL_KINDS' order: init(dim, v, alphabet, seed); batch_grad(params,
     # tokens, targets) -> (loss, grads in the params' own type); the final loss; the
-    # targets; and the count that the losses and gradients are summed over (the fixed-
-    # transition gradients are means). The full model's final loss is the
-    # forward-only pass, under half the cost of its backward pass.
-    fixed = (_fixed_batch_grad, lambda *batch: _fixed_batch_grad(*batch)[0], table.pstar, 1)
-    init, batch_grad, final_loss, targets, count = dict(zip(MODEL_KINDS, (
-        (init_trainable_cusm, *fixed),
-        (init_trainable_rosm, *fixed),
-        (init_full, _backward_full, _loss_full, weights, len(tokens)),
+    # targets; the count that the losses and gradients are summed over (the fixed-
+    # transition gradients are means); whether dim must be given; the readout's verdict
+    # bound(table, dim); and audit(trained). The full model's final loss is the
+    # forward-only pass, under half the cost of its backward pass. The rows are built
+    # on each call from the module's names, so a function that perfbench's tracer or a
+    # test patches there is the one that runs; only the chosen row's bound and audit run.
+    init, batch_grad, final_loss, targets, count, needs_dim, bound, audit = dict(zip(MODEL_KINDS, (
+        (init_trainable_cusm, *fixed(_born_batch_vjp), False, none, none),
+        (init_trainable_rosm, *fixed(_softmax_batch_vjp), True, rank_bound_verdict,
+         lambda trained: {"softmax_rank_audit": softmax_rank_audit(trained, task)}),
+        (init_full, _backward_full, _loss_full, weights, len(tokens), False, none, none),
     )))[model_kind]
+    if needs_dim and dim is None:
+        raise ConfigurationError(f"{model_kind} training needs an explicit dimension")
+    dim = task.n if dim is None else dim
+    if dim < 1:
+        raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
+    verdict = bound(table, dim)
 
     def loss_grad(params):
         loss, grads = batch_grad(params, tokens, targets)
@@ -559,8 +568,7 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
                 )
                 trained = unflatten_model(flat, template)
                 final = final_loss(trained, tokens, targets) / count
-                extra = ({"softmax_rank_audit": softmax_rank_audit(trained, task), **verdict}
-                         if model_kind == "rosm" else {})
+                extra = {**audit(trained), **verdict}
             except NUMERICAL_FAILURES as exc:  # read, with adam_cosine's epoch, by failure.json
                 exc.model_kind, exc.seed = model_kind, seed
                 raise

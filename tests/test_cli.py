@@ -562,6 +562,25 @@ class TestTrain:
         assert "gap_mean" in agg and "gap_std" in agg and "gap_best" in agg
         assert agg["ablation"]["nll_diagonal"] >= agg["ablation"]["nll_born"]
 
+    # per kind, the readout's verdict keys, in each seed's extra and once in the aggregate,
+    # and its audit keys, in each seed's extra: the Born readout, exact at N = n, has neither
+    READOUT_KEYS = {"cusm-trainable": (set(), set()), "full": (set(), set()),
+                    "rosm": ({"rank_L", "bound_forbids_exact", "eckart_young_floor"},
+                             {"softmax_rank_audit"})}
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_each_kind_writes_its_readouts_verdict_and_audit(self, kind, tmp_path, monkeypatch):
+        verdict, audit = self.READOUT_KEYS[kind]
+        assert run(["train", "--n", "2", "--model-kind", kind, "--dim", "2", "--seeds", "2",
+                    "--epochs", "3"], tmp_path, monkeypatch) == 0
+        agg = json.loads((tmp_path / f"train_{kind}_aggregate.json").read_text())
+        assert set(agg) - ENVELOPE - {"model_kind", "seeds", "gap_mean", "gap_std", "gap_best",
+                                      "any_gap_zero", "reports"} == verdict
+        for seed in (0, 1):
+            extra = json.loads((tmp_path / f"train_{kind}_seed{seed}.json").read_text())["extra"]
+            assert set(extra) == verdict | audit
+            assert {key: extra[key] for key in verdict} == {key: agg[key] for key in verdict}
+
     def test_early_stop(self, tmp_path, monkeypatch):
         code = run(["train", "--early-stop-gap", "100", "--seeds", "1"], tmp_path, monkeypatch)
         assert code == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,20 @@ class TestThinQrUnique:
     def test_wide_rejected(self):
         with pytest.raises(InvalidDimensionError):
             thin_qr_unique(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("scale", [1e-308, 1e-310, 1e-320])
+    def test_subnormal_diagonal_takes_finite_phases(self, scale):
+        # a full-rank input whose R has a diagonal below the normal range: dividing it by
+        # its moduli overflowed into NaN phases. R's diagonal is real, so the phases are
+        # the signs of np.linalg.qr's diagonal.
+        a = np.array([[1.0, 2.0], [-3.0, 1.0], [0.5, 0.0]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, r = thin_qr_unique(a)
+        q0, r0 = np.linalg.qr(a.astype(complex))
+        signs = np.sign(np.diagonal(r0).real)
+        assert np.array_equal(q, q0 * signs) and np.array_equal(r, signs[:, None] * r0)
+        assert np.diagonal(r).real.min() > 0.0 and not np.diagonal(r).imag.any()
 
     def test_deterministic(self):
         a = ginibre(make_rng(9), 5, 5)

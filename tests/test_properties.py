@@ -79,10 +79,12 @@ from cusm.septask import (
 from cusm.train import (
     OptimizerConfig,
     TrainableCusm,
+    _born_batch_vjp,
     _born_readout_vjp,
     _fixed_batch_grad,
     _normalize_vjp,
     _qr_projection_vjp,
+    _softmax_batch_vjp,
     adam_cosine,
     adjoint_state_step,
     flatten_model,
@@ -653,7 +655,8 @@ def test_baselines_keep_the_eckart_young_floor_and_the_verdict_agrees_with_their
     rosm = init_trainable_rosm(d, task.v, 2 * task.n + 1, seed)
 
     def loss_grad(flat):
-        loss, grads = _fixed_batch_grad(unflatten_model(flat, rosm), tokens, table.pstar)
+        loss, grads = _fixed_batch_grad(unflatten_model(flat, rosm), tokens, table.pstar,
+                                        _softmax_batch_vjp)
         return loss, flatten_model(grads)
 
     if epochs:
@@ -907,8 +910,8 @@ def rosm_batch_grad_oracle(params: RosmParams, tokens, targets):
     return -float(np.vdot(targets, logs)) * scale, grads
 
 
-FIXED_KINDS = {"cusm-trainable": (init_trainable_cusm, cusm_batch_grad_oracle),
-               "rosm": (init_trainable_rosm, rosm_batch_grad_oracle)}
+FIXED_KINDS = {"cusm-trainable": (init_trainable_cusm, _born_batch_vjp, cusm_batch_grad_oracle),
+               "rosm": (init_trainable_rosm, _softmax_batch_vjp, rosm_batch_grad_oracle)}
 
 
 @PROPERTY
@@ -920,12 +923,12 @@ FIXED_KINDS = {"cusm-trainable": (init_trainable_cusm, cusm_batch_grad_oracle),
 def test_fixed_batch_grad_equals_the_per_kind_oracles_bit_for_bit(kind, dim, extra_v, alphabet,
                                                                   batch, steps, seed):
     # the Born readout needs V >= N; tokens and unnormalised target rows come from the seed
-    init, oracle = FIXED_KINDS[kind]
+    init, readout_vjp, oracle = FIXED_KINDS[kind]
     params = init(dim, dim + extra_v, alphabet, seed)
     rng = make_rng(seed)
     tokens = rng.integers(0, alphabet, (batch, steps))
     targets = rng.random((batch, dim + extra_v))
-    loss, grads = _fixed_batch_grad(params, tokens, targets)
+    loss, grads = _fixed_batch_grad(params, tokens, targets, readout_vjp)
     want_loss, want = oracle(params, tokens, targets)
     assert same_bits(loss, want_loss) and type(grads) is type(want)
     for got, expected in zip(grads.arrays(), want.arrays(), strict=True):

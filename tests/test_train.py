@@ -15,6 +15,7 @@ from cusm.dynamics import (
 from cusm.exceptions import ConfigurationError, IllConditionedStepError
 from cusm.hamgen import init_full_model
 from cusm.numerics import ginibre, make_rng
+from cusm.readout import floored_log
 from cusm.septask import TargetTable, make_task, target_table
 from cusm.train import (
     OptimizerConfig,
@@ -40,11 +41,12 @@ from cusm.train import (
 
 class TestEntropyFloor:
     def test_one_hot_rows(self):
-        table = TargetTable(pstar=np.eye(4), lstar=None, min_entry=0.0)
+        table = TargetTable(pstar=np.eye(4), lstar=floored_log(np.eye(4)), min_entry=0.0)
         assert entropy_floor(table) == 0.0
 
     def test_uniform_rows(self):
-        table = TargetTable(pstar=np.full((4, 5), 0.2), lstar=None, min_entry=0.2)
+        pstar = np.full((4, 5), 0.2)
+        table = TargetTable(pstar=pstar, lstar=floored_log(pstar), min_entry=0.2)
         assert abs(entropy_floor(table) - np.log(5.0)) < 1e-13
 
     def test_dual_path_oracle(self):
@@ -85,7 +87,8 @@ class TestBackwardFullModel:
             gens=np.zeros((1, 2, 2), dtype=complex),
             meas_raw=np.eye(2, dtype=complex),
         )
-        loss, grads = _fixed_batch_grad(params, np.array([[0]]), np.array([[1.0, 0.0]]))
+        loss, grads = _fixed_batch_grad(params, np.array([[0]]), np.array([[1.0, 0.0]]),
+                                        train._born_batch_vjp)
         assert abs(loss) < 1e-14
         assert np.abs(grads.h0).max() < 1e-10
         assert np.abs(grads.gens[0]).max() < 1e-10
@@ -188,11 +191,12 @@ class TestDirectionalAtRunningShapes:
         task = make_task(4, 3)
         tokens, targets = task.sequences(), target_table(task).pstar
         params = train.init_trainable_cusm(4, task.v, 2 * 4 + 1, seed=3)
-        loss, grads = _fixed_batch_grad(params, tokens, targets)
+        loss, grads = _fixed_batch_grad(params, tokens, targets, train._born_batch_vjp)
         floor = np.finfo(float).eps * abs(loss) / 1e-4
 
         def loss_at(x):
-            return _fixed_batch_grad(unflatten_model(x, params), tokens, targets)[0]
+            return _fixed_batch_grad(unflatten_model(x, params), tokens, targets,
+                                     train._born_batch_vjp)[0]
 
         misses = richardson_misses(loss_at, flatten_model(params), flatten_model(grads),
                                    make_rng(9), 3)
@@ -229,11 +233,12 @@ class TestDirectionalAtRunningShapes:
         task = make_task(4, 3)
         tokens, targets = task.sequences(), target_table(task).pstar
         params = train.init_trainable_rosm(4, task.v, 2 * 4 + 1, seed=3)
-        loss, grads = _fixed_batch_grad(params, tokens, targets)
+        loss, grads = _fixed_batch_grad(params, tokens, targets, train._softmax_batch_vjp)
         floor = np.finfo(float).eps * abs(loss) / 1e-4
 
         def loss_at(x):
-            return _fixed_batch_grad(unflatten_model(x, params), tokens, targets)[0]
+            return _fixed_batch_grad(unflatten_model(x, params), tokens, targets,
+                                     train._softmax_batch_vjp)[0]
 
         misses = richardson_misses(loss_at, flatten_model(params), flatten_model(grads),
                                    make_rng(9), 3)
@@ -390,7 +395,8 @@ class TestStackedFullModel:
         _backward_full(model, tokens, weights)
         assert calls == [(4, 2)]
         params = train.init_trainable_cusm(2, 4, 5, seed=0)
-        _fixed_batch_grad(params, np.array([[0, 1], [2, 3]]), np.full((2, 4), 0.25))
+        _fixed_batch_grad(params, np.array([[0, 1], [2, 3]]), np.full((2, 4), 0.25),
+                          train._born_batch_vjp)
         assert calls == [(4, 2), (4, 2)]
 
     def test_states_match_single_sequences(self):
@@ -455,8 +461,8 @@ class TestAssertFinite:
     def test_fixed_kind_training_checks_the_flat_gradient(self, kind, dim, monkeypatch):
         # the same check stops a fixed-transition run, which would otherwise take
         # the NaN into its parameters
-        def non_finite(params, tokens, targets):
-            loss, grads = batch_grad(params, tokens, targets)
+        def non_finite(params, tokens, targets, readout_vjp):
+            loss, grads = batch_grad(params, tokens, targets, readout_vjp)
             grads.gens[0, 0, 0] = np.nan
             return loss, grads
 
@@ -646,10 +652,11 @@ class TestTrainableCusmGradients:
         table = target_table(task)
         tokens = task.sequences()
         params = init_trainable_cusm(2, task.v, 5, seed=0)
-        _, grads = _fixed_batch_grad(params, tokens, table.pstar)
+        _, grads = _fixed_batch_grad(params, tokens, table.pstar, train._born_batch_vjp)
         flat = _cusm_flatten(params)
         fd = central_difference(
-            lambda f: _fixed_batch_grad(_cusm_unflatten(f, params), tokens, table.pstar)[0],
+            lambda f: _fixed_batch_grad(_cusm_unflatten(f, params), tokens, table.pstar,
+                                        train._born_batch_vjp)[0],
             flat, 1e-5)
         rel = np.abs(_cusm_flatten(grads) - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
@@ -660,9 +667,10 @@ class TestTrainableCusmGradients:
         table = target_table(task)
         tokens = task.sequences()
         params = init_trainable_rosm(3, task.v, 5, seed=0)
-        _, grads = _fixed_batch_grad(params, tokens, table.pstar)
+        _, grads = _fixed_batch_grad(params, tokens, table.pstar, train._softmax_batch_vjp)
         fd = central_difference(
-            lambda f: _fixed_batch_grad(_rosm_unflatten(f, params), tokens, table.pstar)[0],
+            lambda f: _fixed_batch_grad(_rosm_unflatten(f, params), tokens, table.pstar,
+                                        train._softmax_batch_vjp)[0],
             _rosm_flatten(params), 1e-5)
         rel = np.abs(_rosm_flatten(grads) - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
@@ -693,11 +701,13 @@ class TestTinyStartVector:
         task = make_task(2, seed=0)
         tokens, targets = task.sequences(), target_table(task).pstar
 
-        def grads_of(params):
-            return _fixed_batch_grad(params, tokens, targets)[1].arrays()
+        def grads_of(readout_vjp):
+            return lambda params: _fixed_batch_grad(params, tokens, targets,
+                                                    readout_vjp)[1].arrays()
 
-        self.check(train.init_trainable_cusm(2, task.v, 5, seed=0), grads_of)
-        self.check(train.init_trainable_rosm(3, task.v, 5, seed=0), grads_of)
+        self.check(train.init_trainable_cusm(2, task.v, 5, seed=0), grads_of(train._born_batch_vjp))
+        self.check(train.init_trainable_rosm(3, task.v, 5, seed=0),
+                   grads_of(train._softmax_batch_vjp))
 
     def test_full_model(self):
         self.check(init_full_model(n=2, r=1, d=2, v=4, v_in=4, seed=0),

@@ -6,9 +6,11 @@ Run it from anywhere inside the repository. Each REV's src/ comes from a local
 `git archive` into a temporary directory; without --change the change side is
 the working tree's src/. Both sides run the same catalogue, this checkout's
 tools/catalogue.py: CATALOGUE (the runs of tools/unreached.py --cli) and
-TRAINING. Each side runs in its own Python process with BLAS pinned to one
-thread, writes the catalogue's input files with its own cusm, and runs each
-argv through cli.main in a fresh CUSM_OUTPUT_DIR.
+TRAINING. The catalogue's input files are written once, with the working
+tree's cusm, and both sides read them, so a revision that predates today's
+input writer still runs. Each side runs in its own Python process with BLAS
+pinned to one thread, as the input writer does, and runs each argv through
+the catalogue's runner: cli.main in a fresh CUSM_OUTPUT_DIR.
 
 For each run it compares the exit code, the stdout and stderr lines, the
 messages of the warnings raised, and every file the run wrote. Paths are
@@ -35,7 +37,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,40 +53,32 @@ def archive_src(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def run_side(src: Path, work: Path) -> None:
-    """Run the catalogue on the cusm under src, in a process of its own, into work:
-    work/runNN/ holds each run's files and work/results.json its other outputs."""
+def pinned(args: list, cwd: Path) -> None:
+    """This script with args, in a process of its own with BLAS pinned to one thread."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                COLUMNS="80")
-    subprocess.run([sys.executable, __file__, "_side", str(src), str(work)], check=True,
-                   env=env, cwd=work)
+    subprocess.run([sys.executable, __file__, *map(str, args)], check=True, env=env, cwd=cwd)
 
 
-def side_main(src: str, work: str) -> int:
-    """The body of run_side's process."""
+def inputs_main(inputs: str) -> int:
+    """The body of the input writer's process: the catalogue's input files, written
+    into inputs with the working tree's cusm."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
+    from catalogue import write_inputs
+
+    write_inputs(Path(inputs))
+    return 0
+
+
+def side_main(src: str, work: str, inputs: str) -> int:
+    """The body of a side's process: the catalogue, run on the cusm under src with the
+    input files in inputs, into work. work/runNN/ holds each run's files and
+    work/results.json its other outputs."""
     sys.path[:0] = [src, str(ROOT / "tools")]
-    from catalogue import CATALOGUE, TRAINING, write_inputs
-    from cusm import cli
+    from catalogue import CATALOGUE, TRAINING, input_paths, run
 
-    inputs = Path(work) / "inputs"
-    inputs.mkdir()
-    files = write_inputs(inputs)
-    results = []
-    for k, (argv, _) in enumerate(CATALOGUE + TRAINING):
-        argv = [arg.format(**files) for arg in argv]
-        os.environ[cli.OUTPUT_DIR_ENV] = str(Path(work) / f"run{k:02d}")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # --help and --version
-                code = exc.code
-        results.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
-                        "stderr": err.getvalue(),
-                        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]})
+    results = run([argv for argv, _ in CATALOGUE + TRAINING], input_paths(inputs), work)
     Path(work, "results.json").write_text(json.dumps(results))
     return 0
 
@@ -157,7 +150,7 @@ def compare(parent: Path, change: Path, ulps: int | None) -> int:
         if a == b:
             continue
         k, name = key
-        argv = " ".join(argv.replace(str(change), "<root>") for argv in argvs[k])
+        argv = " ".join(argv.replace(str(change.parent), "<tmp>") for argv in argvs[k])
         where = f"run {k} (cusm {argv}) {name}"
         if a is None or b is None:
             print(f"{where}: only in the {'change' if a is None else 'parent'}")
@@ -176,6 +169,8 @@ def compare(parent: Path, change: Path, ulps: int | None) -> int:
 
 
 def main(argv: list) -> int:
+    if argv[:1] == ["_inputs"]:
+        return inputs_main(*argv[1:])
     if argv[:1] == ["_side"]:
         return side_main(*argv[1:])
     parser = argparse.ArgumentParser(prog="against.py", description=__doc__.split("\n")[0])
@@ -186,12 +181,15 @@ def main(argv: list) -> int:
     cmd.add_argument("--ulps", type=int, help="allow numeric differences of at most this many ulps")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp, "inputs")
+        inputs.mkdir()
+        pinned(["_inputs", inputs], inputs)
         work = {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
             work[side] = Path(tmp, side)
             work[side].mkdir()
             src = ROOT / "src" if rev is None else archive_src(rev, Path(tmp, f"{side}-tree"))
-            run_side(src, work[side])
+            pinned(["_side", src, work[side], inputs], work[side])
         return compare(work["parent"], work["change"], args.ulps)
 
 

@@ -1,15 +1,21 @@
 """The fixed catalogue of CLI runs that tools/unreached.py --cli and tools/against.py
-run, and the input files that it names.
+run, the input files that it names, and the one runner of its argvs.
 
 CATALOGUE is (argv, expected exit code) of every subcommand and mode; TRAINING adds
 the training runs that tools/against.py also compares. An argument `{name}` is the
-path of input file `name`, which write_inputs makes. Standard library only; the
-input files are written with whatever cusm package is importable.
+path of input file `name`, which write_inputs makes and input_paths names. run
+passes each argv through cli.main in a fresh CUSM_OUTPUT_DIR. Standard library
+only; the input files are written, and the argvs run, with whatever cusm package
+is importable.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import warnings
 from pathlib import Path
 
 # (argv, exit code) of --version, --help, every subcommand and mode, all three model kinds
@@ -62,7 +68,8 @@ CATALOGUE = (
 )
 
 # train of all three kinds at n = 2 and 3 on task seeds 0 and 1: rosm at --dim 1, 2
-# and 4, and cusm-trainable with and without --ablation
+# and 4, and cusm-trainable with and without --ablation; then each kind at --dim 4 with
+# lr 0.05, whose two seeds each stop early, within 64-84 of their 3000 epochs
 TRAINING = tuple(
     (["train", "--n", str(n), "--seed", str(seed), "--seeds", "2", "--epochs", "200", *extra], 0)
     for n in (2, 3) for seed in (0, 1) for extra in (
@@ -72,18 +79,25 @@ TRAINING = tuple(
         ["--model-kind", "rosm", "--dim", "2"],
         ["--model-kind", "rosm", "--dim", "4"],
         ["--model-kind", "full"],
-    ))
+    )) + tuple(
+    (["train", "--n", "2", "--dim", "4", "--lr", "0.05", "--epochs", "3000", "--seeds", "2",
+      "--model-kind", kind], 0) for kind in ("cusm-trainable", "rosm", "full"))
+
+
+def input_paths(directory: Path) -> dict:
+    """name -> path in directory of each input file that CATALOGUE names."""
+    return {name: str(Path(directory) / f"{name}.json") for name in
+            ("task", "witness", "model", "blown_up_model", "tokens", "config", "bad_config",
+             "missing")}
 
 
 def write_inputs(directory: Path) -> dict:
     """The input files that CATALOGUE names, written into directory, except `missing`,
-    which stays absent: name -> path."""
+    which stays absent: input_paths(directory)."""
     from cusm.hamgen import init_full_model, save_model
     from cusm.septask import make_task, save_task
 
-    files = {name: str(directory / f"{name}.json") for name in
-             ("task", "witness", "model", "blown_up_model", "tokens", "config", "bad_config",
-              "missing")}
+    files = input_paths(directory)
     save_task(make_task(2, seed=0), files["task"])
     save_task(make_task(2, seed=0, reference=True), files["witness"])
     save_model(init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=1), files["model"])
@@ -98,3 +112,28 @@ def write_inputs(directory: Path) -> dict:
                                   "v": 4, "seed": 5})):
         Path(files[name]).write_text(json.dumps(doc))
     return files
+
+
+def run(argvs, files: dict, output_root: Path) -> list:
+    """Each argv, its `{name}` arguments filled from files, through cli.main in its own
+    CUSM_OUTPUT_DIR output_root/runNN; per run its argv, exit code, stdout, stderr and the
+    messages of the warnings it raised."""
+    from cusm import cli
+
+    results = []
+    for k, argv in enumerate(argvs):
+        argv = [arg.format(**files) for arg in argv]
+        os.environ[cli.OUTPUT_DIR_ENV] = str(Path(output_root) / f"run{k:02d}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # --help and --version
+                code = exc.code
+        results.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
+                        "stderr": err.getvalue(),
+                        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]})
+    del os.environ[cli.OUTPUT_DIR_ENV]
+    return results

@@ -20,31 +20,28 @@ fixed cost per call would skew; other tests reach the lines they run. A line
 report cannot see data branches: an `np.where` on a line that runs is reached
 even if it never picks one side. Standard library and pytest only.
 
-With --cli it runs each argv of tools/catalogue.py's CATALOGUE through cli.main
-in this process, under the same tracer, each in a fresh CUSM_OUTPUT_DIR, after
-writing the input files the catalogue names. It prints `path:line name` for each
-function or method of src/cusm that no run entered and that ALLOWED does not
-name, and their count; then each run whose exit code is not the catalogue's. It exits 1
-if it printed a function or a run. ALLOWED is what the acceptance suite
-imports, what perfbench's tracer binds, and EXTRA_ALLOWED; an allowed function
-allows the functions nested in it, but a class allows none of its methods.
-Not part of Tier-1.
+With --cli it runs each argv of tools/catalogue.py's CATALOGUE through the
+catalogue's runner (cli.main in a fresh CUSM_OUTPUT_DIR) in this process, under
+the same tracer, after writing the input files the catalogue names. It prints
+`path:line name` for each function or method of src/cusm that no run entered
+and that ALLOWED does not name, and their count; then each run whose exit code
+is not the catalogue's. It exits 1 if it printed a function or a run. ALLOWED
+is what the acceptance suite imports, what perfbench's tracer binds, and
+EXTRA_ALLOWED; an allowed function allows the functions nested in it, but a
+class allows none of its methods. Not part of Tier-1.
 """
 
 from __future__ import annotations
 
 import ast
-import contextlib
 import functools
-import io
 import os
 import sys
 import tempfile
 import threading
-import warnings
 from pathlib import Path
 
-from catalogue import CATALOGUE, write_inputs
+from catalogue import CATALOGUE, run, write_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cusm"
@@ -159,28 +156,6 @@ def traced_pytest(args: list) -> tuple[int, dict]:
     return int(code), executed
 
 
-def run_catalogue(files: dict, output_root: Path) -> list:
-    """Each CATALOGUE argv through cli.main in its own CUSM_OUTPUT_DIR under output_root,
-    its output and warnings swallowed: a message for each run whose exit code is wrong."""
-    from cusm import cli
-
-    wrong = []
-    for k, (argv, want) in enumerate(CATALOGUE):
-        argv = [arg.format(**files) for arg in argv]
-        os.environ[cli.OUTPUT_DIR_ENV] = str(output_root / f"run{k:02d}")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # --help and --version
-                code = exc.code
-        if code != want:
-            wrong.append(f"run {k} (cusm {' '.join(argv)}) exited {code}, expected {want}")
-    del os.environ[cli.OUTPUT_DIR_ENV]
-    return wrong
-
-
 def allowed_names() -> set:
     """ALLOWED: module.name of each cusm import of tests/test_acceptance.py and of each
     binding in perfbench's TRACED, and EXTRA_ALLOWED."""
@@ -217,7 +192,10 @@ def functions(path: Path) -> list:
 def main_cli() -> int:
     with tempfile.TemporaryDirectory() as work:
         files = write_inputs(Path(work))  # before tracing: save_model is no command's
-        wrong, _, entered = traced(lambda: run_catalogue(files, Path(work)))
+        results, _, entered = traced(lambda: run([argv for argv, _ in CATALOGUE], files, work))
+    wrong = [f"run {k} (cusm {' '.join(result['argv'])}) exited {result['exit']}, expected {want}"
+             for k, (result, (_, want)) in enumerate(zip(results, CATALOGUE))
+             if result["exit"] != want]
     found = [(path, *function) for path in sorted(PACKAGE.glob("*.py"))
              for function in functions(path)]
     names, allowed = {name for _, name, _ in found}, allowed_names()
