@@ -19,12 +19,14 @@ the columns: two in the solve, psi_next in place on the first or in its trajecto
 in its report; its factors of two ride exactly on N-vectors, not on passes over the columns:
 the solve's scale 2/(1 + c delta) and the report's halved residual. A lone step returns a batch
 state-major (column-contiguous), so a loop of steps reads contiguous columns after its first.
-evolve_full_batch writes a batch's trajectory into arrays allocated once, with each step's
-1/(1 + c delta) and Gram matrix for the adjoint, and checks each step's Gram condition,
-residual and norm change after its time loop, into one CayleyStepReport of (T,) arrays. Models
-with one fixed unitary or orthogonal matrix per token advance through evolve_fixed_batch: the
-token check, then _fixed_states, the one time loop, which a trainer that checked its tokens once
-calls directly. Their matrices W = cayley_map(Z) come from _cayley_system, which also returns
+evolve_full_batch checks a batch's token ids and the network's layer widths; then its time
+loop, _full_states, which a trainer that checked its run once calls directly, writes the
+trajectory into arrays allocated once, with each step's 1/(1 + c delta) and Gram matrix for the
+adjoint, and checks each step's Gram condition after the loop; then evolve_full_batch adds each
+step's residual and norm change, which no trainer reads, into one CayleyStepReport of (T,)
+arrays. Models with one fixed unitary or orthogonal matrix
+per token advance through evolve_fixed_batch: the token check, then _fixed_states, the one time
+loop, which a trainer that checked its tokens once calls directly. Their matrices W = cayley_map(Z) come from _cayley_system, which also returns
 the I + S that W's VJP solves with; inverse_cayley recovers the Hermitian generators of such
 unitaries.
 """
@@ -41,7 +43,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve as _solve
 
 from .exceptions import IllConditionedStepError, VocabularyError
-from .hamgen import mlp_buffers, mlp_forward_cached, split_factor_output
+from .hamgen import mlp_forward_cached, mlp_widths, split_factor_output
 from .numerics import check_hermitian, initial_state, lapack_errstate
 
 GRAM_COND_FAIL = 1e12
@@ -308,24 +310,44 @@ def evolve_fixed_unitaries(unitaries: np.ndarray, psi0: np.ndarray, tokens) -> l
 
 
 def evolve_full_batch(model, tokens: np.ndarray):
-    """Forward pass of the full model over a (B, T) array of token ids.
+    """Forward pass of the full model over a (B, T) array of token ids: the checks of the ids
+    and of the network's layer widths, _full_states at the step times t*dt, and then each
+    step's residual and norm change, stacked over CHECK_CHUNK_STEPS steps. Returns
+    _full_states' results with its Gram conditions in a CayleyStepReport of (T,) arrays."""
+    tokens = _checked_tokens(tokens, model.embed.shape[0])
+    states, factors, conds, *rest = _full_states(
+        model, tokens, mlp_widths(model.mlp, model.d + 2 * model.n),
+        np.arange(tokens.shape[1] + 1) * model.dt)
+    checks = CayleyStepReport(conds, np.empty(len(conds)), np.empty(len(conds)))
+    for start in range(0, len(conds), CHECK_CHUNK_STEPS):
+        chunk = slice(start, start + CHECK_CHUNK_STEPS)  # the last may be shorter
+        checks.residual[chunk], checks.norm_change[chunk] = _step_residuals(
+            factors.phi[chunk], factors.delta[chunk], states[:-1][chunk, ..., None],
+            states[1:][chunk, ..., None], model.dt, len(factors.phi[chunk]))
+    return states, factors, checks, *rest
+
+
+def _full_states(model, tokens: np.ndarray, widths: list, times: np.ndarray):
+    """evolve_full_batch's time loop and Gram check over an int array of ids already in
+    [0, V_in), with the network's checked mlp_widths and the T+1 step times t*dt, which a
+    trainer that checked its run and derived them once passes directly; a trainer reads no
+    residual, so it makes none.
 
     The trajectory is allocated once and the time loop, which holds only the recurrence,
     writes into it: at each step the generator network consumes one row per sequence
     (token embedding, Re/Im of the current interaction-picture state), its output factors
     are phase-conjugated into the interaction picture, and one stacked Woodbury solve
-    advances all B states. The stacked checks follow, raising at the first ill-conditioned
-    step. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N, r), delta
-    (T, B, N), a view of the network's output), the checks (a CayleyStepReport of (T,) arrays),
-    the network's layer inputs and output (T, B, width), the solves' pieces for their adjoints
+    advances all B states. The stacked Gram check follows, raising at the first
+    ill-conditioned step. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N,
+    r), delta (T, B, N), a view of the network's output), the (T,) Gram conditions, the
+    network's layer inputs and output (T, B, width), the solves' pieces for their adjoints
     (1/(1 + c delta) (T, B, N), Gram (T, B, r, r)) and the phases exp(i lambda t dt) (T+1, N).
     """
-    tokens = _checked_tokens(tokens, model.embed.shape[0])
     n, r, dt, c, (batch, steps) = model.n, model.r, model.dt, 0.5j * model.dt, tokens.shape
-    acts = mlp_buffers(model.mlp, (steps, batch), model.d + 2 * n)
+    acts = [np.empty((steps, batch, k)) for k in widths]
     x, (raw_phi, delta) = acts[0], split_factor_output(acts[-1], n, r)
     x[..., :model.d] = model.embed[tokens.T]
-    phases = np.exp(1j * np.outer(np.arange(steps + 1) * dt, model.frequencies))
+    phases = np.exp(1j * np.outer(times, model.frequencies))
     # kept: channel-major phi, as the network writes it; row-major changes 0.36% of the
     # states' bits at rollout-full's shape
     # (tests/test_properties.py::test_gram_check_after_the_loop_equals_the_check_in_it_bit_for_bit)
@@ -343,7 +365,7 @@ def evolve_full_batch(model, tokens: np.ndarray):
         # kept: delta read in place, a strided view of the network's output: 1.5-1.8% faster
         # than a contiguous copy, with the same bits (BENCH_1159da8.json)
         return _woodbury_system(phi[step], delta[step], c, inv_d[step], gram[step])
-    checks = CayleyStepReport(np.empty(steps), np.empty(steps), np.empty(steps))
+    conds = np.empty(steps)
     # kept: checks after the loop, which reruns checked at the first floating-point event, so a
     # failing run warns as a per-step check does; in process, one loop checking each step
     # before its solve read +2.6%, +10.0% and +12.3% at rollout-full's shape and +4.9% to
@@ -357,16 +379,11 @@ def evolve_full_batch(model, tokens: np.ndarray):
     except FloatingPointError:  # rerun checked, so that no step past a failing one warns
         for step in range(steps):
             system = advance(step)
-            checks.gram_condition[step] = _gram_conditions(phi[step:step + 1], c,
-                                                           gram[step:step + 1], step)[0]
+            conds[step] = _gram_conditions(phi[step:step + 1], c, gram[step:step + 1], step)[0]
             _cayley_step(system, cols[step], dt, cols[step + 1])
     else:
-        checks.gram_condition = np.array(_gram_conditions(phi, c, gram, first=0))
-    for start in range(0, steps, CHECK_CHUNK_STEPS):
-        chunk = slice(start, start + CHECK_CHUNK_STEPS)  # the last may be shorter
-        checks.residual[chunk], checks.norm_change[chunk] = _step_residuals(
-            phi[chunk], delta[chunk], cols[:-1][chunk], cols[1:][chunk], dt, len(phi[chunk]))
-    return cols[..., 0], InteractionFactors(phi, delta), checks, acts, (inv_d, gram), phases
+        conds = np.array(_gram_conditions(phi, c, gram, first=0))
+    return cols[..., 0], InteractionFactors(phi, delta), conds, acts, (inv_d, gram), phases
 
 
 def evolve_full_model(model, tokens):

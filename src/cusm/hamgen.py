@@ -71,21 +71,22 @@ class FullModelParams:
         )
 
 
-def mlp_buffers(mlp: MlpParams, lead: tuple, width: int) -> list:
-    """Empty rows (*lead, width_l) for each layer's input and for the output, once
+def mlp_widths(mlp: MlpParams, width: int) -> list:
+    """Each layer's input width, then the output width, for inputs `width` wide, once
     every layer's input width is checked against the width before it."""
     widths = [width, *(w.shape[0] for w in mlp.weights)]
     for layer, w in enumerate(mlp.weights):
         if w.shape[1] != widths[layer]:
             raise ConfigurationError(f"layer {layer} expects input width {w.shape[1]}, "
                                      f"got {widths[layer]}")
-    return [np.empty((*lead, k)) for k in widths]
+    return widths
 
 
 def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list) -> None:
-    """Forward pass of one input or of rows (B, in) into rows the caller took from
-    mlp_buffers: layer l writes its output, the next layer's input, into out[l], so
-    out[-1] ends as the network's output and [x, *out[:-1]] as each layer's input."""
+    """Forward pass of one input or of rows (B, in) into empty rows (..., width_l) that the
+    caller allocated for each of mlp_widths but the first: layer l writes its output, the next
+    layer's input, into out[l], so out[-1] ends as the network's output and [x, *out[:-1]] as
+    each layer's input."""
     h = x
     for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         # kept: float64 weights in (out, in) layout; transposed contiguous ones read 55 against
@@ -97,16 +98,18 @@ def mlp_forward_cached(mlp: MlpParams, x: np.ndarray, out: list) -> None:
             np.tanh(h, out=h)
 
 
-def mlp_backward(mlp: MlpParams, inputs: list, out: list) -> np.ndarray:
+def mlp_backward(mlp: MlpParams, slopes: list, out: list) -> np.ndarray:
     """Reverse sweep of the output gradient that the caller put in out[-1], in place through
-    the rows `out` from mlp_buffers, on the inputs cached by mlp_forward_cached for one input
-    or rows (B, in): out[l + 1] ends as layer l's pre-activation gradient rows (B, out_l),
-    for mlp_weight_grads, and out[0] as the input gradient, which is returned."""
+    rows `out` laid out as mlp_forward_cached's, for one input or rows (B, in). What it reads
+    of the forward pass is slopes[l - 1], the tanh' factors 1 - h^2 of layer l's inputs h
+    (tanh'(z) = 1 - tanh(z)^2, and h = tanh(z) is what mlp_forward_cached wrote), which a
+    caller that sweeps many steps forms once for all of them. out[l + 1] ends as layer l's
+    pre-activation gradient rows (B, out_l), for mlp_weight_grads, and out[0] as the input
+    gradient, which is returned."""
     for layer in range(len(mlp.weights) - 1, -1, -1):
         np.matmul(out[layer + 1], mlp.weights[layer], out=out[layer])
         if layer:
-            # tanh'(z) = 1 - tanh(z)^2, and tanh(z) is this layer's input
-            out[layer] *= 1.0 - inputs[layer] ** 2
+            out[layer] *= slopes[layer - 1]
     return out[0]
 
 

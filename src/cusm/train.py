@@ -13,15 +13,27 @@ forward and one adjoint pass: the full model's steps through one stacked
 Woodbury solve, the fixed-transition kinds (cusm-trainable and rosm) through
 evolve_fixed_batch's time loop and one batch gradient, _fixed_batch_grad, to which
 each kind passes only its readout's VJP. One table in train_on_task holds, per kind,
-all that differs between kinds: its init, batch gradient, final loss and targets,
-whether it needs a dimension, its readout's verdict and its audit of a trained
-model; no other line compares a kind's name. A fixed-kind epoch builds each piece of
-its Cayley system once: S = Z - Z^dag and I + S, which the transitions W and their
-VJP share (the identity is cached per d), and the transitions' conjugate
-transposes, whose rows each adjoint step gathers. A run checks its task's tokens
-once, not every epoch. Every kind trains through one flat parameter vector and
-one Adam loop. A non-finite gradient of any kind, or a start vector whose norm
-the updates drive to overflow, raises FloatingPointError: the CLI's exit 3.
+all that differs between kinds: its init, batch gradient, final loss, what a seed's
+run derives for its epochs, whether it needs a dimension, its readout's verdict and
+its audit of a trained model; no other line compares a kind's name. Every final loss
+is a forward pass and its readout, never a gradient.
+
+A run checks its task's tokens once, not every epoch, and derives once what its epochs
+share. For the full model that is a FullRun: the network's checked layer widths, the
+step times t*dt, the weighted steps, the ids in the adjoint's step order and the factor
+term's coefficients. Its epochs call _full_states: evolve_full_batch without its input
+checks and without the residual and norm-change report, which no epoch reads; the Gram check
+stays in every step.
+A full-model epoch's adjoint reads from the forward pass each step's states, factors,
+1/(1 + c delta) and Gram matrix, the network's activations and the phase table; it
+conjugates the stored solve pieces once for all steps (adjoint_pieces) and forms the
+hidden layers' tanh' factors 1 - h^2 once for all steps, so no step rebuilds either. A
+fixed-kind epoch builds each piece of its Cayley system once: S = Z - Z^dag and I + S,
+which the transitions W and their VJP share (the identity is cached per d), and the
+transitions' conjugate transposes, whose rows each adjoint step gathers. Every kind
+trains through one flat parameter vector and one Adam loop, which updates its moments
+and parameters in place. A non-finite gradient of any kind, or a start vector whose
+norm the updates drive to overflow, raises FloatingPointError: the CLI's exit 3.
 
 Gradient convention for complex parameters: the gradient g of a real loss
 with respect to a complex quantity z is defined by dL = Re(conj(g) . dz),
@@ -35,16 +47,16 @@ from __future__ import annotations
 import functools
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (InteractionFactors, _cayley_system, _checked_tokens, _fixed_states,
-                       _identity, _lowrank_solve, evolve_fixed_batch, evolve_full_batch,
-                       linalg_solve)
+from .dynamics import (_cayley_system, _checked_tokens, _fixed_states, _full_states, _identity,
+                       _lowrank_solve, cayley_map, evolve_fixed_batch, linalg_solve)
 from .exceptions import NUMERICAL_FAILURES, ConfigurationError
 from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_grads,
-                     split_factor_output)
+                     mlp_widths, split_factor_output)
 from .numerics import (_MIN_NORM, _UNDERFLOW_SCALE, check_allocation, ginibre, initial_state,
                        make_rng, row_norms)
 # kept: unused here; perfbench's tracer binds it under train (perfbench/spantrace.py)
@@ -102,19 +114,25 @@ def entropy_floor(table: TargetTable) -> float:
 # ---------------------------------------------------------------------------
 # adjoint building blocks
 
-def adjoint_state_step(factors: InteractionFactors, dt: float, g: np.ndarray,
-                       pieces: tuple) -> tuple[np.ndarray, np.ndarray]:
+def adjoint_pieces(phi: np.ndarray, inv_d: np.ndarray, gram: np.ndarray) -> tuple:
+    """The pieces of A- = A+^dag that adjoint_state_step solves with, from the pieces of its
+    forward steps A+, stacked alike: of phi (..., N, r), of the 1/(1 + c delta) (..., N) and
+    of the Gram matrices G+ (..., r, r) that evolve_full_batch stores, phi^dag, conj(1/(1 +
+    c delta)), phi conj(1/(1 + c delta)) and G+^dag, in _lowrank_solve's order. A pass over
+    T steps conjugates them once for all of its steps."""
+    inv_d = inv_d.conj()
+    return phi.swapaxes(-1, -2).conj(), phi * inv_d[..., None], inv_d, gram.conj().swapaxes(-1, -2)
+
+
+def adjoint_state_step(pieces: tuple, dt: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pull a state adjoint g (..., N) back through one Cayley step, factors held fixed.
 
     The map is the conjugate transpose A+ A-^{-1} of the step unitary, so the adjoint norm is
     exactly preserved: solve A- s = g (A- = A+^dag), and then A+ s = 2s - g because A+ + A- = 2I.
-    Returns 2s - g and s, both shaped like g. A- takes the conjugates of the forward step's
-    1/(1 + c delta) and G+, the `pieces` that evolve_full_batch stores, so the adjoint builds
-    no Gram system and checks no condition: the forward step checked it.
+    Returns 2s - g and s, both shaped like g. A- comes as adjoint_pieces of the forward step,
+    so the adjoint builds no Gram system and checks no condition: the forward step checked it.
     """
-    phi, inv_d = factors.phi, np.conj(pieces[0])
-    s = _lowrank_solve(phi.swapaxes(-1, -2).conj(), phi * inv_d[..., None], inv_d,
-                       pieces[1].conj().swapaxes(-1, -2), -0.5j * dt, g[..., None])[..., 0]
+    s = _lowrank_solve(*pieces, -0.5j * dt, g[..., None])[..., 0]
     back = 2.0 * s  # 2s - g in one array of its own: s is returned too
     return np.subtract(back, g, out=back), s
 
@@ -171,39 +189,50 @@ def _born_readout_vjp(meas: np.ndarray, psi: np.ndarray, weights: np.ndarray):
 # ---------------------------------------------------------------------------
 # full model: forward loss and the adjoint backward pass
 
-def _full_readout(model: FullModelParams, tokens: np.ndarray, target_weights: np.ndarray):
-    """evolve_full_batch of a (B, T) token batch, then the Born readout of each weighted
-    step, last step first as the adjoint sums; entry [b, t] of the (B, T, V) target_weights
-    weights readout b after step t. Returns the loss, summed over the batch, and its
-    gradients with respect to the interaction-picture states ({t: (B, N)}, weighted states
-    t only), the measurement and the frequencies; the phases (T+1, N) that undo the
-    interaction picture; the measurement and its R; and evolve_full_batch's results."""
-    forward = evolve_full_batch(model, tokens)
-    states, dt = forward[0], model.dt
+# What a full-model run derives once, for its model's dt and network, from (B, T) token ids
+# that its caller checked and (B, T, V) target weights, entry [b, t] weighting readout b after
+# step t: the network's checked mlp_widths; the step times t*dt, t = 0..T; the weighted steps
+# t, last first, as the adjoint sums them; the ids in the adjoint's step order, tokens.T[::-1];
+# and the factor term's coefficients [[-conj(c)], [-c]], c = i dt / 2.
+FullRun = namedtuple("FullRun", "tokens weights widths times readouts sweep_tokens coef")
+
+
+def _full_run(model: FullModelParams, tokens: np.ndarray, target_weights: np.ndarray) -> FullRun:
+    """The FullRun of a model's run over (B, T) token ids already in [0, V_in)."""
+    c = 0.5j * model.dt
+    return FullRun(tokens, target_weights, mlp_widths(model.mlp, model.d + 2 * model.n),
+                   np.arange(tokens.shape[1] + 1) * model.dt,
+                   np.flatnonzero(target_weights.any(axis=(0, 2)))[::-1].tolist(),
+                   tokens.T[::-1], np.array([[-np.conj(c)], [-c]]))
+
+
+def _full_readout(model: FullModelParams, run: FullRun):
+    """_full_states of the run, then the Born readout of each weighted step, last step first
+    as the adjoint sums. Returns the loss, summed over the batch, and its gradients with
+    respect to the interaction-picture states ({t: (B, N)}, weighted states t only), the
+    measurement and the frequencies; the phases (T+1, N) that undo the interaction picture;
+    the measurement and its R; and _full_states' results."""
+    forward = _full_states(model, run.tokens, run.widths, run.times)
+    states, ip_phases = forward[0], forward[-1]
     meas, r_meas = project_measurement(model.meas_raw)
     # row t undoes the interaction picture at time t*dt: the bits of exp(-ix) at any x != 0;
     # at x = +-0 the two may differ in the sign of a zero imaginary part
-    phases = forward[-1].conj()
+    phases = ip_phases.conj()
     loss, g_states, g_meas, g_lam = 0.0, {}, np.zeros_like(meas), np.zeros(model.n)
-    for t in np.flatnonzero(target_weights.any(axis=(0, 2)))[::-1].tolist():
+    for t in run.readouts:
         psi_s = phases[t + 1] * states[t + 1]
-        step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s.T, target_weights[:, t].T)
+        step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s.T, run.weights[:, t].T)
         loss += step_loss
         g_meas += g_m
-        g_states[t + 1] = np.conj(phases[t + 1]) * g_psis.T
-        g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
+        g_states[t + 1] = ip_phases[t + 1] * g_psis.T
+        g_lam += run.times[t + 1] * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
     return loss, g_states, g_meas, g_lam, phases, (meas, r_meas), forward
-
-
-def _loss_full(model: FullModelParams, tokens: np.ndarray, target_weights: np.ndarray) -> float:
-    """The loss alone of _full_readout, which is forward-only."""
-    return _full_readout(model, tokens, target_weights)[0]
 
 
 def full_model_loss(model: FullModelParams, tokens, target_weights: np.ndarray) -> float:
     """Forward-only loss; row t of target_weights weights the readout after step t."""
-    return _loss_full(model, np.asarray([list(tokens)], dtype=int),
-                      np.asarray(target_weights)[None])
+    ids = _checked_tokens(np.asarray([list(tokens)], dtype=int), model.v_in)
+    return _full_readout(model, _full_run(model, ids, np.asarray(target_weights)[None]))[0]
 
 
 def _assert_finite(flat: np.ndarray) -> None:
@@ -212,54 +241,55 @@ def _assert_finite(flat: np.ndarray) -> None:
         raise FloatingPointError("non-finite gradient entry")
 
 
-def _backward_full(model: FullModelParams, tokens: np.ndarray,
-                   target_weights: np.ndarray) -> tuple[float, FullModelParams]:
-    """Loss and parameter-shaped gradients of a (B, T) token batch (weights as
-    in _full_readout, which gives the loss and its gradients at the readouts), both
-    summed over the batch. One stacked reverse traversal holds the adjoint recurrence:
-    each Cayley solve via its adjoint system on its forward step's pieces,
-    interaction-picture phases, and the generator network's input gradients on the
-    forward pass's activations. After it come the frequencies' factor term, one product
-    per layer for the network's weights, one np.add.at for the embeddings, the initial
-    state and the QR measurement projection."""
-    n, d, dt, steps = model.n, model.d, model.dt, tokens.shape[1]
+def _backward_full(model: FullModelParams, run: FullRun) -> tuple[float, FullModelParams]:
+    """Loss and parameter-shaped gradients of a run's (B, T) token batch (weights as in
+    FullRun; _full_readout gives the loss and its gradients at the readouts), both summed
+    over the batch. One stacked reverse traversal holds the adjoint recurrence: each Cayley
+    solve via its adjoint system on its forward step's pieces, conjugated by adjoint_pieces
+    once for all steps, interaction-picture phases, and the generator network's input
+    gradients on the tanh' factors of the forward pass's activations, formed once. After it
+    come the frequencies' factor term, one product per layer for the network's weights, one
+    np.add.at for the embeddings, the initial state and the QR measurement projection."""
+    n, d, dt, steps = model.n, model.d, model.dt, run.tokens.shape[1]
     (loss, g_states, g_meas, g_lam, phases, (meas, r_meas),
-     (states, factors, _, acts, (inv_d, gram), _)) = _full_readout(model, tokens, target_weights)
+     (states, factors, _, acts, (inv_d, gram), _)) = _full_readout(model, run)
     g_psi = np.zeros_like(states[0])
     # per step, the network's input gradient, each layer's pre-activation gradient
     # and its output gradient, whose rows take dL/dPhi and dL/ddelta through views
     g_acts = [np.empty_like(a) for a in acts]
     raw_phi = split_factor_output(acts[-1], n, model.r)[0]
     g_phi, g_delta = split_factor_output(g_acts[-1], n, model.r)
-    c = 0.5j * dt
+    c, phi = 0.5j * dt, factors.phi
     # both sides of each solve touch X = phi phi^dag and delta; with u = psi_in +
     # psi_out, dL/dX = -conj(c) s u^dag - c u s^dag: us[t] holds the rows u, s
-    us = np.empty((steps, len(tokens), 2, n), dtype=complex)
+    us = np.empty((steps, len(run.tokens), 2, n), dtype=complex)
     np.add(states[:-1], states[1:], out=us[:, :, 0])
-    coef = np.array([[-np.conj(c)], [-c]])
+    # per step, its adjoint pieces and its gradient rows; the hidden layers' tanh' factors
+    pieces, g_rows = list(zip(*adjoint_pieces(phi, inv_d, gram))), [list(r) for r in zip(*g_acts)]
+    slopes = [1.0 - h ** 2 for h in acts[1:-1]]
 
     for t in range(steps - 1, -1, -1):
         if t + 1 in g_states:
             g_psi += g_states[t + 1]
         # state adjoint through the step itself (norm-preserving)
-        g_psi_step, s = adjoint_state_step(factors[t], dt, g_psi, (inv_d[t], gram[t]))
+        g_psi_step, s = adjoint_state_step(pieces[t], dt, g_psi)
         us[t, :, 1] = s
         # [-conj(c) s, -c u] @ [u^dag phi; s^dag phi], its rows' phases exp(i lam t dt) undone
-        g_phi_ip = (coef * us[t, :, ::-1]).swapaxes(-1, -2) @ (us[t].conj() @ factors.phi[t])
+        g_phi_ip = (run.coef * us[t, :, ::-1]).swapaxes(-1, -2) @ (us[t].conj() @ phi[t])
         np.multiply(phases[t][:, None], g_phi_ip, out=g_phi[t])
         np.negative(np.real(c * s.conj() * us[t, :, 0]), out=g_delta[t])
 
-        # generator network, on the activations of the forward pass
-        g_x_in = mlp_backward(model.mlp, [h[t] for h in acts[:-1]], [g[t] for g in g_acts])
+        # generator network, on the tanh' factors of the forward pass
+        g_x_in = mlp_backward(model.mlp, [h[t] for h in slopes], g_rows[t])
         g_psi = g_psi_step + (g_x_in[:, d:d + n] + 1j * g_x_in[:, d + n:])
 
     # d phi_ip / d lam = i t dt phi_ip, and phi_ip conj(g_phi_ip) = phi conj(g_phi)
-    g_lam -= (np.arange(steps) * dt) @ np.vecdot(g_phi, raw_phi).imag.sum(axis=1)
+    g_lam -= run.times[:-1] @ np.vecdot(g_phi, raw_phi).imag.sum(axis=1)
     # the sums over steps run in sweep order, last step first
     g_w, g_b = mlp_weight_grads([h[::-1] for h in acts[:-1]], [g[::-1] for g in g_acts[1:]])
     g_embed = np.zeros_like(model.embed)
     # np.add.at accumulates the rows of every step and sequence that share a token
-    np.add.at(g_embed, tokens.T[::-1], g_acts[0][::-1, :, :d])
+    np.add.at(g_embed, run.sweep_tokens, g_acts[0][::-1, :, :d])
     g_h0 = _normalize_vjp(model.h0, g_psi.sum(axis=0))
     g_meas_raw = _qr_projection_vjp(meas, r_meas, g_meas)
 
@@ -273,8 +303,8 @@ def _one_hot_rows(targets, v: int) -> np.ndarray:
 
 def backward_full_model(model: FullModelParams, tokens, targets) -> FullModelParams:
     """Adjoint gradients of the summed per-step negative log-likelihood."""
-    return _backward_full(model, np.asarray([list(tokens)], dtype=int),
-                          _one_hot_rows(list(targets), model.v)[None])[1]
+    ids = _checked_tokens(np.asarray([list(tokens)], dtype=int), model.v_in)
+    return _backward_full(model, _full_run(model, ids, _one_hot_rows(targets, model.v)[None]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +324,10 @@ def unflatten_model(flat: np.ndarray, template):
     flat. The real arrays are views of flat, so flat must not change after."""
     arrays, pos = [], 0
     for arr in template.arrays():
-        blocks = 2 if arr.dtype.kind == "c" else 1
-        chunk = flat[pos:pos + blocks * arr.size].reshape(blocks, *arr.shape)
-        arrays.append(chunk[0] + 1j * chunk[1] if blocks == 2 else chunk[0])
-        pos += blocks * arr.size
+        part, pos = flat[pos:pos + arr.size], pos + arr.size
+        if arr.dtype.kind == "c":  # and its imaginary block
+            part, pos = part + 1j * flat[pos:pos + arr.size], pos + arr.size
+        arrays.append(part.reshape(arr.shape))
     if pos != flat.shape[0]:
         raise ConfigurationError(f"flat vector length {flat.shape[0]}, consumed {pos}")
     return template.with_arrays(arrays)
@@ -361,11 +391,12 @@ def adam_cosine(flat0: np.ndarray, grad_fn, config: OptimizerConfig,
         if gnorm > CLIP_NORM:
             grad = grad * (CLIP_NORM / gnorm)
         lr = config.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / max(1, config.epochs)))
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-        mhat = m / (1.0 - ADAM_BETA1 ** (epoch + 1))
-        vhat = v / (1.0 - ADAM_BETA2 ** (epoch + 1))
-        x = x - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and x = x - lr mhat / (sqrt(vhat)
+        # + eps), each in place and in that order
+        np.add(np.multiply(m, ADAM_BETA1, out=m), (1.0 - ADAM_BETA1) * grad, out=m)
+        np.add(np.multiply(v, ADAM_BETA2, out=v), (1.0 - ADAM_BETA2) * grad * grad, out=v)
+        x -= lr * (m / (1.0 - ADAM_BETA1 ** (epoch + 1))) / (
+            np.sqrt(v / (1.0 - ADAM_BETA2 ** (epoch + 1))) + ADAM_EPS)
     return x, trace, stopped
 
 
@@ -461,6 +492,13 @@ def _fixed_batch_grad(params: TrainableCusm | RosmParams, tokens: np.ndarray,
     return loss * scale, params.with_arrays([g_h0, g_gens, *g_readout])
 
 
+def _fixed_loss(params, tokens: np.ndarray, targets: np.ndarray, readout_vjp) -> float:
+    """The mean loss alone of _fixed_batch_grad, from its forward pass and its readout, scaled
+    by the product with 1 / B, as _fixed_batch_grad's: a division rounds otherwise."""
+    final = _fixed_states(cayley_map(params.gens), initial_state(params.h0), tokens)[-1]
+    return readout_vjp(params, final, targets, 1.0)[0] * (1.0 / len(tokens))
+
+
 # every model kind goes through the one flatten pair, and both fixed-transition
 # kinds through the one batch gradient
 # kept: per-kind names that the acceptance suite imports and perfbench's tracer binds
@@ -519,26 +557,27 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     def init_full(n, v, v_in, seed):
         return init_full_model(n=n, r=1, d=2 * task.n, v=v, v_in=v_in, seed=seed)
 
-    def fixed(readout_vjp):  # a fixed-transition kind's gradient, final loss, targets, count
-        grad = functools.partial(_fixed_batch_grad, readout_vjp=readout_vjp)
-        return grad, lambda *batch: grad(*batch)[0], table.pstar, 1
+    def fixed(readout_vjp):  # a fixed-transition kind's gradient, final loss, prepare, count
+        return (functools.partial(_fixed_batch_grad, readout_vjp=readout_vjp),
+                lambda *batch: _fixed_loss(*batch, readout_vjp), lambda _: (tokens, table.pstar), 1)
 
     def none(*_):
         return {}
 
     # per kind, in MODEL_KINDS' order: init(dim, v, alphabet, seed); batch_grad(params,
-    # tokens, targets) -> (loss, grads in the params' own type); the final loss; the
-    # targets; the count that the losses and gradients are summed over (the fixed-
-    # transition gradients are means); whether dim must be given; the readout's verdict
-    # bound(table, dim); and audit(trained). The full model's final loss is the
-    # forward-only pass, under half the cost of its backward pass. The rows are built
+    # *batch) -> (loss, grads in the params' own type); the final loss(params, *batch);
+    # prepare(template) -> batch, the arguments that a seed's run derives once for its
+    # epochs; the count that the losses and gradients are summed over (the fixed-transition
+    # gradients are means); whether dim must be given; the readout's verdict bound(table,
+    # dim); and audit(trained). Each final loss is a forward-only pass. The rows are built
     # on each call from the module's names, so a function that perfbench's tracer or a
     # test patches there is the one that runs; only the chosen row's bound and audit run.
-    init, batch_grad, final_loss, targets, count, needs_dim, bound, audit = dict(zip(MODEL_KINDS, (
+    init, batch_grad, final_loss, prepare, count, needs_dim, bound, audit = dict(zip(MODEL_KINDS, (
         (init_trainable_cusm, *fixed(_born_batch_vjp), False, none, none),
         (init_trainable_rosm, *fixed(_softmax_batch_vjp), True, rank_bound_verdict,
          lambda trained: {"softmax_rank_audit": softmax_rank_audit(trained, task)}),
-        (init_full, _backward_full, _loss_full, weights, len(tokens), False, none, none),
+        (init_full, _backward_full, lambda *batch: _full_readout(*batch)[0], lambda template: (
+            _full_run(template, tokens, weights),), len(tokens), False, none, none),
     )))[model_kind]
     if needs_dim and dim is None:
         raise ConfigurationError(f"{model_kind} training needs an explicit dimension")
@@ -547,8 +586,8 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
         raise ConfigurationError(f"model dimension must be >= 1, got {dim}")
     verdict = bound(table, dim)
 
-    def loss_grad(params):
-        loss, grads = batch_grad(params, tokens, targets)
+    def loss_grad(x, template, batch):
+        loss, grads = batch_grad(unflatten_model(x, template), *batch)
         # flatten, then divide: numpy's complex / real multiplies by a
         # reciprocal, which rounds the complex arrays differently
         flat = flatten_model(grads) / count
@@ -559,15 +598,16 @@ def train_on_task(task: TaskInstance, model_kind: str, config: OptimizerConfig,
     for seed in seeds:
         start = time.perf_counter()
         template = init(dim, task.v, task.alphabet, seed)
+        batch = prepare(template)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 flat, trace, stopped = adam_cosine(
-                    flatten_model(template), lambda x: loss_grad(unflatten_model(x, template)),
+                    flatten_model(template), lambda x: loss_grad(x, template, batch),
                     config, stop_fn=lambda loss: loss - floor < config.early_stop_gap,
                 )
                 trained = unflatten_model(flat, template)
-                final = final_loss(trained, tokens, targets) / count
+                final = final_loss(trained, *batch) / count
                 extra = {**audit(trained), **verdict}
             except NUMERICAL_FAILURES as exc:  # read, with adam_cosine's epoch, by failure.json
                 exc.model_kind, exc.seed = model_kind, seed

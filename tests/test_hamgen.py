@@ -4,14 +4,13 @@ import pytest
 from cusm import hamgen
 from cusm.codec import write_json
 from cusm.exceptions import ConfigurationError, DegenerateInitializationError
-from test_properties import generate_interaction
+from test_properties import generate_interaction, mlp_buffers
 
 from cusm.hamgen import (
     MlpParams,
     init_full_model,
     load_model,
     mlp_backward,
-    mlp_buffers,
     mlp_forward_cached,
     mlp_weight_grads,
     save_model,
@@ -98,7 +97,8 @@ class TestMlpBackward:
         single, rows = forward(mlp, x)[1], forward(mlp, x[None])[1]
         g_rows, r_rows = mlp_buffers(mlp, (), 3), mlp_buffers(mlp, (1,), 3)
         g_rows[-1][...], r_rows[-1][...] = g_out, g_out[None]
-        g_x, r_x = mlp_backward(mlp, single, g_rows), mlp_backward(mlp, rows, r_rows)
+        g_x = mlp_backward(mlp, [1.0 - h ** 2 for h in single[1:]], g_rows)
+        r_x = mlp_backward(mlp, [1.0 - h ** 2 for h in rows[1:]], r_rows)
         g_pre, r_pre = g_rows[1:], r_rows[1:]  # the pre-activation gradients, in place
         g_w, g_b = mlp_weight_grads(single, g_pre)
         r_w, r_b = mlp_weight_grads(rows, r_pre)

@@ -60,8 +60,8 @@ from cusm.dynamics import (
 )
 from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
                              IllConditionedStepError, NonHermitianError)
-from cusm.hamgen import (init_full_model, load_model, mlp_buffers, mlp_forward_cached, save_model,
-                         split_factor_output)
+from cusm.hamgen import (init_full_model, load_model, mlp_forward_cached, mlp_weight_grads,
+                         mlp_widths, save_model, split_factor_output)
 from cusm.numerics import (check_hermitian, ginibre, initial_state, make_rng, numerical_rank,
                            row_norms, thin_qr_unique, vec_hermitian)
 from cusm.readout import floored_log, project_measurement
@@ -80,12 +80,16 @@ from cusm.train import (
     OptimizerConfig,
     TrainableCusm,
     _born_batch_vjp,
+    _backward_full,
     _born_readout_vjp,
     _fixed_batch_grad,
+    _fixed_loss,
+    _full_run,
     _normalize_vjp,
     _qr_projection_vjp,
     _softmax_batch_vjp,
     adam_cosine,
+    adjoint_pieces,
     adjoint_state_step,
     flatten_model,
     init_trainable_cusm,
@@ -110,6 +114,12 @@ def channel_currents(factors, psi):
     factor_current of each column alone; their sum is the current of the
     materialized interaction Hamiltonian."""
     return factor_current(np.moveaxis(factors.phi, -1, 0)[..., None], psi)
+
+
+def mlp_buffers(mlp, lead, width):
+    """Empty rows (*lead, width_l) for each of mlp_widths(mlp, width): each layer's input
+    and the output."""
+    return [np.empty((*lead, k)) for k in mlp_widths(mlp, width)]
 
 
 def generate_interaction(mlp, embed_vec, state, r):
@@ -191,8 +201,8 @@ def test_gram_condition_bounds_svd_and_decides_as_svd(case, tilt):
 def test_adjoint_step_is_the_conjugate_transpose(case):
     factors, psi, dt = case
     g = ginibre(make_rng(7), factors.dim, psi.shape[1]).T   # adjoint rows (k, N)
-    pulled, _ = adjoint_state_step(factors, dt, g,
-                                   _woodbury_system(factors.phi, factors.delta, 0.5j * dt)[2:])
+    pulled, _ = adjoint_state_step(adjoint_pieces(
+        factors.phi, *_woodbury_system(factors.phi, factors.delta, 0.5j * dt)[2:]), dt, g)
     assert np.abs(np.linalg.norm(pulled, axis=1) - np.linalg.norm(g, axis=1)).max() \
         < 1e-10 * np.linalg.norm(g, axis=1).max()
     stepped, _ = cayley_step_woodbury(factors, psi, dt)
@@ -321,7 +331,7 @@ def test_step_reports_and_adjoint_equal_fresh_temporaries_bit_for_bit(case):
     pieces = system[2:]
     g = psi[..., 0].conj()
     want, s_want = fresh_temporary_step(phi, delta, g[..., None], dt, pieces)
-    pulled, solved = adjoint_state_step(InteractionFactors(phi, delta), dt, g, pieces)
+    pulled, solved = adjoint_state_step(adjoint_pieces(phi, *pieces), dt, g)
     assert same_bits(pulled, want[..., 0])
     assert same_bits(solved, s_want[..., 0])
     # a fresh adjoint solve is the forward one at -dt
@@ -935,6 +945,22 @@ def test_fixed_batch_grad_equals_the_per_kind_oracles_bit_for_bit(kind, dim, ext
         assert same_bits(got, expected)
 
 
+@PROPERTY
+@given(st.sampled_from(sorted(FIXED_KINDS)), st.integers(1, 4), st.integers(0, 4),
+       st.integers(1, 9), st.integers(1, 9), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_fixed_final_loss_equals_the_batch_gradient_loss_bit_for_bit(kind, dim, extra_v,
+                                                                      alphabet, batch, steps,
+                                                                      seed):
+    # a trained seed's final loss is its forward pass and readout, scaled as the gradient's
+    init, readout_vjp, _ = FIXED_KINDS[kind]
+    params = init(dim, dim + extra_v, alphabet, seed)
+    rng = make_rng(seed)
+    tokens = rng.integers(0, alphabet, (batch, steps))
+    targets = rng.random((batch, dim + extra_v))
+    want = _fixed_batch_grad(params, tokens, targets, readout_vjp)[0]
+    assert same_bits(_fixed_loss(params, tokens, targets, readout_vjp), want)
+
+
 # ---------------------------------------------------------------------------
 # the full model's forward pass, with every Gram check after its time loop,
 # against the loop that checks each step between building and solving it
@@ -1066,6 +1092,102 @@ def test_gram_check_after_the_loop_equals_the_check_in_it_bit_for_bit(run):
                                (*arrays, *want_acts), strict=True):
         assert same_bits(array, expected)
     assert report_bits(checks) == report_bits(want_checks)
+
+
+# ---------------------------------------------------------------------------
+# the full model's adjoint, against the pass that rebuilt the adjoint pieces at every step
+
+def backward_full_oracle(model, tokens, weights):
+    """The loss and gradients of _backward_full written out as it was before a run derived
+    its weighted steps, step times and coefficients once and an epoch conjugated the
+    forward's pieces and formed the tanh' factors once for all of its steps: each step
+    rebuilds phi^dag, conj(1/(1 + c delta)), phi conj(1/(1 + c delta)) and G^dag for its
+    adjoint solve and 1 - h^2 for its network's sweep."""
+    n, d, dt, steps = model.n, model.d, model.dt, tokens.shape[1]
+    states, factors, _, acts, (inv_d, gram), ip_phases = evolve_full_batch(model, tokens)
+    meas, r_meas = project_measurement(model.meas_raw)
+    phases = ip_phases.conj()
+    loss, g_states, g_meas, g_lam = 0.0, {}, np.zeros_like(meas), np.zeros(n)
+    for t in np.flatnonzero(weights.any(axis=(0, 2)))[::-1].tolist():
+        psi_s = phases[t + 1] * states[t + 1]
+        step_loss, g_psis, g_m = _born_readout_vjp(meas, psi_s.T, weights[:, t].T)
+        loss += step_loss
+        g_meas += g_m
+        g_states[t + 1] = np.conj(phases[t + 1]) * g_psis.T
+        g_lam += ((t + 1) * dt) * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
+    g_psi = np.zeros_like(states[0])
+    g_acts = [np.empty_like(a) for a in acts]
+    raw_phi = split_factor_output(acts[-1], n, model.r)[0]
+    g_phi, g_delta = split_factor_output(g_acts[-1], n, model.r)
+    c = 0.5j * dt
+    us = np.empty((steps, len(tokens), 2, n), dtype=complex)
+    np.add(states[:-1], states[1:], out=us[:, :, 0])
+    coef = np.array([[-np.conj(c)], [-c]])
+    for t in range(steps - 1, -1, -1):
+        if t + 1 in g_states:
+            g_psi += g_states[t + 1]
+        phi, inv_d_adj = factors.phi[t], np.conj(inv_d[t])
+        s = _lowrank_solve(phi.swapaxes(-1, -2).conj(), phi * inv_d_adj[..., None], inv_d_adj,
+                           gram[t].conj().swapaxes(-1, -2), -0.5j * dt, g_psi[..., None])[..., 0]
+        back = 2.0 * s
+        g_psi_step = np.subtract(back, g_psi, out=back)
+        us[t, :, 1] = s
+        g_phi_ip = (coef * us[t, :, ::-1]).swapaxes(-1, -2) @ (us[t].conj() @ phi)
+        np.multiply(phases[t][:, None], g_phi_ip, out=g_phi[t])
+        np.negative(np.real(c * s.conj() * us[t, :, 0]), out=g_delta[t])
+        out = [g[t] for g in g_acts]
+        for layer in range(len(model.mlp.weights) - 1, -1, -1):
+            np.matmul(out[layer + 1], model.mlp.weights[layer], out=out[layer])
+            if layer:
+                out[layer] *= 1.0 - acts[layer][t] ** 2
+        g_psi = g_psi_step + (out[0][:, d:d + n] + 1j * out[0][:, d + n:])
+    g_lam -= (np.arange(steps) * dt) @ np.vecdot(g_phi, raw_phi).imag.sum(axis=1)
+    g_w, g_b = mlp_weight_grads([h[::-1] for h in acts[:-1]], [g[::-1] for g in g_acts[1:]])
+    g_embed = np.zeros_like(model.embed)
+    np.add.at(g_embed, tokens.T[::-1], g_acts[0][::-1, :, :d])
+    g_h0 = _normalize_vjp(model.h0, g_psi.sum(axis=0))
+    layers = [arr for pair in zip(g_w, g_b) for arr in pair]
+    return loss, model.with_arrays([g_h0, g_lam, g_embed, *layers,
+                                    _qr_projection_vjp(meas, r_meas, g_meas)])
+
+
+@st.composite
+def full_model_batches(draw):
+    """(model, tokens (B, T), weights (B, T, V)) at n 1-5, r 1-4, B 1-3 and T 0-130, with
+    weights on one step or on several; the network keeps every Gram check well inside."""
+    n, r, seed = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32))
+    model = init_full_model(n=n, r=r, d=draw(st.integers(1, 6)), v=n + draw(st.integers(0, 3)),
+                            v_in=3, dt=draw(st.floats(0.1, 2.0)), seed=seed,
+                            hidden=draw(st.sampled_from([[], [5], None])))
+    batch, steps = draw(st.integers(1, 3)), draw(st.integers(0, 130))
+    rng = make_rng(seed)
+    weights = rng.random((batch, steps, model.v))
+    if draw(st.booleans()) and steps:  # one weighted step
+        weights *= np.arange(steps)[:, None] == draw(st.integers(0, steps - 1))
+    else:
+        weights *= rng.random((1, steps, 1)) < 0.3
+    return model, rng.integers(0, 3, (batch, steps)), weights
+
+
+def train_full_batch():
+    """perfbench's train-full shape: n = 3, r = 1, d = 6, B = 9 and T = 3, last-step weights."""
+    model = init_full_model(n=3, r=1, d=6, v=9, v_in=7, seed=0)
+    rng = make_rng(1)
+    weights = np.zeros((9, 3, 9))
+    weights[:, -1] = rng.dirichlet(np.ones(9), 9)
+    return model, rng.integers(0, 7, (9, 3)), weights
+
+
+@PROPERTY
+@given(full_model_batches())
+@example(train_full_batch())
+def test_backward_full_equals_the_oracle_bit_for_bit(case):
+    model, tokens, weights = case
+    loss, grads = _backward_full(model, _full_run(model, tokens, weights))
+    want_loss, want = backward_full_oracle(model, tokens, weights)
+    assert same_bits(loss, want_loss)
+    for got, expected in zip(grads.arrays(), want.arrays(), strict=True):
+        assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
 
 
 @PROPERTY

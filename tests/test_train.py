@@ -7,6 +7,7 @@ from cusm.dynamics import (
     GRAM_COND_WARN,
     CayleyStepReport,
     InteractionFactors,
+    _full_states,
     _lowrank_solve,
     _woodbury_system,
     evolve_full_batch,
@@ -18,12 +19,14 @@ from cusm.numerics import ginibre, make_rng
 from cusm.readout import floored_log
 from cusm.septask import TargetTable, make_task, target_table
 from cusm.train import (
+    MODEL_KINDS,
     OptimizerConfig,
     TrainableCusm,
     _backward_full,
     _fixed_batch_grad,
     CLIP_NORM,
     adam_cosine,
+    adjoint_pieces,
     adjoint_state_step,
     backward_full_model,
     central_difference,
@@ -37,6 +40,16 @@ from cusm.train import (
     unflatten_model,
     _one_hot_rows,
 )
+
+
+def backward_full(model, tokens, weights):
+    """_backward_full of the run over (B, T) token ids in range and (B, T, V) weights."""
+    return _backward_full(model, train._full_run(model, tokens, weights))
+
+
+def loss_full(model, tokens, weights):
+    """The forward-only loss of the run over (B, T) token ids in range and (B, T, V) weights."""
+    return train._full_readout(model, train._full_run(model, tokens, weights))[0]
 
 
 class TestEntropyFloor:
@@ -71,7 +84,7 @@ class TestBackwardFullModel:
             tokens = [0, 2, 4]
             targets = [1, 0, 3]
             weights = _one_hot_rows(targets, model.v)
-            loss, analytic = _backward_full(model, np.array([tokens]), weights[None])
+            loss, analytic = backward_full(model, np.array([tokens]), weights[None])
             numeric = finite_difference_grad(model, tokens, targets, step=1e-5)
             assert abs(loss - full_model_loss(model, tokens, weights)) < 1e-12
             ga = flatten_bundle(analytic)
@@ -118,7 +131,8 @@ class TestBackwardFullModel:
         norm0 = np.linalg.norm(g)
         for _ in range(20):
             f = InteractionFactors(phi=ginibre(rng, 8, 2), delta=rng.standard_normal(8))
-            g, _ = adjoint_state_step(f, 1.0, g, _woodbury_system(f.phi, f.delta, 0.5j)[2:])
+            pieces = adjoint_pieces(f.phi, *_woodbury_system(f.phi, f.delta, 0.5j)[2:])
+            g, _ = adjoint_state_step(pieces, 1.0, g)
             assert abs(np.linalg.norm(g) - norm0) < 1e-10
 
 
@@ -149,10 +163,10 @@ class TestBackwardFullDirectional:
         rng = make_rng(8)
         tokens = rng.integers(0, 3, (2, 70))
         weights = rng.random((2, 70, 5)) * (rng.random((2, 70, 1)) < 0.3)
-        grad = flatten_model(_backward_full(model, tokens, weights)[1])
+        grad = flatten_model(backward_full(model, tokens, weights)[1])
 
         def loss_at(x):
-            return train._loss_full(unflatten_model(x, model), tokens, weights)
+            return loss_full(unflatten_model(x, model), tokens, weights)
 
         assert richardson_misses(loss_at, flatten_model(model), grad, rng, 3).max() < 1e-7
 
@@ -175,11 +189,11 @@ class TestDirectionalAtRunningShapes:
         rng = make_rng(9)
         tokens = rng.integers(0, 16, (2, 80))
         weights = rng.random((2, 80, 5)) * (rng.random((2, 80, 1)) < 0.3)
-        loss, grads = _backward_full(model, tokens, weights)
+        loss, grads = backward_full(model, tokens, weights)
         floor = np.finfo(float).eps * abs(loss) / 1e-4
 
         def loss_at(x):
-            return train._loss_full(unflatten_model(x, model), tokens, weights)
+            return loss_full(unflatten_model(x, model), tokens, weights)
 
         misses = richardson_misses(loss_at, flatten_model(model), flatten_model(grads), rng, 3)
         assert misses.max() < 1e3 * floor
@@ -215,11 +229,11 @@ class TestDirectionalAtRunningShapes:
         rng = make_rng(9)
         tokens = rng.integers(0, 16, (2, 80))
         weights = rng.random((2, 80, 5)) * (rng.random((2, 80, 1)) < 0.3)
-        loss, grads = _backward_full(model, tokens, weights)
+        loss, grads = backward_full(model, tokens, weights)
         floor = np.finfo(float).eps * abs(loss) / 1e-4
 
         def loss_at(x):
-            return train._loss_full(unflatten_model(x, model), tokens, weights)
+            return loss_full(unflatten_model(x, model), tokens, weights)
 
         misses = richardson_misses(loss_at, flatten_model(model), flatten_model(grads), rng, 3)
         assert misses.max() < 100 * floor
@@ -266,7 +280,7 @@ class TestAdjointReusesForwardCondition:
         assert len(calls) == steps == len(conds)
         assert ((GRAM_COND_WARN < conds) & (conds < GRAM_COND_FAIL)).all()
         calls.clear()
-        _backward_full(model, tokens, weights)
+        backward_full(model, tokens, weights)
         assert calls == [(2, 2, 2)] * steps
 
 
@@ -284,7 +298,7 @@ class TestAdjointReusesForwardPieces:
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
         monkeypatch.setattr(dynamics, "_solve",
                             lambda a, b, **kw: calls.append(a.shape) or gufunc(a, b, **kw))
-        _backward_full(model, tokens, weights)
+        backward_full(model, tokens, weights)
         assert len(calls) == (1 if r == 1 else 2 * steps + 1)
 
     @pytest.mark.parametrize("r", [1, 2, 4])
@@ -297,8 +311,8 @@ class TestAdjointReusesForwardPieces:
         _, factors, _, _, (inv_d, gram), _ = evolve_full_batch(model, tokens)
         g, c = ginibre(make_rng(6), 3, 4), -0.5j * model.dt
         for t in range(tokens.shape[1]):
-            reused = adjoint_state_step(factors[t], model.dt, g,
-                                        (inv_d[t], gram[t]))
+            reused = adjoint_state_step(adjoint_pieces(factors.phi[t], inv_d[t], gram[t]),
+                                        model.dt, g)
             own = _woodbury_system(factors.phi[t], factors.delta[t], c)
             s = _lowrank_solve(*own, c, g[..., None])[..., 0]
             fresh = 2.0 * s - g, s
@@ -309,7 +323,7 @@ class TestAdjointReusesForwardPieces:
 
 
 class TestOneReadout:
-    """_loss_full and _backward_full reach the Born readout through _full_readout."""
+    """The forward-only loss and _backward_full reach the Born readout through _full_readout."""
 
     @pytest.mark.parametrize("r, n, batch, steps",
                              [(1, 3, 3, 70), (4, 5, 2, 70), (2, 4, 2, 130), (4, 8, 1, 66)])
@@ -320,17 +334,16 @@ class TestOneReadout:
         rng = make_rng(100 + n)
         tokens = rng.integers(0, 4, (batch, steps))
         weights = rng.random((batch, steps, n + 2))
-        assert train._loss_full(model, tokens, weights) == _backward_full(model, tokens, weights)[0]
+        assert loss_full(model, tokens, weights) == backward_full(model, tokens, weights)[0]
 
     def test_backward_reads_no_step_report(self, monkeypatch):
         model = init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=1, hidden=[4])
         tokens = make_rng(2).integers(0, 3, (2, 8))
         weights = make_rng(3).random((2, 8, 4))
-        loss, grads = _backward_full(model, tokens, weights)
-        monkeypatch.setattr(train, "evolve_full_batch",
-                            lambda *args: (*evolve_full_batch(*args)[:2], [],
-                                           *evolve_full_batch(*args)[3:]))
-        unreported, unreported_grads = _backward_full(model, tokens, weights)
+        loss, grads = backward_full(model, tokens, weights)
+        monkeypatch.setattr(train, "_full_states",
+                            lambda *args: (*_full_states(*args)[:2], [], *_full_states(*args)[3:]))
+        unreported, unreported_grads = backward_full(model, tokens, weights)
         assert unreported == loss
         assert flatten_model(unreported_grads).tobytes() == flatten_model(grads).tobytes()
 
@@ -351,7 +364,7 @@ class TestStackedFullModel:
 
     def test_summed_gradient_matches_central_difference(self):
         model, tokens, weights = self._batch()
-        loss, analytic = _backward_full(model, tokens, weights)
+        loss, analytic = backward_full(model, tokens, weights)
 
         def loss_at(flat):
             m = unflatten_model(flat, model)
@@ -370,7 +383,7 @@ class TestStackedFullModel:
         model = init_full_model(n=2, r=1, d=2, v=3, v_in=2, seed=5, hidden=[3])
         tokens = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1]])
         weights = make_rng(8).random((3, 4, 3))
-        loss, analytic = _backward_full(model, tokens, weights)
+        loss, analytic = backward_full(model, tokens, weights)
 
         def loss_at(flat):
             m = unflatten_model(flat, model)
@@ -392,7 +405,7 @@ class TestStackedFullModel:
         for module in (numerics, readout, septask, train):
             monkeypatch.setattr(module, "thin_qr_unique", counted)
         model, tokens, weights = self._batch()
-        _backward_full(model, tokens, weights)
+        backward_full(model, tokens, weights)
         assert calls == [(4, 2)]
         params = train.init_trainable_cusm(2, 4, 5, seed=0)
         _fixed_batch_grad(params, np.array([[0, 1], [2, 3]]), np.full((2, 4), 0.25),
@@ -431,7 +444,7 @@ class TestFailureInsideBatch:
         weights = np.zeros((3, 3, 4))
         weights[:, -1, 0] = 1.0
         with pytest.raises(IllConditionedStepError) as info:
-            _backward_full(self._model(), tokens, weights)
+            backward_full(self._model(), tokens, weights)
         assert info.value.step == 1
         assert info.value.report.gram_condition > GRAM_COND_FAIL
 
@@ -446,8 +459,8 @@ class TestAssertFinite:
 
     def test_full_model_training_checks_the_flat_gradient(self, monkeypatch):
         # one check on the flat vector that train_on_task builds stops the run
-        def non_finite(model, tokens, weights):
-            loss, grads = backward(model, tokens, weights)
+        def non_finite(model, run):
+            loss, grads = backward(model, run)
             grads.mlp.biases[-1][0] = np.inf
             return loss, grads
 
@@ -712,3 +725,19 @@ class TestTinyStartVector:
     def test_full_model(self):
         self.check(init_full_model(n=2, r=1, d=2, v=4, v_in=4, seed=0),
                    lambda model: backward_full_model(model, [0, 1, 3], [2, 3, 0]).arrays())
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_run_checks_its_tokens_once(kind, monkeypatch):
+    # train_on_task checks the task's token ids once; no epoch and no final loss checks them.
+    # A rosm run's softmax_rank_audit of its trained seed checks the ids it evolves itself
+    calls, checked = [], dynamics._checked_tokens
+
+    def counted(tokens, size):
+        calls.append(size)
+        return checked(tokens, size)
+
+    for module in (dynamics, train):
+        monkeypatch.setattr(module, "_checked_tokens", counted)
+    train_on_task(make_task(2, seed=0), kind, OptimizerConfig(epochs=3), dim=2, seeds=(0,))
+    assert calls == [5] * (1 + (kind == "rosm"))

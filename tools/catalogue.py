@@ -69,7 +69,8 @@ CATALOGUE = (
 
 # train of all three kinds at n = 2 and 3 on task seeds 0 and 1: rosm at --dim 1, 2
 # and 4, and cusm-trainable with and without --ablation; then each kind at --dim 4 with
-# lr 0.05, whose two seeds each stop early, within 64-84 of their 3000 epochs
+# lr 0.05, whose two seeds each stop early, within 64-84 of their 3000 epochs; then the argvs
+# of perfbench's train-full and separation-study ops
 TRAINING = tuple(
     (["train", "--n", str(n), "--seed", str(seed), "--seeds", "2", "--epochs", "200", *extra], 0)
     for n in (2, 3) for seed in (0, 1) for extra in (
@@ -81,14 +82,24 @@ TRAINING = tuple(
         ["--model-kind", "full"],
     )) + tuple(
     (["train", "--n", "2", "--dim", "4", "--lr", "0.05", "--epochs", "3000", "--seeds", "2",
-      "--model-kind", kind], 0) for kind in ("cusm-trainable", "rosm", "full"))
+      "--model-kind", kind], 0) for kind in ("cusm-trainable", "rosm", "full")) + tuple(
+    # perfbench's argvs (perfbench/workloads.py): train-full on task seeds 3 and 17, and one
+    # separation-study op on task seed 5, whose task file is the input `task3`
+    (["train", "--n", "3", "--model-kind", "full", "--seeds", "1", "--epochs", "10", "--seed",
+      seed], 0) for seed in ("3", "17")) + (
+    (["gen-task", "--n", "3", "--seed", "5"], 0),
+    (["verify-separation", "--task", "{task3}", "--audits", "50", "--seed", "5"], 0),
+    (["train", "--task", "{task3}", "--model-kind", "cusm-trainable", "--ablation", "--seeds", "1",
+      "--epochs", "20"], 0),
+) + tuple((["train", "--task", "{task3}", "--model-kind", "rosm", "--dim", dim, "--seeds", "1",
+            "--epochs", "20"], 0) for dim in ("1", "2", "4", "6"))
 
 
 def input_paths(directory: Path) -> dict:
     """name -> path in directory of each input file that CATALOGUE names."""
     return {name: str(Path(directory) / f"{name}.json") for name in
-            ("task", "witness", "model", "blown_up_model", "tokens", "config", "bad_config",
-             "missing")}
+            ("task", "task3", "witness", "model", "blown_up_model", "tokens", "config",
+             "bad_config", "missing")}
 
 
 def write_inputs(directory: Path) -> dict:
@@ -99,6 +110,7 @@ def write_inputs(directory: Path) -> dict:
 
     files = input_paths(directory)
     save_task(make_task(2, seed=0), files["task"])
+    save_task(make_task(3, seed=5), files["task3"])
     save_task(make_task(2, seed=0, reference=True), files["witness"])
     save_model(init_full_model(n=3, r=2, d=2, v=4, v_in=3, seed=1), files["model"])
     # token 1 sets column 0 of Phi to 1e7 (1 + i): a Gram condition of 3e14

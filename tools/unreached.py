@@ -49,12 +49,12 @@ TIER1_ARGS = ["-q", "--continue-on-collection-errors"]
 UNTRACED = {"test_criterion_11_scaling_trend"}  # it checks per-step time ratios
 
 # what no command enters besides the acceptance suite's imports and perfbench's bindings:
-# what the acceptance suite reaches through them (finite_difference_grad's and
-# backward_full_model's helpers, materialize's dim, the sequences of make_task's task), and
-# save_model, whose fate ROADMAP item 6 decides
+# what they reach through them (finite_difference_grad's and backward_full_model's helpers,
+# materialize's dim, evolve_full_model's slice of the factors, the sequences of make_task's
+# task), and save_model, whose fate ROADMAP item 6 decides
 EXTRA_ALLOWED = ("train.central_difference", "train.full_model_loss", "train._one_hot_rows",
-                 "dynamics.InteractionFactors.dim", "septask.TaskInstance.sequence",
-                 "hamgen.save_model")
+                 "dynamics.InteractionFactors.dim", "dynamics.InteractionFactors.__getitem__",
+                 "septask.TaskInstance.sequence", "hamgen.save_model")
 
 
 def _evidence(stmt: ast.stmt) -> range:
