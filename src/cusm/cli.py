@@ -40,8 +40,8 @@ import numpy as np
 
 from . import __version__
 from .codec import SCHEMA_VERSION, atomic_write, load_json, read_json
-from .dynamics import (REPRODUCTION_TOL, CayleyStepReport, evolve_fixed_batch, evolve_full_batch,
-                       inverse_cayley)
+from .dynamics import (REPRODUCTION_TOL, CayleyStepReport, evolve_fixed_batch,
+                       evolve_full_model, inverse_cayley)
 from .exceptions import (
     NUMERICAL_FAILURES,
     ConfigurationError,
@@ -383,7 +383,7 @@ def cmd_verify_separation(args) -> int:
 
 def cmd_simulate(args) -> int:
     tokens = _parse_tokens(args)
-    report = {}
+    report, checks = {}, {}  # full mode: each step's CayleyStepReport values by name
     if args.mode == "task":
         if args.task is None and args.n < 2:  # the type of --n allows a model of 1
             raise ConfigurationError(f"--n must be >= 2 in task mode, got {args.n}")
@@ -406,20 +406,20 @@ def cmd_simulate(args) -> int:
         seed, dt = model.seed, model.dt
         report["model"] = {"n": model.n, "r": model.r, "d": model.d, "v": model.v,
                            "v_in": model.v_in, "dt": dt}
-        states, factors = evolve_full_batch(model, [tokens])[:2]
-        states, phi = states[:, 0], factors.phi[:, 0]
-        cbar = 0.5 * (states[:-1] + states[1:])
-        row_sums, totals = factor_currents(phi, cbar)
+        states, factors, step_report = evolve_full_model(model, tokens)
+        row_sums, totals = factor_currents(factors.phi, 0.5 * (states[:-1] + states[1:]))
+        checks = {name: values.tolist() for name, values in vars(step_report).items()}
 
     norms, balances = continuity_balance(states, dt, row_sums)
     max_balance = float(balances.max())
     max_norm_dev = float(np.abs(norms - 1.0).max())
-    columns = zip(tokens, norms.tolist(), totals.tolist(), balances.tolist())
-    rows = [[t + 1, tok, f"{norm:.15f}", f"{total:.15e}", f"{balance:.15e}"]
-            for t, (tok, norm, total, balance) in enumerate(columns)]
+    columns = zip(tokens, norms.tolist(), totals.tolist(), balances.tolist(), *checks.values())
+    rows = [[t + 1, tok, f"{norm:.15f}", *(f"{x:.15e}" for x in rest)]
+            for t, (tok, norm, *rest) in enumerate(columns)]
 
     csv_path = os.path.join(_output_dir(args), "trajectory.csv")
-    _write_csv(csv_path, ["step", "token", "norm", "total_current", "balance_residual"], rows)
+    _write_csv(csv_path, ["step", "token", "norm", "total_current", "balance_residual",
+                          *checks], rows)
     json_path = _write_report(args, "trajectory.json", {
         **report,
         "steps": len(tokens),

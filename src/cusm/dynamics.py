@@ -21,19 +21,20 @@ the solve's scale 2/(1 + c delta) and the report's halved residual. A lone step 
 state-major (column-contiguous), so a loop of steps reads contiguous columns after its first.
 evolve_full_batch checks a batch's token ids and the network's layer widths; then its time
 loop, _full_states, which a trainer that checked its run once calls directly, writes the
-trajectory into arrays allocated once, with each step's 1/(1 + c delta) and Gram matrix for the
-adjoint, and checks each step's Gram condition after the loop; then evolve_full_batch adds each
-step's residual and norm change, which no trainer reads, into one CayleyStepReport of (T,)
-arrays. Models with one fixed unitary or orthogonal matrix
+trajectory into arrays allocated once and checks each step's Gram condition after the loop;
+then evolve_full_batch adds each step's residual and norm change, which no trainer reads, into
+one CayleyStepReport of (T,) arrays. Both return one FullPass, whose comment names its fields;
+evolve_full_model is the one-sequence view. Models with one fixed unitary or orthogonal matrix
 per token advance through evolve_fixed_batch: the token check, then _fixed_states, the one time
-loop, which a trainer that checked its tokens once calls directly. Their matrices W = cayley_map(Z) come from _cayley_system, which also returns
-the I + S that W's VJP solves with; inverse_cayley recovers the Hermitian generators of such
-unitaries.
+loop, which a trainer that checked its tokens once calls directly. Their matrices W =
+cayley_map(Z) come from _cayley_system, which also returns the I + S that W's VJP solves with;
+inverse_cayley recovers the Hermitian generators of such unitaries.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +63,14 @@ class InteractionFactors:
     phi: np.ndarray
     delta: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.phi.shape[-2]
-
     def __getitem__(self, index) -> InteractionFactors:
         """The factors at `index` of the leading stack axes."""
         return InteractionFactors(self.phi[index], self.delta[index])
 
     def materialize(self) -> np.ndarray:
         """Dense H = Phi Phi^dag + diag(delta), (..., N, N); Hermitian by construction."""
-        diag = np.where(np.eye(self.dim, dtype=bool), self.delta[..., None].astype(complex), 0j)
+        diag = np.where(np.eye(self.phi.shape[-2], dtype=bool),
+                        self.delta[..., None].astype(complex), 0j)
         return self.phi @ self.phi.conj().swapaxes(-1, -2) + diag
 
 
@@ -87,6 +85,15 @@ class CayleyStepReport:
     gram_condition: float | np.ndarray
     residual: float | np.ndarray
     norm_change: float | np.ndarray
+
+
+# One full-model pass over a (B, T) batch of token ids: the states (T+1, B, N); the factors,
+# interaction-picture InteractionFactors stacked (phi (T, B, N, r), delta (T, B, N), a view of
+# the network's output); the checks, _full_states' (T,) Gram conditions, which
+# evolve_full_batch replaces by a CayleyStepReport of (T,) arrays; the network's layer inputs
+# and output acts (T, B, width); the solves' pieces for their adjoints, 1/(1 + c delta)
+# (T, B, N) and the Gram matrices (T, B, r, r); and the phases exp(i lambda t dt) (T+1, N).
+FullPass = namedtuple("FullPass", "states factors checks acts pieces phases")
 
 
 def interaction_picture_factors(factors: InteractionFactors, frequencies: np.ndarray, t: int,
@@ -309,25 +316,25 @@ def evolve_fixed_unitaries(unitaries: np.ndarray, psi0: np.ndarray, tokens) -> l
     return [psi[0] for psi in states]
 
 
-def evolve_full_batch(model, tokens: np.ndarray):
+def evolve_full_batch(model, tokens: np.ndarray) -> FullPass:
     """Forward pass of the full model over a (B, T) array of token ids: the checks of the ids
     and of the network's layer widths, _full_states at the step times t*dt, and then each
     step's residual and norm change, stacked over CHECK_CHUNK_STEPS steps. Returns
-    _full_states' results with its Gram conditions in a CayleyStepReport of (T,) arrays."""
+    _full_states' FullPass with its checks a CayleyStepReport of (T,) arrays."""
     tokens = _checked_tokens(tokens, model.embed.shape[0])
-    states, factors, conds, *rest = _full_states(
-        model, tokens, mlp_widths(model.mlp, model.d + 2 * model.n),
-        np.arange(tokens.shape[1] + 1) * model.dt)
+    forward = _full_states(model, tokens, mlp_widths(model.mlp, model.d + 2 * model.n),
+                           np.arange(tokens.shape[1] + 1) * model.dt)
+    states, factors, conds = forward.states, forward.factors, forward.checks
     checks = CayleyStepReport(conds, np.empty(len(conds)), np.empty(len(conds)))
     for start in range(0, len(conds), CHECK_CHUNK_STEPS):
         chunk = slice(start, start + CHECK_CHUNK_STEPS)  # the last may be shorter
         checks.residual[chunk], checks.norm_change[chunk] = _step_residuals(
             factors.phi[chunk], factors.delta[chunk], states[:-1][chunk, ..., None],
             states[1:][chunk, ..., None], model.dt, len(factors.phi[chunk]))
-    return states, factors, checks, *rest
+    return forward._replace(checks=checks)
 
 
-def _full_states(model, tokens: np.ndarray, widths: list, times: np.ndarray):
+def _full_states(model, tokens: np.ndarray, widths: list, times: np.ndarray) -> FullPass:
     """evolve_full_batch's time loop and Gram check over an int array of ids already in
     [0, V_in), with the network's checked mlp_widths and the T+1 step times t*dt, which a
     trainer that checked its run and derived them once passes directly; a trainer reads no
@@ -338,10 +345,7 @@ def _full_states(model, tokens: np.ndarray, widths: list, times: np.ndarray):
     (token embedding, Re/Im of the current interaction-picture state), its output factors
     are phase-conjugated into the interaction picture, and one stacked Woodbury solve
     advances all B states. The stacked Gram check follows, raising at the first
-    ill-conditioned step. Returns the states (T+1, B, N), the factors stacked (phi (T, B, N,
-    r), delta (T, B, N), a view of the network's output), the (T,) Gram conditions, the
-    network's layer inputs and output (T, B, width), the solves' pieces for their adjoints
-    (1/(1 + c delta) (T, B, N), Gram (T, B, r, r)) and the phases exp(i lambda t dt) (T+1, N).
+    ill-conditioned step. Returns a FullPass whose checks are the (T,) Gram conditions.
     """
     n, r, dt, c, (batch, steps) = model.n, model.r, model.dt, 0.5j * model.dt, tokens.shape
     acts = [np.empty((steps, batch, k)) for k in widths]
@@ -383,11 +387,11 @@ def _full_states(model, tokens: np.ndarray, widths: list, times: np.ndarray):
             _cayley_step(system, cols[step], dt, cols[step + 1])
     else:
         conds = np.array(_gram_conditions(phi, c, gram, first=0))
-    return cols[..., 0], InteractionFactors(phi, delta), conds, acts, (inv_d, gram), phases
+    return FullPass(psi, InteractionFactors(phi, delta), conds, acts, (inv_d, gram), phases)
 
 
 def evolve_full_model(model, tokens):
     """evolve_full_batch for one sequence: (trajectory (T+1, N), interaction-picture
     factors stacked (T, N, r) and (T, N), the checks of (T,) arrays)."""
-    states, factors, checks = evolve_full_batch(model, np.asarray([list(tokens)], dtype=int))[:3]
-    return states[:, 0], factors[:, 0], checks
+    forward = evolve_full_batch(model, [list(tokens)])
+    return forward.states[:, 0], forward.factors[:, 0], forward.checks

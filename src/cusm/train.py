@@ -16,7 +16,9 @@ each kind passes only its readout's VJP. One table in train_on_task holds, per k
 all that differs between kinds: its init, batch gradient, final loss, what a seed's
 run derives for its epochs, whether it needs a dimension, its readout's verdict and
 its audit of a trained model; no other line compares a kind's name. Every final loss
-is a forward pass and its readout, never a gradient.
+is a forward pass and its readout, never a gradient. The central-difference oracle derives
+one FullRun for its sequence and scores each perturbed model on that run with the full
+kind's final-loss expression, _full_readout(model, run)[0].
 
 A run checks its task's tokens once, not every epoch, and derives once what its epochs
 share. For the full model that is a FullRun: the network's checked layer widths, the
@@ -211,9 +213,9 @@ def _full_readout(model: FullModelParams, run: FullRun):
     as the adjoint sums. Returns the loss, summed over the batch, and its gradients with
     respect to the interaction-picture states ({t: (B, N)}, weighted states t only), the
     measurement and the frequencies; the phases (T+1, N) that undo the interaction picture;
-    the measurement and its R; and _full_states' results."""
+    the measurement and its R; and _full_states' FullPass."""
     forward = _full_states(model, run.tokens, run.widths, run.times)
-    states, ip_phases = forward[0], forward[-1]
+    states, ip_phases = forward.states, forward.phases
     meas, r_meas = project_measurement(model.meas_raw)
     # row t undoes the interaction picture at time t*dt: the bits of exp(-ix) at any x != 0;
     # at x = +-0 the two may differ in the sign of a zero imaginary part
@@ -227,12 +229,6 @@ def _full_readout(model: FullModelParams, run: FullRun):
         g_states[t + 1] = ip_phases[t + 1] * g_psis.T
         g_lam += run.times[t + 1] * np.imag(np.sum(psi_s * g_psis.T.conj(), axis=0))
     return loss, g_states, g_meas, g_lam, phases, (meas, r_meas), forward
-
-
-def full_model_loss(model: FullModelParams, tokens, target_weights: np.ndarray) -> float:
-    """Forward-only loss; row t of target_weights weights the readout after step t."""
-    ids = _checked_tokens(np.asarray([list(tokens)], dtype=int), model.v_in)
-    return _full_readout(model, _full_run(model, ids, np.asarray(target_weights)[None]))[0]
 
 
 def _assert_finite(flat: np.ndarray) -> None:
@@ -251,15 +247,15 @@ def _backward_full(model: FullModelParams, run: FullRun) -> tuple[float, FullMod
     come the frequencies' factor term, one product per layer for the network's weights, one
     np.add.at for the embeddings, the initial state and the QR measurement projection."""
     n, d, dt, steps = model.n, model.d, model.dt, run.tokens.shape[1]
-    (loss, g_states, g_meas, g_lam, phases, (meas, r_meas),
-     (states, factors, _, acts, (inv_d, gram), _)) = _full_readout(model, run)
+    loss, g_states, g_meas, g_lam, phases, (meas, r_meas), forward = _full_readout(model, run)
+    states, acts, (inv_d, gram) = forward.states, forward.acts, forward.pieces
     g_psi = np.zeros_like(states[0])
     # per step, the network's input gradient, each layer's pre-activation gradient
     # and its output gradient, whose rows take dL/dPhi and dL/ddelta through views
     g_acts = [np.empty_like(a) for a in acts]
     raw_phi = split_factor_output(acts[-1], n, model.r)[0]
     g_phi, g_delta = split_factor_output(g_acts[-1], n, model.r)
-    c, phi = 0.5j * dt, factors.phi
+    c, phi = 0.5j * dt, forward.factors.phi
     # both sides of each solve touch X = phi phi^dag and delta; with u = psi_in +
     # psi_out, dL/dX = -conj(c) s u^dag - c u s^dag: us[t] holds the rows u, s
     us = np.empty((steps, len(run.tokens), 2, n), dtype=complex)
@@ -303,7 +299,7 @@ def _one_hot_rows(targets, v: int) -> np.ndarray:
 
 def backward_full_model(model: FullModelParams, tokens, targets) -> FullModelParams:
     """Adjoint gradients of the summed per-step negative log-likelihood."""
-    ids = _checked_tokens(np.asarray([list(tokens)], dtype=int), model.v_in)
+    ids = _checked_tokens([list(tokens)], model.v_in)
     return _backward_full(model, _full_run(model, ids, _one_hot_rows(targets, model.v)[None]))[1]
 
 
@@ -350,10 +346,11 @@ def finite_difference_grad(model: FullModelParams, tokens, targets,
     """Central-difference gradient oracle; for tiny models only."""
     if not 1e-7 <= step <= 1e-3:
         raise ConfigurationError(f"step {step} outside [1e-7, 1e-3]")
-    weights = _one_hot_rows(list(targets), model.v)
+    ids = _checked_tokens([list(tokens)], model.v_in)
+    run = _full_run(model, ids, _one_hot_rows(targets, model.v)[None])
 
     def loss_at(flat):
-        return full_model_loss(unflatten_model(flat, model), tokens, weights)
+        return _full_readout(unflatten_model(flat, model), run)[0]
 
     return unflatten_model(central_difference(loss_at, flatten_model(model), step), model)
 

@@ -261,7 +261,7 @@ class TestSimulate:
         model = init_full_model(n=7, r=3, d=3, v=7, v_in=4, dt=0.5, seed=11)
         states, factors, _ = evolve_full_model(model, tokens)
         for t, line in enumerate(lines):
-            _, _, _, total, balance = (float(x) for x in line.split(","))
+            total, balance = (float(x) for x in line.split(",")[3:5])
             pre, post = states[t], states[t + 1]
             j = midpoint_current(factors[t].materialize(), pre, post)
             dp = np.abs(post) ** 2 - np.abs(pre) ** 2
@@ -270,6 +270,27 @@ class TestSimulate:
             # to the size of the terms they difference
             oracle = np.abs(dp - 0.5 * j.sum(axis=1)).max()
             assert abs(balance - oracle) <= 1e-13 * np.abs(dp).max()
+
+    def test_full_mode_writes_each_steps_checks(self, tmp_path, monkeypatch):
+        # the residual, norm change and Gram condition of evolve_full_model's report follow
+        # the five columns that task mode writes alone
+        tokens = [2, 0, 1, 1, 3, 0, 2]
+        assert run(["simulate", "--mode", "full", "--n", "5", "--r", "2", "--d", "3", "--v", "6",
+                    "--dt", "0.5", "--seed", "3", "--tokens", ",".join(map(str, tokens))],
+                   tmp_path, monkeypatch) == 0
+        header, *lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        names = ["gram_condition", "residual", "norm_change"]
+        assert header.split(",") == ["step", "token", "norm", "total_current",
+                                     "balance_residual", *names]
+        checks = evolve_full_model(init_full_model(n=5, r=2, d=3, v=6, v_in=4, dt=0.5, seed=3),
+                                   tokens)[2]
+        columns = list(zip(*(line.split(",")[5:] for line in lines)))
+        assert columns == [tuple(f"{x:.15e}" for x in getattr(checks, name)) for name in names]
+        task_dir = tmp_path / "task"
+        assert run(["simulate", "--mode", "task", "--n", "2", "--tokens", "0,2,2,1"], task_dir,
+                   monkeypatch) == 0
+        assert (task_dir / "trajectory.csv").read_text().splitlines()[0] == (
+            "step,token,norm,total_current,balance_residual")
 
     @pytest.mark.parametrize("checkpoint", [False, True])
     def test_full_mode_reports_the_model_that_ran(self, checkpoint, tmp_path, monkeypatch):

@@ -200,7 +200,7 @@ def test_gram_condition_bounds_svd_and_decides_as_svd(case, tilt):
 @given(step_cases())
 def test_adjoint_step_is_the_conjugate_transpose(case):
     factors, psi, dt = case
-    g = ginibre(make_rng(7), factors.dim, psi.shape[1]).T   # adjoint rows (k, N)
+    g = ginibre(make_rng(7), factors.phi.shape[-2], psi.shape[1]).T   # adjoint rows (k, N)
     pulled, _ = adjoint_state_step(adjoint_pieces(
         factors.phi, *_woodbury_system(factors.phi, factors.delta, 0.5j * dt)[2:]), dt, g)
     assert np.abs(np.linalg.norm(pulled, axis=1) - np.linalg.norm(g, axis=1)).max() \

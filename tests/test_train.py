@@ -13,7 +13,7 @@ from cusm.dynamics import (
     evolve_full_batch,
     evolve_full_model,
 )
-from cusm.exceptions import ConfigurationError, IllConditionedStepError
+from cusm.exceptions import ConfigurationError, IllConditionedStepError, VocabularyError
 from cusm.hamgen import init_full_model
 from cusm.numerics import ginibre, make_rng
 from cusm.readout import floored_log
@@ -35,7 +35,6 @@ from cusm.train import (
     finite_difference_grad,
     flatten_bundle,
     flatten_model,
-    full_model_loss,
     train_on_task,
     unflatten_model,
     _one_hot_rows,
@@ -50,6 +49,12 @@ def backward_full(model, tokens, weights):
 def loss_full(model, tokens, weights):
     """The forward-only loss of the run over (B, T) token ids in range and (B, T, V) weights."""
     return train._full_readout(model, train._full_run(model, tokens, weights))[0]
+
+
+def full_model_loss(model, tokens, target_weights):
+    """loss_full of one sequence of token ids in range; row t of target_weights weights the
+    readout after step t."""
+    return loss_full(model, np.array([list(tokens)]), np.asarray(target_weights)[None])
 
 
 class TestEntropyFloor:
@@ -342,7 +347,7 @@ class TestOneReadout:
         weights = make_rng(3).random((2, 8, 4))
         loss, grads = backward_full(model, tokens, weights)
         monkeypatch.setattr(train, "_full_states",
-                            lambda *args: (*_full_states(*args)[:2], [], *_full_states(*args)[3:]))
+                            lambda *args: _full_states(*args)._replace(checks=[]))
         unreported, unreported_grads = backward_full(model, tokens, weights)
         assert unreported == loss
         assert flatten_model(unreported_grads).tobytes() == flatten_model(grads).tobytes()
@@ -486,6 +491,31 @@ class TestAssertFinite:
             train_on_task(task, kind, OptimizerConfig(epochs=2), dim=dim, seeds=(0,))
 
 
+class TestOneSequenceIds:
+    """The one-sequence entry points check their ids as evolve_full_batch does."""
+
+    ENTRIES = {
+        "evolve_full_batch": lambda model, ids: evolve_full_batch(model, [ids]),
+        "evolve_full_model": evolve_full_model,
+        "backward_full_model": lambda model, ids: backward_full_model(model, ids, [0, 1]),
+        "finite_difference_grad": lambda model, ids: finite_difference_grad(model, ids, [0, 1]),
+    }
+
+    @pytest.mark.parametrize("big", [10 ** 23, 2 ** 63 + 1])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_id_beyond_int64_is_reported_as_given(self, entry, big):
+        model = init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=0)
+        with pytest.raises(VocabularyError, match=rf"^token id {big} outside .*\[0, 3\)$"):
+            self.ENTRIES[entry](model, [0, big])
+
+    def test_the_oracle_derives_one_run(self, monkeypatch):
+        calls, full_run = [], train._full_run
+        monkeypatch.setattr(train, "_full_run", lambda *args: calls.append(1) or full_run(*args))
+        model = init_full_model(n=2, r=1, d=2, v=4, v_in=3, seed=0, hidden=[3])
+        finite_difference_grad(model, [0, 2, 1], [1, 0, 3])
+        assert len(calls) == 1
+
+
 class TestCentralDifference:
     def test_quadratic_exact(self):
         coef = np.array([2.0, -1.0, 0.5])
@@ -582,6 +612,18 @@ class TestTrainOnTask:
         r1 = train_on_task(task, kind, dim=dim, config=config, seeds=(0,))
         r2 = train_on_task(task, kind, dim=dim, config=config, seeds=(0,))
         assert r1[0].loss_trace == r2[0].loss_trace
+
+    def test_trained_separation_at_n_4(self):
+        # the separation, trained: on a task with rank L* = 16, every unitary model at N = 8
+        # reaches the entropy floor, and every rosm at d = 8, which the rank bound forbids to
+        # be exact, stays gapped
+        task = make_task(4, seed=0)
+        unitary = train_on_task(task, "cusm-trainable", OptimizerConfig(lr=0.05, epochs=3000),
+                                dim=8, seeds=(0, 1, 2, 3, 4))
+        assert all(rep.gap < train.GAP_ZERO_THRESHOLD for rep in unitary)
+        rosm = train_on_task(task, "rosm", OptimizerConfig(lr=0.05, epochs=1000), dim=8,
+                             seeds=(0, 1, 2))
+        assert all(rep.gap > 1e-2 and rep.extra["bound_forbids_exact"] for rep in rosm)
 
     def test_rosm_dim_one_stays_gapped(self):
         task = make_task(2, seed=8)

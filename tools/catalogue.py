@@ -18,10 +18,14 @@ import os
 import warnings
 from pathlib import Path
 
+# a fixed string of 256 token ids that uses all 16 ids, for rollout-full's shape
+ROLLOUT_TOKENS = ",".join(str(7 * k % 16) for k in range(256))
+
 # (argv, exit code) of --version, --help, every subcommand and mode, all three model kinds
-# with --ablation, each kind of input file, an overflowing step, an ill-conditioned one, three
-# diverging training runs, an invariant violation (a token of the witness task with no Cayley
-# generator) and twelve usage errors
+# with --ablation, each kind of input file, full-mode simulate at perfbench's rollout-full
+# shape (perfbench/workloads.py) and at N = 8, r = 2 and N = 6, r = 1, an overflowing step,
+# an ill-conditioned one, three diverging training runs, an invariant violation (a token of
+# the witness task with no Cayley generator) and twelve usage errors
 CATALOGUE = (
     (["gen-task", "--n", "2", "--seed", "0"], 0),
     (["gen-task", "--n", "3", "--seed", "1", "--filler-length", "0"], 0),
@@ -34,6 +38,12 @@ CATALOGUE = (
     (["simulate", "--mode", "full", "--n", "6", "--r", "2", "--d", "3", "--v", "6",
       "--tokens", "0,1,2,1"], 0),
     (["simulate", "--mode", "full", "--checkpoint", "{model}", "--tokens", "0,1,1,0"], 0),
+    (["simulate", "--mode", "full", "--n", "64", "--r", "4", "--d", "8", "--v", "64", "--seed",
+      "1234", "--tokens", ROLLOUT_TOKENS], 0),
+    (["simulate", "--mode", "full", "--n", "8", "--r", "2", "--d", "3", "--v", "9", "--seed", "2",
+      "--tokens", "0,3,1,2,3,0,1,1,2,0,3,2"], 0),
+    (["simulate", "--mode", "full", "--n", "6", "--r", "1", "--d", "4", "--v", "6", "--seed", "1",
+      "--tokens", "2,0,1,1,0,2,2,1"], 0),
     (["simulate", "--mode", "full", "--tokens", "0,1,0,2", "--dt", "1e300"], 0),
     (["simulate", "--mode", "full", "--checkpoint", "{blown_up_model}", "--tokens", "0,0,1,0"], 3),
     (["simulate", "--config", "{config}", "--tokens", "1,0,2"], 0),

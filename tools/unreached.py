@@ -50,10 +50,8 @@ UNTRACED = {"test_criterion_11_scaling_trend"}  # it checks per-step time ratios
 
 # what no command enters besides the acceptance suite's imports and perfbench's bindings:
 # what they reach through them (finite_difference_grad's and backward_full_model's helpers,
-# materialize's dim, evolve_full_model's slice of the factors, the sequences of make_task's
-# task), and save_model, whose fate ROADMAP item 6 decides
-EXTRA_ALLOWED = ("train.central_difference", "train.full_model_loss", "train._one_hot_rows",
-                 "dynamics.InteractionFactors.dim", "dynamics.InteractionFactors.__getitem__",
+# the sequences of make_task's task), and save_model, whose fate ROADMAP item 6 decides
+EXTRA_ALLOWED = ("train.central_difference", "train._one_hot_rows",
                  "septask.TaskInstance.sequence", "hamgen.save_model")
 
 
