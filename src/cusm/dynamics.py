@@ -80,7 +80,9 @@ class CayleyStepReport:
     gram_condition takes per factor the a-priori bound of the module docstring while that
     is <= GRAM_COND_WARN, else its SVD condition. A step is flagged above GRAM_COND_WARN.
     Row t of a trajectory's report is, to the bit, the worst of the lone steps' reports
-    over its batch's step t."""
+    over its batch's step t. residual is absolute, ||A+ (psi' + psi) - 2 psi||, not scaled
+    by ||A+||: a step whose psi' rounds to -psi, as every step of `simulate --mode full
+    --dt 1e300` does, reads 2.0."""
 
     gram_condition: float | np.ndarray
     residual: float | np.ndarray

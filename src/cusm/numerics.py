@@ -4,9 +4,10 @@ Deterministic Haar sampling, the one Hermitian check (its tolerance scales
 with each matrix's entries), the closed-form real coordinates of Hermitian
 matrices in a trace-orthonormal basis of fixed canonical order, SVD-based rank
 estimation, a uniqueness-normalized thin QR, one row norm (row_norms), the one
-normalisation of start states (initial_state), and an allocation check against
-the machine's memory. The thin QR calls the two LAPACK gufuncs of
-np.linalg.qr(mode="reduced") directly, without the wrapper's Python-level checks.
+normalisation of start states (initial_state) and its adjoint (initial_state_vjp),
+and an allocation check against the machine's memory. The thin QR calls the two
+LAPACK gufuncs of np.linalg.qr(mode="reduced") directly, without the wrapper's
+Python-level checks.
 Everything else is a pure function of its arguments; randomness always enters
 through an explicit seed, any integer >= 0.
 """
@@ -113,6 +114,18 @@ def initial_state(vec: np.ndarray) -> np.ndarray:
             raise FloatingPointError(f"initial-state parameter vector has norm {bad[0]}")
         return initial_state(np.where(norm < _MIN_NORM, vec * _UNDERFLOW_SCALE, vec))
     return vec / norm
+
+
+def initial_state_vjp(vec: np.ndarray, unit: np.ndarray, g_unit: np.ndarray) -> np.ndarray:
+    """Backward through unit = initial_state(vec) of one vector (N,), real or complex, given
+    the forward's unit vector: (g_unit - Re<g_unit, unit> unit) / norm. A vector whose norm
+    is below _MIN_NORM is taken at vec * _UNDERFLOW_SCALE, as the forward takes it, and its
+    gradient scaled by that exact power of two."""
+    norm = row_norms(vec)
+    if norm < _MIN_NORM:
+        return _UNDERFLOW_SCALE * initial_state_vjp(vec * _UNDERFLOW_SCALE, unit, g_unit)
+    beta = float(np.real(np.vdot(g_unit, unit)))
+    return (g_unit - beta * unit) / norm
 
 
 def sample_haar_unitary(dim: int, seed: int, stream: int = 0) -> np.ndarray:

@@ -3,7 +3,9 @@
 The measurement matrix M is N x V with columns m_k; the constraint
 M M^dag = I_N makes p(k) = |<m_k|psi>|^2 a probability distribution for any
 unit state. Enforcement is by QR projection of M^dag onto the Stiefel
-manifold; the stored parameter stays unconstrained.
+manifold; the stored parameter stays unconstrained. Every readout's loss, the
+Born, the magnitude-only and the baseline's affine-softmax one, is nll: the
+weighted negative log-likelihood on floored_log of its probabilities.
 """
 
 from __future__ import annotations
@@ -59,3 +61,9 @@ def density_matrix(psi: np.ndarray) -> np.ndarray:
 def floored_log(p: np.ndarray) -> np.ndarray:
     """Elementwise log with underflow floor."""
     return np.log(np.maximum(p, PROB_FLOOR))
+
+
+def nll(weights: np.ndarray, p: np.ndarray) -> float:
+    """-sum w log max(p, PROB_FLOOR) over all entries of target weights and probabilities
+    of one shape."""
+    return -float(np.vdot(weights, floored_log(p)))

@@ -59,15 +59,14 @@ from .dynamics import (_cayley_system, _checked_tokens, _fixed_states, _full_sta
 from .exceptions import NUMERICAL_FAILURES, ConfigurationError
 from .hamgen import (FullModelParams, init_full_model, mlp_backward, mlp_weight_grads,
                      mlp_widths, split_factor_output)
-from .numerics import (_MIN_NORM, _UNDERFLOW_SCALE, check_allocation, ginibre, initial_state,
-                       make_rng, row_norms)
+from .numerics import check_allocation, ginibre, initial_state, initial_state_vjp, make_rng
 # kept: unused here; perfbench's tracer binds it under train (perfbench/spantrace.py)
 from .numerics import thin_qr_unique  # noqa: F401
 from .readout import (
     PROB_FLOOR,
     born_probabilities,
     diagonal_only_probabilities,
-    floored_log,
+    nll,
     project_measurement,
 )
 from .septask import (
@@ -154,17 +153,6 @@ def _qr_projection_vjp(meas: np.ndarray, r: np.ndarray, g_meas: np.ndarray) -> n
     return linalg_solve(r, g_meas - w @ meas)
 
 
-def _normalize_vjp(vec: np.ndarray, g_unit: np.ndarray) -> np.ndarray:
-    """Backward through unit = initial_state(vec), complex or real, which first
-    scales a vector of norm below _MIN_NORM by the exact _UNDERFLOW_SCALE."""
-    norm = row_norms(vec)
-    if norm < _MIN_NORM:
-        return _UNDERFLOW_SCALE * _normalize_vjp(vec * _UNDERFLOW_SCALE, g_unit)
-    unit = vec / norm
-    beta = float(np.real(np.vdot(g_unit, unit)))
-    return (g_unit - beta * unit) / norm
-
-
 def _cayley_generator_vjp(i_plus_s: np.ndarray, w: np.ndarray, g_w: np.ndarray) -> np.ndarray:
     """Backward through (I + S, W) = _cayley_system(Z), stacked, complex or real: with
     S = Z - Z^dag, g_S = -(I+S)^{-dag} g_W (I+W)^dag and g_Z = g_S - g_S^dag."""
@@ -176,16 +164,14 @@ def _cayley_generator_vjp(i_plus_s: np.ndarray, w: np.ndarray, g_w: np.ndarray) 
 def _born_readout_vjp(meas: np.ndarray, psi: np.ndarray, weights: np.ndarray):
     """The Born-rule loss -sum_k w_k log p_k at p = |M^dag psi|^2 and its
     gradients, for state columns psi (N, B) and weight columns (V, B); loss and
-    g_meas are summed over columns. Every Born NLL in the package is this one."""
+    g_meas are summed over columns. Every readout's NLL in the package is readout.nll."""
     z = meas.conj().T @ psi
     p = np.abs(z) ** 2
     g_p = -weights / np.maximum(p, PROB_FLOOR)
     g_z = 2.0 * g_p * z
     g_psi = meas @ g_z
     g_meas = psi @ g_z.conj().T
-    logs = floored_log(p)
-    loss = float(-np.vdot(weights, logs))
-    return loss, g_psi, g_meas
+    return nll(weights, p), g_psi, g_meas
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +272,7 @@ def _backward_full(model: FullModelParams, run: FullRun) -> tuple[float, FullMod
     g_embed = np.zeros_like(model.embed)
     # np.add.at accumulates the rows of every step and sequence that share a token
     np.add.at(g_embed, run.sweep_tokens, g_acts[0][::-1, :, :d])
-    g_h0 = _normalize_vjp(model.h0, g_psi.sum(axis=0))
+    g_h0 = initial_state_vjp(model.h0, states[0, 0], g_psi.sum(axis=0))
     g_meas_raw = _qr_projection_vjp(meas, r_meas, g_meas)
 
     layers = [arr for pair in zip(g_w, g_b) for arr in pair]
@@ -467,9 +453,8 @@ def _softmax_batch_vjp(params: RosmParams, final: np.ndarray, targets: np.ndarra
                        scale: float) -> tuple[float, np.ndarray, list]:
     """As _born_batch_vjp, for the affine-softmax readout and its weights and bias."""
     q = params.readout(final)
-    logs = floored_log(q)
     g_logits = q * targets.sum(axis=1, keepdims=True) - targets
-    return (-float(np.vdot(targets, logs)), g_logits @ params.out_weights,
+    return (nll(targets, q), g_logits @ params.out_weights,
             [scale * (g_logits.T @ final), scale * g_logits.sum(axis=0)])
 
 
@@ -480,11 +465,12 @@ def _fixed_batch_grad(params: TrainableCusm | RosmParams, tokens: np.ndarray,
     whose readout is readout_vjp (_born_batch_vjp or _softmax_batch_vjp); gradients come
     in the parameters' own type."""
     i_plus_s, transitions = _cayley_system(params.gens)
-    states = _fixed_states(transitions, initial_state(params.h0), tokens)
+    unit = initial_state(params.h0)
+    states = _fixed_states(transitions, unit, tokens)
     scale = 1.0 / len(tokens)
     loss, g_final, g_readout = readout_vjp(params, states[-1], targets, scale)
     g_start, g_w = _fixed_transition_vjp(transitions, states, tokens, g_final)
-    g_h0 = _normalize_vjp(params.h0, scale * g_start)
+    g_h0 = initial_state_vjp(params.h0, unit, scale * g_start)
     g_gens = _cayley_generator_vjp(i_plus_s, transitions, scale * g_w)
     return loss * scale, params.with_arrays([g_h0, g_gens, *g_readout])
 
@@ -512,16 +498,17 @@ def exact_cusm_report(task: TaskInstance, table: TargetTable) -> dict:
     """The constructed exact solver, untrained, on the task's target table: max
     |p - p*| as cusm_max_error, the entropy floor, the gap of its mean NLL over
     that floor as exact_cusm_gap, which is rounding, and as ablation the mean NLL
-    of its final states under the Born readout and under the magnitude-only one."""
+    of its final states under the Born readout and under the magnitude-only one.
+    One born_probabilities p gives both cusm_max_error and the Born NLL."""
     floor = entropy_floor(table)
     cusm = build_exact_cusm(task)
     final = evolve_fixed_batch(cusm.unitaries, cusm.psi0, task.sequences())[-1].T
-    count = len(table.pstar)
-    loss, _, _ = _born_readout_vjp(cusm.measurement, final, table.pstar.T)
-    logs_d = floored_log(diagonal_only_probabilities(cusm.measurement, final))
-    ablation = {"nll_born": loss / count,
-                "nll_diagonal": -float(np.vdot(table.pstar.T, logs_d)) / count}
-    max_err = float(np.abs(born_probabilities(cusm.measurement, final).T - table.pstar).max())
+    count, weights = len(table.pstar), table.pstar.T
+    p = born_probabilities(cusm.measurement, final)
+    p_diagonal = diagonal_only_probabilities(cusm.measurement, final)
+    ablation = {"nll_born": nll(weights, p) / count,
+                "nll_diagonal": nll(weights, p_diagonal) / count}
+    max_err = float(np.abs(p.T - table.pstar).max())
     return {"cusm_max_error": max_err, "entropy_floor": floor,
             "exact_cusm_gap": ablation["nll_born"] - floor, "ablation": ablation}
 

@@ -143,6 +143,29 @@ class TestVerifySeparation:
         assert run(["verify-separation", "--n", "2", "--audits", "3"], tmp_path, monkeypatch) == 0
         assert sorted(calls) == ["build_exact_cusm", "evolve_fixed_batch", "target_table"]
 
+    def test_exact_model_forms_its_probabilities_once_and_takes_no_gradient(self, tmp_path,
+                                                                             monkeypatch):
+        # one born_probabilities gives the reproduction error and the Born NLL
+        from cusm import train
+        calls = []
+        real = train.born_probabilities
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        def no_gradient(*args):
+            raise AssertionError("the exact model's report called a VJP")
+
+        monkeypatch.setattr(train, "born_probabilities", counting)
+        monkeypatch.setattr(train, "_born_readout_vjp", no_gradient)
+        for argv in (["verify-separation", "--n", "2", "--audits", "3"],
+                     ["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--seeds", "1",
+                      "--epochs", "1", "--ablation"]):
+            calls.clear()
+            assert run(argv, tmp_path, monkeypatch) == 0
+            assert len(calls) == 1
+
     def test_ablation_is_the_one_train_reports(self, tmp_path, monkeypatch):
         # both commands report the one evaluation of the task's exact model
         assert run(["gen-task", "--n", "3", "--seed", "2"], tmp_path, monkeypatch) == 0

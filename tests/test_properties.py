@@ -5,10 +5,11 @@ state-major columns; the factor-form
 probability currents against the dense ones, and bit for bit against the two passes over
 the factors that their one pass replaced; the stacked Hermitian check and dense currents
 against one matrix at a time, and the stacked row norms against one row at a
-time; the closed-form Hermitian lift against its explicit basis; the stacked
-softmax-rank audits and numerical ranks against one model or matrix at a time;
-bit-exact task and model file round trips, which reject a task that breaks
-its physics and a model without a start state; the one fixed-transition
+time; the start state's adjoint, on the forward's unit vector, bit for bit against
+the one that re-formed that vector; the closed-form Hermitian lift against its
+explicit basis; the stacked softmax-rank audits and numerical ranks against one
+model or matrix at a time; bit-exact task and model file round trips, which reject a
+task that breaks its physics and a model without a start state; the one fixed-transition
 batch gradient bit for bit against the per-kind functions it replaced, whose Cayley
 map and VJPs are written out as they were; and the
 full model's forward pass, which checks its Gram matrices after the time loop,
@@ -62,8 +63,9 @@ from cusm.exceptions import (ConfigurationError, DegenerateInitializationError,
                              IllConditionedStepError, NonHermitianError)
 from cusm.hamgen import (init_full_model, load_model, mlp_forward_cached, mlp_weight_grads,
                          mlp_widths, save_model, split_factor_output)
-from cusm.numerics import (check_hermitian, ginibre, initial_state, make_rng, numerical_rank,
-                           row_norms, thin_qr_unique, vec_hermitian)
+from cusm.numerics import (_MIN_NORM, _UNDERFLOW_SCALE, check_hermitian, ginibre, initial_state,
+                           initial_state_vjp, make_rng, numerical_rank, row_norms, thin_qr_unique,
+                           vec_hermitian)
 from cusm.readout import floored_log, project_measurement
 from cusm.septask import (
     RosmParams,
@@ -85,7 +87,6 @@ from cusm.train import (
     _fixed_batch_grad,
     _fixed_loss,
     _full_run,
-    _normalize_vjp,
     _qr_projection_vjp,
     _softmax_batch_vjp,
     adam_cosine,
@@ -755,6 +756,38 @@ def test_initial_state_rounds_as_each_row_alone(k, n, complex_, seed, exponent):
         assert same_bits(got, want)
 
 
+def normalize_vjp_oracle(vec, g_unit):
+    """The start state's adjoint as it was before it took the forward's unit vector: it
+    re-forms vec / norm from the raw vector, after the same exact underflow scaling."""
+    norm = row_norms(vec)
+    if norm < _MIN_NORM:
+        return _UNDERFLOW_SCALE * normalize_vjp_oracle(vec * _UNDERFLOW_SCALE, g_unit)
+    unit = vec / norm
+    beta = float(np.real(np.vdot(g_unit, unit)))
+    return (g_unit - beta * unit) / norm
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       st.integers(-323, 150).map(lambda exponent: 10.0 ** exponent))
+@example(4, True, 7, 1e-170)
+@example(3, False, 7, 1e-170)
+@example(4, True, 7, 5e-324)
+@example(1, False, 7, 5e-324)
+def test_initial_state_vjp_on_the_forwards_unit_vector_equals_the_oracle(n, complex_, seed,
+                                                                          scale):
+    # normal scales and scales whose norm is below _MIN_NORM, down to the smallest subnormal,
+    # where the gradient may overflow to inf, on both sides alike
+    rng = make_rng(seed)
+    draws = rng.standard_normal((2, 2, n))
+    draws[0, :, 0] += np.copysign(1.0, draws[0, :, 0])  # |entry 0| >= 1: vec is never zero
+    vec, g = draws[:, 0] + 1j * draws[:, 1] if complex_ else draws[:, 0]
+    vec = vec * scale
+    with np.errstate(over="ignore"):
+        assert same_bits(initial_state_vjp(vec, initial_state(vec), g),
+                         normalize_vjp_oracle(vec, g))
+
+
 @PROPERTY
 @given(st.integers(1, 300), st.integers(1, 128), st.booleans(), st.integers(0, 2 ** 32 - 1),
        st.integers(-150, 150))
@@ -894,7 +927,7 @@ def cusm_batch_grad_oracle(params: TrainableCusm, tokens, targets):
     loss, g_psi, g_meas = _born_readout_vjp(meas, states[-1].T, targets.T)
     g_psi0, g_u = fixed_transition_vjp_oracle(unitaries, states, tokens, g_psi.T)
     scale = 1.0 / len(tokens)
-    g_h0 = _normalize_vjp(params.h0, scale * g_psi0)
+    g_h0 = normalize_vjp_oracle(params.h0, scale * g_psi0)
     g_gens = cayley_generator_vjp_oracle(params.gens, unitaries, scale * g_u)
     grads = TrainableCusm(h0=g_h0, gens=g_gens,
                           meas_raw=_qr_projection_vjp(meas, r_meas, scale * g_meas))
@@ -912,7 +945,7 @@ def rosm_batch_grad_oracle(params: RosmParams, tokens, targets):
                                             g_logits @ params.out_weights)
     scale = 1.0 / len(tokens)
     grads = RosmParams(
-        h0=_normalize_vjp(params.h0, scale * g_h0),
+        h0=normalize_vjp_oracle(params.h0, scale * g_h0),
         gens=cayley_generator_vjp_oracle(params.gens, transitions, scale * g_q),
         out_weights=scale * (g_logits.T @ states[-1]),
         bias=scale * g_logits.sum(axis=0),
@@ -1145,7 +1178,7 @@ def backward_full_oracle(model, tokens, weights):
     g_w, g_b = mlp_weight_grads([h[::-1] for h in acts[:-1]], [g[::-1] for g in g_acts[1:]])
     g_embed = np.zeros_like(model.embed)
     np.add.at(g_embed, tokens.T[::-1], g_acts[0][::-1, :, :d])
-    g_h0 = _normalize_vjp(model.h0, g_psi.sum(axis=0))
+    g_h0 = normalize_vjp_oracle(model.h0, g_psi.sum(axis=0))
     layers = [arr for pair in zip(g_w, g_b) for arr in pair]
     return loss, model.with_arrays([g_h0, g_lam, g_embed, *layers,
                                     _qr_projection_vjp(meas, r_meas, g_meas)])

@@ -17,9 +17,11 @@ messages of the warnings raised, and every file the run wrote. Paths are
 stripped (each side's directory reads `<root>`), and so is every `wall_clock`
 key of a JSON file, whose keys are then sorted. It prints one line per item
 that differs, with the largest absolute difference and the largest difference
-in ulps over the numbers of the two texts when only numbers differ, and a
-count of the items compared. It exits 0 when every item is identical, or with
---ulps K when every difference is numeric and at most K ulps; else 1.
+in ulps over the numbers of the two texts when only numbers differ, or, for a
+CSV file whose header and each row begin with the parent's, the count of the
+columns it keeps and the names of those it adds, and a count of the items
+compared. It exits 0 when every item is identical, or with --ulps K when every
+difference is numeric and at most K ulps; else 1.
 Standard library only; not part of Tier-1.
 """
 
@@ -139,6 +141,18 @@ def numeric_difference(a: str, b: str):
     return worst_abs, worst_ulps
 
 
+def added_columns(a: str, b: str) -> str | None:
+    """"keeps the parent's K columns; adds M: <names>" when CSV text b's header and each
+    of its rows begin with a's, field for field, and b has more columns; else None."""
+    old, new = ([line.split(",") for line in text.splitlines()] for text in (a, b))
+    if not old or len(old) != len(new) or len(new[0]) <= len(old[0]):
+        return None
+    if any(row[:len(kept)] != kept for kept, row in zip(old, new)):
+        return None
+    added = new[0][len(old[0]):]
+    return f"keeps the parent's {len(old[0])} columns; adds {len(added)}: {', '.join(added)}"
+
+
 def compare(parent: Path, change: Path, ulps: int | None) -> int:
     """Print each item that differs between two sides' work directories; 0 if none
     does, or, with ulps, if every difference is numeric and within ulps."""
@@ -158,7 +172,8 @@ def compare(parent: Path, change: Path, ulps: int | None) -> int:
             continue
         diff = numeric_difference(a, b)
         if diff is None:
-            print(f"{where}: differs beyond its numbers")
+            added = added_columns(a, b) if name.endswith(".csv") else None
+            print(f"{where}: {added or 'differs beyond its numbers'}")
             failed += 1
             continue
         print(f"{where}: max |difference| {diff[0]:.3e}, max {diff[1]} ulps")

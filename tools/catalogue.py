@@ -24,7 +24,7 @@ ROLLOUT_TOKENS = ",".join(str(7 * k % 16) for k in range(256))
 # (argv, exit code) of --version, --help, every subcommand and mode, all three model kinds
 # with --ablation, each kind of input file, full-mode simulate at perfbench's rollout-full
 # shape (perfbench/workloads.py) and at N = 8, r = 2 and N = 6, r = 1, an overflowing step,
-# an ill-conditioned one, three diverging training runs, an invariant violation (a token of
+# an ill-conditioned one, four diverging training runs, an invariant violation (a token of
 # the witness task with no Cayley generator) and twelve usage errors
 CATALOGUE = (
     (["gen-task", "--n", "2", "--seed", "0"], 0),
@@ -59,6 +59,8 @@ CATALOGUE = (
       "--lr", "1e300"], 3),
     (["train", "--n", "2", "--model-kind", "rosm", "--dim", "2", "--seeds", "1", "--epochs", "30",
       "--lr", "1e300"], 3),
+    (["train", "--n", "2", "--model-kind", "cusm-trainable", "--seeds", "1", "--epochs", "30",
+      "--lr", "1e300"], 3),  # the start vector's norm overflows
     (["train", "--n", "2", "--model-kind", "rosm", "--dim", "3", "--seeds", "2", "--epochs", "30",
       "--lr", "1e300"], 3),  # a singular Cayley system: LinAlgError from linalg_solve
     (["--version"], 0),

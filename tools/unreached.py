@@ -50,7 +50,7 @@ UNTRACED = {"test_criterion_11_scaling_trend"}  # it checks per-step time ratios
 
 # what no command enters besides the acceptance suite's imports and perfbench's bindings:
 # what they reach through them (finite_difference_grad's and backward_full_model's helpers,
-# the sequences of make_task's task), and save_model, whose fate ROADMAP item 6 decides
+# the sequences of make_task's task), and save_model, whose fate ROADMAP item 8 decides
 EXTRA_ALLOWED = ("train.central_difference", "train._one_hot_rows",
                  "septask.TaskInstance.sequence", "hamgen.save_model")
 
